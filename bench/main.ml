@@ -16,7 +16,9 @@
           --seeds N       range over N seeds in table 1
           --smoke         heavily down-scaled runs (CI)
           --json          also write a JSON summary
-          --json-out F    JSON destination (default BENCH_pr10.json)
+          --json-out F    JSON destination (default BENCH.json); Table-1
+                          figures are diff-checked against the newest
+                          BENCH_prN.json in the same directory
           --collector C   restrict the resilience matrix to one backend
                           (conservative | generational | explicit |
                           precise | all)
@@ -55,10 +57,6 @@ let json_write path =
   close_out oc;
   Format.printf "@.wrote %s@." path
 
-(* Differential guard: the precise-collector work must not move
-   Table 1.  When a previous summary (BENCH_pr9.json) sits next to the
-   output, every retention figure present in both must be
-   bit-identical. *)
 let read_json_fields path =
   let ic = open_in path in
   let fields = ref [] in
@@ -84,32 +82,50 @@ let read_json_fields path =
   close_in ic;
   List.rev !fields
 
+(* The highest-numbered [BENCH_prN.json] beside [json_out], other than
+   [json_out] itself. *)
+let newest_committed_summary json_out =
+  let dir = Filename.dirname json_out in
+  let numbered name =
+    match Scanf.sscanf_opt name "BENCH_pr%d.json%!" Fun.id with
+    | Some n when name <> Filename.basename json_out -> Some (n, Filename.concat dir name)
+    | _ -> None
+  in
+  List.filter_map numbered (Array.to_list (Sys.readdir dir))
+  |> List.sort (fun (a, _) (b, _) -> compare b a)
+  |> function
+  | [] -> None
+  | (_, path) :: _ -> Some path
+
+(* Differential guard: no change may move Table 1.  When committed
+   summaries sit next to the output, every retention figure present in
+   both the newest of them and the output must be bit-identical. *)
 let check_table1_parity json_out =
-  let reference = Filename.concat (Filename.dirname json_out) "BENCH_pr9.json" in
-  if Sys.file_exists reference then begin
-    let is_t1 (k, _) = String.length k >= 7 && String.sub k 0 7 = "table1_" in
-    let prev = List.filter is_t1 (read_json_fields reference) in
-    let cur = List.filter is_t1 (read_json_fields json_out) in
-    if prev <> [] && cur <> [] then begin
-      let mismatches =
-        List.filter_map
-          (fun (k, v) ->
-            match List.assoc_opt k cur with
-            | Some v' when String.equal v v' -> None
-            | Some v' -> Some (Printf.sprintf "%s: %s -> %s" k v v')
-            | None -> Some (Printf.sprintf "%s: %s -> (missing)" k v))
-          prev
-      in
-      if mismatches = [] then
-        Format.printf "table-1 parity: %d retention figures bit-identical to %s@."
-          (List.length prev) reference
-      else begin
-        List.iter (Format.eprintf "table-1 drift: %s@.") mismatches;
-        Format.eprintf "table-1 retention moved relative to %s@." reference;
-        exit 1
+  match newest_committed_summary json_out with
+  | None -> ()
+  | Some reference ->
+      let is_t1 (k, _) = String.length k >= 7 && String.sub k 0 7 = "table1_" in
+      let prev = List.filter is_t1 (read_json_fields reference) in
+      let cur = List.filter is_t1 (read_json_fields json_out) in
+      if prev <> [] && cur <> [] then begin
+        let mismatches =
+          List.filter_map
+            (fun (k, v) ->
+              match List.assoc_opt k cur with
+              | Some v' when String.equal v v' -> None
+              | Some v' -> Some (Printf.sprintf "%s: %s -> %s" k v v')
+              | None -> Some (Printf.sprintf "%s: %s -> (missing)" k v))
+            prev
+        in
+        if mismatches = [] then
+          Format.printf "table-1 parity: %d retention figures bit-identical to %s@."
+            (List.length prev) reference
+        else begin
+          List.iter (Format.eprintf "table-1 drift: %s@.") mismatches;
+          Format.eprintf "table-1 retention moved relative to %s@." reference;
+          exit 1
+        end
       end
-    end
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
@@ -708,16 +724,16 @@ let mark_throughput ~smoke ~jobs () =
 (* Memory-pressure resilience: the chaos matrix                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Recovery latency of the self-healing tracer: a rooted-list heap is
+(* Recovery latency of the fail-stop tracer: a rooted-list heap is
    marked at jobs=4 with each marker-domain failure mode armed against
    domain 1, under a tight watchdog budget.  For every mode we report
    the wall-clock cost of a faulted cycle next to the healthy baseline
-   (the difference is detection + reclamation), the reclaim kinds taken
-   (clean boundary merges vs dirty rollback-and-replay), the fallback
+   and one serial mark of the same heap (a failure costs detection plus
+   that serial rerun), the number of abandoned attempts, the fallback
    cause of the last cycle, and — the invariant that matters — that
    every faulted cycle still marked exactly the serial object count. *)
 let recovery_latency ~smoke () =
-  Format.printf "@.  domain-failure recovery (self-healing tracer, jobs=4):@.";
+  Format.printf "@.  domain-failure recovery (fail-stop tracer, jobs=4):@.";
   let jobs = 4 in
   let mem = Mem.create () in
   let data =
@@ -745,39 +761,39 @@ let recovery_latency ~smoke () =
     Segment.write_word data (Addr.add (Segment.base data) (4 * i)) (Addr.to_int head)
   done;
   let st = Cgc.Gc.stats gc in
-  let marked_by runner =
-    let m0 = st.Cgc.Stats.objects_marked in
-    runner ();
-    st.Cgc.Stats.objects_marked - m0
-  in
-  let serial_marked = marked_by (fun () -> Cgc.Gc.Internal.run_mark gc) in
   let iters = if smoke then 3 else 10 in
-  let measure faults =
+  (* [ms] per cycle and objects marked per cycle over [iters] runs *)
+  let timed run =
     let m0 = st.Cgc.Stats.objects_marked in
-    let clean = ref 0 and dirty = ref 0 and last = ref None in
     let t0 = Unix.gettimeofday () in
     for _ = 1 to iters do
-      let o = Cgc.Gc.Internal.run_mark_parallel ~faults gc ~jobs in
-      last := o.Cgc.Mark.Parallel.fallback;
-      match o.Cgc.Mark.Parallel.health with
-      | None -> ()
-      | Some h ->
-          clean := !clean + h.Cgc.Mark.Parallel.clean_recoveries;
-          dirty := !dirty + h.Cgc.Mark.Parallel.dirty_recoveries
+      run ()
     done;
     let ms = (Unix.gettimeofday () -. t0) *. 1000.0 /. float_of_int iters in
-    let marked = (st.Cgc.Stats.objects_marked - m0) / iters in
-    (ms, marked, !clean, !dirty, !last)
+    (ms, (st.Cgc.Stats.objects_marked - m0) / iters)
   in
-  let baseline_ms, _, _, _, _ = measure [] in
+  let serial_ms, serial_marked = timed (fun () -> Cgc.Gc.Internal.run_mark gc) in
+  let measure faults =
+    let a0 = st.Cgc.Stats.mark_abandonments in
+    let last = ref None in
+    let ms, marked =
+      timed (fun () ->
+          let o = Cgc.Gc.Internal.run_mark_parallel ~faults gc ~jobs in
+          last := o.Cgc.Mark.Parallel.fallback)
+    in
+    (ms, marked, st.Cgc.Stats.mark_abandonments - a0, !last)
+  in
+  let baseline_ms, _, _, _ = measure [] in
+  json_float "resilience_recovery_serial_ms" serial_ms;
   json_float "resilience_recovery_baseline_ms" baseline_ms;
-  Format.printf "  %-10s : %7.2f ms/cycle (healthy baseline, %d objects)@." "baseline"
-    baseline_ms serial_marked;
+  Format.printf "  %-10s : %7.2f ms/cycle (one serial mark, %d objects)@." "serial" serial_ms
+    serial_marked;
+  Format.printf "  %-10s : %7.2f ms/cycle (healthy parallel baseline)@." "baseline" baseline_ms;
   let all_parity = ref true in
   List.iter
     (fun spec ->
       let name = W.Chaos.domain_fault_name spec in
-      let ms, marked, clean, dirty, last = measure (W.Chaos.domain_fault_plans spec) in
+      let ms, marked, abandoned, last = measure (W.Chaos.domain_fault_plans spec) in
       let parity = marked = serial_marked in
       if not parity then all_parity := false;
       let cause =
@@ -786,15 +802,14 @@ let recovery_latency ~smoke () =
         | Some f -> Cgc.Mark.Parallel.fallback_to_string f
       in
       Format.printf
-        "  %-10s : %7.2f ms/cycle (+%.2f ms recovery; %d clean / %d dirty reclaims over %d \
-         cycles; last: %s) — marks %s@."
+        "  %-10s : %7.2f ms/cycle (+%.2f ms over baseline; %d of %d cycles abandoned; last: %s) \
+         — marks %s@."
         name ms
         (Float.max 0.0 (ms -. baseline_ms))
-        clean dirty iters cause
+        abandoned iters cause
         (if parity then "exact" else "DIVERGED");
       json_float (Printf.sprintf "resilience_recovery_%s_ms" name) ms;
-      json_int (Printf.sprintf "resilience_recovery_%s_clean_reclaims" name) clean;
-      json_int (Printf.sprintf "resilience_recovery_%s_dirty_reclaims" name) dirty;
+      json_int (Printf.sprintf "resilience_recovery_%s_abandoned" name) abandoned;
       json_bool (Printf.sprintf "resilience_recovery_%s_parity" name) parity)
     (List.filter (fun s -> s <> W.Chaos.No_domain_fault) W.Chaos.all_domain_faults);
   json_int "resilience_recovery_serial_objects" serial_marked;
@@ -1098,7 +1113,7 @@ let () =
     let rec find = function
       | "--json-out" :: path :: _ -> path
       | _ :: rest -> find rest
-      | [] -> "BENCH_pr10.json"
+      | [] -> "BENCH.json"
     in
     find args
   in

@@ -209,14 +209,13 @@ let run_chaos seed steps collectors mark_jobs domain_faults =
               (List.filter_map (fun o -> o.W.Chaos.last_fallback) armed)
           in
           Format.printf
-            "-- %s axis: %d/%d cells clean; %d domain faults injected, %d domains reclaimed, \
-             %d serial fallbacks, %d quorum degradations; causes seen: %s@.%!"
+            "-- %s axis: %d/%d cells clean; %d domain faults injected, %d traces abandoned, \
+             %d serial fallbacks; causes seen: %s@.%!"
             (W.Chaos.domain_fault_name domain_fault)
             clean (List.length outcomes)
             (sum (fun s -> s.Cgc.Stats.mark_domain_faults))
-            (sum (fun s -> s.Cgc.Stats.mark_domains_recovered))
+            (sum (fun s -> s.Cgc.Stats.mark_abandonments))
             (sum (fun s -> s.Cgc.Stats.mark_serial_fallbacks))
-            (sum (fun s -> s.Cgc.Stats.mark_quorum_degradations))
             (if causes = [] then "none" else String.concat ", " causes)
         end;
         outcomes)
@@ -265,8 +264,8 @@ let chaos_cmd =
           ~doc:
             "Cross the matrix with the marker-domain failure axis: every cell reruns under \
              an injected stall, crash, livelock and straggler of marker domain 1 (plus the \
-             no-fault baseline), with per-axis summaries of faults injected, domains \
-             reclaimed and fallback causes.  Implies nothing at $(b,--jobs) 1, where the \
+             no-fault baseline), with per-axis summaries of faults injected, traces \
+             abandoned and fallback causes.  Implies nothing at $(b,--jobs) 1, where the \
              tracer never spawns domains.")
   in
   Cmd.v

@@ -80,14 +80,10 @@ let begin_cycle t =
     t.current <- old
   end
 
-(* Cycle snapshots for the quorum-degradation path of the parallel
-   marker: when a parallel trace is abandoned mid-flight, the serial
-   rerun calls [begin_cycle] a second time in the same collection,
-   which would age out the pre-trace [previous] set one cycle early
-   (and [begin_cycle] clears the displaced bitset in place, so the
-   snapshot must copy).  [save_cycle] before the parallel attempt and
-   [restore_cycle] before the serial rerun make the abandoned attempt
-   invisible to the aging protocol. *)
+(* Cycle snapshots for speculative marks that must leave no trace (a
+   verifier's shadow mark): [begin_cycle] would age the [previous] set
+   once more, and it clears the displaced bitset in place, so the
+   snapshot must copy. *)
 type snapshot = {
   s_current : Bitset.t;
   s_previous : Bitset.t;

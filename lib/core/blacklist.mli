@@ -83,14 +83,13 @@ type snapshot
     the op counter) taken with {!save_cycle}. *)
 
 val save_cycle : t -> snapshot
-(** Snapshot the cycle state before a parallel trace that might be
-    abandoned.  Copies the bitsets — {!begin_cycle} recycles the
+(** Snapshot the cycle state before a speculative mark whose effects
+    must be undone.  Copies the bitsets — {!begin_cycle} recycles the
     displaced one in place, so aliasing would corrupt the snapshot. *)
 
 val restore_cycle : t -> snapshot -> unit
-(** Roll the aging state back to a {!save_cycle} snapshot, erasing an
-    abandoned trace's rotation and partial notes so the serial rerun's
-    own {!begin_cycle} ages entries exactly once per collection. *)
+(** Roll the aging state back to a {!save_cycle} snapshot, erasing the
+    speculative mark's rotation and notes. *)
 
 val iter : (int -> unit) -> t -> unit
 (** Iterate over currently black pages in increasing order. *)

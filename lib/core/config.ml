@@ -25,7 +25,6 @@ type t = {
   relax_blacklist : bool;
   mark_jobs : int;
   mark_watchdog_budget : int;
-  mark_quorum : int;
 }
 
 let default =
@@ -52,7 +51,6 @@ let default =
     relax_blacklist = false;
     mark_jobs = 1;
     mark_watchdog_budget = 4096;
-    mark_quorum = 1;
   }
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
@@ -86,10 +84,7 @@ let validate t =
   if t.mark_jobs < 1 || t.mark_jobs > 64 then
     invalid_arg "Config: mark_jobs must be in [1,64]";
   if t.mark_watchdog_budget < 1 then
-    invalid_arg "Config: mark_watchdog_budget must be >= 1";
-  if t.mark_quorum < 1 then invalid_arg "Config: mark_quorum must be >= 1";
-  if t.mark_quorum > t.mark_jobs then
-    invalid_arg "Config: mark_quorum must be <= mark_jobs"
+    invalid_arg "Config: mark_watchdog_budget must be >= 1"
 
 let max_small_bytes t = t.page_size / 2
 
@@ -122,7 +117,7 @@ let pp ppf t =
     "@[<v>page_size=%d granule=%d interior=%b displacements=[%s] large=%s align=%d@,\
      blacklist=%b refresh=%b atomic_on_black=%b avoid_tz=%s zero=%b@,\
      initial_pages=%d expand=%d..%d divisor=%d startup_gc=%b relax_blacklist=%b mark_jobs=%d@,\
-     watchdog_budget=%d quorum=%d@]"
+     watchdog_budget=%d@]"
     t.page_size t.granule t.interior_pointers
     (String.concat ";" (List.map string_of_int t.valid_displacements))
     (match t.large_validity with
@@ -133,4 +128,4 @@ let pp ppf t =
     | None -> "off"
     | Some k -> string_of_int k)
     t.zero_on_alloc t.initial_pages t.min_expand_pages t.max_expand_pages t.space_divisor
-    t.full_gc_at_startup t.relax_blacklist t.mark_jobs t.mark_watchdog_budget t.mark_quorum
+    t.full_gc_at_startup t.relax_blacklist t.mark_jobs t.mark_watchdog_budget

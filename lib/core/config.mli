@@ -103,27 +103,23 @@ type t = {
           bit-identical to the serial marker.  While a [Mem.Fault]
           access plan is armed the collector falls back to serial
           marking (fault trip streams are stateful and cannot be raced)
-          and records a typed note in [Gc.last_mark_outcome]. *)
+          and records a typed note in [Gc.last_mark_outcome].
+
+          Experimental: on every host measured so far [n > 1] marks
+          {e slower} than the serial fast path (two domains at about
+          0.5x the serial rate on a 2-vCPU VM, EXPERIMENTS.md
+          "Parallel marking"). *)
   mark_watchdog_budget : int;
       (** no-progress budget for the parallel tracer's watchdog: how
           many leader observation rounds a non-idle marker domain may go
           without bumping its heartbeat before the leader declares it
-          suspect and reclaims its work.  Each round the leader backs
-          off with capped exponential spinning, so the budget is a count
-          of observations, not a wall-clock bound.  Only consulted when
-          [mark_jobs > 1]; irrelevant to the serial marker.  Larger
-          values tolerate slower stragglers at the price of later
-          detection.  Default 4096. *)
-  mark_quorum : int;
-      (** minimum number of live marker domains (leader included) for
-          the parallel trace to keep going after failures.  When
-          recoveries leave fewer than [mark_quorum] survivors, the trace
-          abandons its partial state and degrades to the serial scanner,
-          recording [Mark.Domain_failed] in [Gc.last_mark_outcome].
-          Must satisfy [1 <= mark_quorum <= mark_jobs]; the leader
-          (domain 0) hosts the watchdog and never fails, so a quorum of
-          1 means "finish on the leader alone if it comes to that".
-          Default 1. *)
+          failed and abandons the parallel attempt for a serial rerun.
+          Each round the leader backs off with capped exponential
+          spinning, so the budget is a count of observations, not a
+          wall-clock bound.  Only consulted when [mark_jobs > 1];
+          irrelevant to the serial marker.  Larger values tolerate
+          slower stragglers at the price of later detection.  Default
+          4096. *)
 }
 
 val default : t
@@ -132,8 +128,7 @@ val default : t
     no trailing-zero avoidance, zeroing on, 64 initial pages, expansion
     increment 64 pages (backoff cap 256), space divisor 3, startup
     collection on, blacklist relaxation off, serial marking
-    ([mark_jobs = 1]), watchdog budget 4096 observation rounds, quorum
-    1 (degrade to serial only when every helper domain has failed). *)
+    ([mark_jobs = 1]), watchdog budget 4096 observation rounds. *)
 
 val validate : t -> unit
 (** @raise Invalid_argument on inconsistent settings. *)

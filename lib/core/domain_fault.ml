@@ -4,13 +4,13 @@
    parallel tracer misbehaves.  Plans are pure data; [Mark.Parallel]
    consults them at its instrumented checkpoints (deque push/pop/steal
    and chunk claim) and turns a tripped plan into the corresponding
-   failure, which the leader's watchdog then has to detect and recover
-   from.  Determinism comes from the trigger counters: the same plan on
-   the same trace trips at the same checkpoint every run.
+   failure, which abandons the parallel attempt — directly for a crash,
+   through the leader's watchdog for a silent freeze.  Determinism comes
+   from the trigger counters: the same plan on the same trace trips at
+   the same checkpoint every run.
 
    The leader (domain 0) hosts the watchdog and is immune by
-   construction — [plan] rejects it — so every injected failure leaves
-   at least one survivor and the quorum arithmetic is never vacuous. *)
+   construction — [plan] rejects it — so a freeze is always detected. *)
 
 type mode =
   | Stall of { after_claims : int }

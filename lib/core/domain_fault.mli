@@ -7,26 +7,26 @@
     crawls.  Plans are consulted at the tracer's instrumented
     checkpoints (deque push/pop/steal and chunk-claim sites inside
     [Mark.Parallel]); the trigger counters make every trip
-    deterministic, so the QCheck differentials can pin the recovered
-    mark state bit-identical to the serial scanner.
+    deterministic, so the QCheck differentials can pin the mark state
+    after a failure bit-identical to the serial scanner.
 
-    Failure taxonomy (DESIGN.md §9):
+    Failure taxonomy (DESIGN.md §9).  Every tripped failure except a
+    tolerated straggler abandons the parallel attempt, and the serial
+    scanner reruns the trace, so no failed domain's partial state is
+    ever read:
     - {!Stall}: the domain freezes at its [after_claims]-th work-claim
-      attempt — an item {e boundary}, so its shard is consistent and
-      recovery merges it (crash-after-publish).
+      attempt, an item boundary.  It stops bumping its heartbeat, and
+      the leader's watchdog abandons the trace.
     - {!Crash}: the domain dies abruptly at its [at_step]-th checkpoint
-      of any kind.  A crash at a claim site is a boundary crash; a
-      crash at a push site is mid-item, and recovery must discard the
-      shard and rescan (crash-before-publish).
+      of any kind, abandoning the trace on its way out.
     - {!Livelock}: the domain claims its [on_claim]-th item and then
-      "processes" it forever without completing — always mid-item,
-      always the discard-and-rescan path.
+      "processes" it forever without completing; like a stall, only
+      the watchdog can see it.
     - {!Straggler}: the domain stays correct but spins [spin] relax
       loops at every checkpoint.  Its heartbeats keep advancing, so a
       generous {!Config.mark_watchdog_budget} tolerates it; a tight
-      budget reclaims it like any suspect — and recovery is exact even
-      for such a false positive, because the fence protocol stops the
-      domain before touching its state. *)
+      budget treats it as failed and abandons the trace, which costs a
+      serial rerun but never correctness. *)
 
 type mode =
   | Stall of { after_claims : int }

@@ -28,7 +28,7 @@ type t = {
   mutable last_mark_outcome : Mark.Parallel.outcome option;
       (* how the most recent mark phase ran when [Config.mark_jobs > 1]:
          parallel, or serial with a typed fallback note (armed access
-         plan, or marker-domain failures breaking quorum).  [None] until
+         plan, or a failed marker domain).  [None] until
          the first such phase — and always [None] with the default
          [mark_jobs = 1], whose serial path is untouched *)
   mutable domain_faults : Domain_fault.plan list;
@@ -173,8 +173,8 @@ let domain_faults t = t.domain_faults
 (* The mark phase, honouring [Config.mark_jobs]: 1 keeps the serial
    fast path byte-for-byte (no outcome recorded); > 1 runs the parallel
    tracer, which itself falls back to serial — with a typed note —
-   while a [Mem.Fault] access plan is armed or when injected
-   marker-domain failures break [Config.mark_quorum] mid-trace. *)
+   while a [Mem.Fault] access plan is armed or when a marker domain
+   fails mid-trace. *)
 let run_mark_phase t =
   let jobs = t.config.Config.mark_jobs in
   if jobs <= 1 then Mark.run t.marker t.roots ~mem:t.mem
@@ -194,13 +194,13 @@ let drain_pending_sweeps t =
   !freed
 
 let collect t =
-  let t0 = Sys.time () in
+  let t0 = Stats.now_s () in
   t.stats.Stats.collections <- t.stats.Stats.collections + 1;
   if t.config.Config.lazy_sweep then begin
     (* leftovers from the previous cycle must go before marks are reset *)
     let (_ : int) = drain_pending_sweeps t in
     run_mark_phase t;
-    let t1 = Sys.time () in
+    let t1 = Stats.now_s () in
     Heap.iter_committed t.heap (fun i p ->
         match p with
         | Page.Small _ | Page.Large_head _ -> Bitset.add t.pending_sweep i
@@ -210,11 +210,11 @@ let collect t =
   end
   else begin
     run_mark_phase t;
-    let t1 = Sys.time () in
+    let t1 = Stats.now_s () in
     let (_ : Sweep.result) =
       Sweep.run ~quarantined:(quarantined t) t.heap t.free_lists t.finalize t.stats
     in
-    let t2 = Sys.time () in
+    let t2 = Stats.now_s () in
     t.stats.Stats.mark_seconds <- t.stats.Stats.mark_seconds +. (t1 -. t0);
     t.stats.Stats.sweep_seconds <- t.stats.Stats.sweep_seconds +. (t2 -. t1);
     t.stats.Stats.total_gc_seconds <- t.stats.Stats.total_gc_seconds +. (t2 -. t0)

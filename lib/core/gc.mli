@@ -185,9 +185,9 @@ val live_bytes : t -> int
 val last_mark_outcome : t -> Mark.Parallel.outcome option
 (** How the most recent mark phase ran when [Config.mark_jobs > 1]:
     parallel ([fallback = None]) or serial with a typed note (an armed
-    [Mem.Fault] access plan forces serial marking up front;
-    marker-domain failures breaking [Config.mark_quorum] abandon the
-    trace mid-flight and rerun it serially, noted [Domain_failed]).
+    [Mem.Fault] access plan forces serial marking up front; a
+    marker-domain failure abandons the trace mid-flight and reruns it
+    serially, noted [Domain_failed]).
     Always [None] with the default [mark_jobs = 1]. *)
 
 val set_domain_faults : t -> Domain_fault.plan list -> unit

@@ -601,11 +601,6 @@ module Parallel = struct
 
   type health = {
     heartbeats : int array;
-    failed : int list;
-    clean_recoveries : int;
-    dirty_recoveries : int;
-    survivors : int;
-    quorum : int;
     tasks_issued : int;
   }
 
@@ -627,9 +622,8 @@ module Parallel = struct
       }
 
   (* Trigger counters for an armed [Domain_fault] plan, private to the
-     victim domain.  [f_tripped] is read by the leader after the join —
-     safely published by [Domain.join] (or by the fence handshake when
-     the trace is abandoned before the join). *)
+     victim domain.  [f_tripped] is read by the leader after the join,
+     which publishes it. *)
   type fault_state = {
     f_mode : Domain_fault.mode;
     mutable f_steps : int;  (* checkpoints passed, all sites *)
@@ -674,21 +668,7 @@ module Parallel = struct
     (* --- domain-failure boundary ---------------------------------- *)
     w_heartbeat : int Atomic.t;  (* bumped once per successful claim *)
     w_idle_flag : bool Atomic.t;  (* set while parked in [quiesce] *)
-    w_reclaim : int Atomic.t;  (* 0 live / 1 fence requested / 2 fenced+reclaimed *)
-    w_crashed : bool Atomic.t;  (* set by an injected crash, instant suspect *)
-    mutable w_inflight : bool;
-        (* true between a claim and the end of its execution; published
-           to the leader by the fence handshake and decides the
-           clean-vs-dirty reclaim path *)
     w_fault : fault_state option;
-    (* Append-only journals, read by the leader only after the fence:
-       every claim that crossed a boundary (root task, rescan page,
-       stolen object — never an own pop, see [try_obtain]) and every
-       shadow bit this domain won. *)
-    mutable w_log : int array;
-    mutable w_log_len : int;
-    mutable w_won : int array;
-    mutable w_won_len : int;
     (* watchdog bookkeeping, allocated for the leader only *)
     w_wd_last : int array;  (* last heartbeat observed per domain *)
     w_wd_miss : int array;  (* consecutive no-progress observations *)
@@ -709,16 +689,8 @@ module Parallel = struct
     p_idle : int Atomic.t;
     p_jobs : int;
     p_workers : worker array;
-    (* domain-failure boundary *)
     p_budget : int;  (* Config.mark_watchdog_budget *)
-    p_quorum : int;  (* Config.mark_quorum *)
-    p_dead : int Atomic.t;  (* domains reclaimed so far *)
-    p_abandoned : bool Atomic.t;  (* quorum broke: everyone unwinds *)
-    (* leader-only recovery bookkeeping (written during reclaim, read
-       after the join on the same domain) *)
-    mutable p_clean : int;
-    mutable p_dirty : int;
-    mutable p_failed : int list;
+    p_abandoned : bool Atomic.t;  (* a domain failed: everyone unwinds *)
     (* idle domains nap here instead of spinning (essential when domains
        outnumber cores); producers wake them on push, the last domain to
        go idle wakes them for termination *)
@@ -769,14 +741,7 @@ module Parallel = struct
       w_cache_large = Page.dummy_large;
       w_heartbeat = Atomic.make 0;
       w_idle_flag = Atomic.make false;
-      w_reclaim = Atomic.make 0;
-      w_crashed = Atomic.make false;
-      w_inflight = false;
       w_fault = fault;
-      w_log = [||];
-      w_log_len = 0;
-      w_won = [||];
-      w_won_len = 0;
       w_wd_last = (if id = 0 then Array.make jobs 0 else [||]);
       w_wd_miss = (if id = 0 then Array.make jobs 0 else [||]);
       w_wd_tick = 1;
@@ -824,33 +789,35 @@ module Parallel = struct
 
   (* ---- domain-failure boundary ----------------------------------- *)
 
-  (* Internal unwind for a domain that dies (injected failure, fence
-     acknowledgement, or trace abandonment); caught in [worker_main]. *)
+  (* Internal unwind of an abandoned trace; caught in [worker_main]. *)
   exception Gone
 
-  (* A failing domain's single exit: leave the idle count if it was on
-     it, acknowledge any pending fence, and unwind.  Setting
-     [w_reclaim] to 2 is the publication point: every plain mutable
-     write this domain made happens-before the leader's reads. *)
-  let perish sh w ~counted_idle =
-    if counted_idle then Atomic.decr sh.p_idle;
-    Atomic.set w.w_reclaim 2;
+  let[@inline] abandoned sh = Atomic.get sh.p_abandoned
+
+  (* Fail-stop: the first failure abandons the whole attempt and the
+     serial scanner reruns the trace, so no domain's partial state is
+     ever read.  Both condition variables are broadcast under their
+     locks after the flag is set, and both wait loops re-check the flag
+     under the same lock, so a napping domain or one parked at the
+     overflow-round barrier either sees the flag or is woken. *)
+  let abandon sh =
+    Atomic.set sh.p_abandoned true;
     wake_all sh;
+    Mutex.lock sh.p_bar_lock;
+    Condition.broadcast sh.p_bar_cond;
+    Mutex.unlock sh.p_bar_lock;
     raise Gone
 
-  (* Injected freeze (stall / livelock): spin forever but stay
-     fenceable — the watchdog's reclaim or a trace abandonment must
-     still be able to stop this domain. *)
-  let freeze sh w =
-    while true do
-      if Atomic.get w.w_reclaim = 1 || Atomic.get sh.p_abandoned then
-        perish sh w ~counted_idle:false;
+  (* Injected freeze (stall / livelock): no heartbeat, no idle flag —
+     only the leader's watchdog can end it, by abandoning the trace. *)
+  let freeze sh =
+    while not (abandoned sh) do
       Domain.cpu_relax ()
-    done
+    done;
+    raise Gone
 
-  (* Checkpoint sites (the ISSUE's "deque push/pop/steal and chunk
-     claim" points).  Pre-claim and steal are item boundaries; push and
-     post-claim are mid-item. *)
+  (* Checkpoint sites (deque push/pop/steal and chunk claim).  Pre-claim
+     and steal are item boundaries; push and post-claim are mid-item. *)
   let site_pre_claim = 0 (* top of the phase loop, before any claim attempt *)
   let site_steal = 1 (* entry of [try_steal] *)
   let site_push = 2 (* entry of [push] — mid-item by construction *)
@@ -865,58 +832,28 @@ module Parallel = struct
         | Domain_fault.Crash { at_step } ->
             if f.f_steps >= at_step then begin
               f.f_tripped <- true;
-              Atomic.set w.w_crashed true;
-              raise Gone
+              abandon sh
             end
         | Domain_fault.Stall { after_claims } ->
             if site = site_pre_claim && f.f_claims >= after_claims then begin
               f.f_tripped <- true;
-              freeze sh w
+              freeze sh
             end
         | Domain_fault.Livelock { on_claim } ->
             if site = site_post_claim && f.f_claims >= on_claim then begin
               f.f_tripped <- true;
-              freeze sh w
+              freeze sh
             end
         | Domain_fault.Straggler { spin } ->
             f.f_tripped <- true;
             for _ = 1 to spin do
-              if Atomic.get w.w_reclaim = 1 || Atomic.get sh.p_abandoned then
-                perish sh w ~counted_idle:false;
+              if abandoned sh then raise Gone;
               Domain.cpu_relax ()
             done)
 
   let[@inline] checkpoint sh w site =
-    if Atomic.get w.w_reclaim = 1 || Atomic.get sh.p_abandoned then
-      perish sh w ~counted_idle:false;
+    if abandoned sh then raise Gone;
     match w.w_fault with None -> () | Some _ -> apply_fault sh w site
-
-  (* Won-bit journal encoding: small objects carry (index, page) above
-     a set low bit, large heads the page alone.  Page numbers stay far
-     below 2^20 in the simulated heaps this tracer runs against. *)
-  let won_page_bits = 20
-
-  let record_won w e =
-    if w.w_id > 0 then begin
-      if w.w_won_len = Array.length w.w_won then begin
-        let bigger = Array.make (if w.w_won_len = 0 then 64 else 2 * w.w_won_len) 0 in
-        Array.blit w.w_won 0 bigger 0 w.w_won_len;
-        w.w_won <- bigger
-      end;
-      w.w_won.(w.w_won_len) <- e;
-      w.w_won_len <- w.w_won_len + 1
-    end
-
-  let log_claim w e =
-    if w.w_id > 0 then begin
-      if w.w_log_len = Array.length w.w_log then begin
-        let bigger = Array.make (if w.w_log_len = 0 then 64 else 2 * w.w_log_len) 0 in
-        Array.blit w.w_log 0 bigger 0 w.w_log_len;
-        w.w_log <- bigger
-      end;
-      w.w_log.(w.w_log_len) <- e;
-      w.w_log_len <- w.w_log_len + 1
-    end
 
   (* ----------------------------------------------------------------- *)
 
@@ -960,7 +897,6 @@ module Parallel = struct
             note_valid w;
             if Bitset.Atomic.unsafe_test_and_set w.w_cache_shadow index then begin
               w.w_stats.Stats.objects_marked <- w.w_stats.Stats.objects_marked + 1;
-              record_won w ((index lsl (won_page_bits + 1)) lor (page lsl 1) lor 1);
               push sh w (value - displacement)
             end
           end
@@ -976,7 +912,6 @@ module Parallel = struct
             note_valid w;
             if Bitset.Atomic.unsafe_test_and_set sh.p_shadow_large page then begin
               w.w_stats.Stats.objects_marked <- w.w_stats.Stats.objects_marked + 1;
-              record_won w (page lsl 1);
               push sh w (value - off)
             end
           end
@@ -997,7 +932,6 @@ module Parallel = struct
             note_valid w;
             if Bitset.Atomic.unsafe_test_and_set sh.p_shadow_large head then begin
               w.w_stats.Stats.objects_marked <- w.w_stats.Stats.objects_marked + 1;
-              record_won w (head lsl 1);
               push sh w head_addr
             end
           end
@@ -1079,26 +1013,12 @@ module Parallel = struct
       && Bitset.Atomic.mem sh.p_shadow_large page
     then scan_object sh w (w.w_heap_lo + (page lsl w.w_page_shift))
 
+  (* Deques hold bare object base addresses; root tasks and rescan
+     pages are claimed from the shared counters. *)
   type work =
     | Obj of int
     | Task of int  (* index into p_tasks *)
     | Rescan of int
-
-  (* Deques and claim journals carry encoded ints: the tag lives in
-     bits the simulated address space never reaches (addresses, task
-     indices and page numbers all stay far below 2^60).  Ordinary
-     object pushes are tag 0, i.e. the bare base address; only the
-     recovery path ever pushes Task/Rescan encodings (into the leader's
-     deque), from which thieves may then steal them. *)
-  let tag_shift = 60
-  let encode_task i = (1 lsl tag_shift) lor i
-  let encode_rescan p = (2 lsl tag_shift) lor p
-
-  let[@inline] decode v =
-    match v lsr tag_shift with
-    | 0 -> Obj v
-    | 1 -> Task (v land ((1 lsl tag_shift) - 1))
-    | _ -> Rescan (v land ((1 lsl tag_shift) - 1))
 
   let try_steal sh w =
     checkpoint sh w site_steal;
@@ -1108,41 +1028,23 @@ module Parallel = struct
       else begin
         let victim = Array.unsafe_get sh.p_workers ((w.w_id + k) mod n) in
         match Ws_deque.steal victim.w_deque with
-        | Some v ->
-            (* a steal crosses the ownership boundary: journal it so a
-               dirty reclaim of *this* domain can replay it *)
-            log_claim w v;
-            Some (decode v)
+        | Some v -> Some (Obj v)
         | None -> go (k + 1)
       end
     in
     go 1
 
-  (* Own pops are deliberately NOT journaled: an own-popped object was
-     pushed by this domain when it won the object's shadow bit, and a
-     dirty reclaim rolls every such bit back — so replaying the
-     journaled boundary claims re-wins and re-pushes the whole chain
-     inductively.  Replaying own pops as well would scan bodies of
-     rolled-back (unmarked) objects and lose their marks. *)
   let try_obtain sh w =
     match Ws_deque.pop w.w_deque with
-    | Some v -> Some (decode v)
+    | Some v -> Some (Obj v)
     | None ->
         if Atomic.get sh.p_mode = 0 then begin
           let i = Atomic.fetch_and_add sh.p_next_task 1 in
-          if i < Array.length sh.p_tasks then begin
-            log_claim w (encode_task i);
-            Some (Task i)
-          end
-          else try_steal sh w
+          if i < Array.length sh.p_tasks then Some (Task i) else try_steal sh w
         end
         else begin
           let p = Atomic.fetch_and_add sh.p_next_rescan 1 in
-          if p < sh.p_committed then begin
-            log_claim w (encode_rescan p);
-            Some (Rescan p)
-          end
-          else try_steal sh w
+          if p < sh.p_committed then Some (Rescan p) else try_steal sh w
         end
 
   let work_visible sh =
@@ -1160,65 +1062,53 @@ module Parallel = struct
         | Range_chunk { seg; lo; start_hi; hi } -> scan_chunk sh w seg ~lo ~start_hi ~hi)
     | Rescan page -> rescan_page sh w page
 
-  (* Termination now also counts the dead: a reclaimed domain's deque
-     has been drained (or discarded) by the leader, so [idle + dead =
-     jobs] still means "no work anywhere and nobody can create any". *)
-  let terminated sh = Atomic.get sh.p_idle + Atomic.get sh.p_dead = sh.p_jobs
+  let terminated sh = Atomic.get sh.p_idle = sh.p_jobs
 
   (* Bounded spin, then sleep on the condition.  The napper count is
      raised under the lock *before* the final work re-check, and
      producers read it after publishing their push (both SC atomics), so
-     one side always sees the other: no lost wakeups.  The fence and
-     abandonment flags are part of the predicate for the same reason —
-     [reclaim] sets them before its [wake_all], so a domain headed for
-     the wait either sees the flag here or is woken by the broadcast. *)
-  let nap sh w =
+     one side always sees the other: no lost wakeups.  The abandonment
+     flag is part of the predicate for the same reason — [abandon] sets
+     it before its broadcast. *)
+  let nap sh =
     Mutex.lock sh.p_lock;
     Atomic.incr sh.p_nappers;
-    if
-      (not (work_visible sh))
-      && (not (terminated sh))
-      && Atomic.get w.w_reclaim = 0
-      && not (Atomic.get sh.p_abandoned)
-    then Condition.wait sh.p_cond sh.p_lock;
+    if (not (work_visible sh)) && (not (terminated sh)) && not (abandoned sh) then
+      Condition.wait sh.p_cond sh.p_lock;
     Atomic.decr sh.p_nappers;
     Mutex.unlock sh.p_lock
 
   (* One watchdog observation pass over the non-leader domains, run by
-     the idle leader every [w_wd_gap] spin iterations.  A domain makes
-     progress when its heartbeat moved; parked domains ([w_idle_flag])
-     are healthy by definition (a frozen domain never parks — the idle
-     flag is only set inside [quiesce]).  [w_wd_miss] counts
-     consecutive no-progress observations; [Config.mark_watchdog_budget]
-     of them make the domain suspect.  The gap backs off exponentially
-     (capped) while nothing moves, so a long-idle leader isn't a busy
-     polling loop, and snaps back to 1 on any observed progress.  An
-     injected crash ([w_crashed]) is an instant suspect: the domain
-     provably cannot progress. *)
+     the idle leader every [w_wd_gap] spin iterations; [true] when some
+     domain is suspect.  A domain makes progress when its heartbeat
+     moved; parked domains ([w_idle_flag]) are healthy by definition (a
+     frozen domain never parks — the idle flag is only set inside
+     [quiesce]).  [w_wd_miss] counts consecutive no-progress
+     observations; [Config.mark_watchdog_budget] of them make the domain
+     suspect.  The gap backs off exponentially (capped) while nothing
+     moves, so a long-idle leader isn't a busy polling loop, and snaps
+     back to 1 on any observed progress.  A false positive on a
+     healthy-but-slow domain costs one serial rerun, never correctness. *)
   let watchdog_tick sh w =
     w.w_wd_tick <- w.w_wd_tick - 1;
-    if w.w_wd_tick > 0 then None
+    if w.w_wd_tick > 0 then false
     else begin
       w.w_wd_tick <- w.w_wd_gap;
-      let suspect = ref None in
+      let suspect = ref false in
       let progressed = ref false in
       for d = 1 to sh.p_jobs - 1 do
-        if !suspect = None then begin
-          let v = Array.unsafe_get sh.p_workers d in
-          if Atomic.get v.w_reclaim = 2 then () (* already reclaimed *)
-          else if Atomic.get v.w_crashed then suspect := Some v
-          else if Atomic.get v.w_idle_flag then w.w_wd_miss.(d) <- 0
+        let v = Array.unsafe_get sh.p_workers d in
+        if Atomic.get v.w_idle_flag then w.w_wd_miss.(d) <- 0
+        else begin
+          let hb = Atomic.get v.w_heartbeat in
+          if hb <> w.w_wd_last.(d) then begin
+            w.w_wd_last.(d) <- hb;
+            w.w_wd_miss.(d) <- 0;
+            progressed := true
+          end
           else begin
-            let hb = Atomic.get v.w_heartbeat in
-            if hb <> w.w_wd_last.(d) then begin
-              w.w_wd_last.(d) <- hb;
-              w.w_wd_miss.(d) <- 0;
-              progressed := true
-            end
-            else begin
-              w.w_wd_miss.(d) <- w.w_wd_miss.(d) + 1;
-              if w.w_wd_miss.(d) >= sh.p_budget then suspect := Some v
-            end
+            w.w_wd_miss.(d) <- w.w_wd_miss.(d) + 1;
+            if w.w_wd_miss.(d) >= sh.p_budget then suspect := true
           end
         end
       done;
@@ -1226,83 +1116,14 @@ module Parallel = struct
       !suspect
     end
 
-  (* Reclaim a suspect domain's work (leader only, called from
-     [quiesce] with the leader already off the idle count so the
-     replayed work cannot race the termination check).  Fence first:
-     the victim must acknowledge ([w_reclaim] = 2, set at a checkpoint
-     or on the perish path) or be provably dead ([w_crashed]) before
-     its plain mutable state is read — the SC-atomic handshake
-     publishes it.
-
-     Clean (fenced at an item boundary, [w_inflight] false): everything
-     the victim did is complete.  Its deque is drained into the
-     leader's (survivors may be stealing from it concurrently; every
-     claim still goes through the top CAS) and its shard and blacklist
-     buffer wait for the ordinary epilogue merge — the
-     crash-after-publish arm.
-
-     Dirty (fenced mid-item): the victim's in-flight item is half
-     executed, so *all* of its work is rolled back and re-earned: the
-     deque is drained to the bin, every shadow bit the victim ever won
-     is cleared back ([Bitset.Atomic.test_and_clear]), its shard and
-     blacklist buffer are discarded, and its claim journal (root tasks,
-     rescan pages and stolen objects — never its own pushes, which the
-     replay chain rediscovers) is replayed through the leader's deque —
-     the crash-before-publish arm.  Replay pushes bypass the mark-stack
-     limit on purpose: a dropped root task is unrecoverable, unlike a
-     dropped already-marked object. *)
-  let reclaim sh leader victim =
-    Atomic.set victim.w_reclaim 1;
-    wake_all sh;
-    while not (Atomic.get victim.w_reclaim = 2 || Atomic.get victim.w_crashed) do
-      Domain.cpu_relax ()
-    done;
-    if victim.w_inflight then begin
-      ignore (Ws_deque.drain victim.w_deque (fun _ -> ()));
-      let small_page_mask = (1 lsl won_page_bits) - 1 in
-      for i = 0 to victim.w_won_len - 1 do
-        let e = Array.unsafe_get victim.w_won i in
-        if e land 1 = 1 then
-          ignore
-            (Bitset.Atomic.test_and_clear
-               (Array.unsafe_get sh.p_shadow ((e lsr 1) land small_page_mask))
-               (e lsr (won_page_bits + 1)))
-        else ignore (Bitset.Atomic.test_and_clear sh.p_shadow_large (e lsr 1))
-      done;
-      victim.w_won_len <- 0;
-      Stats.discard_marking victim.w_stats;
-      if Bitset.length victim.w_black > 0 then Bitset.clear victim.w_black;
-      victim.w_black_notes <- 0;
-      for i = 0 to victim.w_log_len - 1 do
-        Ws_deque.push leader.w_deque (Array.unsafe_get victim.w_log i)
-      done;
-      sh.p_dirty <- sh.p_dirty + 1
-    end
-    else begin
-      ignore (Ws_deque.drain victim.w_deque (fun v -> Ws_deque.push leader.w_deque v));
-      sh.p_clean <- sh.p_clean + 1
-    end;
-    (* mark the victim fully processed (a crashed one never set 2
-       itself) so the watchdog skips it from now on *)
-    Atomic.set victim.w_reclaim 2;
-    sh.p_failed <- victim.w_id :: sh.p_failed;
-    Atomic.incr sh.p_dead;
-    wake_all sh;
-    if sh.p_jobs - Atomic.get sh.p_dead < sh.p_quorum then begin
-      Atomic.set sh.p_abandoned true;
-      wake_all sh;
-      raise Gone
-    end
-
   (* Termination: only owners push to their own deques, so a domain
      counted idle has an empty deque and is executing nothing — when
-     [idle + dead = jobs] there is no work anywhere and nobody can
-     create any.  A domain must leave the idle count *before*
-     attempting a grab, and re-enter it if the grab loses the race.
-     The leader never naps: while idle it hosts the watchdog, and a
-     failed domain is neither idle nor dead until reclaimed, so
-     termination cannot fire with a failure undetected — the leader is
-     guaranteed to still be here, ticking, when one happens. *)
+     [idle = jobs] there is no work anywhere and nobody can create any.
+     A domain must leave the idle count *before* attempting a grab, and
+     re-enter it if the grab loses the race.  A failed domain never
+     joins the idle count, so termination cannot fire past a failure:
+     a crash abandons the trace itself, and a freeze keeps the leader
+     here — it never naps — until its watchdog abandons. *)
   let quiesce sh w =
     Atomic.set w.w_idle_flag true;
     Atomic.incr sh.p_idle;
@@ -1310,43 +1131,17 @@ module Parallel = struct
     let spins = ref 0 in
     let result = ref None in
     while !result = None do
-      if Atomic.get w.w_reclaim = 1 || Atomic.get sh.p_abandoned then
-        perish sh w ~counted_idle:true;
+      if abandoned sh then raise Gone;
       if terminated sh then result := Some true
       else if work_visible sh then begin
         Atomic.decr sh.p_idle;
         result := Some false
       end
       else if w.w_id = 0 then begin
-        match watchdog_tick sh w with
-        | Some victim ->
-            (* off the idle count before touching anything, so the
-               reclaimed work cannot race the termination check *)
-            Atomic.decr sh.p_idle;
-            Atomic.set w.w_idle_flag false;
-            if Atomic.get sh.p_idle + Atomic.get sh.p_dead = sh.p_jobs - 1 then begin
-              (* Every other domain is parked or dead, so the suspect is
-                 a false positive that went idle between the watchdog's
-                 verdict and this fence — possibly all the way into the
-                 end-of-phase barrier (it exits [quiesce] the instant
-                 termination fires), where it waits on the barrier
-                 condvar and can never acknowledge a fence.  Reclaiming
-                 would spin forever; a genuinely frozen or crashed
-                 victim is neither idle nor dead, so it can never take
-                 this path.  Drop the suspicion, go back on the idle
-                 count, and let termination fire. *)
-              w.w_wd_miss.(victim.w_id) <- 0;
-              Atomic.incr sh.p_idle;
-              Atomic.set w.w_idle_flag true
-            end
-            else begin
-              reclaim sh w victim;
-              result := Some false
-            end
-        | None -> Domain.cpu_relax ()
+        if watchdog_tick sh w then abandon sh else Domain.cpu_relax ()
       end
       else if !spins >= 64 then begin
-        nap sh w;
+        nap sh;
         spins := 0
       end
       else begin
@@ -1367,32 +1162,26 @@ module Parallel = struct
              per claimed item *)
           Atomic.incr w.w_heartbeat;
           (match w.w_fault with Some f -> f.f_claims <- f.f_claims + 1 | None -> ());
-          w.w_inflight <- true;
           checkpoint sh w site_post_claim;
-          execute sh w work;
-          w.w_inflight <- false
+          execute sh w work
       | None -> if quiesce sh w then finished := true
     done
 
-  (* The barrier target excludes the dead.  [p_dead] is stable during
-     any barrier episode: failures only trip at checkpoints, which only
-     run inside [phase_loop], and every domain is past its phase loop
-     (and every failure past its reclaim — a failed domain blocks
-     termination until reclaimed) before anyone arrives here. *)
   let barrier sh =
     Mutex.lock sh.p_bar_lock;
     let gen = sh.p_bar_gen in
     sh.p_bar_count <- sh.p_bar_count + 1;
-    if sh.p_bar_count >= sh.p_jobs - Atomic.get sh.p_dead then begin
+    if sh.p_bar_count >= sh.p_jobs then begin
       sh.p_bar_count <- 0;
       sh.p_bar_gen <- gen + 1;
       Condition.broadcast sh.p_bar_cond
     end
     else
-      while sh.p_bar_gen = gen do
+      while sh.p_bar_gen = gen && not (abandoned sh) do
         Condition.wait sh.p_bar_cond sh.p_bar_lock
       done;
-    Mutex.unlock sh.p_bar_lock
+    Mutex.unlock sh.p_bar_lock;
+    if abandoned sh then raise Gone
 
   let worker_main sh w =
     try
@@ -1448,9 +1237,15 @@ module Parallel = struct
       (Roots.current_ranges roots);
     Array.of_list (List.rev !tasks)
 
+  (* Spawn, trace and join; [None] shards when a failure abandoned the
+     attempt.  The shadow tables, shards and blacklist buffers are
+     private to this attempt, and the blacklist's cycle rotation happens
+     in the success epilogue — marking never reads the blacklist, so
+     rotating it after the trace is invisible — which leaves an
+     abandoned attempt nothing to roll back beyond the cleared mark
+     bits the serial rerun clears again. *)
   let run_domains t roots ~mem ~jobs ~faults =
     clear_marks t.heap;
-    Blacklist.begin_cycle t.blacklist;
     let n_pages = Heap.n_pages t.heap in
     let shadow = Array.make n_pages dummy_shadow in
     Heap.iter_committed t.heap (fun i p ->
@@ -1481,12 +1276,7 @@ module Parallel = struct
         p_jobs = jobs;
         p_workers = workers;
         p_budget = t.config.Config.mark_watchdog_budget;
-        p_quorum = t.config.Config.mark_quorum;
-        p_dead = Atomic.make 0;
         p_abandoned = Atomic.make false;
-        p_clean = 0;
-        p_dirty = 0;
-        p_failed = [];
         p_lock = Mutex.create ();
         p_cond = Condition.create ();
         p_nappers = Atomic.make 0;
@@ -1510,28 +1300,22 @@ module Parallel = struct
     let health =
       {
         heartbeats = Array.map (fun w -> Atomic.get w.w_heartbeat) workers;
-        failed = List.rev sh.p_failed;
-        clean_recoveries = sh.p_clean;
-        dirty_recoveries = sh.p_dirty;
-        survivors = jobs - Atomic.get sh.p_dead;
-        quorum = sh.p_quorum;
         tasks_issued = Array.length sh.p_tasks;
       }
     in
-    if Atomic.get sh.p_abandoned then (None, health)
+    if abandoned sh then (None, health)
     else begin
       (* Serial epilogue: snapshot the shards for the outcome *before*
          merging (merging transfers, i.e. zeroes, the shard counters),
-         publish shadow marks into the real mark words, merge blacklist
-         buffers and stats shards.  Dirty-reclaimed shards were zeroed
-         during recovery, so they merge as zero; clean-reclaimed ones
-         merge like any survivor's. *)
+         publish shadow marks into the real mark words, rotate the
+         blacklist cycle, merge blacklist buffers and stats shards. *)
       let shards = Array.map (fun w -> Stats.copy w.w_stats) workers in
       Heap.iter_committed t.heap (fun i p ->
           match p with
           | Page.Small s -> Bitset.Atomic.blit_to shadow.(i) ~dst:s.Page.mark
           | Page.Large_head l -> l.Page.l_marked <- Bitset.Atomic.mem sh.p_shadow_large i
           | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ());
+      Blacklist.begin_cycle t.blacklist;
       Array.iter
         (fun w ->
           Stats.merge_marking ~into:t.stats w.w_stats;
@@ -1539,8 +1323,6 @@ module Parallel = struct
             Blacklist.merge_noted t.blacklist w.w_black ~notes:w.w_black_notes)
         workers;
       t.stats.Stats.parallel_marks <- t.stats.Stats.parallel_marks + 1;
-      t.stats.Stats.mark_domains_recovered <-
-        t.stats.Stats.mark_domains_recovered + sh.p_clean + sh.p_dirty;
       (Some shards, health)
     end
 
@@ -1567,29 +1349,14 @@ module Parallel = struct
         health = None;
       }
     end
-    else begin
-      (* Abandonment is impossible at quorum 1 (the leader hosts the
-         watchdog and never fails), so the default path skips the
-         bitset copies. *)
-      let snapshot =
-        if t.config.Config.mark_quorum > 1 then Some (Blacklist.save_cycle t.blacklist)
-        else None
-      in
+    else
       match run_domains t roots ~mem ~jobs ~faults with
       | Some shards, health ->
           { jobs_requested = jobs; domains_used = jobs; fallback = None; shards; health = Some health }
       | None, health ->
-          (* Quorum broke: abandon the parallel attempt wholesale.  The
-             shadow tables die unmerged and the shards stay unmerged,
-             so the serial rerun re-earns every counter; the
-             blacklist's cycle rotation (and any partial notes) is
-             rolled back so the rerun's own [begin_cycle] ages entries
-             exactly once per collection. *)
-          (match snapshot with
-          | Some s -> Blacklist.restore_cycle t.blacklist s
-          | None -> ());
-          t.stats.Stats.mark_quorum_degradations <-
-            t.stats.Stats.mark_quorum_degradations + 1;
+          (* A marker domain failed: the attempt left no trace in the
+             collector, so the serial rerun earns every counter afresh. *)
+          t.stats.Stats.mark_abandonments <- t.stats.Stats.mark_abandonments + 1;
           t.stats.Stats.mark_serial_fallbacks <- t.stats.Stats.mark_serial_fallbacks + 1;
           run t roots ~mem;
           {
@@ -1599,7 +1366,6 @@ module Parallel = struct
             shards = [||];
             health = Some health;
           }
-    end
 
   let run = run_
 end

@@ -76,20 +76,18 @@ end
     bit-identical to the serial marker for any [jobs], pinned by the
     [test_mark_diff] QCheck differential.
 
-    The tracer is self-healing against its own domains (DESIGN.md §9):
+    The tracer is fail-stop against its own domains (DESIGN.md §9):
     {!Domain_fault} plans inject deterministic stalls, crashes,
     livelocks and stragglers at the deque push/pop/steal and
-    chunk-claim checkpoints; the leader (domain 0, which never fails)
+    chunk-claim checkpoints.  A crashing domain abandons the parallel
+    attempt on its way out; the leader (domain 0, which never fails)
     watches per-domain heartbeat words while idle and, after
     [Config.mark_watchdog_budget] no-progress observations (with capped
-    exponential backoff between observation rounds), fences the suspect
-    and reclaims its work — merging it when the domain stopped at an
-    item boundary, or rolling it back bit-by-bit and replaying its
-    claim journal when it died mid-item.  Recovered marks, blacklists
-    and [objects_marked] stay bit-identical to the serial scanner for
-    any failure of k < jobs domains; if survivors drop below
-    [Config.mark_quorum] the trace is abandoned and rerun serially with
-    a typed {!Parallel.Domain_failed} note. *)
+    exponential backoff between observation rounds), abandons it for a
+    silent stall or livelock.  Every domain unwinds, the leader joins
+    them, and the serial scanner reruns the trace from scratch under a
+    typed {!Parallel.Domain_failed} note — so marks, blacklist and
+    every statistic after a failure equal the serial scanner's. *)
 module Parallel : sig
   type fallback =
     | Serial_configured  (** [jobs <= 1]: the serial fast path, by design *)
@@ -98,24 +96,19 @@ module Parallel : sig
             stateful (countdowns, seeded draws) and cannot be raced
             across domains, so the serial marker ran instead *)
     | Domain_failed
-        (** marker-domain failures broke [Config.mark_quorum] mid-trace;
-            the parallel attempt was abandoned (shadow marks and shards
-            discarded, blacklist cycle rolled back) and the serial
-            scanner reran the trace from scratch *)
+        (** a marker domain failed mid-trace; the parallel attempt was
+            abandoned (shadow marks and shards discarded, the blacklist
+            never touched) and the serial scanner reran the trace from
+            scratch *)
 
   val fallback_to_string : fallback -> string
 
   type health = {
     heartbeats : int array;  (** final per-domain heartbeat words *)
-    failed : int list;  (** ids of reclaimed domains, in reclaim order *)
-    clean_recoveries : int;  (** reclaims that merged the victim's shard *)
-    dirty_recoveries : int;  (** reclaims that rolled back and replayed *)
-    survivors : int;  (** jobs minus reclaimed domains *)
-    quorum : int;  (** the [Config.mark_quorum] in force *)
     tasks_issued : int;  (** root tasks fed to the shared claim queue *)
   }
-  (** Watchdog/recovery audit trail of one parallel trace, consumed by
-      [Verify.check_parallel_mark]'s heartbeat/quorum audit. *)
+  (** Watchdog audit trail of one parallel attempt, consumed by
+      [Verify.check_parallel_mark]'s heartbeat audit. *)
 
   type outcome = {
     jobs_requested : int;

@@ -220,7 +220,7 @@ let evict_swept_descriptors t =
 let collect t =
   let heap = Gc.heap t.gc in
   let stats = Gc.stats t.gc in
-  let t0 = Sys.time () in
+  let t0 = Stats.now_s () in
   t.last_stale <- [];
   let snapshot = save_marks heap in
   clear_marks heap;
@@ -229,13 +229,13 @@ let collect t =
      restore_marks heap snapshot;
      stats.Stats.precise_mark_aborts <- stats.Stats.precise_mark_aborts + 1;
      raise e);
-  let t1 = Sys.time () in
+  let t1 = Stats.now_s () in
   stats.Stats.collections <- stats.Stats.collections + 1;
   stats.Stats.precise_collections <- stats.Stats.precise_collections + 1;
   let (_ : Sweep.result) = Gc.Internal.run_sweep t.gc in
   evict_swept_descriptors t;
   Gc.Internal.note_collected t.gc;
-  let t2 = Sys.time () in
+  let t2 = Stats.now_s () in
   stats.Stats.mark_seconds <- stats.Stats.mark_seconds +. (t1 -. t0);
   stats.Stats.sweep_seconds <- stats.Stats.sweep_seconds +. (t2 -. t1);
   stats.Stats.total_gc_seconds <- stats.Stats.total_gc_seconds +. (t2 -. t0)

@@ -33,8 +33,7 @@ type t = {
   mutable parallel_marks : int;
   mutable mark_serial_fallbacks : int;
   mutable mark_domain_faults : int;
-  mutable mark_domains_recovered : int;
-  mutable mark_quorum_degradations : int;
+  mutable mark_abandonments : int;
   mutable precise_collections : int;
   mutable precise_mark_aborts : int;
   mutable precise_mark_retries : int;
@@ -43,6 +42,8 @@ type t = {
   mutable sweep_seconds : float;
   mutable total_gc_seconds : float;
 }
+
+let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let create () =
   {
@@ -80,8 +81,7 @@ let create () =
     parallel_marks = 0;
     mark_serial_fallbacks = 0;
     mark_domain_faults = 0;
-    mark_domains_recovered = 0;
-    mark_quorum_degradations = 0;
+    mark_abandonments = 0;
     precise_collections = 0;
     precise_mark_aborts = 0;
     precise_mark_retries = 0;
@@ -126,8 +126,7 @@ let reset t =
   t.parallel_marks <- 0;
   t.mark_serial_fallbacks <- 0;
   t.mark_domain_faults <- 0;
-  t.mark_domains_recovered <- 0;
-  t.mark_quorum_degradations <- 0;
+  t.mark_abandonments <- 0;
   t.precise_collections <- 0;
   t.precise_mark_aborts <- 0;
   t.precise_mark_retries <- 0;
@@ -177,8 +176,7 @@ let blit src ~into =
   into.parallel_marks <- src.parallel_marks;
   into.mark_serial_fallbacks <- src.mark_serial_fallbacks;
   into.mark_domain_faults <- src.mark_domain_faults;
-  into.mark_domains_recovered <- src.mark_domains_recovered;
-  into.mark_quorum_degradations <- src.mark_quorum_degradations;
+  into.mark_abandonments <- src.mark_abandonments;
   into.precise_collections <- src.precise_collections;
   into.precise_mark_aborts <- src.precise_mark_aborts;
   into.precise_mark_retries <- src.precise_mark_retries;
@@ -193,8 +191,8 @@ let blit src ~into =
    partition the serial work exactly (each root word is scanned by one
    domain; each object is scanned by the domain that won its mark bit).
    The consumed counters are zeroed in the shard so merging is a
-   transfer, not a copy: merging the same shard twice (or merging after
-   a recovery-path discard) contributes nothing the second time. *)
+   transfer, not a copy: merging the same shard twice contributes
+   nothing the second time. *)
 let merge_marking ~into shard =
   into.words_scanned <- into.words_scanned + shard.words_scanned;
   into.valid_refs <- into.valid_refs + shard.valid_refs;
@@ -203,19 +201,6 @@ let merge_marking ~into shard =
   into.header_cache_hits <- into.header_cache_hits + shard.header_cache_hits;
   into.mark_stack_overflows <- into.mark_stack_overflows + shard.mark_stack_overflows;
   into.mark_downgrades <- into.mark_downgrades + shard.mark_downgrades;
-  shard.words_scanned <- 0;
-  shard.valid_refs <- 0;
-  shard.false_refs <- 0;
-  shard.objects_marked <- 0;
-  shard.header_cache_hits <- 0;
-  shard.mark_stack_overflows <- 0;
-  shard.mark_downgrades <- 0
-
-(* Throw away a shard's trace-phase counters without crediting them
-   anywhere — the crash-before-publish arm of marker-domain recovery,
-   where the victim's in-flight item is rolled back and rescanned by a
-   survivor (which re-earns the counts). *)
-let discard_marking shard =
   shard.words_scanned <- 0;
   shard.valid_refs <- 0;
   shard.false_refs <- 0;
@@ -244,7 +229,7 @@ let pp ppf t =
      access faults   %d reads (%d mark downgrades), %d writes@,\
      decay           %d pages quarantined, %d alloc retries@,\
      parallel mark   %d runs, %d serial fallbacks@,\
-     domain faults   %d injected, %d domains recovered, %d quorum degradations@,\
+     domain faults   %d injected, %d traces abandoned@,\
      precise         %d collects, %d mark aborts, %d retries, %d stale roots@,\
      gc time         %.6fs (mark %.6fs, sweep %.6fs)@]"
     t.collections t.words_scanned t.valid_refs t.false_refs t.objects_marked t.header_cache_hits
@@ -257,6 +242,6 @@ let pp ppf t =
     t.read_faults t.mark_downgrades t.write_faults
     t.pages_decayed t.decay_retries
     t.parallel_marks t.mark_serial_fallbacks
-    t.mark_domain_faults t.mark_domains_recovered t.mark_quorum_degradations
+    t.mark_domain_faults t.mark_abandonments
     t.precise_collections t.precise_mark_aborts t.precise_mark_retries t.precise_stale_roots
     t.total_gc_seconds t.mark_seconds t.sweep_seconds

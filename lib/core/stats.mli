@@ -55,19 +55,15 @@ type t = {
       (** parallel-mark requests served by the serial marker because a
           [Mem.Fault] access plan was armed (trip streams are stateful
           and cannot be raced across domains), or abandoned mid-trace
-          after marker-domain failures broke quorum *)
+          after a marker-domain failure *)
   mutable mark_domain_faults : int;
       (** injected marker-domain failures (stalls, crashes, livelocks,
           stragglers) that actually tripped during a parallel trace *)
-  mutable mark_domains_recovered : int;
-      (** suspect marker domains whose work was reclaimed by survivors
-          (deque drained, shard merged or rolled back and rescanned)
-          with the trace still finishing in parallel *)
-  mutable mark_quorum_degradations : int;
-      (** parallel traces abandoned because survivors dropped below
-          [Config.mark_quorum]; each also counts one
-          [mark_serial_fallbacks] since the serial scanner reran the
-          trace from scratch *)
+  mutable mark_abandonments : int;
+      (** parallel traces abandoned because a marker domain failed
+          (crashed, or was found stalled by the watchdog); each also
+          counts one [mark_serial_fallbacks] since the serial scanner
+          reran the trace from scratch *)
   mutable precise_collections : int;
       (** exact (type-accurate) collections completed by {!Precise.collect} *)
   mutable precise_mark_aborts : int;
@@ -82,7 +78,13 @@ type t = {
   mutable mark_seconds : float;
   mutable sweep_seconds : float;
   mutable total_gc_seconds : float;
+      (** phase times, in seconds of {!now_s} *)
 }
+
+val now_s : unit -> float
+(** The monotonic wall clock the phase times are read from, in seconds.
+    Wall time, not process CPU time: CPU time would add every marker
+    domain's share to a parallel mark phase. *)
 
 val create : unit -> t
 val reset : t -> unit
@@ -103,12 +105,6 @@ val merge_marking : into:t -> t -> unit
     serial marker's work exactly, the summed counters keep their
     serial meaning.  The consumed counters are zeroed in the shard, so
     the merge is a {e transfer}: merging the same shard twice is
-    idempotent, and a shard emptied by {!discard_marking} merges as
-    zero. *)
-
-val discard_marking : t -> unit
-(** Zero a shard's trace-phase counters without crediting them — the
-    crash-before-publish arm of marker-domain recovery, where the
-    victim's partial work is rolled back and re-earned by a survivor. *)
+    idempotent. *)
 
 val pp : Format.formatter -> t -> unit

@@ -223,22 +223,6 @@ module Atomic = struct
     in
     go ()
 
-  (* Inverse of [test_and_set]: returns [true] iff this call flipped the
-     bit from set to clear.  Used by marker-domain crash recovery to
-     roll back shadow bits whose owning scan never completed, so the
-     re-discovery pass can win them again. *)
-  let test_and_clear t i =
-    check t i;
-    let cell = Array.unsafe_get t.words (i / bits_per_word) in
-    let bit = 1 lsl (i mod bits_per_word) in
-    let rec go () =
-      let old = Stdlib.Atomic.get cell in
-      if old land bit = 0 then false
-      else if Stdlib.Atomic.compare_and_set cell old (old land lnot bit) then true
-      else go ()
-    in
-    go ()
-
   let[@inline] unsafe_mem t i =
     Stdlib.Atomic.get (Array.unsafe_get t.words (i / bits_per_word))
     land (1 lsl (i mod bits_per_word))

@@ -87,13 +87,6 @@ module Atomic : sig
       previously clear — i.e. iff this call (and no concurrent one) made
       the transition.  Lock-free (CAS loop on the containing word). *)
 
-  val test_and_clear : t -> int -> bool
-  (** [test_and_clear t i] clears bit [i] and returns [true] iff the bit
-      was previously set — the inverse transition of {!test_and_set}.
-      Lock-free (CAS loop on the containing word).  Used to roll back
-      shadow mark bits owned by a crashed marker domain so a rescan can
-      win them again. *)
-
   val unsafe_mem : t -> int -> bool
   (** {!mem} without the bounds check — caller has validated the index. *)
 

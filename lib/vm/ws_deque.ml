@@ -97,25 +97,3 @@ let steal t =
     let v = buffer.slots.(top land buffer.mask) in
     if Atomic.compare_and_set t.top top (top + 1) then Some v else None
   end
-
-(* Thief side, bulk: steal until the deque reads empty, feeding each
-   element to [f].  Safe against other thieves (every claim still goes
-   through the [top] CAS), but only guaranteed to empty the deque when
-   the owner has stopped pushing — the use case is a survivor domain
-   reclaiming the work of a marker domain declared dead, whose owner
-   side is fenced and will never push again.  Returns the number of
-   elements drained by this caller. *)
-let drain t f =
-  let n = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match steal t with
-    | Some v ->
-        incr n;
-        f v
-    | None ->
-        (* Lost CAS races return None too; only stop once the deque is
-           genuinely empty, otherwise retry. *)
-        if Atomic.get t.bottom - Atomic.get t.top <= 0 then continue := false
-  done;
-  !n

@@ -22,15 +22,6 @@ val steal : t -> int option
 (** Any domain.  Oldest element; [None] when empty or when the CAS race
     with the owner/another thief is lost (callers just move on). *)
 
-val drain : t -> (int -> unit) -> int
-(** [drain t f] steals elements from the top until the deque reads
-    empty, calling [f] on each, and returns the number drained by this
-    caller.  Any domain; safe against concurrent thieves (each claim is
-    a {!steal}), but only guaranteed to leave the deque empty when the
-    owner has stopped pushing — the intended use is survivors reclaiming
-    the deque of a marker domain declared dead, whose owner side is
-    fenced and will never push again. *)
-
 val size : t -> int
 (** Owner-side estimate; concurrent steals can only make the true size
     smaller.  Used for the mark-stack-limit overflow check. *)

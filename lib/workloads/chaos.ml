@@ -391,24 +391,25 @@ let run_scenario ?(steps = 1500) ?(collector = Conservative) ?(mark_jobs = 1)
   (* Parallel-marking discipline, checked on the collector that owns the
      tracer.  Under an armed access plan every mark phase must have taken
      the typed serial fallback; under commit-only plans (loads and stores
-     never fault) the tracer must really have run parallel. *)
+     never fault) the tracer must really have spawned its domains — an
+     abandoned trace did, so it counts alongside the completed ones. *)
+  let spawned = stats.Cgc.Stats.parallel_marks + stats.Cgc.Stats.mark_abandonments in
   let final_issues =
     if collector <> Conservative || mark_jobs <= 1 || stats.Cgc.Stats.collections = 0 then
       final_issues
     else if is_access_plan plan && stats.Cgc.Stats.mark_serial_fallbacks = 0 then
       "parallel marking under an armed access plan never took the typed serial fallback"
       :: final_issues
-    else if (not (is_access_plan plan)) && stats.Cgc.Stats.parallel_marks = 0 then
+    else if (not (is_access_plan plan)) && spawned = 0 then
       "commit-fault plan with mark_jobs > 1 never ran a parallel mark phase" :: final_issues
     else final_issues
   in
   (* Domain-failure discipline: an armed cell whose tracer really ran
-     parallel must have injected the fault, and the boundary/mid-item
-     failure modes must have been reclaimed (a straggler is merely slow
-     — reclaiming it is the watchdog's choice).  Under an access plan
-     the tracer is serial up front, so the fault sites are never
-     reached; and with the matrix's quorum of 1 the leader alone keeps
-     quorum, so degradation is impossible. *)
+     parallel must have injected the fault, and a tripped stall, crash
+     or livelock must have abandoned the trace (a straggler is merely
+     slow — abandoning it is the watchdog's choice).  Under an access
+     plan the tracer is serial up front, so the fault sites are never
+     reached. *)
   let final_issues =
     if not arming then final_issues
     else if stats.Cgc.Stats.collections = 0 then final_issues
@@ -416,29 +417,23 @@ let run_scenario ?(steps = 1500) ?(collector = Conservative) ?(mark_jobs = 1)
       if stats.Cgc.Stats.mark_domain_faults > 0 then
         "serial fallback under an access plan reached a domain-fault site" :: final_issues
       else final_issues
-    else if stats.Cgc.Stats.parallel_marks = 0 then final_issues
+    else if spawned = 0 then final_issues
     else
       let issues = final_issues in
       let issues =
         if stats.Cgc.Stats.mark_domain_faults = 0 then
           Printf.sprintf "armed %s cell ran %d parallel marks without tripping the fault"
-            (domain_fault_name domain_fault) stats.Cgc.Stats.parallel_marks
+            (domain_fault_name domain_fault) spawned
           :: issues
         else issues
       in
-      let issues =
-        match domain_fault with
-        | (Stall_fault | Crash_fault | Livelock_fault)
-          when stats.Cgc.Stats.mark_domain_faults > 0
-               && stats.Cgc.Stats.mark_domains_recovered = 0 ->
-            Printf.sprintf "%s fault tripped but no domain was ever reclaimed"
-              (domain_fault_name domain_fault)
-            :: issues
-        | _ -> issues
-      in
-      if stats.Cgc.Stats.mark_quorum_degradations > 0 then
-        "quorum degradation with mark_quorum = 1 (the leader never fails)" :: issues
-      else issues
+      match domain_fault with
+      | (Stall_fault | Crash_fault | Livelock_fault)
+        when stats.Cgc.Stats.mark_domain_faults > 0 && stats.Cgc.Stats.mark_abandonments = 0 ->
+          Printf.sprintf "%s fault tripped but no trace was abandoned"
+            (domain_fault_name domain_fault)
+          :: issues
+      | _ -> issues
   in
   (* Typed-differential discipline (precise cells): the pointwise
      invariant — exact retention never exceeds the conservative twin's
@@ -551,11 +546,10 @@ let pp_outcome ppf o =
     o.mutator_write_faults s.Cgc.Stats.pages_decayed s.Cgc.Stats.decay_retries;
   if o.mark_jobs > 1 && o.collector = "conservative" then
     Format.fprintf ppf "@,  marking: %d parallel, %d serial fallback (last: %s); %d domain \
-                        faults, %d reclaimed, %d quorum degradations"
+                        faults, %d abandoned"
       s.Cgc.Stats.parallel_marks s.Cgc.Stats.mark_serial_fallbacks
       (match o.last_fallback with None -> "none" | Some c -> c)
-      s.Cgc.Stats.mark_domain_faults s.Cgc.Stats.mark_domains_recovered
-      s.Cgc.Stats.mark_quorum_degradations;
+      s.Cgc.Stats.mark_domain_faults s.Cgc.Stats.mark_abandonments;
   if o.collector = "precise" then
     Format.fprintf ppf "@,  precise: %d exact collects, %d mark aborts, %d retries, %d stale roots%s"
       s.Cgc.Stats.precise_collections s.Cgc.Stats.precise_mark_aborts

@@ -58,19 +58,19 @@ val instantiate : plan_spec -> Cgc_vm.Mem.Fault.plan
 (** The marker-domain failure axis, orthogonal to the memory-fault
     plans: each armed cell injects one {!Cgc.Domain_fault} plan against
     domain 1 of every parallel mark phase (under a tightened watchdog
-    budget), and additionally audits the recovery discipline — armed
+    budget), and additionally audits the fail-stop discipline — armed
     cells that really marked in parallel must have tripped the fault,
-    stall/crash/livelock victims must have been reclaimed, access-plan
-    cells must never reach a fault site, and quorum (1) must never
-    degrade. *)
+    a tripped stall, crash or livelock must have abandoned the trace
+    for the serial rerun, and access-plan cells must never reach a
+    fault site. *)
 type domain_fault_spec =
   | No_domain_fault
-  | Stall_fault  (** victim freezes at an item boundary — clean reclaim *)
-  | Crash_fault  (** victim dies at a checkpoint — clean or dirty reclaim *)
-  | Livelock_fault  (** victim freezes holding a claimed item — dirty reclaim *)
+  | Stall_fault  (** victim freezes at an item boundary; the watchdog abandons *)
+  | Crash_fault  (** victim dies at a checkpoint and abandons on its way out *)
+  | Livelock_fault  (** victim freezes holding a claimed item; the watchdog abandons *)
   | Straggler_fault
-      (** victim is merely slow; the watchdog may reclaim it or tolerate
-          it, and recovery must be exact either way *)
+      (** victim is merely slow; the watchdog may abandon the trace or
+          tolerate it, and the marks are exact either way *)
 
 val all_domain_faults : domain_fault_spec list
 val domain_fault_name : domain_fault_spec -> string

@@ -285,33 +285,6 @@ let test_ws_deque_concurrent_drain () =
   check int "nothing lost" n (List.length all);
   check bool "no duplicates, every item once" true (all = List.init n (fun i -> i + 1))
 
-(* Two thieves [drain] a deque whose owner has stopped pushing (the
-   reclamation posture: the owner domain is dead and fenced).  Every
-   element must surface in exactly one thief's tally, the per-thief
-   counts must sum to the population, and the deque must read empty
-   afterwards. *)
-let test_ws_deque_drain_dead_owner () =
-  let q = Ws_deque.create ~capacity:8 () in
-  let n = 1777 in
-  for i = 1 to n do
-    Ws_deque.push q i
-  done;
-  (* owner "dies" here: no further owner-side operations *)
-  let thief () =
-    let got = ref [] in
-    let count = Ws_deque.drain q (fun v -> got := v :: !got) in
-    (count, !got)
-  in
-  let thieves = Array.init 2 (fun _ -> Domain.spawn thief) in
-  let results = Array.map Domain.join thieves in
-  let counts = Array.map fst results in
-  let all = List.sort compare (List.concat_map snd (Array.to_list results)) in
-  check int "counts sum to population" n (counts.(0) + counts.(1));
-  check int "every element drained" n (List.length all);
-  check bool "each element exactly once" true (all = List.init n (fun i -> i + 1));
-  check bool "deque left empty" true (Ws_deque.is_empty q);
-  check (Alcotest.option int) "no residue to steal" None (Ws_deque.steal q)
-
 (* --- Segment --- *)
 
 let seg ?(endian = Endian.Little) ?(base = 0x1000) ?(size = 256) () =
@@ -553,8 +526,6 @@ let () =
           Alcotest.test_case "work-stealing deque basics" `Quick test_ws_deque_basics;
           Alcotest.test_case "work-stealing deque concurrent drain" `Quick
             test_ws_deque_concurrent_drain;
-          Alcotest.test_case "work-stealing deque two-thief drain of a dead owner" `Quick
-            test_ws_deque_drain_dead_owner;
         ] );
       ( "segment",
         [
