@@ -564,7 +564,8 @@ let ablations () =
    platform — big-endian, unaligned (byte-granularity) root scanning,
    the paper's worst case for marker work.  Both paths run over the very
    same collector instance, so words/objects per cycle must agree
-   exactly; the JSON records the throughput ratio. *)
+   exactly; the JSON records the throughput ratio.  Every row, serial
+   and parallel, is timed on the monotonic wall clock ([Stats.now_s]). *)
 let mark_throughput ~smoke ~jobs () =
   section "Mark throughput"
     "flat-descriptor fast path vs reference scan loop (program T heap, SPARC static)";
@@ -594,11 +595,11 @@ let mark_throughput ~smoke ~jobs () =
   let st = Cgc.Gc.stats gc in
   let time_cycles runner iters =
     let w0 = st.Cgc.Stats.words_scanned and m0 = st.Cgc.Stats.objects_marked in
-    let t0 = Sys.time () in
+    let t0 = Cgc.Stats.now_s () in
     for _ = 1 to iters do
       runner gc
     done;
-    let dt = Float.max 1e-9 (Sys.time () -. t0) in
+    let dt = Float.max 1e-9 (Cgc.Stats.now_s () -. t0) in
     let words = st.Cgc.Stats.words_scanned - w0 in
     (float_of_int words /. dt, words / iters, (st.Cgc.Stats.objects_marked - m0) / iters, dt)
   in
@@ -609,9 +610,9 @@ let mark_throughput ~smoke ~jobs () =
   let calibrate runner =
     if smoke then 2
     else begin
-      let t0 = Sys.time () in
+      let t0 = Cgc.Stats.now_s () in
       runner gc;
-      let dt = Float.max 1e-6 (Sys.time () -. t0) in
+      let dt = Float.max 1e-6 (Cgc.Stats.now_s () -. t0) in
       max 3 (int_of_float (ceil (1.0 /. dt)))
     end
   in
@@ -652,9 +653,9 @@ let mark_throughput ~smoke ~jobs () =
   end;
   (* --- parallel tracer sweep (--jobs) ------------------------------
      The work-stealing tracer over the same live heap, measured in
-     wall-clock words/sec (domains overlap, so CPU time would double-
-     count; the serial figures above are single-threaded, where
-     Sys.time and wall clock agree).  Every width must visit exactly
+     wall-clock words/sec on the same monotonic clock as the serial
+     figures above (domains overlap, so CPU time would double-count),
+     which makes jobs=1 and the fast path comparable.  Every width must visit exactly
      the serial word/object counts — the bit-identity claim — and a
      jobs > 1 run in this fault-free bench must really go parallel. *)
   let sweep = List.sort_uniq compare (List.filter (fun j -> j >= 1 && j <= jobs) [ 1; 2; 4; jobs ]) in
@@ -665,20 +666,20 @@ let mark_throughput ~smoke ~jobs () =
   in
   let time_wall j iters =
     let w0 = st.Cgc.Stats.words_scanned and m0 = st.Cgc.Stats.objects_marked in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Cgc.Stats.now_s () in
     for _ = 1 to iters do
       run_parallel j gc
     done;
-    let dt = Float.max 1e-9 (Unix.gettimeofday () -. t0) in
+    let dt = Float.max 1e-9 (Cgc.Stats.now_s () -. t0) in
     let words = st.Cgc.Stats.words_scanned - w0 in
     (float_of_int words /. dt, words / iters, (st.Cgc.Stats.objects_marked - m0) / iters)
   in
   let calibrate_wall j =
     if smoke then 2
     else begin
-      let t0 = Unix.gettimeofday () in
+      let t0 = Cgc.Stats.now_s () in
       run_parallel j gc;
-      let dt = Float.max 1e-6 (Unix.gettimeofday () -. t0) in
+      let dt = Float.max 1e-6 (Cgc.Stats.now_s () -. t0) in
       max 3 (int_of_float (ceil (1.0 /. dt)))
     end
   in

@@ -12,6 +12,8 @@ type desc = {
   d_object_bytes : int array;
   d_first_offset : int array;
   d_n_objects : int array;
+  d_recip_mul : int array;  (** small pages: [reciprocal] of the object size *)
+  d_recip_shift : int array;
   d_head : int array;  (** large tail -> head page; otherwise the page itself *)
   d_pointer_free : Bytes.t;  (** 1 = never scanned *)
   d_alloc : Bitset.t array;  (** shared with the [Page.Small] record *)
@@ -35,6 +37,17 @@ let log2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
 
+(* Granlund-Montgomery: with [n = log2 page_size] and [2^(c-1) < d <= 2^c],
+   take [s = n + c] and [m = ceil (2^s / d)], so [m * d = 2^s + e] with
+   [0 <= e < d].  Then [rel * m / 2^s = rel / d + rel * e / (d * 2^s)], and
+   the error term stays below [1 / d] because [rel * e < 2^n * 2^c = 2^s]:
+   the floor is exact for every [rel < page_size].  [m <= 2^(n+1)], so the
+   product [rel * m < 2^(2n+1)] fits an OCaml int while [n <= 30]. *)
+let reciprocal ~page_size d =
+  if d < 1 then invalid_arg "Heap.reciprocal: divisor must be positive";
+  let s = log2 page_size + log2 ((2 * d) - 1) in
+  (((1 lsl s) + d - 1) / d, s)
+
 (* Row for a page that carries no objects. *)
 let empty_bits = Bitset.create 0
 
@@ -44,6 +57,8 @@ let make_desc n_pages =
     d_object_bytes = Array.make n_pages 0;
     d_first_offset = Array.make n_pages 0;
     d_n_objects = Array.make n_pages 0;
+    d_recip_mul = Array.make n_pages 0;
+    d_recip_shift = Array.make n_pages 0;
     d_head = Array.init n_pages Fun.id;
     d_pointer_free = Bytes.make n_pages '\001';
     d_alloc = Array.make n_pages empty_bits;
@@ -54,6 +69,8 @@ let make_desc n_pages =
 let sync_desc t i (p : Page.t) =
   let d = t.desc in
   Bytes.set d.d_kind i (Char.chr (Page.kind_code p));
+  d.d_recip_mul.(i) <- 0;
+  d.d_recip_shift.(i) <- 0;
   match p with
   | Page.Uncommitted | Page.Free ->
       d.d_object_bytes.(i) <- 0;
@@ -68,6 +85,9 @@ let sync_desc t i (p : Page.t) =
       d.d_object_bytes.(i) <- s.Page.object_bytes;
       d.d_first_offset.(i) <- s.Page.first_offset;
       d.d_n_objects.(i) <- s.Page.n_objects;
+      (let m, sh = reciprocal ~page_size:t.page_size s.Page.object_bytes in
+       d.d_recip_mul.(i) <- m;
+       d.d_recip_shift.(i) <- sh);
       d.d_head.(i) <- i;
       Bytes.set d.d_pointer_free i (if s.Page.pointer_free then '\001' else '\000');
       d.d_alloc.(i) <- s.Page.alloc;
@@ -97,6 +117,7 @@ let create mem ~config ~base ~max_bytes =
   let page_size = config.Config.page_size in
   if not (Addr.is_aligned base page_size) then
     invalid_arg "Heap.create: base must be page-aligned";
+  if page_size > 1 lsl 30 then invalid_arg "Heap.create: page_size must be <= 2^30";
   let n_pages = (max_bytes + page_size - 1) / page_size in
   if n_pages < config.Config.initial_pages then
     invalid_arg "Heap.create: reserved region smaller than initial_pages";

@@ -28,6 +28,10 @@ type desc = {
   d_object_bytes : int array;
   d_first_offset : int array;
   d_n_objects : int array;
+  d_recip_mul : int array;
+      (** small pages: [(rel * d_recip_mul) lsr d_recip_shift = rel / object_bytes]
+          for every [0 <= rel < page_size] (see {!reciprocal}); 0 elsewhere *)
+  d_recip_shift : int array;
   d_head : int array;  (** large tail -> head page; otherwise the page itself *)
   d_pointer_free : Bytes.t;  (** 1 = contents never scanned *)
   d_alloc : Bitset.t array;
@@ -36,6 +40,13 @@ type desc = {
 }
 
 val desc : t -> desc
+
+val reciprocal : page_size:int -> int -> int * int
+(** [reciprocal ~page_size d] is the exact Granlund–Montgomery reciprocal
+    [(m, s)] of the divisor [d]: [(rel * m) lsr s = rel / d] for every
+    [0 <= rel < page_size], with no overflow for [page_size <= 2^30].  The
+    mark fast path indexes objects with it instead of a hardware divide. *)
+
 val page_shift : t -> int
 (** [log2 (page_size t)]; [page_index t a = (a - base t) lsr page_shift t]. *)
 

@@ -79,13 +79,16 @@ type t = {
   mutable stack : int array; (* object base addresses *)
   mutable sp : int;
   mutable overflowed : bool;
+  stack_limit : int;  (** [Config.mark_stack_limit]; [max_int] = unbounded *)
   (* Scan scalars hoisted out of the per-word path.  All are immutable
      copies of configuration/heap geometry that cannot change while the
      marker exists. *)
   desc : Heap.desc;
   heap_seg : Segment.t;
+  heap_bytes : Bytes.t;  (** the heap segment's backing store, based at [heap_lo] *)
+  heap_little : bool;  (** the heap segment is little-endian *)
   heap_lo : int;
-  heap_hi : int;
+  heap_hi : int;  (** the reserved limit, which is also the heap segment's limit *)
   page_shift : int;
   page_mask : int;  (** [page_size - 1] *)
   alignment : int;
@@ -97,15 +100,18 @@ type t = {
   (* One-entry header cache (Boehm's HDR cache): the descriptor row of
      the page hit by the previous heap reference.  Scanned pointers
      cluster heavily by page, so most lookups avoid even the flat-table
-     loads.  [cache_page = -1] means empty; invalidated whenever the
-     page table may have changed under us (at the start of [run] /
-     [mark_value]). *)
+     loads.  It serves classification only — [scan_object] reads the
+     descriptor directly, so popping an object never evicts the row its
+     children's lookups want.  [cache_page = -1] means empty;
+     invalidated whenever the page table may have changed under us (at
+     the start of [run] / [mark_value]). *)
   mutable cache_page : int;
   mutable cache_kind : int;
   mutable cache_object_bytes : int;
   mutable cache_first_offset : int;
   mutable cache_n_objects : int;
-  mutable cache_pointer_free : bool;
+  mutable cache_recip_mul : int;
+  mutable cache_recip_shift : int;
   mutable cache_head : int;
   mutable cache_alloc : Bitset.t;
   mutable cache_mark : Bitset.t;
@@ -122,8 +128,11 @@ let create heap config blacklist stats =
     stack = Array.make 1024 0;
     sp = 0;
     overflowed = false;
+    stack_limit = Option.value config.Config.mark_stack_limit ~default:max_int;
     desc = Heap.desc heap;
     heap_seg = Heap.segment heap;
+    heap_bytes = Segment.unsafe_bytes (Heap.segment heap);
+    heap_little = Endian.equal (Segment.endian (Heap.segment heap)) Endian.Little;
     heap_lo = Addr.to_int (Heap.base heap);
     heap_hi = Addr.to_int (Heap.limit_reserved heap);
     page_shift = Heap.page_shift heap;
@@ -143,7 +152,8 @@ let create heap config blacklist stats =
     cache_object_bytes = 0;
     cache_first_offset = 0;
     cache_n_objects = 0;
-    cache_pointer_free = true;
+    cache_recip_mul = 0;
+    cache_recip_shift = 0;
     cache_head = 0;
     cache_alloc = Bitset.create 0;
     cache_mark = Bitset.create 0;
@@ -151,12 +161,7 @@ let create heap config blacklist stats =
   }
 
 let push t base =
-  let at_limit =
-    match t.config.Config.mark_stack_limit with
-    | Some limit -> t.sp >= limit
-    | None -> false
-  in
-  if at_limit then begin
+  if t.sp >= t.stack_limit then begin
     (* the object IS marked; its children will be found by the
        overflow-recovery rescan *)
     if not t.overflowed then t.stats.Stats.mark_stack_overflows <- t.stats.Stats.mark_stack_overflows + 1;
@@ -192,7 +197,8 @@ let load_header t page =
   t.cache_object_bytes <- Array.unsafe_get d.Heap.d_object_bytes page;
   t.cache_first_offset <- Array.unsafe_get d.Heap.d_first_offset page;
   t.cache_n_objects <- Array.unsafe_get d.Heap.d_n_objects page;
-  t.cache_pointer_free <- Bytes.unsafe_get d.Heap.d_pointer_free page <> '\000';
+  t.cache_recip_mul <- Array.unsafe_get d.Heap.d_recip_mul page;
+  t.cache_recip_shift <- Array.unsafe_get d.Heap.d_recip_shift page;
   t.cache_head <- Array.unsafe_get d.Heap.d_head page;
   t.cache_alloc <- Array.unsafe_get d.Heap.d_alloc page;
   t.cache_mark <- Array.unsafe_get d.Heap.d_mark page;
@@ -211,9 +217,11 @@ let[@inline] note_valid t = t.stats.Stats.valid_refs <- t.stats.Stats.valid_refs
 
 (* Classify-and-mark fused, against the cached descriptor row.  Mirrors
    [classify] exactly (the differential tests pin this), but never
-   allocates: no classification constructor, no closure, no [Int32].
-   Does NOT count the word into [words_scanned] — range scans batch that
-   per range. *)
+   allocates: no classification constructor, no closure, no [Int32], and
+   no divide — the object index comes from the row's exact reciprocal
+   ([Heap.reciprocal]; [0 <= rel < page_size] holds here).  Does NOT
+   count the word into [words_scanned] — range scans batch that per
+   range. *)
 let consider_heap t value =
   if value >= t.heap_lo && value < t.heap_hi then begin
     let page = (value - t.heap_lo) lsr t.page_shift in
@@ -224,7 +232,7 @@ let consider_heap t value =
       if rel < 0 then note_false t page
       else begin
         let object_bytes = t.cache_object_bytes in
-        let index = rel / object_bytes in
+        let index = (rel * t.cache_recip_mul) lsr t.cache_recip_shift in
         let displacement = rel - (index * object_bytes) in
         if index >= t.cache_n_objects then note_false t page
         else if not (Bitset.unsafe_mem t.cache_alloc index) then note_false t page
@@ -307,21 +315,19 @@ let scan_words_guarded t seg ~lo ~hi =
     a := !a + alignment
   done
 
-(* Closure-free scan of [lo, hi) within [seg]: one clamp, then raw
-   unchecked word assembly, specialized per endianness so the branch is
-   hoisted out of the loop.  The words-scanned count for the whole range
-   is the loop-iteration count in closed form, added once. *)
-let scan_words t seg ~lo ~hi =
-  let lo, hi = Segment.clamp_words seg ~alignment:t.alignment ~lo ~hi in
+(* Closure-free scan of the words at [lo, lo + alignment, ...] with
+   [addr + 4 <= hi], read straight out of [bytes] (the backing store of
+   [seg], based at [sbase]); [lo, hi) is already inside [seg] and on the
+   alignment grid.  Specialized per endianness so the branch is hoisted
+   out of the loop.  The words-scanned count for the whole range is the
+   loop-iteration count in closed form, added once. *)
+let scan_span t seg bytes ~sbase ~little ~lo ~hi =
   if lo + 4 <= hi then begin
     t.stats.Stats.words_scanned <-
       t.stats.Stats.words_scanned + (((hi - 4 - lo) / t.alignment) + 1);
     if Mem.read_faults_armed t.mem then scan_words_guarded t seg ~lo ~hi
     else begin
-      let bytes = Segment.unsafe_bytes seg in
-      let sbase = Addr.to_int (Segment.base seg) in
       let alignment = t.alignment in
-      let little = Endian.equal (Segment.endian seg) Endian.Little in
       if little then begin
         let a = ref lo in
         while !a + 4 <= hi do
@@ -339,23 +345,33 @@ let scan_words t seg ~lo ~hi =
     end
   end
 
-(* Scan the words of a marked object.  Objects live entirely inside the
-   heap segment, so we read it directly.  A page that is no longer Small
-   or Large_head was retired between the push and the pop — possible
-   only under a decaying fault plan — and has nothing left to scan. *)
+(* A root range: one clamp to its segment, then the span scan. *)
+let scan_words t seg ~lo ~hi =
+  let lo, hi = Segment.clamp_words seg ~alignment:t.alignment ~lo ~hi in
+  scan_span t seg (Segment.unsafe_bytes seg)
+    ~sbase:(Addr.to_int (Segment.base seg))
+    ~little:(Endian.equal (Segment.endian seg) Endian.Little)
+    ~lo ~hi
+
+(* Scan the words of a marked object, reading its size and pointer-free
+   flag straight from the descriptor row (not through the header cache)
+   and its words straight from the heap segment.  The object's base is
+   granule-aligned, hence on every alignment grid, and inside the heap;
+   the one bounds check left is its end against the segment's limit.  A
+   page that is no longer Small or Large_head was retired between the
+   push and the pop and has nothing left to scan. *)
 let scan_object t base =
-  ensure_header t ((base - t.heap_lo) lsr t.page_shift);
-  let size, pointer_free =
-    if t.cache_kind = Page.kind_small then (t.cache_object_bytes, t.cache_pointer_free)
-    else if t.cache_kind = Page.kind_large_head then
-      (t.cache_large.Page.object_bytes, t.cache_large.Page.l_pointer_free)
-    else begin
-      t.stats.Stats.mark_downgrades <- t.stats.Stats.mark_downgrades + 1;
-      (0, true)
+  let d = t.desc in
+  let page = (base - t.heap_lo) lsr t.page_shift in
+  let kind = Char.code (Bytes.unsafe_get d.Heap.d_kind page) in
+  if kind = Page.kind_small || kind = Page.kind_large_head then begin
+    if Bytes.unsafe_get d.Heap.d_pointer_free page = '\000' then begin
+      let hi = base + Array.unsafe_get d.Heap.d_object_bytes page in
+      let hi = if hi < t.heap_hi then hi else t.heap_hi in
+      scan_span t t.heap_seg t.heap_bytes ~sbase:t.heap_lo ~little:t.heap_little ~lo:base ~hi
     end
-  in
-  if not pointer_free then
-    scan_words t t.heap_seg ~lo:(Addr.of_int base) ~hi:(Addr.of_int (base + size))
+  end
+  else t.stats.Stats.mark_downgrades <- t.stats.Stats.mark_downgrades + 1
 
 let drain t =
   while t.sp > 0 do
@@ -642,7 +658,8 @@ module Parallel = struct
     mutable w_black_notes : int;
     (* scan scalars (copied from the marker, immutable during the run) *)
     w_desc : Heap.desc;
-    w_heap_seg : Segment.t;
+    w_heap_bytes : Bytes.t;
+    w_heap_little : bool;
     w_heap_lo : int;
     w_heap_hi : int;
     w_page_shift : int;
@@ -660,7 +677,8 @@ module Parallel = struct
     mutable w_cache_object_bytes : int;
     mutable w_cache_first_offset : int;
     mutable w_cache_n_objects : int;
-    mutable w_cache_pointer_free : bool;
+    mutable w_cache_recip_mul : int;
+    mutable w_cache_recip_shift : int;
     mutable w_cache_head : int;
     mutable w_cache_alloc : Bitset.t;
     mutable w_cache_shadow : Bitset.Atomic.t;
@@ -716,7 +734,8 @@ module Parallel = struct
          else Bitset.create 0);
       w_black_notes = 0;
       w_desc = t.desc;
-      w_heap_seg = t.heap_seg;
+      w_heap_bytes = t.heap_bytes;
+      w_heap_little = t.heap_little;
       w_heap_lo = t.heap_lo;
       w_heap_hi = t.heap_hi;
       w_page_shift = t.page_shift;
@@ -727,14 +746,14 @@ module Parallel = struct
       w_tail_valid = t.tail_valid;
       w_blacklisting = t.blacklisting;
       w_disp_mask = t.disp_mask;
-      w_stack_limit =
-        (match t.config.Config.mark_stack_limit with Some l -> l | None -> max_int);
+      w_stack_limit = t.stack_limit;
       w_cache_page = -1;
       w_cache_kind = Page.kind_uncommitted;
       w_cache_object_bytes = 0;
       w_cache_first_offset = 0;
       w_cache_n_objects = 0;
-      w_cache_pointer_free = true;
+      w_cache_recip_mul = 0;
+      w_cache_recip_shift = 0;
       w_cache_head = 0;
       w_cache_alloc = Bitset.create 0;
       w_cache_shadow = dummy_shadow;
@@ -755,7 +774,8 @@ module Parallel = struct
     w.w_cache_object_bytes <- Array.unsafe_get d.Heap.d_object_bytes page;
     w.w_cache_first_offset <- Array.unsafe_get d.Heap.d_first_offset page;
     w.w_cache_n_objects <- Array.unsafe_get d.Heap.d_n_objects page;
-    w.w_cache_pointer_free <- Bytes.unsafe_get d.Heap.d_pointer_free page <> '\000';
+    w.w_cache_recip_mul <- Array.unsafe_get d.Heap.d_recip_mul page;
+    w.w_cache_recip_shift <- Array.unsafe_get d.Heap.d_recip_shift page;
     w.w_cache_head <- Array.unsafe_get d.Heap.d_head page;
     w.w_cache_alloc <- Array.unsafe_get d.Heap.d_alloc page;
     w.w_cache_shadow <- Array.unsafe_get sh.p_shadow page;
@@ -886,7 +906,7 @@ module Parallel = struct
         if rel < 0 then note_false sh w page
         else begin
           let object_bytes = w.w_cache_object_bytes in
-          let index = rel / object_bytes in
+          let index = (rel * w.w_cache_recip_mul) lsr w.w_cache_recip_shift in
           let displacement = rel - (index * object_bytes) in
           if index >= w.w_cache_n_objects then note_false sh w page
           else if not (Bitset.unsafe_mem w.w_cache_alloc index) then note_false sh w page
@@ -941,19 +961,16 @@ module Parallel = struct
       else (* Free / Uncommitted *) note_false sh w page
     end
 
-  (* Scan [lo, start_hi) ∩ [lo, hi - 4] within [seg], already on the
-     range's alignment grid.  The closed-form word count tiles exactly:
-     summed over a range's chunks it equals the serial
+  (* Scan [lo, start_hi) ∩ [lo, hi - 4] out of [bytes], based at [sbase],
+     already on the range's alignment grid.  The closed-form word count
+     tiles exactly: summed over a range's chunks it equals the serial
      [((hi - 4 - lo) / alignment) + 1]. *)
-  let scan_chunk sh w seg ~lo ~start_hi ~hi =
+  let scan_span sh w bytes ~sbase ~little ~lo ~start_hi ~hi =
     let e = if start_hi < hi - 3 then start_hi else hi - 3 in
     if lo < e then begin
       let alignment = w.w_alignment in
       w.w_stats.Stats.words_scanned <-
         w.w_stats.Stats.words_scanned + ((e - lo + alignment - 1) / alignment);
-      let bytes = Segment.unsafe_bytes seg in
-      let sbase = Addr.to_int (Segment.base seg) in
-      let little = Endian.equal (Segment.endian seg) Endian.Little in
       if little then begin
         let a = ref lo in
         while !a < e do
@@ -970,48 +987,51 @@ module Parallel = struct
       end
     end
 
-  (* Scan a marked object's body (cf. the serial [scan_object]).  The
-     fault-free precondition holds by construction: access plans force
-     the serial marker. *)
+  let scan_chunk sh w seg ~lo ~start_hi ~hi =
+    scan_span sh w (Segment.unsafe_bytes seg)
+      ~sbase:(Addr.to_int (Segment.base seg))
+      ~little:(Endian.equal (Segment.endian seg) Endian.Little)
+      ~lo ~start_hi ~hi
+
+  (* Scan a marked object's body straight from the descriptor row, as
+     the serial [scan_object] does.  The fault-free precondition holds
+     by construction: access plans force the serial marker. *)
   let scan_object sh w base =
-    ensure_header sh w ((base - w.w_heap_lo) lsr w.w_page_shift);
-    let size, pointer_free =
-      if w.w_cache_kind = Page.kind_small then (w.w_cache_object_bytes, w.w_cache_pointer_free)
-      else if w.w_cache_kind = Page.kind_large_head then
-        (w.w_cache_large.Page.object_bytes, w.w_cache_large.Page.l_pointer_free)
-      else begin
-        (* retired between push and pop: only possible with pre-existing
-           decayed pages; mirror the serial downgrade *)
-        w.w_stats.Stats.mark_downgrades <- w.w_stats.Stats.mark_downgrades + 1;
-        (0, true)
+    let d = w.w_desc in
+    let page = (base - w.w_heap_lo) lsr w.w_page_shift in
+    let kind = Char.code (Bytes.unsafe_get d.Heap.d_kind page) in
+    if kind = Page.kind_small || kind = Page.kind_large_head then begin
+      if Bytes.unsafe_get d.Heap.d_pointer_free page = '\000' then begin
+        let hi = base + Array.unsafe_get d.Heap.d_object_bytes page in
+        let hi = if hi < w.w_heap_hi then hi else w.w_heap_hi in
+        scan_span sh w w.w_heap_bytes ~sbase:w.w_heap_lo ~little:w.w_heap_little ~lo:base
+          ~start_hi:hi ~hi
       end
-    in
-    if not pointer_free then begin
-      let lo, hi =
-        Segment.clamp_words w.w_heap_seg ~alignment:w.w_alignment ~lo:(Addr.of_int base)
-          ~hi:(Addr.of_int (base + size))
-      in
-      if lo + 4 <= hi then scan_chunk sh w w.w_heap_seg ~lo ~start_hi:hi ~hi
     end
+    else
+      (* retired between push and pop: only possible with pre-existing
+         decayed pages; mirror the serial downgrade *)
+      w.w_stats.Stats.mark_downgrades <- w.w_stats.Stats.mark_downgrades + 1
 
   (* Overflow recovery, parallel form of the serial page walk: idle
      domains claim committed pages with fetch-and-add and rescan the
      bodies of their shadow-marked objects.  The shadow traversal is a
      per-word snapshot; an object marked after the snapshot was pushed
      by its marking domain, so its children are never lost — at worst
-     the push overflows again and another round runs. *)
+     the push overflows again and another round runs.  Reads the
+     descriptor directly, leaving the header cache to classification. *)
   let rescan_page sh w page =
-    ensure_header sh w page;
-    if w.w_cache_kind = Page.kind_small then begin
-      let base = w.w_heap_lo + (page lsl w.w_page_shift) + w.w_cache_first_offset in
-      let object_bytes = w.w_cache_object_bytes in
-      let shadow = w.w_cache_shadow in
-      Bitset.Atomic.iter_set shadow (fun obj -> scan_object sh w (base + (obj * object_bytes)))
+    let d = w.w_desc in
+    let kind = Char.code (Bytes.unsafe_get d.Heap.d_kind page) in
+    let page_addr = w.w_heap_lo + (page lsl w.w_page_shift) in
+    if kind = Page.kind_small then begin
+      let base = page_addr + Array.unsafe_get d.Heap.d_first_offset page in
+      let object_bytes = Array.unsafe_get d.Heap.d_object_bytes page in
+      Bitset.Atomic.iter_set (Array.unsafe_get sh.p_shadow page) (fun obj ->
+          scan_object sh w (base + (obj * object_bytes)))
     end
-    else if
-      w.w_cache_kind = Page.kind_large_head
-      && Bitset.Atomic.mem sh.p_shadow_large page
-    then scan_object sh w (w.w_heap_lo + (page lsl w.w_page_shift))
+    else if kind = Page.kind_large_head && Bitset.Atomic.mem sh.p_shadow_large page then
+      scan_object sh w page_addr
 
   (* Deques hold bare object base addresses; root tasks and rescan
      pages are claimed from the shared counters. *)

@@ -18,10 +18,12 @@
     collector has no layout information.
 
     Two implementations share one marker state: the default fast path
-    (flat page-descriptor rows from {!Heap.desc}, a one-entry header
-    cache, closure-free endianness-specialized scan loops, displacement
-    bitmasks) and the pre-optimization {!Reference} transcription, kept
-    as the oracle the differential tests pin the fast path against. *)
+    (flat page-descriptor rows from {!Heap.desc} read directly per
+    object, a one-entry header cache for classification, reciprocal
+    object indexing, closure-free endianness-specialized scan loops of
+    32-bit loads, displacement bitmasks) and the pre-optimization
+    {!Reference} transcription, kept as the oracle the differential
+    tests pin the fast path against. *)
 
 open Cgc_vm
 

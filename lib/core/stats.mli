@@ -12,7 +12,10 @@ type t = {
   mutable false_refs : int;  (** scanned values inside the heap region that named no object *)
   mutable objects_marked : int;
   mutable header_cache_hits : int;
-      (** marker header lookups answered by the one-entry page cache *)
+      (** classification lookups answered by the marker's one-entry page
+          cache: at most one per in-heap candidate, so never more than
+          [valid_refs + false_refs].  Object scans read the page
+          descriptor directly and are not counted. *)
   mutable bytes_allocated : int;  (** cumulative *)
   mutable objects_allocated : int;
   mutable bytes_freed : int;

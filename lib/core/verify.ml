@@ -69,6 +69,10 @@ let check_descriptors heap issues =
         if d.Heap.d_n_objects.(i) <> s.Page.n_objects then
           add "descriptor n_objects %d for small page %d (expected %d)" d.Heap.d_n_objects.(i) i
             s.Page.n_objects;
+        if
+          (d.Heap.d_recip_mul.(i), d.Heap.d_recip_shift.(i))
+          <> Heap.reciprocal ~page_size:(Heap.page_size heap) s.Page.object_bytes
+        then add "descriptor reciprocal of small page %d is not its object size's" i;
         if d.Heap.d_head.(i) <> i then add "descriptor head of small page %d is %d" i d.Heap.d_head.(i);
         if pointer_free <> s.Page.pointer_free then
           add "descriptor pointer_free flag for small page %d disagrees" i;

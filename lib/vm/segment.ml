@@ -90,21 +90,24 @@ let read_string t a ~len =
 
 (* --- conservative-scan fast path ---------------------------------- *)
 
-(* Unchecked 32-bit reads assembled from [Bytes.unsafe_get]: the scan
-   loops validate the whole [lo, hi) range once (see [clamp_words]) and
-   then touch every word without per-access bounds checks or [Int32]
-   boxing. *)
+(* Unchecked 32-bit reads: one unaligned 32-bit load per word, byte-
+   swapped when the segment's byte order differs from the host's, then
+   masked back to the unsigned word (the load sign-extends through
+   [Int32]).  The scan loops validate the whole [lo, hi) range once (see
+   [clamp_words]) and then touch every word without per-access bounds
+   checks; native code keeps the [int32] unboxed. *)
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
 let[@inline] unsafe_word_le bytes off =
-  Char.code (Bytes.unsafe_get bytes off)
-  lor (Char.code (Bytes.unsafe_get bytes (off + 1)) lsl 8)
-  lor (Char.code (Bytes.unsafe_get bytes (off + 2)) lsl 16)
-  lor (Char.code (Bytes.unsafe_get bytes (off + 3)) lsl 24)
+  let v = get32u bytes off in
+  let v = if Sys.big_endian then bswap32 v else v in
+  Int32.to_int v land 0xFFFF_FFFF
 
 let[@inline] unsafe_word_be bytes off =
-  (Char.code (Bytes.unsafe_get bytes off) lsl 24)
-  lor (Char.code (Bytes.unsafe_get bytes (off + 1)) lsl 16)
-  lor (Char.code (Bytes.unsafe_get bytes (off + 2)) lsl 8)
-  lor Char.code (Bytes.unsafe_get bytes (off + 3))
+  let v = get32u bytes off in
+  let v = if Sys.big_endian then v else bswap32 v in
+  Int32.to_int v land 0xFFFF_FFFF
 
 let unsafe_bytes t = t.bytes
 

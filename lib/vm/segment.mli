@@ -73,14 +73,18 @@ val clamp_words : t -> alignment:int -> lo:Addr.t -> hi:Addr.t -> int * int
 
 val unsafe_bytes : t -> Bytes.t
 (** The backing store.  Offsets are [addr - base t].  Only for scan
-    loops that have validated their range with {!clamp_words}. *)
+    loops that have validated their range — with {!clamp_words}, or
+    against the segment's known bounds. *)
 
 val unsafe_word_le : Bytes.t -> int -> int
-(** Unchecked little-endian 32-bit read at a byte offset, assembled from
-    [Bytes.unsafe_get]. *)
+(** Unchecked little-endian 32-bit read at a byte offset: one unaligned
+    32-bit load (byte-swapped on a big-endian host), masked to
+    [0 .. 0xFFFF_FFFF]. *)
 
 val unsafe_word_be : Bytes.t -> int -> int
-(** Unchecked big-endian 32-bit read at a byte offset. *)
+(** Unchecked big-endian 32-bit read at a byte offset: one unaligned
+    32-bit load (byte-swapped on a little-endian host), masked to
+    [0 .. 0xFFFF_FFFF]. *)
 
 val words : t -> int
 (** Number of aligned words in the segment. *)

@@ -64,6 +64,40 @@ let test_heap_geometry () =
   check int "page addr round trip" (Addr.to_int (Addr.add heap_base 8192))
     (Addr.to_int (Heap.page_addr heap 2))
 
+(* The descriptor's multiply-shift replaces [rel / object_bytes] in the
+   mark fast path.  Exhaustive over every power-of-two page size from 256
+   to 64K, every object size a size class can produce ([granule] to
+   [page_size / 2]), and every in-page offset; the expected quotient and
+   remainder are stepped incrementally, so the check never divides. *)
+let test_heap_reciprocal_exact () =
+  let page_size = ref 256 in
+  while !page_size <= 65536 do
+    let config = { Config.default with Config.page_size = !page_size } in
+    let sc = Size_class.create config in
+    for g = 1 to Size_class.n_classes sc do
+      let d = Size_class.bytes_of_granules sc g in
+      let m, sh = Heap.reciprocal ~page_size:!page_size d in
+      let q = ref 0 and r = ref 0 in
+      for rel = 0 to !page_size - 1 do
+        let index = (rel * m) lsr sh in
+        if index <> !q || rel - (index * d) <> !r then
+          Alcotest.failf "page %d, object %d bytes, rel %d: index %d (expected %d)" !page_size d
+            rel index !q;
+        incr r;
+        if !r = d then begin
+          r := 0;
+          incr q
+        end
+      done
+    done;
+    page_size := !page_size * 2
+  done;
+  (* beyond 2^30 the product [rel * m] could overflow an OCaml int *)
+  Alcotest.check_raises "page_size above 2^30 rejected"
+    (Invalid_argument "Heap.create: page_size must be <= 2^30") (fun () ->
+      let config = { Config.default with Config.page_size = 1 lsl 31; initial_pages = 1 } in
+      ignore (Heap.create (Mem.create ()) ~config ~base:(Addr.of_int 0) ~max_bytes:(1 lsl 31)))
+
 let test_heap_commit () =
   let config = { Config.default with Config.initial_pages = 2 } in
   let mem = Mem.create () in
@@ -1082,6 +1116,43 @@ let test_stats_mark_seconds_wall_clock () =
   if marked > wall then
     Alcotest.failf "mark_seconds grew by %.6fs over %.6fs of wall time" marked wall
 
+(* [header_cache_hits] counts classification lookups only, so it can
+   never exceed the in-heap candidates classified ([valid_refs] +
+   [false_refs]).  A rooted linked list of 8-byte cells keeps each
+   scanned cell and its successor on the same page, where an object-scan
+   lookup would also count as a hit and push the ratio towards 2.  Two
+   uncommitted-region words in the globals add false references. *)
+let test_stats_header_cache_hits_per_lookup () =
+  List.iter
+    (fun jobs ->
+      let config = { Config.default with Config.mark_jobs = jobs } in
+      let _, globals, gc = make_env ~config () in
+      let n = 4096 in
+      let head = Gc.allocate gc 8 in
+      let prev = ref head in
+      for _ = 2 to n do
+        let c = Gc.allocate gc 8 in
+        Gc.set_field gc !prev 0 (Addr.to_int c);
+        prev := c
+      done;
+      set_slot globals 0 (Addr.to_int head);
+      set_slot globals 1 (Addr.to_int heap_base + (400 * 1024));
+      set_slot globals 2 (Addr.to_int heap_base + (400 * 1024) + 4);
+      let s = Gc.stats gc in
+      let hits0 = s.Stats.header_cache_hits
+      and valid0 = s.Stats.valid_refs
+      and false0 = s.Stats.false_refs in
+      Gc.collect gc;
+      let hits = s.Stats.header_cache_hits - hits0
+      and classified = s.Stats.valid_refs - valid0 + (s.Stats.false_refs - false0) in
+      let label = Printf.sprintf "mark_jobs=%d" jobs in
+      check bool (label ^ ": every cell was classified") true (classified >= n);
+      check bool (label ^ ": the cache hit") true (hits > 0);
+      if hits > classified then
+        Alcotest.failf "%s: %d header-cache hits over %d classified references" label hits
+          classified)
+    [ 1; 2 ]
+
 (* [merge_marking] is a *transfer*: it folds a shard's trace counters
    into the target and zeroes the shard, so double-merging a shard is
    idempotent. *)
@@ -1175,6 +1246,7 @@ let () =
         [
           Alcotest.test_case "geometry" `Quick test_heap_geometry;
           Alcotest.test_case "commit" `Quick test_heap_commit;
+          Alcotest.test_case "exact reciprocal indexing" `Quick test_heap_reciprocal_exact;
           Alcotest.test_case "find free run" `Quick test_heap_find_free_run;
         ] );
       ( "alloc",
@@ -1291,6 +1363,8 @@ let () =
             test_stats_merge_marking_double_merge;
           Alcotest.test_case "mark_seconds is wall time with two marker domains" `Quick
             test_stats_mark_seconds_wall_clock;
+          Alcotest.test_case "header-cache hits count classification lookups only" `Quick
+            test_stats_header_cache_hits_per_lookup;
         ] );
       ( "generational-accounting",
         [

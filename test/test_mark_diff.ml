@@ -434,6 +434,74 @@ let prop_abandoned_collect_keeps_blacklist_aging =
           | None -> false)
         [ 1; 2 ])
 
+(* The heap's last object: a full four-page heap whose top page is a
+   small page of pointer-bearing 16-byte cells, or whose top three pages
+   are one pointer-bearing large object, so the last object scanned ends
+   exactly at [Heap.limit_reserved] — the edge of the fast path's
+   per-object bounds check.  The top object's last word is the only
+   reference to a sentinel cell, and its other words hold values at and
+   around the heap's edges.  Fast path == reference at alignments 1/2/4
+   in both byte orders, and the sentinel is marked. *)
+let heap_top_case ~large ~alignment ~big_endian () =
+  let page = 4096 in
+  let build () =
+    let mem = Mem.create ~endian:(if big_endian then Endian.Big else Endian.Little) () in
+    let data =
+      Mem.map mem ~name:"roots" ~kind:Segment.Static_data ~base:(Addr.of_int 0x10000) ~size:0x100
+    in
+    let config = { Config.default with Config.alignment; initial_pages = 4 } in
+    let gc = Gc.create ~config mem ~base:(Addr.of_int heap_base) ~max_bytes:(4 * page) () in
+    Gc.set_auto_collect gc false;
+    Gc.add_static_root gc ~lo:(Segment.base data) ~hi:(Segment.limit data) ~label:"roots";
+    let limit = Addr.to_int (Heap.limit_reserved (Gc.heap gc)) in
+    let edge_values = [ limit - 1; limit - 4; limit; heap_base; heap_base + page - 2 ] in
+    let cells = Array.init (if large then 3 else 1024) (fun _ -> Gc.allocate gc 16) in
+    let top =
+      if large then Gc.allocate gc (3 * page)
+      else Array.fold_left (fun a c -> if Addr.to_int c > Addr.to_int a then c else a) cells.(0) cells
+    in
+    let words = if large then 3 * page / 4 else 4 in
+    if Addr.to_int top + (4 * words) <> limit then
+      Alcotest.failf "top object at 0x%x does not end at the heap limit" (Addr.to_int top);
+    (* a chain from the root through every other cell ends at the top
+       object, whose last word alone reaches the sentinel *)
+    let others = List.filter (fun c -> c != top) (Array.to_list cells) in
+    let sentinel = List.nth others (List.length others - 1) in
+    let chain = Array.of_list (List.filter (fun c -> c != sentinel) others) in
+    Array.iteri
+      (fun i c ->
+        Gc.set_field gc c 0 (Addr.to_int (if i + 1 < Array.length chain then chain.(i + 1) else top)))
+      chain;
+    List.iteri (fun i v -> if i < words - 1 then Gc.set_field gc top i v) edge_values;
+    Gc.set_field gc top (words - 1) (Addr.to_int sentinel);
+    Segment.write_word data (Segment.base data) (Addr.to_int chain.(0));
+    (gc, sentinel)
+  in
+  let gc_fast, sentinel = build () and gc_ref, _ = build () in
+  Gc.Internal.run_mark gc_fast;
+  Gc.Internal.run_mark_reference gc_ref;
+  Alcotest.(check bool) "fast path == reference" true (mark_state gc_fast = mark_state gc_ref);
+  Alcotest.(check bool) "the top object's last word was scanned" true
+    (Gc.Internal.is_marked gc_fast sentinel)
+
+let heap_top_cases =
+  List.concat_map
+    (fun large ->
+      List.concat_map
+        (fun alignment ->
+          List.map
+            (fun big_endian ->
+              Alcotest.test_case
+                (Printf.sprintf "%s object at the heap top, align %d, %s-endian"
+                   (if large then "large" else "small")
+                   alignment
+                   (if big_endian then "big" else "little"))
+                `Quick
+                (heap_top_case ~large ~alignment ~big_endian))
+            [ false; true ])
+        [ 1; 2; 4 ])
+    [ false; true ]
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -446,4 +514,4 @@ let suite =
       prop_abandoned_collect_keeps_blacklist_aging;
     ]
 
-let () = Alcotest.run "mark-diff" [ ("differential", suite) ]
+let () = Alcotest.run "mark-diff" [ ("differential", suite); ("heap-top", heap_top_cases) ]

@@ -369,6 +369,40 @@ let test_segment_iter_words_unaligned_base () =
     "clamp_words clamps and realigns" (0x1004, 0x1041)
     (Segment.clamp_words s ~alignment:4 ~lo:(Addr.of_int 0x0FF0) ~hi:(Addr.of_int 0x2000))
 
+(* The scan loops' unchecked word loads must agree with the checked
+   [read_word] at every byte offset, in both byte orders.  Random bytes
+   plus words with the top bit set pin the [Int32] sign extension and the
+   mask back to an unsigned 32-bit value. *)
+let test_segment_unsafe_word_loads () =
+  let rng = Rng.create 0x5E6 in
+  List.iter
+    (fun endian ->
+      let s = seg ~endian ~size:512 () in
+      let base = Segment.base s in
+      for off = 0 to Segment.size s - 1 do
+        Segment.write_u8 s (Addr.add base off) (Rng.int rng 256)
+      done;
+      List.iteri
+        (fun i w -> Segment.write_word s (Addr.add base (64 + (8 * i) + i)) w)
+        [ 0x80000000; 0xFFFFFFFF; 0x7FFFFFFF; 0x80000001 ];
+      let bytes = Segment.unsafe_bytes s in
+      let load =
+        match endian with
+        | Endian.Little -> Segment.unsafe_word_le
+        | Endian.Big -> Segment.unsafe_word_be
+      in
+      for off = 0 to Segment.size s - 4 do
+        let expected = Segment.read_word s (Addr.add base off) in
+        let got = load bytes off in
+        if got <> expected then
+          Alcotest.failf "%s-endian load at offset %d: 0x%x, read_word 0x%x"
+            (Endian.to_string endian) off got expected
+      done;
+      check int "0x80000000 stays unsigned" 0x80000000 (load bytes 64);
+      check int "0xFFFFFFFF stays unsigned" 0xFFFFFFFF (load bytes 73);
+      check int "0x7FFFFFFF unchanged" 0x7FFFFFFF (load bytes 82))
+    [ Endian.Little; Endian.Big ]
+
 let test_segment_strings () =
   let s = seg () in
   Segment.blit_string s (Addr.of_int 0x1010) "hello";
@@ -537,6 +571,8 @@ let () =
           Alcotest.test_case "iter words" `Quick test_segment_iter_words;
           Alcotest.test_case "iter words unaligned" `Quick test_segment_iter_words_unaligned;
           Alcotest.test_case "iter words unaligned base" `Quick test_segment_iter_words_unaligned_base;
+          Alcotest.test_case "unsafe word loads match read_word" `Quick
+            test_segment_unsafe_word_loads;
           Alcotest.test_case "strings" `Quick test_segment_strings;
           Alcotest.test_case "fill" `Quick test_segment_fill;
         ] );
