@@ -556,11 +556,12 @@ let ablations () =
      is usually zero\"@."
 
 (* ------------------------------------------------------------------ *)
-(* Mark-phase throughput: fast path vs retained reference             *)
+(* Mark-phase throughput: fast path vs the test-side reference        *)
 (* ------------------------------------------------------------------ *)
 
-(* Words examined per second by the two marker implementations over the
-   same live heap: program T's circular lists on the SPARC(static)
+(* Words examined per second by the collector's trace kernel and the
+   reference marker of the test oracle library ([Cgc_oracle.Reference])
+   over the same live heap: program T's circular lists on the SPARC(static)
    platform — big-endian, unaligned (byte-granularity) root scanning,
    the paper's worst case for marker work.  Both paths run over the very
    same collector instance, so words/objects per cycle must agree
@@ -605,7 +606,7 @@ let mark_throughput ~smoke ~jobs () =
   in
   (* warm both paths (page tables, blacklist, caches), then calibrate the
      iteration count so each measured run lasts long enough to time *)
-  Cgc.Gc.Internal.run_mark_reference gc;
+  Cgc_oracle.Reference.run gc;
   Cgc.Gc.Internal.run_mark gc;
   let calibrate runner =
     if smoke then 2
@@ -616,9 +617,9 @@ let mark_throughput ~smoke ~jobs () =
       max 3 (int_of_float (ceil (1.0 /. dt)))
     end
   in
-  let iters_ref = calibrate Cgc.Gc.Internal.run_mark_reference in
+  let iters_ref = calibrate Cgc_oracle.Reference.run in
   let ref_rate, ref_words, ref_marked, ref_secs =
-    time_cycles Cgc.Gc.Internal.run_mark_reference iters_ref
+    time_cycles Cgc_oracle.Reference.run iters_ref
   in
   let iters_fast = calibrate Cgc.Gc.Internal.run_mark in
   let hits0 = st.Cgc.Stats.header_cache_hits in

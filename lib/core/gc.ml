@@ -812,7 +812,6 @@ module Internal = struct
   let run_sweep t = Sweep.run ~quarantined:(quarantined t) t.heap t.free_lists t.finalize t.stats
   let run_mark t = Mark.run t.marker t.roots ~mem:t.mem
   let note_collected t = t.allocated_since_gc <- 0
-  let run_mark_reference t = Mark.Reference.run t.marker t.roots ~mem:t.mem
 
   let run_mark_parallel ?(faults = []) t ~jobs =
     let faults = if faults = [] then t.domain_faults else faults in
@@ -821,14 +820,5 @@ module Internal = struct
     outcome
 
   let is_marked t addr =
-    match find_object t addr with
-    | None -> false
-    | Some base -> (
-        let index = Heap.page_index t.heap base in
-        match Heap.page t.heap index with
-        | Page.Small s ->
-            let rel = Addr.diff base (Heap.page_addr t.heap index) - s.Page.first_offset in
-            Bitset.mem s.Page.mark (rel / s.Page.object_bytes)
-        | Page.Large_head l -> l.Page.l_marked
-        | Page.Uncommitted | Page.Free | Page.Large_tail _ -> false)
+    match find_object t addr with None -> false | Some base -> Heap.is_marked t.heap base
 end

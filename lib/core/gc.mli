@@ -233,11 +233,6 @@ module Internal : sig
       cycle (never after an aborted one, so the retry happens at the
       next allocation). *)
 
-  val run_mark_reference : t -> unit
-  (** Like {!run_mark} but through {!Mark.Reference} — the
-      pre-optimization scan loop.  Used by the differential tests and the
-      mark-throughput benchmark. *)
-
   val run_mark_parallel : ?faults:Domain_fault.plan list -> t -> jobs:int -> Mark.Parallel.outcome
   (** Like {!run_mark} but through {!Mark.Parallel} with [jobs] marker
       domains (serial for [jobs <= 1] or under an armed access plan,

@@ -74,113 +74,70 @@ let set_field t base i v =
 
 (* --- minor collection --- *)
 
-(* Young-only conservative marking: old objects are treated as live and
-   opaque; their outgoing pointers are covered by the dirty-page scan. *)
+(* [f lo bytes] for each live pointer-bearing object of page [index]. *)
+let iter_pointer_objects heap index f =
+  match Heap.page heap index with
+  | Page.Small s ->
+      if not s.Page.pointer_free then begin
+        let first = Addr.add (Heap.page_addr heap index) s.Page.first_offset in
+        Bitset.iter_set s.Page.alloc (fun obj ->
+            f (Addr.add first (obj * s.Page.object_bytes)) s.Page.object_bytes)
+      end
+  | Page.Large_head l ->
+      if l.Page.l_allocated && not l.Page.l_pointer_free then
+        f (Heap.page_addr heap index) l.Page.object_bytes
+  | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ()
+
+(* Young-only conservative marking on the collector's trace kernel.
+   One page walk sets the scope: young pages start unmarked, old pages
+   start with every allocated object marked, so the kernel sees old
+   objects as live and opaque (valid references, never pushed).  The
+   live pointer-bearing objects of the dirty old pages are extra roots
+   covering the old-to-young edges. *)
 let minor_mark t =
   let heap = heap t in
-  let config = Gc.config t.gc in
-  let roots = Gc.Internal.roots t.gc in
-  let blacklist = Gc.blacklist t.gc in
-  (* clear marks on young pages only *)
+  let dirty_objects = ref [] in
   Heap.iter_committed heap (fun i p ->
-      if not (page_is_old t i) then
-        match p with
-        | Page.Small s -> Bitset.clear s.Page.mark
-        | Page.Large_head l -> l.Page.l_marked <- false
-        | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ());
-  let stack = ref [] in
-  (* [noting] is on only while a dirty old page's own words are being
-     scanned: any young target seen there means the page still holds a
-     cross-generation edge and its dirty bit must survive this rescan
-     (clearing it would strand the young object at the next minor — the
-     store happened once, the mutator owes no second barrier). *)
-  let noting = ref false in
-  let young_ref = ref false in
-  let consider value =
-    match Mark.classify heap config value with
-    | Mark.Valid { base; page } ->
-        if not (page_is_old t page) then begin
-          if !noting then young_ref := true;
-          if Heap.mark_object heap base then stack := base :: !stack
-        end
-    | Mark.False_in_heap { page } ->
-        if config.Config.blacklisting then Blacklist.note blacklist page
-    | Mark.Outside -> ()
-  in
-  let mem = Gc.mem t.gc in
-  let stats = Gc.stats t.gc in
-  (* A read fault while scanning downgrades the word to "not a pointer",
-     exactly like the full marker: counted, skipped, never retained. *)
-  let consider_guarded addr value =
-    match Mem.probe_read mem addr with
-    | None -> consider value
-    | Some _reason ->
-        stats.Stats.read_faults <- stats.Stats.read_faults + 1;
-        stats.Stats.mark_downgrades <- stats.Stats.mark_downgrades + 1
-  in
-  let iter_words seg ~lo ~hi =
-    if Mem.read_faults_armed mem then
-      Segment.iter_words seg ~alignment:config.Config.alignment ~lo ~hi consider_guarded
-    else
-      Segment.iter_words seg ~alignment:config.Config.alignment ~lo ~hi (fun _ value ->
-          consider value)
-  in
-  let scan_words lo hi = iter_words (Heap.segment heap) ~lo ~hi in
-  let rec drain () =
-    match !stack with
-    | [] -> ()
-    | base :: rest ->
-        stack := rest;
-        let size, pointer_free = Heap.object_span heap base in
-        if not pointer_free then scan_words base (Addr.add base size);
-        drain ()
-  in
-  (* usual conservative roots *)
-  List.iter
-    (fun (_, values) -> Array.iter consider values)
-    (Roots.current_registers roots);
-  drain ();
-  List.iter
-    (fun { Roots.lo; hi; label = _ } ->
-      (match Mem.find mem lo with
-      | None -> ()
-      | Some seg -> iter_words seg ~lo ~hi);
-      drain ())
-    (Roots.current_ranges roots);
-  (* dirty old pages: rescan their live objects, and keep the dirty bit
-     of any page that still points into the young generation *)
-  let keep = ref [] in
-  Bitset.iter
-    (fun index ->
-      t.dirty_pages_scanned <- t.dirty_pages_scanned + 1;
-      young_ref := false;
-      noting := true;
-      (match Heap.page heap index with
+      let old = page_is_old t i in
+      (match p with
       | Page.Small s ->
-          let base = Addr.add (Heap.page_addr heap index) s.Page.first_offset in
-          for obj = 0 to s.Page.n_objects - 1 do
-            if Bitset.mem s.Page.alloc obj && not s.Page.pointer_free then begin
-              let lo = Addr.add base (obj * s.Page.object_bytes) in
-              scan_words lo (Addr.add lo s.Page.object_bytes)
-            end
-          done
-      | Page.Large_head l ->
-          if l.Page.l_allocated && not l.Page.l_pointer_free then begin
-            let lo = Heap.page_addr heap index in
-            scan_words lo (Addr.add lo l.Page.object_bytes)
-          end
+          Bitset.clear s.Page.mark;
+          if old then Bitset.union_into ~dst:s.Page.mark s.Page.alloc
+      | Page.Large_head l -> l.Page.l_marked <- old && l.Page.l_allocated
       | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ());
-      noting := false;
-      if !young_ref then keep := index :: !keep;
-      drain ())
-    t.dirty;
-  Bitset.clear t.dirty;
+      if Bitset.mem t.dirty i then
+        iter_pointer_objects heap i (fun lo bytes ->
+            let span = { Roots.lo; hi = Addr.add lo bytes; label = "dirty" } in
+            dirty_objects := span :: !dirty_objects));
+  t.dirty_pages_scanned <- t.dirty_pages_scanned + Bitset.count t.dirty;
+  Mark.trace ~extra:(List.rev !dirty_objects) (Gc.Internal.marker t.gc) (Gc.Internal.roots t.gc)
+    ~mem:(Gc.mem t.gc)
+
+(* After the minor sweep, a dirty page keeps its bit, as a carryover,
+   iff one of its words still names a young object: the store that
+   created that cross-generation edge happened once, and the mutator
+   owes no second barrier for it.  The test runs after the sweep so a
+   word whose read faulted during the trace no longer counts: it left
+   its young target unmarked, the sweep freed it, and the word now
+   names no object. *)
+let retain_young_refs t =
+  let heap = heap t in
+  let config = Gc.config t.gc in
+  let names_young v =
+    match Mark.classify heap config v with
+    | Mark.Valid { page; _ } -> not (page_is_old t page)
+    | Mark.False_in_heap _ | Mark.Outside -> false
+  in
+  let holds_young index =
+    let found = ref false in
+    iter_pointer_objects heap index (fun lo bytes ->
+        Segment.iter_words (Heap.segment heap) ~alignment:config.Config.alignment ~lo
+          ~hi:(Addr.add lo bytes) (fun _ v -> if (not !found) && names_young v then found := true));
+    !found
+  in
+  List.iter (fun i -> if not (holds_young i) then Bitset.remove t.dirty i) (dirty_pages t);
   Bitset.clear t.carry;
-  List.iter
-    (fun index ->
-      Bitset.add t.dirty index;
-      Bitset.add t.carry index)
-    !keep
+  Bitset.union_into ~dst:t.carry t.dirty
 
 (* Promotion bookkeeping after a sweep: empty pages rejuvenate, occupied
    young pages age, old-enough pages are promoted (and their free slots
@@ -251,6 +208,7 @@ let minor t =
       ~quarantined:(fun i -> Bitset.mem decayed i)
       heap (Gc.Internal.free_lists t.gc) (Gc.Internal.finalize t.gc) (Gc.stats t.gc)
   in
+  retain_young_refs t;
   update_ages_after_sweep t
 
 let major t =

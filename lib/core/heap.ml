@@ -238,6 +238,22 @@ let free_page_count t =
       | Page.Uncommitted | Page.Small _ | Page.Large_head _ | Page.Large_tail _ -> ());
   !n
 
+let clear_marks t =
+  iter_committed t (fun _ p ->
+      match p with
+      | Page.Small s -> Bitset.clear s.Page.mark
+      | Page.Large_head l -> l.Page.l_marked <- false
+      | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ())
+
+let is_marked t base =
+  let index = page_index t base in
+  match t.pages.(index) with
+  | Page.Small s ->
+      let rel = Addr.diff base (page_addr t index) - s.Page.first_offset in
+      Bitset.mem s.Page.mark (rel / s.Page.object_bytes)
+  | Page.Large_head l -> l.Page.l_marked
+  | Page.Uncommitted | Page.Free | Page.Large_tail _ -> false
+
 let mark_object t base =
   let index = page_index t base in
   match t.pages.(index) with

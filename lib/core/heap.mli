@@ -114,6 +114,13 @@ val commit_through : t -> int -> bool
 val free_page_count : t -> int
 (** Committed pages currently [Free]. *)
 
+val clear_marks : t -> unit
+(** Clear every mark bit in the committed heap. *)
+
+val is_marked : t -> Addr.t -> bool
+(** Whether the object based at the address is marked; [false] on a
+    page that holds no object base. *)
+
 val mark_object : t -> Addr.t -> bool
 (** Set the mark bit of the allocated object based at the address;
     returns true when it was not already marked.  The address must be a

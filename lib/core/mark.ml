@@ -7,9 +7,9 @@ type classification =
 
 (* The reference classifier: a direct transcription of the paper's
    validity test against the [Page.t] variants.  Kept as the oracle for
-   the fast path (see [Reference]) and for cold call sites
-   ([Gc.find_object], tracing, the generational write barrier) where
-   clarity beats throughput. *)
+   the fast path (the test-side reference marker builds on it) and for
+   cold call sites ([Gc.find_object], tracing, the generational
+   dirty-page pass) where clarity beats throughput. *)
 let classify heap (config : Config.t) value =
   if not (Heap.contains heap value) then Outside
   else begin
@@ -104,7 +104,7 @@ type t = {
      descriptor directly, so popping an object never evicts the row its
      children's lookups want.  [cache_page = -1] means empty;
      invalidated whenever the page table may have changed under us (at
-     the start of [run] / [mark_value]). *)
+     the start of every [trace]). *)
   mutable cache_page : int;
   mutable cache_kind : int;
   mutable cache_object_bytes : int;
@@ -176,13 +176,6 @@ let push t base =
     t.stack.(t.sp) <- base;
     t.sp <- t.sp + 1
   end
-
-let clear_marks heap =
-  Heap.iter_committed heap (fun _ p ->
-      match p with
-      | Page.Small s -> Bitset.clear s.Page.mark
-      | Page.Large_head l -> l.Page.l_marked <- false
-      | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ())
 
 (* --- the fast path ------------------------------------------------- *)
 
@@ -379,12 +372,6 @@ let drain t =
     scan_object t t.stack.(t.sp)
   done
 
-let mark_value t value =
-  t.cache_page <- -1;
-  t.stats.Stats.words_scanned <- t.stats.Stats.words_scanned + 1;
-  consider_heap t value;
-  drain t
-
 let scan_range t ~mem range =
   let { Roots.lo; hi; label = _ } = range in
   match Mem.find mem lo with
@@ -410,12 +397,10 @@ let recover_from_overflow t =
         drain t)
   done
 
-let run t roots ~mem =
-  clear_marks t.heap;
+let trace ?(extra = []) t roots ~mem =
   t.sp <- 0;
   t.overflowed <- false;
   t.cache_page <- -1;
-  Blacklist.begin_cycle t.blacklist;
   List.iter
     (fun (_, values) ->
       Array.iter
@@ -425,145 +410,18 @@ let run t roots ~mem =
           drain t)
         values)
     (Roots.current_registers roots);
-  List.iter
-    (fun range ->
-      scan_range t ~mem range;
-      drain t)
-    (Roots.current_ranges roots);
+  let scan range =
+    scan_range t ~mem range;
+    drain t
+  in
+  List.iter scan (Roots.current_ranges roots);
+  List.iter scan extra;
   recover_from_overflow t
 
-(* --- the reference marker ------------------------------------------ *)
-
-(* The pre-optimization mark phase, verbatim: per-word closures through
-   [Segment.iter_words], allocating classifications from [classify], and
-   variant matching for every mark-bit update.  It shares [t] (stack,
-   stats, blacklist), and the differential tests pin it bit-identical to
-   the fast path above — same mark bitmaps, same blacklist, same counts. *)
-module Reference = struct
-  let set_mark_bit t page base =
-    match Heap.page t.heap page with
-    | Page.Small s ->
-        let rel = base - Addr.to_int (Heap.page_addr t.heap page) - s.Page.first_offset in
-        let index = rel / s.Page.object_bytes in
-        if Bitset.mem s.Page.mark index then `Already
-        else begin
-          Bitset.add s.Page.mark index;
-          `Newly (s.Page.object_bytes, s.Page.pointer_free)
-        end
-    | Page.Large_head l ->
-        if l.Page.l_marked then `Already
-        else begin
-          l.Page.l_marked <- true;
-          `Newly (l.Page.object_bytes, l.Page.l_pointer_free)
-        end
-    | Page.Uncommitted | Page.Free | Page.Large_tail _ ->
-        (* classify returned Valid, yet the page is no longer an object
-           page: it was retired between classification and marking,
-           possible only when a fault plan decays pages mid-scan.
-           Downgrade the reference — skip it, never retain, never
-           crash. *)
-        t.stats.Stats.mark_downgrades <- t.stats.Stats.mark_downgrades + 1;
-        `Already
-
-  let consider t value =
-    t.stats.Stats.words_scanned <- t.stats.Stats.words_scanned + 1;
-    match classify t.heap t.config value with
-    | Outside -> ()
-    | False_in_heap { page } ->
-        t.stats.Stats.false_refs <- t.stats.Stats.false_refs + 1;
-        if t.config.Config.blacklisting then Blacklist.note t.blacklist page
-    | Valid { base; page } -> (
-        t.stats.Stats.valid_refs <- t.stats.Stats.valid_refs + 1;
-        match set_mark_bit t page base with
-        | `Already -> ()
-        | `Newly (_, _) ->
-            t.stats.Stats.objects_marked <- t.stats.Stats.objects_marked + 1;
-            push t base)
-
-  (* Mirror of the fast path's per-word downgrade: a faulted read is
-     counted and the word skipped.  [words_scanned] is bumped here
-     because [consider] (which normally counts it) never runs. *)
-  let downgrade t =
-    t.stats.Stats.words_scanned <- t.stats.Stats.words_scanned + 1;
-    t.stats.Stats.read_faults <- t.stats.Stats.read_faults + 1;
-    t.stats.Stats.mark_downgrades <- t.stats.Stats.mark_downgrades + 1
-
-  let iter_words_guarded t seg ~lo ~hi =
-    if Mem.read_faults_armed t.mem then
-      Segment.iter_words seg ~alignment:t.config.Config.alignment ~lo ~hi (fun addr value ->
-          match Mem.probe_read t.mem addr with
-          | None -> consider t value
-          | Some _reason -> downgrade t)
-    else
-      Segment.iter_words seg ~alignment:t.config.Config.alignment ~lo ~hi (fun _addr value ->
-          consider t value)
-
-  let scan_object t base =
-    let page = Heap.page_index t.heap base in
-    let size, pointer_free =
-      match Heap.page t.heap page with
-      | Page.Small s -> (s.Page.object_bytes, s.Page.pointer_free)
-      | Page.Large_head l -> (l.Page.object_bytes, l.Page.l_pointer_free)
-      | Page.Uncommitted | Page.Free | Page.Large_tail _ ->
-          (* retired between push and pop under a decaying fault plan *)
-          t.stats.Stats.mark_downgrades <- t.stats.Stats.mark_downgrades + 1;
-          (0, true)
-    in
-    if not pointer_free then
-      iter_words_guarded t (Heap.segment t.heap) ~lo:base ~hi:(Addr.add base size)
-
-  let drain t =
-    while t.sp > 0 do
-      t.sp <- t.sp - 1;
-      scan_object t t.stack.(t.sp)
-    done
-
-  let mark_value t value =
-    consider t value;
-    drain t
-
-  let scan_range t ~mem range =
-    let { Roots.lo; hi; label = _ } = range in
-    match Mem.find mem lo with
-    | None -> ()
-    | Some seg -> iter_words_guarded t seg ~lo ~hi
-
-  let recover_from_overflow t =
-    while t.overflowed do
-      t.overflowed <- false;
-      Heap.iter_committed t.heap (fun index p ->
-          (match p with
-          | Page.Small s ->
-              let base = Addr.to_int (Heap.page_addr t.heap index) + s.Page.first_offset in
-              for obj = 0 to s.Page.n_objects - 1 do
-                if Bitset.mem s.Page.mark obj then scan_object t (base + (obj * s.Page.object_bytes))
-              done
-          | Page.Large_head l ->
-              if l.Page.l_marked then scan_object t (Addr.to_int (Heap.page_addr t.heap index))
-          | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ());
-          drain t)
-    done
-
-  let run t roots ~mem =
-    clear_marks t.heap;
-    t.sp <- 0;
-    t.overflowed <- false;
-    Blacklist.begin_cycle t.blacklist;
-    List.iter
-      (fun (_, values) ->
-        Array.iter
-          (fun v ->
-            consider t v;
-            drain t)
-          values)
-      (Roots.current_registers roots);
-    List.iter
-      (fun range ->
-        scan_range t ~mem range;
-        drain t)
-      (Roots.current_ranges roots);
-    recover_from_overflow t
-end
+let run t roots ~mem =
+  Heap.clear_marks t.heap;
+  Blacklist.begin_cycle t.blacklist;
+  trace t roots ~mem
 
 (* --- the parallel tracer -------------------------------------------- *)
 
@@ -1265,7 +1123,7 @@ module Parallel = struct
      abandoned attempt nothing to roll back beyond the cleared mark
      bits the serial rerun clears again. *)
   let run_domains t roots ~mem ~jobs ~faults =
-    clear_marks t.heap;
+    Heap.clear_marks t.heap;
     let n_pages = Heap.n_pages t.heap in
     let shadow = Array.make n_pages dummy_shadow in
     Heap.iter_committed t.heap (fun i p ->

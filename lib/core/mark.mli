@@ -17,13 +17,15 @@
     every word of the object at the configured alignment, since the
     collector has no layout information.
 
-    Two implementations share one marker state: the default fast path
-    (flat page-descriptor rows from {!Heap.desc} read directly per
-    object, a one-entry header cache for classification, reciprocal
-    object indexing, closure-free endianness-specialized scan loops of
-    32-bit loads, displacement bitmasks) and the pre-optimization
-    {!Reference} transcription, kept as the oracle the differential
-    tests pin the fast path against. *)
+    One serial trace kernel serves every conservative collection: flat
+    page-descriptor rows from {!Heap.desc} read directly per object, a
+    one-entry header cache for classification, reciprocal object
+    indexing, closure-free endianness-specialized scan loops of 32-bit
+    loads, displacement bitmasks.  {!run} is the full mark phase;
+    {!trace} is the kernel alone, which the generational minor
+    collection runs over its young scope.  The differential tests pin
+    the kernel against an independent reference marker that lives with
+    the tests, built on {!classify}. *)
 
 open Cgc_vm
 
@@ -43,25 +45,21 @@ type t
 val create : Heap.t -> Config.t -> Blacklist.t -> Stats.t -> t
 
 val run : t -> Roots.t -> mem:Mem.t -> unit
-(** Perform a full mark phase: clear all mark bits, open a blacklist
-    cycle, scan every root source, and transitively mark through
-    pointer-bearing heap objects.  Statistics are updated; the heap's
-    mark bits are left set for the sweeper. *)
+(** Perform a full mark phase: {!Heap.clear_marks}, open a blacklist
+    cycle, then {!trace}.  Statistics are updated; the heap's mark bits
+    are left set for the sweeper. *)
 
-val mark_value : t -> int -> unit
-(** Feed a single word value to the marker and drain the mark stack —
-    exposed for tests and for the retention harness's injected false
-    references. *)
-
-(** The pre-optimization marker, running against the same state ([t]),
-    page table, blacklist and statistics.  Produces bit-identical mark
-    bitmaps, blacklists and counters to the fast path (modulo
-    [Stats.header_cache_hits], which only the fast path touches); the
-    benchmark suite reports the throughput ratio between the two. *)
-module Reference : sig
-  val run : t -> Roots.t -> mem:Mem.t -> unit
-  val mark_value : t -> int -> unit
-end
+val trace : ?extra:Roots.range list -> t -> Roots.t -> mem:Mem.t -> unit
+(** The trace kernel, from the mark bits as it finds them: scan every
+    register value, then every root range, then every [extra] range
+    (default none), draining the mark stack after each, and end with
+    the bounded-stack overflow recovery.  An object already marked on
+    entry counts as a valid reference but is never pushed, so a caller
+    makes objects live and opaque by marking them first — the
+    generational minor pre-marks its old pages and passes their dirty
+    objects as [extra].  Overflow recovery rescans every marked object,
+    pre-marked ones included.  Does not clear marks or open a blacklist
+    cycle. *)
 
 (** The parallel tracer: N marker domains, each with a private
     Chase-Lev mark stack ({!Cgc_vm.Ws_deque}) and a private one-entry

@@ -47,41 +47,6 @@ let roots_now t =
 
 let last_stale_roots t = List.rev t.last_stale
 
-let clear_marks heap =
-  Heap.iter_committed heap (fun _ p ->
-      match p with
-      | Page.Small s -> Bitset.clear s.Page.mark
-      | Page.Large_head l -> l.Page.l_marked <- false
-      | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ())
-
-let set_mark heap base =
-  let index = Heap.page_index heap base in
-  match Heap.page heap index with
-  | Page.Small s ->
-      let rel = Addr.diff base (Heap.page_addr heap index) - s.Page.first_offset in
-      let obj = rel / s.Page.object_bytes in
-      if Bitset.mem s.Page.mark obj then `Already
-      else begin
-        Bitset.add s.Page.mark obj;
-        `Newly
-      end
-  | Page.Large_head l ->
-      if l.Page.l_marked then `Already
-      else begin
-        l.Page.l_marked <- true;
-        `Newly
-      end
-  | Page.Uncommitted | Page.Free | Page.Large_tail _ -> `Already
-
-let is_marked heap base =
-  let index = Heap.page_index heap base in
-  match Heap.page heap index with
-  | Page.Small s ->
-      let rel = Addr.diff base (Heap.page_addr heap index) - s.Page.first_offset in
-      Bitset.mem s.Page.mark (rel / s.Page.object_bytes)
-  | Page.Large_head l -> l.Page.l_marked
-  | Page.Uncommitted | Page.Free | Page.Large_tail _ -> false
-
 (* Abort-and-restore: the mark bits live in page metadata, so a
    snapshot is a per-page copy.  No allocation happens during an exact
    collect, so the committed-page set cannot change between save and
@@ -146,12 +111,13 @@ let mark_exact t =
       incr top
     end
   in
+  (* every caller has checked [Gc.is_allocated], so [base] is an exact
+     object base *)
   let mark_and_push base =
-    match set_mark heap base with
-    | `Newly ->
-        stats.Stats.objects_marked <- stats.Stats.objects_marked + 1;
-        push base
-    | `Already -> ()
+    if Heap.mark_object heap base then begin
+      stats.Stats.objects_marked <- stats.Stats.objects_marked + 1;
+      push base
+    end
   in
   let visit_child value =
     (* null and non-object words are ordinary exact-map dataflow (a nil
@@ -204,7 +170,7 @@ let mark_exact t =
     overflowed := false;
     Hashtbl.iter
       (fun base (_ : Type_desc.t) ->
-        if Gc.is_allocated t.gc base && is_marked heap base then scan_object base)
+        if Gc.is_allocated t.gc base && Heap.is_marked heap base then scan_object base)
       t.descs;
     drain ()
   done
@@ -223,7 +189,7 @@ let collect t =
   let t0 = Stats.now_s () in
   t.last_stale <- [];
   let snapshot = save_marks heap in
-  clear_marks heap;
+  Heap.clear_marks heap;
   (try mark_exact t
    with Mark_aborted _ as e ->
      restore_marks heap snapshot;

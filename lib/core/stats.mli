@@ -3,7 +3,15 @@
     Besides the usual allocation/reclamation counters, we count the
     quantities the paper reports on directly: false references seen
     while marking, blacklist bookkeeping operations (behind the "usually
-    less than 1%" overhead claim of footnote 3), and per-phase time. *)
+    less than 1%" overhead claim of footnote 3), and per-phase time.
+
+    The trace-phase counters ([words_scanned], [valid_refs],
+    [false_refs], [objects_marked], [header_cache_hits],
+    [mark_stack_overflows], [mark_downgrades]) count every run of the
+    trace kernel, {!Generational} minor collections included.  A minor
+    starts with its old objects already marked, so its
+    [objects_marked] counts the young objects it marked, and its
+    [valid_refs] includes references to old objects. *)
 
 type t = {
   mutable collections : int;

@@ -25,13 +25,7 @@ let provenance gc =
     | Mark.False_in_heap _ | Mark.Outside -> ()
   in
   let scan_object base =
-    let index = Heap.page_index heap base in
-    let size, pointer_free =
-      match Heap.page heap index with
-      | Page.Small s -> (s.Page.object_bytes, s.Page.pointer_free)
-      | Page.Large_head l -> (l.Page.object_bytes, l.Page.l_pointer_free)
-      | Page.Uncommitted | Page.Free | Page.Large_tail _ -> (0, true)
-    in
+    let size, pointer_free = Heap.object_span heap base in
     if not pointer_free then
       Segment.iter_words (Heap.segment heap) ~alignment:config.Config.alignment ~lo:base
         ~hi:(Addr.add base size) (fun at value ->

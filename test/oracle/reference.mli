@@ -1,0 +1,18 @@
+(** The reference conservative marker: a direct transcription of the
+    paper's figure 2 over {!Cgc.Mark.classify}, with per-word closures
+    through {!Cgc_vm.Segment.iter_words}, an allocating classification
+    per word and a variant match for every mark-bit update.
+
+    It is an oracle, so it owns everything a marking bug could hide in —
+    its mark stack, push, stack-limit test, overflow counting and
+    overflow recovery — and shares only {!Cgc.Mark.classify},
+    {!Cgc.Heap.clear_marks}, {!Cgc.Blacklist} and {!Cgc.Stats} with the
+    collector's trace kernel.  On the same heap it must leave mark
+    bitmaps, blacklist and counters bit-identical to [Gc.Internal.run_mark]
+    (modulo [Stats.header_cache_hits], which only the kernel keeps). *)
+
+val run : Cgc.Gc.t -> unit
+(** A full mark phase over the collector's roots: clear the marks, open a
+    blacklist cycle, scan registers then ranges (draining after each
+    value and range), and recover from mark-stack overflow.  Leaves the
+    mark bits set for the sweeper, like [Gc.Internal.run_mark]. *)

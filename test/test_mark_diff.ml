@@ -1,14 +1,16 @@
 (* Differential tests for the mark-phase fast path.
 
    Two deterministically-identical collector instances are built from
-   one random scenario; one is marked with the fast path
-   ([Gc.Internal.run_mark]), the other with the pre-optimization
-   reference transcription ([Gc.Internal.run_mark_reference]).  Mark
-   bitmaps, blacklisted pages and the marking statistics must be
-   bit-identical — across alignments 1/2/4, interior pointers on/off,
-   registered displacement lists, bounded mark stacks (overflow
-   recovery) and hashed blacklists.  [Stats.header_cache_hits] is
-   excluded: only the fast path has a header cache. *)
+   one random scenario; one is marked with the collector's trace kernel
+   ([Gc.Internal.run_mark]), the other with the test oracle's reference
+   marker ([Cgc_oracle.Reference.run]), which owns its own mark stack,
+   push and overflow recovery.  Mark bitmaps, blacklisted pages and the
+   marking statistics must be bit-identical — across alignments 1/2/4,
+   interior pointers on/off, registered displacement lists, bounded
+   mark stacks (overflow recovery) and hashed blacklists.
+   [Stats.header_cache_hits] is excluded: only the fast path has a
+   header cache.  The generational minor collection runs on the same
+   kernel; its young scope is pinned against a test-side walker. *)
 
 open Cgc_vm
 module Gc = Cgc.Gc
@@ -55,7 +57,14 @@ let scenario_gen =
     array_size (return n) (frequency [ (9, int_range 1 6); (1, return 1500) ]) >>= fun sizes ->
     list_size (int_bound (2 * n)) (triple (int_bound (n - 1)) (int_bound 3) (int_bound (n - 1)))
     >>= fun raw_edges ->
-    list_size (int_bound (max 1 (n / 2))) (int_bound (n - 1)) >>= fun roots ->
+    (* sometimes every object is a root: one root-range scan then pushes
+       up to 30 objects before it drains, overflowing a 16-entry stack *)
+    frequency
+      [
+        (3, list_size (int_bound (max 1 (n / 2))) (int_bound (n - 1)));
+        (1, return (List.init n Fun.id));
+      ]
+    >>= fun roots ->
     list_size (int_bound 48) junk_value_gen >>= fun junk ->
     string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 160) >>= fun bytes ->
     oneofl [ 1; 2; 4 ] >>= fun alignment ->
@@ -158,12 +167,12 @@ let prop_fast_matches_reference =
     (fun s ->
       let gc_fast = build s and gc_ref = build s in
       Gc.Internal.run_mark gc_fast;
-      Gc.Internal.run_mark_reference gc_ref;
+      Cgc_oracle.Reference.run gc_ref;
       let first = mark_state gc_fast = mark_state gc_ref in
       (* a second cycle ages the blacklist (begin_cycle rotation) and
          re-marks from already-populated state *)
       Gc.Internal.run_mark gc_fast;
-      Gc.Internal.run_mark_reference gc_ref;
+      Cgc_oracle.Reference.run gc_ref;
       first && mark_state gc_fast = mark_state gc_ref)
 
 (* Collections driven end-to-end by the fast path keep the heap sound:
@@ -176,34 +185,37 @@ let prop_fast_collect_matches_reference_collect =
       let gc_fast = build s and gc_ref = build s in
       Gc.Internal.run_mark gc_fast;
       let sweep_fast = Gc.Internal.run_sweep gc_fast in
-      Gc.Internal.run_mark_reference gc_ref;
+      Cgc_oracle.Reference.run gc_ref;
       let sweep_ref = Gc.Internal.run_sweep gc_ref in
       sweep_fast = sweep_ref
       && Cgc.Verify.check gc_fast = []
       && Cgc.Verify.check gc_ref = [])
 
-(* The per-value entry point agrees with the pure classifier: feeding a
-   word through the marker marks exactly the object [classify] names. *)
-let prop_mark_value_matches_classify =
-  QCheck.Test.make ~count:200 ~name:"mark_value marks exactly what classify names"
+(* One word agrees with the pure classifier: a collector whose only root
+   is a one-value register source marks exactly the object [classify]
+   names (and nothing for any other word), and blacklists the page of a
+   false in-heap reference. *)
+let prop_register_value_matches_classify =
+  QCheck.Test.make ~count:200 ~name:"a one-value register root marks exactly what classify names"
     (QCheck.make
        QCheck.Gen.(pair scenario_gen (list_size (int_bound 32) junk_value_gen)))
     (fun (s, values) ->
       let gc = build s in
-      let heap = Gc.heap gc and config = Gc.config gc in
-      let marker = Gc.Internal.marker gc in
+      let heap = Gc.heap gc and config = Gc.config gc and st = Gc.stats gc in
+      let value = ref [||] in
+      Gc.clear_roots gc;
+      Gc.add_register_roots gc ~label:"value" (fun () -> !value);
       List.for_all
         (fun v ->
+          value := [| v |];
+          let marked0 = st.Stats.objects_marked in
+          Gc.Internal.run_mark gc;
+          let marked = st.Stats.objects_marked - marked0 in
           match Cgc.Mark.classify heap config v with
-          | Cgc.Mark.Valid { base; _ } ->
-              Cgc.Mark.mark_value marker v;
-              Gc.Internal.is_marked gc base
+          | Cgc.Mark.Valid { base; _ } -> marked >= 1 && Gc.Internal.is_marked gc base
           | Cgc.Mark.False_in_heap { page } ->
-              Cgc.Mark.mark_value marker v;
-              Blacklist.is_black (Gc.blacklist gc) page
-          | Cgc.Mark.Outside ->
-              Cgc.Mark.mark_value marker v;
-              true)
+              marked = 0 && Blacklist.is_black (Gc.blacklist gc) page
+          | Cgc.Mark.Outside -> marked = 0)
         values)
 
 (* The parallel tracer's bit-identity claim, across the same scenario
@@ -434,6 +446,201 @@ let prop_abandoned_collect_keeps_blacklist_aging =
           | None -> false)
         [ 1; 2 ])
 
+(* --- the generational minor's young scope -------------------------- *)
+
+module Generational = Cgc.Generational
+
+(* An old graph aged until promoted, a young graph beside it, and two
+   rounds of barriered stores into the old objects (round two allocates
+   nothing and drops a young root). *)
+type young_scenario = {
+  y_promote_after : int;
+  y_alignment : int;
+  y_interior : bool;
+  y_old_sizes : int array;
+  y_old_edges : (int * int * int * int) list;  (* (src, field, dst, byte offset) *)
+  y_old_roots : int list;
+  y_young_sizes : int array;
+  y_young_edges : (int * int * int * int) list;
+  y_young_roots : int list;
+  y_stores : (int * int * int * int) list;  (* (old src, field, young dst, byte offset) *)
+  y_stores2 : (int * int * int * int) list;
+  y_junk : int list;
+}
+
+let young_scenario_gen =
+  QCheck.Gen.(
+    let sizes =
+      int_range 1 20 >>= fun n ->
+      array_size (return n) (frequency [ (9, int_range 1 6); (1, return 1500) ])
+    in
+    let edges ~src ~dst =
+      list_size (int_bound (2 * src))
+        (quad (int_bound (src - 1)) (int_bound 3) (int_bound (dst - 1)) (oneofl [ 0; 0; 0; 2; 4 ]))
+    in
+    let roots n = list_size (int_range 1 (max 1 (n / 2))) (int_bound (n - 1)) in
+    oneofl [ 1; 2 ] >>= fun promote_after ->
+    oneofl [ 1; 2; 4 ] >>= fun alignment ->
+    bool >>= fun interior ->
+    sizes >>= fun old_sizes ->
+    sizes >>= fun young_sizes ->
+    let n_old = Array.length old_sizes and n_young = Array.length young_sizes in
+    edges ~src:n_old ~dst:n_old >>= fun old_edges ->
+    roots n_old >>= fun old_roots ->
+    edges ~src:n_young ~dst:n_young >>= fun young_edges ->
+    roots n_young >>= fun young_roots ->
+    edges ~src:n_old ~dst:n_young >>= fun stores ->
+    edges ~src:n_old ~dst:n_young >>= fun stores2 ->
+    list_size (int_bound 24) junk_value_gen >>= fun junk ->
+    return
+      {
+        y_promote_after = promote_after;
+        y_alignment = alignment;
+        y_interior = interior;
+        y_old_sizes = old_sizes;
+        y_old_edges = old_edges;
+        y_old_roots = old_roots;
+        y_young_sizes = young_sizes;
+        y_young_edges = young_edges;
+        y_young_roots = young_roots;
+        y_stores = stores;
+        y_stores2 = stores2;
+        y_junk = junk;
+      })
+
+let young_scenario_print y =
+  Printf.sprintf
+    "promote_after=%d align=%d interior=%b old=%d old_edges=%d young=%d young_edges=%d \
+     stores=%d+%d junk=%d"
+    y.y_promote_after y.y_alignment y.y_interior (Array.length y.y_old_sizes)
+    (List.length y.y_old_edges) (Array.length y.y_young_sizes) (List.length y.y_young_edges)
+    (List.length y.y_stores) (List.length y.y_stores2) (List.length y.y_junk)
+
+(* Every allocated object: [f ~page base bytes pointer_free]. *)
+let iter_objects heap f =
+  Heap.iter_committed heap (fun i p ->
+      match p with
+      | Page.Small s ->
+          let first = Addr.add (Heap.page_addr heap i) s.Page.first_offset in
+          Bitset.iter_set s.Page.alloc (fun obj ->
+              f ~page:i (Addr.add first (obj * s.Page.object_bytes)) s.Page.object_bytes
+                s.Page.pointer_free)
+      | Page.Large_head l ->
+          if l.Page.l_allocated then
+            f ~page:i (Heap.page_addr heap i) l.Page.object_bytes l.Page.l_pointer_free
+      | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ())
+
+let iter_object_words gc base bytes f =
+  Segment.iter_words (Heap.segment (Gc.heap gc)) ~alignment:(Gc.config gc).Config.alignment
+    ~lo:base ~hi:(Addr.add base bytes) (fun _ v -> f v)
+
+(* The young object a word names, if any. *)
+let young_target gc gen v =
+  match Cgc.Mark.classify (Gc.heap gc) (Gc.config gc) v with
+  | Cgc.Mark.Valid { base; _ } when not (Generational.is_old gen base) -> Some base
+  | Cgc.Mark.Valid _ | Cgc.Mark.False_in_heap _ | Cgc.Mark.Outside -> None
+
+(* What a minor collection must keep: the young objects reachable from
+   the roots and from the live objects of the dirty pages, through
+   young objects only — old objects are opaque. *)
+let young_closure gc gen roots =
+  let seen = Hashtbl.create 64 in
+  let rec visit v =
+    match young_target gc gen v with
+    | Some base when not (Hashtbl.mem seen base) ->
+        Hashtbl.add seen base ();
+        let bytes, pointer_free = Heap.object_span (Gc.heap gc) base in
+        if not pointer_free then iter_object_words gc base bytes visit
+    | Some _ | None -> ()
+  in
+  Segment.iter_words roots ~alignment:(Gc.config gc).Config.alignment ~lo:(Segment.base roots)
+    ~hi:(Segment.limit roots) (fun _ v -> visit v);
+  let dirty = Generational.dirty_pages gen in
+  iter_objects (Gc.heap gc) (fun ~page base bytes pointer_free ->
+      if List.mem page dirty && not pointer_free then iter_object_words gc base bytes visit);
+  List.sort compare (Hashtbl.fold (fun base () acc -> base :: acc) seen [])
+
+(* One minor collection against the three young-scope claims: the young
+   survivors are exactly the young closure (a superset of it under a
+   bounded mark stack, whose overflow recovery also rescans the
+   pre-marked old objects); the minor's [objects_marked] delta counts
+   the young objects it marked; and every old page with a word naming
+   a young object afterwards is dirty. *)
+let minor_keeps_young_scope gc gen roots ~bounded =
+  let heap = Gc.heap gc in
+  let young = ref [] in
+  iter_objects heap (fun ~page:_ base _ _ ->
+      if not (Generational.is_old gen base) then young := base :: !young);
+  let closure = young_closure gc gen roots in
+  let st = Gc.stats gc in
+  let marked0 = st.Stats.objects_marked in
+  Generational.minor gen;
+  let survivors = List.sort compare (List.filter (Gc.is_allocated gc) !young) in
+  let closure_ok =
+    if bounded then List.for_all (fun b -> List.mem b survivors) closure else survivors = closure
+  in
+  let count_ok = st.Stats.objects_marked - marked0 = List.length survivors in
+  let dirty = Generational.dirty_pages gen in
+  let dirty_ok = ref true in
+  iter_objects heap (fun ~page base bytes pointer_free ->
+      if Generational.is_old gen base && not pointer_free then
+        iter_object_words gc base bytes (fun v ->
+            if young_target gc gen v <> None && not (List.mem page dirty) then dirty_ok := false));
+  closure_ok && count_ok && !dirty_ok
+
+let young_scope_run y ~limit =
+  let mem = Mem.create () in
+  let roots =
+    Mem.map mem ~name:"roots" ~kind:Segment.Static_data ~base:(Addr.of_int 0x10000) ~size:0x1000
+  in
+  let config =
+    {
+      Config.default with
+      Config.alignment = y.y_alignment;
+      interior_pointers = y.y_interior;
+      mark_stack_limit = limit;
+      initial_pages = 16;
+    }
+  in
+  let gc = Gc.create ~config mem ~base:(Addr.of_int heap_base) ~max_bytes:heap_bytes () in
+  Gc.set_auto_collect gc false;
+  Gc.add_static_root gc ~lo:(Segment.base roots) ~hi:(Segment.limit roots) ~label:"roots";
+  let gen = Generational.create ~promote_after:y.y_promote_after gc in
+  let slot i v = Segment.write_word roots (Addr.add (Segment.base roots) (4 * i)) v in
+  let allocate sizes = Array.map (fun words -> Generational.allocate gen (4 * words)) sizes in
+  let link objs sizes dsts (src, field, dst, off) =
+    if field < sizes.(src) then Gc.set_field gc objs.(src) field (Addr.to_int dsts.(dst) + off)
+  in
+  (* the old generation: allocated, rooted and aged until promoted *)
+  let old = allocate y.y_old_sizes in
+  List.iter (link old y.y_old_sizes old) y.y_old_edges;
+  List.iteri (fun i r -> slot i (Addr.to_int old.(r))) y.y_old_roots;
+  List.iteri (fun i v -> slot (512 + i) v) y.y_junk;
+  for _ = 1 to y.y_promote_after do
+    Generational.minor gen
+  done;
+  let young = allocate y.y_young_sizes in
+  List.iter (link young y.y_young_sizes young) y.y_young_edges;
+  List.iteri (fun i r -> slot (256 + i) (Addr.to_int young.(r))) y.y_young_roots;
+  (* barriered stores into the surviving old objects *)
+  let store (src, field, dst, off) =
+    let o = old.(src) in
+    if Gc.is_allocated gc o && Generational.is_old gen o && field < y.y_old_sizes.(src) then
+      Generational.set_field gen o field (Addr.to_int young.(dst) + off)
+  in
+  List.iter store y.y_stores;
+  let bounded = limit <> None in
+  let first = minor_keeps_young_scope gc gen roots ~bounded in
+  List.iter store y.y_stores2;
+  slot 256 0;
+  first && minor_keeps_young_scope gc gen roots ~bounded
+
+let prop_minor_keeps_young_scope =
+  QCheck.Test.make ~count:200
+    ~name:"minor on the trace kernel == young closure (count, dirty audit, stack limit)"
+    (QCheck.make young_scenario_gen ~print:young_scenario_print)
+    (fun y -> young_scope_run y ~limit:None && young_scope_run y ~limit:(Some 16))
+
 (* The heap's last object: a full four-page heap whose top page is a
    small page of pointer-bearing 16-byte cells, or whose top three pages
    are one pointer-bearing large object, so the last object scanned ends
@@ -479,7 +686,7 @@ let heap_top_case ~large ~alignment ~big_endian () =
   in
   let gc_fast, sentinel = build () and gc_ref, _ = build () in
   Gc.Internal.run_mark gc_fast;
-  Gc.Internal.run_mark_reference gc_ref;
+  Cgc_oracle.Reference.run gc_ref;
   Alcotest.(check bool) "fast path == reference" true (mark_state gc_fast = mark_state gc_ref);
   Alcotest.(check bool) "the top object's last word was scanned" true
     (Gc.Internal.is_marked gc_fast sentinel)
@@ -507,11 +714,12 @@ let suite =
     [
       prop_fast_matches_reference;
       prop_fast_collect_matches_reference_collect;
-      prop_mark_value_matches_classify;
+      prop_register_value_matches_classify;
       prop_parallel_matches_serial;
       prop_parallel_recovers_from_domain_faults;
       prop_quorum_break_degrades_to_serial;
       prop_abandoned_collect_keeps_blacklist_aging;
+      prop_minor_keeps_young_scope;
     ]
 
 let () = Alcotest.run "mark-diff" [ ("differential", suite); ("heap-top", heap_top_cases) ]
