@@ -69,12 +69,13 @@ type t = {
           committed-heap-bytes / [space_divisor]; smaller keeps the heap
           tighter at the price of more frequent collections *)
   lazy_sweep : bool;
-      (** defer sweeping: a collection only marks; pages are swept
-          on demand by the allocator (and any leftovers just before the
-          next mark).  Shortens the stop-the-world pause at the price of
-          delayed reclamation — [is_allocated] reports garbage as live
-          until its page is swept, and [Stats.live_bytes] is refreshed
-          only when a full sweep completes *)
+      (** defer sweeping: a collection only marks; a page is swept
+          when its size class's allocation cursor reaches it (and any
+          leftovers just before the next mark).  Shortens the
+          stop-the-world pause at the price of delayed reclamation —
+          [is_allocated] reports garbage as live until its page is
+          swept.  [Stats.live_bytes] is still set at collect time, from
+          the mark bits *)
   mark_stack_limit : int option;
       (** bound on the explicit mark stack; on overflow the marker drops
           entries and recovers by rescanning marked objects until a

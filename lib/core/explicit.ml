@@ -34,7 +34,7 @@ let carve_page t index ~granules =
     (Page.make_small ~granules ~object_bytes ~pointer_free:false ~first_offset:0 ~n_objects);
   let base = Addr.to_int (Heap.page_addr t.heap index) in
   let slots = List.init n_objects (fun i -> base + (i * object_bytes)) in
-  Free_list.prepend_block t.free_lists ~granules ~pointer_free:false slots
+  Free_list.prepend_block t.free_lists ~granules slots
 
 (* Commit faults injected by a plan are absorbed into the allocator's
    own typed failure: unlike the conservative collector there is no
@@ -62,7 +62,7 @@ let acquire_page t ~granules =
   | None -> raise (Out_of_memory "explicit allocator: reserved region exhausted")
 
 let malloc_small t ~granules =
-  let take () = Free_list.take t.free_lists ~granules ~pointer_free:false in
+  let take () = Free_list.take t.free_lists ~granules in
   match take () with
   | Some a -> a
   | None -> (
@@ -126,7 +126,7 @@ let free t a =
       if obj >= s.Page.n_objects || not (Bitset.mem s.Page.alloc obj) then
         invalid_arg "Explicit.free: double free or wild pointer";
       Bitset.remove s.Page.alloc obj;
-      Free_list.add t.free_lists ~granules:s.Page.granules ~pointer_free:false (Addr.to_int a);
+      Free_list.add t.free_lists ~granules:s.Page.granules (Addr.to_int a);
       t.live_bytes <- t.live_bytes - s.Page.object_bytes;
       t.live_objects <- t.live_objects - 1
   | Page.Large_head l ->
@@ -166,8 +166,8 @@ let release_empty_pages t =
   Heap.iter_committed t.heap (fun i p ->
       match p with
       | Page.Small s when Bitset.is_empty s.Page.alloc ->
-          Free_list.drop_in_page t.free_lists ~granules:s.Page.granules ~pointer_free:false
-            ~page_of:(page_of t) ~page:i;
+          Free_list.drop_in_page t.free_lists ~granules:s.Page.granules ~page_of:(page_of t)
+            ~page:i;
           Heap.set_page t.heap i Page.Free;
           incr released
       | Page.Small _ | Page.Uncommitted | Page.Free | Page.Large_head _ | Page.Large_tail _ -> ());
@@ -184,7 +184,7 @@ let get_field t base i =
 
 let set_field t base i v =
   let a = Addr.add base (4 * i) in
-  Mem.guard_write (Heap.mem t.heap) a;
+  Mem.guard_write (Heap.mem t.heap) ~bytes:4 a;
   Segment.write_word (Heap.segment t.heap) a v
 
 let pp ppf t =

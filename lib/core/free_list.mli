@@ -1,10 +1,11 @@
-(** Per-size-class free lists of object addresses.
+(** Per-size-class free lists of object addresses, for the explicit
+    allocator baseline ({!Explicit}).
 
-    The sweeper rebuilds these in address order (which the paper's
-    conclusion credits with reduced fragmentation: "it is usually much
-    less expensive to keep free lists sorted by address"); the explicit
-    allocator baseline can instead push freed objects LIFO to expose the
-    difference. *)
+    The conservative collector keeps no such lists: its page alloc
+    bitmaps are the free lists, walked by a per-class cursor.  This
+    module exists for the paper's §5 comparison of LIFO against
+    address-ordered reuse ("it is usually much less expensive to keep
+    free lists sorted by address"). *)
 
 type t
 
@@ -13,36 +14,18 @@ type policy =
   | Address_ordered  (** freed objects are inserted in address order *)
 
 val create : n_classes:int -> policy -> t
-(** Classes are indexed [1 .. n_classes]; each class has two lists, one
-    for normal and one for pointer-free pages (objects of the two kinds
-    live on different pages and must not mix). *)
+(** Classes are indexed [1 .. n_classes]. *)
 
-val policy : t -> policy
-
-val take : t -> granules:int -> pointer_free:bool -> int option
+val take : t -> granules:int -> int option
 (** Pop the first free object of the class, if any. *)
 
-val add : t -> granules:int -> pointer_free:bool -> int -> unit
+val add : t -> granules:int -> int -> unit
 (** Return one object to the class, honouring the policy. *)
 
-val set_class : t -> granules:int -> pointer_free:bool -> int list -> unit
-(** Replace a class's entire list (used by the sweeper, which produces
-    address-ordered lists by construction). *)
-
-val prepend_block : t -> granules:int -> pointer_free:bool -> int list -> unit
+val prepend_block : t -> granules:int -> int list -> unit
 (** Put a freshly carved page's slots (in ascending order) at the front
     of the class so they are handed out lowest-address-first. *)
 
-val length : t -> granules:int -> pointer_free:bool -> int
-
-val to_list : t -> granules:int -> pointer_free:bool -> int list
-(** Non-destructive snapshot of a class's entries, front first. *)
-
-val clear : t -> unit
-
-val drop_in_page : t -> granules:int -> pointer_free:bool -> page_of:(int -> int) -> page:int -> unit
+val drop_in_page : t -> granules:int -> page_of:(int -> int) -> page:int -> unit
 (** Remove every entry whose [page_of] address equals [page] (used when
     an empty page is withdrawn from a size class). *)
-
-val total : t -> int
-(** Total free objects across all classes. *)

@@ -6,7 +6,11 @@ type t = {
   sizes : Size_class.t;
   heap : Heap.t;
   blacklist : Blacklist.t;
-  free_lists : Free_list.t;
+  (* allocation cursors, indexed by [class_slot]; -1 = no page *)
+  cursor_page : int array; (* the page the class allocates from *)
+  cursor_slot : int array; (* first slot of [cursor_page] not yet probed *)
+  chain : int array; (* the next page of the class's chain *)
+  next_open : int array; (* per page: the page after it in its class's chain *)
   roots : Roots.t;
   finalize : Finalize.t;
   stats : Stats.t;
@@ -113,7 +117,7 @@ let create ?(config = Config.default) mem ~base ~max_bytes () =
       ~refresh:config.Config.blacklist_refresh ()
   in
   let sizes = Size_class.create config in
-  let free_lists = Free_list.create ~n_classes:(Size_class.n_classes sizes) Free_list.Lifo in
+  let n_class_slots = 2 * (Size_class.n_classes sizes + 1) in
   let stats = Stats.create () in
   let marker = Mark.create heap config blacklist stats in
   let t =
@@ -123,7 +127,10 @@ let create ?(config = Config.default) mem ~base ~max_bytes () =
       sizes;
       heap;
       blacklist;
-      free_lists;
+      cursor_page = Array.make n_class_slots (-1);
+      cursor_slot = Array.make n_class_slots 0;
+      chain = Array.make n_class_slots (-1);
+      next_open = Array.make (Heap.n_pages heap) (-1);
       roots = Roots.create ();
       finalize = Finalize.create ();
       stats;
@@ -182,38 +189,147 @@ let run_mark_phase t =
     t.last_mark_outcome <-
       Some (Mark.Parallel.run ~faults:t.domain_faults t.marker t.roots ~mem:t.mem ~jobs)
 
+(* --- the allocation cursors ---
+
+   The page alloc bitmaps are the free lists.  Each (size class,
+   pointer_free) pair has a cursor (page, slot) that finds the next
+   clear alloc bit a word at a time.  After a sweep, [reopen] links each
+   class's open small pages into an address-ordered chain; the cursor
+   walks its chain, then a freshly carved page.  So allocation hands out
+   the lowest free address first across the class's pages, then the new
+   page's slots in ascending order. *)
+
+let class_slot ~granules ~pointer_free = (2 * granules) + Bool.to_int pointer_free
+
+(* Relink every class's chain over the open small pages: those neither
+   quarantined nor [closed].  Every cursor starts over at the head of
+   its chain. *)
+let reopen ?(closed = fun _ -> false) t =
+  Array.fill t.cursor_page 0 (Array.length t.cursor_page) (-1);
+  Array.fill t.chain 0 (Array.length t.chain) (-1);
+  for i = Heap.committed_pages t.heap - 1 downto 0 do
+    match Heap.page t.heap i with
+    | Page.Small s when not (quarantined t i || closed i) ->
+        let c = class_slot ~granules:s.Page.granules ~pointer_free:s.Page.pointer_free in
+        t.next_open.(i) <- t.chain.(c);
+        t.chain.(c) <- i
+    | Page.Small _ | Page.Uncommitted | Page.Free | Page.Large_head _ | Page.Large_tail _ -> ()
+  done
+
+(* Close page [i] to its class's cursor: the cursor leaves it, and the
+   rest of the chain lies past it already. *)
+let close_page t i (s : Page.small) =
+  let c = class_slot ~granules:s.Page.granules ~pointer_free:s.Page.pointer_free in
+  if t.cursor_page.(c) = i then t.cursor_page.(c) <- -1
+
+(* Whether page [p] is still a small page of class [c]: since the chain
+   was linked, a drain may have released the page, and another class or
+   a large object may hold it now.  (A fault quarantines only the page
+   a cursor is on, and [close_page] moves that cursor off it.) *)
+let owns t c p =
+  match Heap.page t.heap p with
+  | Page.Small s -> class_slot ~granules:s.Page.granules ~pointer_free:s.Page.pointer_free = c
+  | Page.Uncommitted | Page.Free | Page.Large_head _ | Page.Large_tail _ -> false
+
+(* Move class [c]'s cursor to the next page of its chain it still owns.
+   Lazy mode sweeps a pending page when the cursor reaches it, so the
+   cursor never allocates on an unswept page.  [false] once the chain
+   is exhausted. *)
+let rec advance t c =
+  let p = t.chain.(c) in
+  if p < 0 then begin
+    t.cursor_page.(c) <- -1;
+    false
+  end
+  else begin
+    t.chain.(c) <- t.next_open.(p);
+    if owns t c p && Bitset.mem t.pending_sweep p then begin
+      Bitset.remove t.pending_sweep p;
+      ignore (Sweep.sweep_page t.heap t.finalize t.stats p : int)
+    end;
+    if owns t c p then begin
+      t.cursor_page.(c) <- p;
+      t.cursor_slot.(c) <- 0;
+      true
+    end
+    else advance t c
+  end
+
+(* The hit path: claim the next clear alloc bit of the cursor's page
+   and return its address, or -1 when the page has no free slot left
+   (or the class has no page).  Builds nothing on the OCaml heap. *)
+let take_slot t c =
+  let p = t.cursor_page.(c) in
+  if p < 0 then -1
+  else
+    match Heap.page t.heap p with
+    | Page.Small s ->
+        let obj = Bitset.next_clear s.Page.alloc t.cursor_slot.(c) in
+        if obj < 0 then -1
+        else begin
+          Bitset.unsafe_add s.Page.alloc obj;
+          t.cursor_slot.(c) <- obj + 1;
+          Heap.page_addr t.heap p + s.Page.first_offset + (obj * s.Page.object_bytes)
+        end
+    | Page.Uncommitted | Page.Free | Page.Large_head _ | Page.Large_tail _ ->
+        invalid_arg "Gc: allocation cursor on a non-small page"
+
+(* Take a slot from the cursor's page, moving along the chain until a
+   page yields one; -1 once the chain is exhausted. *)
+let rec take_from_chain t c =
+  let a = take_slot t c in
+  if a >= 0 || not (advance t c) then a else take_from_chain t c
+
 (* Lazy mode: sweep every page still awaiting its sweep. *)
 let drain_pending_sweeps t =
   let freed = ref 0 in
-  let quarantined = quarantined t in
-  Bitset.iter
-    (fun i ->
-      freed := !freed + Sweep.sweep_page ~quarantined t.heap t.free_lists t.finalize t.stats i)
-    t.pending_sweep;
+  Bitset.iter (fun i -> freed := !freed + Sweep.sweep_page t.heap t.finalize t.stats i) t.pending_sweep;
   Bitset.clear t.pending_sweep;
   !freed
+
+(* Lazy mode publishes the live figures at collect time, from the mark
+   bits the deferred sweeps will consume: the same counts an eager sweep
+   reports. *)
+let defer_sweeps t =
+  let live_objects = ref 0 and live_bytes = ref 0 in
+  Heap.iter_committed t.heap (fun i p ->
+      match p with
+      | Page.Small s ->
+          Bitset.add t.pending_sweep i;
+          let n = Bitset.count s.Page.mark in
+          live_objects := !live_objects + n;
+          live_bytes := !live_bytes + (n * s.Page.object_bytes)
+      | Page.Large_head l ->
+          Bitset.add t.pending_sweep i;
+          if l.Page.l_marked then begin
+            incr live_objects;
+            live_bytes := !live_bytes + l.Page.object_bytes
+          end
+      | Page.Free | Page.Uncommitted | Page.Large_tail _ -> ());
+  t.stats.Stats.live_objects <- !live_objects;
+  t.stats.Stats.live_bytes <- !live_bytes
 
 let collect t =
   let t0 = Stats.now_s () in
   t.stats.Stats.collections <- t.stats.Stats.collections + 1;
   if t.config.Config.lazy_sweep then begin
-    (* leftovers from the previous cycle must go before marks are reset *)
+    (* leftovers from the previous cycle must go before marks are reset;
+       their time is sweep time *)
     let (_ : int) = drain_pending_sweeps t in
-    run_mark_phase t;
     let t1 = Stats.now_s () in
-    Heap.iter_committed t.heap (fun i p ->
-        match p with
-        | Page.Small _ | Page.Large_head _ -> Bitset.add t.pending_sweep i
-        | Page.Free | Page.Uncommitted | Page.Large_tail _ -> ());
-    t.stats.Stats.mark_seconds <- t.stats.Stats.mark_seconds +. (t1 -. t0);
-    t.stats.Stats.total_gc_seconds <- t.stats.Stats.total_gc_seconds +. (t1 -. t0)
+    run_mark_phase t;
+    defer_sweeps t;
+    reopen t;
+    let t2 = Stats.now_s () in
+    t.stats.Stats.sweep_seconds <- t.stats.Stats.sweep_seconds +. (t1 -. t0);
+    t.stats.Stats.mark_seconds <- t.stats.Stats.mark_seconds +. (t2 -. t1);
+    t.stats.Stats.total_gc_seconds <- t.stats.Stats.total_gc_seconds +. (t2 -. t0)
   end
   else begin
     run_mark_phase t;
     let t1 = Stats.now_s () in
-    let (_ : Sweep.result) =
-      Sweep.run ~quarantined:(quarantined t) t.heap t.free_lists t.finalize t.stats
-    in
+    let (_ : Sweep.result) = Sweep.run t.heap t.finalize t.stats in
+    reopen t;
     let t2 = Stats.now_s () in
     t.stats.Stats.mark_seconds <- t.stats.Stats.mark_seconds +. (t1 -. t0);
     t.stats.Stats.sweep_seconds <- t.stats.Stats.sweep_seconds +. (t2 -. t1);
@@ -287,9 +403,9 @@ let carve_small_page t index ~granules ~pointer_free =
   let n_objects = Size_class.objects_per_page t.sizes ~granules ~first_offset in
   Heap.set_page t.heap index
     (Page.make_small ~granules ~object_bytes ~pointer_free ~first_offset ~n_objects);
-  let base = Addr.to_int (Heap.page_addr t.heap index) + first_offset in
-  let slots = List.init n_objects (fun i -> base + (i * object_bytes)) in
-  Free_list.prepend_block t.free_lists ~granules ~pointer_free slots
+  let c = class_slot ~granules ~pointer_free in
+  t.cursor_page.(c) <- index;
+  t.cursor_slot.(c) <- 0
 
 (* Lowest uncommitted page acceptable to [ok], committing through it. *)
 let commit_fresh_page t ~ok =
@@ -487,27 +603,8 @@ let run_ladder t ~request_bytes ~request_pages ~small ~pointer_free ~attempt =
    memory: one guarded access per object, so a write-fault plan bites
    the allocator here.  @raise Mem.Write_fault when the plan trips. *)
 let zero_object t base bytes =
-  Mem.guard_write ~bytes t.mem base;
+  Mem.guard_write t.mem ~bytes base;
   Segment.zero_range (Heap.segment t.heap) base ~len:bytes
-
-(* Record the allocation in the page's alloc bitmap.  [false] means the
-   slot is stale — its page is no longer a small-object page, which can
-   happen only when a fault plan decayed/retired the page while the slot
-   sat on a free list (formerly an [assert false] sink); the caller
-   discards the slot and retries. *)
-let set_alloc_bit t base =
-  let index = Heap.page_index t.heap base in
-  match Heap.page t.heap index with
-  | Page.Small s ->
-      let rel = Addr.diff base (Heap.page_addr t.heap index) - s.Page.first_offset in
-      let obj = rel / s.Page.object_bytes in
-      Bitset.add s.Page.alloc obj;
-      (* lazy mode allocates black: the page may still await its sweep,
-         which would otherwise reclaim this unmarked newcomer *)
-      if t.config.Config.lazy_sweep && Bitset.mem t.pending_sweep index then
-        Bitset.add s.Page.mark obj;
-      true
-  | Page.Uncommitted | Page.Free | Page.Large_head _ | Page.Large_tail _ -> false
 
 let mark_page_decayed t i =
   if not (Bitset.mem t.decayed_pages i) then begin
@@ -516,9 +613,9 @@ let mark_page_decayed t i =
   end
 
 (* Withdraw a freshly allocated object whose memory decayed under the
-   allocator: the object is deallocated, its small page's remaining free
-   slots are pulled (nothing else may land on rotted memory), a large
-   run's pages return to [Free], and the page(s) join [decayed_pages] —
+   allocator: the object is deallocated, its small page is closed to
+   the cursor (nothing else may land on rotted memory), a large run's
+   pages return to [Free], and the page(s) join [decayed_pages] —
    excluded by every placement path from here on. *)
 let quarantine_object t base =
   let index = Heap.page_index t.heap base in
@@ -528,10 +625,7 @@ let quarantine_object t base =
       let obj = rel / s.Page.object_bytes in
       Bitset.remove s.Page.alloc obj;
       Bitset.remove s.Page.mark obj;
-      Free_list.drop_in_page t.free_lists ~granules:s.Page.granules
-        ~pointer_free:s.Page.pointer_free
-        ~page_of:(fun a -> Heap.page_index t.heap (Addr.of_int a))
-        ~page:index
+      close_page t index s
   | Page.Large_head l ->
       for j = index to index + l.Page.n_pages - 1 do
         Heap.set_page t.heap j Page.Free;
@@ -540,72 +634,26 @@ let quarantine_object t base =
   | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ());
   mark_page_decayed t index
 
-(* Lazy mode: sweep pending pages of this class until one yields. *)
-let sweep_pending_for_class t ~granules ~pointer_free =
-  let found = ref false in
-  let continue_ = ref true in
-  while !continue_ do
-    let candidate = ref None in
-    (try
-       Bitset.iter
-         (fun i ->
-           match Heap.page t.heap i with
-           | Page.Small s
-             when s.Page.granules = granules && s.Page.pointer_free = pointer_free ->
-               candidate := Some i;
-               raise Exit
-           | Page.Small _ | Page.Free | Page.Uncommitted | Page.Large_head _ | Page.Large_tail _
-             ->
-               ())
-         t.pending_sweep
-     with Exit -> ());
-    match !candidate with
-    | None -> continue_ := false
-    | Some i ->
-        Bitset.remove t.pending_sweep i;
-        let (_ : int) =
-          Sweep.sweep_page ~quarantined:(quarantined t) t.heap t.free_lists t.finalize t.stats i
-        in
-        if Free_list.length t.free_lists ~granules ~pointer_free > 0 then begin
-          found := true;
-          continue_ := false
-        end
-  done;
-  !found
-
-let rec allocate_small t ~granules ~pointer_free =
-  let take () = Free_list.take t.free_lists ~granules ~pointer_free in
-  let take_with_lazy () =
-    match take () with
-    | Some a -> Some a
-    | None ->
-        if
-          t.config.Config.lazy_sweep
-          && (not (Bitset.is_empty t.pending_sweep))
-          && sweep_pending_for_class t ~granules ~pointer_free
-        then take ()
-        else None
-  in
+(* The miss path: the cursor's page is used up, so walk the rest of the
+   chain, then carve a page, climbing the ladder as needed. *)
+let allocate_small_miss t ~granules ~pointer_free c =
   let attempt ~tier ~note_fault =
-    match take_with_lazy () with
-    | Some a -> Some a
-    | None ->
-        if try_acquire_small_page t ~granules ~pointer_free ~tier ~note_fault then take ()
-        else None
+    let a = take_from_chain t c in
+    if a >= 0 then Some a
+    else if try_acquire_small_page t ~granules ~pointer_free ~tier ~note_fault then begin
+      let a = take_slot t c in
+      if a >= 0 then Some a else None
+    end
+    else None
   in
-  let base =
-    run_ladder t
-      ~request_bytes:(Size_class.bytes_of_granules t.sizes granules)
-      ~request_pages:1 ~small:true ~pointer_free ~attempt
-  in
-  if set_alloc_bit t base then base
-  else begin
-    (* stale slot from a page retired under a decaying fault plan; the
-       take above already removed it from its free list, so retrying
-       makes progress *)
-    t.stats.Stats.decay_retries <- t.stats.Stats.decay_retries + 1;
-    allocate_small t ~granules ~pointer_free
-  end
+  run_ladder t
+    ~request_bytes:(Size_class.bytes_of_granules t.sizes granules)
+    ~request_pages:1 ~small:true ~pointer_free ~attempt
+
+let allocate_small t ~granules ~pointer_free =
+  let c = class_slot ~granules ~pointer_free in
+  let a = take_slot t c in
+  if a >= 0 then a else allocate_small_miss t ~granules ~pointer_free c
 
 (* Blacklist acceptability for one page of a large object: when interior
    pointers are recognized everywhere (and the tier is strict), no page
@@ -697,6 +745,35 @@ let allocate_large t ~bytes ~pointer_free =
   in
   run_ladder t ~request_bytes:bytes ~request_pages:n ~small:false ~pointer_free ~attempt
 
+let alloc_once t ~small ~bytes ~pointer_free =
+  if small then allocate_small t ~granules:(Size_class.granules_for t.sizes bytes) ~pointer_free
+  else allocate_large t ~bytes ~pointer_free
+
+(* Zero the new object, retrying a transient write fault in place up to
+   [transient_left] times; [false] when the memory decayed or kept
+   refusing.  Memory that did so quarantines the object's page(s) and
+   sends the request back up the ladder, which now excludes them; a
+   ladder that then runs dry reports a [memory_decayed] diagnosis. *)
+let rec zeroed t base rounded transient_left =
+  match zero_object t base rounded with
+  | () -> true
+  | exception Mem.Write_fault _ ->
+      t.stats.Stats.write_faults <- t.stats.Stats.write_faults + 1;
+      (not (Mem.range_decayed t.mem base ~bytes:rounded))
+      && transient_left > 0
+      && zeroed t base rounded (transient_left - 1)
+
+let rec obtain_zeroed t ~small ~bytes ~rounded ~pointer_free =
+  let base = alloc_once t ~small ~bytes ~pointer_free in
+  if zeroed t base rounded 2 then base
+  else begin
+    t.stats.Stats.decay_retries <- t.stats.Stats.decay_retries + 1;
+    quarantine_object t base;
+    match obtain_zeroed t ~small ~bytes ~rounded ~pointer_free with
+    | b -> b
+    | exception Out_of_memory d -> raise (Out_of_memory { d with memory_decayed = true })
+  end
+
 let allocate ?(pointer_free = false) ?finalizer t bytes =
   if bytes <= 0 then invalid_arg "Gc.allocate: non-positive size";
   maybe_collect t;
@@ -705,41 +782,9 @@ let allocate ?(pointer_free = false) ?finalizer t bytes =
     if small then Size_class.bytes_of_granules t.sizes (Size_class.granules_for t.sizes bytes)
     else bytes
   in
-  let alloc_once () =
-    if small then allocate_small t ~granules:(Size_class.granules_for t.sizes bytes) ~pointer_free
-    else allocate_large t ~bytes ~pointer_free
-  in
-  (* Zeroing the new object is where a write-fault plan bites the
-     allocator.  A transient refusal is retried in place; memory that
-     decayed (or keeps refusing) quarantines the object's page(s) and
-     sends the request back up the ladder, which now excludes them.  A
-     ladder that then runs dry reports a [memory_decayed] diagnosis. *)
   let base =
-    if not t.config.Config.zero_on_alloc then alloc_once ()
-    else begin
-      let rec obtain () =
-        let base = alloc_once () in
-        let rec zero transient_left =
-          match zero_object t base rounded with
-          | () -> true
-          | exception Mem.Write_fault _ ->
-              t.stats.Stats.write_faults <- t.stats.Stats.write_faults + 1;
-              if Mem.range_decayed t.mem base ~bytes:rounded then false
-              else if transient_left > 0 then zero (transient_left - 1)
-              else false
-        in
-        if zero 2 then base
-        else begin
-          t.stats.Stats.decay_retries <- t.stats.Stats.decay_retries + 1;
-          quarantine_object t base;
-          match obtain () with
-          | b -> b
-          | exception Out_of_memory d ->
-              raise (Out_of_memory { d with memory_decayed = true })
-        end
-      in
-      obtain ()
-    end
+    if t.config.Config.zero_on_alloc then obtain_zeroed t ~small ~bytes ~rounded ~pointer_free
+    else alloc_once t ~small ~bytes ~pointer_free
   in
   t.stats.Stats.bytes_allocated <- t.stats.Stats.bytes_allocated + rounded;
   t.stats.Stats.objects_allocated <- t.stats.Stats.objects_allocated + 1;
@@ -803,13 +848,26 @@ let pp ppf t =
   Format.fprintf ppf "@[<v>%a@,%a@,%a@]" Heap.pp t.heap Blacklist.pp t.blacklist Stats.pp t.stats
 
 module Internal = struct
-  let free_lists t = t.free_lists
   let pending_sweep t = t.pending_sweep
   let decayed_pages t = t.decayed_pages
   let finalize t = t.finalize
   let roots t = t.roots
   let marker t = t.marker
-  let run_sweep t = Sweep.run ~quarantined:(quarantined t) t.heap t.free_lists t.finalize t.stats
+  let reopen = reopen
+
+  let cursor_pages t =
+    let pages = ref [] in
+    Array.iteri
+      (fun c p -> if p >= 0 then pages := (c / 2, c mod 2 = 1, p) :: !pages)
+      t.cursor_page;
+    List.rev !pages
+
+  (* Every page has been swept: none is left pending. *)
+  let run_sweep t =
+    let r = Sweep.run t.heap t.finalize t.stats in
+    Bitset.clear t.pending_sweep;
+    reopen t;
+    r
   let run_mark t = Mark.run t.marker t.roots ~mem:t.mem
   let note_collected t = t.allocated_since_gc <- 0
 

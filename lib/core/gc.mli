@@ -206,8 +206,6 @@ val pp : Format.formatter -> t -> unit
     Shared machinery exposed to the sibling baseline collectors
     ({!Precise}) and to white-box tests.  Not part of the stable API. *)
 module Internal : sig
-  val free_lists : t -> Free_list.t
-
   val pending_sweep : t -> Bitset.t
   (** Lazy mode: pages awaiting their deferred sweep (empty in eager
       mode).  Exposed for {!Verify.check_after_fault}. *)
@@ -221,7 +219,18 @@ module Internal : sig
   val roots : t -> Roots.t
   val marker : t -> Mark.t
   val run_sweep : t -> Sweep.result
-  (** Sweep using whatever mark bits are currently set. *)
+  (** Sweep every page using whatever mark bits are currently set (no
+      page is left pending), then {!reopen}. *)
+
+  val reopen : ?closed:(int -> bool) -> t -> unit
+  (** Relink the allocation cursors' page chains after a sweep: each
+      (size class, pointer_free) pair walks its small pages in address
+      order, skipping quarantined pages and those [closed] names (the
+      generational minor sweep closes old pages). *)
+
+  val cursor_pages : t -> (int * bool * int) list
+  (** [(granules, pointer_free, page)] for every class whose allocation
+      cursor names a page.  For {!Verify}. *)
 
   val run_mark : t -> unit
   (** Mark phase only (no sweep): leaves mark bits set for inspection. *)

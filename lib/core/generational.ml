@@ -140,12 +140,10 @@ let retain_young_refs t =
   Bitset.union_into ~dst:t.carry t.dirty
 
 (* Promotion bookkeeping after a sweep: empty pages rejuvenate, occupied
-   young pages age, old-enough pages are promoted (and their free slots
-   withdrawn so fresh allocation stays young).  [promoted_bytes] charges
+   young pages age, old-enough pages are promoted.  [promoted_bytes] charges
    live bytes at the moment of promotion for both page shapes. *)
 let update_ages_after_sweep t =
   let heap = heap t in
-  let free_lists = Gc.Internal.free_lists t.gc in
   Heap.iter_committed heap (fun i p ->
       match p with
       | Page.Free | Page.Uncommitted ->
@@ -169,11 +167,7 @@ let update_ages_after_sweep t =
               if not s.Page.pointer_free then begin
                 Bitset.add t.dirty i;
                 Bitset.add t.carry i
-              end;
-              Free_list.drop_in_page free_lists ~granules:s.Page.granules
-                ~pointer_free:s.Page.pointer_free
-                ~page_of:(fun a -> Heap.page_index heap (Addr.of_int a))
-                ~page:i
+              end
             end
           end
       | Page.Large_head l ->
@@ -202,14 +196,14 @@ let minor t =
   minor_mark t;
   let heap = heap t in
   let policy i _ = if page_is_old t i then `Keep_live else `Sweep in
-  let decayed = Gc.Internal.decayed_pages t.gc in
   let (_ : Sweep.result) =
-    Sweep.run ~policy
-      ~quarantined:(fun i -> Bitset.mem decayed i)
-      heap (Gc.Internal.free_lists t.gc) (Gc.Internal.finalize t.gc) (Gc.stats t.gc)
+    Sweep.run ~policy heap (Gc.Internal.finalize t.gc) (Gc.stats t.gc)
   in
   retain_young_refs t;
-  update_ages_after_sweep t
+  update_ages_after_sweep t;
+  (* old pages, the freshly promoted included, are closed to the
+     allocation cursors so fresh allocation stays young *)
+  Gc.Internal.reopen ~closed:(page_is_old t) t.gc
 
 let major t =
   t.major_collections <- t.major_collections + 1;

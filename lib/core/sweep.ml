@@ -8,18 +8,12 @@ type result = {
   pages_released : int;
 }
 
-let no_quarantine _ = false
-
-let sweep_page ?(quarantined = no_quarantine) heap free_lists finalize stats index =
+let sweep_page heap finalize stats index =
   let freed = ref 0 in
   (match Heap.page heap index with
   | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ()
   | Page.Small s ->
       let page_base = Addr.to_int (Heap.page_addr heap index) + s.Page.first_offset in
-      (* A quarantined (decayed) page still has its dead objects freed
-         and finalized, but their slots must not re-enter the free
-         lists: nothing may be allocated from decayed memory again. *)
-      let refund = not (quarantined index) in
       (* Word-level enumeration of allocated slots: whole empty words of
          the alloc bitmap are skipped instead of probed bit by bit. *)
       Bitset.iter_set s.Page.alloc (fun obj ->
@@ -28,20 +22,10 @@ let sweep_page ?(quarantined = no_quarantine) heap free_lists finalize stats ind
             incr freed;
             stats.Stats.objects_freed <- stats.Stats.objects_freed + 1;
             stats.Stats.bytes_freed <- stats.Stats.bytes_freed + s.Page.object_bytes;
-            let a = page_base + (obj * s.Page.object_bytes) in
-            Finalize.on_reclaimed finalize a;
-            if refund then
-              Free_list.add free_lists ~granules:s.Page.granules
-                ~pointer_free:s.Page.pointer_free a
+            Finalize.on_reclaimed finalize (page_base + (obj * s.Page.object_bytes))
           end);
       Bitset.clear s.Page.mark;
-      if Bitset.is_empty s.Page.alloc then begin
-        Free_list.drop_in_page free_lists ~granules:s.Page.granules
-          ~pointer_free:s.Page.pointer_free
-          ~page_of:(fun a -> Heap.page_index heap (Addr.of_int a))
-          ~page:index;
-        Heap.set_page heap index Page.Free
-      end
+      if Bitset.is_empty s.Page.alloc then Heap.set_page heap index Page.Free
   | Page.Large_head l ->
       if l.Page.l_allocated && not l.Page.l_marked then begin
         l.Page.l_allocated <- false;
@@ -58,13 +42,7 @@ let sweep_page ?(quarantined = no_quarantine) heap free_lists finalize stats ind
 
 let default_policy _ _ = `Sweep
 
-let run ?(policy = default_policy) ?(quarantined = no_quarantine) heap free_lists finalize stats =
-  let page_size = Heap.page_size heap in
-  let n_classes = page_size / 8 in
-  (* Address-ordered accumulators, built in reverse and flipped at the
-     end.  Index 0 is unused (class indexes start at 1). *)
-  let acc_normal = Array.make (n_classes + 1) [] in
-  let acc_atomic = Array.make (n_classes + 1) [] in
+let run ?(policy = default_policy) heap finalize stats =
   let swept_objects = ref 0 in
   let swept_bytes = ref 0 in
   let live_objects = ref 0 in
@@ -101,13 +79,7 @@ let run ?(policy = default_policy) ?(quarantined = no_quarantine) heap free_list
         end
         else begin
           live_objects := !live_objects + !live_here;
-          live_bytes := !live_bytes + (!live_here * s.Page.object_bytes);
-          if not (quarantined i) then begin
-            let acc = if s.Page.pointer_free then acc_atomic else acc_normal in
-            Bitset.iter_clear s.Page.alloc (fun index ->
-                acc.(s.Page.granules) <-
-                  (page_base + (index * s.Page.object_bytes)) :: acc.(s.Page.granules))
-          end
+          live_bytes := !live_bytes + (!live_here * s.Page.object_bytes)
         end
     | Page.Large_head l, `Sweep ->
         if l.Page.l_allocated then begin
@@ -127,10 +99,6 @@ let run ?(policy = default_policy) ?(quarantined = no_quarantine) heap free_list
           end
         end;
         l.Page.l_marked <- false
-  done;
-  for granules = 1 to n_classes do
-    Free_list.set_class free_lists ~granules ~pointer_free:false (List.rev acc_normal.(granules));
-    Free_list.set_class free_lists ~granules ~pointer_free:true (List.rev acc_atomic.(granules))
   done;
   stats.Stats.objects_freed <- stats.Stats.objects_freed + !swept_objects;
   stats.Stats.bytes_freed <- stats.Stats.bytes_freed + !swept_bytes;

@@ -1,11 +1,11 @@
 (** The sweep phase.
 
     Walks every committed page in address order, reclaims unmarked
-    objects (feeding the finalization queue), returns fully empty pages
-    to the heap's free-page pool, and rebuilds the small-object free
-    lists.  Because pages and objects are visited in increasing address
-    order, the rebuilt free lists come out address-ordered — the cheap
-    anti-fragmentation measure the paper's conclusion describes. *)
+    objects (feeding the finalization queue) by clearing their alloc
+    bits, and returns fully empty pages to the heap's free-page pool.
+    The alloc bitmaps are the free lists: the collector's per-class
+    cursor finds the cleared slots there, lowest address first, so
+    the sweep builds no list of its own. *)
 
 type result = {
   swept_objects : int;  (** objects reclaimed *)
@@ -15,27 +15,14 @@ type result = {
   pages_released : int;  (** pages returned to the free pool *)
 }
 
-val sweep_page :
-  ?quarantined:(int -> bool) -> Heap.t -> Free_list.t -> Finalize.t -> Stats.t -> int -> int
+val sweep_page : Heap.t -> Finalize.t -> Stats.t -> int -> int
 (** Sweep a single page using its current mark bits: frees unmarked
-    objects (appending their slots to the free lists), clears the mark
-    bits, feeds the finalization queue, and releases the page to the
-    free pool when it empties (withdrawing its stale free-list entries).
-    Returns the number of objects freed.  The building block of lazy
-    sweeping.
-
-    [quarantined] (default: nothing) marks decayed pages: their dead
-    objects are still freed and finalized, but the slots never re-enter
-    the free lists, so the allocator cannot hand out rotted memory. *)
+    objects, clears the mark bits, feeds the finalization queue, and
+    releases the page to the free pool when it empties.  Returns the
+    number of objects freed.  The building block of lazy sweeping. *)
 
 val run :
-  ?policy:(int -> Page.t -> [ `Sweep | `Keep_live ]) ->
-  ?quarantined:(int -> bool) ->
-  Heap.t ->
-  Free_list.t ->
-  Finalize.t ->
-  Stats.t ->
-  result
+  ?policy:(int -> Page.t -> [ `Sweep | `Keep_live ]) -> Heap.t -> Finalize.t -> Stats.t -> result
 (** Consumes the mark bits set by {!Mark.run} (they are cleared for
     small pages as a side effect of being consulted; large-object mark
     flags are reset).
@@ -43,5 +30,4 @@ val run :
     [policy] (default: sweep everything) lets a generational collector
     exempt old pages: a [`Keep_live] page contributes its allocated
     objects to the live counts and is otherwise left untouched — its
-    mark bits are not consulted, its free slots are NOT returned to the
-    free lists (so fresh allocation stays on young pages). *)
+    mark bits are not consulted. *)

@@ -115,41 +115,21 @@ let check_heap heap =
   check_descriptors heap issues;
   List.rev !issues
 
-let check_free_lists gc issues =
+(* Every allocation cursor names an open page of its own class — a
+   small page neither quarantined nor still owed its deferred sweep —
+   or no page. *)
+let check_cursors gc issues =
   let heap = Gc.heap gc in
-  let free_lists = Gc.Internal.free_lists gc in
   let add fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
-  let seen = Hashtbl.create 256 in
-  let n_classes = Heap.page_size heap / 8 in
   List.iter
-    (fun pointer_free ->
-      for granules = 1 to n_classes do
-        let items = Free_list.to_list free_lists ~granules ~pointer_free in
-        List.iter
-          (fun a ->
-            if Hashtbl.mem seen a then add "free slot 0x%08x appears twice" a;
-            Hashtbl.replace seen a ();
-            if not (Heap.contains heap a) then add "free slot 0x%08x outside the heap" a
-            else begin
-              let index = Heap.page_index heap a in
-              match Heap.page heap index with
-              | Page.Small s ->
-                  if s.Page.granules <> granules then
-                    add "free slot 0x%08x on a page of class %d, listed under %d" a s.Page.granules
-                      granules;
-                  if s.Page.pointer_free <> pointer_free then
-                    add "free slot 0x%08x kind mismatch" a;
-                  let rel = a - Cgc_vm.Addr.to_int (Heap.page_addr heap index) - s.Page.first_offset in
-                  if rel < 0 || rel mod s.Page.object_bytes <> 0 then
-                    add "free slot 0x%08x misaligned in its page" a
-                  else if Bitset.mem s.Page.alloc (rel / s.Page.object_bytes) then
-                    add "free slot 0x%08x is allocated" a
-              | Page.Free | Page.Uncommitted | Page.Large_head _ | Page.Large_tail _ ->
-                  add "free slot 0x%08x on a non-small page" a
-            end)
-          items
-      done)
-    [ false; true ]
+    (fun (granules, pointer_free, i) ->
+      let name = Printf.sprintf "class %d%s cursor" granules (if pointer_free then " atomic" else "") in
+      if Bitset.mem (Gc.Internal.decayed_pages gc) i then add "%s on quarantined page %d" name i;
+      if Bitset.mem (Gc.Internal.pending_sweep gc) i then add "%s on unswept page %d" name i;
+      match Heap.page heap i with
+      | Page.Small s when s.Page.granules = granules && s.Page.pointer_free = pointer_free -> ()
+      | p -> add "%s on page %d, which is %s" name i (Format.asprintf "%a" Page.pp p))
+    (Gc.Internal.cursor_pages gc)
 
 let check_finalizers gc issues =
   let add fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
@@ -169,7 +149,7 @@ let check gc =
   let issues = ref [] in
   check_page_table (Gc.heap gc) issues;
   check_descriptors (Gc.heap gc) issues;
-  check_free_lists gc issues;
+  check_cursors gc issues;
   check_finalizers gc issues;
   check_live_accounting gc issues;
   List.rev !issues
@@ -186,22 +166,6 @@ let check_after_fault gc =
   let heap = Gc.heap gc in
   let add fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
   let committed = Heap.committed_pages heap in
-  (* per-page free-slot population, from the free lists *)
-  let free_slots = Array.make (Heap.n_pages heap) 0 in
-  let free_lists = Gc.Internal.free_lists gc in
-  let n_classes = Heap.page_size heap / 8 in
-  List.iter
-    (fun pointer_free ->
-      for granules = 1 to n_classes do
-        List.iter
-          (fun a ->
-            if Heap.contains heap a then begin
-              let i = Heap.page_index heap a in
-              free_slots.(i) <- free_slots.(i) + 1
-            end)
-          (Free_list.to_list free_lists ~granules ~pointer_free)
-      done)
-    [ false; true ];
   Heap.iter_committed heap (fun i p ->
       match p with
       | Page.Large_head l ->
@@ -211,13 +175,8 @@ let check_after_fault gc =
       | Page.Small s ->
           let allocated = Bitset.count s.Page.alloc in
           if allocated > s.Page.n_objects then
-            add "small page %d has %d allocated slots of %d" i allocated s.Page.n_objects;
-          if allocated + free_slots.(i) > s.Page.n_objects then
-            add "small page %d is over-populated: %d allocated + %d free of %d slots" i allocated
-              free_slots.(i) s.Page.n_objects
-      | Page.Free | Page.Uncommitted | Page.Large_tail _ ->
-          if free_slots.(i) > 0 then
-            add "%d free slots recorded on non-small page %d" free_slots.(i) i);
+            add "small page %d has %d allocated slots of %d" i allocated s.Page.n_objects
+      | Page.Free | Page.Uncommitted | Page.Large_tail _ -> ());
   Bitset.iter
     (fun i ->
       if i >= committed then add "pending-sweep bit on page %d past the watermark %d" i committed
@@ -227,13 +186,6 @@ let check_after_fault gc =
         | Page.Free | Page.Uncommitted | Page.Large_tail _ ->
             add "pending-sweep bit on unsweepable page %d" i)
     (Gc.Internal.pending_sweep gc);
-  (* decayed pages are quarantined: sweeps must never refund their
-     slots, so the free lists must hold nothing on them *)
-  Bitset.iter
-    (fun i ->
-      if free_slots.(i) > 0 then
-        add "%d free slots recorded on quarantined (decayed) page %d" free_slots.(i) i)
-    (Gc.Internal.decayed_pages gc);
   List.rev !issues
 
 (* Post-parallel-mark audit, valid between a mark phase run with

@@ -1,7 +1,7 @@
 (** Internal consistency checking.
 
     [check gc] audits the collector's data structures — page-table
-    shape, free-list integrity, generation-independent accounting — and
+    shape, allocation-cursor integrity, generation-independent accounting — and
     returns a list of human-readable violations (empty when healthy).
     Tests run it after randomized operation sequences; it is cheap
     enough to call in anger when debugging the collector itself. *)
@@ -18,9 +18,9 @@ val check : Gc.t -> string list
     - mark bits only cover allocated slots (and a marked large head is
       an allocated one): no marker — serial or parallel — ever marks a
       free or quarantine-removed slot;
-    - every free-list entry addresses an unallocated, correctly aligned
-      slot of a page of the matching size class and kind, and no slot
-      appears twice;
+    - every allocation cursor names an open page of its own size class
+      and kind (small, not quarantined, not awaiting a deferred sweep),
+      or no page;
     - every registered finalizer watches a currently allocated object;
     - [Heap.live_bytes] is internally consistent with the page
       descriptors. *)
@@ -34,10 +34,9 @@ val check_after_fault : Gc.t -> string list
 (** Everything {!check} does, plus the crash-coherence invariants an
     injected fault must not break: no large object extends past the
     committed watermark (a run cut short mid-commit must have been
-    abandoned as [Free] pages), every size-class page's allocated +
-    free-listed slots fit its capacity (no half-initialized carve),
-    pending-sweep bookkeeping only covers committed, sweepable pages,
-    and no free-list slot lives on a quarantined (decayed) page. *)
+    abandoned as [Free] pages), no size-class page holds more allocated
+    slots than its capacity (no half-initialized carve), and
+    pending-sweep bookkeeping only covers committed, sweepable pages. *)
 
 val check_heap : Heap.t -> string list
 (** The heap-level subset of {!check} — page-table shape, descriptor

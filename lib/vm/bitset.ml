@@ -144,32 +144,27 @@ let exists_in_range t ~lo ~hi =
     !found
   end
 
+(* No option, closure or ref escapes: the allocator's hit path calls
+   this once per small allocation. *)
 let next_clear t i =
   let i = max i 0 in
-  if i >= t.n then None
+  if i >= t.n then -1
   else begin
-    let result = ref None in
+    let words = t.words in
+    let last = Array.length words - 1 in
     let w = ref (i / bits_per_word) in
-    let nw = Array.length t.words in
-    let first_mask = range_mask (i - (!w * bits_per_word)) bits_per_word in
-    let probe w_index mask =
-      (* clear bits of the word, restricted to positions of interest *)
-      let clear = lnot t.words.(w_index) land mask in
-      if clear <> 0 then begin
-        let j = (w_index * bits_per_word) + ntz clear in
-        if j < t.n then result := Some j else result := None;
-        true
-      end
-      else false
+    let clear =
+      ref (lnot (Array.unsafe_get words !w) land range_mask (i - (!w * bits_per_word)) bits_per_word)
     in
-    if not (probe !w first_mask) then begin
+    while !clear = 0 && !w < last do
       incr w;
-      while !result = None && !w < nw do
-        if not (probe !w (-1 lsr 1)) then incr w
-        else if !result = None then w := nw (* past-n clear bit: stop *)
-      done
-    end;
-    !result
+      clear := lnot (Array.unsafe_get words !w) land (-1 lsr 1)
+    done;
+    if !clear = 0 then -1
+    else begin
+      let j = (!w * bits_per_word) + ntz !clear in
+      if j < t.n then j else -1
+    end
   end
 
 let equal a b = a.n = b.n && Array.for_all2 ( = ) a.words b.words

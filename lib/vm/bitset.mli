@@ -60,8 +60,9 @@ val exists_in_range : t -> lo:int -> hi:int -> bool
 (** [exists_in_range t ~lo ~hi] is true when some member [i] satisfies
     [lo <= i < hi]. *)
 
-val next_clear : t -> int -> int option
-(** [next_clear t i] is the smallest [j >= i] not in the set, if any. *)
+val next_clear : t -> int -> int
+(** [next_clear t i] is the smallest [j >= i] below {!length} not in the
+    set, or [-1] when there is none.  Allocation-free. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -285,15 +285,15 @@ let range_decayed t addr ~bytes =
   | Some p -> Fault.range_in_decay p (Addr.to_int addr) bytes
 
 let probe_read t addr = probe_access t `Read ~addr ~bytes:4
-let probe_write ?(bytes = 4) t addr = probe_access t `Write ~addr ~bytes
+let probe_write t addr = probe_access t `Write ~addr ~bytes:4
 
 let guard_read t addr =
   match probe_read t addr with
   | None -> ()
   | Some reason -> raise (Read_fault { addr; value = poison_word; reason })
 
-let guard_write ?(bytes = 4) t addr =
-  match probe_write ~bytes t addr with
+let guard_write t ~bytes addr =
+  match probe_access t `Write ~addr ~bytes with
   | None -> ()
   | Some reason -> raise (Write_fault { addr; bytes; reason })
 
@@ -366,7 +366,7 @@ let read_word t a =
   Segment.read_word (get t a) a
 
 let write_word t a v =
-  guard_write t a;
+  guard_write t ~bytes:4 a;
   Segment.write_word (get t a) a v
 
 let read_u8 t a =
@@ -376,7 +376,7 @@ let read_u8 t a =
   Segment.read_u8 (get t a) a
 
 let write_u8 t a v =
-  guard_write ~bytes:1 t a;
+  guard_write t ~bytes:1 a;
   Segment.write_u8 (get t a) a v
 
 let pp ppf t =

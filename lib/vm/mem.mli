@@ -173,15 +173,17 @@ val probe_read : t -> Addr.t -> Fault.reason option
     consumed and per-plan stats were counted); the caller chooses how to
     surface it — the marker downgrades, {!guard_read} raises. *)
 
-val probe_write : ?bytes:int -> t -> Addr.t -> Fault.reason option
-(** Same for one guarded write of [bytes] (default 4) at the address.
-    A write overlapping a decayed region faults with {!Fault.Decayed}. *)
+val probe_write : t -> Addr.t -> Fault.reason option
+(** Same for one guarded word write at the address.  A write
+    overlapping a decayed region faults with {!Fault.Decayed}. *)
 
 val guard_read : t -> Addr.t -> unit
 (** {!probe_read}, raising {!Read_fault} on a trip. *)
 
-val guard_write : ?bytes:int -> t -> Addr.t -> unit
-(** {!probe_write}, raising {!Write_fault} on a trip. *)
+val guard_write : t -> bytes:int -> Addr.t -> unit
+(** Consult the plan for one guarded write of [bytes] at the address,
+    raising {!Write_fault} on a trip.  [bytes] is a plain label, not an
+    optional argument, so the allocator's zeroing call boxes nothing. *)
 
 val range_decayed : t -> Addr.t -> bytes:int -> bool
 (** Whether [addr, addr+bytes) overlaps a decayed region.  A pure query:

@@ -223,8 +223,8 @@ let test_lazy_allocation_recycles () =
   ignore globals;
   let garbage = Array.init 200 (fun _ -> Gc.allocate gc 8) in
   Gc.collect gc;
-  (* keep allocating until the pre-existing free slots are exhausted:
-     the allocator must then recycle swept garbage slots *)
+  (* the cursor reaches the garbage's pending pages, sweeps them and
+     must hand the reclaimed slots out again *)
   let reused = ref false in
   for _ = 1 to 450 do
     let a = Gc.allocate gc 8 in
@@ -236,12 +236,31 @@ let test_lazy_allocates_black () =
   let _, globals, gc = make_env ~config:lazy_config () in
   ignore (Gc.allocate gc 8);
   Gc.collect gc;
-  (* this allocation lands on a pending page; the later drain must not
-     reclaim it *)
+  (* the cursor sweeps the pending page when it reaches it, before
+     allocating there, so the later drain must not reclaim this object *)
   let a = Gc.allocate gc 8 in
   set_slot globals 0 (Addr.to_int a);
   ignore (Gc.drain_pending_sweeps gc);
   check bool "fresh object survives the deferred sweep" true (Gc.is_allocated gc a)
+
+(* 1000 rooted cells and 5000 garbage cells: a lazy collect reports the
+   live figure an eager one does, and the drain leaves it unchanged. *)
+let test_lazy_live_bytes_match_eager () =
+  let run config =
+    let _, globals, gc = make_env ~config () in
+    for i = 0 to 5999 do
+      let a = Gc.allocate gc 8 in
+      if i mod 6 = 0 then set_slot globals (i / 6) (Addr.to_int a)
+    done;
+    Gc.collect gc;
+    let live = Gc.live_bytes gc in
+    ignore (Gc.drain_pending_sweeps gc);
+    check int "live bytes unchanged by the drain" live (Gc.live_bytes gc);
+    check int "heap agrees after the drain" live (Heap.live_bytes (Gc.heap gc));
+    live
+  in
+  check int "eager live bytes" 8000 (run { Config.default with Config.initial_pages = 16 });
+  check int "lazy live bytes" 8000 (run lazy_config)
 
 let test_lazy_matches_eager_final_state () =
   let run config =
@@ -291,27 +310,12 @@ let test_verify_clean_heap () =
   Gc.collect gc;
   check (Alcotest.list Alcotest.string) "no issues after collect" [] (Verify.check_after_collect gc)
 
-let test_verify_detects_free_list_corruption () =
+let test_verify_detects_stale_cursor () =
   let _, _, gc = make_env () in
-  ignore (Gc.allocate gc 8);
-  (* inject a bogus free-list entry pointing at the allocated object *)
-  let fl = Gc.Internal.free_lists gc in
-  (match Cgc.Free_list.take fl ~granules:2 ~pointer_free:false with
-  | Some slot ->
-      (* put it back twice: duplicate entry *)
-      Cgc.Free_list.add fl ~granules:2 ~pointer_free:false slot;
-      Cgc.Free_list.add fl ~granules:2 ~pointer_free:false slot
-  | None -> Alcotest.fail "expected a free slot");
-  check bool "duplicate detected" true (Verify.check gc <> [])
-
-let test_verify_detects_wrong_class () =
-  let _, _, gc = make_env () in
-  ignore (Gc.allocate gc 8);
-  let fl = Gc.Internal.free_lists gc in
-  (match Cgc.Free_list.take fl ~granules:2 ~pointer_free:false with
-  | Some slot -> Cgc.Free_list.add fl ~granules:3 ~pointer_free:false slot
-  | None -> Alcotest.fail "expected a free slot");
-  check bool "class mismatch detected" true (Verify.check gc <> [])
+  let a = Gc.allocate gc 8 in
+  (* withdraw the cursor's page behind the collector's back *)
+  Heap.set_page (Gc.heap gc) (Heap.page_index (Gc.heap gc) a) Cgc.Page.Free;
+  check bool "cursor on a non-small page detected" true (Verify.check gc <> [])
 
 let test_verify_detects_dangling_finalizer () =
   let _, _, gc = make_env () in
@@ -677,13 +681,13 @@ let () =
           Alcotest.test_case "allocation recycles" `Quick test_lazy_allocation_recycles;
           Alcotest.test_case "allocates black" `Quick test_lazy_allocates_black;
           Alcotest.test_case "matches eager" `Quick test_lazy_matches_eager_final_state;
+          Alcotest.test_case "live bytes match eager" `Quick test_lazy_live_bytes_match_eager;
           Alcotest.test_case "large objects" `Quick test_lazy_large_objects;
         ] );
       ( "verify",
         [
           Alcotest.test_case "clean heap" `Quick test_verify_clean_heap;
-          Alcotest.test_case "free-list corruption" `Quick test_verify_detects_free_list_corruption;
-          Alcotest.test_case "wrong class" `Quick test_verify_detects_wrong_class;
+          Alcotest.test_case "stale cursor" `Quick test_verify_detects_stale_cursor;
           Alcotest.test_case "dangling finalizer" `Quick test_verify_detects_dangling_finalizer;
         ] );
       ( "generational",

@@ -719,21 +719,76 @@ let test_sweep_releases_empty_pages () =
   check bool "pages returned to the pool" true (free_after > used_before);
   check int "nothing live" 0 (Gc.stats gc).Stats.live_objects
 
-let test_sweep_rebuilds_address_ordered_free_lists () =
-  let _, globals, gc = make_env () in
-  (* allocate three, keep the middle one *)
-  let a = Gc.allocate gc 8 in
-  let b = Gc.allocate gc 8 in
-  let c = Gc.allocate gc 8 in
-  ignore a;
-  ignore c;
-  set_slot globals 0 (Addr.to_int b);
-  Gc.collect gc;
-  (* next two allocations must reuse a then c (ascending addresses) *)
-  let x = Gc.allocate gc 8 in
-  let y = Gc.allocate gc 8 in
-  check int "lowest address reused first" (Addr.to_int a) (Addr.to_int x);
-  check int "then the next one" (Addr.to_int c) (Addr.to_int y)
+(* The order contract of the allocation cursor: after an eager collect,
+   successive allocations return the class's free slots in ascending
+   address order across its pages — skipping a page quarantined under
+   the allocator — and then the slots of a freshly carved page,
+   ascending.  The heap fills [n_pages] pages of 8-byte cells, keeps a
+   random subset (linked from one root), and arms a decaying write
+   plan over page [q], which keeps at least one cell so it stays a
+   small page of the class. *)
+let prop_cursor_order_contract =
+  QCheck.Test.make ~count:40 ~name:"cursor hands out free slots in address order, then a carved page"
+    QCheck.(triple (int_range 3 5) small_nat int)
+    (fun (n_pages, q, seed) ->
+      let mem, globals, gc = make_env () in
+      let heap = Gc.heap gc in
+      let page_of a = Heap.page_index heap a in
+      let first = Gc.allocate gc 8 in
+      let per_page = Heap.page_size heap / 8 in
+      let cells = Array.init (n_pages * per_page) (fun i -> if i = 0 then first else Gc.allocate gc 8) in
+      let p0 = page_of first in
+      let q = p0 + (q mod n_pages) in
+      let rng = Rng.create seed in
+      let keep =
+        Array.map (fun a -> Addr.equal a (Heap.page_addr heap q) || Rng.int rng 4 = 0) cells
+      in
+      let head = ref 0 in
+      Array.iteri
+        (fun i a ->
+          if keep.(i) then begin
+            Gc.set_field gc a 0 !head;
+            head := Addr.to_int a
+          end)
+        cells;
+      set_slot globals 0 !head;
+      Gc.collect gc;
+      let page_kept = Array.make (Heap.n_pages heap) false in
+      Array.iteri (fun i a -> if keep.(i) then page_kept.(page_of a) <- true) cells;
+      let expected_free = ref [] and q_had_garbage = ref false in
+      Array.iteri
+        (fun i a ->
+          let p = page_of a in
+          if (not keep.(i)) && p = q then q_had_garbage := true
+          else if (not keep.(i)) && page_kept.(p) then expected_free := Addr.to_int a :: !expected_free)
+        cells;
+      let expected_free = List.rev !expected_free in
+      let carved =
+        let rec lowest_free i =
+          if i >= Heap.committed_pages heap then i
+          else match Heap.page heap i with Page.Free -> i | _ -> lowest_free (i + 1)
+        in
+        lowest_free 0
+      in
+      let expected_carved =
+        List.init 8 (fun k -> Addr.to_int (Heap.page_addr heap carved) + (8 * k))
+      in
+      Mem.set_fault_plan mem
+        (Some
+           (Mem.Fault.plan ~target:Mem.Fault.Writes ~decay_bytes:(Heap.page_size heap)
+              ~addr_pred:(fun a -> page_of a = q)
+              ()));
+      let got =
+        List.init
+          (List.length expected_free + List.length expected_carved)
+          (fun _ -> Addr.to_int (Gc.allocate gc 8))
+      in
+      Mem.set_fault_plan mem None;
+      got = expected_free @ expected_carved
+      && Bitset.mem (Gc.Internal.decayed_pages gc) q = !q_had_garbage
+      (* closing the page means one retry, not one per slot left on it *)
+      && (Gc.stats gc).Stats.decay_retries = Bool.to_int !q_had_garbage
+      && Cgc.Verify.check gc = [])
 
 let test_trim_returns_trailing_pages () =
   let config = { Config.default with Config.initial_pages = 4 } in
@@ -758,6 +813,21 @@ let test_trim_returns_trailing_pages () =
   check bool "allocation after trim" true (Gc.is_allocated gc a);
   check (Alcotest.list Alcotest.string) "invariants hold" [] (Cgc.Verify.check gc)
 
+(* An allocation served from a page with a free slot — default config,
+   zeroing on — builds nothing on the OCaml heap. *)
+let test_hit_allocation_allocates_nothing () =
+  let _, _, gc = make_env () in
+  ignore (Gc.allocate gc 8 : Addr.t);
+  let collections = (Gc.stats gc).Stats.collections in
+  let w0 = Stdlib.Gc.minor_words () in
+  let w1 = Stdlib.Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Gc.allocate gc 8 : Addr.t)
+  done;
+  let w2 = Stdlib.Gc.minor_words () in
+  check int "no collection ran" collections (Gc.stats gc).Stats.collections;
+  check (Alcotest.float 0.) "minor words per hit allocation" 0. ((w2 -. w1 -. (w1 -. w0)) /. 100.)
+
 let test_live_bytes_accounting () =
   let _, globals, gc = make_env () in
   let a = Gc.allocate gc 24 in
@@ -770,25 +840,15 @@ let test_live_bytes_accounting () =
 
 let test_free_list_policies () =
   let fl = Free_list.create ~n_classes:4 Free_list.Lifo in
-  Free_list.add fl ~granules:2 ~pointer_free:false 100;
-  Free_list.add fl ~granules:2 ~pointer_free:false 50;
-  check (Alcotest.option int) "lifo pops most recent" (Some 50)
-    (Free_list.take fl ~granules:2 ~pointer_free:false);
+  Free_list.add fl ~granules:2 100;
+  Free_list.add fl ~granules:2 50;
+  check (Alcotest.option int) "lifo pops most recent" (Some 50) (Free_list.take fl ~granules:2);
   let fl = Free_list.create ~n_classes:4 Free_list.Address_ordered in
-  Free_list.add fl ~granules:2 ~pointer_free:false 100;
-  Free_list.add fl ~granules:2 ~pointer_free:false 50;
-  Free_list.add fl ~granules:2 ~pointer_free:false 75;
-  check (Alcotest.option int) "ordered pops lowest" (Some 50)
-    (Free_list.take fl ~granules:2 ~pointer_free:false);
-  check (Alcotest.option int) "then next" (Some 75)
-    (Free_list.take fl ~granules:2 ~pointer_free:false)
-
-let test_free_list_kinds_separate () =
-  let fl = Free_list.create ~n_classes:4 Free_list.Lifo in
-  Free_list.add fl ~granules:2 ~pointer_free:false 100;
-  check (Alcotest.option int) "atomic class is separate" None
-    (Free_list.take fl ~granules:2 ~pointer_free:true);
-  check int "total" 1 (Free_list.total fl)
+  Free_list.add fl ~granules:2 100;
+  Free_list.add fl ~granules:2 50;
+  Free_list.add fl ~granules:2 75;
+  check (Alcotest.option int) "ordered pops lowest" (Some 50) (Free_list.take fl ~granules:2);
+  check (Alcotest.option int) "then next" (Some 75) (Free_list.take fl ~granules:2)
 
 (* --- explicit allocator baseline --- *)
 
@@ -1321,15 +1381,14 @@ let () =
       ( "sweep",
         [
           Alcotest.test_case "releases empty pages" `Quick test_sweep_releases_empty_pages;
-          Alcotest.test_case "address-ordered free lists" `Quick
-            test_sweep_rebuilds_address_ordered_free_lists;
+          QCheck_alcotest.to_alcotest prop_cursor_order_contract;
           Alcotest.test_case "live bytes" `Quick test_live_bytes_accounting;
+          Alcotest.test_case "hit path allocates nothing" `Quick test_hit_allocation_allocates_nothing;
           Alcotest.test_case "trim" `Quick test_trim_returns_trailing_pages;
         ] );
       ( "free-list",
         [
           Alcotest.test_case "policies" `Quick test_free_list_policies;
-          Alcotest.test_case "kinds separate" `Quick test_free_list_kinds_separate;
         ] );
       ( "explicit",
         [

@@ -158,9 +158,9 @@ let prop_free_list_address_ordered =
     QCheck.(list_of_size (QCheck.Gen.int_range 1 40) (int_bound 100_000))
     (fun addrs ->
       let fl = Free_list.create ~n_classes:4 Free_list.Address_ordered in
-      List.iter (fun a -> Free_list.add fl ~granules:2 ~pointer_free:false (4 * a)) addrs;
+      List.iter (fun a -> Free_list.add fl ~granules:2 (4 * a)) addrs;
       let rec drain acc =
-        match Free_list.take fl ~granules:2 ~pointer_free:false with
+        match Free_list.take fl ~granules:2 with
         | None -> List.rev acc
         | Some a -> drain (a :: acc)
       in

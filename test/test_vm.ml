@@ -123,7 +123,7 @@ let test_bitset_range_queries () =
   Bitset.add s 40;
   check bool "exists in [30,50)" true (Bitset.exists_in_range s ~lo:30 ~hi:50);
   check bool "none in [41,50)" false (Bitset.exists_in_range s ~lo:41 ~hi:50);
-  check (Alcotest.option int) "next_clear skips member" (Some 41) (Bitset.next_clear s 40)
+  check int "next_clear skips member" 41 (Bitset.next_clear s 40)
 
 let test_bitset_bounds () =
   let s = Bitset.create 10 in
@@ -146,10 +146,10 @@ let test_bitset_word_boundaries () =
   check bool "none in [63,123)" false (Bitset.exists_in_range s ~lo:63 ~hi:123);
   check bool "exists [123,125)" true (Bitset.exists_in_range s ~lo:123 ~hi:125);
   check bool "empty range" false (Bitset.exists_in_range s ~lo:62 ~hi:62);
-  check (Alcotest.option int) "next_clear runs over the boundary" (Some 63) (Bitset.next_clear s 61);
-  check (Alcotest.option int) "next_clear at a clear index" (Some 63) (Bitset.next_clear s 63);
-  check (Alcotest.option int) "next_clear exhausted at n" None (Bitset.next_clear s 123);
-  check (Alcotest.option int) "next_clear from the last index" None (Bitset.next_clear s 124)
+  check int "next_clear runs over the boundary" 63 (Bitset.next_clear s 61);
+  check int "next_clear at a clear index" 63 (Bitset.next_clear s 63);
+  check int "next_clear exhausted at n" (-1) (Bitset.next_clear s 123);
+  check int "next_clear from the last index" (-1) (Bitset.next_clear s 124)
 
 let test_bitset_word_iter () =
   let n = 130 in
