@@ -23,8 +23,7 @@
                           (conservative | generational | explicit |
                           precise | all)
           --jobs N        marker-domain sweep ceiling for the mark
-                          section (default 4: measures jobs 1, 2, 4) and
-                          the tracer width for the resilience matrix *)
+                          section (default 4: measures jobs 1, 2, 4) *)
 
 open Cgc_vm
 module W = Cgc_workloads
@@ -726,6 +725,17 @@ let mark_throughput ~smoke ~jobs () =
 (* Memory-pressure resilience: the chaos matrix                        *)
 (* ------------------------------------------------------------------ *)
 
+(* One plan per marker-domain failure mode, each against domain 1. *)
+let domain_faults =
+  List.map
+    (Cgc.Domain_fault.plan ~domain:1)
+    [
+      Stall { after_claims = 3 };
+      Crash { at_step = 7 };
+      Livelock { on_claim = 2 };
+      Straggler { spin = 150 };
+    ]
+
 (* Recovery latency of the fail-stop tracer: a rooted-list heap is
    marked at jobs=4 with each marker-domain failure mode armed against
    domain 1, under a tight watchdog budget.  For every mode we report
@@ -743,9 +753,7 @@ let recovery_latency ~smoke () =
   in
   let lists = if smoke then 20 else 80 in
   let nodes = if smoke then 300 else 1500 in
-  let config =
-    { Cgc.Config.default with Cgc.Config.initial_pages = 64; mark_watchdog_budget = 96 }
-  in
+  let config = { Cgc.Config.default with Cgc.Config.initial_pages = 64 } in
   let gc =
     Cgc.Gc.create ~config mem ~base:(Addr.of_int 0x400000) ~max_bytes:(32 * 1024 * 1024) ()
   in
@@ -780,7 +788,7 @@ let recovery_latency ~smoke () =
     let last = ref None in
     let ms, marked =
       timed (fun () ->
-          let o = Cgc.Gc.Internal.run_mark_parallel ~faults gc ~jobs in
+          let o = Cgc.Gc.Internal.run_mark_parallel ~faults ~watchdog_budget:96 gc ~jobs in
           last := o.Cgc.Mark.Parallel.fallback)
     in
     (ms, marked, st.Cgc.Stats.mark_abandonments - a0, !last)
@@ -793,9 +801,9 @@ let recovery_latency ~smoke () =
   Format.printf "  %-10s : %7.2f ms/cycle (healthy parallel baseline)@." "baseline" baseline_ms;
   let all_parity = ref true in
   List.iter
-    (fun spec ->
-      let name = W.Chaos.domain_fault_name spec in
-      let ms, marked, abandoned, last = measure (W.Chaos.domain_fault_plans spec) in
+    (fun plan ->
+      let name = Cgc.Domain_fault.mode_name (Cgc.Domain_fault.mode plan) in
+      let ms, marked, abandoned, last = measure [ plan ] in
       let parity = marked = serial_marked in
       if not parity then all_parity := false;
       let cause =
@@ -813,7 +821,7 @@ let recovery_latency ~smoke () =
       json_float (Printf.sprintf "resilience_recovery_%s_ms" name) ms;
       json_int (Printf.sprintf "resilience_recovery_%s_abandoned" name) abandoned;
       json_bool (Printf.sprintf "resilience_recovery_%s_parity" name) parity)
-    (List.filter (fun s -> s <> W.Chaos.No_domain_fault) W.Chaos.all_domain_faults);
+    domain_faults;
   json_int "resilience_recovery_serial_objects" serial_marked;
   json_bool "resilience_recovery_parity" !all_parity;
   if not !all_parity then begin
@@ -827,11 +835,11 @@ let recovery_latency ~smoke () =
    access-fault counts, so a regression in graceful degradation (a rung
    no longer reached, a read fault no longer downgraded, or OOM raised
    where relaxation used to rescue) shows up as a diff. *)
-let resilience ~smoke ?collectors ?(mark_jobs = 1) () =
+let resilience ~smoke ?collectors () =
   section "Resilience"
     "randomized mutator under injected commit/read/write faults (cross-collector chaos matrix)";
   let steps = if smoke then 400 else 1500 in
-  let outcomes = W.Chaos.run_matrix ~steps ?collectors ~mark_jobs ~seed () in
+  let outcomes = W.Chaos.run_matrix ~steps ?collectors ~seed () in
   List.iter (Format.printf "  %a@.%!" W.Chaos.pp_outcome) outcomes;
   let dirty = List.filter (fun o -> not (W.Chaos.clean o)) outcomes in
   let sum f = List.fold_left (fun acc o -> acc + f o) 0 outcomes in
@@ -842,10 +850,6 @@ let resilience ~smoke ?collectors ?(mark_jobs = 1) () =
     (sum (fun o -> o.W.Chaos.faults_injected))
     (sum (fun o -> o.W.Chaos.ooms_caught));
   json_int "resilience_steps_per_run" steps;
-  json_int "resilience_mark_jobs" mark_jobs;
-  json_int "resilience_mark_serial_fallbacks"
-    (sum_s (fun s -> s.Cgc.Stats.mark_serial_fallbacks));
-  json_int "resilience_parallel_marks" (sum_s (fun s -> s.Cgc.Stats.parallel_marks));
   json_int "resilience_runs" (List.length outcomes);
   json_int "resilience_clean_runs" (List.length outcomes - List.length dirty);
   json_int "resilience_faults_injected" (sum (fun o -> o.W.Chaos.faults_injected));
@@ -1193,7 +1197,7 @@ let () =
       | `Ablations -> ablations ()
       | `Overhead -> overhead ()
       | `Mark -> mark_throughput ~smoke ~jobs ()
-      | `Resilience -> resilience ~smoke ?collectors ~mark_jobs:jobs ()
+      | `Resilience -> resilience ~smoke ?collectors ()
       | `Starvation -> starvation ()
       | `Timing -> timing ())
     selected;

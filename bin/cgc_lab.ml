@@ -192,35 +192,8 @@ let frag_cmd =
 
 (* --- chaos --- *)
 
-let run_chaos seed steps collectors mark_jobs domain_faults =
-  let axes =
-    if domain_faults then W.Chaos.all_domain_faults else [ W.Chaos.No_domain_fault ]
-  in
-  let outcomes =
-    List.concat_map
-      (fun domain_fault ->
-        let outcomes = W.Chaos.run_matrix ~steps ?collectors ~mark_jobs ~domain_fault ~seed () in
-        if domain_faults then begin
-          let clean = List.length (List.filter W.Chaos.clean outcomes) in
-          let armed = List.filter (fun o -> o.W.Chaos.mark_jobs > 1) outcomes in
-          let sum f = List.fold_left (fun a o -> a + f o.W.Chaos.stats) 0 armed in
-          let causes =
-            List.sort_uniq compare
-              (List.filter_map (fun o -> o.W.Chaos.last_fallback) armed)
-          in
-          Format.printf
-            "-- %s axis: %d/%d cells clean; %d domain faults injected, %d traces abandoned, \
-             %d serial fallbacks; causes seen: %s@.%!"
-            (W.Chaos.domain_fault_name domain_fault)
-            clean (List.length outcomes)
-            (sum (fun s -> s.Cgc.Stats.mark_domain_faults))
-            (sum (fun s -> s.Cgc.Stats.mark_abandonments))
-            (sum (fun s -> s.Cgc.Stats.mark_serial_fallbacks))
-            (if causes = [] then "none" else String.concat ", " causes)
-        end;
-        outcomes)
-      axes
-  in
+let run_chaos seed steps collectors =
+  let outcomes = W.Chaos.run_matrix ~steps ?collectors ~seed () in
   List.iter (Format.printf "%a@.%!" W.Chaos.pp_outcome) outcomes;
   let dirty = List.filter (fun o -> not (W.Chaos.clean o)) outcomes in
   Format.printf "%d/%d scenario runs clean@.%!"
@@ -247,36 +220,14 @@ let chaos_cmd =
             "Restrict the matrix to one memory-management backend: $(b,conservative), \
              $(b,generational), $(b,explicit), or $(b,all) (the default).")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Marker domains for the conservative tracer (default 1 = serial).  With N > 1 \
-             every cell also asserts the parallel-marking discipline: access-fault plans \
-             must take the typed serial fallback, commit plans must mark in parallel.")
-  in
-  let domain_faults =
-    Arg.(
-      value & flag
-      & info [ "domain-faults" ]
-          ~doc:
-            "Cross the matrix with the marker-domain failure axis: every cell reruns under \
-             an injected stall, crash, livelock and straggler of marker domain 1 (plus the \
-             no-fault baseline), with per-axis summaries of faults injected, traces \
-             abandoned and fallback causes.  Implies nothing at $(b,--jobs) 1, where the \
-             tracer never spawns domains.")
-  in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
          "Chaos soak: a randomized mutator under seeded fault plans (commit countdown, \
           probability, byte quota, ECC read corruption, write refusal, permanent region \
           decay) across collector backends and configurations.  Audits crash coherence \
-          after every injected fault and exits nonzero on any violation.  \
-          $(b,--domain-faults) adds the marker-domain failure axis.")
-    Term.(const run_chaos $ seed_arg $ steps $ collector $ jobs $ domain_faults)
+          after every injected fault and exits nonzero on any violation.")
+    Term.(const run_chaos $ seed_arg $ steps $ collector)
 
 (* --- analyze --- *)
 

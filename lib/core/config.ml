@@ -23,8 +23,6 @@ type t = {
   mark_stack_limit : int option;
   full_gc_at_startup : bool;
   relax_blacklist : bool;
-  mark_jobs : int;
-  mark_watchdog_budget : int;
 }
 
 let default =
@@ -49,8 +47,6 @@ let default =
     mark_stack_limit = None;
     full_gc_at_startup = true;
     relax_blacklist = false;
-    mark_jobs = 1;
-    mark_watchdog_budget = 4096;
   }
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
@@ -80,11 +76,7 @@ let validate t =
   | Some _ | None -> ());
   (match t.mark_stack_limit with
   | Some n when n < 16 -> invalid_arg "Config: mark_stack_limit must be >= 16"
-  | Some _ | None -> ());
-  if t.mark_jobs < 1 || t.mark_jobs > 64 then
-    invalid_arg "Config: mark_jobs must be in [1,64]";
-  if t.mark_watchdog_budget < 1 then
-    invalid_arg "Config: mark_watchdog_budget must be >= 1"
+  | Some _ | None -> ())
 
 let max_small_bytes t = t.page_size / 2
 
@@ -116,8 +108,7 @@ let pp ppf t =
   Format.fprintf ppf
     "@[<v>page_size=%d granule=%d interior=%b displacements=[%s] large=%s align=%d@,\
      blacklist=%b refresh=%b atomic_on_black=%b avoid_tz=%s zero=%b@,\
-     initial_pages=%d expand=%d..%d divisor=%d startup_gc=%b relax_blacklist=%b mark_jobs=%d@,\
-     watchdog_budget=%d@]"
+     initial_pages=%d expand=%d..%d divisor=%d startup_gc=%b relax_blacklist=%b@]"
     t.page_size t.granule t.interior_pointers
     (String.concat ";" (List.map string_of_int t.valid_displacements))
     (match t.large_validity with
@@ -128,4 +119,4 @@ let pp ppf t =
     | None -> "off"
     | Some k -> string_of_int k)
     t.zero_on_alloc t.initial_pages t.min_expand_pages t.max_expand_pages t.space_divisor
-    t.full_gc_at_startup t.relax_blacklist t.mark_jobs t.mark_watchdog_budget
+    t.full_gc_at_startup t.relax_blacklist

@@ -94,33 +94,6 @@ type t = {
           experiments keep the paper's strict regime — relaxation trades
           the blacklist's space guarantee for availability, Boehm's
           pragmatic answer to observation 7 *)
-  mark_jobs : int;
-      (** marker domains for the trace phase.  [1] (the default) runs
-          the serial fast path untouched; [n > 1] runs
-          {!Mark.Parallel} with [n] domains — a private Chase-Lev mark
-          stack and header cache per domain, atomic shadow mark bits,
-          per-domain blacklist buffers merged at the end barrier.  The
-          resulting mark bitmap, blacklist and downgrade behavior are
-          bit-identical to the serial marker.  While a [Mem.Fault]
-          access plan is armed the collector falls back to serial
-          marking (fault trip streams are stateful and cannot be raced)
-          and records a typed note in [Gc.last_mark_outcome].
-
-          Experimental: on every host measured so far [n > 1] marks
-          {e slower} than the serial fast path (two domains at about
-          0.5x the serial rate on a 2-vCPU VM, EXPERIMENTS.md
-          "Parallel marking"). *)
-  mark_watchdog_budget : int;
-      (** no-progress budget for the parallel tracer's watchdog: how
-          many leader observation rounds a non-idle marker domain may go
-          without bumping its heartbeat before the leader declares it
-          failed and abandons the parallel attempt for a serial rerun.
-          Each round the leader backs off with capped exponential
-          spinning, so the budget is a count of observations, not a
-          wall-clock bound.  Only consulted when [mark_jobs > 1];
-          irrelevant to the serial marker.  Larger values tolerate
-          slower stragglers at the price of later detection.  Default
-          4096. *)
 }
 
 val default : t
@@ -128,8 +101,7 @@ val default : t
     aligned scanning, blacklisting on with refresh, atomic-on-black on,
     no trailing-zero avoidance, zeroing on, 64 initial pages, expansion
     increment 64 pages (backoff cap 256), space divisor 3, startup
-    collection on, blacklist relaxation off, serial marking
-    ([mark_jobs = 1]), watchdog budget 4096 observation rounds. *)
+    collection on, blacklist relaxation off. *)
 
 val validate : t -> unit
 (** @raise Invalid_argument on inconsistent settings. *)

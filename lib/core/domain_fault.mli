@@ -24,7 +24,7 @@
       the watchdog can see it.
     - {!Straggler}: the domain stays correct but spins [spin] relax
       loops at every checkpoint.  Its heartbeats keep advancing, so a
-      generous {!Config.mark_watchdog_budget} tolerates it; a tight
+      generous [watchdog_budget] ({!Mark.Parallel.run}) tolerates it; a tight
       budget treats it as failed and abandons the trace, which costs a
       serial rerun but never correctness. *)
 

@@ -30,14 +30,8 @@ type t = {
          heap ever being marked conservatively behind its back *)
   mutable oom_hook : (int -> bool) option;
   mutable last_mark_outcome : Mark.Parallel.outcome option;
-      (* how the most recent mark phase ran when [Config.mark_jobs > 1]:
-         parallel, or serial with a typed fallback note (armed access
-         plan, or a failed marker domain).  [None] until
-         the first such phase — and always [None] with the default
-         [mark_jobs = 1], whose serial path is untouched *)
-  mutable domain_faults : Domain_fault.plan list;
-      (* armed marker-domain failure plans, handed to every parallel
-         mark phase until disarmed; [] for the healthy tracer *)
+      (* how the most recent [Internal.run_mark_parallel] ran: parallel,
+         or serial with a typed fallback note; [None] until the first *)
 }
 
 (* --- the allocation escalation ladder --- *)
@@ -142,7 +136,6 @@ let create ?(config = Config.default) mem ~base ~max_bytes () =
       collect_hook = None;
       oom_hook = None;
       last_mark_outcome = None;
-      domain_faults = [];
     }
   in
   t
@@ -172,22 +165,6 @@ let clear_roots t = Roots.clear t.roots
 (* --- collection --- *)
 
 let quarantined t i = Bitset.mem t.decayed_pages i
-
-let last_mark_outcome t = t.last_mark_outcome
-let set_domain_faults t plans = t.domain_faults <- plans
-let domain_faults t = t.domain_faults
-
-(* The mark phase, honouring [Config.mark_jobs]: 1 keeps the serial
-   fast path byte-for-byte (no outcome recorded); > 1 runs the parallel
-   tracer, which itself falls back to serial — with a typed note —
-   while a [Mem.Fault] access plan is armed or when a marker domain
-   fails mid-trace. *)
-let run_mark_phase t =
-  let jobs = t.config.Config.mark_jobs in
-  if jobs <= 1 then Mark.run t.marker t.roots ~mem:t.mem
-  else
-    t.last_mark_outcome <-
-      Some (Mark.Parallel.run ~faults:t.domain_faults t.marker t.roots ~mem:t.mem ~jobs)
 
 (* --- the allocation cursors ---
 
@@ -317,7 +294,7 @@ let collect t =
        their time is sweep time *)
     let (_ : int) = drain_pending_sweeps t in
     let t1 = Stats.now_s () in
-    run_mark_phase t;
+    Mark.run t.marker t.roots ~mem:t.mem;
     defer_sweeps t;
     reopen t;
     let t2 = Stats.now_s () in
@@ -326,7 +303,7 @@ let collect t =
     t.stats.Stats.total_gc_seconds <- t.stats.Stats.total_gc_seconds +. (t2 -. t0)
   end
   else begin
-    run_mark_phase t;
+    Mark.run t.marker t.roots ~mem:t.mem;
     let t1 = Stats.now_s () in
     let (_ : Sweep.result) = Sweep.run t.heap t.finalize t.stats in
     reopen t;
@@ -871,11 +848,12 @@ module Internal = struct
   let run_mark t = Mark.run t.marker t.roots ~mem:t.mem
   let note_collected t = t.allocated_since_gc <- 0
 
-  let run_mark_parallel ?(faults = []) t ~jobs =
-    let faults = if faults = [] then t.domain_faults else faults in
-    let outcome = Mark.Parallel.run ~faults t.marker t.roots ~mem:t.mem ~jobs in
+  let run_mark_parallel ?faults ?watchdog_budget t ~jobs =
+    let outcome = Mark.Parallel.run ?faults ?watchdog_budget t.marker t.roots ~mem:t.mem ~jobs in
     t.last_mark_outcome <- Some outcome;
     outcome
+
+  let last_mark_outcome t = t.last_mark_outcome
 
   let is_marked t addr =
     match find_object t addr with None -> false | Some base -> Heap.is_marked t.heap base

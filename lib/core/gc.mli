@@ -134,7 +134,9 @@ val set_collect_hook : t -> (unit -> unit) option -> unit
 
 val collect : t -> unit
 (** A full stop-the-world collection: conservative mark from all
-    registered roots (updating the blacklist), then sweep. *)
+    registered roots (updating the blacklist), then sweep.  The mark is
+    always the serial {!Mark.run}, as in the paper's collector; the
+    parallel tracer runs only through {!Internal.run_mark_parallel}. *)
 
 val drain_pending_sweeps : t -> int
 (** Lazy-sweep mode: finish all deferred sweeping now; returns objects
@@ -182,23 +184,6 @@ val blacklisted_pages : t -> int
 val live_bytes : t -> int
 (** From the statistics of the most recent sweep. *)
 
-val last_mark_outcome : t -> Mark.Parallel.outcome option
-(** How the most recent mark phase ran when [Config.mark_jobs > 1]:
-    parallel ([fallback = None]) or serial with a typed note (an armed
-    [Mem.Fault] access plan forces serial marking up front; a
-    marker-domain failure abandons the trace mid-flight and reruns it
-    serially, noted [Domain_failed]).
-    Always [None] with the default [mark_jobs = 1]. *)
-
-val set_domain_faults : t -> Domain_fault.plan list -> unit
-(** Arm marker-domain failure plans: every subsequent parallel mark
-    phase injects them (at most one plan per victim domain) until
-    disarmed with [set_domain_faults t []].  The chaos driver's
-    domain-failure axis and the recovery benchmarks sit on this. *)
-
-val domain_faults : t -> Domain_fault.plan list
-(** The currently armed marker-domain failure plans. *)
-
 val pp : Format.formatter -> t -> unit
 
 (** {1 Internals}
@@ -242,14 +227,31 @@ module Internal : sig
       cycle (never after an aborted one, so the retry happens at the
       next allocation). *)
 
-  val run_mark_parallel : ?faults:Domain_fault.plan list -> t -> jobs:int -> Mark.Parallel.outcome
+  val run_mark_parallel :
+    ?faults:Domain_fault.plan list ->
+    ?watchdog_budget:int ->
+    t ->
+    jobs:int ->
+    Mark.Parallel.outcome
   (** Like {!run_mark} but through {!Mark.Parallel} with [jobs] marker
       domains (serial for [jobs <= 1] or under an armed access plan,
-      with the typed note in the outcome).  [faults] overrides the
-      armed {!set_domain_faults} plans for this one trace ([] = use the
-      armed ones).  Records the outcome in {!last_mark_outcome}.  Used
-      by the jobs differential, the failure-plan differential and the
-      [bench mark --jobs] sweep. *)
+      with the typed note in the outcome).  [faults] (default none)
+      injects marker-domain failures into this one trace;
+      [watchdog_budget] (default 4096) is passed to
+      {!Mark.Parallel.run}.  Records the outcome in
+      {!last_mark_outcome}.  The tracer's only entry point: the jobs
+      and failure-plan differentials, the [bench mark --jobs] sweep,
+      the bench's recovery-latency section and the layered benchmark's
+      [mark_parallel.*] probe.
+      @raise Invalid_argument when [watchdog_budget < 1]. *)
+
+  val last_mark_outcome : t -> Mark.Parallel.outcome option
+  (** How the most recent {!run_mark_parallel} ran: parallel
+      ([fallback = None]) or serial with a typed note (an armed
+      [Mem.Fault] access plan forces serial marking up front; a
+      marker-domain failure abandons the trace mid-flight and reruns
+      it serially, noted [Domain_failed]).  [None] before the first;
+      {!collect} never sets it. *)
 
   val is_marked : t -> Addr.t -> bool
   (** Valid only between [run_mark] and the next sweep. *)

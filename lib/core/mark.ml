@@ -565,7 +565,7 @@ module Parallel = struct
     p_idle : int Atomic.t;
     p_jobs : int;
     p_workers : worker array;
-    p_budget : int;  (* Config.mark_watchdog_budget *)
+    p_budget : int;  (* the run's [watchdog_budget] *)
     p_abandoned : bool Atomic.t;  (* a domain failed: everyone unwinds *)
     (* idle domains nap here instead of spinning (essential when domains
        outnumber cores); producers wake them on push, the last domain to
@@ -962,7 +962,7 @@ module Parallel = struct
      moved; parked domains ([w_idle_flag]) are healthy by definition (a
      frozen domain never parks — the idle flag is only set inside
      [quiesce]).  [w_wd_miss] counts consecutive no-progress
-     observations; [Config.mark_watchdog_budget] of them make the domain
+     observations; [watchdog_budget] of them make the domain
      suspect.  The gap backs off exponentially (capped) while nothing
      moves, so a long-idle leader isn't a busy polling loop, and snaps
      back to 1 on any observed progress.  A false positive on a
@@ -1122,7 +1122,7 @@ module Parallel = struct
      rotating it after the trace is invisible — which leaves an
      abandoned attempt nothing to roll back beyond the cleared mark
      bits the serial rerun clears again. *)
-  let run_domains t roots ~mem ~jobs ~faults =
+  let run_domains t roots ~mem ~jobs ~faults ~watchdog_budget =
     Heap.clear_marks t.heap;
     let n_pages = Heap.n_pages t.heap in
     let shadow = Array.make n_pages dummy_shadow in
@@ -1153,7 +1153,7 @@ module Parallel = struct
         p_idle = Atomic.make 0;
         p_jobs = jobs;
         p_workers = workers;
-        p_budget = t.config.Config.mark_watchdog_budget;
+        p_budget = watchdog_budget;
         p_abandoned = Atomic.make false;
         p_lock = Mutex.create ();
         p_cond = Condition.create ();
@@ -1204,7 +1204,8 @@ module Parallel = struct
       (Some shards, health)
     end
 
-  let run_ ?(faults = []) t roots ~mem ~jobs =
+  let run_ ?(faults = []) ?(watchdog_budget = 4096) t roots ~mem ~jobs =
+    if watchdog_budget < 1 then invalid_arg "Mark.Parallel.run: watchdog_budget must be >= 1";
     if jobs <= 1 then begin
       run t roots ~mem;
       {
@@ -1228,7 +1229,7 @@ module Parallel = struct
       }
     end
     else
-      match run_domains t roots ~mem ~jobs ~faults with
+      match run_domains t roots ~mem ~jobs ~faults ~watchdog_budget with
       | Some shards, health ->
           { jobs_requested = jobs; domains_used = jobs; fallback = None; shards; health = Some health }
       | None, health ->

@@ -82,7 +82,7 @@ val trace : ?extra:Roots.range list -> t -> Roots.t -> mem:Mem.t -> unit
     chunk-claim checkpoints.  A crashing domain abandons the parallel
     attempt on its way out; the leader (domain 0, which never fails)
     watches per-domain heartbeat words while idle and, after
-    [Config.mark_watchdog_budget] no-progress observations (with capped
+    [watchdog_budget] no-progress observations (with capped
     exponential backoff between observation rounds), abandons it for a
     silent stall or livelock.  Every domain unwinds, the leader joins
     them, and the serial scanner reruns the trace from scratch under a
@@ -122,10 +122,23 @@ module Parallel : sig
     health : health option;  (** [None] iff the domains never spawned *)
   }
 
-  val run : ?faults:Domain_fault.plan list -> t -> Roots.t -> mem:Mem.t -> jobs:int -> outcome
+  val run :
+    ?faults:Domain_fault.plan list ->
+    ?watchdog_budget:int ->
+    t ->
+    Roots.t ->
+    mem:Mem.t ->
+    jobs:int ->
+    outcome
   (** Like {!run}, with [jobs] marker domains.  [jobs <= 1] or an armed
       access plan runs the serial marker and says so in the outcome.
-      [faults] arms at most one {!Domain_fault} plan per victim domain
-      (first plan per domain wins; plans naming [domain >= jobs] are
-      ignored). *)
+      [faults] (default [[]], none) arms at most one {!Domain_fault}
+      plan per victim domain (first plan per domain wins; plans naming
+      [domain >= jobs] are ignored).  [watchdog_budget] (default 4096)
+      is how many leader observation rounds a non-idle domain may go
+      without a heartbeat before the attempt is abandoned; each round
+      backs off with capped exponential spinning, so it counts
+      observations, not wall-clock time.  Larger values tolerate slower
+      stragglers at the price of later detection.
+      @raise Invalid_argument when [watchdog_budget < 1]. *)
 end

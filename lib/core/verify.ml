@@ -188,9 +188,8 @@ let check_after_fault gc =
     (Gc.Internal.pending_sweep gc);
   List.rev !issues
 
-(* Post-parallel-mark audit, valid between a mark phase run with
-   [Config.mark_jobs > 1] (or [Gc.Internal.run_mark_parallel]) and the
-   next sweep or allocation:
+(* Post-parallel-mark audit, valid between [Gc.Internal.run_mark_parallel]
+   and the next sweep or allocation:
 
    - structural mark sanity — every mark bit covers an allocated slot
      (so no bit landed on a free or quarantine-removed slot; decayed
@@ -212,7 +211,7 @@ let check_after_fault gc =
      attempt may stop short of its tasks; an up-front serial fallback
      spawns no domains and carries no trail. *)
 let check_parallel_mark gc =
-  match Gc.last_mark_outcome gc with
+  match Gc.Internal.last_mark_outcome gc with
   | None -> []
   | Some o ->
       let issues = ref (List.rev (check_heap (Gc.heap gc))) in

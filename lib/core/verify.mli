@@ -58,13 +58,14 @@ val check_precise_mark : Precise.t -> string list
     call at any point, including right after an aborted precise mark. *)
 
 val check_parallel_mark : Gc.t -> string list
-(** Post-parallel-mark audit, valid between a mark phase run with
-    [Config.mark_jobs > 1] (or [Gc.Internal.run_mark_parallel]) and the
-    next sweep or allocation.  Includes {!check_heap} (whose
+(** Post-parallel-mark audit, valid between
+    {!Gc.Internal.run_mark_parallel} (the parallel tracer's only entry
+    point; {!Gc.collect} always marks serially) and the next sweep or
+    allocation.  Includes {!check_heap} (whose
     mark ⊆ alloc audit rules out mark bits on free or
     quarantine-removed slots), checks that no unallocated large object
     is flagged, and — when the tracer really ran parallel — that the
     per-domain [Stats.objects_marked] shards sum to the number of mark
     bits present in the heap: the exactly-once evidence of the
     shadow-table CAS protocol plus a lossless write-back.  Returns []
-    when {!Gc.last_mark_outcome} is [None]. *)
+    when {!Gc.Internal.last_mark_outcome} is [None]. *)

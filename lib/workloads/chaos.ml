@@ -30,41 +30,6 @@ let plan_name = function
   | Write_chance { probability; seed = _ } -> Printf.sprintf "write-chance-%.4f" probability
   | Write_decay { every; region } -> Printf.sprintf "write-decay-%d/%dB" every region
 
-(* Plans that fault loads or stores: under these the parallel tracer
-   must take its typed serial fallback (faultable loads stay serialized
-   so access plans observe a deterministic probe order). *)
-let is_access_plan = function
-  | Read_chance _ | Read_decay _ | Write_chance _ | Write_decay _ -> true
-  | Countdown _ | Chance _ | Quota _ -> false
-
-(* The marker-domain failure axis: orthogonal to the memory-fault
-   plans, it arms one {!Cgc.Domain_fault} plan against domain 1 of
-   every parallel mark phase the cell runs (the chaos config lowers the
-   watchdog budget so detection fits inside a cell's step budget). *)
-type domain_fault_spec =
-  | No_domain_fault
-  | Stall_fault
-  | Crash_fault
-  | Livelock_fault
-  | Straggler_fault
-
-let all_domain_faults =
-  [ No_domain_fault; Stall_fault; Crash_fault; Livelock_fault; Straggler_fault ]
-
-let domain_fault_name = function
-  | No_domain_fault -> "no-domain-fault"
-  | Stall_fault -> "stall"
-  | Crash_fault -> "crash"
-  | Livelock_fault -> "livelock"
-  | Straggler_fault -> "straggler"
-
-let domain_fault_plans = function
-  | No_domain_fault -> []
-  | Stall_fault -> [ Cgc.Domain_fault.plan ~domain:1 (Stall { after_claims = 3 }) ]
-  | Crash_fault -> [ Cgc.Domain_fault.plan ~domain:1 (Crash { at_step = 7 }) ]
-  | Livelock_fault -> [ Cgc.Domain_fault.plan ~domain:1 (Livelock { on_claim = 2 }) ]
-  | Straggler_fault -> [ Cgc.Domain_fault.plan ~domain:1 (Straggler { spin = 150 }) ]
-
 let instantiate = function
   | Countdown { every } -> Mem.Fault.plan ~countdown:every ~rearm:true ()
   | Chance { probability; seed } -> Mem.Fault.plan ~probability:(probability, seed) ()
@@ -82,10 +47,7 @@ type outcome = {
   collector : string;
   scenario : string;
   plan : string;
-  domain_fault : string;
   steps : int;
-  mark_jobs : int;
-  last_fallback : string option;
   faults_injected : int;
   ooms_caught : int;
   mutator_read_faults : int;
@@ -124,8 +86,6 @@ type ops = {
   audit_final : unit -> string list;
   snapshot : unit -> Cgc.Stats.t;
   overrides : unit -> int;
-  arm_domain_faults : Cgc.Domain_fault.plan list -> unit;
-  last_fallback : unit -> string option;
 }
 
 (* The mutator world: a globals segment of root slots plus the chosen
@@ -170,15 +130,6 @@ let make_world ~seed ~config ~collector =
       audit_final = (fun () -> Verify.check gc);
       snapshot = (fun () -> Cgc.Stats.copy (Gc.stats gc));
       overrides = (fun () -> Cgc.Blacklist.overridden (Gc.blacklist gc));
-      arm_domain_faults = Gc.set_domain_faults gc;
-      last_fallback =
-        (fun () ->
-          match Gc.last_mark_outcome gc with
-          | None -> None
-          | Some o -> (
-              match o.Cgc.Mark.Parallel.fallback with
-              | None -> Some "parallel"
-              | Some f -> Some (Cgc.Mark.Parallel.fallback_to_string f)));
     }
   in
   let ops, precise =
@@ -251,8 +202,6 @@ let make_world ~seed ~config ~collector =
           audit_final = (fun () -> Verify.check_heap (Cgc.Explicit.heap e));
           snapshot = (fun () -> Cgc.Stats.create ());
           overrides = (fun () -> 0);
-          arm_domain_faults = (fun _ -> ());
-          last_fallback = (fun () -> None);
           },
           None )
   in
@@ -324,17 +273,8 @@ let fault_free_alloc_ok w =
   Mem.set_fault_plan w.mem saved;
   ok
 
-let run_scenario ?(steps = 1500) ?(collector = Conservative) ?(mark_jobs = 1)
-    ?(domain_fault = No_domain_fault) ~seed ~scenario ~config ~plan () =
-  let arming = domain_fault <> No_domain_fault && mark_jobs > 1 && collector = Conservative in
-  let config = { config with Cgc.Config.mark_jobs } in
-  let config =
-    (* a tight watchdog keeps detection latency inside the cell's step
-       budget (the default budget is tuned for production paranoia) *)
-    if arming then { config with Cgc.Config.mark_watchdog_budget = 96 } else config
-  in
+let run_scenario ?(steps = 1500) ?(collector = Conservative) ~seed ~scenario ~config ~plan () =
   let w = make_world ~seed ~config ~collector in
-  if arming then w.ops.arm_domain_faults (domain_fault_plans domain_fault);
   (* Precise cells replay a typed trace through the differential session
      (exact view under faults vs a pristine conservative twin); the
      session is built before the plan arms so twin construction cannot
@@ -388,53 +328,6 @@ let run_scenario ?(steps = 1500) ?(collector = Conservative) ?(mark_jobs = 1)
   let recovered = fault_free_alloc_ok w in
   let final_issues = w.ops.audit_final () in
   let stats = w.ops.snapshot () in
-  (* Parallel-marking discipline, checked on the collector that owns the
-     tracer.  Under an armed access plan every mark phase must have taken
-     the typed serial fallback; under commit-only plans (loads and stores
-     never fault) the tracer must really have spawned its domains — an
-     abandoned trace did, so it counts alongside the completed ones. *)
-  let spawned = stats.Cgc.Stats.parallel_marks + stats.Cgc.Stats.mark_abandonments in
-  let final_issues =
-    if collector <> Conservative || mark_jobs <= 1 || stats.Cgc.Stats.collections = 0 then
-      final_issues
-    else if is_access_plan plan && stats.Cgc.Stats.mark_serial_fallbacks = 0 then
-      "parallel marking under an armed access plan never took the typed serial fallback"
-      :: final_issues
-    else if (not (is_access_plan plan)) && spawned = 0 then
-      "commit-fault plan with mark_jobs > 1 never ran a parallel mark phase" :: final_issues
-    else final_issues
-  in
-  (* Domain-failure discipline: an armed cell whose tracer really ran
-     parallel must have injected the fault, and a tripped stall, crash
-     or livelock must have abandoned the trace (a straggler is merely
-     slow — abandoning it is the watchdog's choice).  Under an access
-     plan the tracer is serial up front, so the fault sites are never
-     reached. *)
-  let final_issues =
-    if not arming then final_issues
-    else if stats.Cgc.Stats.collections = 0 then final_issues
-    else if is_access_plan plan then
-      if stats.Cgc.Stats.mark_domain_faults > 0 then
-        "serial fallback under an access plan reached a domain-fault site" :: final_issues
-      else final_issues
-    else if spawned = 0 then final_issues
-    else
-      let issues = final_issues in
-      let issues =
-        if stats.Cgc.Stats.mark_domain_faults = 0 then
-          Printf.sprintf "armed %s cell ran %d parallel marks without tripping the fault"
-            (domain_fault_name domain_fault) spawned
-          :: issues
-        else issues
-      in
-      match domain_fault with
-      | (Stall_fault | Crash_fault | Livelock_fault)
-        when stats.Cgc.Stats.mark_domain_faults > 0 && stats.Cgc.Stats.mark_abandonments = 0 ->
-          Printf.sprintf "%s fault tripped but no trace was abandoned"
-            (domain_fault_name domain_fault)
-          :: issues
-      | _ -> issues
-  in
   (* Typed-differential discipline (precise cells): the pointwise
      invariant — exact retention never exceeds the conservative twin's
      on the same trace — must have held at every completed exact
@@ -457,10 +350,7 @@ let run_scenario ?(steps = 1500) ?(collector = Conservative) ?(mark_jobs = 1)
     collector = collector_name collector;
     scenario;
     plan = plan_name plan;
-    domain_fault = domain_fault_name domain_fault;
     steps;
-    mark_jobs;
-    last_fallback = w.ops.last_fallback ();
     faults_injected = Mem.faults_injected w.mem;
     ooms_caught = !ooms;
     mutator_read_faults = !mut_reads;
@@ -512,16 +402,14 @@ let scenarios_for = function
         ("bounded-stack", { base_config with Cgc.Config.mark_stack_limit = Some 32 });
       ]
 
-let run_matrix ?(steps = 1500) ?(collectors = all_collectors) ?(mark_jobs = 1)
-    ?(domain_fault = No_domain_fault) ~seed () =
+let run_matrix ?(steps = 1500) ?(collectors = all_collectors) ~seed () =
   List.concat_map
     (fun collector ->
       List.concat_map
         (fun (scenario, config) ->
           List.map
             (fun plan ->
-              run_scenario ~steps ~collector ~mark_jobs ~domain_fault ~seed ~scenario ~config
-                ~plan ())
+              run_scenario ~steps ~collector ~seed ~scenario ~config ~plan ())
             (default_plans ~seed @ access_plans ~seed))
         (scenarios_for collector))
     collectors
@@ -529,14 +417,12 @@ let run_matrix ?(steps = 1500) ?(collectors = all_collectors) ?(mark_jobs = 1)
 let pp_outcome ppf o =
   let s = o.stats in
   Format.fprintf ppf
-    "@[<v>%-12s %-16s x %-18s%s: %d steps (jobs %d), %d faults injected, %d OOM caught -> %s@,\
+    "@[<v>%-12s %-16s x %-18s: %d steps, %d faults injected, %d OOM caught -> %s@,\
     \  ladder: %d collects, %d drains, %d trims, %d grows (%d backoffs), %d relax-fp, %d \
      relax-black, %d hooks; %d overrides; %d commit faults, %d raised@,\
     \  access: %d reads (%d mark downgrades) / %d writes faulted; %d mutator reads, %d mutator \
      writes; %d pages decayed, %d alloc retries@]"
-    o.collector o.scenario o.plan
-    (if o.domain_fault = "no-domain-fault" then "" else " + " ^ o.domain_fault)
-    o.steps o.mark_jobs o.faults_injected o.ooms_caught
+    o.collector o.scenario o.plan o.steps o.faults_injected o.ooms_caught
     (if clean o then "clean" else "VIOLATIONS")
     s.Cgc.Stats.ladder_collects s.Cgc.Stats.ladder_drains s.Cgc.Stats.ladder_trims
     s.Cgc.Stats.ladder_expansions s.Cgc.Stats.ladder_backoffs s.Cgc.Stats.ladder_relax_first_page
@@ -544,12 +430,6 @@ let pp_outcome ppf o =
     s.Cgc.Stats.commit_faults s.Cgc.Stats.oom_raised s.Cgc.Stats.read_faults
     s.Cgc.Stats.mark_downgrades s.Cgc.Stats.write_faults o.mutator_read_faults
     o.mutator_write_faults s.Cgc.Stats.pages_decayed s.Cgc.Stats.decay_retries;
-  if o.mark_jobs > 1 && o.collector = "conservative" then
-    Format.fprintf ppf "@,  marking: %d parallel, %d serial fallback (last: %s); %d domain \
-                        faults, %d abandoned"
-      s.Cgc.Stats.parallel_marks s.Cgc.Stats.mark_serial_fallbacks
-      (match o.last_fallback with None -> "none" | Some c -> c)
-      s.Cgc.Stats.mark_domain_faults s.Cgc.Stats.mark_abandonments;
   if o.collector = "precise" then
     Format.fprintf ppf "@,  precise: %d exact collects, %d mark aborts, %d retries, %d stale roots%s"
       s.Cgc.Stats.precise_collections s.Cgc.Stats.precise_mark_aborts

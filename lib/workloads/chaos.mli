@@ -48,46 +48,13 @@ type plan_spec =
 
 val plan_name : plan_spec -> string
 
-val is_access_plan : plan_spec -> bool
-(** Whether the plan faults loads or stores (as opposed to commits):
-    under such a plan a [mark_jobs > 1] run must take the tracer's typed
-    serial fallback. *)
-
 val instantiate : plan_spec -> Cgc_vm.Mem.Fault.plan
-
-(** The marker-domain failure axis, orthogonal to the memory-fault
-    plans: each armed cell injects one {!Cgc.Domain_fault} plan against
-    domain 1 of every parallel mark phase (under a tightened watchdog
-    budget), and additionally audits the fail-stop discipline — armed
-    cells that really marked in parallel must have tripped the fault,
-    a tripped stall, crash or livelock must have abandoned the trace
-    for the serial rerun, and access-plan cells must never reach a
-    fault site. *)
-type domain_fault_spec =
-  | No_domain_fault
-  | Stall_fault  (** victim freezes at an item boundary; the watchdog abandons *)
-  | Crash_fault  (** victim dies at a checkpoint and abandons on its way out *)
-  | Livelock_fault  (** victim freezes holding a claimed item; the watchdog abandons *)
-  | Straggler_fault
-      (** victim is merely slow; the watchdog may abandon the trace or
-          tolerate it, and the marks are exact either way *)
-
-val all_domain_faults : domain_fault_spec list
-val domain_fault_name : domain_fault_spec -> string
-
-val domain_fault_plans : domain_fault_spec -> Cgc.Domain_fault.plan list
-(** The concrete plans an armed cell passes to {!Cgc.Gc.set_domain_faults}. *)
 
 type outcome = {
   collector : string;
   scenario : string;
   plan : string;
-  domain_fault : string;  (** the armed {!domain_fault_spec}'s name *)
   steps : int;
-  mark_jobs : int;  (** marker domains requested of the conservative tracer *)
-  last_fallback : string option;
-      (** how the run's final mark phase ran ("parallel" or the typed
-          fallback cause); [None] when no parallel phase was requested *)
   faults_injected : int;
   ooms_caught : int;  (** [Out_of_memory] surfacing to the mutator — expected under pressure *)
   mutator_read_faults : int;
@@ -119,24 +86,13 @@ val clean : outcome -> bool
 val run_scenario :
   ?steps:int ->
   ?collector:collector ->
-  ?mark_jobs:int ->
-  ?domain_fault:domain_fault_spec ->
   seed:int ->
   scenario:string ->
   config:Cgc.Config.t ->
   plan:plan_spec ->
   unit ->
   outcome
-(** Default collector: {!Conservative} (backward compatible).
-    [mark_jobs] (default 1) overrides [Config.mark_jobs] so the same
-    matrix can run under the parallel tracer; with [mark_jobs > 1] the
-    run additionally asserts the marking discipline — access plans must
-    show the typed serial fallback, commit plans must really have marked
-    in parallel — and any violation lands in [final_issues], so {!clean}
-    catches it.  [domain_fault] (default {!No_domain_fault}) arms the
-    marker-domain failure axis on the conservative collector (ignored
-    for other backends and for [mark_jobs <= 1]), including its
-    recovery-discipline audit. *)
+(** Default collector: {!Conservative}. *)
 
 val base_config : Cgc.Config.t
 (** {!Cgc.Config.default} on a small committed footprint (8 initial
@@ -157,8 +113,6 @@ val access_plans : seed:int -> plan_spec list
 val run_matrix :
   ?steps:int ->
   ?collectors:collector list ->
-  ?mark_jobs:int ->
-  ?domain_fault:domain_fault_spec ->
   seed:int ->
   unit ->
   outcome list
@@ -167,8 +121,6 @@ val run_matrix :
     collector runs all {!default_scenarios}; the generational and
     explicit backends run the eager base configuration; the precise
     backend runs the eager and bounded-mark-stack configurations (the
-    exact marker's two interesting axes).  [mark_jobs] (default 1) and
-    [domain_fault] (default {!No_domain_fault}) are forwarded to every
-    cell. *)
+    exact marker's two interesting axes). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

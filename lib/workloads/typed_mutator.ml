@@ -382,10 +382,10 @@ let twin_backend ~config ~n_ids () =
   let globals =
     Mem.map mem ~name:"twin-globals" ~kind:Segment.Static_data ~base:(Addr.of_int 0x10000) ~size
   in
-  (* the twin is deliberately plain: serial marking, eager sweeps, no
-     fault plan — the conservative reference the precise side under
-     chaos is measured against *)
-  let config = { config with Config.mark_jobs = 1; lazy_sweep = false } in
+  (* the twin is deliberately plain: eager sweeps, no fault plan — the
+     conservative reference the precise side under chaos is measured
+     against *)
+  let config = { config with Config.lazy_sweep = false } in
   let gc =
     Gc.create ~config mem ~base:(Addr.of_int heap_base) ~max_bytes:(8 * 1024 * 1024) ()
   in

@@ -104,26 +104,6 @@ let test_cross_collector_matrix () =
   check bool "faults were injected across the matrix" true
     (List.exists (fun o -> o.Chaos.faults_injected > 0) outcomes)
 
-(* The full 63-cell matrix once more, marked by four domains.  Every
-   cell must stay clean — which, via the discipline check inside
-   [run_scenario], also asserts that access-fault plans forced the
-   tracer's typed serial fallback and that commit-plan cells really
-   marked in parallel. *)
-let test_cross_collector_matrix_jobs4 () =
-  let outcomes = Chaos.run_matrix ~steps:400 ~mark_jobs:4 ~seed:1993 () in
-  List.iter outcome_clean outcomes;
-  Alcotest.(check int) "63 cells ran" 63 (List.length outcomes);
-  List.iter
-    (fun o -> Alcotest.(check int) "jobs recorded" 4 o.Chaos.mark_jobs)
-    outcomes;
-  let conservative = List.filter (fun o -> o.Chaos.collector = "conservative") outcomes in
-  check bool "some conservative cell marked in parallel" true
-    (List.exists (fun o -> o.Chaos.stats.Cgc.Stats.parallel_marks > 0) conservative);
-  check bool "some access-plan cell took the typed serial fallback" true
-    (List.exists
-       (fun o -> o.Chaos.stats.Cgc.Stats.mark_serial_fallbacks > 0)
-       conservative)
-
 let access_cell ?(collector = Chaos.Conservative) ~plan ~expect_faults () =
   let o =
     Chaos.run_scenario ~steps:900 ~collector ~seed:404 ~scenario:"eager"
@@ -241,8 +221,6 @@ let () =
         [
           Alcotest.test_case "full collector x plan matrix clean" `Slow
             test_cross_collector_matrix;
-          Alcotest.test_case "full matrix clean at mark_jobs=4" `Slow
-            test_cross_collector_matrix_jobs4;
           Alcotest.test_case "read-chance plan downgrades, survives" `Quick test_read_chance_fires;
           Alcotest.test_case "read-decay plan survives" `Quick test_read_decay_survived;
           Alcotest.test_case "write-decay quarantines pages" `Quick test_write_decay_quarantines;

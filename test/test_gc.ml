@@ -210,9 +210,23 @@ let test_config_validation () =
   reject "zero divisor" { Config.default with Config.space_divisor = 0 };
   reject "tiny mark stack" { Config.default with Config.mark_stack_limit = Some 4 };
   reject "zero buckets" { Config.default with Config.blacklist_buckets = Some 0 };
-  reject "zero watchdog budget" { Config.default with Config.mark_watchdog_budget = 0 };
-  reject "negative watchdog budget" { Config.default with Config.mark_watchdog_budget = -3 };
   Config.validate Config.default
+
+(* The parallel tracer's watchdog budget is an argument of its entry
+   point, validated there before any domain spawns. *)
+let test_watchdog_budget_validation () =
+  let _, _, gc = make_env () in
+  let reject name watchdog_budget =
+    check bool name true
+      (try
+         ignore (Gc.Internal.run_mark_parallel ~watchdog_budget gc ~jobs:2);
+         false
+       with Invalid_argument _ -> true)
+  in
+  reject "zero watchdog budget" 0;
+  reject "negative watchdog budget" (-3);
+  let o = Gc.Internal.run_mark_parallel ~watchdog_budget:1 gc ~jobs:2 in
+  check int "budget 1 accepted" 2 o.Cgc.Mark.Parallel.jobs_requested
 
 let test_pp_smoke () =
   (* the printers terminate and emit text *)
@@ -1149,44 +1163,18 @@ let test_stats_counters () =
   check bool "words were scanned" true (s.Stats.words_scanned > 0);
   check bool "a valid ref was seen" true (s.Stats.valid_refs >= 1)
 
-(* The phase timers read the wall clock: with two marker domains the
-   mark phase burns about twice its wall time in process CPU time, and
-   [mark_seconds] must not count the helper's share.  A rooted binary
-   tree of 2^17 nodes gives the helper domain work to steal and makes
-   the mark phase dominate each collection. *)
-let test_stats_mark_seconds_wall_clock () =
-  let config = { Config.default with Config.mark_jobs = 2 } in
-  let _, globals, gc = make_env ~config ~heap_kb:8192 () in
-  let n = 1 lsl 17 in
-  let nodes = Array.init n (fun _ -> Gc.allocate gc 8) in
-  for i = 0 to (n / 2) - 2 do
-    Gc.set_field gc nodes.(i) 0 (Addr.to_int nodes.((2 * i) + 1));
-    Gc.set_field gc nodes.(i) 1 (Addr.to_int nodes.((2 * i) + 2))
-  done;
-  set_slot globals 0 (Addr.to_int nodes.(0));
-  let s = Gc.stats gc in
-  let mark0 = s.Stats.mark_seconds in
-  let t0 = Stats.now_s () in
-  for _ = 1 to 5 do
-    Gc.collect gc
-  done;
-  let wall = Stats.now_s () -. t0 in
-  check bool "the tracer ran in parallel" true (s.Stats.parallel_marks > 0);
-  let marked = s.Stats.mark_seconds -. mark0 in
-  if marked > wall then
-    Alcotest.failf "mark_seconds grew by %.6fs over %.6fs of wall time" marked wall
-
 (* [header_cache_hits] counts classification lookups only, so it can
    never exceed the in-heap candidates classified ([valid_refs] +
    [false_refs]).  A rooted linked list of 8-byte cells keeps each
    scanned cell and its successor on the same page, where an object-scan
    lookup would also count as a hit and push the ratio towards 2.  Two
-   uncommitted-region words in the globals add false references. *)
+   uncommitted-region words in the globals add false references.  Both
+   tracers keep the count: a serial collection and a two-domain parallel
+   mark. *)
 let test_stats_header_cache_hits_per_lookup () =
   List.iter
-    (fun jobs ->
-      let config = { Config.default with Config.mark_jobs = jobs } in
-      let _, globals, gc = make_env ~config () in
+    (fun (label, mark) ->
+      let _, globals, gc = make_env () in
       let n = 4096 in
       let head = Gc.allocate gc 8 in
       let prev = ref head in
@@ -1202,16 +1190,18 @@ let test_stats_header_cache_hits_per_lookup () =
       let hits0 = s.Stats.header_cache_hits
       and valid0 = s.Stats.valid_refs
       and false0 = s.Stats.false_refs in
-      Gc.collect gc;
+      mark gc;
       let hits = s.Stats.header_cache_hits - hits0
       and classified = s.Stats.valid_refs - valid0 + (s.Stats.false_refs - false0) in
-      let label = Printf.sprintf "mark_jobs=%d" jobs in
       check bool (label ^ ": every cell was classified") true (classified >= n);
       check bool (label ^ ": the cache hit") true (hits > 0);
       if hits > classified then
         Alcotest.failf "%s: %d header-cache hits over %d classified references" label hits
           classified)
-    [ 1; 2 ]
+    [
+      ("serial collect", Gc.collect);
+      ("parallel mark, jobs=2", fun gc -> ignore (Gc.Internal.run_mark_parallel gc ~jobs:2));
+    ]
 
 (* [merge_marking] is a *transfer*: it folds a shard's trace counters
    into the target and zeroes the shard, so double-merging a shard is
@@ -1318,6 +1308,7 @@ let () =
           Alcotest.test_case "boundary sizes" `Quick test_boundary_sizes;
           Alcotest.test_case "many classes" `Quick test_many_classes_interleaved;
           Alcotest.test_case "config validation" `Quick test_config_validation;
+          Alcotest.test_case "watchdog budget validation" `Quick test_watchdog_budget_validation;
           Alcotest.test_case "printers" `Quick test_pp_smoke;
         ] );
       ( "reachability",
@@ -1420,8 +1411,6 @@ let () =
             test_stats_merge_marking_empty_shard;
           Alcotest.test_case "merge_marking: transfer + double-merge idempotence" `Quick
             test_stats_merge_marking_double_merge;
-          Alcotest.test_case "mark_seconds is wall time with two marker domains" `Quick
-            test_stats_mark_seconds_wall_clock;
           Alcotest.test_case "header-cache hits count classification lookups only" `Quick
             test_stats_header_cache_hits_per_lookup;
         ] );

@@ -91,7 +91,7 @@ let scenario_gen =
         s_big_endian = big_endian;
       })
 
-let build ?(tweak = fun c -> c) s =
+let build s =
   let mem =
     Mem.create ~endian:(if s.s_big_endian then Endian.Big else Endian.Little) ()
   in
@@ -99,16 +99,15 @@ let build ?(tweak = fun c -> c) s =
     Mem.map mem ~name:"roots" ~kind:Segment.Static_data ~base:(Addr.of_int 0x10000) ~size:0x1000
   in
   let config =
-    tweak
-      {
-        Config.default with
-        Config.alignment = s.s_alignment;
-        interior_pointers = s.s_interior;
-        valid_displacements = s.s_disps;
-        mark_stack_limit = s.s_limit;
-        blacklist_buckets = (if s.s_hashed then Some 61 else None);
-        initial_pages = 16;
-      }
+    {
+      Config.default with
+      Config.alignment = s.s_alignment;
+      interior_pointers = s.s_interior;
+      valid_displacements = s.s_disps;
+      mark_stack_limit = s.s_limit;
+      blacklist_buckets = (if s.s_hashed then Some 61 else None);
+      initial_pages = 16;
+    }
   in
   let gc = Gc.create ~config mem ~base:(Addr.of_int heap_base) ~max_bytes:heap_bytes () in
   Gc.set_auto_collect gc false;
@@ -311,7 +310,6 @@ let prop_parallel_recovers_from_domain_faults =
       let ser1 = state gc_ser in
       Gc.Internal.run_mark gc_ser;
       let ser2 = state gc_ser in
-      let tweak c = { c with Config.mark_watchdog_budget = 8 } in
       let plans jobs =
         [
           ([ DF.plan ~domain:1 (DF.Stall { after_claims = 2 }) ], true);
@@ -347,11 +345,11 @@ let prop_parallel_recovers_from_domain_faults =
         (fun jobs ->
           List.for_all
             (fun (faults, strict) ->
-              let gc_par = build ~tweak s in
+              let gc_par = build s in
               let st = Gc.stats gc_par in
               let cycle ~strict (ser0, ser) par0 =
                 let faults_before = st.Stats.mark_domain_faults in
-                let o = Gc.Internal.run_mark_parallel ~faults gc_par ~jobs in
+                let o = Gc.Internal.run_mark_parallel ~faults ~watchdog_budget:8 gc_par ~jobs in
                 let tripped = st.Stats.mark_domain_faults > faults_before in
                 let par = state gc_par in
                 let ok =
@@ -395,9 +393,8 @@ let prop_quorum_break_degrades_to_serial =
       let jobs = 2 in
       (* default watchdog budget: the crash, not a watchdog suspicion of
          a domain still spawning, must be what breaks the quorum *)
-      let tweak c = { c with Config.mark_jobs = jobs } in
       let faults = [ DF.plan ~domain:1 (DF.Crash { at_step = 1 }) ] in
-      let gc_par = build ~tweak s in
+      let gc_par = build s in
       let o1 = Gc.Internal.run_mark_parallel ~faults gc_par ~jobs in
       let st1 = state gc_par in
       let o2 = Gc.Internal.run_mark_parallel ~faults gc_par ~jobs in
@@ -415,14 +412,14 @@ let prop_quorum_break_degrades_to_serial =
 
 (* An abandoned attempt must leave the blacklist untouched: its cycle
    rotation happens only in the success epilogue, so the serial rerun
-   ages entries exactly once per collection.  Two full [Gc.collect]s
+   ages entries exactly once per collection.  Two mark-and-sweep cycles
    with domain 1 crashing at its first checkpoint (every attempt is
    abandoned) leave blacklist count, ops and pages equal to a serial
-   twin's — a rotation before the trace would show up as one extra op
-   per collection. *)
+   twin's full [Gc.collect]s — a rotation before the trace would show
+   up as one extra op per collection. *)
 let prop_abandoned_collect_keeps_blacklist_aging =
   QCheck.Test.make ~count:40
-    ~name:"abandoned traces leave blacklist aging == serial (two Gc.collects)" scenario_arb
+    ~name:"abandoned traces leave blacklist aging == serial (two collections)" scenario_arb
     (fun s ->
       let blacklist_state gc =
         let bl = Gc.blacklist gc in
@@ -431,20 +428,46 @@ let prop_abandoned_collect_keeps_blacklist_aging =
         (Blacklist.count bl, Blacklist.ops bl, List.rev !pages)
       in
       let gc_ser = build s in
-      let gc_par =
-        build ~tweak:(fun c -> { c with Config.mark_jobs = 2; mark_watchdog_budget = 8 }) s
-      in
-      Gc.set_domain_faults gc_par [ DF.plan ~domain:1 (DF.Crash { at_step = 1 }) ];
+      let gc_par = build s in
+      let faults = [ DF.plan ~domain:1 (DF.Crash { at_step = 1 }) ] in
       List.for_all
         (fun _ ->
           Gc.collect gc_ser;
-          Gc.collect gc_par;
+          let o = Gc.Internal.run_mark_parallel ~faults ~watchdog_budget:8 gc_par ~jobs:2 in
+          let (_ : Cgc.Sweep.result) = Gc.Internal.run_sweep gc_par in
           blacklist_state gc_par = blacklist_state gc_ser
-          &&
-          match Gc.last_mark_outcome gc_par with
-          | Some o -> o.Parallel.fallback = Some Parallel.Domain_failed
-          | None -> false)
+          && o.Parallel.fallback = Some Parallel.Domain_failed)
         [ 1; 2 ])
+
+(* The up-front fallback: with a [Mem.Fault] read plan armed, a jobs = 2
+   request spawns no domain (trip streams are stateful and cannot be
+   raced) and the serial scanner runs under the plan instead.  Marks,
+   blacklist, the marking tallies and the downgraded reads equal a
+   serial [run_mark] of a twin under an identical plan; the outcome
+   says [Access_plan_armed] with one domain used, the fallback is
+   counted once, and the post-parallel-mark audit passes. *)
+let prop_access_plan_falls_back_to_serial =
+  QCheck.Test.make ~count:60 ~name:"armed access plan == serial run_mark (Access_plan_armed)"
+    scenario_arb
+    (fun s ->
+      let arm gc =
+        Mem.set_fault_plan (Gc.mem gc)
+          (Some (Mem.Fault.plan ~probability:(0.05, 7) ~target:Mem.Fault.Reads ()))
+      in
+      let state gc = (mark_state gc, (Gc.stats gc).Stats.mark_downgrades) in
+      let gc_ser = build s in
+      arm gc_ser;
+      Gc.Internal.run_mark gc_ser;
+      let gc_par = build s in
+      arm gc_par;
+      let st = Gc.stats gc_par in
+      let fallbacks0 = st.Stats.mark_serial_fallbacks in
+      let o = Gc.Internal.run_mark_parallel gc_par ~jobs:2 in
+      o.Parallel.fallback = Some Parallel.Access_plan_armed
+      && o.Parallel.domains_used = 1
+      && state gc_par = state gc_ser
+      && st.Stats.mark_serial_fallbacks = fallbacks0 + 1
+      && Cgc.Verify.check_parallel_mark gc_par = [])
 
 (* --- the generational minor's young scope -------------------------- *)
 
@@ -719,6 +742,7 @@ let suite =
       prop_parallel_recovers_from_domain_faults;
       prop_quorum_break_degrades_to_serial;
       prop_abandoned_collect_keeps_blacklist_aging;
+      prop_access_plan_falls_back_to_serial;
       prop_minor_keeps_young_scope;
     ]
 
