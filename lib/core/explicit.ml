@@ -31,7 +31,7 @@ let carve_page t index ~granules =
   let object_bytes = Size_class.bytes_of_granules t.sizes granules in
   let n_objects = Size_class.objects_per_page t.sizes ~granules ~first_offset:0 in
   Heap.set_page t.heap index
-    (Page.make_small ~granules ~object_bytes ~pointer_free:false ~first_offset:0 ~n_objects);
+    (Page.make_small ~granules ~object_bytes ~layout:Page.Conservative ~first_offset:0 ~n_objects);
   let base = Addr.to_int (Heap.page_addr t.heap index) in
   let slots = List.init n_objects (fun i -> base + (i * object_bytes)) in
   Free_list.prepend_block t.free_lists ~granules slots
@@ -84,7 +84,7 @@ let malloc_large t bytes =
       | true -> ()
       | false -> raise (Out_of_memory "explicit allocator: cannot commit large object")
       | exception Mem.Commit_failed { reason; _ } -> raise (refused reason));
-      Heap.set_page t.heap start (Page.make_large ~n_pages:n ~object_bytes:bytes ~pointer_free:false);
+      Heap.set_page t.heap start (Page.make_large ~n_pages:n ~object_bytes:bytes ~layout:Page.Conservative);
       for j = start + 1 to start + n - 1 do
         Heap.set_page t.heap j (Page.Large_tail { head_index = start })
       done;

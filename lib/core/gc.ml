@@ -6,10 +6,14 @@ type t = {
   sizes : Size_class.t;
   heap : Heap.t;
   blacklist : Blacklist.t;
-  (* allocation cursors, indexed by [class_slot]; -1 = no page *)
-  cursor_page : int array; (* the page the class allocates from *)
-  cursor_slot : int array; (* first slot of [cursor_page] not yet probed *)
-  chain : int array; (* the next page of the class's chain *)
+  (* allocation cursors, indexed by [slot_of]; -1 = no page *)
+  mutable cursor_page : int array; (* the page the class allocates from *)
+  mutable cursor_slot : int array; (* first slot of [cursor_page] not yet probed *)
+  mutable chain : int array; (* the next page of the class's chain *)
+  mutable typed : (int * Page.layout) array;
+      (* typed layouts with their granules, in registration order;
+         [typed.(k)] owns cursor slot [typed_base + k] *)
+  typed_base : int;
   next_open : int array; (* per page: the page after it in its class's chain *)
   roots : Roots.t;
   finalize : Finalize.t;
@@ -124,6 +128,8 @@ let create ?(config = Config.default) mem ~base ~max_bytes () =
       cursor_page = Array.make n_class_slots (-1);
       cursor_slot = Array.make n_class_slots 0;
       chain = Array.make n_class_slots (-1);
+      typed = [||];
+      typed_base = n_class_slots;
       next_open = Array.make (Heap.n_pages heap) (-1);
       roots = Roots.create ();
       finalize = Finalize.create ();
@@ -169,14 +175,40 @@ let quarantined t i = Bitset.mem t.decayed_pages i
 (* --- the allocation cursors ---
 
    The page alloc bitmaps are the free lists.  Each (size class,
-   pointer_free) pair has a cursor (page, slot) that finds the next
-   clear alloc bit a word at a time.  After a sweep, [reopen] links each
+   pointer_free) pair, and each typed layout, has a cursor (page, slot)
+   that finds the next clear alloc bit a word at a time.  (A typed
+   layout has one size, so one cursor; it is registered on first use,
+   after the size-class slots.)  After a sweep, [reopen] links each
    class's open small pages into an address-ordered chain; the cursor
    walks its chain, then a freshly carved page.  So allocation hands out
    the lowest free address first across the class's pages, then the new
    page's slots in ascending order. *)
 
-let class_slot ~granules ~pointer_free = (2 * granules) + Bool.to_int pointer_free
+let rec typed_index t desc k =
+  if k = Array.length t.typed then -1
+  else
+    match t.typed.(k) with
+    | _, Page.Typed d when d == desc || d = desc -> k
+    | _, (Page.Typed _ | Page.Conservative | Page.Pointer_free) -> typed_index t desc (k + 1)
+
+(* The registered layout value of a typed descriptor, which every page
+   of the layout carries; registered, with a cursor, on first use. *)
+let typed_layout t desc =
+  if typed_index t desc 0 < 0 then begin
+    let granules = Size_class.granules_for t.sizes desc.Type_desc.size_bytes in
+    t.typed <- Array.append t.typed [| (granules, Page.Typed desc) |];
+    t.cursor_page <- Array.append t.cursor_page [| -1 |];
+    t.cursor_slot <- Array.append t.cursor_slot [| 0 |];
+    t.chain <- Array.append t.chain [| -1 |]
+  end;
+  snd t.typed.(typed_index t desc 0)
+
+let slot_of t ~granules = function
+  | Page.Conservative -> 2 * granules
+  | Page.Pointer_free -> (2 * granules) + 1
+  | Page.Typed desc -> t.typed_base + typed_index t desc 0
+
+let page_slot t (s : Page.small) = slot_of t ~granules:s.Page.granules s.Page.layout
 
 (* Relink every class's chain over the open small pages: those neither
    quarantined nor [closed].  Every cursor starts over at the head of
@@ -187,7 +219,7 @@ let reopen ?(closed = fun _ -> false) t =
   for i = Heap.committed_pages t.heap - 1 downto 0 do
     match Heap.page t.heap i with
     | Page.Small s when not (quarantined t i || closed i) ->
-        let c = class_slot ~granules:s.Page.granules ~pointer_free:s.Page.pointer_free in
+        let c = page_slot t s in
         t.next_open.(i) <- t.chain.(c);
         t.chain.(c) <- i
     | Page.Small _ | Page.Uncommitted | Page.Free | Page.Large_head _ | Page.Large_tail _ -> ()
@@ -196,7 +228,7 @@ let reopen ?(closed = fun _ -> false) t =
 (* Close page [i] to its class's cursor: the cursor leaves it, and the
    rest of the chain lies past it already. *)
 let close_page t i (s : Page.small) =
-  let c = class_slot ~granules:s.Page.granules ~pointer_free:s.Page.pointer_free in
+  let c = page_slot t s in
   if t.cursor_page.(c) = i then t.cursor_page.(c) <- -1
 
 (* Whether page [p] is still a small page of class [c]: since the chain
@@ -205,7 +237,7 @@ let close_page t i (s : Page.small) =
    a cursor is on, and [close_page] moves that cursor off it.) *)
 let owns t c p =
   match Heap.page t.heap p with
-  | Page.Small s -> class_slot ~granules:s.Page.granules ~pointer_free:s.Page.pointer_free = c
+  | Page.Small s -> page_slot t s = c
   | Page.Uncommitted | Page.Free | Page.Large_head _ | Page.Large_tail _ -> false
 
 (* Move class [c]'s cursor to the next page of its chain it still owns.
@@ -341,7 +373,7 @@ let maybe_collect t =
 
 (* Whether the blacklist permits giving page [i] to this allocation.
    [Tier_any] accepts any page; overrides are counted at placement. *)
-let page_ok t ~pointer_free ~small ~tier i =
+let page_ok t ~layout ~small ~tier i =
   if Bitset.mem t.decayed_pages i then false
   else if not t.config.Config.blacklisting then true
   else begin
@@ -350,7 +382,7 @@ let page_ok t ~pointer_free ~small ~tier i =
     | Tier_any -> true
     | Tier_strict | Tier_first_page ->
         if Blacklist.is_black t.blacklist i then begin
-          if small && pointer_free && t.config.Config.atomic_on_black_pages then true
+          if small && layout = Page.Pointer_free && t.config.Config.atomic_on_black_pages then true
           else begin
             t.stats.Stats.blacklist_rejected_pages <- t.stats.Stats.blacklist_rejected_pages + 1;
             false
@@ -374,13 +406,13 @@ let first_offset_for t page_index =
       let addr = Heap.page_addr t.heap page_index in
       if Addr.trailing_zeros addr >= k then t.config.Config.granule else 0
 
-let carve_small_page t index ~granules ~pointer_free =
+let carve_small_page t index ~granules ~layout =
   let first_offset = first_offset_for t index in
   let object_bytes = Size_class.bytes_of_granules t.sizes granules in
   let n_objects = Size_class.objects_per_page t.sizes ~granules ~first_offset in
   Heap.set_page t.heap index
-    (Page.make_small ~granules ~object_bytes ~pointer_free ~first_offset ~n_objects);
-  let c = class_slot ~granules ~pointer_free in
+    (Page.make_small ~granules ~object_bytes ~layout ~first_offset ~n_objects);
+  let c = slot_of t ~granules layout in
   t.cursor_page.(c) <- index;
   t.cursor_slot.(c) <- 0
 
@@ -401,11 +433,11 @@ let commit_fresh_page t ~ok =
   in
   go (Heap.committed_pages t.heap)
 
-let try_acquire_small_page t ~granules ~pointer_free ~tier ~note_fault =
+let try_acquire_small_page t ~granules ~layout ~tier ~note_fault =
   (* before taking a brand-new page, finish any deferred sweeping: it
      may free whole pages *)
   if t.config.Config.lazy_sweep then ignore (drain_pending_sweeps t);
-  let ok = page_ok t ~pointer_free ~small:true ~tier in
+  let ok = page_ok t ~layout ~small:true ~tier in
   let found =
     match Heap.find_free_page t.heap ~ok with
     | Some i -> Some i
@@ -420,7 +452,7 @@ let try_acquire_small_page t ~granules ~pointer_free ~tier ~note_fault =
   | None -> false
   | Some i ->
       if tier = Tier_any then count_overrides t ~lo:i ~hi:(i + 1);
-      carve_small_page t i ~granules ~pointer_free;
+      carve_small_page t i ~granules ~layout;
       true
 
 (* Ladder rung: grow the committed heap by a batch of pages, halving the
@@ -458,7 +490,7 @@ let grow_with_backoff t ~need_pages ~note_fault =
    trim + retry, grow with capped backoff, blacklist relaxation
    (opt-in, [Config.relax_blacklist]), the registered out-of-memory
    hook, and finally a structured raise carrying the diagnosis. *)
-let run_ladder t ~request_bytes ~request_pages ~small ~pointer_free ~attempt =
+let run_ladder t ~request_bytes ~request_pages ~small ~layout ~attempt =
   let stats = t.stats in
   let rungs = ref [] in
   let faults = ref 0 in
@@ -564,7 +596,7 @@ let run_ladder t ~request_bytes ~request_pages ~small ~pointer_free ~attempt =
              request_bytes;
              request_pages;
              small;
-             pointer_free;
+             pointer_free = layout = Page.Pointer_free;
              pages_reserved = Heap.n_pages t.heap;
              pages_committed = Heap.committed_pages t.heap;
              pages_free = free;
@@ -613,11 +645,11 @@ let quarantine_object t base =
 
 (* The miss path: the cursor's page is used up, so walk the rest of the
    chain, then carve a page, climbing the ladder as needed. *)
-let allocate_small_miss t ~granules ~pointer_free c =
+let allocate_small_miss t ~granules ~layout c =
   let attempt ~tier ~note_fault =
     let a = take_from_chain t c in
     if a >= 0 then Some a
-    else if try_acquire_small_page t ~granules ~pointer_free ~tier ~note_fault then begin
+    else if try_acquire_small_page t ~granules ~layout ~tier ~note_fault then begin
       let a = take_slot t c in
       if a >= 0 then Some a else None
     end
@@ -625,12 +657,12 @@ let allocate_small_miss t ~granules ~pointer_free c =
   in
   run_ladder t
     ~request_bytes:(Size_class.bytes_of_granules t.sizes granules)
-    ~request_pages:1 ~small:true ~pointer_free ~attempt
+    ~request_pages:1 ~small:true ~layout ~attempt
 
-let allocate_small t ~granules ~pointer_free =
-  let c = class_slot ~granules ~pointer_free in
+let allocate_small t ~granules ~layout =
+  let c = slot_of t ~granules layout in
   let a = take_slot t c in
-  if a >= 0 then a else allocate_small_miss t ~granules ~pointer_free c
+  if a >= 0 then a else allocate_small_miss t ~granules ~layout c
 
 (* Blacklist acceptability for one page of a large object: when interior
    pointers are recognized everywhere (and the tier is strict), no page
@@ -657,7 +689,7 @@ let large_page_ok t ~tier ~start i =
         else true
   end
 
-let allocate_large t ~bytes ~pointer_free =
+let allocate_large t ~bytes ~layout =
   let page_size = Heap.page_size t.heap in
   let n = (bytes + page_size - 1) / page_size in
   (* find_free_run probes pages left to right, so the "start" of the
@@ -705,7 +737,7 @@ let allocate_large t ~bytes ~pointer_free =
               t.stats.Stats.heap_expansions <- t.stats.Stats.heap_expansions + 1;
             if tier <> Tier_strict then count_overrides t ~lo:start ~hi:(start + n);
             Heap.set_page t.heap start
-              (Page.make_large ~n_pages:n ~object_bytes:bytes ~pointer_free);
+              (Page.make_large ~n_pages:n ~object_bytes:bytes ~layout);
             for j = start + 1 to start + n - 1 do
               Heap.set_page t.heap j (Page.Large_tail { head_index = start })
             done;
@@ -720,11 +752,11 @@ let allocate_large t ~bytes ~pointer_free =
     if t.config.Config.lazy_sweep then ignore (drain_pending_sweeps t);
     place ~tier ~note_fault
   in
-  run_ladder t ~request_bytes:bytes ~request_pages:n ~small:false ~pointer_free ~attempt
+  run_ladder t ~request_bytes:bytes ~request_pages:n ~small:false ~layout ~attempt
 
-let alloc_once t ~small ~bytes ~pointer_free =
-  if small then allocate_small t ~granules:(Size_class.granules_for t.sizes bytes) ~pointer_free
-  else allocate_large t ~bytes ~pointer_free
+let alloc_once t ~small ~bytes ~layout =
+  if small then allocate_small t ~granules:(Size_class.granules_for t.sizes bytes) ~layout
+  else allocate_large t ~bytes ~layout
 
 (* Zero the new object, retrying a transient write fault in place up to
    [transient_left] times; [false] when the memory decayed or kept
@@ -740,18 +772,18 @@ let rec zeroed t base rounded transient_left =
       && transient_left > 0
       && zeroed t base rounded (transient_left - 1)
 
-let rec obtain_zeroed t ~small ~bytes ~rounded ~pointer_free =
-  let base = alloc_once t ~small ~bytes ~pointer_free in
+let rec obtain_zeroed t ~small ~bytes ~rounded ~layout =
+  let base = alloc_once t ~small ~bytes ~layout in
   if zeroed t base rounded 2 then base
   else begin
     t.stats.Stats.decay_retries <- t.stats.Stats.decay_retries + 1;
     quarantine_object t base;
-    match obtain_zeroed t ~small ~bytes ~rounded ~pointer_free with
+    match obtain_zeroed t ~small ~bytes ~rounded ~layout with
     | b -> b
     | exception Out_of_memory d -> raise (Out_of_memory { d with memory_decayed = true })
   end
 
-let allocate ?(pointer_free = false) ?finalizer t bytes =
+let allocate_layout ?finalizer t ~layout bytes =
   if bytes <= 0 then invalid_arg "Gc.allocate: non-positive size";
   maybe_collect t;
   let small = Size_class.is_small t.sizes bytes in
@@ -760,8 +792,8 @@ let allocate ?(pointer_free = false) ?finalizer t bytes =
     else bytes
   in
   let base =
-    if t.config.Config.zero_on_alloc then obtain_zeroed t ~small ~bytes ~rounded ~pointer_free
-    else alloc_once t ~small ~bytes ~pointer_free
+    if t.config.Config.zero_on_alloc then obtain_zeroed t ~small ~bytes ~rounded ~layout
+    else alloc_once t ~small ~bytes ~layout
   in
   t.stats.Stats.bytes_allocated <- t.stats.Stats.bytes_allocated + rounded;
   t.stats.Stats.objects_allocated <- t.stats.Stats.objects_allocated + 1;
@@ -770,6 +802,18 @@ let allocate ?(pointer_free = false) ?finalizer t bytes =
   | Some token -> Finalize.register t.finalize base ~token
   | None -> ());
   base
+
+let allocate ?(pointer_free = false) ?finalizer t bytes =
+  allocate_layout ?finalizer t
+    ~layout:(if pointer_free then Page.Pointer_free else Page.Conservative)
+    bytes
+
+(* An atomic descriptor has nothing to read: it allocates pointer-free. *)
+let allocate_typed ?finalizer t desc =
+  let layout =
+    if Type_desc.is_atomic desc then Page.Pointer_free else typed_layout t desc
+  in
+  allocate_layout ?finalizer t ~layout desc.Type_desc.size_bytes
 
 (* --- object access and exact queries --- *)
 
@@ -807,14 +851,7 @@ let is_allocated t addr =
   | None -> false
 
 let object_size t addr =
-  if not (is_allocated t addr) then None
-  else begin
-    let index = Heap.page_index t.heap addr in
-    match Heap.page t.heap index with
-    | Page.Small s -> Some s.Page.object_bytes
-    | Page.Large_head l -> Some l.Page.object_bytes
-    | Page.Uncommitted | Page.Free | Page.Large_tail _ -> None
-  end
+  if is_allocated t addr then Some (fst (Heap.object_layout t.heap addr)) else None
 
 (* --- finalization --- *)
 
@@ -832,10 +869,18 @@ module Internal = struct
   let marker t = t.marker
   let reopen = reopen
 
+  let allocate_typed = allocate_typed
+
   let cursor_pages t =
     let pages = ref [] in
     Array.iteri
-      (fun c p -> if p >= 0 then pages := (c / 2, c mod 2 = 1, p) :: !pages)
+      (fun c p ->
+        if p >= 0 then
+          let granules, layout =
+            if c >= t.typed_base then t.typed.(c - t.typed_base)
+            else (c / 2, if c mod 2 = 1 then Page.Pointer_free else Page.Conservative)
+          in
+          pages := (granules, layout, p) :: !pages)
       t.cursor_page;
     List.rev !pages
 

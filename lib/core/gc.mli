@@ -209,13 +209,19 @@ module Internal : sig
 
   val reopen : ?closed:(int -> bool) -> t -> unit
   (** Relink the allocation cursors' page chains after a sweep: each
-      (size class, pointer_free) pair walks its small pages in address
-      order, skipping quarantined pages and those [closed] names (the
-      generational minor sweep closes old pages). *)
+      (size class, pointer_free) pair and typed layout walks its small
+      pages in address order, skipping quarantined pages and those
+      [closed] names (the generational minor sweep closes old pages). *)
 
-  val cursor_pages : t -> (int * bool * int) list
-  (** [(granules, pointer_free, page)] for every class whose allocation
-      cursor names a page.  For {!Verify}. *)
+  val allocate_typed : ?finalizer:string -> t -> Type_desc.t -> Addr.t
+  (** {!allocate} [desc.size_bytes] on a page typed with [desc] (a small
+      one carved for the layout alone, with a cursor of its own), whose
+      pointer words are all the marker reads.  An atomic descriptor
+      allocates [pointer_free].  For {!Precise}. *)
+
+  val cursor_pages : t -> (int * Page.layout * int) list
+  (** [(granules, layout, page)] for every size class and typed layout
+      whose allocation cursor names a page.  For {!Verify}. *)
 
   val run_mark : t -> unit
   (** Mark phase only (no sweep): leaves mark bits set for inspection. *)

@@ -15,7 +15,8 @@ type desc = {
   d_recip_mul : int array;  (** small pages: [reciprocal] of the object size *)
   d_recip_shift : int array;
   d_head : int array;  (** large tail -> head page; otherwise the page itself *)
-  d_pointer_free : Bytes.t;  (** 1 = never scanned *)
+  d_scan : Bytes.t;  (** [Page.scan_code] of the page's layout *)
+  d_pointer_offsets : int array array;  (** typed pages: the layout's pointer offsets *)
   d_alloc : Bitset.t array;  (** shared with the [Page.Small] record *)
   d_mark : Bitset.t array;
   d_large : Page.large array;  (** shared with the [Page.Large_head] record *)
@@ -60,11 +61,17 @@ let make_desc n_pages =
     d_recip_mul = Array.make n_pages 0;
     d_recip_shift = Array.make n_pages 0;
     d_head = Array.init n_pages Fun.id;
-    d_pointer_free = Bytes.make n_pages '\001';
+    d_scan = Bytes.make n_pages (Page.scan_code Page.Pointer_free);
+    d_pointer_offsets = Array.make n_pages [||];
     d_alloc = Array.make n_pages empty_bits;
     d_mark = Array.make n_pages empty_bits;
     d_large = Array.make n_pages Page.dummy_large;
   }
+
+let set_layout d i (layout : Page.layout) =
+  Bytes.set d.d_scan i (Page.scan_code layout);
+  d.d_pointer_offsets.(i) <-
+    (match layout with Page.Typed desc -> desc.Type_desc.pointer_offsets | _ -> [||])
 
 let sync_desc t i (p : Page.t) =
   let d = t.desc in
@@ -77,7 +84,7 @@ let sync_desc t i (p : Page.t) =
       d.d_first_offset.(i) <- 0;
       d.d_n_objects.(i) <- 0;
       d.d_head.(i) <- i;
-      Bytes.set d.d_pointer_free i '\001';
+      set_layout d i Page.Pointer_free;
       d.d_alloc.(i) <- empty_bits;
       d.d_mark.(i) <- empty_bits;
       d.d_large.(i) <- Page.dummy_large
@@ -89,7 +96,7 @@ let sync_desc t i (p : Page.t) =
        d.d_recip_mul.(i) <- m;
        d.d_recip_shift.(i) <- sh);
       d.d_head.(i) <- i;
-      Bytes.set d.d_pointer_free i (if s.Page.pointer_free then '\001' else '\000');
+      set_layout d i s.Page.layout;
       d.d_alloc.(i) <- s.Page.alloc;
       d.d_mark.(i) <- s.Page.mark;
       d.d_large.(i) <- Page.dummy_large
@@ -98,7 +105,7 @@ let sync_desc t i (p : Page.t) =
       d.d_first_offset.(i) <- 0;
       d.d_n_objects.(i) <- 1;
       d.d_head.(i) <- i;
-      Bytes.set d.d_pointer_free i (if l.Page.l_pointer_free then '\001' else '\000');
+      set_layout d i l.Page.l_layout;
       d.d_alloc.(i) <- empty_bits;
       d.d_mark.(i) <- empty_bits;
       d.d_large.(i) <- l
@@ -107,7 +114,7 @@ let sync_desc t i (p : Page.t) =
       d.d_first_offset.(i) <- 0;
       d.d_n_objects.(i) <- 0;
       d.d_head.(i) <- head_index;
-      Bytes.set d.d_pointer_free i '\001';
+      set_layout d i Page.Pointer_free;
       d.d_alloc.(i) <- empty_bits;
       d.d_mark.(i) <- empty_bits;
       d.d_large.(i) <- Page.dummy_large
@@ -245,6 +252,31 @@ let clear_marks t =
       | Page.Large_head l -> l.Page.l_marked <- false
       | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ())
 
+(* A mark snapshot is a per-page copy: the mark bits live in page
+   metadata.  Pages whose kind changed since the save are skipped, so
+   restoring is only meaningful while nothing allocates or sweeps. *)
+type mark_snapshot = (int * [ `Small of Bitset.t | `Large of bool ]) list
+
+let save_marks t =
+  let acc = ref [] in
+  iter_committed t (fun i p ->
+      match p with
+      | Page.Small s -> acc := (i, `Small (Bitset.copy s.Page.mark)) :: !acc
+      | Page.Large_head l -> acc := (i, `Large l.Page.l_marked) :: !acc
+      | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ());
+  !acc
+
+let restore_marks t snapshot =
+  List.iter
+    (fun (i, saved) ->
+      match (t.pages.(i), saved) with
+      | Page.Small s, `Small bits ->
+          Bitset.clear s.Page.mark;
+          Bitset.union_into ~dst:s.Page.mark bits
+      | Page.Large_head l, `Large m -> l.Page.l_marked <- m
+      | _, _ -> ())
+    snapshot
+
 let is_marked t base =
   let index = page_index t base in
   match t.pages.(index) with
@@ -274,13 +306,13 @@ let mark_object t base =
   | Page.Uncommitted | Page.Free | Page.Large_tail _ ->
       invalid_arg "Heap.mark_object: not an object base"
 
-let object_span t base =
+let object_layout t base =
   let index = page_index t base in
   match t.pages.(index) with
-  | Page.Small s -> (s.Page.object_bytes, s.Page.pointer_free)
-  | Page.Large_head l -> (l.Page.object_bytes, l.Page.l_pointer_free)
+  | Page.Small s -> (s.Page.object_bytes, s.Page.layout)
+  | Page.Large_head l -> (l.Page.object_bytes, l.Page.l_layout)
   | Page.Uncommitted | Page.Free | Page.Large_tail _ ->
-      invalid_arg "Heap.object_span: not an object base"
+      invalid_arg "Heap.object_layout: not an object base"
 
 let live_bytes t =
   let total = ref 0 in

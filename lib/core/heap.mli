@@ -18,7 +18,8 @@ type t
     number.  The mark-phase fast path ({!Mark}) classifies each scanned
     word against these packed rows — one byte load for the kind, int
     loads for the geometry, direct bitset references — instead of
-    matching [Page.t] variants.  Rows are maintained by {!set_page}; the
+    matching [Page.t] variants, and reads the page's layout from
+    [d_scan]/[d_pointer_offsets].  Rows are maintained by {!set_page}; the
     bitsets ([d_alloc]/[d_mark]) and the [d_large] record are physically
     the same objects held by the corresponding [Page.t] value, so
     per-object mutations (mark bits, alloc bits, [l_marked]) are
@@ -33,7 +34,9 @@ type desc = {
           for every [0 <= rel < page_size] (see {!reciprocal}); 0 elsewhere *)
   d_recip_shift : int array;
   d_head : int array;  (** large tail -> head page; otherwise the page itself *)
-  d_pointer_free : Bytes.t;  (** 1 = contents never scanned *)
+  d_scan : Bytes.t;  (** {!Page.scan_code} of the page's layout *)
+  d_pointer_offsets : int array array;
+      (** typed pages: their descriptor's [pointer_offsets]; [[||]] elsewhere *)
   d_alloc : Bitset.t array;
   d_mark : Bitset.t array;
   d_large : Page.large array;
@@ -117,6 +120,15 @@ val free_page_count : t -> int
 val clear_marks : t -> unit
 (** Clear every mark bit in the committed heap. *)
 
+type mark_snapshot
+
+val save_marks : t -> mark_snapshot
+(** Copy every committed page's mark state. *)
+
+val restore_marks : t -> mark_snapshot -> unit
+(** Put back the marks of {!save_marks}.  Only meaningful while the page
+    table has not changed since the save: nothing allocated or swept. *)
+
 val is_marked : t -> Addr.t -> bool
 (** Whether the object based at the address is marked; [false] on a
     page that holds no object base. *)
@@ -126,9 +138,9 @@ val mark_object : t -> Addr.t -> bool
     returns true when it was not already marked.  The address must be a
     valid object base. *)
 
-val object_span : t -> Addr.t -> int * bool
-(** [(size_bytes, pointer_free)] of the allocated object based at the
-    address (which must be a valid object base). *)
+val object_layout : t -> Addr.t -> int * Page.layout
+(** [(size_bytes, layout)] of the allocated object based at the address
+    (which must be a valid object base). *)
 
 val live_bytes : t -> int
 (** Sum of allocated object bytes over all committed pages (a full scan;

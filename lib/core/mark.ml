@@ -116,10 +116,14 @@ type t = {
   mutable cache_alloc : Bitset.t;
   mutable cache_mark : Bitset.t;
   mutable cache_large : Page.large;
+  stop_on_fault : bool;  (** end the trace at the first downgraded word *)
 }
 
-let create heap config blacklist stats =
+exception Stopped
+
+let create ?(stop_on_fault = false) heap config blacklist stats =
   {
+    stop_on_fault;
     heap;
     config;
     blacklist;
@@ -304,7 +308,8 @@ let scan_words_guarded t seg ~lo ~hi =
         consider_heap t v
     | Some _reason ->
         t.stats.Stats.read_faults <- t.stats.Stats.read_faults + 1;
-        t.stats.Stats.mark_downgrades <- t.stats.Stats.mark_downgrades + 1);
+        t.stats.Stats.mark_downgrades <- t.stats.Stats.mark_downgrades + 1;
+        if t.stop_on_fault then raise_notrace Stopped);
     a := !a + alignment
   done
 
@@ -346,9 +351,9 @@ let scan_words t seg ~lo ~hi =
     ~little:(Endian.equal (Segment.endian seg) Endian.Little)
     ~lo ~hi
 
-(* Scan the words of a marked object, reading its size and pointer-free
-   flag straight from the descriptor row (not through the header cache)
-   and its words straight from the heap segment.  The object's base is
+(* Scan the words of a marked object, reading its size and layout
+   straight from the descriptor row (not through the header cache) and
+   its words straight from the heap segment.  The object's base is
    granule-aligned, hence on every alignment grid, and inside the heap;
    the one bounds check left is its end against the segment's limit.  A
    page that is no longer Small or Large_head was retired between the
@@ -358,10 +363,19 @@ let scan_object t base =
   let page = (base - t.heap_lo) lsr t.page_shift in
   let kind = Char.code (Bytes.unsafe_get d.Heap.d_kind page) in
   if kind = Page.kind_small || kind = Page.kind_large_head then begin
-    if Bytes.unsafe_get d.Heap.d_pointer_free page = '\000' then begin
+    let scan = Bytes.unsafe_get d.Heap.d_scan page in
+    if scan = '\000' then begin
       let hi = base + Array.unsafe_get d.Heap.d_object_bytes page in
       let hi = if hi < t.heap_hi then hi else t.heap_hi in
       scan_span t t.heap_seg t.heap_bytes ~sbase:t.heap_lo ~little:t.heap_little ~lo:base ~hi
+    end
+    else if scan = Page.scan_typed then begin
+      (* a typed object's pointer words: one one-word span each *)
+      let offsets = Array.unsafe_get d.Heap.d_pointer_offsets page in
+      for k = 0 to Array.length offsets - 1 do
+        let lo = base + Array.unsafe_get offsets k in
+        scan_span t t.heap_seg t.heap_bytes ~sbase:t.heap_lo ~little:t.heap_little ~lo ~hi:(lo + 4)
+      done
     end
   end
   else t.stats.Stats.mark_downgrades <- t.stats.Stats.mark_downgrades + 1
@@ -401,22 +415,24 @@ let trace ?(extra = []) t roots ~mem =
   t.sp <- 0;
   t.overflowed <- false;
   t.cache_page <- -1;
-  List.iter
-    (fun (_, values) ->
-      Array.iter
-        (fun v ->
-          t.stats.Stats.words_scanned <- t.stats.Stats.words_scanned + 1;
-          consider_heap t v;
-          drain t)
-        values)
-    (Roots.current_registers roots);
   let scan range =
     scan_range t ~mem range;
     drain t
   in
-  List.iter scan (Roots.current_ranges roots);
-  List.iter scan extra;
-  recover_from_overflow t
+  try
+    List.iter
+      (fun (_, values) ->
+        Array.iter
+          (fun v ->
+            t.stats.Stats.words_scanned <- t.stats.Stats.words_scanned + 1;
+            consider_heap t v;
+            drain t)
+          values)
+      (Roots.current_registers roots);
+    List.iter scan (Roots.current_ranges roots);
+    List.iter scan extra;
+    recover_from_overflow t
+  with Stopped -> ()
 
 let run t roots ~mem =
   Heap.clear_marks t.heap;
@@ -852,18 +868,28 @@ module Parallel = struct
       ~lo ~start_hi ~hi
 
   (* Scan a marked object's body straight from the descriptor row, as
-     the serial [scan_object] does.  The fault-free precondition holds
-     by construction: access plans force the serial marker. *)
+     the serial [scan_object] does, typed layouts included.  The
+     fault-free precondition holds by construction: access plans force
+     the serial marker. *)
   let scan_object sh w base =
     let d = w.w_desc in
     let page = (base - w.w_heap_lo) lsr w.w_page_shift in
     let kind = Char.code (Bytes.unsafe_get d.Heap.d_kind page) in
     if kind = Page.kind_small || kind = Page.kind_large_head then begin
-      if Bytes.unsafe_get d.Heap.d_pointer_free page = '\000' then begin
+      let scan = Bytes.unsafe_get d.Heap.d_scan page in
+      if scan = '\000' then begin
         let hi = base + Array.unsafe_get d.Heap.d_object_bytes page in
         let hi = if hi < w.w_heap_hi then hi else w.w_heap_hi in
         scan_span sh w w.w_heap_bytes ~sbase:w.w_heap_lo ~little:w.w_heap_little ~lo:base
           ~start_hi:hi ~hi
+      end
+      else if scan = Page.scan_typed then begin
+        let offsets = Array.unsafe_get d.Heap.d_pointer_offsets page in
+        for k = 0 to Array.length offsets - 1 do
+          let lo = base + Array.unsafe_get offsets k in
+          scan_span sh w w.w_heap_bytes ~sbase:w.w_heap_lo ~little:w.w_heap_little ~lo
+            ~start_hi:(lo + 4) ~hi:(lo + 4)
+        done
       end
     end
     else

@@ -15,9 +15,12 @@
 
     The recursion is realised with an explicit mark stack; "fields" are
     every word of the object at the configured alignment, since the
-    collector has no layout information.
+    collector has no layout information — except on pages typed with a
+    {!Type_desc.t} ({!Page.layout}), where they are the descriptor's
+    pointer words alone.
 
-    One serial trace kernel serves every conservative collection: flat
+    One serial trace kernel serves every collection, {!Precise} included
+    (on a marker of its own with an exact classifier): flat
     page-descriptor rows from {!Heap.desc} read directly per object, a
     one-entry header cache for classification, reciprocal object
     indexing, closure-free endianness-specialized scan loops of 32-bit
@@ -42,7 +45,11 @@ val classify : Heap.t -> Config.t -> int -> classification
 
 type t
 
-val create : Heap.t -> Config.t -> Blacklist.t -> Stats.t -> t
+val create : ?stop_on_fault:bool -> Heap.t -> Config.t -> Blacklist.t -> Stats.t -> t
+(** [stop_on_fault] (default [false]) ends a {!trace} at its first
+    downgraded word, leaving the marks partial: for a caller that
+    discards such a trace anyway ({!Precise}), where finishing it would
+    only read more faulting memory. *)
 
 val run : t -> Roots.t -> mem:Mem.t -> unit
 (** Perform a full mark phase: {!Heap.clear_marks}, open a blacklist

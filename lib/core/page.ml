@@ -1,8 +1,14 @@
 open Cgc_vm
 
+type layout =
+  | Conservative
+  | Pointer_free
+  | Typed of Type_desc.t
+
 type small = {
   granules : int;
   object_bytes : int;
+  layout : layout;
   pointer_free : bool;
   first_offset : int;
   n_objects : int;
@@ -13,6 +19,7 @@ type small = {
 type large = {
   n_pages : int;
   object_bytes : int;
+  l_layout : layout;
   l_pointer_free : bool;
   mutable l_allocated : bool;
   mutable l_marked : bool;
@@ -24,6 +31,10 @@ type t =
   | Small of small
   | Large_head of large
   | Large_tail of { head_index : int }
+
+(* Scan codes for the heap's flat descriptor table. *)
+let scan_typed = '\002'
+let scan_code = function Conservative -> '\000' | Pointer_free -> '\001' | Typed _ -> scan_typed
 
 (* Kind codes for the heap's flat descriptor table: the mark-phase fast
    path reads these from a byte array instead of matching the variant. *)
@@ -43,41 +54,39 @@ let kind_code = function
 (* A placeholder for descriptor rows of pages that carry no large
    object; shared, and never meaningfully mutated. *)
 let dummy_large =
-  { n_pages = 0; object_bytes = 0; l_pointer_free = true; l_allocated = false; l_marked = false }
+  { n_pages = 0; object_bytes = 0; l_layout = Pointer_free; l_pointer_free = true;
+    l_allocated = false; l_marked = false }
 
-let make_small ~granules ~object_bytes ~pointer_free ~first_offset ~n_objects =
+let make_small ~granules ~object_bytes ~layout ~first_offset ~n_objects =
   Small
     {
       granules;
       object_bytes;
-      pointer_free;
+      layout;
+      pointer_free = layout = Pointer_free;
       first_offset;
       n_objects;
       alloc = Bitset.create n_objects;
       mark = Bitset.create n_objects;
     }
 
-let make_large ~n_pages ~object_bytes ~pointer_free =
-  Large_head { n_pages; object_bytes; l_pointer_free = pointer_free; l_allocated = true; l_marked = false }
+let make_large ~n_pages ~object_bytes ~layout =
+  Large_head { n_pages; object_bytes; l_layout = layout; l_pointer_free = layout = Pointer_free;
+               l_allocated = true; l_marked = false }
 
-let is_free_or_uncommitted = function
-  | Uncommitted | Free -> true
-  | Small _ | Large_head _ | Large_tail _ -> false
-
-let live_objects = function
-  | Uncommitted | Free | Large_tail _ -> 0
-  | Small s -> Bitset.count s.alloc
-  | Large_head l -> if l.l_allocated then 1 else 0
+let layout_tag = function
+  | Conservative -> ""
+  | Pointer_free -> " atomic"
+  | Typed d -> " typed " ^ d.Type_desc.name
 
 let pp ppf = function
   | Uncommitted -> Format.pp_print_string ppf "uncommitted"
   | Free -> Format.pp_print_string ppf "free"
   | Small s ->
-      Format.fprintf ppf "small(%dB%s %d/%d live)" s.object_bytes
-        (if s.pointer_free then " atomic" else "")
+      Format.fprintf ppf "small(%dB%s %d/%d live)" s.object_bytes (layout_tag s.layout)
         (Bitset.count s.alloc) s.n_objects
   | Large_head l ->
       Format.fprintf ppf "large(%dB over %d pages%s %s)" l.object_bytes l.n_pages
-        (if l.l_pointer_free then " atomic" else "")
+        (layout_tag l.l_layout)
         (if l.l_allocated then "live" else "dead")
   | Large_tail { head_index } -> Format.fprintf ppf "large-tail(head=%d)" head_index

@@ -8,10 +8,20 @@
 
 open Cgc_vm
 
+(** How the marker reads the objects of a page.  A page is carved for
+    one layout and loses it when it is freed. *)
+type layout =
+  | Conservative  (** every aligned word may be a pointer *)
+  | Pointer_free  (** contents never scanned (atomic objects) *)
+  | Typed of Type_desc.t
+      (** only the descriptor's pointer words are read; the descriptor
+          has at least one *)
+
 type small = {
   granules : int;  (** object size in granules *)
   object_bytes : int;  (** object size in bytes *)
-  pointer_free : bool;  (** contents never scanned (atomic objects) *)
+  layout : layout;
+  pointer_free : bool;  (** [layout = Pointer_free] *)
   first_offset : int;  (** byte offset of the first object in the page *)
   n_objects : int;
   alloc : Bitset.t;  (** object currently allocated *)
@@ -21,7 +31,8 @@ type small = {
 type large = {
   n_pages : int;
   object_bytes : int;  (** exact size requested, may not fill the last page *)
-  l_pointer_free : bool;
+  l_layout : layout;
+  l_pointer_free : bool;  (** [l_layout = Pointer_free] *)
   mutable l_allocated : bool;
   mutable l_marked : bool;
 }
@@ -32,6 +43,15 @@ type t =
   | Small of small
   | Large_head of large
   | Large_tail of { head_index : int }
+
+val scan_code : layout -> char
+(** The layout as a byte for the heap's flat descriptor table: ['\000'],
+    ['\001'] (also for pages with no object body) or {!scan_typed}. *)
+
+val scan_typed : char
+
+val layout_tag : layout -> string
+(** [""], [" atomic"] or [" typed NAME"], as {!pp} prints it. *)
 
 (** {1 Kind codes}
 
@@ -52,14 +72,8 @@ val dummy_large : large
     object.  Never meaningfully mutated. *)
 
 val make_small :
-  granules:int -> object_bytes:int -> pointer_free:bool -> first_offset:int -> n_objects:int -> t
+  granules:int -> object_bytes:int -> layout:layout -> first_offset:int -> n_objects:int -> t
 
-val make_large : n_pages:int -> object_bytes:int -> pointer_free:bool -> t
-
-val is_free_or_uncommitted : t -> bool
-
-val live_objects : t -> int
-(** Allocated objects on this page (0 for [Free], [Uncommitted] and
-    [Large_tail]; 0 or 1 for [Large_head]). *)
+val make_large : n_pages:int -> object_bytes:int -> layout:layout -> t
 
 val pp : Format.formatter -> t -> unit

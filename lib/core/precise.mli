@@ -1,31 +1,28 @@
 (** Precise (type-accurate) mark-sweep baseline.
 
     The control for every misidentification experiment: it shares the
-    conservative collector's heap, allocator and sweeper but marks from
-    an {e exact} root set through {e exact} pointer maps
+    conservative collector's heap, allocator, trace kernel and sweeper
+    but marks from an {e exact} root set through {e exact} pointer maps
     ({!Type_desc.t}), so "there are no false references in our sense"
     (paper section 4).  Differences in retention between this collector
     and the conservative one are, by construction, entirely due to
     conservativism.
 
-    The exact mark phase is fault-coherent: an injected access fault on
-    an exact pointer slot retries a bounded transient path, then aborts
-    the phase, restores the pre-collect mark state and raises
-    {!Mark_aborted} — never an escaped [Mem] exception over a
-    half-marked heap.  An aborted collect frees nothing; the next
-    completed collect reclaims everything the aborted one would have. *)
+    Layouts live on pages ({!Gc.Internal.allocate_typed}), so
+    {!Mark.trace} reads only a typed object's pointer words; the precise
+    view runs it on a {!Mark.t} of its own whose classifier accepts
+    object bases only, blacklists nothing and stops at a faulting read.
+    A collect frees nothing unless its trace read every word it needed
+    (see {!collect}): never an escaped [Mem] exception over a
+    half-marked heap. *)
 
 open Cgc_vm
 
-exception
-  Mark_aborted of {
-    addr : Addr.t;  (** the address whose access kept faulting *)
-    op : [ `Read | `Write ];
-    retries : int;  (** transient re-reads burned before giving up *)
-  }
+exception Mark_aborted of { retries : int  (** traces rerun before giving up *) }
 (** An exact mark phase was abandoned after an unrecoverable access
-    fault.  The heap is coherent when this escapes {!collect}: mark
-    bits are restored to their pre-collect state and no sweep ran
+    fault (in the trace, or in a root provider: [retries = 0]).  The
+    heap is coherent when this escapes {!collect}: mark bits are
+    restored to their pre-collect state and no sweep ran
     ([Stats.precise_mark_aborts] counts these). *)
 
 type t
@@ -46,9 +43,10 @@ val create : Gc.t -> t
 val gc : t -> Gc.t
 
 val allocate : ?finalizer:string -> t -> Type_desc.t -> Addr.t
-(** Allocate an object of the described type and remember its layout.
-    Atomic descriptors allocate [pointer_free] so neither discipline
-    ever scans them. *)
+(** Allocate an object of the described type on a page of its layout.
+    Atomic descriptors allocate [pointer_free].  Either discipline —
+    this one, and a conservative {!Gc.collect} of the same heap — reads
+    only a typed object's pointer words and never scans an atomic one. *)
 
 val add_root_provider : t -> (unit -> Addr.t list) -> unit
 (** Register a provider of exact root object addresses (bases).
@@ -57,23 +55,21 @@ val add_root_provider : t -> (unit -> Addr.t list) -> unit
     never silently swallowed. *)
 
 val collect : t -> unit
-(** Exact mark from the registered roots, then sweep (shared sweeper;
-    finalization behaves identically).  Swept objects' descriptors are
-    evicted from the layout table.  Uses a preallocated mark stack
-    sized from [Config.mark_stack_limit] with the bounded-stack
-    overflow discipline (overflow rescans marked objects with
-    descriptors to a fixpoint).
+(** Snapshot the marks, clear them, drop (and count) stale provider
+    roots, then run the trace kernel from the remaining ones and sweep
+    (shared sweeper; finalization behaves identically).  The kernel's
+    mark stack and overflow recovery follow [Config.mark_stack_limit].
+    The kernel stops at the first word it cannot read (counted in
+    [Stats.mark_downgrades]); such a trace is rerun from clear marks,
+    at most 3 times, each counted in [Stats.precise_mark_retries].
 
-    @raise Mark_aborted when an access fault exhausts the transient
-    retry budget; mark state is restored and nothing is swept. *)
+    @raise Mark_aborted when a root provider faults or the retries run
+    out; mark state is restored and nothing is swept. *)
 
 val descriptor : t -> Addr.t -> Type_desc.t option
-
-val descriptor_count : t -> int
-(** Number of layout-table entries — after a collect, exactly the
-    allocated objects with known layouts (swept entries are evicted). *)
-
-val iter_descriptors : t -> (Addr.t -> Type_desc.t -> unit) -> unit
+(** The layout of the allocated object based at the address, read from
+    its page: [None] for pointer-free and untyped objects and for
+    addresses that are no allocated object's base. *)
 
 val roots_now : t -> Addr.t list
 (** The current exact root set, concatenated across providers (a

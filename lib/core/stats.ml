@@ -91,50 +91,6 @@ let create () =
     total_gc_seconds = 0.;
   }
 
-let reset t =
-  t.collections <- 0;
-  t.words_scanned <- 0;
-  t.valid_refs <- 0;
-  t.false_refs <- 0;
-  t.objects_marked <- 0;
-  t.header_cache_hits <- 0;
-  t.bytes_allocated <- 0;
-  t.objects_allocated <- 0;
-  t.bytes_freed <- 0;
-  t.objects_freed <- 0;
-  t.live_bytes <- 0;
-  t.live_objects <- 0;
-  t.heap_expansions <- 0;
-  t.mark_stack_overflows <- 0;
-  t.blacklist_alloc_checks <- 0;
-  t.blacklist_rejected_pages <- 0;
-  t.ladder_collects <- 0;
-  t.ladder_drains <- 0;
-  t.ladder_trims <- 0;
-  t.ladder_expansions <- 0;
-  t.ladder_backoffs <- 0;
-  t.ladder_relax_first_page <- 0;
-  t.ladder_relax_black <- 0;
-  t.ladder_oom_hooks <- 0;
-  t.commit_faults <- 0;
-  t.read_faults <- 0;
-  t.write_faults <- 0;
-  t.mark_downgrades <- 0;
-  t.pages_decayed <- 0;
-  t.decay_retries <- 0;
-  t.oom_raised <- 0;
-  t.parallel_marks <- 0;
-  t.mark_serial_fallbacks <- 0;
-  t.mark_domain_faults <- 0;
-  t.mark_abandonments <- 0;
-  t.precise_collections <- 0;
-  t.precise_mark_aborts <- 0;
-  t.precise_mark_retries <- 0;
-  t.precise_stale_roots <- 0;
-  t.mark_seconds <- 0.;
-  t.sweep_seconds <- 0.;
-  t.total_gc_seconds <- 0.
-
 let copy t = { t with collections = t.collections }
 
 (* Copy every field of [src] back into [into], in place.  The inverse of
@@ -184,6 +140,8 @@ let blit src ~into =
   into.mark_seconds <- src.mark_seconds;
   into.sweep_seconds <- src.sweep_seconds;
   into.total_gc_seconds <- src.total_gc_seconds
+
+let reset t = blit (create ()) ~into:t
 
 (* Fold one parallel-marker domain shard into the session totals.  Only
    the counters the trace phase touches are summed, so every existing

@@ -81,8 +81,8 @@ type t = {
       (** exact mark phases abandoned after an unrecoverable access
           fault, with the pre-collect mark state restored *)
   mutable precise_mark_retries : int;
-      (** transient re-reads of an exact pointer slot that faulted during
-          a precise mark before the bounded retry budget gave up *)
+      (** precise traces rerun because a faulting read made the kernel
+          skip a word ([mark_downgrades] went up) *)
   mutable precise_stale_roots : int;
       (** exact root-provider slots naming freed or decayed addresses —
           counted and audited rather than silently skipped *)

@@ -7,7 +7,8 @@ type step =
 type chain = step list
 
 (* A provenance mark: like Mark.run but with its own visited table (the
-   heap's mark bits are left alone) and a parent record per object. *)
+   heap's mark bits are left alone) and a parent record per object.  It
+   reads each object as the kernel does, by its page's layout. *)
 let provenance gc =
   let heap = Gc.heap gc in
   let config = Gc.config gc in
@@ -25,11 +26,18 @@ let provenance gc =
     | Mark.False_in_heap _ | Mark.Outside -> ()
   in
   let scan_object base =
-    let size, pointer_free = Heap.object_span heap base in
-    if not pointer_free then
-      Segment.iter_words (Heap.segment heap) ~alignment:config.Config.alignment ~lo:base
-        ~hi:(Addr.add base size) (fun at value ->
-          consider (fun v -> Heap_word { obj = base; at; value = v }) value)
+    let word at value = consider (fun v -> Heap_word { obj = base; at; value = v }) value in
+    match Heap.object_layout heap base with
+    | size, Page.Conservative ->
+        Segment.iter_words (Heap.segment heap) ~alignment:config.Config.alignment ~lo:base
+          ~hi:(Addr.add base size) word
+    | _, Page.Pointer_free -> ()
+    | _, Page.Typed desc ->
+        Array.iter
+          (fun off ->
+            let at = Addr.add base off in
+            word at (Segment.read_word (Heap.segment heap) at))
+          desc.Type_desc.pointer_offsets
   in
   let drain () =
     let rec go () =

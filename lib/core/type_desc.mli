@@ -1,10 +1,11 @@
 (** Object layout descriptors.
 
-    The conservative collector never needs these — that is its point —
-    but the {e precise} baseline collector ({!Precise}) does, and the
-    mutator's typed object builders use them to know where pointer
-    fields live.  A descriptor gives an object's size and the byte
-    offsets of its pointer fields. *)
+    A descriptor gives an object's size and the byte offsets of its
+    pointer fields.  The {e precise} baseline collector ({!Precise})
+    allocates through them, and the layout then lives on the object's
+    page ({!Page.layout}): every collection of that heap — precise, or a
+    conservative {!Gc.collect} — reads only those fields.  The mutator's
+    typed object builders use them to know where pointer fields live. *)
 
 type t = private {
   name : string;

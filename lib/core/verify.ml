@@ -54,11 +54,23 @@ let check_descriptors heap issues =
     if kind <> Page.kind_code p then
       add "descriptor kind %d for page %d disagrees with the page table's %d" kind i
         (Page.kind_code p);
-    let pointer_free = Bytes.get d.Heap.d_pointer_free i <> '\000' in
+    (* the layout column: scan byte and pointer offsets *)
+    let check_layout what layout =
+      if Bytes.get d.Heap.d_scan i <> Page.scan_code layout then
+        add "descriptor scan code of %s %d disagrees with its layout" what i;
+      let offsets = d.Heap.d_pointer_offsets.(i) in
+      match layout with
+      | Page.Typed desc ->
+          if Type_desc.is_atomic desc then add "%s %d is typed with an atomic layout" what i;
+          if not (offsets == desc.Type_desc.pointer_offsets) then
+            add "descriptor pointer offsets of %s %d are not its layout's" what i
+      | Page.Conservative | Page.Pointer_free ->
+          if Array.length offsets <> 0 then add "descriptor of untyped %s %d has pointer offsets" what i
+    in
     match p with
     | Page.Uncommitted | Page.Free ->
         if d.Heap.d_head.(i) <> i then add "descriptor head of empty page %d is %d" i d.Heap.d_head.(i);
-        if not pointer_free then add "descriptor for empty page %d claims scannable contents" i
+        check_layout "empty page" Page.Pointer_free
     | Page.Small s ->
         if d.Heap.d_object_bytes.(i) <> s.Page.object_bytes then
           add "descriptor object_bytes %d for small page %d (expected %d)" d.Heap.d_object_bytes.(i)
@@ -74,8 +86,7 @@ let check_descriptors heap issues =
           <> Heap.reciprocal ~page_size:(Heap.page_size heap) s.Page.object_bytes
         then add "descriptor reciprocal of small page %d is not its object size's" i;
         if d.Heap.d_head.(i) <> i then add "descriptor head of small page %d is %d" i d.Heap.d_head.(i);
-        if pointer_free <> s.Page.pointer_free then
-          add "descriptor pointer_free flag for small page %d disagrees" i;
+        check_layout "small page" s.Page.layout;
         if not (d.Heap.d_alloc.(i) == s.Page.alloc) then
           add "descriptor alloc bitset of small page %d is not the page's" i;
         if not (d.Heap.d_mark.(i) == s.Page.mark) then
@@ -97,13 +108,13 @@ let check_descriptors heap issues =
           add "descriptor object_bytes %d for large head %d (expected %d)" d.Heap.d_object_bytes.(i)
             i l.Page.object_bytes;
         if d.Heap.d_head.(i) <> i then add "descriptor head of large head %d is %d" i d.Heap.d_head.(i);
-        if pointer_free <> l.Page.l_pointer_free then
-          add "descriptor pointer_free flag for large head %d disagrees" i;
+        check_layout "large head" l.Page.l_layout;
         if not (d.Heap.d_large.(i) == l) then
           add "descriptor large record of head %d is not the page's" i
     | Page.Large_tail { head_index } ->
         if d.Heap.d_head.(i) <> head_index then
-          add "descriptor head %d of tail page %d (expected %d)" d.Heap.d_head.(i) i head_index
+          add "descriptor head %d of tail page %d (expected %d)" d.Heap.d_head.(i) i head_index;
+        check_layout "tail page" Page.Pointer_free
   done
 
 (* Heap-level subset of [check], for backends that are not a [Gc.t]
@@ -115,19 +126,19 @@ let check_heap heap =
   check_descriptors heap issues;
   List.rev !issues
 
-(* Every allocation cursor names an open page of its own class — a
-   small page neither quarantined nor still owed its deferred sweep —
-   or no page. *)
+(* Every allocation cursor names an open page of its own class and
+   layout — a small page neither quarantined nor still owed its
+   deferred sweep — or no page. *)
 let check_cursors gc issues =
   let heap = Gc.heap gc in
   let add fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
   List.iter
-    (fun (granules, pointer_free, i) ->
-      let name = Printf.sprintf "class %d%s cursor" granules (if pointer_free then " atomic" else "") in
+    (fun (granules, layout, i) ->
+      let name = Printf.sprintf "class %d%s cursor" granules (Page.layout_tag layout) in
       if Bitset.mem (Gc.Internal.decayed_pages gc) i then add "%s on quarantined page %d" name i;
       if Bitset.mem (Gc.Internal.pending_sweep gc) i then add "%s on unswept page %d" name i;
       match Heap.page heap i with
-      | Page.Small s when s.Page.granules = granules && s.Page.pointer_free = pointer_free -> ()
+      | Page.Small s when s.Page.granules = granules && s.Page.layout = layout -> ()
       | p -> add "%s on page %d, which is %s" name i (Format.asprintf "%a" Page.pp p))
     (Gc.Internal.cursor_pages gc)
 
@@ -258,41 +269,48 @@ let check_parallel_mark gc =
 
 (* --- precise (type-accurate) mark audit --- *)
 
-(* Local mark-state snapshot, so the inclusion check below can run a
-   real conservative mark and leave no trace.  (Duplicated from the
-   precise collector's internal abort path: the committed-page set
-   cannot change while we hold the snapshot because nothing here
-   allocates.) *)
-let save_mark_state heap =
-  let acc = ref [] in
-  Heap.iter_committed heap (fun i p ->
-      match p with
-      | Page.Small s -> acc := (i, `Small (Bitset.copy s.Page.mark)) :: !acc
-      | Page.Large_head l -> acc := (i, `Large l.Page.l_marked) :: !acc
-      | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ());
-  !acc
-
-let restore_mark_state heap snapshot =
+(* The exact-reachable closure of the providers' roots, walked through
+   the descriptors' pointer offsets with the guarded field reads —
+   independent of the trace kernel.  [on_stale] hears every non-null
+   root that names no allocated object. *)
+let exact_closure p ~on_stale =
+  let gc = Precise.gc p in
+  let word = (Gc.config gc).Config.granule in
+  let reachable = Hashtbl.create 256 in
+  let stack = ref [] in
+  let visit a =
+    if Addr.to_int a <> 0 && Gc.is_allocated gc a && not (Hashtbl.mem reachable a) then begin
+      Hashtbl.replace reachable a ();
+      stack := a :: !stack
+    end
+  in
   List.iter
-    (fun (i, saved) ->
-      match (Heap.page heap i, saved) with
-      | Page.Small s, `Small bits ->
-          Bitset.clear s.Page.mark;
-          Bitset.union_into ~dst:s.Page.mark bits
-      | Page.Large_head l, `Large m -> l.Page.l_marked <- m
-      | _, _ -> ())
-    snapshot
+    (fun a -> if Addr.to_int a <> 0 && not (Gc.is_allocated gc a) then on_stale a else visit a)
+    (Precise.roots_now p);
+  let continue = ref true in
+  while !continue do
+    match !stack with
+    | [] -> continue := false
+    | base :: rest ->
+        stack := rest;
+        (match Precise.descriptor p base with
+        | None -> () (* pointer-free or untyped: nothing exact to follow *)
+        | Some desc ->
+            Array.iter
+              (fun off -> visit (Addr.of_int (Gc.get_field gc base (off / word))))
+              desc.Type_desc.pointer_offsets)
+  done;
+  reachable
+
+let exact_reachable p =
+  List.sort Addr.compare
+    (Hashtbl.fold (fun a () acc -> a :: acc) (exact_closure p ~on_stale:ignore) [])
 
 let check_precise_mark p =
   let gc = Precise.gc p in
   let heap = Gc.heap gc in
   let issues = ref (List.rev (check_heap heap)) in
   let add fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
-  (* the layout table may only describe allocated objects (the sweep
-     evicts the rest) *)
-  Precise.iter_descriptors p (fun base _desc ->
-      if not (Gc.is_allocated gc base) then
-        add "layout table retains a descriptor for the swept object at 0x%x" (Addr.to_int base));
   (* The rest of the audit reads the heap through the guarded accessors
      and runs a shadow conservative mark; lift any armed fault plan so
      the audit observes the heap instead of perturbing the experiment.
@@ -304,36 +322,10 @@ let check_precise_mark p =
   Fun.protect
     ~finally:(fun () -> Mem.set_fault_plan mem plan)
     (fun () ->
-      (* the exact-reachable set: closure of the providers' roots
-         through the registered pointer maps *)
-      let word = (Gc.config gc).Config.granule in
-      let reachable = Hashtbl.create 256 in
-      let stack = ref [] in
-      let visit a =
-        if Addr.to_int a <> 0 && Gc.is_allocated gc a && not (Hashtbl.mem reachable a) then begin
-          Hashtbl.replace reachable a ();
-          stack := a :: !stack
-        end
+      let reachable =
+        exact_closure p ~on_stale:(fun a ->
+            add "root provider names the freed or decayed address 0x%x" (Addr.to_int a))
       in
-      List.iter
-        (fun a ->
-          if Addr.to_int a <> 0 && not (Gc.is_allocated gc a) then
-            add "root provider names the freed or decayed address 0x%x" (Addr.to_int a)
-          else visit a)
-        (Precise.roots_now p);
-      let continue = ref true in
-      while !continue do
-        match !stack with
-        | [] -> continue := false
-        | base :: rest ->
-            stack := rest;
-            (match Precise.descriptor p base with
-            | None -> () (* unknown layout: atomic *)
-            | Some desc ->
-                Array.iter
-                  (fun off -> visit (Addr.of_int (Gc.get_field gc base (off / word))))
-                  desc.Type_desc.pointer_offsets)
-      done;
       (* inclusion: everything exactly reachable must be covered by a
          conservative mark of the same heap — the precise roots are
          registered as a conservative register file, so precise marks ⊆
@@ -342,12 +334,12 @@ let check_precise_mark p =
          fully unwound: mark bits, blacklist cycle and statistics are
          restored before returning. *)
       if Hashtbl.length reachable > 0 then begin
-        let marks = save_mark_state heap in
+        let marks = Heap.save_marks heap in
         let stats_snapshot = Stats.copy (Gc.stats gc) in
         let blacklist_snapshot = Blacklist.save_cycle (Gc.blacklist gc) in
         Fun.protect
           ~finally:(fun () ->
-            restore_mark_state heap marks;
+            Heap.restore_marks heap marks;
             Blacklist.restore_cycle (Gc.blacklist gc) blacklist_snapshot;
             Stats.blit stats_snapshot ~into:(Gc.stats gc))
           (fun () ->

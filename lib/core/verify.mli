@@ -14,13 +14,14 @@ val check : Gc.t -> string list
     - small-page geometry fits inside the page;
     - the flat descriptor table ({!Heap.desc}) agrees row-by-row with
       the page variants, including physical identity of the shared
-      bitsets and large-object records the scan fast path mutates;
+      bitsets and large-object records the scan fast path mutates, and
+      the layout column (scan code and a typed row's pointer offsets);
     - mark bits only cover allocated slots (and a marked large head is
       an allocated one): no marker — serial or parallel — ever marks a
       free or quarantine-removed slot;
     - every allocation cursor names an open page of its own size class
-      and kind (small, not quarantined, not awaiting a deferred sweep),
-      or no page;
+      and layout (small, not quarantined, not awaiting a deferred
+      sweep), or no page;
     - every registered finalizer watches a currently allocated object;
     - [Heap.live_bytes] is internally consistent with the page
       descriptors. *)
@@ -44,12 +45,17 @@ val check_heap : Heap.t -> string list
     sharing the page substrate (e.g. the {!Explicit} baseline), without
     needing a [Gc.t]. *)
 
+val exact_reachable : Precise.t -> Cgc_vm.Addr.t list
+(** The exact-reachable closure of the precise view's roots, in address
+    order, walked through the descriptors' pointer offsets with
+    {!Gc.get_field} (not the trace kernel), with no fault plan armed.
+    After a completed {!Precise.collect} it is the allocated set. *)
+
 val check_precise_mark : Precise.t -> string list
 (** Audit the precise (type-accurate) view against its wrapped heap:
     {!check_heap} (whose mark ⊆ alloc audit covers the exact marker's
-    bits too), the layout table describes only allocated objects
-    (sweeps must evict), no root provider names a freed or decayed
-    address, and — the two-discipline inclusion — every object in the
+    bits too), no root provider names a freed or decayed address, and —
+    the two-discipline inclusion — every object in the
     exact-reachable closure is covered by a shadow conservative mark of
     the same heap (precise marks ⊆ conservative marks).  Any armed
     fault plan is lifted for the duration and restored, and the shadow

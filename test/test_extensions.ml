@@ -143,6 +143,27 @@ let test_trace_transitive_chain () =
   | None -> Alcotest.fail "expected a chain");
   check bool "unreachable gives None" true (Trace.why_live gc (Gc.allocate gc 8) <> None |> not)
 
+(* [why_live] reads a typed object as the kernel does: through its
+   pointer words only. *)
+let test_trace_typed_layout () =
+  let _, globals, gc = make_env () in
+  let desc = Cgc.Type_desc.make ~name:"rec" ~size_bytes:16 ~pointer_offsets:[ 4 ] in
+  let r = Gc.Internal.allocate_typed gc desc in
+  let child = Gc.allocate gc 8 in
+  let scalar = Gc.allocate gc 8 in
+  Gc.set_field gc r 1 (Addr.to_int child);
+  Gc.set_field gc r 3 (Addr.to_int scalar);
+  set_slot globals 0 (Addr.to_int r);
+  (match Trace.why_live gc child with
+  | Some [ Trace.Root _; Trace.Heap_word { obj; at; _ } ] ->
+      check int "through the typed object" (Addr.to_int r) (Addr.to_int obj);
+      check int "at its pointer word" (Addr.to_int r + 4) (Addr.to_int at)
+  | Some chain -> Alcotest.failf "unexpected chain %d" (List.length chain)
+  | None -> Alcotest.fail "expected a chain");
+  check bool "a scalar word explains nothing" true (Trace.why_live gc scalar = None);
+  Gc.collect gc;
+  check bool "collect agrees: scalar target freed" false (Gc.is_allocated gc scalar)
+
 let test_trace_register_root () =
   let _, _, gc = make_env () in
   let regs = [| 0; 0 |] in
@@ -659,6 +680,7 @@ let () =
           Alcotest.test_case "direct root" `Quick test_trace_direct_root;
           Alcotest.test_case "transitive chain" `Quick test_trace_transitive_chain;
           Alcotest.test_case "register root" `Quick test_trace_register_root;
+          Alcotest.test_case "typed layout" `Quick test_trace_typed_layout;
           Alcotest.test_case "retained_by" `Quick test_trace_retained_by;
           Alcotest.test_case "non-destructive" `Quick test_trace_does_not_disturb_state;
         ] );

@@ -113,7 +113,7 @@ let test_heap_find_free_run () =
   let mem = Mem.create () in
   let heap = Heap.create mem ~config ~base:heap_base ~max_bytes:(64 * 1024) in
   (* occupy page 1 so a 3-run must start at 2 *)
-  Heap.set_page heap 1 (Page.make_large ~n_pages:1 ~object_bytes:100 ~pointer_free:false);
+  Heap.set_page heap 1 (Page.make_large ~n_pages:1 ~object_bytes:100 ~layout:Page.Conservative);
   check (Alcotest.option int) "run skips occupied" (Some 2)
     (Heap.find_free_run heap ~n:3 ~ok:(fun _ -> true));
   check (Alcotest.option int) "run honours ok" (Some 3)
@@ -828,19 +828,26 @@ let test_trim_returns_trailing_pages () =
   check (Alcotest.list Alcotest.string) "invariants hold" [] (Cgc.Verify.check gc)
 
 (* An allocation served from a page with a free slot — default config,
-   zeroing on — builds nothing on the OCaml heap. *)
+   zeroing on — builds nothing on the OCaml heap, untyped or typed. *)
 let test_hit_allocation_allocates_nothing () =
-  let _, _, gc = make_env () in
-  ignore (Gc.allocate gc 8 : Addr.t);
-  let collections = (Gc.stats gc).Stats.collections in
-  let w0 = Stdlib.Gc.minor_words () in
-  let w1 = Stdlib.Gc.minor_words () in
-  for _ = 1 to 100 do
-    ignore (Gc.allocate gc 8 : Addr.t)
-  done;
-  let w2 = Stdlib.Gc.minor_words () in
-  check int "no collection ran" collections (Gc.stats gc).Stats.collections;
-  check (Alcotest.float 0.) "minor words per hit allocation" 0. ((w2 -. w1 -. (w1 -. w0)) /. 100.)
+  List.iter
+    (fun (what, alloc) ->
+      let _, _, gc = make_env () in
+      ignore (alloc gc : Addr.t);
+      let collections = (Gc.stats gc).Stats.collections in
+      let w0 = Stdlib.Gc.minor_words () in
+      let w1 = Stdlib.Gc.minor_words () in
+      for _ = 1 to 100 do
+        ignore (alloc gc : Addr.t)
+      done;
+      let w2 = Stdlib.Gc.minor_words () in
+      check int (what ^ ": no collection ran") collections (Gc.stats gc).Stats.collections;
+      check (Alcotest.float 0.) (what ^ ": minor words per hit allocation") 0.
+        ((w2 -. w1 -. (w1 -. w0)) /. 100.))
+    [
+      ("untyped", fun gc -> Gc.allocate gc 8);
+      ("typed", fun gc -> Gc.Internal.allocate_typed gc Type_desc.cons);
+    ]
 
 let test_live_bytes_accounting () =
   let _, globals, gc = make_env () in
@@ -992,9 +999,23 @@ let test_type_desc_validation () =
      with Invalid_argument _ -> true);
   check bool "cons is sane" true (Type_desc.cons.Type_desc.size_bytes = 8)
 
-(* Regression: the layout table must not leak — sweeping an object has
-   to evict its descriptor row, or the table grows without bound and
-   [check_precise_mark] would trace through freed memory. *)
+(* Every allocated object, by a walk over the page table. *)
+let allocated_bases gc =
+  let heap = Gc.heap gc in
+  let acc = ref [] in
+  Heap.iter_committed heap (fun i p ->
+      match p with
+      | Page.Small s ->
+          let first = Addr.add (Heap.page_addr heap i) s.Page.first_offset in
+          Bitset.iter_set s.Page.alloc (fun obj ->
+              acc := Addr.add first (obj * s.Page.object_bytes) :: !acc)
+      | Page.Large_head l -> if l.Page.l_allocated then acc := Heap.page_addr heap i :: !acc
+      | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ());
+  List.sort Addr.compare !acc
+
+(* Regression: a layout lives exactly as long as its object — sweeping
+   an object must take its layout with it, or [check_precise_mark]
+   would trace through freed memory. *)
 let test_precise_desc_eviction () =
   let mem = Mem.create () in
   let gc = Gc.create mem ~base:heap_base ~max_bytes:(256 * 1024) () in
@@ -1004,13 +1025,39 @@ let test_precise_desc_eviction () =
   let keep = Precise.allocate p Type_desc.cons in
   roots := [ keep ];
   let dead = List.init 50 (fun _ -> Precise.allocate p Type_desc.cons) in
-  check bool "table holds every allocation" true (Precise.descriptor_count p >= 51);
+  let typed () = List.filter (fun a -> Precise.descriptor p a <> None) (allocated_bases gc) in
+  check bool "every allocation carries its layout" true (List.length (typed ()) >= 51);
   Precise.collect p;
-  check int "swept rows evicted" 1 (Precise.descriptor_count p);
+  check (Alcotest.list int) "swept objects' layouts are gone" [ Addr.to_int keep ]
+    (List.map Addr.to_int (typed ()));
   List.iter
     (fun a -> check bool "freed object has no descriptor" true (Precise.descriptor p a = None))
     dead;
   check bool "live object keeps its descriptor" true (Precise.descriptor p keep <> None)
+
+(* The kernel reads a typed object's pointer words only, in every
+   collection: under a conservative [Gc.collect] a valid base in a
+   scalar word of a typed object retains nothing, while the same word
+   of an untyped object does. *)
+let test_typed_page_scans_pointer_words_only () =
+  let _, globals, gc = make_env () in
+  let rec_desc = Type_desc.make ~name:"rec" ~size_bytes:16 ~pointer_offsets:[ 0 ] in
+  let typed = Gc.Internal.allocate_typed gc rec_desc in
+  let untyped = Gc.allocate gc 16 in
+  let via_pointer = Gc.allocate gc 8 in
+  let via_scalar = Gc.allocate gc 8 in
+  let via_untyped = Gc.allocate gc 8 in
+  Gc.set_field gc typed 0 (Addr.to_int via_pointer);
+  Gc.set_field gc typed 2 (Addr.to_int via_scalar);
+  Gc.set_field gc untyped 2 (Addr.to_int via_untyped);
+  set_slot globals 0 (Addr.to_int typed);
+  set_slot globals 1 (Addr.to_int untyped);
+  Gc.collect gc;
+  check bool "typed object kept" true (Gc.is_allocated gc typed);
+  check bool "pointer word retains" true (Gc.is_allocated gc via_pointer);
+  check bool "scalar word of a typed object does not retain" false (Gc.is_allocated gc via_scalar);
+  check bool "same word of an untyped object retains" true (Gc.is_allocated gc via_untyped);
+  check (Alcotest.list Alcotest.string) "invariants hold" [] (Cgc.Verify.check gc)
 
 (* The exact scanner derives field indices as [offset / granule]; a
    config with non-default scan alignment must not perturb that — the
@@ -1396,6 +1443,8 @@ let () =
           Alcotest.test_case "vs conservative" `Quick test_precise_vs_conservative_misidentification;
           Alcotest.test_case "type descriptors" `Quick test_type_desc_validation;
           Alcotest.test_case "descriptor eviction on sweep" `Quick test_precise_desc_eviction;
+          Alcotest.test_case "typed page scans pointer words only" `Quick
+            test_typed_page_scans_pointer_words_only;
           Alcotest.test_case "non-default alignment geometry" `Quick
             test_precise_nondefault_alignment_geometry;
           Alcotest.test_case "mark abort and restore" `Quick test_precise_mark_abort_and_restore;

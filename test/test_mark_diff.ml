@@ -91,7 +91,14 @@ let scenario_gen =
         s_big_endian = big_endian;
       })
 
-let build s =
+(* Objects of [words] words whose even words are pointers. *)
+let even_words words =
+  Cgc.Type_desc.make ~name:"even-words" ~size_bytes:(4 * words)
+    ~pointer_offsets:(List.init ((words + 1) / 2) (fun k -> 8 * k))
+
+(* [typed]: every other object is allocated on a typed page, whose
+   odd words the marker never reads. *)
+let build ?(typed = false) s =
   let mem =
     Mem.create ~endian:(if s.s_big_endian then Endian.Big else Endian.Little) ()
   in
@@ -112,7 +119,13 @@ let build s =
   let gc = Gc.create ~config mem ~base:(Addr.of_int heap_base) ~max_bytes:heap_bytes () in
   Gc.set_auto_collect gc false;
   Gc.add_static_root gc ~lo:(Segment.base data) ~hi:(Segment.limit data) ~label:"roots";
-  let objs = Array.map (fun words -> Gc.allocate gc (4 * words)) s.s_sizes in
+  let objs =
+    Array.mapi
+      (fun i words ->
+        if typed && i mod 2 = 0 then Gc.Internal.allocate_typed gc (even_words words)
+        else Gc.allocate gc (4 * words))
+      s.s_sizes
+  in
   List.iter (fun (src, f, dst) -> Gc.set_field gc objs.(src) f (Addr.to_int objs.(dst))) s.s_edges;
   List.iteri
     (fun i r ->
@@ -228,54 +241,58 @@ let prop_register_value_matches_classify =
    deterministic overflow-free).  jobs = 1 must take the
    [Serial_configured] note; jobs > 1 must really go parallel (no fault
    plan here), pass the post-parallel-mark audit, and show per-domain
-   shards summing to the per-cycle totals. *)
+   shards summing to the per-cycle totals.  Every scenario runs twice:
+   on untyped pages, and with every other object on a typed page. *)
+let parallel_matches_serial ~typed s =
+  let gc_ser = build ~typed s in
+  Gc.Internal.run_mark gc_ser;
+  let ser1 = mark_state gc_ser in
+  Gc.Internal.run_mark gc_ser;
+  let ser2 = mark_state gc_ser in
+  let agree (m, b, (w, v, f, om, ov)) (m', b', (w', v', f', om', ov')) =
+    m = m' && b = b' && om = om'
+    && (ov > 0 || ov' > 0 || (w = w' && v = v' && f = f'))
+  in
+  let shard_sum o f =
+    Array.fold_left (fun acc sh -> acc + f sh) 0 o.Cgc.Mark.Parallel.shards
+  in
+  List.for_all
+    (fun jobs ->
+      let gc_par = build ~typed s in
+      let o1 = Gc.Internal.run_mark_parallel gc_par ~jobs in
+      let st1 = mark_state gc_par in
+      let o2 = Gc.Internal.run_mark_parallel gc_par ~jobs in
+      let st2 = mark_state gc_par in
+      let audit = Cgc.Verify.check_parallel_mark gc_par in
+      let note_ok =
+        if jobs = 1 then
+          o1.Cgc.Mark.Parallel.fallback = Some Cgc.Mark.Parallel.Serial_configured
+          && o2.Cgc.Mark.Parallel.fallback = Some Cgc.Mark.Parallel.Serial_configured
+        else
+          o1.Cgc.Mark.Parallel.fallback = None
+          && o2.Cgc.Mark.Parallel.fallback = None
+          && o1.Cgc.Mark.Parallel.domains_used = jobs
+      in
+      let shards_ok =
+        jobs = 1
+        ||
+        let _, _, (w1, v1, f1, om1, ov1) = st1 in
+        let _, _, (_, _, _, om2, _) = st2 in
+        shard_sum o1 (fun sh -> sh.Stats.objects_marked) = om1
+        && shard_sum o2 (fun sh -> sh.Stats.objects_marked) = om2 - om1
+        && (ov1 > 0
+           || shard_sum o1 (fun sh -> sh.Stats.words_scanned) = w1
+              && shard_sum o1 (fun sh -> sh.Stats.valid_refs) = v1
+              && shard_sum o1 (fun sh -> sh.Stats.false_refs) = f1)
+      in
+      agree st1 ser1 && agree st2 ser2 && audit = [] && note_ok && shards_ok)
+    [ 1; 2; 4 ]
+
 let prop_parallel_matches_serial =
   QCheck.Test.make ~count:120 ~name:"parallel tracer == serial fast path (jobs 1/2/4)"
     scenario_arb
     (fun s ->
-      let gc_ser = build s in
-      Gc.Internal.run_mark gc_ser;
-      let ser1 = mark_state gc_ser in
-      Gc.Internal.run_mark gc_ser;
-      let ser2 = mark_state gc_ser in
-      let agree (m, b, (w, v, f, om, ov)) (m', b', (w', v', f', om', ov')) =
-        m = m' && b = b' && om = om'
-        && (ov > 0 || ov' > 0 || (w = w' && v = v' && f = f'))
-      in
-      let shard_sum o f =
-        Array.fold_left (fun acc sh -> acc + f sh) 0 o.Cgc.Mark.Parallel.shards
-      in
-      List.for_all
-        (fun jobs ->
-          let gc_par = build s in
-          let o1 = Gc.Internal.run_mark_parallel gc_par ~jobs in
-          let st1 = mark_state gc_par in
-          let o2 = Gc.Internal.run_mark_parallel gc_par ~jobs in
-          let st2 = mark_state gc_par in
-          let audit = Cgc.Verify.check_parallel_mark gc_par in
-          let note_ok =
-            if jobs = 1 then
-              o1.Cgc.Mark.Parallel.fallback = Some Cgc.Mark.Parallel.Serial_configured
-              && o2.Cgc.Mark.Parallel.fallback = Some Cgc.Mark.Parallel.Serial_configured
-            else
-              o1.Cgc.Mark.Parallel.fallback = None
-              && o2.Cgc.Mark.Parallel.fallback = None
-              && o1.Cgc.Mark.Parallel.domains_used = jobs
-          in
-          let shards_ok =
-            jobs = 1
-            ||
-            let _, _, (w1, v1, f1, om1, ov1) = st1 in
-            let _, _, (_, _, _, om2, _) = st2 in
-            shard_sum o1 (fun sh -> sh.Stats.objects_marked) = om1
-            && shard_sum o2 (fun sh -> sh.Stats.objects_marked) = om2 - om1
-            && (ov1 > 0
-               || shard_sum o1 (fun sh -> sh.Stats.words_scanned) = w1
-                  && shard_sum o1 (fun sh -> sh.Stats.valid_refs) = v1
-                  && shard_sum o1 (fun sh -> sh.Stats.false_refs) = f1)
-          in
-          agree st1 ser1 && agree st2 ser2 && audit = [] && note_ok && shards_ok)
-        [ 1; 2; 4 ])
+      List.for_all (fun typed -> parallel_matches_serial ~typed s) [ false; true ])
 
 module DF = Cgc.Domain_fault
 module Parallel = Cgc.Mark.Parallel
@@ -572,8 +589,8 @@ let young_closure gc gen roots =
     match young_target gc gen v with
     | Some base when not (Hashtbl.mem seen base) ->
         Hashtbl.add seen base ();
-        let bytes, pointer_free = Heap.object_span (Gc.heap gc) base in
-        if not pointer_free then iter_object_words gc base bytes visit
+        let bytes, layout = Heap.object_layout (Gc.heap gc) base in
+        if layout <> Page.Pointer_free then iter_object_words gc base bytes visit
     | Some _ | None -> ()
   in
   Segment.iter_words roots ~alignment:(Gc.config gc).Config.alignment ~lo:(Segment.base roots)

@@ -707,6 +707,22 @@ let precise_world () =
   let p = Precise.create gc in
   (mem, config, gc, p)
 
+(* Every allocated object, by a walk over the page table, in address
+   order. *)
+let allocated_bases gc =
+  let heap = Gc.heap gc in
+  let acc = ref [] in
+  Cgc.Heap.iter_committed heap (fun i p ->
+      match p with
+      | Cgc.Page.Small s ->
+          let first = Addr.to_int (Cgc.Heap.page_addr heap i) + s.Cgc.Page.first_offset in
+          Bitset.iter_set s.Cgc.Page.alloc (fun obj ->
+              acc := (first + (obj * s.Cgc.Page.object_bytes)) :: !acc)
+      | Cgc.Page.Large_head l ->
+          if l.Cgc.Page.l_allocated then acc := Addr.to_int (Cgc.Heap.page_addr heap i) :: !acc
+      | Cgc.Page.Uncommitted | Cgc.Page.Free | Cgc.Page.Large_tail _ -> ());
+  List.sort compare !acc
+
 (* The differential session's invariant, as a property over seeds: on
    any typed trace, replayed fault-free, exact retention never exceeds
    the conservative twin's at any completed collect.  (The chaos matrix
@@ -741,15 +757,41 @@ let prop_precise_abort_recollect_identical =
       Mem.set_fault_plan mem None
     end;
     Precise.collect p;
-    let live = ref [] in
-    Precise.iter_descriptors p (fun a _ -> live := Addr.to_int a :: !live);
-    ((Gc.stats gc).Cgc.Stats.live_objects, List.sort compare !live)
+    ((Gc.stats gc).Cgc.Stats.live_objects, allocated_bases gc)
   in
   QCheck.Test.make ~count:30
     ~name:"aborted precise mark + fault-free re-collect = never-faulted collect"
     QCheck.(int_bound 100000)
     (fun seed ->
       live_set_after ~seed ~abort:true = live_set_after ~seed ~abort:false)
+
+(* The exact trace on the kernel marks exactly the exact closure: after
+   every completed collect of a typed trace, the allocated set is
+   [Verify.exact_reachable] — an independent walk through the
+   descriptors' pointer offsets — with the default mark stack and with
+   one bounded to 16 entries (so overflow recovery rescans typed
+   pages). *)
+let prop_precise_allocated_is_exact_closure =
+  QCheck.Test.make ~count:30 ~name:"completed precise collect leaves exactly the exact closure"
+    QCheck.(pair (int_bound 100000) bool)
+    (fun (seed, bounded) ->
+      let config =
+        if bounded then { Config.default with Config.mark_stack_limit = Some 16 }
+        else Config.default
+      in
+      let mem = Mem.create () in
+      let gc = Gc.create ~config mem ~base:(Addr.of_int 0x400000) ~max_bytes:(1024 * 1024) () in
+      let p = Precise.create gc in
+      let ops = Typed_mutator.trace ~seed ~steps:300 in
+      let session = Typed_mutator.make_session ~config p ops in
+      Array.for_all
+        (fun op ->
+          match (op, Typed_mutator.step session op) with
+          | Typed_mutator.Collect, `Ok ->
+              allocated_bases gc = List.map Addr.to_int (Cgc.Verify.exact_reachable p)
+          | _ -> true)
+        ops
+      && Typed_mutator.collects_completed session > 0)
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
@@ -779,6 +821,7 @@ let suite =
       prop_read_fault_cone;
       prop_precise_le_conservative;
       prop_precise_abort_recollect_identical;
+      prop_precise_allocated_is_exact_closure;
     ]
 
 let () = Alcotest.run "props" [ ("properties", suite) ]
