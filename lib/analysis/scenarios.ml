@@ -212,14 +212,6 @@ let matrix_table =
             build_chain h ~slot:0 ~n:224;
             churn h ~n:160;
             "churn against 14/16 pages live") );
-    ( "sv-ladder-lazy",
-      fun () ->
-        matrix_scenario ~name:"sv-ladder-lazy" ~pages:16
-          ~config:(fun c -> { c with Cgc.Config.blacklisting = false; Cgc.Config.lazy_sweep = true })
-          (fun h ->
-            build_chain h ~slot:0 ~n:224;
-            churn h ~n:160;
-            "lazy sweep: ladder drains deferred pages") );
     ( "sv-ladder-hashed",
       fun () ->
         matrix_scenario ~name:"sv-ladder-hashed" ~pages:16

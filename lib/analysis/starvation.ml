@@ -8,7 +8,7 @@
      fresh one; heap growth inside the plain attempt is rung-free, so a
      program that only ever grows is [Safe].
    - When the plain attempt fails, the escalation ladder runs (collect,
-     drain, trim, grow, relax, hook).  A collection forced by the
+     trim, grow, relax, hook).  A collection forced by the
      ladder appears in the trace as an ordinary GC point — but one that
      arrives long before the auto-collect budget (allocated-since-GC >=
      committed/space_divisor) is spent.  That budget-rule mirror is the
@@ -317,7 +317,7 @@ let predict ?decay (g : geometry) (p : Ir.program) (r : Apparent.result) =
 (* The measured side: the same classification read off a finished run *)
 
 let ladder_rungs (st : Cgc.Stats.t) =
-  st.Cgc.Stats.ladder_collects + st.Cgc.Stats.ladder_drains + st.Cgc.Stats.ladder_trims
+  st.Cgc.Stats.ladder_collects + st.Cgc.Stats.ladder_trims
   + st.Cgc.Stats.ladder_expansions + st.Cgc.Stats.ladder_relax_first_page
   + st.Cgc.Stats.ladder_relax_black + st.Cgc.Stats.ladder_oom_hooks
 

@@ -16,10 +16,8 @@ type t = {
   avoid_trailing_zeros : int option;
   zero_on_alloc : bool;
   initial_pages : int;
-  min_expand_pages : int;
   max_expand_pages : int;
   space_divisor : int;
-  lazy_sweep : bool;
   mark_stack_limit : int option;
   full_gc_at_startup : bool;
   relax_blacklist : bool;
@@ -40,10 +38,8 @@ let default =
     avoid_trailing_zeros = None;
     zero_on_alloc = true;
     initial_pages = 64;
-    min_expand_pages = 64;
     max_expand_pages = 256;
     space_divisor = 3;
-    lazy_sweep = false;
     mark_stack_limit = None;
     full_gc_at_startup = true;
     relax_blacklist = false;
@@ -58,9 +54,7 @@ let validate t =
   if t.alignment <> 1 && t.alignment <> 2 && t.alignment <> 4 then
     invalid_arg "Config: alignment must be 1, 2 or 4";
   if t.initial_pages < 1 then invalid_arg "Config: initial_pages must be >= 1";
-  if t.min_expand_pages < 1 then invalid_arg "Config: min_expand_pages must be >= 1";
-  if t.max_expand_pages < t.min_expand_pages then
-    invalid_arg "Config: max_expand_pages must be >= min_expand_pages";
+  if t.max_expand_pages < 1 then invalid_arg "Config: max_expand_pages must be >= 1";
   if t.space_divisor < 1 then invalid_arg "Config: space_divisor must be >= 1";
   List.iter
     (fun d ->
@@ -108,7 +102,7 @@ let pp ppf t =
   Format.fprintf ppf
     "@[<v>page_size=%d granule=%d interior=%b displacements=[%s] large=%s align=%d@,\
      blacklist=%b refresh=%b atomic_on_black=%b avoid_tz=%s zero=%b@,\
-     initial_pages=%d expand=%d..%d divisor=%d startup_gc=%b relax_blacklist=%b@]"
+     initial_pages=%d max_expand=%d divisor=%d startup_gc=%b relax_blacklist=%b@]"
     t.page_size t.granule t.interior_pointers
     (String.concat ";" (List.map string_of_int t.valid_displacements))
     (match t.large_validity with
@@ -118,5 +112,5 @@ let pp ppf t =
     (match t.avoid_trailing_zeros with
     | None -> "off"
     | Some k -> string_of_int k)
-    t.zero_on_alloc t.initial_pages t.min_expand_pages t.max_expand_pages t.space_divisor
+    t.zero_on_alloc t.initial_pages t.max_expand_pages t.space_divisor
     t.full_gc_at_startup t.relax_blacklist

@@ -58,24 +58,16 @@ type t = {
       (** clear objects on allocation so reused memory cannot leak stale
           pointers into the scan *)
   initial_pages : int;  (** pages committed up front *)
-  min_expand_pages : int;  (** heap expansion increment *)
   max_expand_pages : int;
-      (** starting increment for the allocation ladder's grow rung: when
-          memory pressure defeats a [max_expand_pages]-sized expansion,
-          the ladder backs off by halving down to [min_expand_pages]
-          before giving up (capped-backoff expansion sizing) *)
+      (** starting batch for the allocation ladder's grow rung: when the
+          (simulated) OS refuses a [max_expand_pages]-sized expansion,
+          the ladder halves the batch, down to the pages the request
+          needs (at least one, at most the room left), before giving up
+          (capped-backoff expansion sizing) *)
   space_divisor : int;
       (** collect when bytes allocated since the last collection exceed
           committed-heap-bytes / [space_divisor]; smaller keeps the heap
           tighter at the price of more frequent collections *)
-  lazy_sweep : bool;
-      (** defer sweeping: a collection only marks; a page is swept
-          when its size class's allocation cursor reaches it (and any
-          leftovers just before the next mark).  Shortens the
-          stop-the-world pause at the price of delayed reclamation —
-          [is_allocated] reports garbage as live until its page is
-          swept.  [Stats.live_bytes] is still set at collect time, from
-          the mark bits *)
   mark_stack_limit : int option;
       (** bound on the explicit mark stack; on overflow the marker drops
           entries and recovers by rescanning marked objects until a
@@ -99,9 +91,9 @@ type t = {
 val default : t
 (** 4 KB pages, 4-byte granules, interior pointers on ([Anywhere]),
     aligned scanning, blacklisting on with refresh, atomic-on-black on,
-    no trailing-zero avoidance, zeroing on, 64 initial pages, expansion
-    increment 64 pages (backoff cap 256), space divisor 3, startup
-    collection on, blacklist relaxation off. *)
+    no trailing-zero avoidance, zeroing on, 64 initial pages, grow-rung
+    batch 256 pages, space divisor 3, startup collection on, blacklist
+    relaxation off. *)
 
 val validate : t -> unit
 (** @raise Invalid_argument on inconsistent settings. *)

@@ -19,7 +19,6 @@ type t = {
   finalize : Finalize.t;
   stats : Stats.t;
   marker : Mark.t;
-  pending_sweep : Bitset.t; (* lazy mode: pages awaiting their sweep *)
   decayed_pages : Bitset.t;
       (* pages quarantined after their memory decayed under the
          allocator: every placement path excludes them, and sweeps never
@@ -42,7 +41,6 @@ type t = {
 
 type rung =
   | Collect
-  | Drain
   | Trim
   | Grow
   | Relax_first_page
@@ -51,7 +49,6 @@ type rung =
 
 let rung_to_string = function
   | Collect -> "collect"
-  | Drain -> "drain"
   | Trim -> "trim"
   | Grow -> "grow"
   | Relax_first_page -> "relax-first-page"
@@ -135,7 +132,6 @@ let create ?(config = Config.default) mem ~base ~max_bytes () =
       finalize = Finalize.create ();
       stats;
       marker;
-      pending_sweep = Bitset.create (Heap.n_pages heap);
       decayed_pages = Bitset.create (Heap.n_pages heap);
       allocated_since_gc = 0;
       auto_collect = true;
@@ -231,20 +227,13 @@ let close_page t i (s : Page.small) =
   let c = page_slot t s in
   if t.cursor_page.(c) = i then t.cursor_page.(c) <- -1
 
-(* Whether page [p] is still a small page of class [c]: since the chain
-   was linked, a drain may have released the page, and another class or
-   a large object may hold it now.  (A fault quarantines only the page
-   a cursor is on, and [close_page] moves that cursor off it.) *)
-let owns t c p =
-  match Heap.page t.heap p with
-  | Page.Small s -> page_slot t s = c
-  | Page.Uncommitted | Page.Free | Page.Large_head _ | Page.Large_tail _ -> false
-
-(* Move class [c]'s cursor to the next page of its chain it still owns.
-   Lazy mode sweeps a pending page when the cursor reaches it, so the
-   cursor never allocates on an unswept page.  [false] once the chain
-   is exhausted. *)
-let rec advance t c =
+(* Move class [c]'s cursor to the next page of its chain; [false] once
+   the chain is exhausted.  Every page of a chain is still a small page
+   of its class: only a sweep releases or recarves a small page, and
+   every sweep relinks the chains.  (A fault quarantines only the page
+   a cursor is on, which its chain already lies past, and
+   [close_page] moves that cursor off it.) *)
+let advance t c =
   let p = t.chain.(c) in
   if p < 0 then begin
     t.cursor_page.(c) <- -1;
@@ -252,16 +241,9 @@ let rec advance t c =
   end
   else begin
     t.chain.(c) <- t.next_open.(p);
-    if owns t c p && Bitset.mem t.pending_sweep p then begin
-      Bitset.remove t.pending_sweep p;
-      ignore (Sweep.sweep_page t.heap t.finalize t.stats p : int)
-    end;
-    if owns t c p then begin
-      t.cursor_page.(c) <- p;
-      t.cursor_slot.(c) <- 0;
-      true
-    end
-    else advance t c
+    t.cursor_page.(c) <- p;
+    t.cursor_slot.(c) <- 0;
+    true
   end
 
 (* The hit path: claim the next clear alloc bit of the cursor's page
@@ -289,61 +271,14 @@ let rec take_from_chain t c =
   let a = take_slot t c in
   if a >= 0 || not (advance t c) then a else take_from_chain t c
 
-(* Lazy mode: sweep every page still awaiting its sweep. *)
-let drain_pending_sweeps t =
-  let freed = ref 0 in
-  Bitset.iter (fun i -> freed := !freed + Sweep.sweep_page t.heap t.finalize t.stats i) t.pending_sweep;
-  Bitset.clear t.pending_sweep;
-  !freed
-
-(* Lazy mode publishes the live figures at collect time, from the mark
-   bits the deferred sweeps will consume: the same counts an eager sweep
-   reports. *)
-let defer_sweeps t =
-  let live_objects = ref 0 and live_bytes = ref 0 in
-  Heap.iter_committed t.heap (fun i p ->
-      match p with
-      | Page.Small s ->
-          Bitset.add t.pending_sweep i;
-          let n = Bitset.count s.Page.mark in
-          live_objects := !live_objects + n;
-          live_bytes := !live_bytes + (n * s.Page.object_bytes)
-      | Page.Large_head l ->
-          Bitset.add t.pending_sweep i;
-          if l.Page.l_marked then begin
-            incr live_objects;
-            live_bytes := !live_bytes + l.Page.object_bytes
-          end
-      | Page.Free | Page.Uncommitted | Page.Large_tail _ -> ());
-  t.stats.Stats.live_objects <- !live_objects;
-  t.stats.Stats.live_bytes <- !live_bytes
-
 let collect t =
   let t0 = Stats.now_s () in
   t.stats.Stats.collections <- t.stats.Stats.collections + 1;
-  if t.config.Config.lazy_sweep then begin
-    (* leftovers from the previous cycle must go before marks are reset;
-       their time is sweep time *)
-    let (_ : int) = drain_pending_sweeps t in
-    let t1 = Stats.now_s () in
-    Mark.run t.marker t.roots ~mem:t.mem;
-    defer_sweeps t;
-    reopen t;
-    let t2 = Stats.now_s () in
-    t.stats.Stats.sweep_seconds <- t.stats.Stats.sweep_seconds +. (t1 -. t0);
-    t.stats.Stats.mark_seconds <- t.stats.Stats.mark_seconds +. (t2 -. t1);
-    t.stats.Stats.total_gc_seconds <- t.stats.Stats.total_gc_seconds +. (t2 -. t0)
-  end
-  else begin
-    Mark.run t.marker t.roots ~mem:t.mem;
-    let t1 = Stats.now_s () in
-    let (_ : Sweep.result) = Sweep.run t.heap t.finalize t.stats in
-    reopen t;
-    let t2 = Stats.now_s () in
-    t.stats.Stats.mark_seconds <- t.stats.Stats.mark_seconds +. (t1 -. t0);
-    t.stats.Stats.sweep_seconds <- t.stats.Stats.sweep_seconds +. (t2 -. t1);
-    t.stats.Stats.total_gc_seconds <- t.stats.Stats.total_gc_seconds +. (t2 -. t0)
-  end;
+  Mark.run t.marker t.roots ~mem:t.mem;
+  let t1 = Stats.now_s () in
+  let (_ : Sweep.result) = Sweep.run t.heap t.finalize t.stats in
+  reopen t;
+  Stats.add_cycle_time t.stats ~t0 ~t1 ~t2:(Stats.now_s ());
   t.allocated_since_gc <- 0
 
 let trim t =
@@ -434,9 +369,6 @@ let commit_fresh_page t ~ok =
   go (Heap.committed_pages t.heap)
 
 let try_acquire_small_page t ~granules ~layout ~tier ~note_fault =
-  (* before taking a brand-new page, finish any deferred sweeping: it
-     may free whole pages *)
-  if t.config.Config.lazy_sweep then ignore (drain_pending_sweeps t);
   let ok = page_ok t ~layout ~small:true ~tier in
   let found =
     match Heap.find_free_page t.heap ~ok with
@@ -486,8 +418,7 @@ let grow_with_backoff t ~need_pages ~note_fault =
 (* Drive one request up the escalation ladder.  [attempt ~tier ~note_fault]
    makes one complete placement attempt at the given blacklist
    strictness; the ladder runs it first at [Tier_strict], then after
-   each rung that changed something: collect, drain deferred sweeps,
-   trim + retry, grow with capped backoff, blacklist relaxation
+   each rung that changed something: collect, trim + retry, grow with capped backoff, blacklist relaxation
    (opt-in, [Config.relax_blacklist]), the registered out-of-memory
    hook, and finally a structured raise carrying the diagnosis. *)
 let run_ladder t ~request_bytes ~request_pages ~small ~layout ~attempt =
@@ -508,16 +439,6 @@ let run_ladder t ~request_bytes ~request_pages ~small ~layout ~attempt =
                rung Collect;
                stats.Stats.ladder_collects <- stats.Stats.ladder_collects + 1;
                (match t.collect_hook with Some f -> f () | None -> collect t);
-               true
-             end),
-        Tier_strict );
-      ( (fun () ->
-          t.config.Config.lazy_sweep
-          && (not (Bitset.is_empty t.pending_sweep))
-          && begin
-               rung Drain;
-               stats.Stats.ladder_drains <- stats.Stats.ladder_drains + 1;
-               ignore (drain_pending_sweeps t);
                true
              end),
         Tier_strict );
@@ -747,12 +668,7 @@ let allocate_large t ~bytes ~layout =
             note_fault ();
             None)
   in
-  let attempt ~tier ~note_fault =
-    (* large placement needs an accurate page map *)
-    if t.config.Config.lazy_sweep then ignore (drain_pending_sweeps t);
-    place ~tier ~note_fault
-  in
-  run_ladder t ~request_bytes:bytes ~request_pages:n ~small:false ~layout ~attempt
+  run_ladder t ~request_bytes:bytes ~request_pages:n ~small:false ~layout ~attempt:place
 
 let alloc_once t ~small ~bytes ~layout =
   if small then allocate_small t ~granules:(Size_class.granules_for t.sizes bytes) ~layout
@@ -862,7 +778,6 @@ let pp ppf t =
   Format.fprintf ppf "@[<v>%a@,%a@,%a@]" Heap.pp t.heap Blacklist.pp t.blacklist Stats.pp t.stats
 
 module Internal = struct
-  let pending_sweep t = t.pending_sweep
   let decayed_pages t = t.decayed_pages
   let finalize t = t.finalize
   let roots t = t.roots
@@ -884,10 +799,8 @@ module Internal = struct
       t.cursor_page;
     List.rev !pages
 
-  (* Every page has been swept: none is left pending. *)
   let run_sweep t =
     let r = Sweep.run t.heap t.finalize t.stats in
-    Bitset.clear t.pending_sweep;
     reopen t;
     r
   let run_mark t = Mark.run t.marker t.roots ~mem:t.mem

@@ -23,14 +23,13 @@ type t
 (** {1 Failure semantics}
 
     A request that cannot be satisfied outright climbs an escalation
-    ladder — collect, drain deferred sweeps, trim + retry, grow with
-    capped-backoff expansion sizing, optional blacklist relaxation, the
-    registered out-of-memory hook — before {!Out_of_memory} is raised.
+    ladder — collect, trim + retry, grow with capped-backoff expansion
+    sizing, optional blacklist relaxation, the registered out-of-memory
+    hook — before {!Out_of_memory} is raised.
     Each rung is counted in {!Stats}; the raise carries a diagnosis. *)
 
 type rung =
   | Collect  (** a collection forced on behalf of the request *)
-  | Drain  (** lazy mode: deferred sweeps finished *)
   | Trim  (** trailing free pages returned to the OS, refunding commit quota *)
   | Grow  (** batch heap expansion with capped backoff *)
   | Relax_first_page
@@ -136,11 +135,8 @@ val collect : t -> unit
 (** A full stop-the-world collection: conservative mark from all
     registered roots (updating the blacklist), then sweep.  The mark is
     always the serial {!Mark.run}, as in the paper's collector; the
-    parallel tracer runs only through {!Internal.run_mark_parallel}. *)
-
-val drain_pending_sweeps : t -> int
-(** Lazy-sweep mode: finish all deferred sweeping now; returns objects
-    freed.  A no-op (0) in eager mode or when nothing is pending. *)
+    parallel tracer runs only through {!Internal.run_mark_parallel}.
+    Every page is swept before [collect] returns. *)
 
 val trim : t -> int
 (** Return trailing committed-but-free pages to the simulated OS
@@ -165,7 +161,9 @@ val find_object : t -> Addr.t -> Addr.t option
     retention; always recognizes interior addresses. *)
 
 val is_allocated : t -> Addr.t -> bool
-(** Whether the address is the base of a currently allocated object. *)
+(** Whether the address is the base of a currently allocated object:
+    one allocated and not reclaimed by a sweep since.  Garbage stays
+    allocated until the next collection sweeps it. *)
 
 val object_size : t -> Addr.t -> int option
 (** Size in bytes of the allocated object based at the address. *)
@@ -191,10 +189,6 @@ val pp : Format.formatter -> t -> unit
     Shared machinery exposed to the sibling baseline collectors
     ({!Precise}) and to white-box tests.  Not part of the stable API. *)
 module Internal : sig
-  val pending_sweep : t -> Bitset.t
-  (** Lazy mode: pages awaiting their deferred sweep (empty in eager
-      mode).  Exposed for {!Verify.check_after_fault}. *)
-
   val decayed_pages : t -> Bitset.t
   (** Pages quarantined after a decay write fault: excluded from every
       placement path, their slots never refunded by sweeps.  Exposed for
@@ -204,8 +198,8 @@ module Internal : sig
   val roots : t -> Roots.t
   val marker : t -> Mark.t
   val run_sweep : t -> Sweep.result
-  (** Sweep every page using whatever mark bits are currently set (no
-      page is left pending), then {!reopen}. *)
+  (** Sweep every page using whatever mark bits are currently set, then
+      {!reopen}. *)
 
   val reopen : ?closed:(int -> bool) -> t -> unit
   (** Relink the allocation cursors' page chains after a sweep: each

@@ -26,8 +26,6 @@ type t = {
 
 let create ?(promote_after = 2) gc =
   if promote_after < 1 then invalid_arg "Generational.create: promote_after must be >= 1";
-  if (Gc.config gc).Config.lazy_sweep then
-    invalid_arg "Generational.create: incompatible with lazy_sweep (minor sweeps are eager)";
   let n = Heap.n_pages (Gc.heap gc) in
   {
     gc;
@@ -192,18 +190,20 @@ let update_ages_after_sweep t =
           end)
 
 let minor t =
+  let t0 = Stats.now_s () in
   t.minor_collections <- t.minor_collections + 1;
   minor_mark t;
-  let heap = heap t in
+  let t1 = Stats.now_s () in
   let policy i _ = if page_is_old t i then `Keep_live else `Sweep in
   let (_ : Sweep.result) =
-    Sweep.run ~policy heap (Gc.Internal.finalize t.gc) (Gc.stats t.gc)
+    Sweep.run ~policy (heap t) (Gc.Internal.finalize t.gc) (Gc.stats t.gc)
   in
   retain_young_refs t;
   update_ages_after_sweep t;
   (* old pages, the freshly promoted included, are closed to the
      allocation cursors so fresh allocation stays young *)
-  Gc.Internal.reopen ~closed:(page_is_old t) t.gc
+  Gc.Internal.reopen ~closed:(page_is_old t) t.gc;
+  Stats.add_cycle_time (Gc.stats t.gc) ~t0 ~t1 ~t2:(Stats.now_s ())
 
 let major t =
   t.major_collections <- t.major_collections + 1;

@@ -36,8 +36,7 @@ val create : ?promote_after:int -> Gc.t -> t
     should have automatic collection disabled: the generational policy
     decides when to collect.  Do not mix [Gc.collect] with minor
     collections except through {!major}.
-    @raise Invalid_argument if the collector is configured with
-    [lazy_sweep] (generational sweeping is eager by construction). *)
+    @raise Invalid_argument if [promote_after < 1]. *)
 
 val gc : t -> Gc.t
 
@@ -57,7 +56,9 @@ val set_field : t -> Addr.t -> int -> int -> unit
 val get_field : t -> Addr.t -> int -> int
 
 val minor : t -> unit
-(** Collect the young generation only. *)
+(** Collect the young generation only.  Its trace counters and phase
+    times land in the wrapped collector's {!Stats}; it counts in
+    {!stats}'s [minor_collections], not in [Stats.collections]. *)
 
 val major : t -> unit
 (** Full collection; also re-derives generation state: the dirty set is

@@ -86,10 +86,7 @@ let collect t =
   stats.Stats.precise_collections <- stats.Stats.precise_collections + 1;
   let (_ : Sweep.result) = Gc.Internal.run_sweep t.gc in
   Gc.Internal.note_collected t.gc;
-  let t2 = Stats.now_s () in
-  stats.Stats.mark_seconds <- stats.Stats.mark_seconds +. (t1 -. t0);
-  stats.Stats.sweep_seconds <- stats.Stats.sweep_seconds +. (t2 -. t1);
-  stats.Stats.total_gc_seconds <- stats.Stats.total_gc_seconds +. (t2 -. t0)
+  Stats.add_cycle_time stats ~t0 ~t1 ~t2:(Stats.now_s ())
 
 let create gc =
   let exact =

@@ -16,7 +16,6 @@ type t = {
   mutable blacklist_alloc_checks : int;
   mutable blacklist_rejected_pages : int;
   mutable ladder_collects : int;
-  mutable ladder_drains : int;
   mutable ladder_trims : int;
   mutable ladder_expansions : int;
   mutable ladder_backoffs : int;
@@ -64,7 +63,6 @@ let create () =
     blacklist_alloc_checks = 0;
     blacklist_rejected_pages = 0;
     ladder_collects = 0;
-    ladder_drains = 0;
     ladder_trims = 0;
     ladder_expansions = 0;
     ladder_backoffs = 0;
@@ -91,6 +89,11 @@ let create () =
     total_gc_seconds = 0.;
   }
 
+let add_cycle_time t ~t0 ~t1 ~t2 =
+  t.mark_seconds <- t.mark_seconds +. (t1 -. t0);
+  t.sweep_seconds <- t.sweep_seconds +. (t2 -. t1);
+  t.total_gc_seconds <- t.total_gc_seconds +. (t2 -. t0)
+
 let copy t = { t with collections = t.collections }
 
 (* Copy every field of [src] back into [into], in place.  The inverse of
@@ -115,7 +118,6 @@ let blit src ~into =
   into.blacklist_alloc_checks <- src.blacklist_alloc_checks;
   into.blacklist_rejected_pages <- src.blacklist_rejected_pages;
   into.ladder_collects <- src.ladder_collects;
-  into.ladder_drains <- src.ladder_drains;
   into.ladder_trims <- src.ladder_trims;
   into.ladder_expansions <- src.ladder_expansions;
   into.ladder_backoffs <- src.ladder_backoffs;
@@ -181,7 +183,7 @@ let pp ppf t =
      heap expansions %d@,\
      mark overflows  %d@,\
      blacklist       %d alloc checks, %d pages rejected@,\
-     ladder          %d collects, %d drains, %d trims, %d grows (%d backoffs)@,\
+     ladder          %d collects, %d trims, %d grows (%d backoffs)@,\
      relaxation      %d first-page, %d on-black, %d oom hooks@,\
      faults          %d commit faults, %d OOM raised@,\
      access faults   %d reads (%d mark downgrades), %d writes@,\
@@ -194,7 +196,7 @@ let pp ppf t =
     t.objects_allocated
     t.bytes_allocated t.objects_freed t.bytes_freed t.live_objects t.live_bytes t.heap_expansions
     t.mark_stack_overflows t.blacklist_alloc_checks t.blacklist_rejected_pages
-    t.ladder_collects t.ladder_drains t.ladder_trims t.ladder_expansions t.ladder_backoffs
+    t.ladder_collects t.ladder_trims t.ladder_expansions t.ladder_backoffs
     t.ladder_relax_first_page t.ladder_relax_black t.ladder_oom_hooks
     t.commit_faults t.oom_raised
     t.read_faults t.mark_downgrades t.write_faults

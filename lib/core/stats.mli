@@ -15,6 +15,10 @@
 
 type t = {
   mutable collections : int;
+      (** full collections: {!Gc.collect} and {!Precise.collect}.
+          {!Generational} minor collections are not counted here (they
+          are in {!Generational.stats}), though their trace counters and
+          phase times are *)
   mutable words_scanned : int;  (** root + heap words examined by the marker *)
   mutable valid_refs : int;  (** scanned values that named a live object *)
   mutable false_refs : int;  (** scanned values inside the heap region that named no object *)
@@ -36,7 +40,6 @@ type t = {
   mutable blacklist_rejected_pages : int;  (** fresh-page choices vetoed by the blacklist *)
   mutable ladder_collects : int;
       (** allocation-ladder rung: collections forced by a failed request *)
-  mutable ladder_drains : int;  (** rung: pending lazy sweeps drained *)
   mutable ladder_trims : int;  (** rung: trailing free pages released and the request retried *)
   mutable ladder_expansions : int;  (** rung: heap growth attempts on behalf of a request *)
   mutable ladder_backoffs : int;
@@ -89,7 +92,8 @@ type t = {
   mutable mark_seconds : float;
   mutable sweep_seconds : float;
   mutable total_gc_seconds : float;
-      (** phase times, in seconds of {!now_s} *)
+      (** phase times, in seconds of {!now_s}, of every collection
+          cycle, {!Generational} minors included *)
 }
 
 val now_s : unit -> float
@@ -98,6 +102,12 @@ val now_s : unit -> float
     domain's share to a parallel mark phase. *)
 
 val create : unit -> t
+
+val add_cycle_time : t -> t0:float -> t1:float -> t2:float -> unit
+(** Charge one collection cycle that started at [t0], finished marking
+    at [t1] and finished sweeping at [t2] (all {!now_s} readings) to
+    [mark_seconds], [sweep_seconds] and [total_gc_seconds]. *)
+
 val reset : t -> unit
 val copy : t -> t
 

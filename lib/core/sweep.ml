@@ -17,11 +17,9 @@ type tally = {
   mutable released : int;  (* pages returned to the free pool *)
 }
 
-let new_tally () = { freed = 0; freed_bytes = 0; live = 0; live_bytes = 0; released = 0 }
-
-(* The per-page reclamation every sweep runs: free each allocated object
-   left unmarked (feeding the finalization queue), clear the marks, and
-   return the page to the free pool once nothing on it survived. *)
+(* The per-page reclamation: free each allocated object left unmarked
+   (feeding the finalization queue), clear the marks, and return the
+   page to the free pool once nothing on it survived. *)
 let reclaim tally heap finalize index =
   match Heap.page heap index with
   | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ()
@@ -77,26 +75,17 @@ let keep_live tally = function
       end
   | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ()
 
-let add_freed stats tally =
-  stats.Stats.objects_freed <- stats.Stats.objects_freed + tally.freed;
-  stats.Stats.bytes_freed <- stats.Stats.bytes_freed + tally.freed_bytes
-
-let sweep_page heap finalize stats index =
-  let tally = new_tally () in
-  reclaim tally heap finalize index;
-  add_freed stats tally;
-  tally.freed
-
 let default_policy _ _ = `Sweep
 
 let run ?(policy = default_policy) heap finalize stats =
-  let tally = new_tally () in
+  let tally = { freed = 0; freed_bytes = 0; live = 0; live_bytes = 0; released = 0 } in
   for i = 0 to Heap.committed_pages heap - 1 do
     match policy i (Heap.page heap i) with
     | `Sweep -> reclaim tally heap finalize i
     | `Keep_live -> keep_live tally (Heap.page heap i)
   done;
-  add_freed stats tally;
+  stats.Stats.objects_freed <- stats.Stats.objects_freed + tally.freed;
+  stats.Stats.bytes_freed <- stats.Stats.bytes_freed + tally.freed_bytes;
   stats.Stats.live_objects <- tally.live;
   stats.Stats.live_bytes <- tally.live_bytes;
   {

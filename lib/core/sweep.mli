@@ -15,12 +15,6 @@ type result = {
   pages_released : int;  (** pages returned to the free pool *)
 }
 
-val sweep_page : Heap.t -> Finalize.t -> Stats.t -> int -> int
-(** Sweep a single page using its current mark bits: frees unmarked
-    objects, clears the mark bits, feeds the finalization queue, and
-    releases the page to the free pool when it empties.  Returns the
-    number of objects freed.  The building block of lazy sweeping. *)
-
 val run :
   ?policy:(int -> Page.t -> [ `Sweep | `Keep_live ]) -> Heap.t -> Finalize.t -> Stats.t -> result
 (** Consumes the mark bits set by {!Mark.run} (they are cleared for

@@ -127,8 +127,7 @@ let check_heap heap =
   List.rev !issues
 
 (* Every allocation cursor names an open page of its own class and
-   layout — a small page neither quarantined nor still owed its
-   deferred sweep — or no page. *)
+   layout — a small page that is not quarantined — or no page. *)
 let check_cursors gc issues =
   let heap = Gc.heap gc in
   let add fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
@@ -136,7 +135,6 @@ let check_cursors gc issues =
     (fun (granules, layout, i) ->
       let name = Printf.sprintf "class %d%s cursor" granules (Page.layout_tag layout) in
       if Bitset.mem (Gc.Internal.decayed_pages gc) i then add "%s on quarantined page %d" name i;
-      if Bitset.mem (Gc.Internal.pending_sweep gc) i then add "%s on unswept page %d" name i;
       match Heap.page heap i with
       | Page.Small s when s.Page.granules = granules && s.Page.layout = layout -> ()
       | p -> add "%s on page %d, which is %s" name i (Format.asprintf "%a" Page.pp p))
@@ -170,8 +168,7 @@ let check gc =
    a partially materialized structure.  [check] already rules out
    non-[Uncommitted] pages past the watermark; here we audit the two
    shapes a fault can half-build — a large-object run cut short and a
-   size-class page whose slot population went incoherent — plus deferred
-   sweep bookkeeping pointing at pages that cannot be swept. *)
+   size-class page whose slot population went incoherent. *)
 let check_after_fault gc =
   let issues = ref (List.rev (check gc)) in
   let heap = Gc.heap gc in
@@ -188,15 +185,6 @@ let check_after_fault gc =
           if allocated > s.Page.n_objects then
             add "small page %d has %d allocated slots of %d" i allocated s.Page.n_objects
       | Page.Free | Page.Uncommitted | Page.Large_tail _ -> ());
-  Bitset.iter
-    (fun i ->
-      if i >= committed then add "pending-sweep bit on page %d past the watermark %d" i committed
-      else
-        match Heap.page heap i with
-        | Page.Small _ | Page.Large_head _ -> ()
-        | Page.Free | Page.Uncommitted | Page.Large_tail _ ->
-            add "pending-sweep bit on unsweepable page %d" i)
-    (Gc.Internal.pending_sweep gc);
   List.rev !issues
 
 (* Post-parallel-mark audit, valid between [Gc.Internal.run_mark_parallel]

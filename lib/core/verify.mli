@@ -20,8 +20,7 @@ val check : Gc.t -> string list
       an allocated one): no marker — serial or parallel — ever marks a
       free or quarantine-removed slot;
     - every allocation cursor names an open page of its own size class
-      and layout (small, not quarantined, not awaiting a deferred
-      sweep), or no page;
+      and layout (small, not quarantined), or no page;
     - every registered finalizer watches a currently allocated object;
     - [Heap.live_bytes] is internally consistent with the page
       descriptors. *)
@@ -35,9 +34,8 @@ val check_after_fault : Gc.t -> string list
 (** Everything {!check} does, plus the crash-coherence invariants an
     injected fault must not break: no large object extends past the
     committed watermark (a run cut short mid-commit must have been
-    abandoned as [Free] pages), no size-class page holds more allocated
-    slots than its capacity (no half-initialized carve), and
-    pending-sweep bookkeeping only covers committed, sweepable pages. *)
+    abandoned as [Free] pages), and no size-class page holds more
+    allocated slots than its capacity (no half-initialized carve). *)
 
 val check_heap : Heap.t -> string list
 (** The heap-level subset of {!check} — page-table shape, descriptor

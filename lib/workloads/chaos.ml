@@ -79,7 +79,7 @@ type ops = {
   size_of : Addr.t -> int option;
   drop : Addr.t -> bool;  (* explicit free; [false] = collector-managed, nothing freed *)
   collect : unit -> unit;
-  drain : unit -> unit;
+  major : unit -> unit;  (* generational: a full collection; a no-op elsewhere *)
   trim : unit -> unit;
   heap : Cgc.Heap.t;
   audit_fault : unit -> string list;
@@ -123,7 +123,7 @@ let make_world ~seed ~config ~collector =
       size_of = Gc.object_size gc;
       drop = (fun _ -> false);
       collect = (fun () -> Gc.collect gc);
-      drain = (fun () -> ignore (Gc.drain_pending_sweeps gc : int));
+      major = (fun () -> ());
       trim = (fun () -> ignore (Gc.trim gc : int));
       heap = Gc.heap gc;
       audit_fault = (fun () -> Verify.check_after_fault gc);
@@ -162,8 +162,6 @@ let make_world ~seed ~config ~collector =
           },
           Some p )
     | Generational ->
-        (* minor sweeps are eager by construction *)
-        let config = { config with Cgc.Config.lazy_sweep = false } in
         let gc = Gc.create ~config mem ~base ~max_bytes () in
         add_root gc;
         Gc.set_auto_collect gc false;
@@ -173,7 +171,7 @@ let make_world ~seed ~config ~collector =
             alloc = (fun ~pointer_free bytes -> Cgc.Generational.allocate ~pointer_free g bytes);
             write_field = Cgc.Generational.set_field g;
             collect = (fun () -> Cgc.Generational.minor g);
-            drain = (fun () -> Cgc.Generational.major g);
+            major = (fun () -> Cgc.Generational.major g);
           },
           None )
     | Explicit ->
@@ -195,7 +193,7 @@ let make_world ~seed ~config ~collector =
               end
               else false);
           collect = release;
-          drain = (fun () -> ());
+          major = (fun () -> ());
           trim = release;
           heap = Cgc.Explicit.heap e;
           audit_fault = (fun () -> Verify.check_heap (Cgc.Explicit.heap e));
@@ -253,7 +251,7 @@ let step w =
       let v = Addr.to_int (Cgc.Heap.base ops.heap) + Rng.int w.rng (8 * 1024 * 1024) in
       set_slot w (Rng.int w.rng n_slots) v
   | n when n < 95 -> ops.collect ()
-  | n when n < 98 -> ops.drain ()
+  | n when n < 98 -> ops.major ()
   | _ -> ops.trim ()
 
 (* Allocate once with the fault plan lifted: after an injected fault (or
@@ -370,7 +368,6 @@ let base_config = { Cgc.Config.default with Cgc.Config.initial_pages = 8 }
 let default_scenarios =
   [
     ("eager", base_config);
-    ("lazy", { base_config with Cgc.Config.lazy_sweep = true });
     ("bounded-stack", { base_config with Cgc.Config.mark_stack_limit = Some 32 });
     ("hashed-blacklist", { base_config with Cgc.Config.blacklist_buckets = Some 1024 });
     ("relaxed", { base_config with Cgc.Config.relax_blacklist = true });
@@ -418,13 +415,13 @@ let pp_outcome ppf o =
   let s = o.stats in
   Format.fprintf ppf
     "@[<v>%-12s %-16s x %-18s: %d steps, %d faults injected, %d OOM caught -> %s@,\
-    \  ladder: %d collects, %d drains, %d trims, %d grows (%d backoffs), %d relax-fp, %d \
+    \  ladder: %d collects, %d trims, %d grows (%d backoffs), %d relax-fp, %d \
      relax-black, %d hooks; %d overrides; %d commit faults, %d raised@,\
     \  access: %d reads (%d mark downgrades) / %d writes faulted; %d mutator reads, %d mutator \
      writes; %d pages decayed, %d alloc retries@]"
     o.collector o.scenario o.plan o.steps o.faults_injected o.ooms_caught
     (if clean o then "clean" else "VIOLATIONS")
-    s.Cgc.Stats.ladder_collects s.Cgc.Stats.ladder_drains s.Cgc.Stats.ladder_trims
+    s.Cgc.Stats.ladder_collects s.Cgc.Stats.ladder_trims
     s.Cgc.Stats.ladder_expansions s.Cgc.Stats.ladder_backoffs s.Cgc.Stats.ladder_relax_first_page
     s.Cgc.Stats.ladder_relax_black s.Cgc.Stats.ladder_oom_hooks o.overrides
     s.Cgc.Stats.commit_faults s.Cgc.Stats.oom_raised s.Cgc.Stats.read_faults

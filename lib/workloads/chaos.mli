@@ -3,7 +3,8 @@
 
     Each scenario runs the soak-style random mutator (allocations small
     and large, links, field reads, dropped roots, planted false
-    references, explicit collections, drains, trims) against a backend
+    references, explicit collections, generational major collections,
+    trims) against a backend
     whose simulated memory is failing according to a deterministic
     {!Cgc_vm.Mem.Fault} plan — refused commits, ECC-style read faults,
     refused writes, or permanent decay of whole regions.  After every
@@ -99,7 +100,7 @@ val base_config : Cgc.Config.t
     pages) so fault plans bite quickly. *)
 
 val default_scenarios : (string * Cgc.Config.t) list
-(** eager, lazy, bounded mark stack, hashed blacklist, and
+(** eager, bounded mark stack, hashed blacklist, and
     relax-blacklist variants of {!base_config}. *)
 
 val default_plans : seed:int -> plan_spec list

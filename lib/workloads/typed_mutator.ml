@@ -39,7 +39,7 @@ type op =
   | Read of { src : int; word : int }
   | Write_scalar of { src : int; word : int; value : int }
   | Collect
-  | Drain
+  | Idle
   | Trim
 
 let max_roots = 48
@@ -199,7 +199,7 @@ let trace ~seed ~steps =
       done;
       emit Collect
     end
-    else if r < 97 then emit Drain
+    else if r < 97 then emit Idle
     else emit Trim
   done;
   Array.of_list (List.rev !ops)
@@ -214,7 +214,6 @@ type backend = {
   is_alloc : Addr.t -> bool;
   set_root : int -> Addr.t option -> unit;
   collect : unit -> [ `Completed | `Aborted ];
-  drain : unit -> unit;
   trim : unit -> unit;
   live_objects : unit -> int;
 }
@@ -282,7 +281,7 @@ let apply session side op =
       match side.addrs.(src) with
       | Some a -> side.backend.write a word value
       | None -> ())
-  | Drain -> side.backend.drain ()
+  | Idle -> ()
   | Trim -> side.backend.trim ()
   | Collect -> assert false (* handled by [step]: the two sides synchronize *)
 
@@ -371,7 +370,6 @@ let precise_backend p roots =
           Precise.collect p;
           `Completed
         with Precise.Mark_aborted _ -> `Aborted);
-    drain = (fun () -> ignore (Gc.drain_pending_sweeps gc : int));
     trim = (fun () -> ignore (Gc.trim gc : int));
     live_objects = (fun () -> Precise.live_objects p);
   }
@@ -382,10 +380,8 @@ let twin_backend ~config ~n_ids () =
   let globals =
     Mem.map mem ~name:"twin-globals" ~kind:Segment.Static_data ~base:(Addr.of_int 0x10000) ~size
   in
-  (* the twin is deliberately plain: eager sweeps, no fault plan — the
-     conservative reference the precise side under chaos is measured
-     against *)
-  let config = { config with Config.lazy_sweep = false } in
+  (* the twin is deliberately plain: no fault plan — the conservative
+     reference the precise side under chaos is measured against *)
   let gc =
     Gc.create ~config mem ~base:(Addr.of_int heap_base) ~max_bytes:(8 * 1024 * 1024) ()
   in
@@ -407,7 +403,6 @@ let twin_backend ~config ~n_ids () =
       (fun () ->
         Gc.collect gc;
         `Completed);
-    drain = (fun () -> ignore (Gc.drain_pending_sweeps gc : int));
     trim = (fun () -> ignore (Gc.trim gc : int));
     live_objects = (fun () -> (Gc.stats gc).Cgc.Stats.live_objects);
   }

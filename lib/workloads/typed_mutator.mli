@@ -5,7 +5,7 @@
     atomic blobs, embedded-link records, large arrays), maintains exact
     root providers as it links, unlinks and drops objects, and
     re-enacts the conservative soak repertoire (field reads and writes,
-    explicit collects, drains, trims) — the capability the untyped
+    explicit collects, trims) — the capability the untyped
     random mutator cannot provide, and the precondition for driving the
     precise collector through the chaos matrix.
 
@@ -39,7 +39,9 @@ type op =
       (** a scalar (non-pointer-map) word write; about half the values
           are heap-looking — the misidentification seed *)
   | Collect
-  | Drain
+  | Idle
+      (** an idle step: neither side acts.  It keeps its share of the
+          seeded op mix, so a seed's other ops stay what they are *)
   | Trim
 
 val trace : seed:int -> steps:int -> op array

@@ -128,7 +128,7 @@ let make_gc ?(config = Config.default) ~pages () =
 let set_slot globals i v = Segment.write_word globals (Addr.add (Segment.base globals) (4 * i)) v
 
 let test_small_exhaustion () =
-  let config = { Config.default with Config.initial_pages = 2; min_expand_pages = 1 } in
+  let config = { Config.default with Config.initial_pages = 2 } in
   let _, gc, globals = make_gc ~config ~pages:8 () in
   (* grow a fully live chain until the reserve runs dry *)
   let head = ref 0 in
@@ -402,7 +402,7 @@ let test_write_decay_quarantines_and_retries () =
   done
 
 let test_memory_decayed_diagnosis () =
-  let config = { Config.default with Config.initial_pages = 2; min_expand_pages = 1 } in
+  let config = { Config.default with Config.initial_pages = 2 } in
   let mem, gc, _ = make_gc ~config ~pages:4 () in
   (* every write decays a whole page: each attempt quarantines another
      page until the ladder runs completely dry *)
