@@ -16,9 +16,11 @@
           --seeds N       range over N seeds in table 1
           --smoke         heavily down-scaled runs (CI)
           --json          also write a JSON summary
-          --json-out F    JSON destination (default BENCH.json); Table-1
-                          figures are diff-checked against the newest
-                          BENCH_prN.json in the same directory
+          --json-out F    JSON destination (default BENCH.json)
+          --parity-ref F  with --json: diff-check the output's Table-1
+                          figures against the summary F; exits 1 on
+                          drift, when F is missing, or when F shares
+                          no table1_* figure with the output
           --collector C   restrict the resilience matrix to one backend
                           (conservative | generational | explicit |
                           precise | all)
@@ -81,50 +83,36 @@ let read_json_fields path =
   close_in ic;
   List.rev !fields
 
-(* The highest-numbered [BENCH_prN.json] beside [json_out], other than
-   [json_out] itself. *)
-let newest_committed_summary json_out =
-  let dir = Filename.dirname json_out in
-  let numbered name =
-    match Scanf.sscanf_opt name "BENCH_pr%d.json%!" Fun.id with
-    | Some n when name <> Filename.basename json_out -> Some (n, Filename.concat dir name)
-    | _ -> None
+(* Differential guard: no change may move Table 1.  Every retention
+   figure of the named reference summary must be present, bit-identical,
+   in the output.  A reference that shares no table1_* key with the
+   output fails too (a check that compares nothing passes nothing); a
+   missing one is refused before any section runs. *)
+let check_table1_parity json_out ~reference =
+  let is_t1 (k, _) = String.length k >= 7 && String.sub k 0 7 = "table1_" in
+  let prev = List.filter is_t1 (read_json_fields reference) in
+  let cur = List.filter is_t1 (read_json_fields json_out) in
+  if not (List.exists (fun (k, _) -> List.mem_assoc k cur) prev) then begin
+    Format.eprintf "table-1 parity: %s and %s share no table1_* figure@." reference json_out;
+    exit 1
+  end;
+  let mismatches =
+    List.filter_map
+      (fun (k, v) ->
+        match List.assoc_opt k cur with
+        | Some v' when String.equal v v' -> None
+        | Some v' -> Some (Printf.sprintf "%s: %s -> %s" k v v')
+        | None -> Some (Printf.sprintf "%s: %s -> (missing)" k v))
+      prev
   in
-  List.filter_map numbered (Array.to_list (Sys.readdir dir))
-  |> List.sort (fun (a, _) (b, _) -> compare b a)
-  |> function
-  | [] -> None
-  | (_, path) :: _ -> Some path
-
-(* Differential guard: no change may move Table 1.  When committed
-   summaries sit next to the output, every retention figure present in
-   both the newest of them and the output must be bit-identical. *)
-let check_table1_parity json_out =
-  match newest_committed_summary json_out with
-  | None -> ()
-  | Some reference ->
-      let is_t1 (k, _) = String.length k >= 7 && String.sub k 0 7 = "table1_" in
-      let prev = List.filter is_t1 (read_json_fields reference) in
-      let cur = List.filter is_t1 (read_json_fields json_out) in
-      if prev <> [] && cur <> [] then begin
-        let mismatches =
-          List.filter_map
-            (fun (k, v) ->
-              match List.assoc_opt k cur with
-              | Some v' when String.equal v v' -> None
-              | Some v' -> Some (Printf.sprintf "%s: %s -> %s" k v v')
-              | None -> Some (Printf.sprintf "%s: %s -> (missing)" k v))
-            prev
-        in
-        if mismatches = [] then
-          Format.printf "table-1 parity: %d retention figures bit-identical to %s@."
-            (List.length prev) reference
-        else begin
-          List.iter (Format.eprintf "table-1 drift: %s@.") mismatches;
-          Format.eprintf "table-1 retention moved relative to %s@." reference;
-          exit 1
-        end
-      end
+  if mismatches = [] then
+    Format.printf "table-1 parity: %d retention figures bit-identical to %s@."
+      (List.length prev) reference
+  else begin
+    List.iter (Format.eprintf "table-1 drift: %s@.") mismatches;
+    Format.eprintf "table-1 retention moved relative to %s@." reference;
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
@@ -1111,6 +1099,25 @@ let () =
     in
     find args
   in
+  let parity_ref =
+    let rec find = function
+      | "--parity-ref" :: path :: _ -> Some path
+      | _ :: rest -> find rest
+      | [] -> None
+    in
+    find args
+  in
+  Option.iter
+    (fun reference ->
+      if not json then begin
+        Format.eprintf "--parity-ref needs --json@.";
+        exit 1
+      end;
+      if not (Sys.file_exists reference) then begin
+        Format.eprintf "table-1 parity: reference %s not found@." reference;
+        exit 1
+      end)
+    parity_ref;
   let jobs =
     let rec find = function
       | "--jobs" :: n :: _ -> (try max 1 (int_of_string n) with Failure _ -> 4)
@@ -1141,6 +1148,7 @@ let () =
   let rec strip = function
     | "--seeds" :: _ :: rest -> strip rest
     | "--json-out" :: _ :: rest -> strip rest
+    | "--parity-ref" :: _ :: rest -> strip rest
     | "--collector" :: _ :: rest -> strip rest
     | "--jobs" :: _ :: rest -> strip rest
     | a :: rest -> a :: strip rest
@@ -1191,5 +1199,5 @@ let () =
     selected;
   if json then begin
     json_write json_out;
-    check_table1_parity json_out
+    Option.iter (fun reference -> check_table1_parity json_out ~reference) parity_ref
   end

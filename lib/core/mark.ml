@@ -73,9 +73,9 @@ type t = {
   blacklist : Blacklist.t;
   stats : Stats.t;
   mem : Mem.t;
-      (* the fault boundary: scan loops consult it for injected read
-         faults (checked once per range, so the fault-free path never
-         pays a per-word plan lookup) *)
+      (* the fault boundary: while it arms read faults, range scans take
+         the guarded loop, which probes it per word *)
+  mutable reads_armed : bool;  (** [Mem.read_faults_armed mem] at the start of the trace *)
   mutable stack : int array; (* object base addresses *)
   mutable sp : int;
   mutable overflowed : bool;
@@ -92,6 +92,7 @@ type t = {
   page_shift : int;
   page_mask : int;  (** [page_size - 1] *)
   alignment : int;
+  alignment_shift : int;  (** [log2 alignment]: alignments are 1, 2 or 4 *)
   granule : int;
   interior : bool;
   tail_valid : bool;  (** interior pointers on and [large_validity = Anywhere] *)
@@ -113,8 +114,8 @@ type t = {
   mutable cache_recip_mul : int;
   mutable cache_recip_shift : int;
   mutable cache_head : int;
-  mutable cache_alloc : Bitset.t;
-  mutable cache_mark : Bitset.t;
+  mutable cache_alloc : int array;  (** the row's alloc bitmap words ([Bitset.t.words]) *)
+  mutable cache_mark : int array;  (** the row's mark bitmap words *)
   mutable cache_large : Page.large;
   stop_on_fault : bool;  (** end the trace at the first downgraded word *)
 }
@@ -129,6 +130,7 @@ let create ?(stop_on_fault = false) heap config blacklist stats =
     blacklist;
     stats;
     mem = Heap.mem heap;
+    reads_armed = false;
     stack = Array.make 1024 0;
     sp = 0;
     overflowed = false;
@@ -142,6 +144,12 @@ let create ?(stop_on_fault = false) heap config blacklist stats =
     page_shift = Heap.page_shift heap;
     page_mask = Heap.page_size heap - 1;
     alignment = config.Config.alignment;
+    alignment_shift =
+      (match config.Config.alignment with
+      | 1 -> 0
+      | 2 -> 1
+      | 4 -> 2
+      | _ -> invalid_arg "Mark.create: alignment must be 1, 2 or 4");
     granule = config.Config.granule;
     interior = config.Config.interior_pointers;
     tail_valid =
@@ -159,8 +167,8 @@ let create ?(stop_on_fault = false) heap config blacklist stats =
     cache_recip_mul = 0;
     cache_recip_shift = 0;
     cache_head = 0;
-    cache_alloc = Bitset.create 0;
-    cache_mark = Bitset.create 0;
+    cache_alloc = [||];
+    cache_mark = [||];
     cache_large = Page.dummy_large;
   }
 
@@ -183,6 +191,30 @@ let push t base =
 
 (* --- the fast path ------------------------------------------------- *)
 
+(* The hot loops below make no call into another compilation unit.  The
+   default (dev) build compiles every module [-opaque], so an [@inline]
+   on a function of [Bitset] or [Segment] does not reach this file: each
+   would be a real call per scanned word or per bit test.  Heap words are
+   read here through the primitives [Segment] itself uses, and the alloc
+   and mark bits are tested and set on the bitmap words directly, in the
+   layout [Bitset.t] documents (62 members a word; the literal keeps the
+   divisions by a constant). *)
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
+let[@inline] word_le bytes off =
+  let v = get32u bytes off in
+  let v = if Sys.big_endian then bswap32 v else v in
+  Int32.to_int v land 0xFFFF_FFFF
+
+let[@inline] word_be bytes off =
+  let v = get32u bytes off in
+  let v = if Sys.big_endian then v else bswap32 v in
+  Int32.to_int v land 0xFFFF_FFFF
+
+let bits_per_word = 62
+let () = assert (bits_per_word = Bitset.bits_per_word)
+
 (* Fill the header cache with page's descriptor row: straight-line loads
    from the flat table, no variant match, no allocation.  [page] is in
    range by construction ([consider_heap] bounds-checks the address, and
@@ -197,8 +229,8 @@ let load_header t page =
   t.cache_recip_mul <- Array.unsafe_get d.Heap.d_recip_mul page;
   t.cache_recip_shift <- Array.unsafe_get d.Heap.d_recip_shift page;
   t.cache_head <- Array.unsafe_get d.Heap.d_head page;
-  t.cache_alloc <- Array.unsafe_get d.Heap.d_alloc page;
-  t.cache_mark <- Array.unsafe_get d.Heap.d_mark page;
+  t.cache_alloc <- (Array.unsafe_get d.Heap.d_alloc page).Bitset.words;
+  t.cache_mark <- (Array.unsafe_get d.Heap.d_mark page).Bitset.words;
   t.cache_large <- Array.unsafe_get d.Heap.d_large page
 
 let[@inline] ensure_header t page =
@@ -231,15 +263,17 @@ let consider_heap t value =
         let object_bytes = t.cache_object_bytes in
         let index = (rel * t.cache_recip_mul) lsr t.cache_recip_shift in
         let displacement = rel - (index * object_bytes) in
+        let w = index / bits_per_word and bit = 1 lsl (index mod bits_per_word) in
         if index >= t.cache_n_objects then note_false t page
-        else if not (Bitset.unsafe_mem t.cache_alloc index) then note_false t page
+        else if Array.unsafe_get t.cache_alloc w land bit = 0 then note_false t page
         else if
           displacement = 0 || t.interior
           || Config.displacement_in_mask t.disp_mask ~granule:t.granule displacement
         then begin
           note_valid t;
-          if not (Bitset.unsafe_mem t.cache_mark index) then begin
-            Bitset.unsafe_add t.cache_mark index;
+          let marks = Array.unsafe_get t.cache_mark w in
+          if marks land bit = 0 then begin
+            Array.unsafe_set t.cache_mark w (marks lor bit);
             t.stats.Stats.objects_marked <- t.stats.Stats.objects_marked + 1;
             push t (value - displacement)
           end
@@ -302,8 +336,7 @@ let scan_words_guarded t seg ~lo ~hi =
     (match Mem.probe_read t.mem (Addr.of_int !a) with
     | None ->
         let v =
-          if little then Segment.unsafe_word_le bytes (!a - sbase)
-          else Segment.unsafe_word_be bytes (!a - sbase)
+          if little then word_le bytes (!a - sbase) else word_be bytes (!a - sbase)
         in
         consider_heap t v
     | Some _reason ->
@@ -322,21 +355,21 @@ let scan_words_guarded t seg ~lo ~hi =
 let scan_span t seg bytes ~sbase ~little ~lo ~hi =
   if lo + 4 <= hi then begin
     t.stats.Stats.words_scanned <-
-      t.stats.Stats.words_scanned + (((hi - 4 - lo) / t.alignment) + 1);
-    if Mem.read_faults_armed t.mem then scan_words_guarded t seg ~lo ~hi
+      t.stats.Stats.words_scanned + (((hi - 4 - lo) lsr t.alignment_shift) + 1);
+    if t.reads_armed then scan_words_guarded t seg ~lo ~hi
     else begin
       let alignment = t.alignment in
       if little then begin
         let a = ref lo in
         while !a + 4 <= hi do
-          consider_heap t (Segment.unsafe_word_le bytes (!a - sbase));
+          consider_heap t (word_le bytes (!a - sbase));
           a := !a + alignment
         done
       end
       else begin
         let a = ref lo in
         while !a + 4 <= hi do
-          consider_heap t (Segment.unsafe_word_be bytes (!a - sbase));
+          consider_heap t (word_be bytes (!a - sbase));
           a := !a + alignment
         done
       end
@@ -415,6 +448,7 @@ let trace ?(extra = []) t roots ~mem =
   t.sp <- 0;
   t.overflowed <- false;
   t.cache_page <- -1;
+  t.reads_armed <- Mem.read_faults_armed t.mem;
   let scan range =
     scan_range t ~mem range;
     drain t
@@ -767,9 +801,9 @@ module Parallel = struct
     end
 
   (* [consider_heap] against shadow mark state: mirrors the serial fast
-     path line for line, with [Bitset.unsafe_mem]/[unsafe_add] on the
-     real mark words replaced by one [Bitset.Atomic.unsafe_test_and_set]
-     on the shadow — the winner counts the object and scans it. *)
+     path line for line, with the test and set of the real mark word
+     replaced by one [Bitset.Atomic.unsafe_test_and_set] on the shadow —
+     the winner counts the object and scans it. *)
   let consider sh w value =
     if value >= w.w_heap_lo && value < w.w_heap_hi then begin
       let page = (value - w.w_heap_lo) lsr w.w_page_shift in

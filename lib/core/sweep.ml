@@ -10,48 +10,48 @@ type result = {
 
 (* Running counts of one sweep, folded into [Stats] once at the end. *)
 type tally = {
-  mutable freed : int;
+  objects : Bitset.sweep_counts;  (* [kept]: live objects; [dropped]: freed ones *)
   mutable freed_bytes : int;
-  mutable live : int;
   mutable live_bytes : int;
   mutable released : int;  (* pages returned to the free pool *)
 }
 
-(* The per-page reclamation: free each allocated object left unmarked
-   (feeding the finalization queue), clear the marks, and return the
-   page to the free pool once nothing on it survived. *)
+(* The per-page reclamation: free each allocated object left unmarked,
+   clear the marks, and return the page to the free pool once nothing on
+   it survived.  A small page is one [Bitset.sweep] over its bitmaps;
+   only while some finalizer is registered does it also visit each freed
+   object, in address order, to feed the finalization queue. *)
 let reclaim tally heap finalize index =
   match Heap.page heap index with
   | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ()
   | Page.Small s ->
-      let page_base = Addr.to_int (Heap.page_addr heap index) + s.Page.first_offset in
-      let live0 = tally.live and freed0 = tally.freed in
-      (* Word-level enumeration of allocated slots: whole empty words of
-         the alloc bitmap are skipped instead of probed bit by bit. *)
-      Bitset.iter_set s.Page.alloc (fun obj ->
-          if Bitset.mem s.Page.mark obj then tally.live <- tally.live + 1
-          else begin
-            Bitset.remove s.Page.alloc obj;
-            tally.freed <- tally.freed + 1;
-            Finalize.on_reclaimed finalize (page_base + (obj * s.Page.object_bytes))
-          end);
-      Bitset.clear s.Page.mark;
-      tally.freed_bytes <- tally.freed_bytes + ((tally.freed - freed0) * s.Page.object_bytes);
-      let live_here = tally.live - live0 in
+      let objects = tally.objects in
+      let live0 = objects.Bitset.kept and freed0 = objects.Bitset.dropped in
+      if Finalize.registered_count finalize = 0 then
+        Bitset.sweep ~alloc:s.Page.alloc ~mark:s.Page.mark objects
+      else begin
+        let page_base = Addr.to_int (Heap.page_addr heap index) + s.Page.first_offset in
+        Bitset.sweep ~alloc:s.Page.alloc ~mark:s.Page.mark objects ~dead:(fun obj ->
+            Finalize.on_reclaimed finalize (page_base + (obj * s.Page.object_bytes)))
+      end;
+      tally.freed_bytes <-
+        tally.freed_bytes + ((objects.Bitset.dropped - freed0) * s.Page.object_bytes);
+      let live_here = objects.Bitset.kept - live0 in
       if live_here = 0 then begin
         Heap.set_page heap index Page.Free;
         tally.released <- tally.released + 1
       end
       else tally.live_bytes <- tally.live_bytes + (live_here * s.Page.object_bytes)
   | Page.Large_head l ->
+      let objects = tally.objects in
       if l.Page.l_allocated then begin
         if l.Page.l_marked then begin
-          tally.live <- tally.live + 1;
+          objects.Bitset.kept <- objects.Bitset.kept + 1;
           tally.live_bytes <- tally.live_bytes + l.Page.object_bytes
         end
         else begin
           l.Page.l_allocated <- false;
-          tally.freed <- tally.freed + 1;
+          objects.Bitset.dropped <- objects.Bitset.dropped + 1;
           tally.freed_bytes <- tally.freed_bytes + l.Page.object_bytes;
           Finalize.on_reclaimed finalize (Addr.to_int (Heap.page_addr heap index));
           for j = index to index + l.Page.n_pages - 1 do
@@ -66,11 +66,11 @@ let reclaim tally heap finalize index =
 let keep_live tally = function
   | Page.Small s ->
       let n = Bitset.count s.Page.alloc in
-      tally.live <- tally.live + n;
+      tally.objects.Bitset.kept <- tally.objects.Bitset.kept + n;
       tally.live_bytes <- tally.live_bytes + (n * s.Page.object_bytes)
   | Page.Large_head l ->
       if l.Page.l_allocated then begin
-        tally.live <- tally.live + 1;
+        tally.objects.Bitset.kept <- tally.objects.Bitset.kept + 1;
         tally.live_bytes <- tally.live_bytes + l.Page.object_bytes
       end
   | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ()
@@ -78,20 +78,23 @@ let keep_live tally = function
 let default_policy _ _ = `Sweep
 
 let run ?(policy = default_policy) heap finalize stats =
-  let tally = { freed = 0; freed_bytes = 0; live = 0; live_bytes = 0; released = 0 } in
+  let tally =
+    { objects = { Bitset.kept = 0; dropped = 0 }; freed_bytes = 0; live_bytes = 0; released = 0 }
+  in
   for i = 0 to Heap.committed_pages heap - 1 do
     match policy i (Heap.page heap i) with
     | `Sweep -> reclaim tally heap finalize i
     | `Keep_live -> keep_live tally (Heap.page heap i)
   done;
-  stats.Stats.objects_freed <- stats.Stats.objects_freed + tally.freed;
+  let freed = tally.objects.Bitset.dropped and live = tally.objects.Bitset.kept in
+  stats.Stats.objects_freed <- stats.Stats.objects_freed + freed;
   stats.Stats.bytes_freed <- stats.Stats.bytes_freed + tally.freed_bytes;
-  stats.Stats.live_objects <- tally.live;
+  stats.Stats.live_objects <- live;
   stats.Stats.live_bytes <- tally.live_bytes;
   {
-    swept_objects = tally.freed;
+    swept_objects = freed;
     swept_bytes = tally.freed_bytes;
-    live_objects = tally.live;
+    live_objects = live;
     live_bytes = tally.live_bytes;
     pages_released = tally.released;
   }

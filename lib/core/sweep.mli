@@ -1,8 +1,12 @@
 (** The sweep phase.
 
     Walks every committed page in address order, reclaims unmarked
-    objects (feeding the finalization queue) by clearing their alloc
-    bits, and returns fully empty pages to the heap's free-page pool.
+    objects by clearing their alloc bits, and returns fully empty pages
+    to the heap's free-page pool.  A small page costs one word-at-a-time
+    pass over its bitmaps ({!Cgc_vm.Bitset.sweep}); freed objects are
+    visited one by one, in address order, only while the finalization
+    registry is non-empty, to feed its queue.  Without finalizers the
+    sweep allocates nothing per page or object.
     The alloc bitmaps are the free lists: the collector's per-class
     cursor finds the cleared slots there, lowest address first, so
     the sweep builds no list of its own. *)

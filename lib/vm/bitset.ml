@@ -37,17 +37,25 @@ let remove t i =
 let set t i b = if b then add t i else remove t i
 let clear t = Array.fill t.words 0 (Array.length t.words) 0
 
-(* Kernighan's loop: one iteration per set bit, not per bit position. *)
-let popcount x =
+(* SWAR population count of a word, constant work whatever its weight:
+   pair sums, nibble sums, byte sums, then one multiply gathers the byte
+   sums into the top byte.  The masks are the 64-bit ones cut to the 62
+   bits a word uses, so every constant is an immediate; the total (at
+   most 62) fits the 7 bits of the top byte that a 63-bit int keeps. *)
+let[@inline] popcount x =
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  (x * 0x0101_0101_0101_0101) lsr 56
+
+let count t =
+  let words = t.words in
   let n = ref 0 in
-  let x = ref x in
-  while !x <> 0 do
-    incr n;
-    x := !x land (!x - 1)
+  for w = 0 to Array.length words - 1 do
+    n := !n + popcount (Array.unsafe_get words w)
   done;
   !n
 
-let count t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 let copy t = { n = t.n; words = Array.copy t.words }
 
@@ -119,6 +127,44 @@ let iter_clear t f =
       done
     end
   done
+
+type sweep_counts = {
+  mutable kept : int;
+  mutable dropped : int;
+}
+
+(* The sweep kernel, one bitmap word at a time: [keep = alloc land mark]
+   is stored back into alloc and the mark word is zeroed, with two SWAR
+   popcounts for the tallies and no per-object work.  Only a [dead]
+   visitor costs per object, and only on words that lost a member. *)
+let sweep ?dead ~alloc ~mark counts =
+  if alloc.n <> mark.n then invalid_arg "Bitset.sweep: universe mismatch";
+  let a = alloc.words and m = mark.words in
+  let kept = ref 0 and dropped = ref 0 in
+  for w = 0 to Array.length a - 1 do
+    let word = Array.unsafe_get a w in
+    if word <> 0 then begin
+      let keep = word land Array.unsafe_get m w in
+      let gone = word lxor keep in
+      if gone <> 0 then begin
+        (match dead with
+        | None -> ()
+        | Some f ->
+            let base = w * bits_per_word in
+            let g = ref gone in
+            while !g <> 0 do
+              f (base + ntz !g);
+              g := !g land (!g - 1)
+            done);
+        Array.unsafe_set a w keep;
+        dropped := !dropped + popcount gone
+      end;
+      kept := !kept + popcount keep
+    end;
+    Array.unsafe_set m w 0
+  done;
+  counts.kept <- counts.kept + !kept;
+  counts.dropped <- counts.dropped + !dropped
 
 let fold f init t =
   let acc = ref init in

@@ -4,7 +4,19 @@
     the paper recommends implementing the blacklist "as a bit array,
     indexed by page numbers". *)
 
-type t
+type t = private {
+  n : int;  (** the universe is [\[0, n)] *)
+  words : int array;
+      (** The members, 62 to a word: element [i] is bit [i mod 62] of
+          [words.(i / 62)].  Bits 62 and up, and the bits past [n] in
+          the last word, are always clear.  The layout is part of the
+          interface so that hot loops in other compilation units can
+          test and set members with inline word arithmetic instead of a
+          call per bit; such a caller must keep indices below [n]. *)
+}
+
+val bits_per_word : int
+(** 62: members per word of [words]. *)
 
 val create : int -> t
 (** [create n] is a set over the universe [\[0, n)], initially empty. *)
@@ -53,6 +65,21 @@ val iter_set : t -> (int -> unit) -> unit
 val iter_clear : t -> (int -> unit) -> unit
 (** Visit the non-members of the universe [\[0, n)] in increasing
     order — the word-masked complement of {!iter_set}. *)
+
+(** Survivor and casualty tallies of {!sweep}, added to across calls. *)
+type sweep_counts = {
+  mutable kept : int;
+  mutable dropped : int;
+}
+
+val sweep : ?dead:(int -> unit) -> alloc:t -> mark:t -> sweep_counts -> unit
+(** [sweep ~alloc ~mark counts] keeps in [alloc] exactly its members
+    that are also in [mark], empties [mark], and adds the number of
+    members kept and dropped to [counts].  Works a word at a time with
+    a constant-time popcount: nothing is done per member unless [dead]
+    is given, in which case it is called on every dropped member, in
+    increasing order, before the word is stored.  Allocation-free
+    without [dead].  Universes must have equal size. *)
 
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 

@@ -876,6 +876,37 @@ let test_hit_allocation_allocates_nothing () =
       ("typed", fun gc -> Gc.Internal.allocate_typed gc Type_desc.cons);
     ]
 
+(* With no finalizer registered, the sweep allocates nothing per page or
+   per object: sweeping a heap of ~100 pages of live and dead objects,
+   small and large, costs exactly the minor words of sweeping an empty
+   heap — its tally and its result record, a fixed handful. *)
+let test_sweep_allocates_nothing () =
+  let sweep_words gc =
+    Gc.Internal.run_mark gc;
+    let heap = Gc.heap gc and finalize = Gc.Internal.finalize gc and stats = Gc.stats gc in
+    let w0 = Stdlib.Gc.minor_words () in
+    let w1 = Stdlib.Gc.minor_words () in
+    let r = Cgc.Sweep.run heap finalize stats in
+    let w2 = Stdlib.Gc.minor_words () in
+    (r, int_of_float (w2 -. w1 -. (w1 -. w0)))
+  in
+  let _, _, empty = make_env () in
+  let _, globals, busy = make_env ~heap_kb:1024 () in
+  for i = 0 to 3999 do
+    let a = Gc.allocate busy (8 + (8 * (i mod 7))) in
+    if i mod 5 = 0 then set_slot globals (i / 5) (Addr.to_int a)
+  done;
+  set_slot globals 900 (Addr.to_int (Gc.allocate busy 20_000));
+  ignore (Gc.allocate busy 20_000 : Addr.t);
+  check int "no finalizer registered" 0 (Finalize.registered_count (Gc.Internal.finalize busy));
+  let _, fixed = sweep_words empty in
+  let r, words = sweep_words busy in
+  check bool "the busy sweep freed and kept objects" true
+    (r.Cgc.Sweep.swept_objects > 2000 && r.Cgc.Sweep.live_objects > 800);
+  check int "minor words: busy heap = empty heap" fixed words;
+  check bool (Printf.sprintf "fixed cost (%d words) is the tally and result only" fixed) true
+    (fixed <= 16)
+
 let test_live_bytes_accounting () =
   let _, globals, gc = make_env () in
   let a = Gc.allocate gc 24 in
@@ -1471,6 +1502,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_cursor_order_contract;
           Alcotest.test_case "live bytes" `Quick test_live_bytes_accounting;
           Alcotest.test_case "hit path allocates nothing" `Quick test_hit_allocation_allocates_nothing;
+          Alcotest.test_case "sweep allocates nothing per object" `Quick
+            test_sweep_allocates_nothing;
           Alcotest.test_case "trim" `Quick test_trim_returns_trailing_pages;
         ] );
       ( "free-list",

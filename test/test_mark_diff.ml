@@ -10,7 +10,9 @@
    mark stacks (overflow recovery) and hashed blacklists.
    [Stats.header_cache_hits] is excluded: only the fast path has a
    header cache.  The generational minor collection runs on the same
-   kernel; its young scope is pinned against a test-side walker. *)
+   kernel; its young scope is pinned against a test-side walker.  The
+   word-wide sweep is pinned the same way, against the per-object
+   reference sweep [Cgc_oracle.Sweep_reference.run]. *)
 
 open Cgc_vm
 module Gc = Cgc.Gc
@@ -749,6 +751,155 @@ let heap_top_cases =
         [ 1; 2; 4 ])
     [ false; true ]
 
+(* --- the word-wide sweep against the per-object reference sweep --- *)
+
+(* A page table drawn from one seed: small pages of 16, 48, 64 or 8 B
+   objects from offset 0 or 8, whose 63 to 512 objects always leave a
+   partial last bitmap word, with empty, full, sparse, dense or
+   bit-61-heavy alloc bitmaps and independent mark bitmaps; free pages;
+   and large objects live, dead or unallocated.  Some pages carry the
+   [`Keep_live] policy.  With [finalizers], a third of the allocated
+   objects (and a few free slots and non-object addresses) are
+   registered. *)
+let sweep_page_size = 4096
+
+type sweep_world = {
+  w_heap : Heap.t;
+  w_finalize : Cgc.Finalize.t;
+  w_stats : Stats.t;
+  w_keep : bool array;
+}
+
+let build_sweep_world seed ~finalizers =
+  let rng = Random.State.make [| seed |] in
+  let n_pages = 4 + Random.State.int rng 24 in
+  let config = { Config.default with Config.initial_pages = n_pages } in
+  let heap =
+    Heap.create (Mem.create ()) ~config ~base:(Addr.of_int heap_base)
+      ~max_bytes:(n_pages * sweep_page_size)
+  in
+  let finalize = Cgc.Finalize.create () in
+  let watch a =
+    if finalizers && Random.State.int rng 3 = 0 then
+      Cgc.Finalize.register finalize (Addr.of_int a) ~token:(Printf.sprintf "%#x" a)
+  in
+  let bits n mode =
+    let b = Bitset.create n in
+    for i = 0 to n - 1 do
+      let on =
+        match mode with
+        | 0 -> false
+        | 1 -> true
+        | 2 -> Random.State.int rng 8 = 0
+        | 3 -> Random.State.int rng 8 <> 0
+        | _ -> i mod 62 = 61 || Random.State.bool rng
+      in
+      if on then Bitset.add b i
+    done;
+    b
+  in
+  let i = ref 0 in
+  while !i < n_pages do
+    let page_addr = Addr.to_int (Heap.page_addr heap !i) in
+    let choice = Random.State.int rng 10 in
+    if choice < 7 then begin
+      let object_bytes = [| 16; 48; 64; 8 |].(Random.State.int rng 4) in
+      let first_offset = if Random.State.bool rng then 0 else 8 in
+      let n_objects = (sweep_page_size - first_offset) / object_bytes in
+      let page =
+        Page.make_small ~granules:(object_bytes / 4) ~object_bytes ~layout:Page.Conservative
+          ~first_offset ~n_objects
+      in
+      (match page with
+      | Page.Small sp ->
+          Bitset.union_into ~dst:sp.Page.alloc (bits n_objects (Random.State.int rng 5));
+          Bitset.union_into ~dst:sp.Page.mark (bits n_objects (Random.State.int rng 5));
+          for obj = 0 to n_objects - 1 do
+            let a = page_addr + first_offset + (obj * object_bytes) in
+            if Bitset.mem sp.Page.alloc obj || obj mod 17 = 0 then watch a;
+            if obj mod 29 = 0 then watch (a + 4)
+          done
+      | _ -> assert false);
+      Heap.set_page heap !i page;
+      incr i
+    end
+    else if choice < 9 && !i + 1 < n_pages then begin
+      let pages = 2 + Random.State.int rng (min 3 (n_pages - !i - 1)) in
+      let page =
+        Page.make_large ~n_pages:pages ~object_bytes:((pages * sweep_page_size) - 12)
+          ~layout:Page.Conservative
+      in
+      (match page with
+      | Page.Large_head l ->
+          l.Page.l_allocated <- Random.State.int rng 4 <> 0;
+          l.Page.l_marked <- Random.State.bool rng
+      | _ -> assert false);
+      watch page_addr;
+      Heap.set_page heap !i page;
+      for j = !i + 1 to !i + pages - 1 do
+        Heap.set_page heap j (Page.Large_tail { head_index = !i })
+      done;
+      i := !i + pages
+    end
+    else begin
+      Heap.set_page heap !i Page.Free;
+      incr i
+    end
+  done;
+  let keep = Array.init n_pages (fun _ -> Random.State.int rng 6 = 0) in
+  { w_heap = heap; w_finalize = finalize; w_stats = Stats.create (); w_keep = keep }
+
+(* Everything a sweep may touch, in comparable form. *)
+let sweep_state w (r : Cgc.Sweep.result) =
+  let pages =
+    List.init (Heap.committed_pages w.w_heap) (fun i ->
+        match Heap.page w.w_heap i with
+        | Page.Small sp ->
+            `Small (Format.asprintf "%a" Bitset.pp sp.Page.alloc, Bitset.count sp.Page.mark)
+        | Page.Large_head l -> `Large (l.Page.l_allocated, l.Page.l_marked)
+        | Page.Free -> `Free
+        | Page.Uncommitted -> `Uncommitted
+        | Page.Large_tail { head_index } -> `Tail head_index)
+  in
+  let st = w.w_stats in
+  ( r,
+    pages,
+    Bytes.to_string (Heap.desc w.w_heap).Heap.d_kind,
+    (st.Stats.objects_freed, st.Stats.bytes_freed, st.Stats.live_objects, st.Stats.live_bytes),
+    Cgc.Finalize.drain w.w_finalize,
+    Cgc.Finalize.registered_count w.w_finalize )
+
+let prop_sweep_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"word-wide sweep == per-object reference sweep"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      List.for_all
+        (fun finalizers ->
+          let fast = build_sweep_world seed ~finalizers
+          and slow = build_sweep_world seed ~finalizers in
+          let policy w i _ = if w.w_keep.(i) then `Keep_live else `Sweep in
+          let r_fast =
+            Cgc.Sweep.run ~policy:(policy fast) fast.w_heap fast.w_finalize fast.w_stats
+          in
+          let r_slow =
+            Cgc_oracle.Sweep_reference.run ~policy:(policy slow) slow.w_heap slow.w_finalize
+              slow.w_stats
+          in
+          let s_fast = sweep_state fast r_fast and s_slow = sweep_state slow r_slow in
+          if s_fast <> s_slow then
+            QCheck.Test.fail_reportf "finalizers=%b: sweep state differs from the reference"
+              finalizers;
+          (* every swept page's marks are cleared *)
+          List.for_all
+            (fun i ->
+              fast.w_keep.(i)
+              ||
+              match Heap.page fast.w_heap i with
+              | Page.Small sp -> Bitset.is_empty sp.Page.mark
+              | _ -> true)
+            (List.init (Heap.committed_pages fast.w_heap) Fun.id))
+        [ false; true ])
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -761,6 +912,7 @@ let suite =
       prop_abandoned_collect_keeps_blacklist_aging;
       prop_access_plan_falls_back_to_serial;
       prop_minor_keeps_young_scope;
+      prop_sweep_matches_reference;
     ]
 
 let () = Alcotest.run "mark-diff" [ ("differential", suite); ("heap-top", heap_top_cases) ]

@@ -103,6 +103,65 @@ let test_bitset_clear_and_copy () =
   check bool "cleared" true (Bitset.is_empty s);
   check bool "copy unaffected" true (Bitset.mem c 5)
 
+(* The SWAR [count] against a bit-by-bit count, one 62-bit word at a
+   time: the empty word, bit 61 alone, all 62 bits, alternating
+   patterns and random words, each also as the partial last word of a
+   wider set. *)
+let test_bitset_swar_count () =
+  let naive w =
+    let n = ref 0 in
+    for b = 0 to 61 do
+      if w land (1 lsl b) <> 0 then incr n
+    done;
+    !n
+  in
+  let of_word ~offset ~n w =
+    let s = Bitset.create n in
+    for b = 0 to 61 do
+      if w land (1 lsl b) <> 0 && offset + b < n then Bitset.add s (offset + b)
+    done;
+    s
+  in
+  let rng = Random.State.make [| 62 |] in
+  let random_word () =
+    let bits () = Random.State.bits rng in
+    (bits () lor (bits () lsl 30) lor (bits () lsl 60)) land ((1 lsl 62) - 1)
+  in
+  let words =
+    [ 0; 1; 1 lsl 61; (1 lsl 62) - 1; 0x1555_5555_5555_5555; 0x2AAA_AAAA_AAAA_AAAA; 1 lsl 56 ]
+    @ List.init 500 (fun _ -> random_word ())
+  in
+  List.iter
+    (fun w ->
+      check int (Printf.sprintf "count %#x" w) (naive w) (Bitset.count (of_word ~offset:0 ~n:62 w));
+      (* the same word as the last of three, cut to 40 members *)
+      let cut = w land ((1 lsl 40) - 1) in
+      check int
+        (Printf.sprintf "count %#x in a partial last word" w)
+        (naive cut)
+        (Bitset.count (of_word ~offset:124 ~n:164 w)))
+    words
+
+(* [sweep] keeps exactly alloc ∩ mark, empties mark, tallies, and hands
+   the dropped members to [dead] in increasing order — across bit 61 and
+   a partial last word. *)
+let test_bitset_sweep () =
+  let n = 150 in
+  let alloc = Bitset.create n and mark = Bitset.create n in
+  List.iter (Bitset.add alloc) [ 0; 5; 61; 62; 100; 123; 124; 149 ];
+  List.iter (Bitset.add mark) [ 5; 61; 99; 124 ];
+  let counts = { Bitset.kept = 1; dropped = 2 } in
+  let dead = ref [] in
+  Bitset.sweep ~alloc ~mark counts ~dead:(fun i -> dead := i :: !dead);
+  check (Alcotest.list int) "survivors" [ 5; 61; 124 ]
+    (List.rev (Bitset.fold (fun acc i -> i :: acc) [] alloc));
+  check bool "marks emptied" true (Bitset.is_empty mark);
+  check (Alcotest.list int) "dead, ascending" [ 0; 62; 100; 123; 149 ] (List.rev !dead);
+  check int "kept added" 4 counts.Bitset.kept;
+  check int "dropped added" 7 counts.Bitset.dropped;
+  Alcotest.check_raises "universe mismatch" (Invalid_argument "Bitset.sweep: universe mismatch")
+    (fun () -> Bitset.sweep ~alloc ~mark:(Bitset.create 10) counts)
+
 let test_bitset_iter_order () =
   let s = Bitset.create 300 in
   List.iter (Bitset.add s) [ 250; 3; 77; 150 ];
@@ -549,6 +608,8 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_bitset_basics;
           Alcotest.test_case "clear and copy" `Quick test_bitset_clear_and_copy;
+          Alcotest.test_case "SWAR count" `Quick test_bitset_swar_count;
+          Alcotest.test_case "sweep" `Quick test_bitset_sweep;
           Alcotest.test_case "iter order" `Quick test_bitset_iter_order;
           Alcotest.test_case "union" `Quick test_bitset_union;
           Alcotest.test_case "range queries" `Quick test_bitset_range_queries;
