@@ -713,110 +713,6 @@ let mark_throughput ~smoke ~jobs () =
 (* Memory-pressure resilience: the chaos matrix                        *)
 (* ------------------------------------------------------------------ *)
 
-(* One plan per marker-domain failure mode, each against domain 1. *)
-let domain_faults =
-  List.map
-    (Cgc.Domain_fault.plan ~domain:1)
-    [
-      Stall { after_claims = 3 };
-      Crash { at_step = 7 };
-      Livelock { on_claim = 2 };
-      Straggler { spin = 150 };
-    ]
-
-(* Recovery latency of the fail-stop tracer: a rooted-list heap is
-   marked at jobs=4 with each marker-domain failure mode armed against
-   domain 1, under a tight watchdog budget.  For every mode we report
-   the wall-clock cost of a faulted cycle next to the healthy baseline
-   and one serial mark of the same heap (a failure costs detection plus
-   that serial rerun), the number of abandoned attempts, the fallback
-   cause of the last cycle, and — the invariant that matters — that
-   every faulted cycle still marked exactly the serial object count. *)
-let recovery_latency ~smoke () =
-  Format.printf "@.  domain-failure recovery (fail-stop tracer, jobs=4):@.";
-  let jobs = 4 in
-  let mem = Mem.create () in
-  let data =
-    Mem.map mem ~name:"globals" ~kind:Segment.Static_data ~base:(Addr.of_int 0x10000) ~size:0x2000
-  in
-  let lists = if smoke then 20 else 80 in
-  let nodes = if smoke then 300 else 1500 in
-  let config = { Cgc.Config.default with Cgc.Config.initial_pages = 64 } in
-  let gc =
-    Cgc.Gc.create ~config mem ~base:(Addr.of_int 0x400000) ~max_bytes:(32 * 1024 * 1024) ()
-  in
-  Cgc.Gc.set_auto_collect gc false;
-  Cgc.Gc.add_static_root gc ~lo:(Segment.base data) ~hi:(Segment.limit data) ~label:"globals";
-  for i = 0 to lists - 1 do
-    let head = Cgc.Gc.allocate gc 16 in
-    let prev = ref (Addr.to_int head) in
-    for _ = 2 to nodes do
-      let c = Cgc.Gc.allocate gc 16 in
-      Cgc.Gc.set_field gc c 0 !prev;
-      prev := Addr.to_int c
-    done;
-    Cgc.Gc.set_field gc head 0 !prev;
-    Segment.write_word data (Addr.add (Segment.base data) (4 * i)) (Addr.to_int head)
-  done;
-  let st = Cgc.Gc.stats gc in
-  let iters = if smoke then 3 else 10 in
-  (* [ms] per cycle and objects marked per cycle over [iters] runs *)
-  let timed run =
-    let m0 = st.Cgc.Stats.objects_marked in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      run ()
-    done;
-    let ms = (Unix.gettimeofday () -. t0) *. 1000.0 /. float_of_int iters in
-    (ms, (st.Cgc.Stats.objects_marked - m0) / iters)
-  in
-  let serial_ms, serial_marked = timed (fun () -> Cgc.Gc.Internal.run_mark gc) in
-  let measure faults =
-    let a0 = st.Cgc.Stats.mark_abandonments in
-    let last = ref None in
-    let ms, marked =
-      timed (fun () ->
-          let o = Cgc.Gc.Internal.run_mark_parallel ~faults ~watchdog_budget:96 gc ~jobs in
-          last := o.Cgc.Mark.Parallel.fallback)
-    in
-    (ms, marked, st.Cgc.Stats.mark_abandonments - a0, !last)
-  in
-  let baseline_ms, _, _, _ = measure [] in
-  json_float "resilience_recovery_serial_ms" serial_ms;
-  json_float "resilience_recovery_baseline_ms" baseline_ms;
-  Format.printf "  %-10s : %7.2f ms/cycle (one serial mark, %d objects)@." "serial" serial_ms
-    serial_marked;
-  Format.printf "  %-10s : %7.2f ms/cycle (healthy parallel baseline)@." "baseline" baseline_ms;
-  let all_parity = ref true in
-  List.iter
-    (fun plan ->
-      let name = Cgc.Domain_fault.mode_name (Cgc.Domain_fault.mode plan) in
-      let ms, marked, abandoned, last = measure [ plan ] in
-      let parity = marked = serial_marked in
-      if not parity then all_parity := false;
-      let cause =
-        match last with
-        | None -> "parallel"
-        | Some f -> Cgc.Mark.Parallel.fallback_to_string f
-      in
-      Format.printf
-        "  %-10s : %7.2f ms/cycle (+%.2f ms over baseline; %d of %d cycles abandoned; last: %s) \
-         — marks %s@."
-        name ms
-        (Float.max 0.0 (ms -. baseline_ms))
-        abandoned iters cause
-        (if parity then "exact" else "DIVERGED");
-      json_float (Printf.sprintf "resilience_recovery_%s_ms" name) ms;
-      json_int (Printf.sprintf "resilience_recovery_%s_abandoned" name) abandoned;
-      json_bool (Printf.sprintf "resilience_recovery_%s_parity" name) parity)
-    domain_faults;
-  json_int "resilience_recovery_serial_objects" serial_marked;
-  json_bool "resilience_recovery_parity" !all_parity;
-  if not !all_parity then begin
-    Format.eprintf "resilience: recovered mark state diverged from the serial scanner@.";
-    exit 1
-  end
-
 (* Every backend (conservative, generational, explicit) crossed with
    every seeded fault plan — refused commits plus the read/write access
    faults; the JSON carries the aggregated allocation-ladder rung and
@@ -889,8 +785,7 @@ let resilience ~smoke ?collectors () =
   if dirty <> [] then begin
     Format.eprintf "resilience: chaos matrix violations@.";
     exit 1
-  end;
-  recovery_latency ~smoke ()
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Static starvation prediction vs the measured oom_diagnosis          *)

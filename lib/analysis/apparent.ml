@@ -80,7 +80,7 @@ type gc_snapshot = {
           clearing would remove — stale slots, frame padding, spill
           residue, dead registers (dead locals in live frames are
           excluded: no clearing scheme reclaims those) *)
-  dead_feeding_live : int;
+  dead_feeding : ISet.t;
       (** precise-dead objects from which precise-live data is
           reachable — the uncleared-link signature of section 4 *)
   dead_feeding_example : int option;
@@ -486,7 +486,7 @@ let analyze (p : Ir.program) (lv : Liveness.t) =
             precise_bytes = bytes_of precise;
             spurious = List.rev !spurious;
             stack_excess;
-            dead_feeding_live = ISet.cardinal !feeding;
+            dead_feeding = !feeding;
             dead_feeding_example = !example;
             structures;
             edges;

@@ -50,7 +50,10 @@ type gc_snapshot = {
   precise_bytes : int;
   spurious : spurious_root list;
   stack_excess : int;
-  dead_feeding_live : int;
+  dead_feeding : ISet.t;
+      (** precise-dead objects from which precise-live data is
+          reachable over [edges] — the uncleared-link signature of
+          section 4; {!Shape} draws its dead links from it *)
   dead_feeding_example : int option;
   structures : structure_stats list;
   edges : (int * int * int) list;

@@ -81,8 +81,9 @@ let r2_uncleared_links (snaps : Apparent.gc_snapshot list) (shape : Shape.t) =
   let worst = ref 0 and example = ref None and where = ref 0 in
   List.iter
     (fun (s : Apparent.gc_snapshot) ->
-      if s.dead_feeding_live > !worst then begin
-        worst := s.dead_feeding_live;
+      let feeding = Apparent.ISet.cardinal s.dead_feeding in
+      if feeding > !worst then begin
+        worst := feeding;
         example := s.dead_feeding_example;
         where := s.ordinal
       end)

@@ -128,36 +128,15 @@ let build (p : Ir.program) (r : Apparent.result) =
           :: acc)
         edge_acc []
     in
-    (* dead links: fields of dead objects on a path that reaches the
-       precise set.  Reverse reachability over the snapshot's edges
-       gives the feeding set; its members' outgoing edges are links. *)
-    let rev : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun (src, _, dst) ->
-        if ISet.mem src dead then
-          Hashtbl.replace rev dst (src :: Option.value (Hashtbl.find_opt rev dst) ~default:[]))
-      s.Apparent.edges;
-    let feeding = ref ISet.empty in
-    let queue = Queue.create () in
-    ISet.iter (fun id -> Queue.add id queue) s.Apparent.precise;
-    let seen = ref s.Apparent.precise in
-    while not (Queue.is_empty queue) do
-      let id = Queue.take queue in
-      List.iter
-        (fun src ->
-          if not (ISet.mem src !seen) then begin
-            seen := ISet.add src !seen;
-            feeding := ISet.add src !feeding;
-            Queue.add src queue
-          end)
-        (Option.value (Hashtbl.find_opt rev id) ~default:[])
-    done;
+    (* dead links: the outgoing fields of the snapshot's dead-feeding
+       set that reach the precise set or stay inside the feeding set *)
+    let feeding = s.Apparent.dead_feeding in
     let dead_links =
       List.filter_map
         (fun (src, field, dst) ->
           if
-            ISet.mem src !feeding
-            && (ISet.mem dst s.Apparent.precise || ISet.mem dst !feeding)
+            ISet.mem src feeding
+            && (ISet.mem dst s.Apparent.precise || ISet.mem dst feeding)
           then
             Some { l_src = src; l_field = field; l_dst = dst; l_dst_live = ISet.mem dst s.Apparent.precise }
           else None)

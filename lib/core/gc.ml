@@ -806,8 +806,8 @@ module Internal = struct
   let run_mark t = Mark.run t.marker t.roots ~mem:t.mem
   let note_collected t = t.allocated_since_gc <- 0
 
-  let run_mark_parallel ?faults ?watchdog_budget t ~jobs =
-    let outcome = Mark.Parallel.run ?faults ?watchdog_budget t.marker t.roots ~mem:t.mem ~jobs in
+  let run_mark_parallel t ~jobs =
+    let outcome = Mark.Parallel.run t.marker t.roots ~mem:t.mem ~jobs in
     t.last_mark_outcome <- Some outcome;
     outcome
 

@@ -227,31 +227,21 @@ module Internal : sig
       cycle (never after an aborted one, so the retry happens at the
       next allocation). *)
 
-  val run_mark_parallel :
-    ?faults:Domain_fault.plan list ->
-    ?watchdog_budget:int ->
-    t ->
-    jobs:int ->
-    Mark.Parallel.outcome
+  val run_mark_parallel : t -> jobs:int -> Mark.Parallel.outcome
   (** Like {!run_mark} but through {!Mark.Parallel} with [jobs] marker
       domains (serial for [jobs <= 1] or under an armed access plan,
-      with the typed note in the outcome).  [faults] (default none)
-      injects marker-domain failures into this one trace;
-      [watchdog_budget] (default 4096) is passed to
-      {!Mark.Parallel.run}.  Records the outcome in
-      {!last_mark_outcome}.  The tracer's only entry point: the jobs
-      and failure-plan differentials, the [bench mark --jobs] sweep,
-      the bench's recovery-latency section and the layered benchmark's
-      [mark_parallel.*] probe.
-      @raise Invalid_argument when [watchdog_budget < 1]. *)
+      with the typed note in the outcome).  Records the outcome in
+      {!last_mark_outcome}; an exception raised by a marker domain
+      propagates after every domain has joined and records nothing.
+      The tracer's only entry point: the jobs differentials, the
+      [bench mark --jobs] sweep and the layered benchmark's
+      [mark_parallel.*] probe. *)
 
   val last_mark_outcome : t -> Mark.Parallel.outcome option
-  (** How the most recent {!run_mark_parallel} ran: parallel
+  (** How the most recent completed {!run_mark_parallel} ran: parallel
       ([fallback = None]) or serial with a typed note (an armed
-      [Mem.Fault] access plan forces serial marking up front; a
-      marker-domain failure abandons the trace mid-flight and reruns
-      it serially, noted [Domain_failed]).  [None] before the first;
-      {!collect} never sets it. *)
+      [Mem.Fault] access plan forces serial marking up front).  [None]
+      before the first; {!collect} never sets it. *)
 
   val is_marked : t -> Addr.t -> bool
   (** Valid only between [run_mark] and the next sweep. *)

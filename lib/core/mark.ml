@@ -516,24 +516,16 @@ module Parallel = struct
   type fallback =
     | Serial_configured
     | Access_plan_armed
-    | Domain_failed
 
   let fallback_to_string = function
     | Serial_configured -> "serial-configured"
     | Access_plan_armed -> "access-plan-armed"
-    | Domain_failed -> "domain-failed"
-
-  type health = {
-    heartbeats : int array;
-    tasks_issued : int;
-  }
 
   type outcome = {
     jobs_requested : int;
     domains_used : int;
     fallback : fallback option;
     shards : Stats.t array;
-    health : health option;
   }
 
   type root_task =
@@ -544,16 +536,6 @@ module Parallel = struct
         start_hi : int; (* chunk boundary: scan while addr < start_hi *)
         hi : int; (* range end: and addr + 4 <= hi *)
       }
-
-  (* Trigger counters for an armed [Domain_fault] plan, private to the
-     victim domain.  [f_tripped] is read by the leader after the join,
-     which publishes it. *)
-  type fault_state = {
-    f_mode : Domain_fault.mode;
-    mutable f_steps : int;  (* checkpoints passed, all sites *)
-    mutable f_claims : int;  (* successful work claims *)
-    mutable f_tripped : bool;
-  }
 
   (* Per-domain state: a private deque, a private header cache, a stats
      shard and a blacklist buffer, plus immutable copies of the scan
@@ -591,15 +573,6 @@ module Parallel = struct
     mutable w_cache_alloc : Bitset.t;
     mutable w_cache_shadow : Bitset.Atomic.t;
     mutable w_cache_large : Page.large;
-    (* --- domain-failure boundary ---------------------------------- *)
-    w_heartbeat : int Atomic.t;  (* bumped once per successful claim *)
-    w_idle_flag : bool Atomic.t;  (* set while parked in [quiesce] *)
-    w_fault : fault_state option;
-    (* watchdog bookkeeping, allocated for the leader only *)
-    w_wd_last : int array;  (* last heartbeat observed per domain *)
-    w_wd_miss : int array;  (* consecutive no-progress observations *)
-    mutable w_wd_tick : int;  (* idle-spin countdown to the next round *)
-    mutable w_wd_gap : int;  (* current backoff gap between rounds *)
   }
 
   type shared = {
@@ -615,8 +588,7 @@ module Parallel = struct
     p_idle : int Atomic.t;
     p_jobs : int;
     p_workers : worker array;
-    p_budget : int;  (* the run's [watchdog_budget] *)
-    p_abandoned : bool Atomic.t;  (* a domain failed: everyone unwinds *)
+    p_abandoned : bool Atomic.t;  (* a domain raised: everyone unwinds *)
     (* idle domains nap here instead of spinning (essential when domains
        outnumber cores); producers wake them on push, the last domain to
        go idle wakes them for termination *)
@@ -632,7 +604,7 @@ module Parallel = struct
 
   let dummy_shadow = Bitset.Atomic.create 0
 
-  let make_worker t ~jobs ~fault id =
+  let make_worker t id =
     {
       w_id = id;
       w_deque = Ws_deque.create ();
@@ -666,13 +638,6 @@ module Parallel = struct
       w_cache_alloc = Bitset.create 0;
       w_cache_shadow = dummy_shadow;
       w_cache_large = Page.dummy_large;
-      w_heartbeat = Atomic.make 0;
-      w_idle_flag = Atomic.make false;
-      w_fault = fault;
-      w_wd_last = (if id = 0 then Array.make jobs 0 else [||]);
-      w_wd_miss = (if id = 0 then Array.make jobs 0 else [||]);
-      w_wd_tick = 1;
-      w_wd_gap = 1;
     }
 
   let load_header sh w page =
@@ -715,82 +680,29 @@ module Parallel = struct
     Condition.broadcast sh.p_cond;
     Mutex.unlock sh.p_lock
 
-  (* ---- domain-failure boundary ----------------------------------- *)
-
   (* Internal unwind of an abandoned trace; caught in [worker_main]. *)
   exception Gone
 
   let[@inline] abandoned sh = Atomic.get sh.p_abandoned
 
-  (* Fail-stop: the first failure abandons the whole attempt and the
-     serial scanner reruns the trace, so no domain's partial state is
-     ever read.  Both condition variables are broadcast under their
-     locks after the flag is set, and both wait loops re-check the flag
-     under the same lock, so a napping domain or one parked at the
+  (* Fail-stop: a domain that raises sets the flag before it re-raises,
+     so every other domain unwinds with [Gone] at its next claim, nap or
+     barrier.  Both condition variables are broadcast under their locks
+     after the flag is set, and both wait loops re-check the flag under
+     the same lock, so a napping domain or one parked at the
      overflow-round barrier either sees the flag or is woken. *)
   let abandon sh =
     Atomic.set sh.p_abandoned true;
     wake_all sh;
     Mutex.lock sh.p_bar_lock;
     Condition.broadcast sh.p_bar_cond;
-    Mutex.unlock sh.p_bar_lock;
-    raise Gone
-
-  (* Injected freeze (stall / livelock): no heartbeat, no idle flag —
-     only the leader's watchdog can end it, by abandoning the trace. *)
-  let freeze sh =
-    while not (abandoned sh) do
-      Domain.cpu_relax ()
-    done;
-    raise Gone
-
-  (* Checkpoint sites (deque push/pop/steal and chunk claim).  Pre-claim
-     and steal are item boundaries; push and post-claim are mid-item. *)
-  let site_pre_claim = 0 (* top of the phase loop, before any claim attempt *)
-  let site_steal = 1 (* entry of [try_steal] *)
-  let site_push = 2 (* entry of [push] — mid-item by construction *)
-  let site_post_claim = 3 (* just after a successful claim *)
-
-  let apply_fault sh w site =
-    match w.w_fault with
-    | None -> ()
-    | Some f -> (
-        f.f_steps <- f.f_steps + 1;
-        match f.f_mode with
-        | Domain_fault.Crash { at_step } ->
-            if f.f_steps >= at_step then begin
-              f.f_tripped <- true;
-              abandon sh
-            end
-        | Domain_fault.Stall { after_claims } ->
-            if site = site_pre_claim && f.f_claims >= after_claims then begin
-              f.f_tripped <- true;
-              freeze sh
-            end
-        | Domain_fault.Livelock { on_claim } ->
-            if site = site_post_claim && f.f_claims >= on_claim then begin
-              f.f_tripped <- true;
-              freeze sh
-            end
-        | Domain_fault.Straggler { spin } ->
-            f.f_tripped <- true;
-            for _ = 1 to spin do
-              if abandoned sh then raise Gone;
-              Domain.cpu_relax ()
-            done)
-
-  let[@inline] checkpoint sh w site =
-    if abandoned sh then raise Gone;
-    match w.w_fault with None -> () | Some _ -> apply_fault sh w site
-
-  (* ----------------------------------------------------------------- *)
+    Mutex.unlock sh.p_bar_lock
 
   (* The object IS shadow-marked before any push, so on overflow its
      children are found by the rescan rounds — exactly the serial
      contract.  One overflow episode is counted per recovery round,
      matching the serial [push]/[recover_from_overflow] pair. *)
   let push sh w base =
-    checkpoint sh w site_push;
     if Ws_deque.size w.w_deque >= w.w_stack_limit then begin
       if not (Atomic.exchange sh.p_overflowed true) then
         w.w_stats.Stats.mark_stack_overflows <- w.w_stats.Stats.mark_stack_overflows + 1
@@ -959,7 +871,6 @@ module Parallel = struct
     | Rescan of int
 
   let try_steal sh w =
-    checkpoint sh w site_steal;
     let n = Array.length sh.p_workers in
     let rec go k =
       if k >= n then None
@@ -1016,54 +927,14 @@ module Parallel = struct
     Atomic.decr sh.p_nappers;
     Mutex.unlock sh.p_lock
 
-  (* One watchdog observation pass over the non-leader domains, run by
-     the idle leader every [w_wd_gap] spin iterations; [true] when some
-     domain is suspect.  A domain makes progress when its heartbeat
-     moved; parked domains ([w_idle_flag]) are healthy by definition (a
-     frozen domain never parks — the idle flag is only set inside
-     [quiesce]).  [w_wd_miss] counts consecutive no-progress
-     observations; [watchdog_budget] of them make the domain
-     suspect.  The gap backs off exponentially (capped) while nothing
-     moves, so a long-idle leader isn't a busy polling loop, and snaps
-     back to 1 on any observed progress.  A false positive on a
-     healthy-but-slow domain costs one serial rerun, never correctness. *)
-  let watchdog_tick sh w =
-    w.w_wd_tick <- w.w_wd_tick - 1;
-    if w.w_wd_tick > 0 then false
-    else begin
-      w.w_wd_tick <- w.w_wd_gap;
-      let suspect = ref false in
-      let progressed = ref false in
-      for d = 1 to sh.p_jobs - 1 do
-        let v = Array.unsafe_get sh.p_workers d in
-        if Atomic.get v.w_idle_flag then w.w_wd_miss.(d) <- 0
-        else begin
-          let hb = Atomic.get v.w_heartbeat in
-          if hb <> w.w_wd_last.(d) then begin
-            w.w_wd_last.(d) <- hb;
-            w.w_wd_miss.(d) <- 0;
-            progressed := true
-          end
-          else begin
-            w.w_wd_miss.(d) <- w.w_wd_miss.(d) + 1;
-            if w.w_wd_miss.(d) >= sh.p_budget then suspect := true
-          end
-        end
-      done;
-      if !progressed then w.w_wd_gap <- 1 else w.w_wd_gap <- min (w.w_wd_gap * 2) 1024;
-      !suspect
-    end
-
   (* Termination: only owners push to their own deques, so a domain
      counted idle has an empty deque and is executing nothing — when
      [idle = jobs] there is no work anywhere and nobody can create any.
      A domain must leave the idle count *before* attempting a grab, and
-     re-enter it if the grab loses the race.  A failed domain never
-     joins the idle count, so termination cannot fire past a failure:
-     a crash abandons the trace itself, and a freeze keeps the leader
-     here — it never naps — until its watchdog abandons. *)
-  let quiesce sh w =
-    Atomic.set w.w_idle_flag true;
+     re-enter it if the grab loses the race.  A domain that raises never
+     joins the idle count, so termination cannot fire past a failure;
+     the flag [abandon] sets ends the wait instead. *)
+  let quiesce sh =
     Atomic.incr sh.p_idle;
     if terminated sh then wake_all sh;
     let spins = ref 0 in
@@ -1075,9 +946,6 @@ module Parallel = struct
         Atomic.decr sh.p_idle;
         result := Some false
       end
-      else if w.w_id = 0 then begin
-        if watchdog_tick sh w then abandon sh else Domain.cpu_relax ()
-      end
       else if !spins >= 64 then begin
         nap sh;
         spins := 0
@@ -1087,22 +955,15 @@ module Parallel = struct
         incr spins
       end
     done;
-    Atomic.set w.w_idle_flag false;
     Option.get !result
 
   let phase_loop sh w =
     let finished = ref false in
     while not !finished do
-      checkpoint sh w site_pre_claim;
+      if abandoned sh then raise Gone;
       match try_obtain sh w with
-      | Some work ->
-          (* the heartbeat is the watchdog's progress signal: one bump
-             per claimed item *)
-          Atomic.incr w.w_heartbeat;
-          (match w.w_fault with Some f -> f.f_claims <- f.f_claims + 1 | None -> ());
-          checkpoint sh w site_post_claim;
-          execute sh w work
-      | None -> if quiesce sh w then finished := true
+      | Some work -> execute sh w work
+      | None -> if quiesce sh then finished := true
     done
 
   let barrier sh =
@@ -1144,7 +1005,12 @@ module Parallel = struct
         end
         else continue_rounds := false
       done
-    with Gone -> ()
+    with
+    | Gone -> ()
+    | e ->
+        let bt = Printexc.get_raw_backtrace () in
+        abandon sh;
+        Printexc.raise_with_backtrace e bt
 
   (* Root tasks: one per register array, and clamped ranges cut into
      chunks on the range's alignment grid so big static/stack areas
@@ -1175,14 +1041,15 @@ module Parallel = struct
       (Roots.current_ranges roots);
     Array.of_list (List.rev !tasks)
 
-  (* Spawn, trace and join; [None] shards when a failure abandoned the
-     attempt.  The shadow tables, shards and blacklist buffers are
-     private to this attempt, and the blacklist's cycle rotation happens
-     in the success epilogue — marking never reads the blacklist, so
-     rotating it after the trace is invisible — which leaves an
-     abandoned attempt nothing to roll back beyond the cleared mark
-     bits the serial rerun clears again. *)
-  let run_domains t roots ~mem ~jobs ~faults ~watchdog_budget =
+  (* Spawn, trace and join every domain, then re-raise the first
+     exception (the leader's, or a failed spawn's, before the helpers'
+     in spawn order).  The shadow tables, shards and blacklist buffers
+     are private to this attempt, and the blacklist's cycle rotation
+     happens in the success epilogue — marking never reads the
+     blacklist, so rotating it after the trace is invisible — so a
+     failed attempt leaves the blacklist and statistics untouched and
+     the mark bits cleared. *)
+  let run_domains t roots ~mem ~jobs =
     Heap.clear_marks t.heap;
     let n_pages = Heap.n_pages t.heap in
     let shadow = Array.make n_pages dummy_shadow in
@@ -1190,15 +1057,7 @@ module Parallel = struct
         match p with
         | Page.Small s -> shadow.(i) <- Bitset.Atomic.create s.Page.n_objects
         | Page.Uncommitted | Page.Free | Page.Large_head _ | Page.Large_tail _ -> ());
-    (* first armed plan per domain wins; plans naming a domain beyond
-       [jobs - 1] have no one to fail and are ignored *)
-    let fault_for id =
-      match List.find_opt (fun p -> Domain_fault.victim p = id) faults with
-      | Some p ->
-          Some { f_mode = Domain_fault.mode p; f_steps = 0; f_claims = 0; f_tripped = false }
-      | None -> None
-    in
-    let workers = Array.init jobs (fun id -> make_worker t ~jobs ~fault:(fault_for id) id) in
+    let workers = Array.init jobs (make_worker t) in
     let sh =
       {
         p_blacklist = t.blacklist;
@@ -1213,7 +1072,6 @@ module Parallel = struct
         p_idle = Atomic.make 0;
         p_jobs = jobs;
         p_workers = workers;
-        p_budget = watchdog_budget;
         p_abandoned = Atomic.make false;
         p_lock = Mutex.create ();
         p_cond = Condition.create ();
@@ -1224,87 +1082,61 @@ module Parallel = struct
         p_bar_gen = 0;
       }
     in
-    let helpers =
-      Array.init (jobs - 1) (fun k -> Domain.spawn (fun () -> worker_main sh workers.(k + 1)))
+    let helpers = ref [] in
+    let first =
+      match
+        for k = 1 to jobs - 1 do
+          helpers := Domain.spawn (fun () -> worker_main sh workers.(k)) :: !helpers
+        done;
+        worker_main sh workers.(0)
+      with
+      | () -> None
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          abandon sh;
+          Some (e, bt)
     in
-    worker_main sh workers.(0);
-    Array.iter Domain.join helpers;
-    let tripped =
-      Array.fold_left
-        (fun acc w -> match w.w_fault with Some f when f.f_tripped -> acc + 1 | _ -> acc)
-        0 workers
+    let first =
+      List.fold_left
+        (fun first d ->
+          match Domain.join d with
+          | () -> first
+          | exception e ->
+              if Option.is_none first then Some (e, Printexc.get_raw_backtrace ()) else first)
+        first (List.rev !helpers)
     in
-    t.stats.Stats.mark_domain_faults <- t.stats.Stats.mark_domain_faults + tripped;
-    let health =
-      {
-        heartbeats = Array.map (fun w -> Atomic.get w.w_heartbeat) workers;
-        tasks_issued = Array.length sh.p_tasks;
-      }
-    in
-    if abandoned sh then (None, health)
-    else begin
-      (* Serial epilogue: snapshot the shards for the outcome *before*
-         merging (merging transfers, i.e. zeroes, the shard counters),
-         publish shadow marks into the real mark words, rotate the
-         blacklist cycle, merge blacklist buffers and stats shards. *)
-      let shards = Array.map (fun w -> Stats.copy w.w_stats) workers in
-      Heap.iter_committed t.heap (fun i p ->
-          match p with
-          | Page.Small s -> Bitset.Atomic.blit_to shadow.(i) ~dst:s.Page.mark
-          | Page.Large_head l -> l.Page.l_marked <- Bitset.Atomic.mem sh.p_shadow_large i
-          | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ());
-      Blacklist.begin_cycle t.blacklist;
-      Array.iter
-        (fun w ->
-          Stats.merge_marking ~into:t.stats w.w_stats;
-          if t.blacklisting then
-            Blacklist.merge_noted t.blacklist w.w_black ~notes:w.w_black_notes)
-        workers;
-      t.stats.Stats.parallel_marks <- t.stats.Stats.parallel_marks + 1;
-      (Some shards, health)
-    end
+    Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) first;
+    (* Serial epilogue: snapshot the shards for the outcome *before*
+       merging (merging transfers, i.e. zeroes, the shard counters),
+       publish shadow marks into the real mark words, rotate the
+       blacklist cycle, merge blacklist buffers and stats shards. *)
+    let shards = Array.map (fun w -> Stats.copy w.w_stats) workers in
+    Heap.iter_committed t.heap (fun i p ->
+        match p with
+        | Page.Small s -> Bitset.Atomic.blit_to shadow.(i) ~dst:s.Page.mark
+        | Page.Large_head l -> l.Page.l_marked <- Bitset.Atomic.mem sh.p_shadow_large i
+        | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ());
+    Blacklist.begin_cycle t.blacklist;
+    Array.iter
+      (fun w ->
+        Stats.merge_marking ~into:t.stats w.w_stats;
+        if t.blacklisting then Blacklist.merge_noted t.blacklist w.w_black ~notes:w.w_black_notes)
+      workers;
+    t.stats.Stats.parallel_marks <- t.stats.Stats.parallel_marks + 1;
+    shards
 
-  let run_ ?(faults = []) ?(watchdog_budget = 4096) t roots ~mem ~jobs =
-    if watchdog_budget < 1 then invalid_arg "Mark.Parallel.run: watchdog_budget must be >= 1";
+  let run t roots ~mem ~jobs =
     if jobs <= 1 then begin
       run t roots ~mem;
-      {
-        jobs_requested = jobs;
-        domains_used = 1;
-        fallback = Some Serial_configured;
-        shards = [||];
-        health = None;
-      }
+      { jobs_requested = jobs; domains_used = 1; fallback = Some Serial_configured; shards = [||] }
     end
     else if Mem.access_faults_armed mem then begin
       (* trip streams are stateful: serialize faultable loads *)
       t.stats.Stats.mark_serial_fallbacks <- t.stats.Stats.mark_serial_fallbacks + 1;
       run t roots ~mem;
-      {
-        jobs_requested = jobs;
-        domains_used = 1;
-        fallback = Some Access_plan_armed;
-        shards = [||];
-        health = None;
-      }
+      { jobs_requested = jobs; domains_used = 1; fallback = Some Access_plan_armed; shards = [||] }
     end
     else
-      match run_domains t roots ~mem ~jobs ~faults ~watchdog_budget with
-      | Some shards, health ->
-          { jobs_requested = jobs; domains_used = jobs; fallback = None; shards; health = Some health }
-      | None, health ->
-          (* A marker domain failed: the attempt left no trace in the
-             collector, so the serial rerun earns every counter afresh. *)
-          t.stats.Stats.mark_abandonments <- t.stats.Stats.mark_abandonments + 1;
-          t.stats.Stats.mark_serial_fallbacks <- t.stats.Stats.mark_serial_fallbacks + 1;
-          run t roots ~mem;
-          {
-            jobs_requested = jobs;
-            domains_used = jobs;
-            fallback = Some Domain_failed;
-            shards = [||];
-            health = Some health;
-          }
-
-  let run = run_
+      let shards = run_domains t roots ~mem ~jobs in
+      { jobs_requested = jobs; domains_used = jobs; fallback = None; shards }
 end

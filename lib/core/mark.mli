@@ -83,18 +83,11 @@ val trace : ?extra:Roots.range list -> t -> Roots.t -> mem:Mem.t -> unit
     bit-identical to the serial marker for any [jobs], pinned by the
     [test_mark_diff] QCheck differential.
 
-    The tracer is fail-stop against its own domains (DESIGN.md §9):
-    {!Domain_fault} plans inject deterministic stalls, crashes,
-    livelocks and stragglers at the deque push/pop/steal and
-    chunk-claim checkpoints.  A crashing domain abandons the parallel
-    attempt on its way out; the leader (domain 0, which never fails)
-    watches per-domain heartbeat words while idle and, after
-    [watchdog_budget] no-progress observations (with capped
-    exponential backoff between observation rounds), abandons it for a
-    silent stall or livelock.  Every domain unwinds, the leader joins
-    them, and the serial scanner reruns the trace from scratch under a
-    typed {!Parallel.Domain_failed} note — so marks, blacklist and
-    every statistic after a failure equal the serial scanner's. *)
+    The tracer is fail-stop: a domain that raises sets an abandon flag
+    that every other domain unwinds on at its next claim, nap or
+    barrier; {!Parallel.run} joins every domain and re-raises the first
+    exception, leaving the mark bits cleared and the blacklist and
+    statistics untouched. *)
 module Parallel : sig
   type fallback =
     | Serial_configured  (** [jobs <= 1]: the serial fast path, by design *)
@@ -102,50 +95,23 @@ module Parallel : sig
         (** a [Mem.Fault] access plan is armed; its trip streams are
             stateful (countdowns, seeded draws) and cannot be raced
             across domains, so the serial marker ran instead *)
-    | Domain_failed
-        (** a marker domain failed mid-trace; the parallel attempt was
-            abandoned (shadow marks and shards discarded, the blacklist
-            never touched) and the serial scanner reran the trace from
-            scratch *)
 
   val fallback_to_string : fallback -> string
-
-  type health = {
-    heartbeats : int array;  (** final per-domain heartbeat words *)
-    tasks_issued : int;  (** root tasks fed to the shared claim queue *)
-  }
-  (** Watchdog audit trail of one parallel attempt, consumed by
-      [Verify.check_parallel_mark]'s heartbeat audit. *)
 
   type outcome = {
     jobs_requested : int;
     domains_used : int;
-        (** [jobs_requested] when the parallel tracer ran (even if it
-            was later abandoned), 1 on the up-front fallbacks *)
-    fallback : fallback option;  (** [None] iff the parallel trace completed *)
+        (** [jobs_requested] when the parallel tracer ran, 1 on the
+            serial fallbacks *)
+    fallback : fallback option;  (** [None] iff the parallel tracer ran *)
     shards : Stats.t array;
         (** per-domain stats snapshots (empty on fallback); their
             trace-phase counters sum to the serial totals *)
-    health : health option;  (** [None] iff the domains never spawned *)
   }
 
-  val run :
-    ?faults:Domain_fault.plan list ->
-    ?watchdog_budget:int ->
-    t ->
-    Roots.t ->
-    mem:Mem.t ->
-    jobs:int ->
-    outcome
+  val run : t -> Roots.t -> mem:Mem.t -> jobs:int -> outcome
   (** Like {!run}, with [jobs] marker domains.  [jobs <= 1] or an armed
       access plan runs the serial marker and says so in the outcome.
-      [faults] (default [[]], none) arms at most one {!Domain_fault}
-      plan per victim domain (first plan per domain wins; plans naming
-      [domain >= jobs] are ignored).  [watchdog_budget] (default 4096)
-      is how many leader observation rounds a non-idle domain may go
-      without a heartbeat before the attempt is abandoned; each round
-      backs off with capped exponential spinning, so it counts
-      observations, not wall-clock time.  Larger values tolerate slower
-      stragglers at the price of later detection.
-      @raise Invalid_argument when [watchdog_budget < 1]. *)
+      Re-raises the first exception a marker domain raised, after
+      every domain has joined. *)
 end

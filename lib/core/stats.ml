@@ -31,8 +31,6 @@ type t = {
   mutable oom_raised : int;
   mutable parallel_marks : int;
   mutable mark_serial_fallbacks : int;
-  mutable mark_domain_faults : int;
-  mutable mark_abandonments : int;
   mutable precise_collections : int;
   mutable precise_mark_aborts : int;
   mutable precise_mark_retries : int;
@@ -78,8 +76,6 @@ let create () =
     oom_raised = 0;
     parallel_marks = 0;
     mark_serial_fallbacks = 0;
-    mark_domain_faults = 0;
-    mark_abandonments = 0;
     precise_collections = 0;
     precise_mark_aborts = 0;
     precise_mark_retries = 0;
@@ -133,8 +129,6 @@ let blit src ~into =
   into.oom_raised <- src.oom_raised;
   into.parallel_marks <- src.parallel_marks;
   into.mark_serial_fallbacks <- src.mark_serial_fallbacks;
-  into.mark_domain_faults <- src.mark_domain_faults;
-  into.mark_abandonments <- src.mark_abandonments;
   into.precise_collections <- src.precise_collections;
   into.precise_mark_aborts <- src.precise_mark_aborts;
   into.precise_mark_retries <- src.precise_mark_retries;
@@ -189,7 +183,6 @@ let pp ppf t =
      access faults   %d reads (%d mark downgrades), %d writes@,\
      decay           %d pages quarantined, %d alloc retries@,\
      parallel mark   %d runs, %d serial fallbacks@,\
-     domain faults   %d injected, %d traces abandoned@,\
      precise         %d collects, %d mark aborts, %d retries, %d stale roots@,\
      gc time         %.6fs (mark %.6fs, sweep %.6fs)@]"
     t.collections t.words_scanned t.valid_refs t.false_refs t.objects_marked t.header_cache_hits
@@ -202,6 +195,5 @@ let pp ppf t =
     t.read_faults t.mark_downgrades t.write_faults
     t.pages_decayed t.decay_retries
     t.parallel_marks t.mark_serial_fallbacks
-    t.mark_domain_faults t.mark_abandonments
     t.precise_collections t.precise_mark_aborts t.precise_mark_retries t.precise_stale_roots
     t.total_gc_seconds t.mark_seconds t.sweep_seconds

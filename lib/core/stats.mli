@@ -68,16 +68,7 @@ type t = {
   mutable mark_serial_fallbacks : int;
       (** parallel-mark requests served by the serial marker because a
           [Mem.Fault] access plan was armed (trip streams are stateful
-          and cannot be raced across domains), or abandoned mid-trace
-          after a marker-domain failure *)
-  mutable mark_domain_faults : int;
-      (** injected marker-domain failures (stalls, crashes, livelocks,
-          stragglers) that actually tripped during a parallel trace *)
-  mutable mark_abandonments : int;
-      (** parallel traces abandoned because a marker domain failed
-          (crashed, or was found stalled by the watchdog); each also
-          counts one [mark_serial_fallbacks] since the serial scanner
-          reran the trace from scratch *)
+          and cannot be raced across domains) *)
   mutable precise_collections : int;
       (** exact (type-accurate) collections completed by {!Precise.collect} *)
   mutable precise_mark_aborts : int;

@@ -201,14 +201,7 @@ let check_after_fault gc =
      per-domain [objects_marked] shards must sum to the number of mark
      bits actually present in the heap: the exactly-once guarantee of
      the shadow-table CAS protocol, and evidence the serial write-back
-     lost nothing;
-
-   - heartbeat audit — the watchdog's trail must be internally
-     consistent: one heartbeat word per spawned domain, and, when the
-     trace completed, enough total beats to cover every issued root
-     task (each task claim bumps exactly one heartbeat).  An abandoned
-     attempt may stop short of its tasks; an up-front serial fallback
-     spawns no domains and carries no trail. *)
+     lost nothing. *)
 let check_parallel_mark gc =
   match Gc.Internal.last_mark_outcome gc with
   | None -> []
@@ -237,22 +230,6 @@ let check_parallel_mark gc =
           in
           if sum <> !marked then
             add "parallel-mark shards claim %d marked objects, the heap holds %d" sum !marked);
-      (match o.Mark.Parallel.health with
-      | None -> ()
-      | Some h ->
-          let open Mark.Parallel in
-          if Array.length h.heartbeats <> o.domains_used then
-            add "watchdog tracked %d heartbeat words for %d domains" (Array.length h.heartbeats)
-              o.domains_used;
-          match o.fallback with
-          | None ->
-              let beats = Array.fold_left ( + ) 0 h.heartbeats in
-              if beats < h.tasks_issued then
-                add "%d heartbeats cannot cover %d issued root tasks (every claim beats once)"
-                  beats h.tasks_issued
-          | Some Domain_failed -> ()
-          | Some (Serial_configured | Access_plan_armed) ->
-              add "up-front serial fallback carries a watchdog trail");
       List.rev !issues
 
 (* --- precise (type-accurate) mark audit --- *)

@@ -111,23 +111,6 @@ let iter_set t f =
    against [t.n] is needed here. *)
 let iter f t = iter_set t f
 
-let iter_clear t f =
-  let words = t.words in
-  let last = Array.length words - 1 in
-  for w = 0 to last do
-    (* complement within the word's valid span *)
-    let lo = w * bits_per_word in
-    let span = min bits_per_word (t.n - lo) in
-    if span > 0 then begin
-      let mask = if span = bits_per_word then -1 lsr 1 else (1 lsl span) - 1 in
-      let word = ref (lnot (Array.unsafe_get words w) land mask) in
-      while !word <> 0 do
-        f (lo + ntz !word);
-        word := !word land (!word - 1)
-      done
-    end
-  done
-
 type sweep_counts = {
   mutable kept : int;
   mutable dropped : int;

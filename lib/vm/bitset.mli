@@ -62,10 +62,6 @@ val iter_set : t -> (int -> unit) -> unit
     runs, so sparse sets cost one test per word plus one step per member.
     Used by the sweeper and by mark-stack overflow recovery. *)
 
-val iter_clear : t -> (int -> unit) -> unit
-(** Visit the non-members of the universe [\[0, n)] in increasing
-    order — the word-masked complement of {!iter_set}. *)
-
 (** Survivor and casualty tallies of {!sweep}, added to across calls. *)
 type sweep_counts = {
   mutable kept : int;

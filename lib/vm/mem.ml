@@ -17,7 +17,7 @@ module Fault = struct
     | Quota -> "quota"
     | Decayed -> "decayed"
 
-  type target = Commits | Reads | Writes | Access | All
+  type target = Commits | Reads | Writes | Access
 
   type plan = {
     mutable countdown : int;
@@ -63,7 +63,6 @@ module Fault = struct
       | Reads -> (false, true, false)
       | Writes -> (false, false, true)
       | Access -> (false, true, true)
-      | All -> (true, true, true)
     in
     {
       countdown;
@@ -168,9 +167,9 @@ let inject t (p : Fault.plan) ~op ~addr ~bytes reason =
   raise (Commit_failed { op; addr; bytes; reason })
 
 (* One consulted operation against the plan's shared trip state
-   (countdown stream, seeded probability, address predicate).  Commits
-   and guarded accesses draw from the same streams, so a plan armed for
-   [All] keeps one deterministic schedule across both.  A fired trip
+   (countdown stream, seeded probability, address predicate).  Guarded
+   reads and writes draw from the same streams, so a plan armed for
+   [Access] keeps one deterministic schedule across both.  A fired trip
    aborts evaluation, matching the pre-access-fault behavior where
    [inject] raised before later checks could draw. *)
 let consult (p : Fault.plan) ~addr : Fault.reason option =

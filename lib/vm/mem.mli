@@ -48,7 +48,6 @@ module Fault : sig
     | Reads  (** guarded reads only *)
     | Writes  (** guarded writes only *)
     | Access  (** guarded reads and writes *)
-    | All  (** commits and guarded accesses, one shared trip stream *)
 
   type plan
 

@@ -241,8 +241,8 @@ let prop_register_value_matches_classify =
    neither run overflowed (overflow-recovery rescan rounds revisit
    scheduling-dependent amounts of work, so those tallies are only
    deterministic overflow-free).  jobs = 1 must take the
-   [Serial_configured] note; jobs > 1 must really go parallel (no fault
-   plan here), pass the post-parallel-mark audit, and show per-domain
+   [Serial_configured] note; jobs > 1 must really go parallel (no
+   access plan here), pass the post-parallel-mark audit, and show per-domain
    shards summing to the per-cycle totals.  Every scenario runs twice:
    on untyped pages, and with every other object on a typed page. *)
 let parallel_matches_serial ~typed s =
@@ -296,167 +296,7 @@ let prop_parallel_matches_serial =
     (fun s ->
       List.for_all (fun typed -> parallel_matches_serial ~typed s) [ false; true ])
 
-module DF = Cgc.Domain_fault
 module Parallel = Cgc.Mark.Parallel
-
-(* The self-healing claim (DESIGN.md §9), now fail-stop: the tracer
-   heals a marker-domain failure by abandoning the parallel attempt and
-   rerunning the serial scanner.  Over two consecutive cycles of the
-   same instance, for any injected failure — stall at an item
-   boundary, crash at an odd/even checkpoint step (hitting boundary and
-   mid-item sites), livelock holding a claimed item, a slow straggler
-   under a watchdog budget tight enough to suspect even healthy-but-slow
-   domains, and a two-victim compound — mark bitmaps, blacklisted pages
-   and [objects_marked] equal the serial scanner's after every cycle.
-   A [strict] plan (stall / crash / livelock) that tripped must have
-   abandoned the attempt for the serial rerun ([Domain_failed]); an
-   abandoned cycle's whole stats tuple — words scanned, valid and false
-   refs and blacklist ops included — then equals serial's, and a
-   completed one agrees on them whenever neither run overflowed.  Each
-   abandonment counts one [mark_abandonments] and one serial fallback,
-   and the heartbeat audit passes. *)
-let prop_parallel_recovers_from_domain_faults =
-  QCheck.Test.make ~count:60
-    ~name:"self-healing tracer == serial under injected domain failures (jobs 2/4)" scenario_arb
-    (fun s ->
-      (* [mark_state] plus blacklist ops, a tally like words scanned *)
-      let state gc =
-        let m, b, (w, v, f, om, ov) = mark_state gc in
-        (m, b, (w, v, f, om, ov, Blacklist.ops (Gc.blacklist gc)))
-      in
-      let gc_ser = build s in
-      Gc.Internal.run_mark gc_ser;
-      let ser1 = state gc_ser in
-      Gc.Internal.run_mark gc_ser;
-      let ser2 = state gc_ser in
-      let plans jobs =
-        [
-          ([ DF.plan ~domain:1 (DF.Stall { after_claims = 2 }) ], true);
-          ([ DF.plan ~domain:1 (DF.Crash { at_step = 5 }) ], true);
-          ([ DF.plan ~domain:1 (DF.Crash { at_step = 8 }) ], true);
-          ([ DF.plan ~domain:1 (DF.Livelock { on_claim = 2 }) ], true);
-          ([ DF.plan ~domain:1 (DF.Straggler { spin = 200 }) ], false);
-          ( [
-              DF.plan ~domain:1 (DF.Stall { after_claims = 1 });
-              DF.plan ~domain:(min 2 (jobs - 1)) (DF.Crash { at_step = 7 });
-            ],
-            true );
-        ]
-      in
-      (* one cycle against its serial twin, from the cumulative states
-         before and after it *)
-      let cycle_ok ~strict ~tripped o ((_, _, t0'), (m', b', t')) ((_, _, t0), (m, b, t)) =
-        let sub (w, v, f, om, ov, ops) (w0, v0, f0, om0, ov0, ops0) =
-          (w - w0, v - v0, f - f0, om - om0, ov - ov0, ops - ops0)
-        in
-        let ((w, v, f, om, ov, ops) as d) = sub t t0 in
-        let ((w', v', f', om', ov', ops') as d') = sub t' t0' in
-        let failed = o.Parallel.fallback = Some Parallel.Domain_failed in
-        m = m' && b = b' && om = om'
-        && (o.Parallel.fallback = None || failed)
-        && ((not (strict && tripped)) || failed)
-        &&
-        if failed then d = d'
-        else ov > 0 || ov' > 0 || (w = w' && v = v' && f = f' && ops = ops')
-      in
-      let start = ([], [], (0, 0, 0, 0, 0, 0)) in
-      List.for_all
-        (fun jobs ->
-          List.for_all
-            (fun (faults, strict) ->
-              let gc_par = build s in
-              let st = Gc.stats gc_par in
-              let cycle ~strict (ser0, ser) par0 =
-                let faults_before = st.Stats.mark_domain_faults in
-                let o = Gc.Internal.run_mark_parallel ~faults ~watchdog_budget:8 gc_par ~jobs in
-                let tripped = st.Stats.mark_domain_faults > faults_before in
-                let par = state gc_par in
-                let ok =
-                  cycle_ok ~strict ~tripped o (ser0, ser) (par0, par)
-                  && Cgc.Verify.check_parallel_mark gc_par = []
-                in
-                (o, ok, par)
-              in
-              let o1, ok1, par1 = cycle ~strict (start, ser1) start in
-              let o2, ok2, _ = cycle ~strict (ser1, ser2) par1 in
-              let abandoned =
-                List.length
-                  (List.filter (fun o -> o.Parallel.fallback = Some Parallel.Domain_failed) [ o1; o2 ])
-              in
-              ok1 && ok2
-              && st.Stats.mark_abandonments = abandoned
-              && st.Stats.mark_serial_fallbacks = abandoned)
-            (plans jobs))
-        [ 2; 4 ])
-
-(* Quorum break: a fail-stop trace needs every one of its [jobs]
-   domains, so a single crash breaks the quorum.  With domain 1 crashing
-   at its first checkpoint, every attempt is abandoned wholesale and the
-   serial rerun must leave the *entire* mark state — the
-   schedule-sensitive word/ref tallies and blacklist ops included —
-   bit-identical to a serial-only instance, across two aging cycles.
-   Each outcome carries the typed [Domain_failed] note, the heartbeat
-   audit holds, each crash trips once in [mark_domain_faults], and each
-   abandonment counts once in [mark_abandonments] and once in
-   [mark_serial_fallbacks]. *)
-let prop_quorum_break_degrades_to_serial =
-  QCheck.Test.make ~count:40 ~name:"quorum break == serial rerun (Domain_failed, bit-identical)"
-    scenario_arb
-    (fun s ->
-      let state gc = (mark_state gc, Blacklist.ops (Gc.blacklist gc)) in
-      let gc_ser = build s in
-      Gc.Internal.run_mark gc_ser;
-      let ser1 = state gc_ser in
-      Gc.Internal.run_mark gc_ser;
-      let ser2 = state gc_ser in
-      let jobs = 2 in
-      (* default watchdog budget: the crash, not a watchdog suspicion of
-         a domain still spawning, must be what breaks the quorum *)
-      let faults = [ DF.plan ~domain:1 (DF.Crash { at_step = 1 }) ] in
-      let gc_par = build s in
-      let o1 = Gc.Internal.run_mark_parallel ~faults gc_par ~jobs in
-      let st1 = state gc_par in
-      let o2 = Gc.Internal.run_mark_parallel ~faults gc_par ~jobs in
-      let st2 = state gc_par in
-      let audit = Cgc.Verify.check_parallel_mark gc_par in
-      let st = Gc.stats gc_par in
-      st1 = ser1 && st2 = ser2
-      && o1.Parallel.fallback = Some Parallel.Domain_failed
-      && o2.Parallel.fallback = Some Parallel.Domain_failed
-      && o1.Parallel.domains_used = jobs
-      && audit = []
-      && st.Stats.mark_domain_faults = 2
-      && st.Stats.mark_abandonments = 2
-      && st.Stats.mark_serial_fallbacks = 2)
-
-(* An abandoned attempt must leave the blacklist untouched: its cycle
-   rotation happens only in the success epilogue, so the serial rerun
-   ages entries exactly once per collection.  Two mark-and-sweep cycles
-   with domain 1 crashing at its first checkpoint (every attempt is
-   abandoned) leave blacklist count, ops and pages equal to a serial
-   twin's full [Gc.collect]s — a rotation before the trace would show
-   up as one extra op per collection. *)
-let prop_abandoned_collect_keeps_blacklist_aging =
-  QCheck.Test.make ~count:40
-    ~name:"abandoned traces leave blacklist aging == serial (two collections)" scenario_arb
-    (fun s ->
-      let blacklist_state gc =
-        let bl = Gc.blacklist gc in
-        let pages = ref [] in
-        Blacklist.iter (fun p -> pages := p :: !pages) bl;
-        (Blacklist.count bl, Blacklist.ops bl, List.rev !pages)
-      in
-      let gc_ser = build s in
-      let gc_par = build s in
-      let faults = [ DF.plan ~domain:1 (DF.Crash { at_step = 1 }) ] in
-      List.for_all
-        (fun _ ->
-          Gc.collect gc_ser;
-          let o = Gc.Internal.run_mark_parallel ~faults ~watchdog_budget:8 gc_par ~jobs:2 in
-          let (_ : Cgc.Sweep.result) = Gc.Internal.run_sweep gc_par in
-          blacklist_state gc_par = blacklist_state gc_ser
-          && o.Parallel.fallback = Some Parallel.Domain_failed)
-        [ 1; 2 ])
 
 (* The up-front fallback: with a [Mem.Fault] read plan armed, a jobs = 2
    request spawns no domain (trip streams are stateful and cannot be
@@ -907,9 +747,6 @@ let suite =
       prop_fast_collect_matches_reference_collect;
       prop_register_value_matches_classify;
       prop_parallel_matches_serial;
-      prop_parallel_recovers_from_domain_faults;
-      prop_quorum_break_degrades_to_serial;
-      prop_abandoned_collect_keeps_blacklist_aging;
       prop_access_plan_falls_back_to_serial;
       prop_minor_keeps_young_scope;
       prop_sweep_matches_reference;
