@@ -309,6 +309,49 @@ let assert_valid (o : An.Scenarios.outcome) =
   check bool (o.An.Scenarios.o_name ^ ": sound") true v.An.Analysis.sound;
   check bool (o.An.Scenarios.o_name ^ ": within tolerance") true v.An.Analysis.within_tolerance
 
+(* The dead-feeding set each snapshot carries, against its definition:
+   the least set of precise-dead objects with an edge into the precise
+   set or into the set itself, recomputed here forward to a fixed point.
+   The example names a member iff the set is nonempty, and the
+   uncleared queue must exhibit the signature at some collection. *)
+let test_dead_feeding_sets () =
+  let expected (s : An.Apparent.gc_snapshot) =
+    let dead = ISet.diff s.An.Apparent.apparent s.An.Apparent.precise in
+    let rec grow f =
+      let f' =
+        List.fold_left
+          (fun acc (src, _, dst) ->
+            if ISet.mem src dead && (ISet.mem dst s.An.Apparent.precise || ISet.mem dst f) then
+              ISet.add src acc
+            else acc)
+          f s.An.Apparent.edges
+      in
+      if ISet.equal f f' then f else grow f'
+    in
+    grow ISet.empty
+  in
+  List.iter
+    (fun name ->
+      let snaps =
+        (outcome name).An.Scenarios.o_analysis.An.Analysis.retention.An.Apparent.snapshots
+      in
+      List.iter
+        (fun (s : An.Apparent.gc_snapshot) ->
+          let at fmt = Printf.sprintf ("%s gc %d: " ^^ fmt) name s.An.Apparent.ordinal in
+          let f = s.An.Apparent.dead_feeding in
+          check bool (at "set matches its definition") true (ISet.equal f (expected s));
+          check bool (at "example is a member") true
+            (match s.An.Apparent.dead_feeding_example with
+            | None -> ISet.is_empty f
+            | Some x -> ISet.mem x f))
+        snaps;
+      if name = "queue-no-clear" then
+        check bool "uncleared queue feeds live data from dead objects" true
+          (List.exists
+             (fun (s : An.Apparent.gc_snapshot) -> not (ISet.is_empty s.An.Apparent.dead_feeding))
+             snaps))
+    [ "queue-no-clear"; "queue-clear" ]
+
 let test_queue_scenarios () =
   let no_clear = outcome "queue-no-clear" in
   let clear = outcome "queue-clear" in
@@ -440,6 +483,7 @@ let () =
         [
           Alcotest.test_case "queue pair" `Slow test_queue_scenarios;
           Alcotest.test_case "grid pair" `Slow test_grid_scenarios;
+          Alcotest.test_case "dead-feeding sets" `Slow test_dead_feeding_sets;
           Alcotest.test_case "scenarios back to back" `Slow test_scenarios_back_to_back;
         ] );
       ( "fixes",
