@@ -79,8 +79,7 @@ let grid_cmd =
 
 (* --- stack clearing --- *)
 
-let run_stack seed elements iterations =
-  ignore seed;
+let run_stack elements iterations =
   List.iter
     (fun mode ->
       Format.printf "%a@.%!" W.List_reverse.pp (W.List_reverse.run mode ~elements ~iterations))
@@ -91,7 +90,7 @@ let stack_cmd =
   let iterations = Arg.(value & opt int 30 & info [ "iterations" ] ~docv:"N" ~doc:"Reversals.") in
   Cmd.v
     (Cmd.info "stack-clearing" ~doc:"Recursive list reversal and stack hygiene (section 3.1).")
-    Term.(const run_stack $ seed_arg $ elements $ iterations)
+    Term.(const run_stack $ elements $ iterations)
 
 (* --- structures --- *)
 

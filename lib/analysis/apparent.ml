@@ -356,7 +356,7 @@ let analyze (p : Ir.program) (lv : Liveness.t) =
         | None -> ())
     | Ir.Root_write { word; value } -> if word < p.globals_words then globals.(word) <- value
     | Ir.Reg_read _ | Ir.Local_read _ | Ir.Heap_read _ | Ir.Root_read _ | Ir.Park _ | Ir.Unpark
-    | Ir.Spawn _ | Ir.Join _ | Ir.Finalizer_attach _ | Ir.Write_barrier _ ->
+    | Ir.Finalizer_attach _ | Ir.Write_barrier _ ->
         ()
     | Ir.Gc_point { measured } ->
         let k = !ordinal in

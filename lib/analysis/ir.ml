@@ -48,11 +48,6 @@ type instr =
       (** a finalizer was registered for [obj]; deliberately {e not} a
           use — the collector still reclaims finalizable garbage, it
           just runs the finalizer first *)
-  | Spawn of { thread : int; words : int }
-      (** a child thread starts with [words] stack words of its own;
-          like [Park], the spawning frame region stays scannable while
-          the child runs *)
-  | Join of { thread : int }  (** the child thread ends; its stack region dies *)
   | Write_barrier of { obj : int; field : int }
       (** generational write-barrier event: a pointer store into [obj]
           was card-marked.  Inert for liveness; consumed by shape and
@@ -109,8 +104,6 @@ let pp_instr ppf = function
   | Unpark -> Format.fprintf ppf "unpark"
   | Clear_registers -> Format.fprintf ppf "clear registers"
   | Finalizer_attach { obj; token } -> Format.fprintf ppf "finalizer #%d (token %d)" obj token
-  | Spawn { thread; words } -> Format.fprintf ppf "spawn t%d (%d words)" thread words
-  | Join { thread } -> Format.fprintf ppf "join t%d" thread
   | Write_barrier { obj; field } -> Format.fprintf ppf "barrier #%d[%d]" obj field
 
 let pp ppf p =

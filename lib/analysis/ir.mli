@@ -49,10 +49,6 @@ type instr =
           collector reclaims finalizable garbage (running the finalizer
           first), so treating attachment as a retention edge would break
           the precise-is-a-lower-bound invariant. *)
-  | Spawn of { thread : int; words : int }
-      (** a child thread begins; [words] stack words below the current
-          sp belong to it and stay scannable until the matching [Join] *)
-  | Join of { thread : int }
   | Write_barrier of { obj : int; field : int }
       (** a generational card-marking event for a pointer store into
           [obj]; liveness-inert, surfaced to shape analysis and reports *)

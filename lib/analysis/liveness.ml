@@ -44,10 +44,10 @@ let analyze (p : Ir.program) =
     (match p.code.(i) with
     | Ir.Frame_push { slots; padding; _ } -> sp := !sp - slots - padding
     | Ir.Frame_pop { slots; padding; _ } -> sp := !sp + slots + padding
-    | Ir.Park { words } | Ir.Spawn { words; _ } ->
+    | Ir.Park { words } ->
         park_sps := !sp :: !park_sps;
         sp := !sp - words
-    | Ir.Unpark | Ir.Join _ -> (
+    | Ir.Unpark -> (
         match !park_sps with
         | saved :: rest ->
             sp := saved;
@@ -99,7 +99,7 @@ let analyze (p : Ir.program) =
     | Ir.Root_write { word; _ } -> globals := ISet.remove word !globals
     | Ir.Heap_read { obj; _ } | Ir.Heap_write { obj; _ } -> used := ISet.add obj !used
     | Ir.Alloc { obj; _ } -> used := ISet.remove obj !used
-    | Ir.Park _ | Ir.Unpark | Ir.Spawn _ | Ir.Join _ -> ()
+    | Ir.Park _ | Ir.Unpark -> ()
     (* deliberately not uses: the collector reclaims finalizable
        garbage, and a barrier is bookkeeping about a store already seen *)
     | Ir.Finalizer_attach _ | Ir.Write_barrier _ -> ()

@@ -1,10 +1,11 @@
+let granule = 4
+
 type large_validity =
   | Anywhere
   | First_page_only
 
 type t = {
   page_size : int;
-  granule : int;
   interior_pointers : bool;
   valid_displacements : int list;
   large_validity : large_validity;
@@ -14,7 +15,6 @@ type t = {
   blacklist_refresh : bool;
   atomic_on_black_pages : bool;
   avoid_trailing_zeros : int option;
-  zero_on_alloc : bool;
   initial_pages : int;
   max_expand_pages : int;
   space_divisor : int;
@@ -26,7 +26,6 @@ type t = {
 let default =
   {
     page_size = 4096;
-    granule = 4;
     interior_pointers = true;
     valid_displacements = [];
     large_validity = Anywhere;
@@ -36,7 +35,6 @@ let default =
     blacklist_refresh = true;
     atomic_on_black_pages = true;
     avoid_trailing_zeros = None;
-    zero_on_alloc = true;
     initial_pages = 64;
     max_expand_pages = 256;
     space_divisor = 3;
@@ -50,7 +48,6 @@ let is_power_of_two n = n > 0 && n land (n - 1) = 0
 let validate t =
   if not (is_power_of_two t.page_size) || t.page_size < 256 then
     invalid_arg "Config: page_size must be a power of two >= 256";
-  if t.granule <> 4 then invalid_arg "Config: granule must be 4 (the machine word)";
   if t.alignment <> 1 && t.alignment <> 2 && t.alignment <> 4 then
     invalid_arg "Config: alignment must be 1, 2 or 4";
   if t.initial_pages < 1 then invalid_arg "Config: initial_pages must be >= 1";
@@ -79,7 +76,6 @@ let max_small_bytes t = t.page_size / 2
    object is recognized.  Bit 0 (the object base) is always set, mirroring
    "offset 0 is always valid". *)
 let displacement_mask t =
-  let granule = t.granule in
   let max_d = List.fold_left max 0 t.valid_displacements in
   let n_bits = (max_d / granule) + 1 in
   let words = Array.make ((n_bits + 61) / 62) 0 in
@@ -91,7 +87,7 @@ let displacement_mask t =
   List.iter set t.valid_displacements;
   words
 
-let[@inline] displacement_in_mask mask ~granule d =
+let[@inline] displacement_in_mask mask d =
   d mod granule = 0
   &&
   let i = d / granule in
@@ -100,10 +96,10 @@ let[@inline] displacement_in_mask mask ~granule d =
 
 let pp ppf t =
   Format.fprintf ppf
-    "@[<v>page_size=%d granule=%d interior=%b displacements=[%s] large=%s align=%d@,\
-     blacklist=%b refresh=%b atomic_on_black=%b avoid_tz=%s zero=%b@,\
+    "@[<v>page_size=%d interior=%b displacements=[%s] large=%s align=%d@,\
+     blacklist=%b refresh=%b atomic_on_black=%b avoid_tz=%s@,\
      initial_pages=%d max_expand=%d divisor=%d startup_gc=%b relax_blacklist=%b@]"
-    t.page_size t.granule t.interior_pointers
+    t.page_size t.interior_pointers
     (String.concat ";" (List.map string_of_int t.valid_displacements))
     (match t.large_validity with
     | Anywhere -> "anywhere"
@@ -112,5 +108,5 @@ let pp ppf t =
     (match t.avoid_trailing_zeros with
     | None -> "off"
     | Some k -> string_of_int k)
-    t.zero_on_alloc t.initial_pages t.max_expand_pages t.space_divisor
+    t.initial_pages t.max_expand_pages t.space_divisor
     t.full_gc_at_startup t.relax_blacklist

@@ -7,6 +7,11 @@
     and the allocator's avoidance of addresses with many trailing zeros
     (section 2, figure 1). *)
 
+val granule : int
+(** Allocation granularity in bytes: the 4-byte machine word.  Object
+    sizes round up to it, and interior displacements are recognized
+    only at multiples of it. *)
+
 type large_validity =
   | Anywhere
       (** any pointer into a large object retains it — the strict
@@ -20,7 +25,6 @@ type large_validity =
 
 type t = {
   page_size : int;  (** bytes per heap block; a power of two *)
-  granule : int;  (** allocation granularity in bytes (the machine word, 4) *)
   interior_pointers : bool;
       (** recognize pointers to object interiors, "often required if the
           source language requires that array elements can be passed by
@@ -54,9 +58,6 @@ type t = {
   avoid_trailing_zeros : int option;
       (** [Some k]: never place an object at an address with [>= k]
           trailing zero bits (counters the figure-1 halfword hazard) *)
-  zero_on_alloc : bool;
-      (** clear objects on allocation so reused memory cannot leak stale
-          pointers into the scan *)
   initial_pages : int;  (** pages committed up front *)
   max_expand_pages : int;
       (** starting batch for the allocation ladder's grow rung: when the
@@ -89,11 +90,12 @@ type t = {
 }
 
 val default : t
-(** 4 KB pages, 4-byte granules, interior pointers on ([Anywhere]),
-    aligned scanning, blacklisting on with refresh, atomic-on-black on,
-    no trailing-zero avoidance, zeroing on, 64 initial pages, grow-rung
-    batch 256 pages, space divisor 3, startup collection on, blacklist
-    relaxation off. *)
+(** 4 KB pages, interior pointers on ([Anywhere]), aligned scanning,
+    blacklisting on with refresh, atomic-on-black on, no trailing-zero
+    avoidance, 64 initial pages, grow-rung batch 256 pages, space
+    divisor 3, startup collection on, blacklist relaxation off.  Every
+    allocation comes back zeroed, so reused memory cannot leak stale
+    pointers into the scan; that is not a setting. *)
 
 val validate : t -> unit
 (** @raise Invalid_argument on inconsistent settings. *)
@@ -107,8 +109,8 @@ val displacement_mask : t -> int array
     [d / granule] (62 bits per array word) is set iff byte displacement
     [d] is recognized.  Bit 0 is always set. *)
 
-val displacement_in_mask : int array -> granule:int -> int -> bool
-(** [displacement_in_mask mask ~granule d]: whether displacement [d] is
+val displacement_in_mask : int array -> int -> bool
+(** [displacement_in_mask mask d]: whether displacement [d] is
     recognized — equivalent to
     [d = 0 || List.mem d valid_displacements] on the mask's source
     config, in O(1). *)

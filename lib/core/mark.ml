@@ -93,7 +93,6 @@ type t = {
   page_mask : int;  (** [page_size - 1] *)
   alignment : int;
   alignment_shift : int;  (** [log2 alignment]: alignments are 1, 2 or 4 *)
-  granule : int;
   interior : bool;
   tail_valid : bool;  (** interior pointers on and [large_validity = Anywhere] *)
   blacklisting : bool;
@@ -150,7 +149,6 @@ let create ?(stop_on_fault = false) heap config blacklist stats =
       | 2 -> 1
       | 4 -> 2
       | _ -> invalid_arg "Mark.create: alignment must be 1, 2 or 4");
-    granule = config.Config.granule;
     interior = config.Config.interior_pointers;
     tail_valid =
       config.Config.interior_pointers
@@ -268,7 +266,7 @@ let consider_heap t value =
         else if Array.unsafe_get t.cache_alloc w land bit = 0 then note_false t page
         else if
           displacement = 0 || t.interior
-          || Config.displacement_in_mask t.disp_mask ~granule:t.granule displacement
+          || Config.displacement_in_mask t.disp_mask displacement
         then begin
           note_valid t;
           let marks = Array.unsafe_get t.cache_mark w in
@@ -555,7 +553,6 @@ module Parallel = struct
     w_page_shift : int;
     w_page_mask : int;
     w_alignment : int;
-    w_granule : int;
     w_interior : bool;
     w_tail_valid : bool;
     w_blacklisting : bool;
@@ -621,7 +618,6 @@ module Parallel = struct
       w_page_shift = t.page_shift;
       w_page_mask = t.page_mask;
       w_alignment = t.alignment;
-      w_granule = t.granule;
       w_interior = t.interior;
       w_tail_valid = t.tail_valid;
       w_blacklisting = t.blacklisting;
@@ -732,7 +728,7 @@ module Parallel = struct
           else if not (Bitset.unsafe_mem w.w_cache_alloc index) then note_false sh w page
           else if
             displacement = 0 || w.w_interior
-            || Config.displacement_in_mask w.w_disp_mask ~granule:w.w_granule displacement
+            || Config.displacement_in_mask w.w_disp_mask displacement
           then begin
             note_valid w;
             if Bitset.Atomic.unsafe_test_and_set w.w_cache_shadow index then begin

@@ -9,9 +9,6 @@ type t
 
 val create : Config.t -> t
 
-val granule : t -> int
-(** Granule size in bytes. *)
-
 val displacement_mask : t -> int array
 (** The config's registered-displacement bitmask (see
     {!Config.displacement_mask}), precomputed at creation. *)
@@ -26,11 +23,11 @@ val is_small : t -> int -> bool
 (** Whether a request of that many bytes is served from size-class
     pages. *)
 
-val granules_for : t -> int -> int
-(** [granules_for t bytes] is the number of granules needed for a
+val granules_for : int -> int
+(** [granules_for bytes] is the number of granules needed for a
     request ([>= 1]); the class index of the request. *)
 
-val bytes_of_granules : t -> int -> int
+val bytes_of_granules : int -> int
 
 val n_classes : t -> int
 (** Number of small size classes; class indexes run [1 .. n_classes]. *)

@@ -60,8 +60,6 @@ type event =
   | E_unpark
   | E_clear_registers
   | E_finalizer of { obj : Addr.t; token : int }
-  | E_spawn of { thread : int; words : int }
-  | E_join of { thread : int }
   | E_write_barrier of { obj : Addr.t; field : int }
 
 type t = {
@@ -76,8 +74,6 @@ type t = {
   registers : int array;
   mutable alloc_count : int;
   mutable park_restore : Addr.t option;
-  mutable threads : (int * Addr.t) list;  (* (thread id, sp to restore at join), LIFO *)
-  mutable next_thread : int;
   mutable tracer : (event -> unit) option;
   mutable traced_collections : int;
 }
@@ -106,8 +102,6 @@ let create ?(config = default_config) ?(seed = 42) mem ~stack ~gc =
       registers = Array.make config.n_registers 0;
       alloc_count = 0;
       park_restore = None;
-      threads = [];
-      next_thread = 0;
       tracer = None;
       traced_collections = 0;
     }
@@ -123,7 +117,6 @@ let stack_pointer t = t.sp
 let stack_base t = t.stack_base
 let stack_limits t = (Segment.base t.stack, t.stack_base)
 let low_water t = t.low_water
-let live_stack_words t = Addr.diff t.stack_base t.sp / word
 let n_registers t = t.config.n_registers
 
 (* Tracing: every state change the conservative marker could observe is
@@ -173,8 +166,6 @@ let set_register t i v =
 let clear_registers t =
   emit t E_clear_registers;
   Array.fill t.registers 0 (Array.length t.registers) 0
-
-let allocation_count t = t.alloc_count
 
 (* A value below the live stack: stale unless someone clears it. *)
 let dead_region t = (Segment.base t.stack, t.sp)
@@ -290,33 +281,6 @@ let unpark t =
       emit t E_unpark
 
 let parked t = t.park_restore <> None
-
-(* Threads beyond park/unpark: a spawned child owns a stack region of
-   its own below the parent's sp.  The model is cooperative and LIFO
-   (joins must nest), which is all the conservative marker cares about:
-   while a child runs, its region is scanned like any other live
-   stack. *)
-let spawn t ~words =
-  let new_sp = Addr.add t.sp (-(words * word)) in
-  if Addr.to_int new_sp < Addr.to_int (Segment.base t.stack) then
-    raise (Stack_overflow { sp = t.sp; requested_words = words; limit = Segment.base t.stack });
-  let thread = t.next_thread in
-  t.next_thread <- thread + 1;
-  t.threads <- (thread, t.sp) :: t.threads;
-  t.sp <- new_sp;
-  if Addr.to_int new_sp < Addr.to_int t.low_water then t.low_water <- new_sp;
-  emit t (E_spawn { thread; words });
-  thread
-
-let join t thread =
-  match t.threads with
-  | (tid, sp) :: rest when tid = thread ->
-      t.threads <- rest;
-      t.sp <- sp;
-      emit t (E_join { thread })
-  | _ -> invalid_arg "Machine.join: threads must be joined in LIFO order"
-
-let live_threads t = List.map fst t.threads
 
 (* The cheap stack-clearing algorithm of section 3.1: every
    [stack_clear_period] allocations, clear a bounded chunk of the dead

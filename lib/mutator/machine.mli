@@ -98,10 +98,6 @@ type event =
   | E_finalizer of { obj : Addr.t; token : int }
       (** A finalizer was registered for the object at [obj]; [token]
           is a stable hash of the finalizer label. *)
-  | E_spawn of { thread : int; words : int }
-      (** A child thread starts owning [words] stack words below the
-          parent's sp. *)
-  | E_join of { thread : int }
   | E_write_barrier of { obj : Addr.t; field : int }
       (** Generational card-marking of a pointer store (synthesized for
           every store whose value is a live object address; only emitted
@@ -132,8 +128,6 @@ val stack_limits : t -> Addr.t * Addr.t
 
 val low_water : t -> Addr.t
 (** Deepest stack pointer observed so far. *)
-
-val live_stack_words : t -> int
 
 (** {1 Registers} *)
 
@@ -172,26 +166,6 @@ val unpark : t -> unit
 
 val parked : t -> bool
 
-(** {1 Threads}
-
-    A minimal cooperative thread model past park/unpark: a spawned
-    child owns a region of [words] stack words below the parent's sp
-    until joined.  Joins must nest (LIFO) — enough to exercise the
-    analyzer's thread-lifecycle handling without a scheduler. *)
-
-val spawn : t -> words:int -> int
-(** Start a child thread; returns its id.
-    @raise Stack_overflow when the child's region would not fit. *)
-
-val join : t -> int -> unit
-(** Join the most recently spawned live thread; its stack region
-    becomes dead stack.
-    @raise Invalid_argument when [thread] is not the innermost live
-    child. *)
-
-val live_threads : t -> int list
-(** Ids of spawned-but-unjoined threads, innermost first. *)
-
 (** {1 Allocation} *)
 
 val allocate : ?pointer_free:bool -> ?finalizer:string -> t -> int -> Addr.t
@@ -200,8 +174,6 @@ val allocate : ?pointer_free:bool -> ?finalizer:string -> t -> int -> Addr.t
     stack pointer (cleared afterwards only with
     [allocator_self_cleanup]), register 0 receives the result, noise
     hooks fire, and the configured stack clearing runs. *)
-
-val allocation_count : t -> int
 
 (** {1 Heap and global access}
 

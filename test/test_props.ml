@@ -124,10 +124,9 @@ let prop_size_class_rounding =
   QCheck.Test.make ~count ~name:"granule rounding covers the request exactly"
     QCheck.(int_range 1 2048)
     (fun bytes ->
-      let sc = Size_class.create Config.default in
-      let g = Size_class.granules_for sc bytes in
-      let rounded = Size_class.bytes_of_granules sc g in
-      rounded >= bytes && rounded - bytes < Size_class.granule sc)
+      let g = Size_class.granules_for bytes in
+      let rounded = Size_class.bytes_of_granules g in
+      rounded >= bytes && rounded - bytes < Config.granule)
 
 (* --- displacement bitmasks --- *)
 
@@ -145,7 +144,7 @@ let prop_displacement_mask =
       let sc = Size_class.create config in
       let expect d = d = 0 || List.mem d disps in
       let agree d =
-        Config.displacement_in_mask mask ~granule:4 d = expect d
+        Config.displacement_in_mask mask d = expect d
         && Size_class.displacement_ok sc d = expect d
       in
       List.for_all agree (0 :: disps)
