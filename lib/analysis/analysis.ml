@@ -85,11 +85,6 @@ let validate t =
 
 let has_finding t rule = List.exists (fun (f : Lint.finding) -> f.Lint.rule = rule) t.findings
 
-let max_apparent t =
-  List.fold_left
-    (fun acc (s : Apparent.gc_snapshot) -> max acc (ISet.cardinal s.apparent))
-    0 t.retention.Apparent.snapshots
-
 let max_excess t =
   List.fold_left
     (fun acc (s : Apparent.gc_snapshot) ->
@@ -98,8 +93,3 @@ let max_excess t =
 
 let fix_for t rule =
   List.find_opt (fun f -> f.finding.Lint.rule = rule && f.suggestion <> None) t.fixes
-
-let verified_fixes t =
-  List.filter
-    (fun f -> match f.verdict with Some v -> Fixes.sound v | None -> false)
-    t.fixes

@@ -43,15 +43,9 @@ val validate : t -> validation
 val has_finding : t -> string -> bool
 (** Whether a lint rule (by id, e.g. ["R2"]) fired. *)
 
-val max_apparent : t -> int
-(** Largest predicted apparent-live object count over all GC points. *)
-
 val max_excess : t -> int
 (** Largest predicted (apparent - precise) object count — the
     retention gap the lint rules try to explain. *)
 
 val fix_for : t -> string -> fix option
 (** The first finding of the given rule that carries a suggestion. *)
-
-val verified_fixes : t -> fix list
-(** Fixes whose static verification passed ({!Fixes.sound}). *)

@@ -55,6 +55,5 @@ val suggest :
     has no mechanically expressible fix (R4 on genuinely
     pointer-holding objects, for instance). *)
 
-val pp_edit : Format.formatter -> edit -> unit
 val pp_suggestion : Format.formatter -> suggestion -> unit
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -79,10 +79,3 @@ let predict ?(promote_after = 2) (p : Ir.program) =
    page per boundary in the scenarios this gates. *)
 let tolerance pr = max 4096 (pr.pr_garbage_bytes / 4)
 let agrees pr ~measured = abs (measured - pr.pr_garbage_bytes) <= tolerance pr
-
-let pp ppf pr =
-  Format.fprintf ppf
-    "promotion model (promote_after %d): %d object(s) / %dB predicted promoted, %dB of it garbage \
-     (tolerance %dB)"
-    pr.pr_promote_after (List.length pr.pr_promoted) pr.pr_promoted_bytes pr.pr_garbage_bytes
-    (tolerance pr)

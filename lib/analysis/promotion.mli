@@ -24,4 +24,3 @@ val predict : ?promote_after:int -> Ir.program -> prediction
 
 val tolerance : prediction -> int
 val agrees : prediction -> measured:int -> bool
-val pp : Format.formatter -> prediction -> unit

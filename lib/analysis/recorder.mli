@@ -31,7 +31,3 @@ val abort : t -> unit
 val base_of_obj : t -> int -> Addr.t option
 (** Concrete base address an object id was allocated at (addresses may
     have been reused since if the object died). *)
-
-val dropped_events : t -> int
-(** Events that could not be translated (e.g. heap access to an address
-    the recorder never saw allocated).  0 on well-formed runs. *)

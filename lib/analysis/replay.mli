@@ -103,5 +103,3 @@ val compare_fix_generational :
 
 val pp_run : Format.formatter -> run -> unit
 val pp_comparison : Format.formatter -> comparison -> unit
-val pp_gen_run : Format.formatter -> gen_run -> unit
-val pp_gen_comparison : Format.formatter -> gen_comparison -> unit

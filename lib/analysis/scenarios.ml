@@ -303,7 +303,6 @@ let matrix_table =
             "unreachable: the chain outgrows the heap") );
   ]
 
-let matrix_names = List.map fst matrix_table
 let starvation_matrix () = List.map (fun (_, f) -> f ()) matrix_table
 
 let pp_matrix_entry ppf e =

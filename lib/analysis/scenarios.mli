@@ -40,7 +40,6 @@ type matrix_entry = {
   m_note : string;
 }
 
-val matrix_names : string list
 val starvation_matrix : unit -> matrix_entry list
 val pp_matrix_entry : Format.formatter -> matrix_entry -> unit
 

@@ -195,29 +195,3 @@ let self_linked t =
         g.sh_edges)
     t.graphs;
   Hashtbl.fold (fun k fields l -> (k, List.sort compare fields) :: l) acc []
-
-let pp_node ppf n =
-  Format.fprintf ppf "%dB%s%s x%d" n.sn_bytes
-    (if n.sn_pointer_free then " atomic" else "")
-    (if n.sn_dead then " dead" else "")
-    n.sn_count
-
-let pp_graph ppf g =
-  Format.fprintf ppf "@[<v>gc #%d: %d node(s), %d summary edge(s), %d dead link(s)" g.sh_ordinal
-    (List.length g.sh_nodes) (List.length g.sh_edges)
-    (List.length g.sh_dead_links);
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "@,  [%a] -(%s)-> [%a] x%d" pp_node e.se_src
-        (String.concat "," (List.map string_of_int e.se_fields))
-        pp_node e.se_dst e.se_count)
-    g.sh_edges;
-  Format.fprintf ppf "@]"
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>access graphs: %d point(s), worst dead links %d" (List.length t.graphs)
-    t.max_dead_links;
-  (match worst t with
-  | Some g when g.sh_dead_links <> [] -> Format.fprintf ppf "@,%a" pp_graph g
-  | _ -> ());
-  Format.fprintf ppf "@]"

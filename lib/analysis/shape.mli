@@ -56,7 +56,3 @@ val worst : t -> graph option
 val self_linked : t -> ((int * bool) * int list) list
 (** Group keys [(bytes, pointer_free)] that link to themselves through
     fields somewhere in the run, with the linking field labels. *)
-
-val pp_node : Format.formatter -> node -> unit
-val pp_graph : Format.formatter -> graph -> unit
-val pp : Format.formatter -> t -> unit

@@ -64,13 +64,6 @@ let is_black t page =
   let b = bucket_of t page in
   Bitset.mem t.current b || Bitset.mem t.previous b
 
-let any_black_in t ~lo ~hi =
-  match t.representation with
-  | Exact -> Bitset.exists_in_range t.current ~lo ~hi || Bitset.exists_in_range t.previous ~lo ~hi
-  | Hashed _ ->
-      let rec go i = i < hi && (is_black t i || go (i + 1)) in
-      go lo
-
 let begin_cycle t =
   if t.refresh then begin
     t.ops <- t.ops + 1;

@@ -34,10 +34,6 @@ val note : t -> int -> unit
 
 val is_black : t -> int -> bool
 
-val any_black_in : t -> lo:int -> hi:int -> bool
-(** Whether any page in [\[lo, hi)] is black — used when placing large
-    objects that must not span blacklisted pages. *)
-
 val begin_cycle : t -> unit
 (** Start a new collection cycle (ages out stale entries when refresh is
     on; a no-op otherwise). *)

@@ -50,5 +50,3 @@ val get_field : t -> Addr.t -> int -> int
 val set_field : t -> Addr.t -> int -> int -> unit
 (** @raise Mem.Write_fault when an installed fault plan trips the write;
     the store does not happen. *)
-
-val pp : Format.formatter -> t -> unit

@@ -79,8 +79,6 @@ val set_oom_hook : t -> (int -> bool) option -> unit
     [true] if memory may have been released (caches dropped, workload
     shrunk) and the ladder should run once more before raising. *)
 
-val oom_hook : t -> (int -> bool) option
-
 val create : ?config:Config.t -> Mem.t -> base:Addr.t -> max_bytes:int -> unit -> t
 (** Reserve the heap and, when [config.full_gc_at_startup] is set,
     immediately run the paper's "normally very fast" startup collection
@@ -107,8 +105,8 @@ val clear_roots : t -> unit
 (** {1 Allocation} *)
 
 val allocate : ?pointer_free:bool -> ?finalizer:string -> t -> int -> Addr.t
-(** [allocate gc bytes] returns the base of a fresh object, zeroed when
-    the configuration says so.  [pointer_free] objects are never scanned
+(** [allocate gc bytes] returns the base of a fresh, zeroed object.
+    [pointer_free] objects are never scanned
     ("it is essential to provide some way to communicate to the
     collector at least the fact that an entire large object contains no
     pointers").  [finalizer] registers a finalization token. *)
@@ -118,7 +116,6 @@ val set_auto_collect : t -> bool -> unit
 (** When off, collections happen only on explicit {!collect} calls
     (useful to tests and single-shot experiments). *)
 
-val collect_hook : t -> (unit -> unit) option
 val set_collect_hook : t -> (unit -> unit) option -> unit
 (** When set, the allocation-budget check and the ladder's Collect rung
     invoke this closure instead of the conservative {!collect}.  Meant

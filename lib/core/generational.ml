@@ -59,8 +59,6 @@ let reset_stats t =
   t.promoted_bytes <- 0;
   t.dirty_pages_scanned <- 0
 
-let get_field t base i = Gc.get_field t.gc base i
-
 (* The write barrier: a pointer store into an old page means the next
    minor collection must rescan that page.  The dirty bit is set only
    after the store succeeds — a faulted (raising) write must not leave
@@ -248,8 +246,3 @@ let stats t =
     promoted_bytes = t.promoted_bytes;
     dirty_pages_scanned = t.dirty_pages_scanned;
   }
-
-let pp_stats ppf (s : stats) =
-  Format.fprintf ppf "%d minor / %d major collections; %d pages (%d bytes) promoted; %d dirty rescans"
-    s.minor_collections s.major_collections s.promoted_pages s.promoted_bytes
-    s.dirty_pages_scanned

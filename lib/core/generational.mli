@@ -53,8 +53,6 @@ val set_field : t -> Addr.t -> int -> int -> unit
     only after the store succeeds: a store that raises
     [Mem.Write_fault] leaves the dirty set untouched. *)
 
-val get_field : t -> Addr.t -> int -> int
-
 val minor : t -> unit
 (** Collect the young generation only.  Its trace counters and phase
     times land in the wrapped collector's {!Stats}; it counts in
@@ -98,4 +96,3 @@ type stats = {
 }
 
 val stats : t -> stats
-val pp_stats : Format.formatter -> stats -> unit

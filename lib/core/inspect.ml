@@ -118,6 +118,5 @@ type step = Trace.step =
 type chain = Trace.chain
 
 let why_live = Trace.why_live
-let retained_by = Trace.retained_by
 let pp_step = Trace.pp_step
 let pp_chain = Trace.pp_chain

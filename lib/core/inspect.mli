@@ -48,9 +48,5 @@ val why_live : Gc.t -> Cgc_vm.Addr.t -> chain option
     address, as the conservative marker sees it; [None] if nothing
     reaches it. *)
 
-val retained_by : Gc.t -> Cgc_vm.Addr.t list -> (Cgc_vm.Addr.t * chain) list
-(** Chains for every address in the list that is (conservatively)
-    reachable. *)
-
 val pp_step : Format.formatter -> step -> unit
 val pp_chain : Format.formatter -> chain -> unit

@@ -25,7 +25,6 @@ let clear t =
 
 let sources t = List.rev t.sources
 let exclude t ~lo ~hi ~label = t.excluded <- { lo; hi; label } :: t.excluded
-let exclusions t = List.rev t.excluded
 
 (* Subtract one excluded range from a root range (0, 1 or 2 pieces). *)
 let subtract r ex =

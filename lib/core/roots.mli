@@ -34,8 +34,6 @@ val exclude : t -> lo:Cgc_vm.Addr.t -> hi:Cgc_vm.Addr.t -> label:string -> unit
     for "large static data areas that contain seemingly random,
     nonpointer areas (e.g. IO buffers)". *)
 
-val exclusions : t -> range list
-
 val current_ranges : t -> range list
 (** All ranges, with dynamic sources expanded and exclusions subtracted,
     in registration order. *)

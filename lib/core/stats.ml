@@ -137,8 +137,6 @@ let blit src ~into =
   into.sweep_seconds <- src.sweep_seconds;
   into.total_gc_seconds <- src.total_gc_seconds
 
-let reset t = blit (create ()) ~into:t
-
 (* Fold one parallel-marker domain shard into the session totals.  Only
    the counters the trace phase touches are summed, so every existing
    counter keeps its serial meaning: the per-domain contributions

@@ -99,7 +99,6 @@ val add_cycle_time : t -> t0:float -> t1:float -> t2:float -> unit
     at [t1] and finished sweeping at [t2] (all {!now_s} readings) to
     [mark_seconds], [sweep_seconds] and [total_gc_seconds]. *)
 
-val reset : t -> unit
 val copy : t -> t
 
 val blit : t -> into:t -> unit

@@ -21,7 +21,3 @@ let atomic ~name ~size_bytes = make ~name ~size_bytes ~pointer_offsets:[]
 let is_atomic t = Array.length t.pointer_offsets = 0
 let cons = make ~name:"cons" ~size_bytes:8 ~pointer_offsets:[ 0; 4 ]
 let link_cell = make ~name:"link-cell" ~size_bytes:4 ~pointer_offsets:[ 0 ]
-
-let pp ppf t =
-  Format.fprintf ppf "%s(%dB, ptrs at [%s])" t.name t.size_bytes
-    (String.concat ";" (Array.to_list (Array.map string_of_int t.pointer_offsets)))

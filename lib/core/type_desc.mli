@@ -27,5 +27,3 @@ val cons : t
 
 val link_cell : t
 (** One word: a bare next pointer — program T's 4-byte list cell. *)
-
-val pp : Format.formatter -> t -> unit

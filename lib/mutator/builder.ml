@@ -24,8 +24,6 @@ let cons m ~car ~cdr =
 
 let car m c = Machine.read_field m c 0
 let cdr m c = Machine.read_field m c 1
-let set_car m c v = Machine.write_field m c 0 v
-let set_cdr m c v = Machine.write_field m c 1 v
 
 let list_of m values =
   (* Build back to front, keeping the partial list in register 1 so it

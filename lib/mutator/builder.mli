@@ -19,8 +19,6 @@ val cons : Machine.t -> car:int -> cdr:int -> Addr.t
 
 val car : Machine.t -> Addr.t -> int
 val cdr : Machine.t -> Addr.t -> int
-val set_car : Machine.t -> Addr.t -> int -> unit
-val set_cdr : Machine.t -> Addr.t -> int -> unit
 
 val list_of : Machine.t -> int list -> Addr.t
 (** A cons list of the given values; [nil] for the empty list. *)

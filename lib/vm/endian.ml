@@ -10,5 +10,3 @@ let equal a b =
 let to_string = function
   | Little -> "little"
   | Big -> "big"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

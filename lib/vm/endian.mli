@@ -11,5 +11,4 @@ type t =
   | Big  (** e.g. SPARCstation 2 and the SGI 4D/35 in big-endian mode *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

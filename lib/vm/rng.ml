@@ -8,7 +8,6 @@ let mix z =
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let create seed = { state = mix (Int64.of_int seed) }
-let copy t = { state = t.state }
 
 let next_int64 t =
   t.state <- Int64.add t.state golden_gamma;

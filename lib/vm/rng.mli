@@ -15,8 +15,6 @@ val create : int -> t
 (** [create seed] is a fresh generator.  Equal seeds give equal
     streams. *)
 
-val copy : t -> t
-
 val split : t -> t
 (** A new generator whose stream is decorrelated from the parent's
     subsequent output. *)

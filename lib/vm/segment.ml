@@ -45,19 +45,6 @@ let check_span t a n =
     invalid_arg (Printf.sprintf "Segment %s: %d-byte access at %s crosses limit" t.name n (Addr.to_string a));
   off
 
-let read_u16 t a =
-  let off = check_span t a 2 in
-  let v = Bytes.get_uint16_le t.bytes off in
-  match t.endian with
-  | Endian.Little -> v
-  | Endian.Big -> Bytes.get_uint16_be t.bytes off
-
-let write_u16 t a v =
-  let off = check_span t a 2 in
-  match t.endian with
-  | Endian.Little -> Bytes.set_uint16_le t.bytes off (v land 0xFFFF)
-  | Endian.Big -> Bytes.set_uint16_be t.bytes off (v land 0xFFFF)
-
 let read_word t a =
   let off = check_span t a 4 in
   let v =
@@ -137,8 +124,6 @@ let iter_words t ?(alignment = 4) ~lo ~hi f =
     f !a v;
     a := !a + alignment
   done
-
-let words t = size t / 4
 
 let pp_kind ppf = function
   | Text -> Format.pp_print_string ppf "text"

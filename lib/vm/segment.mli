@@ -32,9 +32,6 @@ val contains : t -> Addr.t -> bool
 val read_u8 : t -> Addr.t -> int
 val write_u8 : t -> Addr.t -> int -> unit
 
-val read_u16 : t -> Addr.t -> int
-val write_u16 : t -> Addr.t -> int -> unit
-
 val read_word : t -> Addr.t -> int
 (** Read the 32-bit word at the given address (any byte alignment),
     assembled according to the segment's endianness. *)
@@ -85,8 +82,5 @@ val unsafe_word_be : Bytes.t -> int -> int
 (** Unchecked big-endian 32-bit read at a byte offset: one unaligned
     32-bit load (byte-swapped on a little-endian host), masked to
     [0 .. 0xFFFF_FFFF]. *)
-
-val words : t -> int
-(** Number of aligned words in the segment. *)
 
 val pp : Format.formatter -> t -> unit

@@ -25,7 +25,6 @@ let desc_of_kind = function
   | Large_atomic -> large_atomic_desc
   | Large_array -> large_array_desc
 
-let kind_name k = (desc_of_kind k).Type_desc.name
 let n_pointer_fields k = Array.length (desc_of_kind k).Type_desc.pointer_offsets
 
 (* --- the trace: a pure, seeded op sequence over model object ids --- *)

@@ -24,7 +24,6 @@
 type kind = Cons | Link_cell | Blob | Record | Large_atomic | Large_array
 
 val desc_of_kind : kind -> Cgc.Type_desc.t
-val kind_name : kind -> string
 
 type op =
   | Alloc of { id : int; kind : kind; rooted : bool; attach : (int * int) option }
