@@ -25,7 +25,9 @@
                           (conservative | generational | explicit |
                           precise | all)
           --jobs N        marker-domain sweep ceiling for the mark
-                          section (default 4: measures jobs 1, 2, 4) *)
+                          section (default 4: measures jobs 1, 2, 4)
+
+   --seeds and --jobs take a positive integer; anything else exits 2. *)
 
 open Cgc_vm
 module W = Cgc_workloads
@@ -973,19 +975,31 @@ let all_sections =
     ("timing", `Timing);
   ]
 
+(* The value of [flag] in [args] as a positive integer, [default] when
+   the flag is absent; a missing, non-integer or non-positive value exits
+   2 with a message instead of running with a guess. *)
+let positive_flag args flag ~default =
+  let bad what =
+    Format.eprintf "%s expects a positive integer, got %s@." flag what;
+    exit 2
+  in
+  let rec find = function
+    | f :: n :: _ when String.equal f flag -> (
+        match int_of_string_opt n with
+        | Some v when v >= 1 -> v
+        | Some _ | None -> bad (Printf.sprintf "%S" n))
+    | [ f ] when String.equal f flag -> bad "nothing"
+    | _ :: rest -> find rest
+    | [] -> default
+  in
+  find args
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let paper_scale = List.mem "--paper-scale" args in
   let smoke = List.mem "--smoke" args in
   let json = List.mem "--json" args in
-  let seeds =
-    let rec find = function
-      | "--seeds" :: n :: _ -> (try max 1 (int_of_string n) with Failure _ -> 1)
-      | _ :: rest -> find rest
-      | [] -> 1
-    in
-    find args
-  in
+  let seeds = positive_flag args "--seeds" ~default:1 in
   let json_out =
     let rec find = function
       | "--json-out" :: path :: _ -> path
@@ -1013,14 +1027,7 @@ let () =
         exit 1
       end)
     parity_ref;
-  let jobs =
-    let rec find = function
-      | "--jobs" :: n :: _ -> (try max 1 (int_of_string n) with Failure _ -> 4)
-      | _ :: rest -> find rest
-      | [] -> 4
-    in
-    find args
-  in
+  let jobs = positive_flag args "--jobs" ~default:4 in
   let collectors =
     let rec find = function
       | "--collector" :: "all" :: _ -> None
