@@ -180,8 +180,6 @@ let test_bitset_union () =
 let test_bitset_range_queries () =
   let s = Bitset.create 100 in
   Bitset.add s 40;
-  check bool "exists in [30,50)" true (Bitset.exists_in_range s ~lo:30 ~hi:50);
-  check bool "none in [41,50)" false (Bitset.exists_in_range s ~lo:41 ~hi:50);
   check int "next_clear skips member" 41 (Bitset.next_clear s 40)
 
 let test_bitset_bounds () =
@@ -199,12 +197,6 @@ let test_bitset_word_boundaries () =
   check bool "62 member" true (Bitset.mem s 62);
   check bool "60 not member" false (Bitset.mem s 60);
   check bool "63 not member" false (Bitset.mem s 63);
-  check bool "exists [61,62)" true (Bitset.exists_in_range s ~lo:61 ~hi:62);
-  check bool "exists [62,63)" true (Bitset.exists_in_range s ~lo:62 ~hi:63);
-  check bool "exists across the boundary [60,63)" true (Bitset.exists_in_range s ~lo:60 ~hi:63);
-  check bool "none in [63,123)" false (Bitset.exists_in_range s ~lo:63 ~hi:123);
-  check bool "exists [123,125)" true (Bitset.exists_in_range s ~lo:123 ~hi:125);
-  check bool "empty range" false (Bitset.exists_in_range s ~lo:62 ~hi:62);
   check int "next_clear runs over the boundary" 63 (Bitset.next_clear s 61);
   check int "next_clear at a clear index" 63 (Bitset.next_clear s 63);
   check int "next_clear exhausted at n" (-1) (Bitset.next_clear s 123);
