@@ -255,7 +255,8 @@ let step w =
   | _ -> ops.trim ()
 
 (* Allocate once with the fault plan lifted: after an injected fault (or
-   at the end of a run) the backend must be immediately usable. *)
+   at the end of a run) the backend must be immediately usable.  Lifting
+   the plan stops new trips only; decayed memory keeps faulting. *)
 let fault_free_alloc_ok w =
   let saved = Mem.fault_plan w.mem in
   Mem.set_fault_plan w.mem None;
