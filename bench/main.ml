@@ -748,7 +748,6 @@ let resilience ~smoke ?collectors () =
   json_int "resilience_ladder_relax_first_page"
     (sum_s (fun s -> s.Cgc.Stats.ladder_relax_first_page));
   json_int "resilience_ladder_relax_black" (sum_s (fun s -> s.Cgc.Stats.ladder_relax_black));
-  json_int "resilience_ladder_oom_hooks" (sum_s (fun s -> s.Cgc.Stats.ladder_oom_hooks));
   json_int "resilience_commit_faults" (sum_s (fun s -> s.Cgc.Stats.commit_faults));
   json_int "resilience_oom_raised" (sum_s (fun s -> s.Cgc.Stats.oom_raised));
   json_int "resilience_read_faults" (sum_s (fun s -> s.Cgc.Stats.read_faults));
@@ -760,8 +759,6 @@ let resilience ~smoke ?collectors () =
   json_int "resilience_mutator_write_faults" (sum (fun o -> o.W.Chaos.mutator_write_faults));
   json_int "resilience_precise_collections" (sum_s (fun s -> s.Cgc.Stats.precise_collections));
   json_int "resilience_precise_mark_aborts" (sum_s (fun s -> s.Cgc.Stats.precise_mark_aborts));
-  json_int "resilience_precise_mark_retries"
-    (sum_s (fun s -> s.Cgc.Stats.precise_mark_retries));
   json_int "resilience_precise_stale_roots" (sum_s (fun s -> s.Cgc.Stats.precise_stale_roots));
   (let retention = List.filter_map (fun o -> o.W.Chaos.retention) outcomes in
    json_int "resilience_precise_retention_cells" (List.length retention);

@@ -317,7 +317,7 @@ let predict ?decay (g : geometry) (p : Ir.program) (r : Apparent.result) =
 let ladder_rungs (st : Cgc.Stats.t) =
   st.Cgc.Stats.ladder_collects + st.Cgc.Stats.ladder_trims
   + st.Cgc.Stats.ladder_expansions + st.Cgc.Stats.ladder_relax_first_page
-  + st.Cgc.Stats.ladder_relax_black + st.Cgc.Stats.ladder_oom_hooks
+  + st.Cgc.Stats.ladder_relax_black
 
 let classify_measured ~(oom : Cgc.Gc.oom_diagnosis option) (st : Cgc.Stats.t) =
   match oom with

@@ -73,26 +73,6 @@ let begin_cycle t =
     t.current <- old
   end
 
-(* Cycle snapshots for speculative marks that must leave no trace (a
-   verifier's shadow mark): [begin_cycle] would age the [previous] set
-   once more, and it clears the displaced bitset in place, so the
-   snapshot must copy. *)
-type snapshot = {
-  s_current : Bitset.t;
-  s_previous : Bitset.t;
-  s_ops : int;
-}
-
-let save_cycle t =
-  { s_current = Bitset.copy t.current; s_previous = Bitset.copy t.previous; s_ops = t.ops }
-
-let restore_cycle t s =
-  Bitset.clear t.current;
-  Bitset.union_into ~dst:t.current s.s_current;
-  Bitset.clear t.previous;
-  Bitset.union_into ~dst:t.previous s.s_previous;
-  t.ops <- s.s_ops
-
 let count t =
   match t.representation with
   | Exact ->

@@ -74,19 +74,6 @@ val merge_noted : t -> Cgc_vm.Bitset.t -> notes:int -> unit
     have done, since noting is idempotent per bit.  Serial: call only
     after the marker domains have quiesced. *)
 
-type snapshot
-(** A deep copy of the aging state (current/previous cycle bitsets and
-    the op counter) taken with {!save_cycle}. *)
-
-val save_cycle : t -> snapshot
-(** Snapshot the cycle state before a speculative mark whose effects
-    must be undone.  Copies the bitsets — {!begin_cycle} recycles the
-    displaced one in place, so aliasing would corrupt the snapshot. *)
-
-val restore_cycle : t -> snapshot -> unit
-(** Roll the aging state back to a {!save_cycle} snapshot, erasing the
-    speculative mark's rotation and notes. *)
-
 val iter : (int -> unit) -> t -> unit
 (** Iterate over currently black pages in increasing order. *)
 

@@ -19,7 +19,6 @@ type t = {
   max_expand_pages : int;
   space_divisor : int;
   mark_stack_limit : int option;
-  full_gc_at_startup : bool;
   relax_blacklist : bool;
 }
 
@@ -39,7 +38,6 @@ let default =
     max_expand_pages = 256;
     space_divisor = 3;
     mark_stack_limit = None;
-    full_gc_at_startup = true;
     relax_blacklist = false;
   }
 
@@ -98,7 +96,7 @@ let pp ppf t =
   Format.fprintf ppf
     "@[<v>page_size=%d interior=%b displacements=[%s] large=%s align=%d@,\
      blacklist=%b refresh=%b atomic_on_black=%b avoid_tz=%s@,\
-     initial_pages=%d max_expand=%d divisor=%d startup_gc=%b relax_blacklist=%b@]"
+     initial_pages=%d max_expand=%d divisor=%d relax_blacklist=%b@]"
     t.page_size t.interior_pointers
     (String.concat ";" (List.map string_of_int t.valid_displacements))
     (match t.large_validity with
@@ -108,5 +106,4 @@ let pp ppf t =
     (match t.avoid_trailing_zeros with
     | None -> "off"
     | Some k -> string_of_int k)
-    t.initial_pages t.max_expand_pages t.space_divisor
-    t.full_gc_at_startup t.relax_blacklist
+    t.initial_pages t.max_expand_pages t.space_divisor t.relax_blacklist

@@ -74,11 +74,6 @@ type t = {
           entries and recovers by rescanning marked objects until a
           fixpoint (the classic Boehm-collector strategy).  [None] means
           unbounded. *)
-  full_gc_at_startup : bool;
-      (** "at least one (normally very fast) garbage collection occurring
-          just after system start up before any allocation has taken
-          place" — this is what lets blacklisting defeat static-data
-          false references *)
   relax_blacklist : bool;
       (** permit the allocation ladder's blacklist-relaxation rungs: a
           request starved by black pages may fall back to first-page-only
@@ -93,9 +88,9 @@ val default : t
 (** 4 KB pages, interior pointers on ([Anywhere]), aligned scanning,
     blacklisting on with refresh, atomic-on-black on, no trailing-zero
     avoidance, 64 initial pages, grow-rung batch 256 pages, space
-    divisor 3, startup collection on, blacklist relaxation off.  Every
-    allocation comes back zeroed, so reused memory cannot leak stale
-    pointers into the scan; that is not a setting. *)
+    divisor 3, blacklist relaxation off.  Every allocation comes back
+    zeroed, so reused memory cannot leak stale pointers into the scan;
+    that is not a setting. *)
 
 val validate : t -> unit
 (** @raise Invalid_argument on inconsistent settings. *)

@@ -16,7 +16,6 @@ let create ?(page_size = 4096) ?(policy = Free_list.Address_ordered) mem ~base ~
       Config.default with
       Config.page_size;
       blacklisting = false;
-      full_gc_at_startup = false;
       initial_pages = 1;
     }
   in

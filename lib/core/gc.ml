@@ -31,7 +31,6 @@ type t = {
          a wrapper imposing its own liveness discipline (the precise
          view) substitutes its exact collection without the wrapped
          heap ever being marked conservatively behind its back *)
-  mutable oom_hook : (int -> bool) option;
   mutable last_mark_outcome : Mark.Parallel.outcome option;
       (* how the most recent [Internal.run_mark_parallel] ran: parallel,
          or serial with a typed fallback note; [None] until the first *)
@@ -45,7 +44,6 @@ type rung =
   | Grow
   | Relax_first_page
   | Relax_black
-  | Oom_hook
 
 let rung_to_string = function
   | Collect -> "collect"
@@ -53,7 +51,6 @@ let rung_to_string = function
   | Grow -> "grow"
   | Relax_first_page -> "relax-first-page"
   | Relax_black -> "relax-black"
-  | Oom_hook -> "oom-hook"
 
 type oom_diagnosis = {
   request_bytes : int;
@@ -136,7 +133,6 @@ let create ?(config = Config.default) mem ~base ~max_bytes () =
       allocated_since_gc = 0;
       auto_collect = true;
       collect_hook = None;
-      oom_hook = None;
       last_mark_outcome = None;
     }
   in
@@ -152,7 +148,6 @@ let live_bytes t = t.stats.Stats.live_bytes
 let auto_collect t = t.auto_collect
 let set_auto_collect t b = t.auto_collect <- b
 let set_collect_hook t h = t.collect_hook <- h
-let set_oom_hook t f = t.oom_hook <- f
 
 (* --- roots --- *)
 
@@ -282,9 +277,6 @@ let collect t =
 let trim t =
   Heap.uncommit_trailing_free t.heap
 
-let startup_collect_if_configured t =
-  if t.config.Config.full_gc_at_startup && t.stats.Stats.collections = 0 then collect t
-
 let maybe_collect t =
   match t.collect_hook with
   | Some hook ->
@@ -297,7 +289,8 @@ let maybe_collect t =
       if t.allocated_since_gc >= budget then hook ()
   | None ->
       if t.auto_collect then begin
-        startup_collect_if_configured t;
+        (* the paper's startup collection, before the first allocation *)
+        if t.stats.Stats.collections = 0 then collect t;
         let budget = Heap.committed_bytes t.heap / t.config.Config.space_divisor in
         if t.allocated_since_gc >= budget then collect t
       end
@@ -417,8 +410,8 @@ let grow_with_backoff t ~need_pages ~note_fault =
    makes one complete placement attempt at the given blacklist
    strictness; the ladder runs it first at [Tier_strict], then after
    each rung that changed something: collect, trim + retry, grow with capped backoff, blacklist relaxation
-   (opt-in, [Config.relax_blacklist]), the registered out-of-memory
-   hook, and finally a structured raise carrying the diagnosis. *)
+   (opt-in, [Config.relax_blacklist]), and finally a structured raise
+   carrying the diagnosis. *)
 let run_ladder t ~request_bytes ~request_pages ~small ~layout ~attempt =
   let stats = t.stats in
   let rungs = ref [] in
@@ -431,6 +424,7 @@ let run_ladder t ~request_bytes ~request_pages ~small ~layout ~attempt =
   let relaxable = t.config.Config.relax_blacklist && t.config.Config.blacklisting in
   let steps =
     [
+      ((fun () -> true), Tier_strict) (* the request as it stands *);
       ( (fun () ->
           (t.auto_collect || Option.is_some t.collect_hook)
           && begin
@@ -472,32 +466,16 @@ let run_ladder t ~request_bytes ~request_pages ~small ~layout ~attempt =
         Tier_any );
     ]
   in
-  let try_steps () =
-    let rec go = function
-      | [] -> None
-      | (prep, tier) :: rest -> (
-          if not (prep ()) then go rest
-          else
-            match attempt ~tier ~note_fault with
-            | Some a -> Some a
-            | None -> go rest)
-    in
-    match attempt ~tier:Tier_strict ~note_fault with
-    | Some a -> Some a
-    | None -> go steps
+  let rec go = function
+    | [] -> None
+    | (prep, tier) :: rest -> (
+        if not (prep ()) then go rest
+        else
+          match attempt ~tier ~note_fault with
+          | Some a -> Some a
+          | None -> go rest)
   in
-  let outcome =
-    match try_steps () with
-    | Some a -> Some a
-    | None -> (
-        match t.oom_hook with
-        | Some hook ->
-            rung Oom_hook;
-            stats.Stats.ladder_oom_hooks <- stats.Stats.ladder_oom_hooks + 1;
-            if hook request_bytes then try_steps () else None
-        | None -> None)
-  in
-  match outcome with
+  match go steps with
   | Some a -> a
   | None ->
       let free = Heap.free_page_count t.heap in

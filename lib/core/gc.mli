@@ -24,8 +24,8 @@ type t
 
     A request that cannot be satisfied outright climbs an escalation
     ladder — collect, trim + retry, grow with capped-backoff expansion
-    sizing, optional blacklist relaxation, the registered out-of-memory
-    hook — before {!Out_of_memory} is raised.
+    sizing, optional blacklist relaxation — before {!Out_of_memory} is
+    raised.
     Each rung is counted in {!Stats}; the raise carries a diagnosis. *)
 
 type rung =
@@ -38,7 +38,6 @@ type rung =
   | Relax_black
       (** placement permitted on blacklisted pages outright, counted as
           overrides (requires [Config.relax_blacklist]) *)
-  | Oom_hook  (** the registered hook was given a last chance *)
 
 val rung_to_string : rung -> string
 
@@ -73,18 +72,14 @@ exception Out_of_memory of oom_diagnosis
 val pp_oom_diagnosis : Format.formatter -> oom_diagnosis -> unit
 val oom_message : oom_diagnosis -> string
 
-val set_oom_hook : t -> (int -> bool) option -> unit
-(** Register (or clear) the analog of Boehm's [GC_oom_fn]: called with
-    the request size in bytes after every other rung has failed; return
-    [true] if memory may have been released (caches dropped, workload
-    shrunk) and the ladder should run once more before raising. *)
-
 val create : ?config:Config.t -> Mem.t -> base:Addr.t -> max_bytes:int -> unit -> t
-(** Reserve the heap and, when [config.full_gc_at_startup] is set,
-    immediately run the paper's "normally very fast" startup collection
-    so pre-existing false references are blacklisted before the first
-    allocation.  Register roots {e before} relying on that property, or
-    call {!collect} once after registering them. *)
+(** Reserve the heap; nothing is collected yet.  The paper's startup
+    collection, "at least one (normally very fast) garbage collection
+    occurring just after system start up before any allocation has
+    taken place", runs at the first allocation made with auto-collect
+    on and no collect hook, so false references already in the roots
+    are blacklisted before any object is placed.  Register roots before
+    that allocation, or call {!collect} once after registering them. *)
 
 val config : t -> Config.t
 val mem : t -> Mem.t

@@ -44,9 +44,10 @@ type step = Trace.step =
 type chain = step list
 
 val why_live : Gc.t -> Cgc_vm.Addr.t -> chain option
-(** Breadth-first chain from some root to the object holding the given
-    address, as the conservative marker sees it; [None] if nothing
-    reaches it. *)
+(** Depth-first chain from some root to the object holding the given
+    address, as the conservative marker sees it: the path that
+    {!Trace.why_live}'s provenance mark, a LIFO walk, discovers first,
+    not always the shortest; [None] if nothing reaches it. *)
 
 val pp_step : Format.formatter -> step -> unit
 val pp_chain : Format.formatter -> chain -> unit

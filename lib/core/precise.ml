@@ -1,6 +1,6 @@
 open Cgc_vm
 
-exception Mark_aborted of { retries : int }
+exception Mark_aborted
 
 type t = {
   gc : Gc.t;
@@ -32,12 +32,6 @@ let roots_now t =
 
 let last_stale_roots t = List.rev t.last_stale
 
-(* How many times a trace that read a faulting word is rerun before the
-   collect gives up.  Chance-style plans are transient (each probe rolls
-   again); countdown/decay plans re-arm or persist, so the budget is
-   deliberately small. *)
-let transient_retries = 3
-
 (* The providers' roots, without null and stale ones.  A stale root (a
    freed or decayed address) is counted and audited, never traced. *)
 let live_roots t =
@@ -59,28 +53,20 @@ let collect t =
   let t0 = Stats.now_s () in
   t.last_stale <- [];
   let snapshot = Heap.save_marks heap in
-  let abort retries =
+  let abort () =
     Heap.restore_marks heap snapshot;
     stats.Stats.precise_mark_aborts <- stats.Stats.precise_mark_aborts + 1;
-    raise (Mark_aborted { retries })
+    raise Mark_aborted
   in
   Heap.clear_marks heap;
   (match live_roots t with
   | roots -> t.bases <- Array.of_list (List.map Addr.to_int roots)
-  | exception (Mem.Read_fault _ | Mem.Write_fault _) -> abort 0);
-  (* The trace stopped at a word it could not read, so the marks may
-     miss objects: rerun from clear marks, or give up. *)
-  let rec trace retries =
-    let downgrades = stats.Stats.mark_downgrades in
-    Mark.trace t.marker t.roots ~mem:(Gc.mem t.gc);
-    if stats.Stats.mark_downgrades > downgrades then begin
-      if retries >= transient_retries then abort retries;
-      stats.Stats.precise_mark_retries <- stats.Stats.precise_mark_retries + 1;
-      Heap.clear_marks heap;
-      trace (retries + 1)
-    end
-  in
-  trace 0;
+  | exception (Mem.Read_fault _ | Mem.Write_fault _) -> abort ());
+  let downgrades = stats.Stats.mark_downgrades in
+  Mark.trace t.marker t.roots ~mem:(Gc.mem t.gc);
+  (* A trace that stopped at a word it could not read may have missed
+     objects: give up; the next trigger collects again. *)
+  if stats.Stats.mark_downgrades > downgrades then abort ();
   let t1 = Stats.now_s () in
   stats.Stats.collections <- stats.Stats.collections + 1;
   stats.Stats.precise_collections <- stats.Stats.precise_collections + 1;
@@ -109,7 +95,7 @@ let create gc =
      collect; an aborted exact mark leaves the heap coherent (marks
      restored), so the ladder simply proceeds to its next rung. *)
   Gc.set_auto_collect gc false;
-  Gc.set_collect_hook gc (Some (fun () -> try collect t with Mark_aborted _ -> ()));
+  Gc.set_collect_hook gc (Some (fun () -> try collect t with Mark_aborted -> ()));
   (* For explicitly requested conservative collections (the
      misidentification experiments), expose the exact roots as a
      register file so the conservative mark is a superset of the

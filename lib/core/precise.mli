@@ -18,12 +18,11 @@
 
 open Cgc_vm
 
-exception Mark_aborted of { retries : int  (** traces rerun before giving up *) }
-(** An exact mark phase was abandoned after an unrecoverable access
-    fault (in the trace, or in a root provider: [retries = 0]).  The
-    heap is coherent when this escapes {!collect}: mark bits are
-    restored to their pre-collect state and no sweep ran
-    ([Stats.precise_mark_aborts] counts these). *)
+exception Mark_aborted
+(** An exact mark phase was abandoned after an access fault, in the
+    trace or in a root provider.  The heap is coherent when this
+    escapes {!collect}: mark bits are restored to their pre-collect
+    state and no sweep ran ([Stats.precise_mark_aborts] counts these). *)
 
 type t
 
@@ -60,11 +59,12 @@ val collect : t -> unit
     (shared sweeper; finalization behaves identically).  The kernel's
     mark stack and overflow recovery follow [Config.mark_stack_limit].
     The kernel stops at the first word it cannot read (counted in
-    [Stats.mark_downgrades]); such a trace is rerun from clear marks,
-    at most 3 times, each counted in [Stats.precise_mark_retries].
+    [Stats.mark_downgrades]), and the collect gives up: one trace per
+    collect, never rerun.  A collect triggered by the allocation
+    budget runs again at the next trigger, as the budget stays unreset.
 
-    @raise Mark_aborted when a root provider faults or the retries run
-    out; mark state is restored and nothing is swept. *)
+    @raise Mark_aborted when a root provider faults or the trace read
+    a faulting word; mark state is restored and nothing is swept. *)
 
 val descriptor : t -> Addr.t -> Type_desc.t option
 (** The layout of the allocated object based at the address, read from

@@ -21,7 +21,6 @@ type t = {
   mutable ladder_backoffs : int;
   mutable ladder_relax_first_page : int;
   mutable ladder_relax_black : int;
-  mutable ladder_oom_hooks : int;
   mutable commit_faults : int;
   mutable read_faults : int;
   mutable write_faults : int;
@@ -33,7 +32,6 @@ type t = {
   mutable mark_serial_fallbacks : int;
   mutable precise_collections : int;
   mutable precise_mark_aborts : int;
-  mutable precise_mark_retries : int;
   mutable precise_stale_roots : int;
   mutable mark_seconds : float;
   mutable sweep_seconds : float;
@@ -66,7 +64,6 @@ let create () =
     ladder_backoffs = 0;
     ladder_relax_first_page = 0;
     ladder_relax_black = 0;
-    ladder_oom_hooks = 0;
     commit_faults = 0;
     read_faults = 0;
     write_faults = 0;
@@ -78,7 +75,6 @@ let create () =
     mark_serial_fallbacks = 0;
     precise_collections = 0;
     precise_mark_aborts = 0;
-    precise_mark_retries = 0;
     precise_stale_roots = 0;
     mark_seconds = 0.;
     sweep_seconds = 0.;
@@ -91,51 +87,6 @@ let add_cycle_time t ~t0 ~t1 ~t2 =
   t.total_gc_seconds <- t.total_gc_seconds +. (t2 -. t0)
 
 let copy t = { t with collections = t.collections }
-
-(* Copy every field of [src] back into [into], in place.  The inverse of
-   [copy] for callers that took a snapshot, ran a speculative phase (a
-   verifier's shadow mark, say), and want the observable counters exactly
-   as they were — without replacing the record other modules hold. *)
-let blit src ~into =
-  into.collections <- src.collections;
-  into.words_scanned <- src.words_scanned;
-  into.valid_refs <- src.valid_refs;
-  into.false_refs <- src.false_refs;
-  into.objects_marked <- src.objects_marked;
-  into.header_cache_hits <- src.header_cache_hits;
-  into.bytes_allocated <- src.bytes_allocated;
-  into.objects_allocated <- src.objects_allocated;
-  into.bytes_freed <- src.bytes_freed;
-  into.objects_freed <- src.objects_freed;
-  into.live_bytes <- src.live_bytes;
-  into.live_objects <- src.live_objects;
-  into.heap_expansions <- src.heap_expansions;
-  into.mark_stack_overflows <- src.mark_stack_overflows;
-  into.blacklist_alloc_checks <- src.blacklist_alloc_checks;
-  into.blacklist_rejected_pages <- src.blacklist_rejected_pages;
-  into.ladder_collects <- src.ladder_collects;
-  into.ladder_trims <- src.ladder_trims;
-  into.ladder_expansions <- src.ladder_expansions;
-  into.ladder_backoffs <- src.ladder_backoffs;
-  into.ladder_relax_first_page <- src.ladder_relax_first_page;
-  into.ladder_relax_black <- src.ladder_relax_black;
-  into.ladder_oom_hooks <- src.ladder_oom_hooks;
-  into.commit_faults <- src.commit_faults;
-  into.read_faults <- src.read_faults;
-  into.write_faults <- src.write_faults;
-  into.mark_downgrades <- src.mark_downgrades;
-  into.pages_decayed <- src.pages_decayed;
-  into.decay_retries <- src.decay_retries;
-  into.oom_raised <- src.oom_raised;
-  into.parallel_marks <- src.parallel_marks;
-  into.mark_serial_fallbacks <- src.mark_serial_fallbacks;
-  into.precise_collections <- src.precise_collections;
-  into.precise_mark_aborts <- src.precise_mark_aborts;
-  into.precise_mark_retries <- src.precise_mark_retries;
-  into.precise_stale_roots <- src.precise_stale_roots;
-  into.mark_seconds <- src.mark_seconds;
-  into.sweep_seconds <- src.sweep_seconds;
-  into.total_gc_seconds <- src.total_gc_seconds
 
 (* Fold one parallel-marker domain shard into the session totals.  Only
    the counters the trace phase touches are summed, so every existing
@@ -176,22 +127,22 @@ let pp ppf t =
      mark overflows  %d@,\
      blacklist       %d alloc checks, %d pages rejected@,\
      ladder          %d collects, %d trims, %d grows (%d backoffs)@,\
-     relaxation      %d first-page, %d on-black, %d oom hooks@,\
+     relaxation      %d first-page, %d on-black@,\
      faults          %d commit faults, %d OOM raised@,\
      access faults   %d reads (%d mark downgrades), %d writes@,\
      decay           %d pages quarantined, %d alloc retries@,\
      parallel mark   %d runs, %d serial fallbacks@,\
-     precise         %d collects, %d mark aborts, %d retries, %d stale roots@,\
+     precise         %d collects, %d mark aborts, %d stale roots@,\
      gc time         %.6fs (mark %.6fs, sweep %.6fs)@]"
     t.collections t.words_scanned t.valid_refs t.false_refs t.objects_marked t.header_cache_hits
     t.objects_allocated
     t.bytes_allocated t.objects_freed t.bytes_freed t.live_objects t.live_bytes t.heap_expansions
     t.mark_stack_overflows t.blacklist_alloc_checks t.blacklist_rejected_pages
     t.ladder_collects t.ladder_trims t.ladder_expansions t.ladder_backoffs
-    t.ladder_relax_first_page t.ladder_relax_black t.ladder_oom_hooks
+    t.ladder_relax_first_page t.ladder_relax_black
     t.commit_faults t.oom_raised
     t.read_faults t.mark_downgrades t.write_faults
     t.pages_decayed t.decay_retries
     t.parallel_marks t.mark_serial_fallbacks
-    t.precise_collections t.precise_mark_aborts t.precise_mark_retries t.precise_stale_roots
+    t.precise_collections t.precise_mark_aborts t.precise_stale_roots
     t.total_gc_seconds t.mark_seconds t.sweep_seconds

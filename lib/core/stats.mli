@@ -48,7 +48,6 @@ type t = {
       (** rung: blacklist strictness dropped to first-page-only for a starved request *)
   mutable ladder_relax_black : int;
       (** rung: allocation permitted on blacklisted pages outright *)
-  mutable ladder_oom_hooks : int;  (** rung: registered out-of-memory hook invocations *)
   mutable commit_faults : int;  (** injected commit/map failures absorbed by the ladder *)
   mutable read_faults : int;
       (** injected read failures observed by the collector (mark-phase
@@ -72,11 +71,8 @@ type t = {
   mutable precise_collections : int;
       (** exact (type-accurate) collections completed by {!Precise.collect} *)
   mutable precise_mark_aborts : int;
-      (** exact mark phases abandoned after an unrecoverable access
-          fault, with the pre-collect mark state restored *)
-  mutable precise_mark_retries : int;
-      (** precise traces rerun because a faulting read made the kernel
-          skip a word ([mark_downgrades] went up) *)
+      (** exact mark phases abandoned after an access fault, with the
+          pre-collect mark state restored *)
   mutable precise_stale_roots : int;
       (** exact root-provider slots naming freed or decayed addresses —
           counted and audited rather than silently skipped *)
@@ -100,12 +96,6 @@ val add_cycle_time : t -> t0:float -> t1:float -> t2:float -> unit
     [mark_seconds], [sweep_seconds] and [total_gc_seconds]. *)
 
 val copy : t -> t
-
-val blit : t -> into:t -> unit
-(** [blit src ~into] copies every field of [src] into [into], in place.
-    The restore half of a [copy]-snapshot for callers that run a
-    speculative phase (e.g. a verifier's shadow mark) against live
-    counters and must leave them exactly as found. *)
 
 val merge_marking : into:t -> t -> unit
 (** Fold one parallel-marker domain shard into the session totals: sums

@@ -297,20 +297,23 @@ let check_precise_mark p =
          conservative mark of the same heap — the precise roots are
          registered as a conservative register file, so precise marks ⊆
          conservative marks by construction, and a violation means the
-         disciplines disagree about the heap itself.  The shadow mark is
-         fully unwound: mark bits, blacklist cycle and statistics are
-         restored before returning. *)
+         disciplines disagree about the heap itself.  The shadow mark
+         runs on a marker of its own, with throwaway statistics and no
+         blacklisting (marking only ever notes into the blacklist, never
+         reads it, so the marks are the same): the mark bits are all it
+         writes, and they are restored before returning. *)
       if Hashtbl.length reachable > 0 then begin
         let marks = Heap.save_marks heap in
-        let stats_snapshot = Stats.copy (Gc.stats gc) in
-        let blacklist_snapshot = Blacklist.save_cycle (Gc.blacklist gc) in
         Fun.protect
-          ~finally:(fun () ->
-            Heap.restore_marks heap marks;
-            Blacklist.restore_cycle (Gc.blacklist gc) blacklist_snapshot;
-            Stats.blit stats_snapshot ~into:(Gc.stats gc))
+          ~finally:(fun () -> Heap.restore_marks heap marks)
           (fun () ->
-            Gc.Internal.run_mark gc;
+            let shadow =
+              Mark.create heap
+                { (Gc.config gc) with Config.blacklisting = false }
+                (Gc.blacklist gc) (Stats.create ())
+            in
+            Heap.clear_marks heap;
+            Mark.trace shadow (Gc.Internal.roots gc) ~mem;
             Hashtbl.iter
               (fun base () ->
                 if not (Gc.Internal.is_marked gc base) then

@@ -57,8 +57,9 @@ val check_precise_mark : Precise.t -> string list
     exact-reachable closure is covered by a shadow conservative mark of
     the same heap (precise marks ⊆ conservative marks).  Any armed
     fault plan is lifted for the duration and restored, and the shadow
-    mark is fully unwound (mark bits, blacklist cycle, statistics), so
-    the audit never perturbs the experiment it is auditing.  Safe to
+    mark runs on a marker of its own that writes only mark bits, which
+    are restored, so the audit never perturbs the experiment it is
+    auditing.  Safe to
     call at any point, including right after an aborted precise mark. *)
 
 val check_parallel_mark : Gc.t -> string list

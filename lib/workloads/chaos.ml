@@ -156,7 +156,7 @@ let make_world ~seed ~config ~collector =
               (fun () ->
                 (* an aborted exact mark is a typed, absorbed outcome:
                    marks are restored and the collect retries later *)
-                try Cgc.Precise.collect p with Cgc.Precise.Mark_aborted _ -> ());
+                try Cgc.Precise.collect p with Cgc.Precise.Mark_aborted -> ());
             audit_fault = (fun () -> Verify.check_after_fault gc @ Verify.check_precise_mark p);
             audit_final = (fun () -> Verify.check gc @ Verify.check_precise_mark p);
           },
@@ -417,21 +417,21 @@ let pp_outcome ppf o =
   Format.fprintf ppf
     "@[<v>%-12s %-16s x %-18s: %d steps, %d faults injected, %d OOM caught -> %s@,\
     \  ladder: %d collects, %d trims, %d grows (%d backoffs), %d relax-fp, %d \
-     relax-black, %d hooks; %d overrides; %d commit faults, %d raised@,\
+     relax-black; %d overrides; %d commit faults, %d raised@,\
     \  access: %d reads (%d mark downgrades) / %d writes faulted; %d mutator reads, %d mutator \
      writes; %d pages decayed, %d alloc retries@]"
     o.collector o.scenario o.plan o.steps o.faults_injected o.ooms_caught
     (if clean o then "clean" else "VIOLATIONS")
     s.Cgc.Stats.ladder_collects s.Cgc.Stats.ladder_trims
     s.Cgc.Stats.ladder_expansions s.Cgc.Stats.ladder_backoffs s.Cgc.Stats.ladder_relax_first_page
-    s.Cgc.Stats.ladder_relax_black s.Cgc.Stats.ladder_oom_hooks o.overrides
+    s.Cgc.Stats.ladder_relax_black o.overrides
     s.Cgc.Stats.commit_faults s.Cgc.Stats.oom_raised s.Cgc.Stats.read_faults
     s.Cgc.Stats.mark_downgrades s.Cgc.Stats.write_faults o.mutator_read_faults
     o.mutator_write_faults s.Cgc.Stats.pages_decayed s.Cgc.Stats.decay_retries;
   if o.collector = "precise" then
-    Format.fprintf ppf "@,  precise: %d exact collects, %d mark aborts, %d retries, %d stale roots%s"
+    Format.fprintf ppf "@,  precise: %d exact collects, %d mark aborts, %d stale roots%s"
       s.Cgc.Stats.precise_collections s.Cgc.Stats.precise_mark_aborts
-      s.Cgc.Stats.precise_mark_retries s.Cgc.Stats.precise_stale_roots
+      s.Cgc.Stats.precise_stale_roots
       (match o.retention with
       | None -> ""
       | Some (p, c) -> Printf.sprintf "; retention %d exact <= %d conservative" p c);

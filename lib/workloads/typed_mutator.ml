@@ -368,7 +368,7 @@ let precise_backend p roots =
         try
           Precise.collect p;
           `Completed
-        with Precise.Mark_aborted _ -> `Aborted);
+        with Precise.Mark_aborted -> `Aborted);
     trim = (fun () -> ignore (Gc.trim gc : int));
     live_objects = (fun () -> Precise.live_objects p);
   }

@@ -1245,9 +1245,9 @@ let test_precise_nondefault_alignment_geometry () =
   check bool "offset-24 child survives" true (Gc.is_allocated gc b);
   check bool "non-map word does not retain" false (Gc.is_allocated gc c)
 
-(* An exhausted transient-fault retry budget must abort the exact mark
-   with the typed exception, restore the pre-collect mark state, and
-   leave the heap ready for a clean re-collect once the plan lifts. *)
+(* A faulting read in the exact trace must abort the mark with the typed
+   exception, restore the pre-collect mark state, and leave the heap
+   ready for a clean re-collect once the plan lifts. *)
 let test_precise_mark_abort_and_restore () =
   let mem = Mem.create () in
   let gc = Gc.create mem ~base:heap_base ~max_bytes:(256 * 1024) () in
@@ -1266,15 +1266,12 @@ let test_precise_mark_abort_and_restore () =
     try
       Precise.collect p;
       false
-    with Precise.Mark_aborted { retries; _ } ->
-      check bool "retry budget was spent" true (retries >= 1);
-      true
+    with Precise.Mark_aborted -> true
   in
   check bool "mark aborted under rearming read faults" true aborted;
   Mem.set_fault_plan mem None;
   let s = Gc.stats gc in
-  check bool "abort counted" true (s.Stats.precise_mark_aborts >= 1);
-  check bool "retries counted" true (s.Stats.precise_mark_retries >= 1);
+  check int "abort counted" 1 s.Stats.precise_mark_aborts;
   check bool "aborted cycle completed no collection" true (s.Stats.precise_collections = 0);
   check (Alcotest.list Alcotest.string) "heap coherent after abort" []
     (Cgc.Verify.check_precise_mark p);
@@ -1282,6 +1279,42 @@ let test_precise_mark_abort_and_restore () =
   check bool "root survives the re-collect" true (Gc.is_allocated gc a);
   check bool "child survives the re-collect" true (Gc.is_allocated gc b);
   check int "exactly the garbage was freed" 2 s.Stats.live_objects
+
+(* The audit's shadow conservative mark leaves the collector as it
+   found it: statistics, blacklist and the exact objects' marks.  The
+   root area holds a false reference, so a shadow mark that noted into
+   the collector's blacklist would blacklist its page. *)
+let test_check_precise_mark_leaves_state () =
+  let _, globals, gc = make_env () in
+  let p = Precise.create gc in
+  let roots = ref [] in
+  Precise.add_root_provider p (fun () -> !roots);
+  let a = Precise.allocate p Type_desc.cons in
+  let b = Precise.allocate p Type_desc.cons in
+  Gc.set_field gc a 0 (Addr.to_int b);
+  roots := [ a ];
+  Precise.collect p;
+  let heap = Gc.heap gc in
+  let bl = Gc.blacklist gc in
+  let false_page = Heap.n_pages heap - 1 in
+  set_slot globals 0 (Addr.to_int (Heap.page_addr heap false_page) + 12);
+  check bool "the planted page is not black yet" false (Blacklist.is_black bl false_page);
+  let exact = Cgc.Verify.exact_reachable p in
+  check int "two exact objects" 2 (List.length exact);
+  let black () =
+    let pages = ref [] in
+    Blacklist.iter (fun i -> pages := i :: !pages) bl;
+    (Blacklist.count bl, Blacklist.ops bl, !pages)
+  in
+  let marks () = List.map (Heap.is_marked heap) exact in
+  let stats = Stats.copy (Gc.stats gc) and black0 = black () and marks0 = marks () in
+  check (Alcotest.list Alcotest.string) "audit clean" [] (Cgc.Verify.check_precise_mark p);
+  check bool "statistics as found" true (stats = Stats.copy (Gc.stats gc));
+  check bool "blacklist as found" true (black0 = black ());
+  check (Alcotest.list bool) "exact marks as found" marks0 (marks ());
+  Gc.collect gc;
+  check bool "a conservative mark does note the planted page" true
+    (Blacklist.is_black bl false_page)
 
 (* A root provider naming a freed address is a mutator bug the marker
    must surface (counted + audited), never trace through or crash on. *)
@@ -1613,6 +1646,8 @@ let () =
             test_precise_nondefault_alignment_geometry;
           Alcotest.test_case "mark abort and restore" `Quick test_precise_mark_abort_and_restore;
           Alcotest.test_case "stale root detection" `Quick test_precise_stale_root_detection;
+          Alcotest.test_case "audit leaves state as found" `Quick
+            test_check_precise_mark_leaves_state;
           Alcotest.test_case "hook collects under pressure" `Quick
             test_precise_hook_collects_under_pressure;
           Alcotest.test_case "bounded mark stack" `Quick test_precise_bounded_mark_stack;

@@ -722,7 +722,7 @@ let prop_precise_abort_recollect_identical =
     if abort then begin
       Mem.set_fault_plan mem
         (Some (Mem.Fault.plan ~countdown:1 ~rearm:true ~target:Mem.Fault.Reads ()));
-      (try Precise.collect p with Precise.Mark_aborted _ -> ());
+      (try Precise.collect p with Precise.Mark_aborted -> ());
       Mem.set_fault_plan mem None
     end;
     Precise.collect p;

@@ -181,7 +181,7 @@ let blacklist_everything gc =
   done
 
 let test_blacklist_starved_small () =
-  let config = { Config.default with Config.initial_pages = 4; full_gc_at_startup = false } in
+  let config = { Config.default with Config.initial_pages = 4 } in
   let _, gc, _ = make_gc ~config ~pages:16 () in
   Gc.set_auto_collect gc false;
   blacklist_everything gc;
@@ -196,12 +196,7 @@ let test_blacklist_starved_small () =
 
 let test_relaxation_rescues_small () =
   let config =
-    {
-      Config.default with
-      Config.initial_pages = 4;
-      full_gc_at_startup = false;
-      relax_blacklist = true;
-    }
+    { Config.default with Config.initial_pages = 4; relax_blacklist = true }
   in
   let _, gc, _ = make_gc ~config ~pages:16 () in
   Gc.set_auto_collect gc false;
@@ -216,12 +211,7 @@ let test_relaxation_rescues_small () =
    relaxation rung instead of raising. *)
 let test_relaxation_rescues_large () =
   let config =
-    {
-      Config.default with
-      Config.initial_pages = 16;
-      full_gc_at_startup = false;
-      relax_blacklist = true;
-    }
+    { Config.default with Config.initial_pages = 16; relax_blacklist = true }
   in
   let _, gc, _ = make_gc ~config ~pages:64 () in
   Gc.set_auto_collect gc false;
@@ -239,26 +229,6 @@ let test_relaxation_rescues_large () =
   check bool "overrides audited for the black tail pages" true
     (Blacklist.overridden bl > 0);
   check int "heap verifies clean" 0 (List.length (Verify.check gc))
-
-let test_oom_hook_last_chance () =
-  let config = { Config.default with Config.initial_pages = 8 } in
-  let _, gc, globals = make_gc ~config ~pages:8 () in
-  let a = Gc.allocate gc (6 * page) in
-  set_slot globals 0 (Addr.to_int a);
-  let hook_called = ref 0 in
-  Gc.set_oom_hook gc
-    (Some
-       (fun bytes ->
-         incr hook_called;
-         check int "hook sees the request size" (6 * page) bytes;
-         (* the mutator drops its cache and lets the ladder try again *)
-         set_slot globals 0 0;
-         Gc.collect gc;
-         true));
-  let b = Gc.allocate gc (6 * page) in
-  check bool "hook rescue succeeded" true (Gc.is_allocated gc b);
-  check int "hook called once" 1 !hook_called;
-  check int "rung counted" 1 (Gc.stats gc).Stats.ladder_oom_hooks
 
 (* --- faults absorbed by the ladder ---------------------------------- *)
 
@@ -356,20 +326,17 @@ let test_decay_poisons_and_persists () =
   | exception Mem.Read_fault { reason = Mem.Fault.Decayed; _ } -> ());
   check int "raw read returns the poison" Mem.poison_word (Segment.read_word seg (Addr.of_int 0x8010))
 
-(* Decay is a property of the address space, not of the plan that
-   caused it: lifting the plan leaves the rotted word faulting.  A
-   precise collect that allocation triggers with no plan installed must
-   then abort on the poisoned pointer field (marks restored, nothing
-   swept) instead of reading the poison as "not a pointer" and freeing
-   the pointee. *)
-let test_decay_outlives_its_plan () =
+(* A precise heap whose root [a] holds its only pointer to [b] in a
+   pointer field that has decayed: the read that tripped the plan rotted
+   the word, and lifting the plan leaves it faulting. *)
+let decayed_pointer_field () =
   let mem = Mem.create () in
   let gc = Gc.create mem ~base:(Addr.of_int 0x400000) ~max_bytes:(64 * page) () in
   let p = Cgc.Precise.create gc in
   let roots = ref [] in
   Cgc.Precise.add_root_provider p (fun () -> !roots);
   let a = Cgc.Precise.allocate p Cgc.Type_desc.cons in
-  (* another size class, so the loop below cannot reuse b's slot *)
+  (* another size class, so later allocations cannot reuse b's slot *)
   let b = Cgc.Precise.allocate p Cgc.Type_desc.link_cell in
   Gc.set_field gc a 1 (Addr.to_int b);
   roots := [ a ];
@@ -383,6 +350,15 @@ let test_decay_outlives_its_plan () =
   | (_ : int) -> Alcotest.fail "the tripped read should fault"
   | exception Mem.Read_fault _ -> ());
   Mem.set_fault_plan mem None;
+  (gc, p, b)
+
+(* Decay is a property of the address space, not of the plan that
+   caused it.  A precise collect that allocation triggers with no plan
+   installed must abort on the poisoned pointer field (marks restored,
+   nothing swept) instead of reading the poison as "not a pointer" and
+   freeing the pointee. *)
+let test_decay_outlives_its_plan () =
+  let gc, p, b = decayed_pointer_field () in
   let s = Gc.stats gc in
   let attempts () = s.Stats.collections + s.Stats.precise_mark_aborts in
   let before = attempts () in
@@ -393,6 +369,19 @@ let test_decay_outlives_its_plan () =
   done;
   check bool "allocation triggered a collect" true (attempts () > before);
   check int "the collect aborted" 1 s.Stats.precise_mark_aborts;
+  check bool "the pointee stays allocated" true (Gc.is_allocated gc b)
+
+(* A decayed word faults on every read, so a rerun trace would only read
+   it again: one collect runs one trace, downgrades the word once and
+   aborts. *)
+let test_precise_collect_traces_once () =
+  let gc, p, b = decayed_pointer_field () in
+  let s = Gc.stats gc in
+  let downgrades = s.Stats.mark_downgrades in
+  (match Cgc.Precise.collect p with
+  | () -> Alcotest.fail "a collect over a decayed pointer field must abort"
+  | exception Cgc.Precise.Mark_aborted -> ());
+  check int "one trace, one downgrade" 1 (s.Stats.mark_downgrades - downgrades);
   check bool "the pointee stays allocated" true (Gc.is_allocated gc b)
 
 let test_mark_survives_read_faults () =
@@ -565,7 +554,6 @@ let () =
             test_relaxation_rescues_small;
           Alcotest.test_case "first-page relaxation rescues large requests" `Quick
             test_relaxation_rescues_large;
-          Alcotest.test_case "oom hook gets a last chance" `Quick test_oom_hook_last_chance;
           Alcotest.test_case "ladder absorbs an injected commit fault" `Quick
             test_ladder_absorbs_commit_fault;
           Alcotest.test_case "check_after_fault quiet on healthy heap" `Quick
@@ -577,6 +565,8 @@ let () =
           Alcotest.test_case "write fault loses the store" `Quick test_write_fault_store_lost;
           Alcotest.test_case "decay poisons and persists" `Quick test_decay_poisons_and_persists;
           Alcotest.test_case "decay outlives its plan" `Quick test_decay_outlives_its_plan;
+          Alcotest.test_case "precise collect traces once" `Quick
+            test_precise_collect_traces_once;
           Alcotest.test_case "marker survives read faults" `Quick test_mark_survives_read_faults;
           Alcotest.test_case "write decay quarantines and retries" `Quick
             test_write_decay_quarantines_and_retries;
