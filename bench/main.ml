@@ -9,7 +9,7 @@
 
    Sections: table1 fig1 fig34 stack-clearing structures
              large-object dual-run fragmentation generational
-             pcr-threads ablations overhead mark resilience
+             pcr-threads ablations overhead alloc mark resilience
              starvation timing
 
    Flags: --paper-scale   full 25000-cell lists (slow)
@@ -420,6 +420,53 @@ let overhead () =
      less than 1%%\"; version 2.5 spent ~0.2%% of its time on the bookkeeping.@.\
      (Here blacklisting even runs FASTER overall: the lists it declines to retain@.\
      are lists the no-blacklist collector must re-mark at every collection.)@."
+
+(* ------------------------------------------------------------------ *)
+(* Footnote 3: the allocation hit path                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The allocation half of footnote 3, on the monotonic clock.
+   [alloc_hit_ns]: 200k 8-byte [Gc.allocate] calls into a fresh heap
+   with auto-collect off, so nearly every call is a hit (a page miss
+   every 512 calls carves the next page).  [alloc_explicit_round_trip_ns]:
+   200k 8-byte [Explicit] malloc+free pairs.  Each is the median of 9
+   batches, every batch on a fresh heap. *)
+let alloc_probe () =
+  section "Allocation" "hit path and malloc/free round trip, 8-byte objects (ns per operation)";
+  let n = 200_000 and batches = 9 in
+  let base = Addr.of_int 0x400000 and max_bytes = 4 * 1024 * 1024 in
+  let per_op fresh =
+    let times =
+      Array.init batches (fun _ ->
+          let run = fresh () in
+          let t0 = Cgc.Stats.now_s () in
+          run ();
+          (Cgc.Stats.now_s () -. t0) *. 1e9 /. float_of_int n)
+    in
+    Array.sort compare times;
+    times.(batches / 2)
+  in
+  let hit =
+    per_op (fun () ->
+        let gc = Cgc.Gc.create (Mem.create ()) ~base ~max_bytes () in
+        Cgc.Gc.set_auto_collect gc false;
+        fun () ->
+          for _ = 1 to n do
+            ignore (Cgc.Gc.allocate gc 8 : Addr.t)
+          done)
+  in
+  let round_trip =
+    per_op (fun () ->
+        let e = Cgc.Explicit.create (Mem.create ()) ~base ~max_bytes () in
+        fun () ->
+          for _ = 1 to n do
+            Cgc.Explicit.free e (Cgc.Explicit.malloc e 8)
+          done)
+  in
+  Format.printf "  gc allocate, 8 B hit (fresh heap, no collection) : %6.1f ns@." hit;
+  Format.printf "  explicit malloc + free, 8 B                      : %6.1f ns@." round_trip;
+  json_float "alloc_hit_ns" hit;
+  json_float "alloc_explicit_round_trip_ns" round_trip
 
 (* ------------------------------------------------------------------ *)
 (* Appendix B: background thread stacks                                *)
@@ -966,6 +1013,7 @@ let all_sections =
     ("pcr-threads", `Threads);
     ("ablations", `Ablations);
     ("overhead", `Overhead);
+    ("alloc", `Alloc);
     ("mark", `Mark);
     ("resilience", `Resilience);
     ("starvation", `Starvation);
@@ -1091,6 +1139,7 @@ let () =
       | `Threads -> pcr_threads ()
       | `Ablations -> ablations ()
       | `Overhead -> overhead ()
+      | `Alloc -> alloc_probe ()
       | `Mark -> mark_throughput ~smoke ~jobs ()
       | `Resilience -> resilience ~smoke ?collectors ()
       | `Starvation -> starvation ()

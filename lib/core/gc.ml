@@ -3,9 +3,16 @@ open Cgc_vm
 type t = {
   mem : Mem.t;
   config : Config.t;
-  sizes : Size_class.t;
   heap : Heap.t;
   blacklist : Blacklist.t;
+  (* what the hit path reads of the heap, so that it calls into no
+     other module: the descriptor table, and the heap's base, page
+     shift and backing bytes *)
+  desc : Heap.desc;
+  heap_base : int;
+  page_shift : int;
+  heap_bytes : Bytes.t;
+  max_small : int; (* the largest request served from size-class pages *)
   (* allocation cursors, indexed by [slot_of]; -1 = no page *)
   mutable cursor_page : int array; (* the page the class allocates from *)
   mutable cursor_slot : int array; (* first slot of [cursor_page] not yet probed *)
@@ -24,6 +31,10 @@ type t = {
          allocator: every placement path excludes them, and sweeps never
          refund their slots *)
   mutable allocated_since_gc : int;
+  mutable budget : int;
+      (* committed bytes / [space_divisor]: the allocation budget between
+         budget-triggered collections, refreshed wherever committed
+         bytes change ([commit_through] and [trim]) *)
   mutable auto_collect : bool;
   mutable collect_hook : (unit -> unit) option;
       (* when set, the budget check in [maybe_collect] and the ladder's
@@ -108,17 +119,22 @@ let create ?(config = Config.default) mem ~base ~max_bytes () =
     Blacklist.create ~representation ~n_pages:(Heap.n_pages heap)
       ~refresh:config.Config.blacklist_refresh ()
   in
-  let sizes = Size_class.create config in
-  let n_class_slots = 2 * (Size_class.n_classes sizes + 1) in
+  let max_small = Config.max_small_bytes config in
+  let n_class_slots = 2 * ((max_small / Config.granule) + 1) in
   let stats = Stats.create () in
   let marker = Mark.create heap config blacklist stats in
+  let seg = Heap.segment heap in
   let t =
     {
       mem;
       config;
-      sizes;
       heap;
       blacklist;
+      desc = Heap.desc heap;
+      heap_base = Addr.to_int (Segment.base seg);
+      page_shift = Heap.page_shift heap;
+      heap_bytes = Segment.unsafe_bytes seg;
+      max_small;
       cursor_page = Array.make n_class_slots (-1);
       cursor_slot = Array.make n_class_slots 0;
       chain = Array.make n_class_slots (-1);
@@ -131,6 +147,7 @@ let create ?(config = Config.default) mem ~base ~max_bytes () =
       marker;
       decayed_pages = Bitset.create (Heap.n_pages heap);
       allocated_since_gc = 0;
+      budget = Heap.committed_bytes heap / config.Config.space_divisor;
       auto_collect = true;
       collect_hook = None;
       last_mark_outcome = None;
@@ -173,29 +190,40 @@ let quarantined t i = Bitset.mem t.decayed_pages i
    the lowest free address first across the class's pages, then the new
    page's slots in ascending order. *)
 
-let rec typed_index t desc k =
+(* The registry index of a typed descriptor, or -1.  The descriptor an
+   allocation or a page carries is the registered value itself, so a
+   first pass by [==] finds it without a structural comparison (a call
+   out of the hit path). *)
+let rec find_typed t ~same desc k =
   if k = Array.length t.typed then -1
   else
     match t.typed.(k) with
-    | _, Page.Typed d when d == desc || d = desc -> k
-    | _, (Page.Typed _ | Page.Conservative | Page.Pointer_free) -> typed_index t desc (k + 1)
+    | _, Page.Typed d when same d desc -> k
+    | _, (Page.Typed _ | Page.Conservative | Page.Pointer_free) -> find_typed t ~same desc (k + 1)
+
+let typed_index t desc =
+  let k = find_typed t ~same:( == ) desc 0 in
+  if k >= 0 then k else find_typed t ~same:( = ) desc 0
 
 (* The registered layout value of a typed descriptor, which every page
    of the layout carries; registered, with a cursor, on first use. *)
 let typed_layout t desc =
-  if typed_index t desc 0 < 0 then begin
-    let granules = Size_class.granules_for desc.Type_desc.size_bytes in
-    t.typed <- Array.append t.typed [| (granules, Page.Typed desc) |];
+  let k = typed_index t desc in
+  if k >= 0 then snd t.typed.(k)
+  else begin
+    let granules = (desc.Type_desc.size_bytes + Config.granule - 1) / Config.granule in
+    let layout = Page.Typed desc in
+    t.typed <- Array.append t.typed [| (granules, layout) |];
     t.cursor_page <- Array.append t.cursor_page [| -1 |];
     t.cursor_slot <- Array.append t.cursor_slot [| 0 |];
-    t.chain <- Array.append t.chain [| -1 |]
-  end;
-  snd t.typed.(typed_index t desc 0)
+    t.chain <- Array.append t.chain [| -1 |];
+    layout
+  end
 
 let slot_of t ~granules = function
   | Page.Conservative -> 2 * granules
   | Page.Pointer_free -> (2 * granules) + 1
-  | Page.Typed desc -> t.typed_base + typed_index t desc 0
+  | Page.Typed desc -> t.typed_base + typed_index t desc
 
 let page_slot t (s : Page.small) = slot_of t ~granules:s.Page.granules s.Page.layout
 
@@ -239,30 +267,104 @@ let advance t c =
     true
   end
 
-(* The hit path: claim the next clear alloc bit of the cursor's page
-   and return its address, or -1 when the page has no free slot left
-   (or the class has no page).  Builds nothing on the OCaml heap. *)
+(* --- the hit path ---
+
+   The hit path makes one call into another compilation unit,
+   [Mem.access_faults_armed].  The default (dev) build compiles every
+   module [-opaque], so a [Bitset], [Heap] or [Segment] function would
+   be a real call however small.  The cursor reads its page's row of the
+   flat descriptor table, as the marker does, and finds and sets alloc
+   bits on the bitmap words in the layout [Bitset.t] documents (62
+   members a word; the literal keeps the divisions by a constant). *)
+
+let bits_per_word = 62
+let () = assert (bits_per_word = Bitset.bits_per_word && Config.granule = 4)
+
+(* Trailing zeros of a non-zero word below 2^62: the population count
+   of the ones below its lowest set bit, by [Bitset.popcount]'s SWAR
+   sums. *)
+let ntz x =
+  let y = (x land -x) - 1 in
+  let y = y - ((y lsr 1) land 0x1555_5555_5555_5555) in
+  let y = (y land 0x3333_3333_3333_3333) + ((y lsr 2) land 0x3333_3333_3333_3333) in
+  let y = (y + (y lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  (y * 0x0101_0101_0101_0101) lsr 56
+
+(* The lowest clear bit [j >= i], [j < n], of an alloc bitmap's words,
+   or -1: the bit at [i] itself, else the word's next clear bit, else
+   the next word's. *)
+let rec first_clear words n i =
+  if i >= n then -1
+  else begin
+    let w = i / bits_per_word in
+    let b = i - (w * bits_per_word) in
+    let word = Array.unsafe_get words w in
+    if word land (1 lsl b) = 0 then i
+    else begin
+      let clear = lnot word land max_int land (-1 lsl b) in
+      if clear = 0 then first_clear words n ((w + 1) * bits_per_word)
+      else
+        let j = (w * bits_per_word) + ntz clear in
+        if j < n then j else -1
+    end
+  end
+
+(* Claim the next clear alloc bit of the cursor's page and return its
+   address, or -1 when the page has no free slot left (or the class has
+   no page).  Builds nothing on the OCaml heap. *)
 let take_slot t c =
   let p = t.cursor_page.(c) in
   if p < 0 then -1
-  else
-    match Heap.page t.heap p with
-    | Page.Small s ->
-        let obj = Bitset.next_clear s.Page.alloc t.cursor_slot.(c) in
-        if obj < 0 then -1
-        else begin
-          Bitset.unsafe_add s.Page.alloc obj;
-          t.cursor_slot.(c) <- obj + 1;
-          Heap.page_addr t.heap p + s.Page.first_offset + (obj * s.Page.object_bytes)
-        end
-    | Page.Uncommitted | Page.Free | Page.Large_head _ | Page.Large_tail _ ->
-        invalid_arg "Gc: allocation cursor on a non-small page"
+  else begin
+    let d = t.desc in
+    let words = d.Heap.d_alloc.(p).Bitset.words in
+    let obj = first_clear words d.Heap.d_n_objects.(p) t.cursor_slot.(c) in
+    if obj < 0 then -1
+    else begin
+      let w = obj / bits_per_word in
+      Array.unsafe_set words w (Array.unsafe_get words w lor (1 lsl (obj - (w * bits_per_word))));
+      t.cursor_slot.(c) <- obj + 1;
+      t.heap_base + (p lsl t.page_shift) + d.Heap.d_first_offset.(p) + (obj * d.Heap.d_object_bytes.(p))
+    end
+  end
+
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+(* Zero bytes [off, stop) (a multiple of 4) with 64-bit stores. *)
+let rec zero_bytes bytes off stop =
+  if off + 8 <= stop then begin
+    set64u bytes off 0L;
+    zero_bytes bytes (off + 8) stop
+  end
+  else if off < stop then set32u bytes off 0l
+
+(* Zero the [len] bytes of an object at heap address [base]: the
+   allocator's write when no access fault can trip, so there is nothing
+   to guard. *)
+let zero_words t base len =
+  let off = base - t.heap_base in
+  zero_bytes t.heap_bytes off (off + len)
 
 (* Take a slot from the cursor's page, moving along the chain until a
    page yields one; -1 once the chain is exhausted. *)
 let rec take_from_chain t c =
   let a = take_slot t c in
   if a >= 0 || not (advance t c) then a else take_from_chain t c
+
+let refresh_budget t = t.budget <- Heap.committed_bytes t.heap / t.config.Config.space_divisor
+
+(* Every commit and uncommit of the heap goes through [commit_through]
+   and [trim], so the budget follows committed bytes.  A commit cut
+   short by [Mem.Commit_failed] keeps the pages it committed. *)
+let commit_through t i =
+  match Heap.commit_through t.heap i with
+  | ok ->
+      refresh_budget t;
+      ok
+  | exception (Mem.Commit_failed _ as e) ->
+      refresh_budget t;
+      raise e
 
 let collect t =
   let t0 = Stats.now_s () in
@@ -275,7 +377,9 @@ let collect t =
   t.allocated_since_gc <- 0
 
 let trim t =
-  Heap.uncommit_trailing_free t.heap
+  let released = Heap.uncommit_trailing_free t.heap in
+  refresh_budget t;
+  released
 
 let maybe_collect t =
   match t.collect_hook with
@@ -285,14 +389,12 @@ let maybe_collect t =
          collect.  The hook resets the budget via
          [Internal.note_collected] only when its collection completes,
          so an aborted exact mark retries at the next allocation. *)
-      let budget = Heap.committed_bytes t.heap / t.config.Config.space_divisor in
-      if t.allocated_since_gc >= budget then hook ()
+      if t.allocated_since_gc >= t.budget then hook ()
   | None ->
       if t.auto_collect then begin
         (* the paper's startup collection, before the first allocation *)
         if t.stats.Stats.collections = 0 then collect t;
-        let budget = Heap.committed_bytes t.heap / t.config.Config.space_divisor in
-        if t.allocated_since_gc >= budget then collect t
+        if t.allocated_since_gc >= t.budget then collect t
       end
 
 (* --- page acquisition --- *)
@@ -334,8 +436,8 @@ let first_offset_for t page_index =
 
 let carve_small_page t index ~granules ~layout =
   let first_offset = first_offset_for t index in
-  let object_bytes = Size_class.bytes_of_granules granules in
-  let n_objects = Size_class.objects_per_page t.sizes ~granules ~first_offset in
+  let object_bytes = granules * Config.granule in
+  let n_objects = (Heap.page_size t.heap - first_offset) / object_bytes in
   Heap.set_page t.heap index
     (Page.make_small ~granules ~object_bytes ~layout ~first_offset ~n_objects);
   let c = slot_of t ~granules layout in
@@ -349,7 +451,7 @@ let commit_fresh_page t ~ok =
     else
       match Heap.page t.heap i with
       | Page.Uncommitted when ok i ->
-          if Heap.commit_through t.heap i then begin
+          if commit_through t i then begin
             t.stats.Stats.heap_expansions <- t.stats.Stats.heap_expansions + 1;
             Some i
           end
@@ -392,7 +494,7 @@ let grow_with_backoff t ~need_pages ~note_fault =
     else begin
       let want = min want room in
       t.stats.Stats.ladder_expansions <- t.stats.Stats.ladder_expansions + 1;
-      match Heap.commit_through t.heap (committed + want - 1) with
+      match commit_through t (committed + want - 1) with
       | (_ : bool) -> true
       | exception Mem.Commit_failed _ ->
           note_fault ();
@@ -552,14 +654,8 @@ let allocate_small_miss t ~granules ~layout c =
     end
     else None
   in
-  run_ladder t
-    ~request_bytes:(Size_class.bytes_of_granules granules)
-    ~request_pages:1 ~small:true ~layout ~attempt
-
-let allocate_small t ~granules ~layout =
-  let c = slot_of t ~granules layout in
-  let a = take_slot t c in
-  if a >= 0 then a else allocate_small_miss t ~granules ~layout c
+  run_ladder t ~request_bytes:(granules * Config.granule) ~request_pages:1 ~small:true ~layout
+    ~attempt
 
 (* Blacklist acceptability for one page of a large object: when interior
    pointers are recognized everywhere (and the tier is strict), no page
@@ -627,7 +723,7 @@ let allocate_large t ~bytes ~layout =
     match find ~tier with
     | None -> None
     | Some start -> (
-        match Heap.commit_through t.heap (start + n - 1) with
+        match commit_through t (start + n - 1) with
         | false -> None
         | true ->
             if start + n - 1 >= Heap.committed_pages t.heap - 1 then
@@ -646,8 +742,15 @@ let allocate_large t ~bytes ~layout =
   in
   run_ladder t ~request_bytes:bytes ~request_pages:n ~small:false ~layout ~attempt:place
 
-let alloc_once t ~small ~bytes ~layout =
-  if small then allocate_small t ~granules:(Size_class.granules_for bytes) ~layout
+(* Place a request of [rounded] bytes (its size-class size when small)
+   by any path: the cursor, its chain, a carved page, the ladder. *)
+let place t ~small ~bytes ~rounded ~layout =
+  if small then begin
+    let granules = rounded / Config.granule in
+    let c = slot_of t ~granules layout in
+    let a = take_slot t c in
+    if a >= 0 then a else allocate_small_miss t ~granules ~layout c
+  end
   else allocate_large t ~bytes ~layout
 
 (* Zero the new object, retrying a transient write fault in place up to
@@ -664,26 +767,39 @@ let rec zeroed t base rounded transient_left =
       && transient_left > 0
       && zeroed t base rounded (transient_left - 1)
 
-let rec obtain_zeroed t ~small ~bytes ~rounded ~layout =
-  let base = alloc_once t ~small ~bytes ~layout in
+(* Zero the object just placed at [base] through the guarded write, or
+   quarantine it and place the request again. *)
+let rec settle t base ~small ~bytes ~rounded ~layout =
   if zeroed t base rounded 2 then base
   else begin
     t.stats.Stats.decay_retries <- t.stats.Stats.decay_retries + 1;
     quarantine_object t base;
-    match obtain_zeroed t ~small ~bytes ~rounded ~layout with
+    match settle t (place t ~small ~bytes ~rounded ~layout) ~small ~bytes ~rounded ~layout with
     | b -> b
     | exception Out_of_memory d -> raise (Out_of_memory { d with memory_decayed = true })
   end
 
+(* The hit path is a small request whose cursor has a free slot while no
+   access fault can trip: it is served and zeroed without leaving this
+   module.  Anything else (a miss, a large request, an armed plan or
+   decayed memory) takes [place] and the guarded [settle]. *)
 let allocate_layout ?finalizer t ~layout bytes =
   if bytes <= 0 then invalid_arg "Gc.allocate: non-positive size";
   maybe_collect t;
-  let small = Size_class.is_small t.sizes bytes in
-  let rounded =
-    if small then Size_class.bytes_of_granules (Size_class.granules_for bytes)
-    else bytes
+  let small = bytes <= t.max_small in
+  (* 4-byte granules (asserted above), so literal shifts and masks *)
+  let rounded = if small then (bytes + 3) land lnot 3 else bytes in
+  let a = if small then take_slot t (slot_of t ~granules:(rounded lsr 2) layout) else -1 in
+  let base =
+    if a >= 0 && not (Mem.access_faults_armed t.mem) then begin
+      zero_words t a rounded;
+      a
+    end
+    else
+      settle t
+        (if a >= 0 then a else place t ~small ~bytes ~rounded ~layout)
+        ~small ~bytes ~rounded ~layout
   in
-  let base = obtain_zeroed t ~small ~bytes ~rounded ~layout in
   t.stats.Stats.bytes_allocated <- t.stats.Stats.bytes_allocated + rounded;
   t.stats.Stats.objects_allocated <- t.stats.Stats.objects_allocated + 1;
   t.allocated_since_gc <- t.allocated_since_gc + rounded;

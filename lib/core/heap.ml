@@ -32,6 +32,7 @@ type t = {
   pages : Page.t array;
   desc : desc;
   mutable committed : int; (* pages [0, committed) are committed *)
+  mutable free_pages : int; (* committed pages that are [Free]; kept by [set_page] *)
 }
 
 let log2 n =
@@ -119,6 +120,34 @@ let sync_desc t i (p : Page.t) =
       d.d_mark.(i) <- empty_bits;
       d.d_large.(i) <- Page.dummy_large
 
+let page_addr t i = Addr.add t.base (i * t.page_size)
+
+let free_count (p : Page.t) =
+  match p with
+  | Page.Free -> 1
+  | Page.Uncommitted | Page.Small _ | Page.Large_head _ | Page.Large_tail _ -> 0
+
+let set_page t i p =
+  t.free_pages <- t.free_pages - free_count t.pages.(i) + free_count p;
+  t.pages.(i) <- p;
+  sync_desc t i p
+
+(* Pages are charged to the simulated OS one at a time, and the
+   watermark advances with each success, so an injected commit failure
+   partway through a run leaves a coherent prefix: every page below the
+   watermark is committed-[Free], everything above stays [Uncommitted],
+   and the fault propagates to the allocation ladder. *)
+let commit_through t i =
+  if i >= t.n_pages then false
+  else begin
+    for j = t.committed to i do
+      Mem.commit t.mem ~addr:(page_addr t j) ~bytes:t.page_size;
+      set_page t j Page.Free;
+      t.committed <- j + 1
+    done;
+    true
+  end
+
 let create mem ~config ~base ~max_bytes =
   Config.validate config;
   let page_size = config.Config.page_size in
@@ -142,14 +171,10 @@ let create mem ~config ~base ~max_bytes =
       pages = Array.make n_pages Page.Uncommitted;
       desc = make_desc n_pages;
       committed = 0;
+      free_pages = 0;
     }
   in
-  for i = 0 to config.Config.initial_pages - 1 do
-    Mem.commit mem ~addr:(Addr.add base (i * page_size)) ~bytes:page_size;
-    t.pages.(i) <- Page.Free;
-    sync_desc t i Page.Free;
-    t.committed <- i + 1
-  done;
+  ignore (commit_through t (config.Config.initial_pages - 1) : bool);
   t
 
 let segment t = t.seg
@@ -162,12 +187,7 @@ let committed_pages t = t.committed
 let committed_bytes t = t.committed * t.page_size
 let contains t a = Addr.in_range a ~lo:t.base ~hi:(limit_reserved t)
 let page_index t a = Addr.diff a t.base asr t.page_shift
-let page_addr t i = Addr.add t.base (i * t.page_size)
 let page t i = t.pages.(i)
-
-let set_page t i p =
-  t.pages.(i) <- p;
-  sync_desc t i p
 
 let desc t = t.desc
 let page_shift t = t.page_shift
@@ -186,7 +206,7 @@ let find_free_page t ~ok =
       | Page.Free | Page.Uncommitted | Page.Small _ | Page.Large_head _ | Page.Large_tail _ ->
           go (i + 1)
   in
-  go 0
+  if t.free_pages = 0 then None else go 0
 
 let find_free_run t ~n ~ok =
   let rec scan start run i =
@@ -221,29 +241,7 @@ let uncommit_trailing_free t =
   done;
   !released
 
-(* Pages are charged to the simulated OS one at a time, and the
-   watermark advances with each success, so an injected commit failure
-   partway through a run leaves a coherent prefix: every page below the
-   watermark is committed-[Free], everything above stays [Uncommitted],
-   and the fault propagates to the allocation ladder. *)
-let commit_through t i =
-  if i >= t.n_pages then false
-  else begin
-    for j = t.committed to i do
-      Mem.commit t.mem ~addr:(page_addr t j) ~bytes:t.page_size;
-      set_page t j Page.Free;
-      t.committed <- j + 1
-    done;
-    true
-  end
-
-let free_page_count t =
-  let n = ref 0 in
-  iter_committed t (fun _ p ->
-      match p with
-      | Page.Free -> incr n
-      | Page.Uncommitted | Page.Small _ | Page.Large_head _ | Page.Large_tail _ -> ());
-  !n
+let free_page_count t = t.free_pages
 
 let clear_marks t =
   iter_committed t (fun _ p ->

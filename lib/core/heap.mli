@@ -92,7 +92,8 @@ val iter_committed : t -> (int -> Page.t -> unit) -> unit
 (** Apply to every committed page in address order. *)
 
 val find_free_page : t -> ok:(int -> bool) -> int option
-(** Lowest committed [Free] page satisfying [ok], if any. *)
+(** Lowest committed [Free] page satisfying [ok], if any; [None] at once
+    when no committed page is [Free]. *)
 
 val find_free_run : t -> n:int -> ok:(int -> bool) -> int option
 (** Lowest start of [n] consecutive pages, each committed-[Free] or
@@ -115,7 +116,8 @@ val commit_through : t -> int -> bool
     coherent (the watermark only ever covers fully committed pages). *)
 
 val free_page_count : t -> int
-(** Committed pages currently [Free]. *)
+(** Committed pages currently [Free]: a count {!set_page} keeps, so
+    O(1). *)
 
 val clear_marks : t -> unit
 (** Clear every mark bit in the committed heap. *)

@@ -104,7 +104,10 @@ type t = {
      descriptor directly, so popping an object never evicts the row its
      children's lookups want.  [cache_page = -1] means empty;
      invalidated whenever the page table may have changed under us (at
-     the start of every [trace]). *)
+     the start of every [trace]).  The row's bitmap words are pointer
+     columns, and a store of a pointer into this long-lived record pays
+     a write barrier (a C call), so a miss loads only the int columns;
+     the words are cached on the row's first hit ([cache_words_page]). *)
   mutable cache_page : int;
   mutable cache_kind : int;
   mutable cache_object_bytes : int;
@@ -113,9 +116,9 @@ type t = {
   mutable cache_recip_mul : int;
   mutable cache_recip_shift : int;
   mutable cache_head : int;
+  mutable cache_words_page : int;  (** the page whose words the next two hold; -1 none *)
   mutable cache_alloc : int array;  (** the row's alloc bitmap words ([Bitset.t.words]) *)
   mutable cache_mark : int array;  (** the row's mark bitmap words *)
-  mutable cache_large : Page.large;
   stop_on_fault : bool;  (** end the trace at the first downgraded word *)
 }
 
@@ -165,9 +168,9 @@ let create ?(stop_on_fault = false) heap config blacklist stats =
     cache_recip_mul = 0;
     cache_recip_shift = 0;
     cache_head = 0;
+    cache_words_page = -1;
     cache_alloc = [||];
     cache_mark = [||];
-    cache_large = Page.dummy_large;
   }
 
 let push t base =
@@ -213,10 +216,11 @@ let[@inline] word_be bytes off =
 let bits_per_word = 62
 let () = assert (bits_per_word = Bitset.bits_per_word)
 
-(* Fill the header cache with page's descriptor row: straight-line loads
-   from the flat table, no variant match, no allocation.  [page] is in
-   range by construction ([consider_heap] bounds-checks the address, and
-   the descriptor arrays span every reserved page). *)
+(* Fill the header cache with page's descriptor row, its int columns:
+   straight-line loads from the flat table, no variant match, no
+   allocation, no write barrier.  [page] is in range by construction
+   ([consider_heap] bounds-checks the address, and the descriptor arrays
+   span every reserved page). *)
 let load_header t page =
   let d = t.desc in
   t.cache_page <- page;
@@ -226,15 +230,14 @@ let load_header t page =
   t.cache_n_objects <- Array.unsafe_get d.Heap.d_n_objects page;
   t.cache_recip_mul <- Array.unsafe_get d.Heap.d_recip_mul page;
   t.cache_recip_shift <- Array.unsafe_get d.Heap.d_recip_shift page;
-  t.cache_head <- Array.unsafe_get d.Heap.d_head page;
-  t.cache_alloc <- (Array.unsafe_get d.Heap.d_alloc page).Bitset.words;
-  t.cache_mark <- (Array.unsafe_get d.Heap.d_mark page).Bitset.words;
-  t.cache_large <- Array.unsafe_get d.Heap.d_large page
+  t.cache_head <- Array.unsafe_get d.Heap.d_head page
 
-let[@inline] ensure_header t page =
-  if page = t.cache_page then
-    t.stats.Stats.header_cache_hits <- t.stats.Stats.header_cache_hits + 1
-  else load_header t page
+(* The cached row is hit again: keep its bitmap words too. *)
+let cache_words t page =
+  let d = t.desc in
+  t.cache_words_page <- page;
+  t.cache_alloc <- (Array.unsafe_get d.Heap.d_alloc page).Bitset.words;
+  t.cache_mark <- (Array.unsafe_get d.Heap.d_mark page).Bitset.words
 
 let[@inline] note_false t page =
   t.stats.Stats.false_refs <- t.stats.Stats.false_refs + 1;
@@ -242,81 +245,97 @@ let[@inline] note_false t page =
 
 let[@inline] note_valid t = t.stats.Stats.valid_refs <- t.stats.Stats.valid_refs + 1
 
-(* Classify-and-mark fused, against the cached descriptor row.  Mirrors
+(* Classify-and-mark fused, against the cached descriptor row of [page]
+   and its bitmap words [alloc_words] and [mark_words].  Mirrors
    [classify] exactly (the differential tests pin this), but never
    allocates: no classification constructor, no closure, no [Int32], and
    no divide — the object index comes from the row's exact reciprocal
-   ([Heap.reciprocal]; [0 <= rel < page_size] holds here).  Does NOT
+   ([Heap.reciprocal]; [0 <= rel < page_size] holds here). *)
+let[@inline] classify_row t value page alloc_words mark_words =
+  let kind = t.cache_kind in
+  if kind = Page.kind_small then begin
+    let rel = ((value - t.heap_lo) land t.page_mask) - t.cache_first_offset in
+    if rel < 0 then note_false t page
+    else begin
+      let object_bytes = t.cache_object_bytes in
+      let index = (rel * t.cache_recip_mul) lsr t.cache_recip_shift in
+      let displacement = rel - (index * object_bytes) in
+      let w = index / bits_per_word and bit = 1 lsl (index mod bits_per_word) in
+      if index >= t.cache_n_objects then note_false t page
+      else if Array.unsafe_get alloc_words w land bit = 0 then note_false t page
+      else if
+        displacement = 0 || t.interior
+        || Config.displacement_in_mask t.disp_mask displacement
+      then begin
+        note_valid t;
+        let marks = Array.unsafe_get mark_words w in
+        if marks land bit = 0 then begin
+          Array.unsafe_set mark_words w (marks lor bit);
+          t.stats.Stats.objects_marked <- t.stats.Stats.objects_marked + 1;
+          push t (value - displacement)
+        end
+      end
+      else note_false t page
+    end
+  end
+  else if kind = Page.kind_large_head then begin
+    let l = Array.unsafe_get t.desc.Heap.d_large page in
+    if not l.Page.l_allocated then note_false t page
+    else begin
+      let off = (value - t.heap_lo) land t.page_mask in
+      if off = 0 || (t.interior && off < l.Page.object_bytes) then begin
+        note_valid t;
+        if not l.Page.l_marked then begin
+          l.Page.l_marked <- true;
+          t.stats.Stats.objects_marked <- t.stats.Stats.objects_marked + 1;
+          push t (value - off)
+        end
+      end
+      else note_false t page
+    end
+  end
+  else if kind = Page.kind_large_tail then begin
+    if not t.tail_valid then note_false t page
+    else begin
+      let head = t.cache_head in
+      let l = Array.unsafe_get t.desc.Heap.d_large head in
+      let head_addr = t.heap_lo + (head lsl t.page_shift) in
+      if
+        Char.code (Bytes.unsafe_get t.desc.Heap.d_kind head) = Page.kind_large_head
+        && l.Page.l_allocated
+        && value - head_addr < l.Page.object_bytes
+      then begin
+        note_valid t;
+        if not l.Page.l_marked then begin
+          l.Page.l_marked <- true;
+          t.stats.Stats.objects_marked <- t.stats.Stats.objects_marked + 1;
+          push t head_addr
+        end
+      end
+      else note_false t page
+    end
+  end
+  else (* Free / Uncommitted *) note_false t page
+
+(* One scanned word: a hit of the header cache classifies against the
+   cached row (caching its words on the first hit), a miss loads the
+   row's int columns and reads the words from the table.  Does NOT
    count the word into [words_scanned] — range scans batch that per
    range. *)
 let consider_heap t value =
   if value >= t.heap_lo && value < t.heap_hi then begin
     let page = (value - t.heap_lo) lsr t.page_shift in
-    ensure_header t page;
-    let kind = t.cache_kind in
-    if kind = Page.kind_small then begin
-      let rel = ((value - t.heap_lo) land t.page_mask) - t.cache_first_offset in
-      if rel < 0 then note_false t page
-      else begin
-        let object_bytes = t.cache_object_bytes in
-        let index = (rel * t.cache_recip_mul) lsr t.cache_recip_shift in
-        let displacement = rel - (index * object_bytes) in
-        let w = index / bits_per_word and bit = 1 lsl (index mod bits_per_word) in
-        if index >= t.cache_n_objects then note_false t page
-        else if Array.unsafe_get t.cache_alloc w land bit = 0 then note_false t page
-        else if
-          displacement = 0 || t.interior
-          || Config.displacement_in_mask t.disp_mask displacement
-        then begin
-          note_valid t;
-          let marks = Array.unsafe_get t.cache_mark w in
-          if marks land bit = 0 then begin
-            Array.unsafe_set t.cache_mark w (marks lor bit);
-            t.stats.Stats.objects_marked <- t.stats.Stats.objects_marked + 1;
-            push t (value - displacement)
-          end
-        end
-        else note_false t page
-      end
+    if page = t.cache_page then begin
+      t.stats.Stats.header_cache_hits <- t.stats.Stats.header_cache_hits + 1;
+      if t.cache_words_page <> page then cache_words t page;
+      classify_row t value page t.cache_alloc t.cache_mark
     end
-    else if kind = Page.kind_large_head then begin
-      let l = t.cache_large in
-      if not l.Page.l_allocated then note_false t page
-      else begin
-        let off = (value - t.heap_lo) land t.page_mask in
-        if off = 0 || (t.interior && off < l.Page.object_bytes) then begin
-          note_valid t;
-          if not l.Page.l_marked then begin
-            l.Page.l_marked <- true;
-            t.stats.Stats.objects_marked <- t.stats.Stats.objects_marked + 1;
-            push t (value - off)
-          end
-        end
-        else note_false t page
-      end
+    else begin
+      load_header t page;
+      let d = t.desc in
+      classify_row t value page (Array.unsafe_get d.Heap.d_alloc page).Bitset.words
+        (Array.unsafe_get d.Heap.d_mark page).Bitset.words
     end
-    else if kind = Page.kind_large_tail then begin
-      if not t.tail_valid then note_false t page
-      else begin
-        let head = t.cache_head in
-        let l = Array.unsafe_get t.desc.Heap.d_large head in
-        let head_addr = t.heap_lo + (head lsl t.page_shift) in
-        if
-          Char.code (Bytes.unsafe_get t.desc.Heap.d_kind head) = Page.kind_large_head
-          && l.Page.l_allocated
-          && value - head_addr < l.Page.object_bytes
-        then begin
-          note_valid t;
-          if not l.Page.l_marked then begin
-            l.Page.l_marked <- true;
-            t.stats.Stats.objects_marked <- t.stats.Stats.objects_marked + 1;
-            push t head_addr
-          end
-        end
-        else note_false t page
-      end
-    end
-    else (* Free / Uncommitted *) note_false t page
   end
 
 (* Guarded variant of the range scan, entered only while a fault plan
@@ -446,6 +465,7 @@ let trace ?(extra = []) t roots ~mem =
   t.sp <- 0;
   t.overflowed <- false;
   t.cache_page <- -1;
+  t.cache_words_page <- -1;
   t.reads_armed <- Mem.read_faults_armed t.mem;
   let scan range =
     scan_range t ~mem range;

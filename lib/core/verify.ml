@@ -4,6 +4,14 @@ let check_page_table heap issues =
   let n = Heap.n_pages heap in
   let committed = Heap.committed_pages heap in
   let add fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
+  let free = ref 0 in
+  Heap.iter_committed heap (fun _ p ->
+      match p with
+      | Page.Free -> incr free
+      | Page.Uncommitted | Page.Small _ | Page.Large_head _ | Page.Large_tail _ -> ());
+  if Heap.free_page_count heap <> !free then
+    add "free-page count %d disagrees with the %d Free pages of the page table"
+      (Heap.free_page_count heap) !free;
   for i = 0 to n - 1 do
     let p = Heap.page heap i in
     if i >= committed then begin

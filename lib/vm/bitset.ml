@@ -20,14 +20,10 @@ let add t i =
   let w = i / bits_per_word in
   t.words.(w) <- t.words.(w) lor (1 lsl (i mod bits_per_word))
 
-(* Hot-path variants: the caller has already established 0 <= i < n
+(* Hot-path variant: the caller has already established 0 <= i < n
    (e.g. an object index validated against the page's object count). *)
 let[@inline] unsafe_mem t i =
   Array.unsafe_get t.words (i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
-
-let[@inline] unsafe_add t i =
-  let w = i / bits_per_word in
-  Array.unsafe_set t.words w (Array.unsafe_get t.words w lor (1 lsl (i mod bits_per_word)))
 
 let remove t i =
   check t i;
@@ -153,32 +149,6 @@ let fold f init t =
   let acc = ref init in
   iter (fun i -> acc := f !acc i) t;
   !acc
-
-(* [lo, hi) restricted to a word: bits [a, b) of the word's value. *)
-let[@inline] range_mask a b = if b - a >= bits_per_word then -1 lsr 1 else ((1 lsl (b - a)) - 1) lsl a
-
-(* No option, closure or ref escapes: the allocator's hit path calls
-   this once per small allocation. *)
-let next_clear t i =
-  let i = max i 0 in
-  if i >= t.n then -1
-  else begin
-    let words = t.words in
-    let last = Array.length words - 1 in
-    let w = ref (i / bits_per_word) in
-    let clear =
-      ref (lnot (Array.unsafe_get words !w) land range_mask (i - (!w * bits_per_word)) bits_per_word)
-    in
-    while !clear = 0 && !w < last do
-      incr w;
-      clear := lnot (Array.unsafe_get words !w) land (-1 lsr 1)
-    done;
-    if !clear = 0 then -1
-    else begin
-      let j = (!w * bits_per_word) + ntz !clear in
-      if j < t.n then j else -1
-    end
-  end
 
 let equal a b = a.n = b.n && Array.for_all2 ( = ) a.words b.words
 

@@ -32,9 +32,6 @@ val unsafe_mem : t -> int -> bool
 (** {!mem} without the bounds check — for hot paths that have already
     validated the index (e.g. against a page's object count). *)
 
-val unsafe_add : t -> int -> unit
-(** {!add} without the bounds check; same caller obligation. *)
-
 val remove : t -> int -> unit
 
 val set : t -> int -> bool -> unit
@@ -78,10 +75,6 @@ val sweep : ?dead:(int -> unit) -> alloc:t -> mark:t -> sweep_counts -> unit
     without [dead].  Universes must have equal size. *)
 
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
-
-val next_clear : t -> int -> int
-(** [next_clear t i] is the smallest [j >= i] below {!length} not in the
-    set, or [-1] when there is none.  Allocation-free. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

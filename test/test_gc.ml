@@ -105,6 +105,15 @@ let test_heap_commit () =
   check bool "commit ok" true (Heap.commit_through heap 5);
   check int "now committed" 6 (Heap.committed_pages heap);
   check bool "page 5 free" true (Heap.page heap 5 = Page.Free);
+  check int "free pages counted" 6 (Heap.free_page_count heap);
+  for i = 0 to 5 do
+    Heap.set_page heap i (Page.Large_tail { head_index = 0 })
+  done;
+  check int "none free" 0 (Heap.free_page_count heap);
+  check bool "no free page found" true (Heap.find_free_page heap ~ok:(fun _ -> true) = None);
+  Heap.set_page heap 3 Page.Free;
+  check int "one free" 1 (Heap.free_page_count heap);
+  check bool "it is found" true (Heap.find_free_page heap ~ok:(fun _ -> true) = Some 3);
   check bool "cannot exceed reservation" false (Heap.commit_through heap 1000)
 
 let test_heap_find_free_run () =
@@ -908,6 +917,86 @@ let prop_cursor_order_contract =
       && (Gc.stats gc).Stats.decay_retries = Bool.to_int !q_had_garbage
       && Cgc.Verify.check gc = [])
 
+(* The cursor's bit search over the 62-bit alloc words, at the word
+   boundaries: with slots 0, 1, 61, 62, 123, 124 and 125-511 but 300
+   of an 8-byte page kept by a collect, allocation hands out 2-60, then
+   63-122 (over the set bits that straddle the first boundary), then
+   300 (over whole full words), and then, the page exhausted, slot 0 of
+   a freshly carved page. *)
+let test_cursor_search_at_word_boundaries () =
+  let _, globals, gc = make_env () in
+  let heap = Gc.heap gc in
+  let cells = Array.init 512 (fun _ -> Gc.allocate gc 8) in
+  let page = Heap.page_index heap cells.(0) in
+  check bool "one page of cells" true (Heap.page_index heap cells.(511) = page);
+  let kept i = List.mem i [ 0; 1; 61; 62; 123; 124 ] || (i >= 125 && i <> 300) in
+  let head = ref 0 in
+  Array.iteri
+    (fun i a ->
+      if kept i then begin
+        Gc.set_field gc a 0 !head;
+        head := Addr.to_int a
+      end)
+    cells;
+  set_slot globals 0 !head;
+  Gc.collect gc;
+  let free = List.init 59 (fun k -> k + 2) @ List.init 60 (fun k -> k + 63) @ [ 300 ] in
+  let expected = List.map (fun i -> Addr.to_int cells.(i)) free in
+  let got = List.init (List.length expected) (fun _ -> Addr.to_int (Gc.allocate gc 8)) in
+  check (Alcotest.list int) "free slots in ascending order" expected got;
+  let next = Gc.allocate gc 8 in
+  check bool "then a fresh page" true (Heap.page_index heap next <> page);
+  check int "from its first slot" 0 (Addr.diff next (Heap.page_addr heap (Heap.page_index heap next)))
+
+(* The collection budget is committed bytes / [space_divisor], kept in
+   step with every commit and trim: with auto-collect on, an allocation
+   collects exactly when the bytes allocated since the last collection
+   have reached it.  A live list grows the heap page by page, each grow
+   raising the budget; then all but its oldest cells die, a trim hands
+   the emptied pages back, and the budget falls with committed bytes. *)
+let test_budget_follows_committed_bytes () =
+  let config = { Config.default with Config.initial_pages = 2 } in
+  let _, globals, gc = make_env ~config () in
+  Gc.set_auto_collect gc true;
+  let heap = Gc.heap gc and s = Gc.stats gc in
+  let since = ref 0 and fired_total = ref 0 and wrong = ref [] in
+  let allocate i =
+    let due =
+      s.Stats.collections = 0
+      || !since >= Heap.committed_bytes heap / config.Config.space_divisor
+    in
+    let c0 = s.Stats.collections and l0 = s.Stats.ladder_collects in
+    let a = Gc.allocate gc 8 in
+    let fired = s.Stats.collections - c0 - (s.Stats.ladder_collects - l0) in
+    if fired <> Bool.to_int due then wrong := i :: !wrong;
+    fired_total := !fired_total + fired;
+    if s.Stats.collections <> c0 then since := 0;
+    since := !since + 8;
+    a
+  in
+  let cells = Array.make 6000 0 in
+  for i = 0 to 5999 do
+    let a = allocate i in
+    Gc.set_field gc a 0 (if i = 0 then 0 else cells.(i - 1));
+    cells.(i) <- Addr.to_int a;
+    set_slot globals 0 cells.(i)
+  done;
+  let grown = Heap.committed_pages heap in
+  check bool "the heap grew" true (grown > 10);
+  check bool "collections fired while it grew" true (!fired_total > 1);
+  set_slot globals 0 cells.(299);
+  Gc.collect gc;
+  since := 0;
+  check bool "the trim released pages" true (Gc.trim gc > 0);
+  check bool "committed bytes fell" true (Heap.committed_pages heap < grown / 2);
+  let before = !fired_total in
+  for i = 6000 to 8999 do
+    ignore (allocate i : Addr.t)
+  done;
+  check bool "collections fired after the trim" true (!fired_total > before + 1);
+  check (Alcotest.list int) "allocations that collected against the budget's verdict" []
+    (List.rev !wrong)
+
 let test_trim_returns_trailing_pages () =
   let config = { Config.default with Config.initial_pages = 4 } in
   let _, globals, gc = make_env ~config () in
@@ -1614,6 +1703,10 @@ let () =
         [
           Alcotest.test_case "releases empty pages" `Quick test_sweep_releases_empty_pages;
           QCheck_alcotest.to_alcotest prop_cursor_order_contract;
+          Alcotest.test_case "cursor search at word boundaries" `Quick
+            test_cursor_search_at_word_boundaries;
+          Alcotest.test_case "budget follows committed bytes" `Quick
+            test_budget_follows_committed_bytes;
           Alcotest.test_case "live bytes" `Quick test_live_bytes_accounting;
           Alcotest.test_case "hit path allocates nothing" `Quick test_hit_allocation_allocates_nothing;
           Alcotest.test_case "sweep allocates nothing per object" `Quick

@@ -432,6 +432,39 @@ let test_write_decay_quarantines_and_retries () =
     check bool "no allocation lands on decayed memory" false (Mem.range_decayed mem b ~bytes:16)
   done
 
+(* Decay outlives its plan, so the allocator's inline zeroing must not
+   take "no plan installed" for "nothing can fault": a free slot whose
+   block decayed under a read, with the plan lifted since, still faults
+   the zeroing write when the cursor hands it out.  The page is
+   quarantined and the request lands on another page. *)
+let test_zeroing_faults_on_decay_after_the_plan () =
+  let config = { Config.default with Config.initial_pages = 4 } in
+  let mem, gc, _ = make_gc ~config ~pages:16 () in
+  Gc.set_auto_collect gc false;
+  let heap = Gc.heap gc in
+  let a = Gc.allocate gc 16 in
+  (* the slot the cursor hands out next *)
+  let next = Addr.add a 16 in
+  Mem.set_fault_plan mem
+    (Some
+       (Mem.Fault.plan ~addr_pred:(fun x -> Addr.equal x next) ~target:Mem.Fault.Reads
+          ~decay_bytes:4 ()));
+  (match Mem.read_word mem next with
+  | (_ : int) -> Alcotest.fail "the tripped read should fault"
+  | exception Mem.Read_fault _ -> ());
+  Mem.set_fault_plan mem None;
+  let s = Gc.stats gc in
+  let faults = s.Stats.write_faults in
+  let b = Gc.allocate gc 16 in
+  check int "the zeroing write faulted" (faults + 1) s.Stats.write_faults;
+  check bool "the page is quarantined" true
+    (Bitset.mem (Gc.Internal.decayed_pages gc) (Heap.page_index heap a));
+  check bool "the object was placed on another page" true
+    (Heap.page_index heap b <> Heap.page_index heap a);
+  check bool "the earlier object is still allocated" true (Gc.is_allocated gc a);
+  check bool "the decayed slot is not" false (Gc.is_allocated gc next);
+  check int "the heap is coherent" 0 (List.length (Verify.check_after_fault gc))
+
 let test_memory_decayed_diagnosis () =
   let config = { Config.default with Config.initial_pages = 2 } in
   let mem, gc, _ = make_gc ~config ~pages:4 () in
@@ -570,6 +603,8 @@ let () =
           Alcotest.test_case "marker survives read faults" `Quick test_mark_survives_read_faults;
           Alcotest.test_case "write decay quarantines and retries" `Quick
             test_write_decay_quarantines_and_retries;
+          Alcotest.test_case "zeroing faults on decay after the plan" `Quick
+            test_zeroing_faults_on_decay_after_the_plan;
           Alcotest.test_case "oom diagnosis: memory decayed" `Quick test_memory_decayed_diagnosis;
           Alcotest.test_case "explicit absorbs commit faults" `Quick
             test_explicit_absorbs_commit_fault;

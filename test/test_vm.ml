@@ -177,30 +177,21 @@ let test_bitset_union () =
   check bool "2 in union" true (Bitset.mem a 2);
   check bool "b unchanged" false (Bitset.mem b 1)
 
-let test_bitset_range_queries () =
-  let s = Bitset.create 100 in
-  Bitset.add s 40;
-  check int "next_clear skips member" 41 (Bitset.next_clear s 40)
-
 let test_bitset_bounds () =
   let s = Bitset.create 10 in
   Alcotest.check_raises "out of range" (Invalid_argument "Bitset: index 10 out of [0,10)")
     (fun () -> Bitset.add s 10)
 
 (* The storage word is 62 bits, so indexes 61/62 and 123/124 sit on
-   word boundaries — where the word-masked range scans and iterators
-   have their edge cases. *)
+   word boundaries — where the word-wise iterators and kernels have
+   their edge cases. *)
 let test_bitset_word_boundaries () =
   let s = Bitset.create 125 in
   List.iter (Bitset.add s) [ 61; 62; 123; 124 ];
   check bool "61 member" true (Bitset.mem s 61);
   check bool "62 member" true (Bitset.mem s 62);
   check bool "60 not member" false (Bitset.mem s 60);
-  check bool "63 not member" false (Bitset.mem s 63);
-  check int "next_clear runs over the boundary" 63 (Bitset.next_clear s 61);
-  check int "next_clear at a clear index" 63 (Bitset.next_clear s 63);
-  check int "next_clear exhausted at n" (-1) (Bitset.next_clear s 123);
-  check int "next_clear from the last index" (-1) (Bitset.next_clear s 124)
+  check bool "63 not member" false (Bitset.mem s 63)
 
 let test_bitset_word_iter () =
   let n = 130 in
@@ -629,7 +620,6 @@ let () =
           Alcotest.test_case "sweep" `Quick test_bitset_sweep;
           Alcotest.test_case "iter order" `Quick test_bitset_iter_order;
           Alcotest.test_case "union" `Quick test_bitset_union;
-          Alcotest.test_case "range queries" `Quick test_bitset_range_queries;
           Alcotest.test_case "bounds" `Quick test_bitset_bounds;
           Alcotest.test_case "word boundaries" `Quick test_bitset_word_boundaries;
           Alcotest.test_case "word-level iterators" `Quick test_bitset_word_iter;
