@@ -76,10 +76,21 @@ type t = {
       (* the fault boundary: while it arms read faults, range scans take
          the guarded loop, which probes it per word *)
   mutable reads_armed : bool;  (** [Mem.read_faults_armed mem] at the start of the trace *)
-  mutable stack : int array; (* object base addresses *)
-  mutable sp : int;
+  mutable stack : int array;
+      (* entries are (base, extent) pairs in consecutive slots; see [push] *)
+  mutable sp : int;  (** the next free slot: twice the entry count *)
+  mutable room : int;  (** slots [push] may fill inline: [min (length stack) (2 * stack_limit)] *)
   mutable overflowed : bool;
   stack_limit : int;  (** [Config.mark_stack_limit]; [max_int] = unbounded *)
+  (* The trace's tallies, added to [stats] once as the trace ends
+     ([flush_tallies]).  Only header-cache misses are counted: every
+     in-heap word classified is exactly one valid or false reference,
+     so the hits are [n_valid + n_false - n_misses]. *)
+  mutable n_words : int;
+  mutable n_valid : int;
+  mutable n_false : int;
+  mutable n_marked : int;
+  mutable n_misses : int;
   (* Scan scalars hoisted out of the per-word path.  All are immutable
      copies of configuration/heap geometry that cannot change while the
      marker exists. *)
@@ -100,8 +111,8 @@ type t = {
   (* One-entry header cache (Boehm's HDR cache): the descriptor row of
      the page hit by the previous heap reference.  Scanned pointers
      cluster heavily by page, so most lookups avoid even the flat-table
-     loads.  It serves classification only — [scan_object] reads the
-     descriptor directly, so popping an object never evicts the row its
+     loads.  It serves classification only — a popped object's extent
+     rides on its stack entry, so popping never evicts the row its
      children's lookups want.  [cache_page = -1] means empty;
      invalidated whenever the page table may have changed under us (at
      the start of every [trace]).  The row's bitmap words are pointer
@@ -116,6 +127,7 @@ type t = {
   mutable cache_recip_mul : int;
   mutable cache_recip_shift : int;
   mutable cache_head : int;
+  mutable cache_extent : int;  (** what a small object of the row is pushed with *)
   mutable cache_words_page : int;  (** the page whose words the next two hold; -1 none *)
   mutable cache_alloc : int array;  (** the row's alloc bitmap words ([Bitset.t.words]) *)
   mutable cache_mark : int array;  (** the row's mark bitmap words *)
@@ -124,7 +136,14 @@ type t = {
 
 exception Stopped
 
+(* The slots [push] may fill before its slow path must grow the stack or
+   count an overflow.  [2 * limit] would wrap negative at [max_int]. *)
+let room_of stack limit =
+  if limit >= Array.length stack / 2 then Array.length stack else 2 * limit
+
 let create ?(stop_on_fault = false) heap config blacklist stats =
+  let stack = Array.make 2048 0 in
+  let stack_limit = Option.value config.Config.mark_stack_limit ~default:max_int in
   {
     stop_on_fault;
     heap;
@@ -133,10 +152,16 @@ let create ?(stop_on_fault = false) heap config blacklist stats =
     stats;
     mem = Heap.mem heap;
     reads_armed = false;
-    stack = Array.make 1024 0;
+    stack;
     sp = 0;
+    room = room_of stack stack_limit;
     overflowed = false;
-    stack_limit = Option.value config.Config.mark_stack_limit ~default:max_int;
+    stack_limit;
+    n_words = 0;
+    n_valid = 0;
+    n_false = 0;
+    n_marked = 0;
+    n_misses = 0;
     desc = Heap.desc heap;
     heap_seg = Heap.segment heap;
     heap_bytes = Segment.unsafe_bytes (Heap.segment heap);
@@ -168,27 +193,47 @@ let create ?(stop_on_fault = false) heap config blacklist stats =
     cache_recip_mul = 0;
     cache_recip_shift = 0;
     cache_head = 0;
+    cache_extent = 0;
     cache_words_page = -1;
     cache_alloc = [||];
     cache_mark = [||];
   }
 
-let push t base =
-  if t.sp >= t.stack_limit then begin
+(* A stack entry is an object's base and its extent: a conservative
+   small object's byte length (> 0), scanned inline by [drain]; 0 for a
+   pointer-free object, whose pop does nothing; or [described] for an
+   object [scan_object] scans from its descriptor row (typed and large
+   objects).  Pointer-free objects are pushed all the same, so a
+   bounded stack overflows at the same points whatever the layouts. *)
+let described = -1
+
+let push_slow t base extent =
+  if t.sp lsr 1 >= t.stack_limit then begin
     (* the object IS marked; its children will be found by the
        overflow-recovery rescan *)
     if not t.overflowed then t.stats.Stats.mark_stack_overflows <- t.stats.Stats.mark_stack_overflows + 1;
     t.overflowed <- true
   end
   else begin
-    if t.sp = Array.length t.stack then begin
-      let bigger = Array.make (2 * Array.length t.stack) 0 in
-      Array.blit t.stack 0 bigger 0 t.sp;
-      t.stack <- bigger
-    end;
-    t.stack.(t.sp) <- base;
-    t.sp <- t.sp + 1
+    let bigger = Array.make (2 * Array.length t.stack) 0 in
+    Array.blit t.stack 0 bigger 0 t.sp;
+    t.stack <- bigger;
+    t.room <- room_of bigger t.stack_limit;
+    bigger.(t.sp) <- base;
+    bigger.(t.sp + 1) <- extent;
+    t.sp <- t.sp + 2
   end
+
+(* [sp] and [room] are even and [room <= length stack]. *)
+let[@inline] push t base extent =
+  let sp = t.sp in
+  if sp < t.room then begin
+    let stack = t.stack in
+    Array.unsafe_set stack sp base;
+    Array.unsafe_set stack (sp + 1) extent;
+    t.sp <- sp + 2
+  end
+  else push_slow t base extent
 
 (* --- the fast path ------------------------------------------------- *)
 
@@ -219,13 +264,20 @@ let () = assert (bits_per_word = Bitset.bits_per_word)
 (* Fill the header cache with page's descriptor row, its int columns:
    straight-line loads from the flat table, no variant match, no
    allocation, no write barrier.  [page] is in range by construction
-   ([consider_heap] bounds-checks the address, and the descriptor arrays
-   span every reserved page). *)
+   (every caller bounds-checks the address, and the descriptor arrays
+   span every reserved page).  The scan byte becomes the extent a small
+   object of the row is pushed with. *)
 let load_header t page =
   let d = t.desc in
+  let object_bytes = Array.unsafe_get d.Heap.d_object_bytes page in
   t.cache_page <- page;
   t.cache_kind <- Char.code (Bytes.unsafe_get d.Heap.d_kind page);
-  t.cache_object_bytes <- Array.unsafe_get d.Heap.d_object_bytes page;
+  t.cache_object_bytes <- object_bytes;
+  t.cache_extent <-
+    (match Bytes.unsafe_get d.Heap.d_scan page with
+    | '\000' -> object_bytes
+    | '\001' -> 0
+    | _ -> described);
   t.cache_first_offset <- Array.unsafe_get d.Heap.d_first_offset page;
   t.cache_n_objects <- Array.unsafe_get d.Heap.d_n_objects page;
   t.cache_recip_mul <- Array.unsafe_get d.Heap.d_recip_mul page;
@@ -240,10 +292,10 @@ let cache_words t page =
   t.cache_mark <- (Array.unsafe_get d.Heap.d_mark page).Bitset.words
 
 let[@inline] note_false t page =
-  t.stats.Stats.false_refs <- t.stats.Stats.false_refs + 1;
+  t.n_false <- t.n_false + 1;
   if t.blacklisting then Blacklist.note t.blacklist page
 
-let[@inline] note_valid t = t.stats.Stats.valid_refs <- t.stats.Stats.valid_refs + 1
+let[@inline] note_valid t = t.n_valid <- t.n_valid + 1
 
 (* Classify-and-mark fused, against the cached descriptor row of [page]
    and its bitmap words [alloc_words] and [mark_words].  Mirrors
@@ -271,8 +323,8 @@ let[@inline] classify_row t value page alloc_words mark_words =
         let marks = Array.unsafe_get mark_words w in
         if marks land bit = 0 then begin
           Array.unsafe_set mark_words w (marks lor bit);
-          t.stats.Stats.objects_marked <- t.stats.Stats.objects_marked + 1;
-          push t (value - displacement)
+          t.n_marked <- t.n_marked + 1;
+          push t (value - displacement) t.cache_extent
         end
       end
       else note_false t page
@@ -287,8 +339,8 @@ let[@inline] classify_row t value page alloc_words mark_words =
         note_valid t;
         if not l.Page.l_marked then begin
           l.Page.l_marked <- true;
-          t.stats.Stats.objects_marked <- t.stats.Stats.objects_marked + 1;
-          push t (value - off)
+          t.n_marked <- t.n_marked + 1;
+          push t (value - off) described
         end
       end
       else note_false t page
@@ -308,8 +360,8 @@ let[@inline] classify_row t value page alloc_words mark_words =
         note_valid t;
         if not l.Page.l_marked then begin
           l.Page.l_marked <- true;
-          t.stats.Stats.objects_marked <- t.stats.Stats.objects_marked + 1;
-          push t head_addr
+          t.n_marked <- t.n_marked + 1;
+          push t head_addr described
         end
       end
       else note_false t page
@@ -317,26 +369,28 @@ let[@inline] classify_row t value page alloc_words mark_words =
   end
   else (* Free / Uncommitted *) note_false t page
 
-(* One scanned word: a hit of the header cache classifies against the
-   cached row (caching its words on the first hit), a miss loads the
-   row's int columns and reads the words from the table.  Does NOT
-   count the word into [words_scanned] — range scans batch that per
-   range. *)
-let consider_heap t value =
-  if value >= t.heap_lo && value < t.heap_hi then begin
-    let page = (value - t.heap_lo) lsr t.page_shift in
-    if page = t.cache_page then begin
-      t.stats.Stats.header_cache_hits <- t.stats.Stats.header_cache_hits + 1;
-      if t.cache_words_page <> page then cache_words t page;
-      classify_row t value page t.cache_alloc t.cache_mark
-    end
-    else begin
-      load_header t page;
-      let d = t.desc in
-      classify_row t value page (Array.unsafe_get d.Heap.d_alloc page).Bitset.words
-        (Array.unsafe_get d.Heap.d_mark page).Bitset.words
-    end
+(* One scanned word inside [heap_lo, heap_hi): a hit of the header
+   cache classifies against the cached row (caching its words on the
+   first hit), a miss loads the row's int columns and reads the words
+   from the table.  The scan loops test the bounds inline, so a word
+   outside the heap costs no call.  Does NOT count the word into
+   [n_words] — scans batch that per range. *)
+let classify_in_heap t value =
+  let page = (value - t.heap_lo) lsr t.page_shift in
+  if page = t.cache_page then begin
+    if t.cache_words_page <> page then cache_words t page;
+    classify_row t value page t.cache_alloc t.cache_mark
   end
+  else begin
+    t.n_misses <- t.n_misses + 1;
+    load_header t page;
+    let d = t.desc in
+    classify_row t value page (Array.unsafe_get d.Heap.d_alloc page).Bitset.words
+      (Array.unsafe_get d.Heap.d_mark page).Bitset.words
+  end
+
+let[@inline] consider_heap t value =
+  if value >= t.heap_lo && value < t.heap_hi then classify_in_heap t value
 
 (* Guarded variant of the range scan, entered only while a fault plan
    arms reads: every word is probed against the plan first, and a word
@@ -371,22 +425,23 @@ let scan_words_guarded t seg ~lo ~hi =
    loop-iteration count in closed form, added once. *)
 let scan_span t seg bytes ~sbase ~little ~lo ~hi =
   if lo + 4 <= hi then begin
-    t.stats.Stats.words_scanned <-
-      t.stats.Stats.words_scanned + (((hi - 4 - lo) lsr t.alignment_shift) + 1);
+    t.n_words <- t.n_words + (((hi - 4 - lo) lsr t.alignment_shift) + 1);
     if t.reads_armed then scan_words_guarded t seg ~lo ~hi
     else begin
-      let alignment = t.alignment in
+      let alignment = t.alignment and heap_lo = t.heap_lo and heap_hi = t.heap_hi in
       if little then begin
         let a = ref lo in
         while !a + 4 <= hi do
-          consider_heap t (word_le bytes (!a - sbase));
+          let v = word_le bytes (!a - sbase) in
+          if v >= heap_lo && v < heap_hi then classify_in_heap t v;
           a := !a + alignment
         done
       end
       else begin
         let a = ref lo in
         while !a + 4 <= hi do
-          consider_heap t (word_be bytes (!a - sbase));
+          let v = word_be bytes (!a - sbase) in
+          if v >= heap_lo && v < heap_hi then classify_in_heap t v;
           a := !a + alignment
         done
       end
@@ -403,11 +458,13 @@ let scan_words t seg ~lo ~hi =
 
 (* Scan the words of a marked object, reading its size and layout
    straight from the descriptor row (not through the header cache) and
-   its words straight from the heap segment.  The object's base is
-   granule-aligned, hence on every alignment grid, and inside the heap;
-   the one bounds check left is its end against the segment's limit.  A
-   page that is no longer Small or Large_head was retired between the
-   push and the pop and has nothing left to scan. *)
+   its words straight from the heap segment: the pop of a [described]
+   entry (typed and large objects), every pop while reads are armed,
+   and the overflow rescan.  The object's base is granule-aligned, hence
+   on every alignment grid, and inside the heap; the one bounds check
+   left is its end against the segment's limit.  A page that is no
+   longer Small or Large_head was retired between the push and the pop
+   and has nothing left to scan. *)
 let scan_object t base =
   let d = t.desc in
   let page = (base - t.heap_lo) lsr t.page_shift in
@@ -430,11 +487,60 @@ let scan_object t base =
   end
   else t.stats.Stats.mark_downgrades <- t.stats.Stats.mark_downgrades + 1
 
-let drain t =
+(* Pop until the stack is empty.  A conservative entry's words are
+   scanned right here, in one loop per byte order: the object lies
+   inside a small page, hence inside the heap segment, and its extent is
+   at least one word.  Classifying a word may push, and growing the
+   stack replaces [t.stack], so every pop reads it afresh. *)
+let drain_le t =
+  let bytes = t.heap_bytes and heap_lo = t.heap_lo and heap_hi = t.heap_hi in
+  let alignment = t.alignment and shift = t.alignment_shift in
   while t.sp > 0 do
-    t.sp <- t.sp - 1;
-    scan_object t t.stack.(t.sp)
+    let sp = t.sp - 2 in
+    t.sp <- sp;
+    let base = Array.unsafe_get t.stack sp and extent = Array.unsafe_get t.stack (sp + 1) in
+    if extent > 0 then begin
+      t.n_words <- t.n_words + ((extent - 4) lsr shift) + 1;
+      let last = base + extent - 4 in
+      let a = ref base in
+      while !a <= last do
+        let v = word_le bytes (!a - heap_lo) in
+        if v >= heap_lo && v < heap_hi then classify_in_heap t v;
+        a := !a + alignment
+      done
+    end
+    else if extent < 0 then scan_object t base
   done
+
+let drain_be t =
+  let bytes = t.heap_bytes and heap_lo = t.heap_lo and heap_hi = t.heap_hi in
+  let alignment = t.alignment and shift = t.alignment_shift in
+  while t.sp > 0 do
+    let sp = t.sp - 2 in
+    t.sp <- sp;
+    let base = Array.unsafe_get t.stack sp and extent = Array.unsafe_get t.stack (sp + 1) in
+    if extent > 0 then begin
+      t.n_words <- t.n_words + ((extent - 4) lsr shift) + 1;
+      let last = base + extent - 4 in
+      let a = ref base in
+      while !a <= last do
+        let v = word_be bytes (!a - heap_lo) in
+        if v >= heap_lo && v < heap_hi then classify_in_heap t v;
+        a := !a + alignment
+      done
+    end
+    else if extent < 0 then scan_object t base
+  done
+
+(* While reads are armed every pop takes the guarded [scan_object]. *)
+let drain t =
+  if t.reads_armed then
+    while t.sp > 0 do
+      t.sp <- t.sp - 2;
+      scan_object t (Array.unsafe_get t.stack t.sp)
+    done
+  else if t.heap_little then drain_le t
+  else drain_be t
 
 let scan_range t ~mem range =
   let { Roots.lo; hi; label = _ } = range in
@@ -461,30 +567,49 @@ let recover_from_overflow t =
         drain t)
   done
 
+let trace_roots t roots ~mem extra =
+  let scan range =
+    scan_range t ~mem range;
+    drain t
+  in
+  List.iter
+    (fun (_, values) ->
+      Array.iter
+        (fun v ->
+          t.n_words <- t.n_words + 1;
+          consider_heap t v;
+          drain t)
+        values)
+    (Roots.current_registers roots);
+  List.iter scan (Roots.current_ranges roots);
+  List.iter scan extra;
+  recover_from_overflow t
+
+let flush_tallies t =
+  let s = t.stats in
+  s.Stats.words_scanned <- s.Stats.words_scanned + t.n_words;
+  s.Stats.valid_refs <- s.Stats.valid_refs + t.n_valid;
+  s.Stats.false_refs <- s.Stats.false_refs + t.n_false;
+  s.Stats.objects_marked <- s.Stats.objects_marked + t.n_marked;
+  s.Stats.header_cache_hits <- s.Stats.header_cache_hits + t.n_valid + t.n_false - t.n_misses;
+  t.n_words <- 0;
+  t.n_valid <- 0;
+  t.n_false <- 0;
+  t.n_marked <- 0;
+  t.n_misses <- 0
+
 let trace ?(extra = []) t roots ~mem =
   t.sp <- 0;
   t.overflowed <- false;
   t.cache_page <- -1;
   t.cache_words_page <- -1;
   t.reads_armed <- Mem.read_faults_armed t.mem;
-  let scan range =
-    scan_range t ~mem range;
-    drain t
-  in
-  try
-    List.iter
-      (fun (_, values) ->
-        Array.iter
-          (fun v ->
-            t.stats.Stats.words_scanned <- t.stats.Stats.words_scanned + 1;
-            consider_heap t v;
-            drain t)
-          values)
-      (Roots.current_registers roots);
-    List.iter scan (Roots.current_ranges roots);
-    List.iter scan extra;
-    recover_from_overflow t
-  with Stopped -> ()
+  match trace_roots t roots ~mem extra with
+  | () | (exception Stopped) -> flush_tallies t
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      flush_tallies t;
+      Printexc.raise_with_backtrace e bt
 
 let run t roots ~mem =
   Heap.clear_marks t.heap;

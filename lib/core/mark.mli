@@ -20,8 +20,10 @@
     pointer words alone.
 
     One serial trace kernel serves every collection, {!Precise} included
-    (on a marker of its own with an exact classifier): flat
-    page-descriptor rows from {!Heap.desc} read directly per object, a
+    (on a marker of its own with an exact classifier): mark-stack entries
+    that carry each object's scan extent (a conservative small object's
+    words are scanned without a descriptor load, a pointer-free one not
+    at all), flat page-descriptor rows from {!Heap.desc} for the rest, a
     one-entry header cache for classification, reciprocal object
     indexing, closure-free endianness-specialized scan loops of 32-bit
     loads, displacement bitmasks.  {!run} is the full mark phase;
@@ -66,7 +68,9 @@ val trace : ?extra:Roots.range list -> t -> Roots.t -> mem:Mem.t -> unit
     generational minor pre-marks its old pages and passes their dirty
     objects as [extra].  Overflow recovery rescans every marked object,
     pre-marked ones included.  Does not clear marks or open a blacklist
-    cycle. *)
+    cycle.  The trace's [words_scanned], [valid_refs], [false_refs],
+    [objects_marked] and [header_cache_hits] reach its {!Stats.t} once,
+    as it ends, normally or by an exception. *)
 
 (** The parallel tracer: N marker domains, each with a private
     Chase-Lev mark stack ({!Cgc_vm.Ws_deque}) and a private one-entry

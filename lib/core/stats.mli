@@ -8,7 +8,9 @@
     The trace-phase counters ([words_scanned], [valid_refs],
     [false_refs], [objects_marked], [header_cache_hits],
     [mark_stack_overflows], [mark_downgrades]) count every run of the
-    trace kernel, {!Generational} minor collections included.  A minor
+    trace kernel, {!Generational} minor collections included.  The
+    serial kernel adds the first five once per trace, as the trace ends,
+    so they do not move while it runs.  A minor
     starts with its old objects already marked, so its
     [objects_marked] counts the young objects it marked, and its
     [valid_refs] includes references to old objects. *)
@@ -26,8 +28,8 @@ type t = {
   mutable header_cache_hits : int;
       (** classification lookups answered by the marker's one-entry page
           cache: at most one per in-heap candidate, so never more than
-          [valid_refs + false_refs].  Object scans read the page
-          descriptor directly and are not counted. *)
+          [valid_refs + false_refs].  Popping an object to scan it is not
+          a lookup and is not counted. *)
   mutable bytes_allocated : int;  (** cumulative *)
   mutable objects_allocated : int;
   mutable bytes_freed : int;

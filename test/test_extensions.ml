@@ -618,34 +618,50 @@ let test_debug_double_free () =
 
 (* --- bounded mark stack --- *)
 
+(* The same wide heap under a 16-entry stack, which overflows, and an
+   unbounded one, which must grow: the 3000-field array pushes 3000
+   entries in one scan, past the stack's first block of 1024.  Its
+   leaves each hold the only pointer to a child, so an entry lost while
+   the stack grows leaves a child unmarked. *)
 let test_mark_stack_overflow_recovery () =
-  let config =
-    { Config.default with Config.initial_pages = 16; mark_stack_limit = Some 16 }
-  in
-  let _, globals, gc = make_env ~config () in
-  (* a wide structure: the mark stack must hold many siblings at once *)
-  let fan = 400 in
-  let arrays = 10 in
-  let n = ref 0 in
-  for i = 0 to arrays - 1 do
-    let root = Gc.allocate gc (4 * fan) in
-    incr n;
-    for f = 0 to fan - 1 do
-      let leaf = Gc.allocate gc 8 in
+  List.iter
+    (fun limit ->
+      let config = { Config.default with Config.initial_pages = 16; mark_stack_limit = limit } in
+      let _, globals, gc = make_env ~config () in
+      (* a wide structure: the mark stack must hold many siblings at once *)
+      let fan = 400 in
+      let arrays = 10 in
+      let n = ref 0 in
+      for i = 0 to arrays - 1 do
+        let root = Gc.allocate gc (4 * fan) in
+        incr n;
+        for f = 0 to fan - 1 do
+          let leaf = Gc.allocate gc 8 in
+          incr n;
+          Gc.set_field gc root f (Addr.to_int leaf)
+        done;
+        set_slot globals i (Addr.to_int root)
+      done;
+      let wide = Gc.allocate gc (4 * 3000) in
       incr n;
-      Gc.set_field gc root f (Addr.to_int leaf)
-    done;
-    set_slot globals i (Addr.to_int root)
-  done;
-  Gc.collect gc;
-  check bool "overflow happened" true ((Gc.stats gc).Cgc.Stats.mark_stack_overflows >= 1);
-  check int "every object survived despite overflow" !n (Gc.stats gc).Cgc.Stats.live_objects;
-  (* and garbage is still collected correctly *)
-  for i = 0 to arrays - 1 do
-    set_slot globals i 0
-  done;
-  Gc.collect gc;
-  check int "all reclaimed" 0 (Gc.stats gc).Cgc.Stats.live_objects
+      for f = 0 to 2999 do
+        let leaf = Gc.allocate gc 8 and child = Gc.allocate gc 8 in
+        n := !n + 2;
+        Gc.set_field gc leaf 0 (Addr.to_int child);
+        Gc.set_field gc wide f (Addr.to_int leaf)
+      done;
+      set_slot globals arrays (Addr.to_int wide);
+      Gc.collect gc;
+      let overflows = (Gc.stats gc).Cgc.Stats.mark_stack_overflows in
+      check bool "overflow happened iff bounded" (limit <> None) (overflows >= 1);
+      check int "every object survived" !n (Gc.stats gc).Cgc.Stats.live_objects;
+      (* and garbage is still collected correctly *)
+      for i = 0 to arrays do
+        set_slot globals i 0
+      done;
+      Gc.collect gc;
+      check int "all reclaimed" 0 (Gc.stats gc).Cgc.Stats.live_objects)
+    [ Some 16; None ]
 
 let test_mark_overflow_matches_unbounded () =
   (* same random graph, bounded vs unbounded stacks: identical liveness *)

@@ -1074,6 +1074,38 @@ let test_sweep_allocates_nothing () =
   check bool (Printf.sprintf "fixed cost (%d words) is the tally and result only" fixed) true
     (fixed <= 16)
 
+(* The trace allocates nothing per object or per scanned word: a second
+   mark of ~4000 live chained cells, every fourth also naming a
+   pointer-free leaf, costs exactly the minor words of marking an empty
+   heap — the per-trace root lists and iterators, a fixed handful.  The
+   per-trace tally flush adds no closure either. *)
+let test_mark_allocates_nothing () =
+  let mark_words gc =
+    Gc.Internal.run_mark gc;
+    let marked0 = (Gc.stats gc).Stats.objects_marked in
+    let w0 = Stdlib.Gc.minor_words () in
+    let w1 = Stdlib.Gc.minor_words () in
+    Gc.Internal.run_mark gc;
+    let w2 = Stdlib.Gc.minor_words () in
+    ((Gc.stats gc).Stats.objects_marked - marked0, int_of_float (w2 -. w1 -. (w1 -. w0)))
+  in
+  let _, _, empty = make_env () in
+  let _, globals, busy = make_env ~heap_kb:1024 () in
+  let head = Gc.allocate busy 8 in
+  let prev = ref head in
+  for i = 2 to 4000 do
+    let c = Gc.allocate busy 8 in
+    Gc.set_field busy !prev 0 (Addr.to_int c);
+    if i mod 4 = 0 then
+      Gc.set_field busy c 1 (Addr.to_int (Gc.allocate ~pointer_free:true busy 12));
+    prev := c
+  done;
+  set_slot globals 0 (Addr.to_int head);
+  let _, fixed = mark_words empty in
+  let marked, words = mark_words busy in
+  check int "every cell and leaf marked" 5000 marked;
+  check int "minor words: busy heap = empty heap" fixed words
+
 let test_live_bytes_accounting () =
   let _, globals, gc = make_env () in
   let a = Gc.allocate gc 24 in
@@ -1351,6 +1383,8 @@ let test_precise_mark_abort_and_restore () =
   ignore dead;
   Mem.set_fault_plan mem
     (Some (Mem.Fault.plan ~countdown:1 ~rearm:true ~target:Mem.Fault.Reads ()));
+  let s = Gc.stats gc in
+  let words0 = s.Stats.words_scanned in
   let aborted =
     try
       Precise.collect p;
@@ -1358,8 +1392,9 @@ let test_precise_mark_abort_and_restore () =
     with Precise.Mark_aborted -> true
   in
   check bool "mark aborted under rearming read faults" true aborted;
+  (* the trace's tallies reach [Stats] on the stopped exit too *)
+  check bool "the aborted trace's scanned words counted" true (s.Stats.words_scanned > words0);
   Mem.set_fault_plan mem None;
-  let s = Gc.stats gc in
   check int "abort counted" 1 s.Stats.precise_mark_aborts;
   check bool "aborted cycle completed no collection" true (s.Stats.precise_collections = 0);
   check (Alcotest.list Alcotest.string) "heap coherent after abort" []
@@ -1496,10 +1531,12 @@ let test_stats_counters () =
    lookup would also count as a hit and push the ratio towards 2.  Two
    uncommitted-region words in the globals add false references.  Both
    tracers keep the count: a serial collection and a two-domain parallel
-   mark. *)
+   mark.  The serial trace derives its hits from its misses
+   ([valid + false - misses]); its count is pinned to the 4088 the
+   kernel counted hit by hit before that. *)
 let test_stats_header_cache_hits_per_lookup () =
   List.iter
-    (fun (label, mark) ->
+    (fun (label, mark, exact) ->
       let _, globals, gc = make_env () in
       let n = 4096 in
       let head = Gc.allocate gc 8 in
@@ -1521,12 +1558,15 @@ let test_stats_header_cache_hits_per_lookup () =
       and classified = s.Stats.valid_refs - valid0 + (s.Stats.false_refs - false0) in
       check bool (label ^ ": every cell was classified") true (classified >= n);
       check bool (label ^ ": the cache hit") true (hits > 0);
+      Option.iter (fun e -> check int (label ^ ": hit count") e hits) exact;
       if hits > classified then
         Alcotest.failf "%s: %d header-cache hits over %d classified references" label hits
           classified)
     [
-      ("serial collect", Gc.collect);
-      ("parallel mark, jobs=2", fun gc -> ignore (Gc.Internal.run_mark_parallel gc ~jobs:2));
+      ("serial collect", Gc.collect, Some 4088);
+      ( "parallel mark, jobs=2",
+        (fun gc -> ignore (Gc.Internal.run_mark_parallel gc ~jobs:2)),
+        None );
     ]
 
 (* [merge_marking] is a *transfer*: it folds a shard's trace counters
@@ -1711,6 +1751,8 @@ let () =
           Alcotest.test_case "hit path allocates nothing" `Quick test_hit_allocation_allocates_nothing;
           Alcotest.test_case "sweep allocates nothing per object" `Quick
             test_sweep_allocates_nothing;
+          Alcotest.test_case "mark allocates nothing per object" `Quick
+            test_mark_allocates_nothing;
           Alcotest.test_case "trim" `Quick test_trim_returns_trailing_pages;
         ] );
       ( "free-list",

@@ -7,7 +7,8 @@
    push and overflow recovery.  Mark bitmaps, blacklisted pages and the
    marking statistics must be bit-identical — across alignments 1/2/4,
    interior pointers on/off, registered displacement lists, bounded
-   mark stacks (overflow recovery) and hashed blacklists.
+   mark stacks (overflow recovery), hashed blacklists and pointer-free
+   leaves among the scanned objects.
    [Stats.header_cache_hits] is excluded: only the fast path has a
    header cache.  The generational minor collection runs on the same
    kernel; its young scope is pinned against a test-side walker.  The
@@ -24,6 +25,7 @@ module Stats = Cgc.Stats
 
 type scenario = {
   s_sizes : int array;  (* words per object *)
+  s_leaves : bool array;  (* allocated [~pointer_free:true] *)
   s_edges : (int * int * int) list;  (* (src, field, dst) *)
   s_roots : int list;
   s_junk : int list;  (* raw word values written into the root segment *)
@@ -57,6 +59,9 @@ let scenario_gen =
   QCheck.Gen.(
     int_range 2 30 >>= fun n ->
     array_size (return n) (frequency [ (9, int_range 1 6); (1, return 1500) ]) >>= fun sizes ->
+    (* a quarter are leaves: pushed and popped like any object, never
+       scanned, so their fields' pointers must not mark *)
+    array_size (return n) (frequency [ (3, return false); (1, return true) ]) >>= fun leaves ->
     list_size (int_bound (2 * n)) (triple (int_bound (n - 1)) (int_bound 3) (int_bound (n - 1)))
     >>= fun raw_edges ->
     (* sometimes every object is a root: one root-range scan then pushes
@@ -81,6 +86,7 @@ let scenario_gen =
     return
       {
         s_sizes = sizes;
+        s_leaves = leaves;
         s_edges = edges;
         s_roots = roots;
         s_junk = junk;
@@ -99,7 +105,8 @@ let even_words words =
     ~pointer_offsets:(List.init ((words + 1) / 2) (fun k -> 8 * k))
 
 (* [typed]: every other object is allocated on a typed page, whose
-   odd words the marker never reads. *)
+   odd words the marker never reads; the leaves among the others are
+   pointer-free. *)
 let build ?(typed = false) s =
   let mem =
     Mem.create ~endian:(if s.s_big_endian then Endian.Big else Endian.Little) ()
@@ -125,7 +132,7 @@ let build ?(typed = false) s =
     Array.mapi
       (fun i words ->
         if typed && i mod 2 = 0 then Gc.Internal.allocate_typed gc (even_words words)
-        else Gc.allocate gc (4 * words))
+        else Gc.allocate ~pointer_free:s.s_leaves.(i) gc (4 * words))
       s.s_sizes
   in
   List.iter (fun (src, f, dst) -> Gc.set_field gc objs.(src) f (Addr.to_int objs.(dst))) s.s_edges;
@@ -165,9 +172,11 @@ let mark_state gc =
 
 let scenario_print s =
   Printf.sprintf
-    "objects=%d edges=%d roots=%d junk=%d bytes=%d align=%d interior=%b disps=[%s] limit=%s \
-     hashed=%b big=%b"
-    (Array.length s.s_sizes) (List.length s.s_edges) (List.length s.s_roots)
+    "objects=%d leaves=%d edges=%d roots=%d junk=%d bytes=%d align=%d interior=%b disps=[%s] \
+     limit=%s hashed=%b big=%b"
+    (Array.length s.s_sizes)
+    (Array.fold_left (fun n leaf -> if leaf then n + 1 else n) 0 s.s_leaves)
+    (List.length s.s_edges) (List.length s.s_roots)
     (List.length s.s_junk) (String.length s.s_bytes) s.s_alignment s.s_interior
     (String.concat ";" (List.map string_of_int s.s_disps))
     (match s.s_limit with None -> "none" | Some l -> string_of_int l)
