@@ -290,9 +290,10 @@ let run_analyze scenario selfcheck starvation fix collector json verbose =
       else None
     in
     if json then begin
-      Format.printf "{\"scenarios\":[%a]"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
+      (* one scenario per line, so a moved figure is one changed line *)
+      let lines pp = Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@\n") pp in
+      Format.printf "{\"scenarios\":[@\n%a]"
+        (lines
            (fun ppf (o : A.Scenarios.outcome) ->
              A.Report.json
                ~name:o.A.Scenarios.o_name
@@ -300,15 +301,10 @@ let run_analyze scenario selfcheck starvation fix collector json verbose =
                ppf o.A.Scenarios.o_analysis))
         outcomes;
       (match matrix with
-      | Some m -> Format.printf ",\"starvation_matrix\":%a" A.Report.json_matrix m
+      | Some m -> Format.printf ",@\n\"starvation_matrix\":%a" A.Report.json_matrix m
       | None -> ());
       (match gen with
-      | Some g ->
-          Format.printf ",\"gen_fixes\":[%a]"
-            (Format.pp_print_list
-               ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-               json_gen_entry)
-            g
+      | Some g -> Format.printf ",@\n\"gen_fixes\":[@\n%a]" (lines json_gen_entry) g
       | None -> ());
       Format.printf "}@.%!";
       match gen with
