@@ -9,8 +9,7 @@
 
    Sections: table1 fig1 fig34 stack-clearing structures
              large-object dual-run fragmentation generational
-             pcr-threads ablations overhead alloc mark resilience
-             starvation timing
+             pcr-threads ablations overhead alloc mark timing
 
    Flags: --paper-scale   full 25000-cell lists (slow)
           --seeds N       range over N seeds in table 1
@@ -21,17 +20,14 @@
                           figures against the summary F; exits 1 on
                           drift, when F is missing, or when F shares
                           no table1_* figure with the output
-          --collector C   restrict the resilience matrix to one backend
-                          (conservative | generational | explicit |
-                          precise | all)
           --jobs N        marker-domain sweep ceiling for the mark
                           section (default 4: measures jobs 1, 2, 4)
 
-   --seeds and --jobs take a positive integer; anything else exits 2. *)
+   --seeds and --jobs take a positive integer; anything else, or a
+   value flag with nothing after it, exits 2. *)
 
 open Cgc_vm
 module W = Cgc_workloads
-module A = Cgc_analysis
 
 let seed = 1993
 
@@ -351,52 +347,10 @@ let generational () =
             p.W.Generational_exp.cp_promoted_bytes)
         c.W.Generational_exp.c_points)
     [ W.Generational_exp.Clean; W.Generational_exp.Careless ];
-  (* the fix matrix: each R1/R2/R5 finding's suggested fix replayed
-     through a fresh generational collector, the measured promoted
-     garbage next to the promotion model's static prediction — the
-     analyzer's cross-validation claim for the second collector
-     architecture, so any drift is a failure here, like starvation *)
-  Format.printf
-    "@.  fix replay (promote_after %d)          | measured garbage     | predicted garbage@."
-    A.Scenarios.gen_promote_after;
-  Format.printf "  %s@." (String.make 86 '-');
-  let entries = A.Scenarios.generational_fixes () in
-  let ok = ref 0 in
-  List.iter
-    (fun (e : A.Scenarios.gen_fix_entry) ->
-      let c = e.A.Scenarios.g_cmp in
-      let pb = e.A.Scenarios.g_predicted_before in
-      let pa = e.A.Scenarios.g_predicted_after in
-      let agrees =
-        c.A.Replay.gcmp_reads_equal
-        && c.A.Replay.gcmp_garbage_drop > 0
-        && A.Promotion.agrees pb ~measured:c.A.Replay.gcmp_garbage_before
-        && A.Promotion.agrees pa ~measured:c.A.Replay.gcmp_garbage_after
-      in
-      if agrees then incr ok;
-      Format.printf "  %-24s %-12s | %7dB -> %7dB | %7dB -> %7dB  %s@.%!"
-        e.A.Scenarios.g_scenario
-        ("[" ^ e.A.Scenarios.g_rule ^ " fix]")
-        c.A.Replay.gcmp_garbage_before c.A.Replay.gcmp_garbage_after
-        pb.A.Promotion.pr_garbage_bytes pa.A.Promotion.pr_garbage_bytes
-        (if agrees then "agrees" else "DRIFT");
-      let key s = Printf.sprintf "gen_fix_%s_%s" e.A.Scenarios.g_scenario s in
-      json_int (key "garbage_before") c.A.Replay.gcmp_garbage_before;
-      json_int (key "garbage_after") c.A.Replay.gcmp_garbage_after;
-      json_int (key "predicted_before") pb.A.Promotion.pr_garbage_bytes;
-      json_int (key "predicted_after") pa.A.Promotion.pr_garbage_bytes;
-      json_bool (key "agrees") agrees)
-    entries;
-  json_int "gen_fix_targets" (List.length entries);
-  json_int "gen_fix_agree" !ok;
   Format.printf
     "@.paper: \"stray stack pointers can significantly lengthen the lifetime of some@.\
      objects, thus placing a ceiling on the effectiveness of generational@.\
-     collection\" — promoted garbage is garbage the minor collector never revisits.@.";
-  if !ok <> List.length entries || List.length entries < 4 then begin
-    Format.eprintf "generational: fix replay diverged from the promotion model@.";
-    exit 1
-  end
+     collection\" — promoted garbage is garbage the minor collector never revisits.@."
 
 (* ------------------------------------------------------------------ *)
 (* Footnote 3: blacklisting overhead                                   *)
@@ -759,150 +713,6 @@ let mark_throughput ~smoke ~jobs () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Memory-pressure resilience: the chaos matrix                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Every backend (conservative, generational, explicit) crossed with
-   every seeded fault plan — refused commits plus the read/write access
-   faults; the JSON carries the aggregated allocation-ladder rung and
-   access-fault counts, so a regression in graceful degradation (a rung
-   no longer reached, a read fault no longer downgraded, or OOM raised
-   where relaxation used to rescue) shows up as a diff. *)
-let resilience ~smoke ?collectors () =
-  section "Resilience"
-    "randomized mutator under injected commit/read/write faults (cross-collector chaos matrix)";
-  let steps = if smoke then 400 else 1500 in
-  let outcomes = W.Chaos.run_matrix ~steps ?collectors ~seed () in
-  List.iter (Format.printf "  %a@.%!" W.Chaos.pp_outcome) outcomes;
-  let dirty = List.filter (fun o -> not (W.Chaos.clean o)) outcomes in
-  let sum f = List.fold_left (fun acc o -> acc + f o) 0 outcomes in
-  let sum_s f = sum (fun o -> f o.W.Chaos.stats) in
-  Format.printf "@.  %d/%d scenario runs clean; %d faults injected, %d requests pushed to OOM@."
-    (List.length outcomes - List.length dirty)
-    (List.length outcomes)
-    (sum (fun o -> o.W.Chaos.faults_injected))
-    (sum (fun o -> o.W.Chaos.ooms_caught));
-  json_int "resilience_steps_per_run" steps;
-  json_int "resilience_runs" (List.length outcomes);
-  json_int "resilience_clean_runs" (List.length outcomes - List.length dirty);
-  json_int "resilience_faults_injected" (sum (fun o -> o.W.Chaos.faults_injected));
-  json_int "resilience_ooms_caught" (sum (fun o -> o.W.Chaos.ooms_caught));
-  json_int "resilience_blacklist_overrides" (sum (fun o -> o.W.Chaos.overrides));
-  json_int "resilience_ladder_collects" (sum_s (fun s -> s.Cgc.Stats.ladder_collects));
-  json_int "resilience_ladder_trims" (sum_s (fun s -> s.Cgc.Stats.ladder_trims));
-  json_int "resilience_ladder_expansions" (sum_s (fun s -> s.Cgc.Stats.ladder_expansions));
-  json_int "resilience_ladder_backoffs" (sum_s (fun s -> s.Cgc.Stats.ladder_backoffs));
-  json_int "resilience_ladder_relax_first_page"
-    (sum_s (fun s -> s.Cgc.Stats.ladder_relax_first_page));
-  json_int "resilience_ladder_relax_black" (sum_s (fun s -> s.Cgc.Stats.ladder_relax_black));
-  json_int "resilience_commit_faults" (sum_s (fun s -> s.Cgc.Stats.commit_faults));
-  json_int "resilience_oom_raised" (sum_s (fun s -> s.Cgc.Stats.oom_raised));
-  json_int "resilience_read_faults" (sum_s (fun s -> s.Cgc.Stats.read_faults));
-  json_int "resilience_write_faults" (sum_s (fun s -> s.Cgc.Stats.write_faults));
-  json_int "resilience_mark_downgrades" (sum_s (fun s -> s.Cgc.Stats.mark_downgrades));
-  json_int "resilience_pages_decayed" (sum_s (fun s -> s.Cgc.Stats.pages_decayed));
-  json_int "resilience_decay_retries" (sum_s (fun s -> s.Cgc.Stats.decay_retries));
-  json_int "resilience_mutator_read_faults" (sum (fun o -> o.W.Chaos.mutator_read_faults));
-  json_int "resilience_mutator_write_faults" (sum (fun o -> o.W.Chaos.mutator_write_faults));
-  json_int "resilience_precise_collections" (sum_s (fun s -> s.Cgc.Stats.precise_collections));
-  json_int "resilience_precise_mark_aborts" (sum_s (fun s -> s.Cgc.Stats.precise_mark_aborts));
-  json_int "resilience_precise_stale_roots" (sum_s (fun s -> s.Cgc.Stats.precise_stale_roots));
-  (let retention = List.filter_map (fun o -> o.W.Chaos.retention) outcomes in
-   json_int "resilience_precise_retention_cells" (List.length retention);
-   json_bool "resilience_precise_retention_subset"
-     (List.for_all (fun (p, c) -> p <= c) retention);
-   json_int "resilience_precise_retention_gap"
-     (List.fold_left (fun acc (p, c) -> acc + (c - p)) 0 retention));
-  List.iter
-    (fun c ->
-      let name = W.Chaos.collector_name c in
-      let of_c = List.filter (fun o -> String.equal o.W.Chaos.collector name) outcomes in
-      if of_c <> [] then begin
-        json_int (Printf.sprintf "resilience_%s_runs" name) (List.length of_c);
-        json_int
-          (Printf.sprintf "resilience_%s_clean_runs" name)
-          (List.length (List.filter W.Chaos.clean of_c))
-      end)
-    W.Chaos.all_collectors;
-  Format.printf
-    "@.(every injected fault is followed by a crash-coherence audit and a fault-free@.\
-     allocation; 'clean' means no invariant violation, no exception leak, and full@.\
-     recovery once faults stop — the ladder rungs above show how each config coped)@.";
-  if dirty <> [] then begin
-    Format.eprintf "resilience: chaos matrix violations@.";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Static starvation prediction vs the measured oom_diagnosis          *)
-(* ------------------------------------------------------------------ *)
-
-(* The analyzer's starvation predictor classifies each matrix scenario
-   from the recorded trace and a static collector model alone; the same
-   scenario then runs against the real collector, whose
-   [Gc.Out_of_memory] diagnosis (or successful ladder rescue) is the
-   measured column.  A drifting classifier shows up as a mismatch and
-   fails the bench; the per-scenario classes land in the JSON so CI
-   diffs catch silent reclassification too. *)
-let starvation () =
-  section "Starvation" "static OOM-diagnosis prediction vs the collector's verdict";
-  let entries = A.Scenarios.starvation_matrix () in
-  Format.printf "  %-18s | %-18s %-18s | %s@." "scenario" "predicted" "measured"
-    "collector diagnosis";
-  Format.printf "  %s@." (String.make 88 '-');
-  List.iter
-    (fun (e : A.Scenarios.matrix_entry) ->
-      Format.printf "  %-18s | %-18s %-18s | %s@.%!" e.A.Scenarios.m_name
-        (A.Starvation.class_name e.A.Scenarios.m_predicted)
-        (A.Starvation.class_name e.A.Scenarios.m_measured)
-        (match e.A.Scenarios.m_oom with
-        | Some d -> Cgc.Gc.oom_message d
-        | None ->
-            if e.A.Scenarios.m_ladder_rungs > 0 then
-              Printf.sprintf "rescued (%d ladder rungs)" e.A.Scenarios.m_ladder_rungs
-            else "no pressure"))
-    entries;
-  let agree =
-    List.filter (fun (e : A.Scenarios.matrix_entry) ->
-        e.A.Scenarios.m_predicted = e.A.Scenarios.m_measured)
-      entries
-  in
-  let ooms =
-    List.filter (fun (e : A.Scenarios.matrix_entry) -> e.A.Scenarios.m_oom <> None) entries
-  in
-  let decayed =
-    List.filter
-      (fun (e : A.Scenarios.matrix_entry) ->
-        match e.A.Scenarios.m_oom with
-        | Some d -> d.Cgc.Gc.memory_decayed
-        | None -> false)
-      entries
-  in
-  Format.printf "@.  %d/%d classifications agree; %d scenarios die of OOM (%d memory-decayed)@."
-    (List.length agree) (List.length entries) (List.length ooms) (List.length decayed);
-  json_int "starvation_scenarios" (List.length entries);
-  json_int "starvation_agree" (List.length agree);
-  json_int "starvation_ooms" (List.length ooms);
-  json_int "starvation_memory_decayed" (List.length decayed);
-  List.iter
-    (fun (e : A.Scenarios.matrix_entry) ->
-      json_string
-        (Printf.sprintf "starvation_%s_predicted" e.A.Scenarios.m_name)
-        (A.Starvation.class_name e.A.Scenarios.m_predicted);
-      json_string
-        (Printf.sprintf "starvation_%s_measured" e.A.Scenarios.m_name)
-        (A.Starvation.class_name e.A.Scenarios.m_measured))
-    entries;
-  Format.printf
-    "@.(the predictor sees only the trace: recorded allocation-site kinds, the static@.\
-     blacklist-bucket geometry, and any declared decay plan — never the collector's@.\
-     runtime state; agreement is the analyzer's cross-validation claim)@.";
-  if List.length agree <> List.length entries then begin
-    Format.eprintf "starvation: static prediction diverged from the collector@.";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel timing suites (footnote 3's microbenchmarks)               *)
 (* ------------------------------------------------------------------ *)
 
@@ -999,68 +809,45 @@ let timing () =
 
 (* ------------------------------------------------------------------ *)
 
-let all_sections =
-  [
-    ("table1", `Table1);
-    ("fig1", `Fig1);
-    ("fig34", `Fig34);
-    ("stack-clearing", `Stack);
-    ("structures", `Structures);
-    ("large-object", `Large);
-    ("dual-run", `Dual);
-    ("fragmentation", `Frag);
-    ("generational", `Generational);
-    ("pcr-threads", `Threads);
-    ("ablations", `Ablations);
-    ("overhead", `Overhead);
-    ("alloc", `Alloc);
-    ("mark", `Mark);
-    ("resilience", `Resilience);
-    ("starvation", `Starvation);
-    ("timing", `Timing);
-  ]
+(* Splits the command line into the values of the flags that take one
+   and the other words.  A value flag with no value after it (the end
+   of the line, or another [--] flag) exits 2 with a message instead of
+   running with a guess. *)
+let rec split_values = function
+  | f :: rest when List.mem f [ "--seeds"; "--jobs"; "--json-out"; "--parity-ref" ] -> (
+      match rest with
+      | v :: rest when not (String.starts_with ~prefix:"--" v) ->
+          let values, words = split_values rest in
+          ((f, v) :: values, words)
+      | _ ->
+          Format.eprintf "%s expects a value@." f;
+          exit 2)
+  | w :: rest ->
+      let values, words = split_values rest in
+      (values, w :: words)
+  | [] -> ([], [])
 
-(* The value of [flag] in [args] as a positive integer, [default] when
-   the flag is absent; a missing, non-integer or non-positive value exits
-   2 with a message instead of running with a guess. *)
-let positive_flag args flag ~default =
-  let bad what =
-    Format.eprintf "%s expects a positive integer, got %s@." flag what;
-    exit 2
-  in
-  let rec find = function
-    | f :: n :: _ when String.equal f flag -> (
-        match int_of_string_opt n with
-        | Some v when v >= 1 -> v
-        | Some _ | None -> bad (Printf.sprintf "%S" n))
-    | [ f ] when String.equal f flag -> bad "nothing"
-    | _ :: rest -> find rest
-    | [] -> default
-  in
-  find args
+(* The value of [flag] as a positive integer, [default] when the flag
+   is absent; a non-integer or non-positive value exits 2. *)
+let positive_flag values flag ~default =
+  match List.assoc_opt flag values with
+  | None -> default
+  | Some n -> (
+      match int_of_string_opt n with
+      | Some v when v >= 1 -> v
+      | Some _ | None ->
+          Format.eprintf "%s expects a positive integer, got %S@." flag n;
+          exit 2)
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let paper_scale = List.mem "--paper-scale" args in
-  let smoke = List.mem "--smoke" args in
-  let json = List.mem "--json" args in
-  let seeds = positive_flag args "--seeds" ~default:1 in
-  let json_out =
-    let rec find = function
-      | "--json-out" :: path :: _ -> path
-      | _ :: rest -> find rest
-      | [] -> "BENCH.json"
-    in
-    find args
-  in
-  let parity_ref =
-    let rec find = function
-      | "--parity-ref" :: path :: _ -> Some path
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
+  let values, words = split_values (List.tl (Array.to_list Sys.argv)) in
+  let paper_scale = List.mem "--paper-scale" words in
+  let smoke = List.mem "--smoke" words in
+  let json = List.mem "--json" words in
+  let seeds = positive_flag values "--seeds" ~default:1 in
+  let jobs = positive_flag values "--jobs" ~default:4 in
+  let json_out = Option.value (List.assoc_opt "--json-out" values) ~default:"BENCH.json" in
+  let parity_ref = List.assoc_opt "--parity-ref" values in
   Option.iter
     (fun reference ->
       if not json then begin
@@ -1072,37 +859,27 @@ let () =
         exit 1
       end)
     parity_ref;
-  let jobs = positive_flag args "--jobs" ~default:4 in
-  let collectors =
-    let rec find = function
-      | "--collector" :: "all" :: _ -> None
-      | "--collector" :: name :: _ -> (
-          match
-            List.find_opt
-              (fun c -> String.equal (W.Chaos.collector_name c) name)
-              W.Chaos.all_collectors
-          with
-          | Some c -> Some [ c ]
-          | None ->
-              Format.eprintf "unknown collector %s; collectors: %s all@." name
-                (String.concat " " (List.map W.Chaos.collector_name W.Chaos.all_collectors));
-              exit 1)
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
-  let rec strip = function
-    | "--seeds" :: _ :: rest -> strip rest
-    | "--json-out" :: _ :: rest -> strip rest
-    | "--parity-ref" :: _ :: rest -> strip rest
-    | "--collector" :: _ :: rest -> strip rest
-    | "--jobs" :: _ :: rest -> strip rest
-    | a :: rest -> a :: strip rest
-    | [] -> []
-  in
   let wanted =
-    List.filter (fun a -> not (List.mem a [ "--paper-scale"; "--smoke"; "--json" ])) (strip args)
+    List.filter (fun w -> not (List.mem w [ "--paper-scale"; "--smoke"; "--json" ])) words
+  in
+  let sections =
+    [
+      ("table1", table1 ~paper_scale ~seeds ~smoke);
+      ("fig1", fig1);
+      ("fig34", fig34);
+      ("stack-clearing", stack_clearing);
+      ("structures", structures);
+      ("large-object", large_object);
+      ("dual-run", dual_run);
+      ("fragmentation", fragmentation);
+      ("generational", generational);
+      ("pcr-threads", pcr_threads);
+      ("ablations", ablations);
+      ("overhead", overhead);
+      ("alloc", alloc_probe);
+      ("mark", mark_throughput ~smoke ~jobs);
+      ("timing", timing);
+    ]
   in
   json_enabled := json;
   json_string "bench" "boehm93-reproduction";
@@ -1110,41 +887,21 @@ let () =
   json_bool "paper_scale" paper_scale;
   json_int "seeds" seeds;
   let selected =
-    if wanted = [] then List.map snd all_sections
+    if wanted = [] then List.map snd sections
     else
       List.map
         (fun name ->
-          match List.assoc_opt name all_sections with
+          match List.assoc_opt name sections with
           | Some s -> s
           | None ->
               Format.eprintf "unknown section %s; sections: %s@." name
-                (String.concat " " (List.map fst all_sections));
+                (String.concat " " (List.map fst sections));
               exit 1)
         wanted
   in
   Format.printf
     "Space Efficient Conservative Garbage Collection (Boehm, PLDI 1993) — reproduction@.";
-  List.iter
-    (fun s ->
-      match s with
-      | `Table1 -> table1 ~paper_scale ~seeds ~smoke ()
-      | `Fig1 -> fig1 ()
-      | `Fig34 -> fig34 ()
-      | `Stack -> stack_clearing ()
-      | `Structures -> structures ()
-      | `Large -> large_object ()
-      | `Dual -> dual_run ()
-      | `Frag -> fragmentation ()
-      | `Generational -> generational ()
-      | `Threads -> pcr_threads ()
-      | `Ablations -> ablations ()
-      | `Overhead -> overhead ()
-      | `Alloc -> alloc_probe ()
-      | `Mark -> mark_throughput ~smoke ~jobs ()
-      | `Resilience -> resilience ~smoke ?collectors ()
-      | `Starvation -> starvation ()
-      | `Timing -> timing ())
-    selected;
+  List.iter (fun run -> run ()) selected;
   if json then begin
     json_write json_out;
     Option.iter (fun reference -> check_table1_parity json_out ~reference) parity_ref

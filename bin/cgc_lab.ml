@@ -1,5 +1,7 @@
-(* cgc_lab: command-line driver for every experiment in the reproduction
-   of "Space Efficient Conservative Garbage Collection" (Boehm, PLDI'93). *)
+(* cgc_lab: the chaos matrix and the static retention analyzer of the
+   reproduction of "Space Efficient Conservative Garbage Collection"
+   (Boehm, PLDI'93).  The paper's tables and figures are sections of
+   bench/main.exe. *)
 
 open Cmdliner
 module W = Cgc_workloads
@@ -7,187 +9,6 @@ module W = Cgc_workloads
 let seed_arg =
   let doc = "Random seed (experiments are deterministic given the seed)." in
   Arg.(value & opt int 1993 & info [ "seed" ] ~docv:"SEED" ~doc)
-
-(* --- program-t --- *)
-
-let platform_arg =
-  let doc =
-    "Platform preset: " ^ String.concat ", " W.Platform.names ^ ", or 'all' for the full table."
-  in
-  Arg.(value & opt string "all" & info [ "platform"; "p" ] ~docv:"NAME" ~doc)
-
-let lists_arg =
-  let doc = "Number of lists (default: the platform's)." in
-  Arg.(value & opt (some int) None & info [ "lists" ] ~docv:"N" ~doc)
-
-let nodes_arg =
-  let doc =
-    "Cells per list (default: a quarter of the platform's, i.e. the standard evaluation scale; \
-     use --paper-scale for the full size)."
-  in
-  Arg.(value & opt (some int) None & info [ "nodes" ] ~docv:"N" ~doc)
-
-let paper_scale_arg =
-  let doc = "Run at the paper's full scale (200 x 25000 cells; slower)." in
-  Arg.(value & flag & info [ "paper-scale" ] ~doc)
-
-let effective_nodes ~paper_scale ~nodes (p : W.Platform.t) =
-  match nodes with
-  | Some n -> n
-  | None -> if paper_scale then p.W.Platform.nodes_per_list else p.W.Platform.nodes_per_list / 4
-
-let run_program_t seed platform lists nodes paper_scale =
-  let platforms =
-    if platform = "all" then W.Platform.all
-    else
-      match W.Platform.by_name platform with
-      | Some p -> [ p ]
-      | None ->
-          Format.eprintf "unknown platform %s; try one of: %s@." platform
-            (String.concat ", " W.Platform.names);
-          exit 1
-  in
-  List.iter
-    (fun p ->
-      let nodes = effective_nodes ~paper_scale ~nodes p in
-      let row = W.Program_t.run_row ~seed ?lists ~nodes p in
-      Format.printf "%a@." W.Program_t.pp_result row.W.Program_t.without_blacklisting;
-      Format.printf "%a@.%!" W.Program_t.pp_result row.W.Program_t.with_blacklisting)
-    platforms
-
-let program_t_cmd =
-  let doc = "Program T (appendix A): storage retention with and without blacklisting (table 1)." in
-  Cmd.v
-    (Cmd.info "program-t" ~doc)
-    Term.(const run_program_t $ seed_arg $ platform_arg $ lists_arg $ nodes_arg $ paper_scale_arg)
-
-(* --- grid --- *)
-
-let run_grid seed rows cols trials =
-  List.iter
-    (fun repr ->
-      Format.printf "%a@." W.Grid.pp_summary (W.Grid.run_trials ~seed repr ~rows ~cols ~trials))
-    [ W.Grid.Embedded; W.Grid.Separate ]
-
-let grid_cmd =
-  let rows = Arg.(value & opt int 20 & info [ "rows" ] ~docv:"N" ~doc:"Grid rows.") in
-  let cols = Arg.(value & opt int 20 & info [ "cols" ] ~docv:"N" ~doc:"Grid columns.") in
-  let trials = Arg.(value & opt int 40 & info [ "trials" ] ~docv:"N" ~doc:"Random injections.") in
-  Cmd.v
-    (Cmd.info "grid" ~doc:"Embedded vs separate link cells (figures 3-4).")
-    Term.(const run_grid $ seed_arg $ rows $ cols $ trials)
-
-(* --- stack clearing --- *)
-
-let run_stack elements iterations =
-  List.iter
-    (fun mode ->
-      Format.printf "%a@.%!" W.List_reverse.pp (W.List_reverse.run mode ~elements ~iterations))
-    [ W.List_reverse.Careless; W.List_reverse.Cleared; W.List_reverse.Optimized ]
-
-let stack_cmd =
-  let elements = Arg.(value & opt int 250 & info [ "elements" ] ~docv:"N" ~doc:"List length.") in
-  let iterations = Arg.(value & opt int 30 & info [ "iterations" ] ~docv:"N" ~doc:"Reversals.") in
-  Cmd.v
-    (Cmd.info "stack-clearing" ~doc:"Recursive list reversal and stack hygiene (section 3.1).")
-    Term.(const run_stack $ elements $ iterations)
-
-(* --- structures --- *)
-
-let run_structures seed =
-  Format.printf "%a@." W.Tree.pp (W.Tree.run ~seed ~depth:10 ~trials:60 ());
-  List.iter
-    (fun (clear, ops) ->
-      Format.printf "%a@." W.Queue_lazy.pp (W.Queue_lazy.run ~seed ~clear_links:clear ops))
-    [ (false, 1000); (false, 4000); (true, 1000); (true, 4000) ]
-
-let structures_cmd =
-  Cmd.v
-    (Cmd.info "structures" ~doc:"Trees vs queues under a false reference (section 4).")
-    Term.(const run_structures $ seed_arg)
-
-(* --- misidentification --- *)
-
-let run_sweep seed samples =
-  List.iter
-    (fun kind ->
-      List.iter
-        (fun p -> Format.printf "%a@." W.False_ref.pp_sweep_point p)
-        (W.False_ref.misidentification_sweep ~seed ~samples ~kind [ 64; 256; 1024; 4096 ]))
-    [ W.False_ref.Uniform_words; W.False_ref.Integer_like ];
-  Format.printf "-- heap placement --@.";
-  List.iter
-    (Format.printf "%a@." W.False_ref.pp_placement)
-    (W.False_ref.placement_study ~seed ~samples 512)
-
-let sweep_cmd =
-  let samples =
-    Arg.(value & opt int 200_000 & info [ "samples" ] ~docv:"N" ~doc:"Sampled words per point.")
-  in
-  Cmd.v
-    (Cmd.info "sweep" ~doc:"Misidentification probability vs heap occupancy (section 2).")
-    Term.(const run_sweep $ seed_arg $ samples)
-
-(* --- figure 1 --- *)
-
-let run_fig1 seed pairs =
-  Format.printf "%a@." W.False_ref.pp_halfword (W.False_ref.halfword_study ~seed pairs)
-
-let fig1_cmd =
-  let pairs = Arg.(value & opt int 16 & info [ "pairs" ] ~docv:"N" ~doc:"Small-integer pairs.") in
-  Cmd.v
-    (Cmd.info "fig1" ~doc:"Halfword concatenation into valid addresses (figure 1).")
-    Term.(const run_fig1 $ seed_arg $ pairs)
-
-(* --- large objects --- *)
-
-let run_large seed =
-  Format.printf "%a@." W.Large_object.pp
-    (W.Large_object.run ~seed ~sizes_kb:[ 16; 32; 64; 96; 128; 192; 256; 512; 1024 ] ())
-
-let large_cmd =
-  Cmd.v
-    (Cmd.info "large-object" ~doc:"Large objects vs the blacklist (section 3, observation 7).")
-    Term.(const run_large $ seed_arg)
-
-(* --- dual run --- *)
-
-let run_dual seed = Format.printf "%a@." W.Dual_run.pp (W.Dual_run.run ~seed ())
-
-let dual_cmd =
-  Cmd.v
-    (Cmd.info "dual-run" ~doc:"Two-copies-shifted-heap pointer identification (footnote 4).")
-    Term.(const run_dual $ seed_arg)
-
-(* --- pcr threads --- *)
-
-let run_threads seed threads awake =
-  Format.printf "%a@." W.Pcr_threads.pp (W.Pcr_threads.run ~seed ~threads ~awake ())
-
-let threads_cmd =
-  let threads = Arg.(value & opt int 5 & info [ "threads" ] ~docv:"N" ~doc:"Background workers.") in
-  let awake = Arg.(value & flag & info [ "awake" ] ~doc:"Wake workers after the lists are dropped.") in
-  Cmd.v
-    (Cmd.info "pcr-threads" ~doc:"Idle thread stacks pin dropped data (appendix B).")
-    Term.(const run_threads $ seed_arg $ threads $ awake)
-
-(* --- fragmentation --- *)
-
-let run_frag seed population iterations =
-  List.iter
-    (fun a ->
-      Format.printf "%a@.%!" W.Fragmentation.pp
-        (W.Fragmentation.run ~seed a ~population ~iterations))
-    [ W.Fragmentation.Malloc_lifo; W.Fragmentation.Malloc_address_ordered; W.Fragmentation.Collector ]
-
-let frag_cmd =
-  let population =
-    Arg.(value & opt int 5000 & info [ "population" ] ~docv:"N" ~doc:"Objects kept live.")
-  in
-  let iterations = Arg.(value & opt int 12 & info [ "iterations" ] ~docv:"N" ~doc:"Churn rounds.") in
-  Cmd.v
-    (Cmd.info "fragmentation" ~doc:"Free-list discipline and fragmentation (conclusions).")
-    Term.(const run_frag $ seed_arg $ population $ iterations)
 
 (* --- chaos --- *)
 
@@ -217,7 +38,7 @@ let chaos_cmd =
       & info [ "collector" ] ~docv:"BACKEND"
           ~doc:
             "Restrict the matrix to one memory-management backend: $(b,conservative), \
-             $(b,generational), $(b,explicit), or $(b,all) (the default).")
+             $(b,generational), $(b,explicit), $(b,precise), or $(b,all) (the default).")
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -232,10 +53,10 @@ let chaos_cmd =
 
 module A = Cgc_analysis
 
-(* One generational fix-replay entry as text (and its pass/fail), used
-   by the --fix --collector generational path and the @gen-fixes CI
-   alias: a target fails on a changed read stream, a fix that does not
-   lower promoted garbage, or promotion-model drift on either side. *)
+(* Whether one generational fix-replay entry passes, for the --fix
+   --collector generational path (pinned as golden/gen-fixes.txt): a
+   target fails on a changed read stream, a fix that does not lower
+   promoted garbage, or promotion-model drift on either side. *)
 let gen_entry_ok (e : A.Scenarios.gen_fix_entry) =
   let c = e.A.Scenarios.g_cmp in
   c.A.Replay.gcmp_reads_equal
@@ -425,19 +246,6 @@ let main_cmd =
   in
   let info = Cmd.info "cgc_lab" ~version:"1.0.0" ~doc in
   Cmd.group info
-    [
-      program_t_cmd;
-      grid_cmd;
-      stack_cmd;
-      structures_cmd;
-      sweep_cmd;
-      fig1_cmd;
-      large_cmd;
-      dual_cmd;
-      threads_cmd;
-      frag_cmd;
-      chaos_cmd;
-      analyze_cmd;
-    ]
+[ chaos_cmd; analyze_cmd ]
 
 let () = exit (Cmd.eval main_cmd)
