@@ -387,8 +387,8 @@ let maybe_collect t =
       (* A wrapper owns the liveness discipline: the same allocation
          budget triggers collection, but through the wrapper's exact
          collect.  The hook resets the budget via
-         [Internal.note_collected] only when its collection completes,
-         so an aborted exact mark retries at the next allocation. *)
+         [Internal.note_collected], also when its collection aborts,
+         so an aborted exact mark retries a budget later. *)
       if t.allocated_since_gc >= t.budget then hook ()
   | None ->
       if t.auto_collect then begin

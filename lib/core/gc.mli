@@ -118,8 +118,8 @@ val set_collect_hook : t -> (unit -> unit) option -> unit
     {!Precise} view): the wrapped heap is never marked conservatively
     behind the wrapper's back, yet allocation pressure still triggers
     collection.  The hook must leave the heap coherent even when its
-    collection aborts, and should call {!Internal.note_collected} after
-    a completed cycle to reset the allocation budget. *)
+    collection aborts, and should call {!Internal.note_collected} to
+    reset the allocation budget after each attempt. *)
 
 (** {1 Collection} *)
 
@@ -215,9 +215,9 @@ module Internal : sig
   val note_collected : t -> unit
   (** Reset the allocation budget that drives [maybe_collect], exactly
       as the conservative [collect] does on completion.  For
-      {!set_collect_hook} wrappers: call after a {e completed} exact
-      cycle (never after an aborted one, so the retry happens at the
-      next allocation). *)
+      {!set_collect_hook} wrappers: call after each exact cycle,
+      completed or aborted (after an abort, so a permanent fault is
+      retried a budget later rather than at every allocation). *)
 
   val run_mark_parallel : t -> jobs:int -> Mark.Parallel.outcome
   (** Like {!run_mark} but through {!Mark.Parallel} with [jobs] marker

@@ -53,9 +53,13 @@ let collect t =
   let t0 = Stats.now_s () in
   t.last_stale <- [];
   let snapshot = Heap.save_marks heap in
+  (* An abort resets the allocation budget, as a completed cycle does:
+     a permanent fault would abort the next collect too, so the retry
+     waits a budget's worth of allocation. *)
   let abort () =
     Heap.restore_marks heap snapshot;
     stats.Stats.precise_mark_aborts <- stats.Stats.precise_mark_aborts + 1;
+    Gc.Internal.note_collected t.gc;
     raise Mark_aborted
   in
   Heap.clear_marks heap;
@@ -65,7 +69,7 @@ let collect t =
   let downgrades = stats.Stats.mark_downgrades in
   Mark.trace t.marker t.roots ~mem:(Gc.mem t.gc);
   (* A trace that stopped at a word it could not read may have missed
-     objects: give up; the next trigger collects again. *)
+     objects: give up; the next budget trigger collects again. *)
   if stats.Stats.mark_downgrades > downgrades then abort ();
   let t1 = Stats.now_s () in
   stats.Stats.collections <- stats.Stats.collections + 1;

@@ -34,7 +34,7 @@ val create : Gc.t -> t
     back into {!collect} — the wrapped heap is never marked
     conservatively behind the precise view's back.  (A hook-triggered
     collect that aborts under faults is absorbed: the ladder proceeds
-    to its next rung and the collect is retried at the next trigger.)
+    to its next rung and the collect is retried a budget later.)
     [create] also registers the exact roots as a conservative register
     file, so an explicitly requested conservative mark sees a superset
     of the precise roots by construction. *)
@@ -60,8 +60,10 @@ val collect : t -> unit
     mark stack and overflow recovery follow [Config.mark_stack_limit].
     The kernel stops at the first word it cannot read (counted in
     [Stats.mark_downgrades]), and the collect gives up: one trace per
-    collect, never rerun.  A collect triggered by the allocation
-    budget runs again at the next trigger, as the budget stays unreset.
+    collect, never rerun.  An abort resets the allocation budget, as a
+    completed collect does, so a budget-triggered collect that aborted
+    runs again a budget's worth of allocation later, not at the next
+    allocation.
 
     @raise Mark_aborted when a root provider faults or the trace read
     a faulting word; mark state is restored and nothing is swept. *)

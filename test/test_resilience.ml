@@ -384,6 +384,32 @@ let test_precise_collect_traces_once () =
   check int "one trace, one downgrade" 1 (s.Stats.mark_downgrades - downgrades);
   check bool "the pointee stays allocated" true (Gc.is_allocated gc b)
 
+(* An aborted collect resets the allocation budget, as a completed one
+   does: with a rotted pointer field every collect aborts, so without
+   the reset each allocation past the budget would run another aborted
+   trace.  N allocations may run at most one aborted collect per
+   budget's worth of bytes. *)
+let test_aborted_collect_resets_budget () =
+  let gc, p, b = decayed_pointer_field () in
+  let s = Gc.stats gc in
+  let divisor = (Gc.config gc).Config.space_divisor in
+  let aborts = s.Stats.precise_mark_aborts in
+  let min_budget = ref max_int and bytes = ref 0 in
+  for _ = 1 to 20_000 do
+    min_budget := min !min_budget (Heap.committed_bytes (Gc.heap gc) / divisor);
+    ignore (Cgc.Precise.allocate p Cgc.Type_desc.cons);
+    bytes := !bytes + Cgc.Type_desc.cons.Cgc.Type_desc.size_bytes
+  done;
+  let ran = s.Stats.precise_mark_aborts - aborts in
+  check bool "the budget ran out" true (!bytes > !min_budget);
+  check bool "collects still abort" true (ran >= 1);
+  check bool
+    (Printf.sprintf "%d aborts for %d bytes at a budget of %d" ran !bytes !min_budget)
+    true
+    (ran <= 1 + (!bytes / !min_budget));
+  check int "none completed" 0 s.Stats.precise_collections;
+  check bool "the pointee stays allocated" true (Gc.is_allocated gc b)
+
 let test_mark_survives_read_faults () =
   let config = { Config.default with Config.initial_pages = 8 } in
   let mem, gc, globals = make_gc ~config ~pages:32 () in
@@ -600,6 +626,8 @@ let () =
           Alcotest.test_case "decay outlives its plan" `Quick test_decay_outlives_its_plan;
           Alcotest.test_case "precise collect traces once" `Quick
             test_precise_collect_traces_once;
+          Alcotest.test_case "aborted collect resets the budget" `Quick
+            test_aborted_collect_resets_budget;
           Alcotest.test_case "marker survives read faults" `Quick test_mark_survives_read_faults;
           Alcotest.test_case "write decay quarantines and retries" `Quick
             test_write_decay_quarantines_and_retries;
