@@ -1,6 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of Boehm,
-   "Space Efficient Conservative Garbage Collection" (PLDI 1993), plus
-   Bechamel timing benches for the paper's performance claims.
+   "Space Efficient Conservative Garbage Collection" (PLDI 1993), and
+   times the paper's footnote-3 performance claims (every timing on the
+   monotonic clock, [Stats.now_s]).
 
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- table1 fig1  # selected sections
@@ -9,7 +10,7 @@
 
    Sections: table1 fig1 fig34 stack-clearing structures
              large-object dual-run fragmentation generational
-             pcr-threads ablations overhead alloc mark timing
+             pcr-threads ablations overhead alloc mark
 
    Flags: --paper-scale   full 25000-cell lists (slow)
           --seeds N       range over N seeds in table 1
@@ -20,11 +21,9 @@
                           figures against the summary F; exits 1 on
                           drift, when F is missing, or when F shares
                           no table1_* figure with the output
-          --jobs N        marker-domain sweep ceiling for the mark
-                          section (default 4: measures jobs 1, 2, 4)
 
-   --seeds and --jobs take a positive integer; anything else, or a
-   value flag with nothing after it, exits 2. *)
+   --seeds takes a positive integer; anything else, a value flag with
+   nothing after it, or a [--] word not listed here exits 2. *)
 
 open Cgc_vm
 module W = Cgc_workloads
@@ -383,23 +382,30 @@ let overhead () =
    [alloc_hit_ns]: 200k 8-byte [Gc.allocate] calls into a fresh heap
    with auto-collect off, so nearly every call is a hit (a page miss
    every 512 calls carves the next page).  [alloc_explicit_round_trip_ns]:
-   200k 8-byte [Explicit] malloc+free pairs.  Each is the median of 9
-   batches, every batch on a fresh heap. *)
-let alloc_probe () =
-  section "Allocation" "hit path and malloc/free round trip, 8-byte objects (ns per operation)";
+   200k 8-byte [Explicit] malloc+free pairs.  [alloc_collect_ns]: 8-byte
+   requests with auto-collect on at the default [space_divisor], each
+   stored over a random slot of a 32768-entry static root table, so
+   ~256 KB stays live and the displaced object is garbage (2M requests,
+   200k under --smoke; the table is filled before the clock starts);
+   [alloc_collect_gc_ns] is the collector's part of it, [total_gc_seconds]
+   per request.  Each is the median of 9 batches, every batch on a
+   fresh heap. *)
+let alloc_probe ~smoke () =
+  section "Allocation"
+    "hit path, malloc/free round trip and alloc+collect, 8-byte objects (ns per operation)";
   let n = 200_000 and batches = 9 in
   let base = Addr.of_int 0x400000 and max_bytes = 4 * 1024 * 1024 in
-  let per_op fresh =
-    let times =
-      Array.init batches (fun _ ->
-          let run = fresh () in
-          let t0 = Cgc.Stats.now_s () in
-          run ();
-          (Cgc.Stats.now_s () -. t0) *. 1e9 /. float_of_int n)
-    in
-    Array.sort compare times;
-    times.(batches / 2)
+  let time_ns n run =
+    let t0 = Cgc.Stats.now_s () in
+    run ();
+    (Cgc.Stats.now_s () -. t0) *. 1e9 /. float_of_int n
   in
+  let median batch =
+    let runs = Array.init batches (fun _ -> batch ()) in
+    Array.sort compare runs;
+    runs.(batches / 2)
+  in
+  let per_op fresh = median (fun () -> time_ns n (fresh ())) in
   let hit =
     per_op (fun () ->
         let gc = Cgc.Gc.create (Mem.create ()) ~base ~max_bytes () in
@@ -417,10 +423,54 @@ let alloc_probe () =
             Cgc.Explicit.free e (Cgc.Explicit.malloc e 8)
           done)
   in
+  let slots = 32768 and requests = if smoke then 200_000 else 2_000_000 in
+  let collect, collect_gc, collections =
+    median (fun () ->
+        let mem = Mem.create () in
+        let table =
+          Mem.map mem ~name:"table" ~kind:Segment.Static_data ~base:(Addr.of_int 0x10000)
+            ~size:(4 * slots)
+        in
+        let gc = Cgc.Gc.create mem ~base ~max_bytes () in
+        Cgc.Gc.add_static_root gc ~lo:(Segment.base table) ~hi:(Segment.limit table)
+          ~label:"table";
+        let store slot =
+          Segment.write_word table
+            (Addr.add (Segment.base table) (4 * slot))
+            (Addr.to_int (Cgc.Gc.allocate gc 8))
+        in
+        for slot = 0 to slots - 1 do
+          store slot
+        done;
+        let rng = Rng.create seed in
+        let st = Cgc.Gc.stats gc in
+        let gc0 = st.Cgc.Stats.total_gc_seconds and collections0 = st.Cgc.Stats.collections in
+        let ns =
+          time_ns requests (fun () ->
+              for _ = 1 to requests do
+                store (Rng.int rng slots)
+              done)
+        in
+        ( ns,
+          (st.Cgc.Stats.total_gc_seconds -. gc0) *. 1e9 /. float_of_int requests,
+          st.Cgc.Stats.collections - collections0 ))
+  in
   Format.printf "  gc allocate, 8 B hit (fresh heap, no collection) : %6.1f ns@." hit;
   Format.printf "  explicit malloc + free, 8 B                      : %6.1f ns@." round_trip;
+  Format.printf
+    "  gc allocate + collect, 8 B (256 KB live)         : %6.1f ns  (%.2fx malloc + free)@." collect
+    (collect /. round_trip);
+  Format.printf "    of it in the collector                         : %6.1f ns@." collect_gc;
+  Format.printf "    %d collections in %d requests, mean pause %.2f ms@." collections requests
+    (collect_gc *. float_of_int requests /. 1e6 /. float_of_int (max 1 collections));
   json_float "alloc_hit_ns" hit;
-  json_float "alloc_explicit_round_trip_ns" round_trip
+  json_float "alloc_explicit_round_trip_ns" round_trip;
+  json_float "alloc_collect_ns" collect;
+  json_float "alloc_collect_gc_ns" collect_gc;
+  if collections = 0 then begin
+    Format.eprintf "alloc: the alloc+collect run did no collection@.";
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Appendix B: background thread stacks                                *)
@@ -555,9 +605,9 @@ let ablations () =
    platform — big-endian, unaligned (byte-granularity) root scanning,
    the paper's worst case for marker work.  Both paths run over the very
    same collector instance, so words/objects per cycle must agree
-   exactly; the JSON records the throughput ratio.  Every row, serial
-   and parallel, is timed on the monotonic wall clock ([Stats.now_s]). *)
-let mark_throughput ~smoke ~jobs () =
+   exactly; the JSON records the throughput ratio.  Both rows are timed
+   on the monotonic wall clock ([Stats.now_s]). *)
+let mark_throughput ~smoke () =
   section "Mark throughput"
     "flat-descriptor fast path vs reference scan loop (program T heap, SPARC static)";
   let p = W.Platform.sparc_static ~optimized:false in
@@ -641,171 +691,7 @@ let mark_throughput ~smoke ~jobs () =
   if not parity then begin
     Format.eprintf "mark throughput: fast path diverged from reference@.";
     exit 1
-  end;
-  (* --- parallel tracer sweep (--jobs) ------------------------------
-     The work-stealing tracer over the same live heap, measured in
-     wall-clock words/sec on the same monotonic clock as the serial
-     figures above (domains overlap, so CPU time would double-count),
-     which makes jobs=1 and the fast path comparable.  Every width must visit exactly
-     the serial word/object counts — the bit-identity claim — and a
-     jobs > 1 run in this fault-free bench must really go parallel. *)
-  let sweep = List.sort_uniq compare (List.filter (fun j -> j >= 1 && j <= jobs) [ 1; 2; 4; jobs ]) in
-  let last_fallback = ref None in
-  let run_parallel j gc =
-    let o = Cgc.Gc.Internal.run_mark_parallel gc ~jobs:j in
-    last_fallback := o.Cgc.Mark.Parallel.fallback
-  in
-  let time_wall j iters =
-    let w0 = st.Cgc.Stats.words_scanned and m0 = st.Cgc.Stats.objects_marked in
-    let t0 = Cgc.Stats.now_s () in
-    for _ = 1 to iters do
-      run_parallel j gc
-    done;
-    let dt = Float.max 1e-9 (Cgc.Stats.now_s () -. t0) in
-    let words = st.Cgc.Stats.words_scanned - w0 in
-    (float_of_int words /. dt, words / iters, (st.Cgc.Stats.objects_marked - m0) / iters)
-  in
-  let calibrate_wall j =
-    if smoke then 2
-    else begin
-      let t0 = Cgc.Stats.now_s () in
-      run_parallel j gc;
-      let dt = Float.max 1e-6 (Cgc.Stats.now_s () -. t0) in
-      max 3 (int_of_float (ceil (1.0 /. dt)))
-    end
-  in
-  Format.printf "@.  parallel tracer (host: %d cores recommended):@."
-    (Domain.recommended_domain_count ());
-  let results =
-    List.map
-      (fun j ->
-        let iters = calibrate_wall j in
-        let rate, words, marked = time_wall j iters in
-        let went_parallel = j <= 1 || !last_fallback = None in
-        Format.printf "  jobs=%d    : %11.0f words/s  (%d words, %d objects per cycle; %d cycles)%s@."
-          j rate words marked iters
-          (if went_parallel then ""
-           else
-             Printf.sprintf "  UNEXPECTED FALLBACK: %s"
-               (Cgc.Mark.Parallel.fallback_to_string (Option.get !last_fallback)));
-        json_float (Printf.sprintf "mark_jobs%d_words_per_sec" j) rate;
-        (j, rate, words, marked, went_parallel))
-      sweep
-  in
-  let jobs_parity =
-    List.for_all (fun (_, _, w, m, p) -> w = fast_words && m = fast_marked && p) results
-  in
-  json_int "mark_jobs_cores" (Domain.recommended_domain_count ());
-  json_bool "mark_jobs_parity" jobs_parity;
-  let rate_of j = List.find_map (fun (j', r, _, _, _) -> if j = j' then Some r else None) results in
-  (match (rate_of 1, rate_of 4) with
-  | Some r1, Some r4 ->
-      Format.printf "  jobs=4 speedup: %.2fx vs jobs=1, %.2fx vs reference scan loop@." (r4 /. r1)
-        (r4 /. ref_rate);
-      json_float "mark_jobs4_speedup" (r4 /. r1);
-      json_float "mark_jobs4_speedup_vs_reference" (r4 /. ref_rate)
-  | _ -> ());
-  Format.printf "  parity    : words and objects per cycle %s across jobs@."
-    (if jobs_parity then "identical" else "DIVERGED — parallel tracer is wrong");
-  if not jobs_parity then begin
-    Format.eprintf "mark throughput: parallel tracer diverged from the serial scanner@.";
-    exit 1
   end
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel timing suites (footnote 3's microbenchmarks)               *)
-(* ------------------------------------------------------------------ *)
-
-let timing () =
-  section "Timing" "Bechamel microbenchmarks (ns per operation)";
-  let open Bechamel in
-  let open Toolkit in
-  (* persistent environments shared by the staged closures *)
-  let make_gc () =
-    let mem = Mem.create () in
-    let gc = Cgc.Gc.create mem ~base:(Addr.of_int 0x400000) ~max_bytes:(16 * 1024 * 1024) () in
-    gc
-  in
-  let gc_garbage = make_gc () in
-  let gc_atomic = make_gc () in
-  let mem_e = Mem.create () in
-  let explicit =
-    Cgc.Explicit.create mem_e ~base:(Addr.of_int 0x400000) ~max_bytes:(16 * 1024 * 1024) ()
-  in
-  (* a 1 MB live heap for whole-collection and classification benches *)
-  let mem_live = Mem.create () in
-  let data_live =
-    Mem.map mem_live ~name:"roots" ~kind:Segment.Static_data ~base:(Addr.of_int 0x10000) ~size:0x1000
-  in
-  let gc_live = Cgc.Gc.create mem_live ~base:(Addr.of_int 0x400000) ~max_bytes:(16 * 1024 * 1024) () in
-  Cgc.Gc.add_static_root gc_live ~lo:(Segment.base data_live) ~hi:(Segment.limit data_live)
-    ~label:"roots";
-  let prev = ref 0 in
-  for _ = 1 to 1024 * 1024 / 8 do
-    let c = Cgc.Gc.allocate gc_live 8 in
-    Cgc.Gc.set_field gc_live c 1 !prev;
-    prev := Addr.to_int c;
-    Segment.write_word data_live (Segment.base data_live) !prev
-  done;
-  let rng = Rng.create seed in
-  let heap_live = Cgc.Gc.heap gc_live in
-  let config_live = Cgc.Gc.config gc_live in
-  let tests =
-    [
-      Test.make ~name:"gc-alloc-8B-garbage" (Staged.stage (fun () -> ignore (Cgc.Gc.allocate gc_garbage 8)));
-      Test.make ~name:"gc-alloc-8B-atomic"
-        (Staged.stage (fun () -> ignore (Cgc.Gc.allocate ~pointer_free:true gc_atomic 8)));
-      Test.make ~name:"malloc-free-8B"
-        (Staged.stage (fun () ->
-             let a = Cgc.Explicit.malloc explicit 8 in
-             Cgc.Explicit.free explicit a));
-      Test.make ~name:"classify-random-word"
-        (Staged.stage (fun () -> ignore (Cgc.Mark.classify heap_live config_live (Rng.word rng))));
-      Test.make ~name:"collect-1MB-live" (Staged.stage (fun () -> Cgc.Gc.collect gc_live));
-    ]
-  in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.6) ~stabilize:true () in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg instances test in
-      let results = Analyze.all ols Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (est :: _) -> Format.printf "  %-28s %12.1f ns/op@.%!" name est
-          | Some [] | None -> Format.printf "  %-28s (no estimate)@." name)
-        results)
-    (List.map (fun t -> Test.make_grouped ~name:"t" ~fmt:"%s/%s" [ t ]) tests);
-  Format.printf
-    "@.paper: \"the stand-alone collector can still allocate and collect an 8 byte@.\
-     object in around 2 microseconds under optimal conditions ... much faster than@.\
-     malloc/free round-trip times for most malloc implementations\"  (absolute@.\
-     numbers differ — ours pay the simulation tax — the ordering is what matters)@.";
-  Format.printf "@.collection pause under churn (500k garbage cons cells, mixed live set):@.";
-  let mem = Mem.create () in
-  let data =
-    Mem.map mem ~name:"roots" ~kind:Segment.Static_data ~base:(Addr.of_int 0x10000) ~size:0x1000
-  in
-  let gc = Cgc.Gc.create mem ~base:(Addr.of_int 0x400000) ~max_bytes:(16 * 1024 * 1024) () in
-  Cgc.Gc.add_static_root gc ~lo:(Segment.base data) ~hi:(Segment.limit data) ~label:"roots";
-  (* 256 KB stays live throughout *)
-  let prev = ref 0 in
-  for _ = 1 to 256 * 1024 / 8 do
-    let c = Cgc.Gc.allocate gc 8 in
-    Cgc.Gc.set_field gc c 1 !prev;
-    prev := Addr.to_int c;
-    Segment.write_word data (Segment.base data) !prev
-  done;
-  for _ = 1 to 500_000 do
-    ignore (Cgc.Gc.allocate gc 8)
-  done;
-  let s = Cgc.Gc.stats gc in
-  Format.printf "  %3d collections, mean pause %7.2f ms (mark %5.2f ms of it)@.%!"
-    s.Cgc.Stats.collections
-    (1000. *. s.Cgc.Stats.total_gc_seconds /. float_of_int (max 1 s.Cgc.Stats.collections))
-    (1000. *. s.Cgc.Stats.mark_seconds /. float_of_int (max 1 s.Cgc.Stats.collections))
 
 (* ------------------------------------------------------------------ *)
 
@@ -814,7 +700,7 @@ let timing () =
    of the line, or another [--] flag) exits 2 with a message instead of
    running with a guess. *)
 let rec split_values = function
-  | f :: rest when List.mem f [ "--seeds"; "--jobs"; "--json-out"; "--parity-ref" ] -> (
+  | f :: rest when List.mem f [ "--seeds"; "--json-out"; "--parity-ref" ] -> (
       match rest with
       | v :: rest when not (String.starts_with ~prefix:"--" v) ->
           let values, words = split_values rest in
@@ -841,11 +727,18 @@ let positive_flag values flag ~default =
 
 let () =
   let values, words = split_values (List.tl (Array.to_list Sys.argv)) in
+  let switches = [ "--paper-scale"; "--smoke"; "--json" ] in
+  List.iter
+    (fun w ->
+      if String.starts_with ~prefix:"--" w && not (List.mem w switches) then begin
+        Format.eprintf "unknown flag %s@." w;
+        exit 2
+      end)
+    words;
   let paper_scale = List.mem "--paper-scale" words in
   let smoke = List.mem "--smoke" words in
   let json = List.mem "--json" words in
   let seeds = positive_flag values "--seeds" ~default:1 in
-  let jobs = positive_flag values "--jobs" ~default:4 in
   let json_out = Option.value (List.assoc_opt "--json-out" values) ~default:"BENCH.json" in
   let parity_ref = List.assoc_opt "--parity-ref" values in
   Option.iter
@@ -859,9 +752,7 @@ let () =
         exit 1
       end)
     parity_ref;
-  let wanted =
-    List.filter (fun w -> not (List.mem w [ "--paper-scale"; "--smoke"; "--json" ])) words
-  in
+  let wanted = List.filter (fun w -> not (List.mem w switches)) words in
   let sections =
     [
       ("table1", table1 ~paper_scale ~seeds ~smoke);
@@ -876,9 +767,8 @@ let () =
       ("pcr-threads", pcr_threads);
       ("ablations", ablations);
       ("overhead", overhead);
-      ("alloc", alloc_probe);
-      ("mark", mark_throughput ~smoke ~jobs);
-      ("timing", timing);
+      ("alloc", alloc_probe ~smoke);
+      ("mark", mark_throughput ~smoke);
     ]
   in
   json_enabled := json;

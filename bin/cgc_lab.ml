@@ -111,7 +111,8 @@ let run_analyze scenario selfcheck starvation fix collector json verbose =
       else None
     in
     if json then begin
-      (* one scenario per line, so a moved figure is one changed line *)
+      (* one scenario or matrix row per line, so a moved figure is one
+         changed line *)
       let lines pp = Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@\n") pp in
       Format.printf "{\"scenarios\":[@\n%a]"
         (lines
@@ -122,7 +123,8 @@ let run_analyze scenario selfcheck starvation fix collector json verbose =
                ppf o.A.Scenarios.o_analysis))
         outcomes;
       (match matrix with
-      | Some m -> Format.printf ",@\n\"starvation_matrix\":%a" A.Report.json_matrix m
+      | Some m ->
+          Format.printf ",@\n\"starvation_matrix\":[@\n%a]" (lines A.Report.json_matrix_entry) m
       | None -> ());
       (match gen with
       | Some g -> Format.printf ",@\n\"gen_fixes\":[@\n%a]" (lines json_gen_entry) g

@@ -64,8 +64,6 @@ type program = {
 val word_bytes : int
 
 val count_gc_points : program -> int
-val count_allocs : program -> int
 
-val pp_value : Format.formatter -> value -> unit
 val pp_instr : Format.formatter -> instr -> unit
 val pp : Format.formatter -> program -> unit

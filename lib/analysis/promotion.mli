@@ -7,7 +7,7 @@
     last GC point are predicted {e promoted garbage} — dead data a
     minor collection can never reclaim.  The model is object-grained
     where the collector promotes page-wise, so agreement with the
-    measured figure ({!Replay.promoted_garbage}) is banded: {!agrees}
+    measured figure ({!Replay.gen_comparison}) is banded: {!agrees}
     allows the larger of one page (4096B) or 25% of the prediction. *)
 
 type prediction = {

@@ -71,26 +71,23 @@ type gen_run = {
 
 val run_generational : ?promote_after:int -> Ir.program -> gen_run
 
-val promoted_garbage : Ir.program -> gen_run -> int
-(** Bytes of trace objects that ended on old pages despite being
-    precisely dead at the last GC point — the §3.1 promoted garbage
-    that no minor collection will ever reclaim.  Measured placement
-    ([gr_old]) crossed with the analyzer's ground-truth liveness; a
-    closing major alone undercounts, since garbage pinned by a stray
-    root survives even a full collection. *)
-
 val audit_exact : gen_audit -> bool
 (** The dirty-bit lifecycle invariant: the dirty set entering a minor
     collection is exactly the union of the pages carried by the
     previous rescan and the old pages barrier stores hit since (holds
     whenever no emergency major intervened between the two minors). *)
 
+(** Promoted garbage is the bytes of trace objects that ended on old
+    pages despite being precisely dead at the last GC point — the §3.1
+    garbage that no minor collection will ever reclaim: measured
+    placement ([gr_old]) crossed with the analyzer's ground-truth
+    liveness. *)
 type gen_comparison = {
   gcmp_before : gen_run;
   gcmp_after : gen_run;
   gcmp_retention_drop : int;
-  gcmp_garbage_before : int;  (** {!promoted_garbage} of the original *)
-  gcmp_garbage_after : int;  (** {!promoted_garbage} of the fixed form *)
+  gcmp_garbage_before : int;  (** promoted garbage of the original *)
+  gcmp_garbage_after : int;  (** promoted garbage of the fixed form *)
   gcmp_garbage_drop : int;
   gcmp_reads_equal : bool;
 }
@@ -101,5 +98,4 @@ val compare_fix_generational :
     collectors; beyond {!compare_fix}'s retention/observation checks,
     reports how much promoted garbage the fix prevents. *)
 
-val pp_run : Format.formatter -> run -> unit
 val pp_comparison : Format.formatter -> comparison -> unit

@@ -175,5 +175,3 @@ let json_matrix_entry ppf (e : Scenarios.matrix_entry) =
         (Cgc.Gc.oom_message d) jbool d.Cgc.Gc.blacklist_starved jbool d.Cgc.Gc.memory_decayed
   | None -> Fmt.pf ppf "\"oom\":null,");
   Fmt.pf ppf "\"prediction\":%a}" json_prediction e.Scenarios.m_prediction
-
-let json_matrix ppf entries = Fmt.pf ppf "%a" (jlist json_matrix_entry) entries

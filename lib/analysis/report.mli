@@ -1,17 +1,5 @@
 (** Report printer for analysis results. *)
 
-val pp_table : Format.formatter -> Analysis.t -> unit
-(** Per-GC-point table: apparent vs precise vs measured object counts
-    and a breakdown of spurious roots by class. *)
-
-val pp_validation : Format.formatter -> Analysis.validation -> unit
-
-val pp_fix : Format.formatter -> Analysis.fix -> unit
-
-val pp_fixes : Format.formatter -> Analysis.t -> unit
-(** The fixes section: every finding's suggested edit list with its
-    static verification verdict. *)
-
 val pp :
   ?explain:(Format.formatter -> int -> unit) ->
   ?fixes:bool ->
@@ -34,6 +22,7 @@ val json : ?name:string -> ?replay:bool -> Format.formatter -> Analysis.t -> uni
     additionally replays each suggested fix through a real collector
     and embeds the measured retention drop. *)
 
-val json_matrix : Format.formatter -> Scenarios.matrix_entry list -> unit
-(** The starvation matrix as a JSON array of
-    predicted-vs-measured rows. *)
+val json_matrix_entry : Format.formatter -> Scenarios.matrix_entry -> unit
+(** One starvation-matrix row as a JSON object: predicted vs measured
+    class, ladder rungs, the OOM diagnosis if any, and the prediction's
+    page counts. *)

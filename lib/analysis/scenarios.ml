@@ -363,6 +363,8 @@ type gen_fix_entry = {
   g_predicted_after : Promotion.prediction;
 }
 
+(* (scenario, rule) pairs: the same four targets the conservative fix
+   replay gates on. *)
 let gen_fix_targets =
   [
     ("grid-embedded", "R1");

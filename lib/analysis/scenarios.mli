@@ -15,7 +15,6 @@ type outcome = {
 
 val names : string list
 val run : string -> outcome option
-val run_all : unit -> outcome list
 
 val explain : outcome -> Format.formatter -> int -> unit
 (** Report hook: prints the live collector's {!Cgc.Inspect.why_live}
@@ -48,7 +47,7 @@ val pp_matrix_entry : Format.formatter -> matrix_entry -> unit
     The four headline findings (R1/R2/R5) replayed original-vs-fixed
     through a fresh {!Cgc.Generational} collector, with the
     {!Promotion} model's predicted garbage cross-checked against the
-    measured {!Replay.promoted_garbage} on both sides of each fix. *)
+    measured promoted garbage ({!Replay.gen_comparison}) on both sides of each fix. *)
 
 val gen_promote_after : int
 (** Promotion threshold used across the matrix (and by the bench /
@@ -61,10 +60,6 @@ type gen_fix_entry = {
   g_predicted_before : Promotion.prediction;
   g_predicted_after : Promotion.prediction;
 }
-
-val gen_fix_targets : (string * string) list
-(** (scenario, rule) pairs: the same four targets the conservative
-    fix replay gates on. *)
 
 val generational_fixes : ?outcomes:outcome list -> unit -> gen_fix_entry list
 (** Run (or reuse) the scenarios and replay each target's suggested

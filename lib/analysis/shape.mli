@@ -46,8 +46,6 @@ type t = {
   max_dead_links : int;
 }
 
-val max_field_labels : int
-
 val build : Ir.program -> Apparent.result -> t
 
 val worst : t -> graph option

@@ -39,8 +39,6 @@ type rung =
       (** placement permitted on blacklisted pages outright, counted as
           overrides (requires [Config.relax_blacklist]) *)
 
-val rung_to_string : rung -> string
-
 type oom_diagnosis = {
   request_bytes : int;
   request_pages : int;
@@ -69,7 +67,6 @@ exception Out_of_memory of oom_diagnosis
     the whole escalation ladder ran dry (the simulated OS has no more
     memory to give, or the blacklist starves the request). *)
 
-val pp_oom_diagnosis : Format.formatter -> oom_diagnosis -> unit
 val oom_message : oom_diagnosis -> string
 
 val create : ?config:Config.t -> Mem.t -> base:Addr.t -> max_bytes:int -> unit -> t

@@ -60,7 +60,6 @@ val layout_tag : layout -> string
     byte-array load instead of a variant match. *)
 
 val kind_uncommitted : int
-val kind_free : int
 val kind_small : int
 val kind_large_head : int
 val kind_large_tail : int

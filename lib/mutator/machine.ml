@@ -185,7 +185,8 @@ let clear_dead_stack t ?words () =
 
 (* Registers 0-7 model values the compiled code actively keeps live;
    residue and kernel noise only ever lands in the caller-saved upper
-   registers, which the conservative scan nonetheless sees. *)
+   registers, which the conservative scan nonetheless sees.  A kernel
+   call or context switch sprinkles random words into them. *)
 let context_switch_noise t =
   for _ = 1 to 8 do
     if Rng.chance t.rng t.config.syscall_noise then begin

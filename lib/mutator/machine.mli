@@ -194,9 +194,4 @@ val clear_dead_stack : t -> ?words:int -> unit -> unit
 (** Explicitly clear up to [words] (default: all) of the dead region
     below the stack pointer. *)
 
-val context_switch_noise : t -> unit
-(** Simulate a kernel call / context switch: sprinkle random words into
-    a few registers (uses the machine's RNG; honours [syscall_noise]
-    rate times 8 registers). *)
-
 val pp : Format.formatter -> t -> unit

@@ -9,9 +9,6 @@
 type t = int
 (** An address.  Always in [0, 2{^32}). *)
 
-val space_bits : int
-(** Width of the simulated address space in bits (32). *)
-
 val space_size : int
 (** Size of the simulated address space in bytes, [2{^32}]. *)
 
@@ -40,7 +37,7 @@ val align_up : t -> int -> t
 (** Round up to a multiple of [n] (a power of two); wraps to 32 bits. *)
 
 val trailing_zeros : t -> int
-(** Number of trailing zero bits; [trailing_zeros zero] is [space_bits].
+(** Number of trailing zero bits; [trailing_zeros zero] is 32.
     Used by the allocator policy that avoids handing out objects at
     addresses with many trailing zeros (paper section 2, figure 1). *)
 

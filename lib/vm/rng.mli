@@ -19,9 +19,6 @@ val split : t -> t
 (** A new generator whose stream is decorrelated from the parent's
     subsequent output. *)
 
-val next_int64 : t -> int64
-(** The raw 64-bit SplitMix64 output. *)
-
 val word : t -> int
 (** A uniformly distributed 32-bit word (as a non-negative [int]). *)
 

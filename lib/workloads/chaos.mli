@@ -47,10 +47,6 @@ type plan_spec =
       (** every [every]-th write decays its region — exercises the
           collector's quarantine-and-retry escalation *)
 
-val plan_name : plan_spec -> string
-
-val instantiate : plan_spec -> Cgc_vm.Mem.Fault.plan
-
 type outcome = {
   collector : string;
   scenario : string;
@@ -106,10 +102,6 @@ val default_scenarios : (string * Cgc.Config.t) list
 val default_plans : seed:int -> plan_spec list
 (** A re-arming countdown, a seeded probability, and a commit quota —
     the commit-fault plans. *)
-
-val access_plans : seed:int -> plan_spec list
-(** The read/write fault plans: ECC read chance, read decay, write
-    refusal chance, write decay. *)
 
 val run_matrix :
   ?steps:int ->

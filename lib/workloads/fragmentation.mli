@@ -31,5 +31,4 @@ type result = {
 
 val run : ?seed:int -> allocator -> population:int -> iterations:int -> result
 
-val allocator_name : allocator -> string
 val pp : Format.formatter -> result -> unit

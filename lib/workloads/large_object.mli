@@ -18,8 +18,6 @@ type failure =
   | Out_of_pages  (** the reserve genuinely has no run of that size *)
   | Os_refused  (** an injected commit fault blocked placement *)
 
-val failure_to_string : failure -> string
-
 type probe = {
   size_kb : int;
   anywhere_ok : bool;  (** placeable when the whole run must be clean *)

@@ -36,5 +36,4 @@ val run :
 (** [prepare] runs on the fresh harness before any allocation — the
     hook a trace recorder attaches through. *)
 
-val mode_name : mode -> string
 val pp : Format.formatter -> result -> unit

@@ -216,8 +216,6 @@ let all =
     pcr;
   ]
 
-let names = List.map (fun p -> p.name) all
-let by_name name = List.find_opt (fun p -> p.name = name) all
 
 let scale ?lists ?nodes_per_list t =
   {

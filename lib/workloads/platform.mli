@@ -91,11 +91,6 @@ val clean : ?machine_config:Machine.config -> unit -> t
 val all : t list
 (** The nine rows of table 1 (PCR is a single "mixed" row). *)
 
-val by_name : string -> t option
-(** Lookup by row name, e.g. ["sparc-static-opt"]. *)
-
-val names : string list
-
 (** {1 Environment construction} *)
 
 type env = {

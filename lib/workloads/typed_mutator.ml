@@ -350,7 +350,6 @@ let issues session = List.rev session.issues
 let last_retention session = session.last_retention
 let twin_ooms session = session.twin_ooms
 let collects_completed session = session.collects_completed
-let collects_aborted session = session.collects_aborted
 
 (* --- wiring the two sides --- *)
 

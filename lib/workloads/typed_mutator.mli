@@ -23,8 +23,6 @@
 
 type kind = Cons | Link_cell | Blob | Record | Large_atomic | Large_array
 
-val desc_of_kind : kind -> Cgc.Type_desc.t
-
 type op =
   | Alloc of { id : int; kind : kind; rooted : bool; attach : (int * int) option }
       (** allocate object [id]; [attach = Some (parent, field)] links it
@@ -83,4 +81,3 @@ val twin_ooms : session -> int
     stays 0. *)
 
 val collects_completed : session -> int
-val collects_aborted : session -> int

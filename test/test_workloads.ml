@@ -38,8 +38,6 @@ let test_platform_presets_build () =
     W_platform.all
 
 let test_platform_lookup () =
-  check bool "by_name finds" true (W_platform.by_name "pcr" <> None);
-  check bool "by_name misses" true (W_platform.by_name "vax" = None);
   check int "nine rows" 9 (List.length W_platform.all)
 
 let test_platform_scale () =
