@@ -104,6 +104,9 @@ type t = {
   page_mask : int;  (** [page_size - 1] *)
   alignment : int;
   alignment_shift : int;  (** [log2 alignment]: alignments are 1, 2 or 4 *)
+  blocks : bool;
+      (** unguarded scans read four words per step ([scan_blocks]):
+          alignment 4 on a little-endian host, over a heap above address 0 *)
   interior : bool;
   tail_valid : bool;  (** interior pointers on and [large_validity = Anywhere] *)
   blacklisting : bool;
@@ -177,6 +180,9 @@ let create ?(stop_on_fault = false) heap config blacklist stats =
       | 2 -> 1
       | 4 -> 2
       | _ -> invalid_arg "Mark.create: alignment must be 1, 2 or 4");
+    blocks =
+      config.Config.alignment = 4 && (not Sys.big_endian)
+      && Addr.to_int (Heap.base heap) > 0;
     interior = config.Config.interior_pointers;
     tail_valid =
       config.Config.interior_pointers
@@ -241,12 +247,15 @@ let[@inline] push t base extent =
    default (dev) build compiles every module [-opaque], so an [@inline]
    on a function of [Bitset] or [Segment] does not reach this file: each
    would be a real call per scanned word or per bit test.  Heap words are
-   read here through the primitives [Segment] itself uses, and the alloc
+   read here through the bytes primitives [Segment] itself uses (and
+   their 64-bit forms, for [scan_blocks]), and the alloc
    and mark bits are tested and set on the bitmap words directly, in the
    layout [Bitset.t] documents (62 members a word; the literal keeps the
    divisions by a constant). *)
 external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 external bswap32 : int32 -> int32 = "%bswap_int32"
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
 
 let[@inline] word_le bytes off =
   let v = get32u bytes off in
@@ -419,33 +428,90 @@ let scan_words_guarded t seg ~lo ~hi =
 
 (* Closure-free scan of the words at [lo, lo + alignment, ...] with
    [addr + 4 <= hi], read straight out of [bytes] (the backing store of
-   [seg], based at [sbase]); [lo, hi) is already inside [seg] and on the
-   alignment grid.  Specialized per endianness so the branch is hoisted
-   out of the loop.  The words-scanned count for the whole range is the
-   loop-iteration count in closed form, added once. *)
+   a segment based at [sbase]); [lo, hi) is already inside the segment
+   and on the alignment grid.  One 32-bit load per word, specialized per
+   byte order so the branch is hoisted out of the loop: the unguarded
+   scan at alignments 1 and 2, and on a big-endian host. *)
+let scan_each t bytes ~sbase ~little ~lo ~hi =
+  let alignment = t.alignment and heap_lo = t.heap_lo and heap_hi = t.heap_hi in
+  if little then begin
+    let a = ref lo in
+    while !a + 4 <= hi do
+      let v = word_le bytes (!a - sbase) in
+      if v >= heap_lo && v < heap_hi then classify_in_heap t v;
+      a := !a + alignment
+    done
+  end
+  else begin
+    let a = ref lo in
+    while !a + 4 <= hi do
+      let v = word_be bytes (!a - sbase) in
+      if v >= heap_lo && v < heap_hi then classify_in_heap t v;
+      a := !a + alignment
+    done
+  end
+
+(* The block scanner: the same words at alignment 4 on a little-endian
+   host, read sixteen bytes at a time as two unaligned 64-bit loads.  A
+   block whose loads are both zero holds no heap address (the heap lies
+   above address 0) and costs one test.  Otherwise its four words are
+   split out in address order — the low half of a little-endian load is
+   the lower word; a big-endian segment's load is byte-swapped whole,
+   which puts its lower word in the high half — and each gets the
+   inline in-heap test.  The last 0-3 words are read one at a time.  The
+   words and their order are [scan_each]'s, so the marks, tallies and
+   pushes are too; every [Int64] stays unboxed ([test_gc] "mark
+   allocates nothing per object" counts the minor words). *)
+let[@inline] scan_blocks t bytes ~sbase ~little ~lo ~hi =
+  let heap_lo = t.heap_lo and heap_hi = t.heap_hi in
+  let stop = hi - sbase in
+  let off = ref (lo - sbase) in
+  while !off + 16 <= stop do
+    let o = !off in
+    let x0 = get64u bytes o and x1 = get64u bytes (o + 8) in
+    if Int64.logor x0 x1 <> 0L then
+      if little then begin
+        let v = Int64.to_int x0 land 0xFFFF_FFFF in
+        if v >= heap_lo && v < heap_hi then classify_in_heap t v;
+        let v = Int64.to_int (Int64.shift_right_logical x0 32) in
+        if v >= heap_lo && v < heap_hi then classify_in_heap t v;
+        let v = Int64.to_int x1 land 0xFFFF_FFFF in
+        if v >= heap_lo && v < heap_hi then classify_in_heap t v;
+        let v = Int64.to_int (Int64.shift_right_logical x1 32) in
+        if v >= heap_lo && v < heap_hi then classify_in_heap t v
+      end
+      else begin
+        let x0 = bswap64 x0 and x1 = bswap64 x1 in
+        let v = Int64.to_int (Int64.shift_right_logical x0 32) in
+        if v >= heap_lo && v < heap_hi then classify_in_heap t v;
+        let v = Int64.to_int x0 land 0xFFFF_FFFF in
+        if v >= heap_lo && v < heap_hi then classify_in_heap t v;
+        let v = Int64.to_int (Int64.shift_right_logical x1 32) in
+        if v >= heap_lo && v < heap_hi then classify_in_heap t v;
+        let v = Int64.to_int x1 land 0xFFFF_FFFF in
+        if v >= heap_lo && v < heap_hi then classify_in_heap t v
+      end;
+    off := o + 16
+  done;
+  while !off + 4 <= stop do
+    let v = if little then word_le bytes !off else word_be bytes !off in
+    if v >= heap_lo && v < heap_hi then classify_in_heap t v;
+    off := !off + 4
+  done
+
+(* The unguarded scan of a span, by blocks where [t.blocks] allows. *)
+let[@inline] scan_unguarded t bytes ~sbase ~little ~lo ~hi =
+  if t.blocks then scan_blocks t bytes ~sbase ~little ~lo ~hi
+  else scan_each t bytes ~sbase ~little ~lo ~hi
+
+(* A span's scan: the words-scanned count for the whole range is the
+   loop-iteration count in closed form, added once; the guarded loop
+   while reads are armed, the unguarded scan otherwise. *)
 let scan_span t seg bytes ~sbase ~little ~lo ~hi =
   if lo + 4 <= hi then begin
     t.n_words <- t.n_words + (((hi - 4 - lo) lsr t.alignment_shift) + 1);
     if t.reads_armed then scan_words_guarded t seg ~lo ~hi
-    else begin
-      let alignment = t.alignment and heap_lo = t.heap_lo and heap_hi = t.heap_hi in
-      if little then begin
-        let a = ref lo in
-        while !a + 4 <= hi do
-          let v = word_le bytes (!a - sbase) in
-          if v >= heap_lo && v < heap_hi then classify_in_heap t v;
-          a := !a + alignment
-        done
-      end
-      else begin
-        let a = ref lo in
-        while !a + 4 <= hi do
-          let v = word_be bytes (!a - sbase) in
-          if v >= heap_lo && v < heap_hi then classify_in_heap t v;
-          a := !a + alignment
-        done
-      end
-    end
+    else scan_unguarded t bytes ~sbase ~little ~lo ~hi
   end
 
 (* A root range: one clamp to its segment, then the span scan. *)
@@ -488,59 +554,31 @@ let scan_object t base =
   else t.stats.Stats.mark_downgrades <- t.stats.Stats.mark_downgrades + 1
 
 (* Pop until the stack is empty.  A conservative entry's words are
-   scanned right here, in one loop per byte order: the object lies
-   inside a small page, hence inside the heap segment, and its extent is
-   at least one word.  Classifying a word may push, and growing the
-   stack replaces [t.stack], so every pop reads it afresh. *)
-let drain_le t =
-  let bytes = t.heap_bytes and heap_lo = t.heap_lo and heap_hi = t.heap_hi in
-  let alignment = t.alignment and shift = t.alignment_shift in
-  while t.sp > 0 do
-    let sp = t.sp - 2 in
-    t.sp <- sp;
-    let base = Array.unsafe_get t.stack sp and extent = Array.unsafe_get t.stack (sp + 1) in
-    if extent > 0 then begin
-      t.n_words <- t.n_words + ((extent - 4) lsr shift) + 1;
-      let last = base + extent - 4 in
-      let a = ref base in
-      while !a <= last do
-        let v = word_le bytes (!a - heap_lo) in
-        if v >= heap_lo && v < heap_hi then classify_in_heap t v;
-        a := !a + alignment
-      done
-    end
-    else if extent < 0 then scan_object t base
-  done
-
-let drain_be t =
-  let bytes = t.heap_bytes and heap_lo = t.heap_lo and heap_hi = t.heap_hi in
-  let alignment = t.alignment and shift = t.alignment_shift in
-  while t.sp > 0 do
-    let sp = t.sp - 2 in
-    t.sp <- sp;
-    let base = Array.unsafe_get t.stack sp and extent = Array.unsafe_get t.stack (sp + 1) in
-    if extent > 0 then begin
-      t.n_words <- t.n_words + ((extent - 4) lsr shift) + 1;
-      let last = base + extent - 4 in
-      let a = ref base in
-      while !a <= last do
-        let v = word_be bytes (!a - heap_lo) in
-        if v >= heap_lo && v < heap_hi then classify_in_heap t v;
-        a := !a + alignment
-      done
-    end
-    else if extent < 0 then scan_object t base
-  done
-
-(* While reads are armed every pop takes the guarded [scan_object]. *)
+   scanned right here by the unguarded scan: the object lies inside a
+   small page, hence inside the heap segment, and its extent is at least
+   one word.  Classifying a word may push, and growing the stack
+   replaces [t.stack], so every pop reads it afresh.  While reads are
+   armed every pop takes the guarded [scan_object]. *)
 let drain t =
   if t.reads_armed then
     while t.sp > 0 do
       t.sp <- t.sp - 2;
       scan_object t (Array.unsafe_get t.stack t.sp)
     done
-  else if t.heap_little then drain_le t
-  else drain_be t
+  else begin
+    let bytes = t.heap_bytes and heap_lo = t.heap_lo and little = t.heap_little in
+    let shift = t.alignment_shift in
+    while t.sp > 0 do
+      let sp = t.sp - 2 in
+      t.sp <- sp;
+      let base = Array.unsafe_get t.stack sp and extent = Array.unsafe_get t.stack (sp + 1) in
+      if extent > 0 then begin
+        t.n_words <- t.n_words + ((extent - 4) lsr shift) + 1;
+        scan_unguarded t bytes ~sbase:heap_lo ~little ~lo:base ~hi:(base + extent)
+      end
+      else if extent < 0 then scan_object t base
+    done
+  end
 
 let scan_range t ~mem range =
   let { Roots.lo; hi; label = _ } = range in

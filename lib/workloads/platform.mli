@@ -76,7 +76,6 @@ type t = {
 }
 
 val sparc_static : optimized:bool -> t
-val sparc_dynamic : optimized:bool -> t
 val sgi_static : optimized:bool -> t
 val os2_static : optimized:bool -> t
 val pcr : t

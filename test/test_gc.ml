@@ -1075,10 +1075,14 @@ let test_sweep_allocates_nothing () =
     (fixed <= 16)
 
 (* The trace allocates nothing per object or per scanned word: a second
-   mark of ~4000 live chained cells, every fourth also naming a
-   pointer-free leaf, costs exactly the minor words of marking an empty
-   heap — the per-trace root lists and iterators, a fixed handful.  The
-   per-trace tally flush adds no closure either. *)
+   mark of ~4000 live chained cells of 8, 16 and 20 bytes, every fourth
+   also naming a pointer-free leaf in its last word, and a zero-filled
+   large object whose last word alone names a cell, costs exactly the
+   minor words of marking an empty heap — the per-trace root lists and
+   iterators, a fixed handful.  The cells reach the block scan's
+   four-word split and its tail, the large object its zero skip, so an
+   [Int64] boxed there shows.  The per-trace tally flush adds no closure
+   either. *)
 let test_mark_allocates_nothing () =
   let mark_words gc =
     Gc.Internal.run_mark gc;
@@ -1094,16 +1098,20 @@ let test_mark_allocates_nothing () =
   let head = Gc.allocate busy 8 in
   let prev = ref head in
   for i = 2 to 4000 do
-    let c = Gc.allocate busy 8 in
+    let bytes = [| 8; 16; 20 |].(i mod 3) in
+    let c = Gc.allocate busy bytes in
     Gc.set_field busy !prev 0 (Addr.to_int c);
     if i mod 4 = 0 then
-      Gc.set_field busy c 1 (Addr.to_int (Gc.allocate ~pointer_free:true busy 12));
+      Gc.set_field busy c ((bytes / 4) - 1) (Addr.to_int (Gc.allocate ~pointer_free:true busy 12));
     prev := c
   done;
+  let large = Gc.allocate busy 20_000 in
+  Gc.set_field busy large 4999 (Addr.to_int (Gc.allocate busy 8));
+  Gc.set_field busy head 1 (Addr.to_int large);
   set_slot globals 0 (Addr.to_int head);
   let _, fixed = mark_words empty in
   let marked, words = mark_words busy in
-  check int "every cell and leaf marked" 5000 marked;
+  check int "every cell, leaf and the large object marked" 5002 marked;
   check int "minor words: busy heap = empty heap" fixed words
 
 let test_live_bytes_accounting () =

@@ -55,15 +55,28 @@ let junk_value_gen =
         (1, return 0);
       ])
 
+(* The field an edge of a [words]-word source lands in: one of the first
+   four, the last, or any.  In a 1500-word object the last word and a
+   word after a long run of zero words are where the block scan's zero
+   skip, its four-word split and its 0-3-word tail meet. *)
+let field_gen words =
+  QCheck.Gen.(
+    frequency
+      [ (2, int_bound (min 3 (words - 1))); (1, return (words - 1)); (2, int_bound (words - 1)) ])
+
 let scenario_gen =
   QCheck.Gen.(
     int_range 2 30 >>= fun n ->
-    array_size (return n) (frequency [ (9, int_range 1 6); (1, return 1500) ]) >>= fun sizes ->
+    (* 1-9 words: every word count mod 4 is drawn, so every tail length *)
+    array_size (return n) (frequency [ (9, int_range 1 9); (1, return 1500) ]) >>= fun sizes ->
     (* a quarter are leaves: pushed and popped like any object, never
        scanned, so their fields' pointers must not mark *)
     array_size (return n) (frequency [ (3, return false); (1, return true) ]) >>= fun leaves ->
-    list_size (int_bound (2 * n)) (triple (int_bound (n - 1)) (int_bound 3) (int_bound (n - 1)))
-    >>= fun raw_edges ->
+    list_size (int_bound (2 * n))
+      ( int_bound (n - 1) >>= fun src ->
+        field_gen sizes.(src) >>= fun field ->
+        int_bound (n - 1) >>= fun dst -> return (src, field, dst) )
+    >>= fun edges ->
     (* sometimes every object is a root: one root-range scan then pushes
        up to 30 objects before it drains, overflowing a 16-entry stack *)
     frequency
@@ -80,9 +93,6 @@ let scenario_gen =
     oneofl [ None; Some 16; Some 64 ] >>= fun limit ->
     bool >>= fun hashed ->
     bool >>= fun big_endian ->
-    let edges =
-      List.filter_map (fun (s, f, d) -> if f < sizes.(s) then Some (s, f, d) else None) raw_edges
-    in
     return
       {
         s_sizes = sizes;
@@ -600,6 +610,67 @@ let heap_top_cases =
         [ 1; 2; 4 ])
     [ false; true ]
 
+(* Word order inside a block: the scan visits an object's words in
+   address order, which decides which of two pushes a full stack drops.
+   Fifteen pointer-free leaves and a 5-word object R are the roots, so
+   the 16-entry stack is full when R's scan begins; R names A at word i
+   and B at word i + 1 and holds zeros elsewhere.  A push of the second
+   overflows: A dropped means its child C is found only by the rescan,
+   so the tallies differ with the order.  For i = 0..3 (inside the
+   four-word block, and across into the tail word) the fast path equals
+   the reference, and the reference itself tells the two orders apart,
+   in both byte orders at alignments 1/2/4. *)
+let block_order_case ~alignment ~big_endian () =
+  let build i ~swap =
+    let mem = Mem.create ~endian:(if big_endian then Endian.Big else Endian.Little) () in
+    let data =
+      Mem.map mem ~name:"roots" ~kind:Segment.Static_data ~base:(Addr.of_int 0x10000) ~size:0x100
+    in
+    let config =
+      { Config.default with Config.alignment; mark_stack_limit = Some 16; initial_pages = 4 }
+    in
+    let gc = Gc.create ~config mem ~base:(Addr.of_int heap_base) ~max_bytes:(16 * 4096) () in
+    Gc.set_auto_collect gc false;
+    Gc.add_static_root gc ~lo:(Segment.base data) ~hi:(Segment.limit data) ~label:"roots";
+    let root k a = Segment.write_word data (Addr.add (Segment.base data) (4 * k)) (Addr.to_int a) in
+    for k = 0 to 14 do
+      root k (Gc.allocate ~pointer_free:true gc 4)
+    done;
+    let r = Gc.allocate gc 20 and a = Gc.allocate gc 8 and b = Gc.allocate ~pointer_free:true gc 8 in
+    Gc.set_field gc a 0 (Addr.to_int (Gc.allocate gc 8));
+    let first, second = if swap then (b, a) else (a, b) in
+    Gc.set_field gc r i (Addr.to_int first);
+    Gc.set_field gc r (i + 1) (Addr.to_int second);
+    root 15 r;
+    gc
+  in
+  for i = 0 to 3 do
+    let gc_fast = build i ~swap:false and gc_ref = build i ~swap:false in
+    let gc_swapped = build i ~swap:true in
+    Gc.Internal.run_mark gc_fast;
+    Cgc_oracle.Reference.run gc_ref;
+    Cgc_oracle.Reference.run gc_swapped;
+    let ((_, _, (_, _, _, _, overflows)) as expected) = mark_state gc_ref in
+    Alcotest.(check int) (Printf.sprintf "words %d, %d: the stack overflowed" i (i + 1)) 1 overflows;
+    Alcotest.(check bool) (Printf.sprintf "words %d, %d: the order shows" i (i + 1)) false
+      (expected = mark_state gc_swapped);
+    Alcotest.(check bool) (Printf.sprintf "words %d, %d: fast path == reference" i (i + 1)) true
+      (mark_state gc_fast = expected)
+  done
+
+let block_order_cases =
+  List.concat_map
+    (fun alignment ->
+      List.map
+        (fun big_endian ->
+          Alcotest.test_case
+            (Printf.sprintf "block words in address order, align %d, %s-endian" alignment
+               (if big_endian then "big" else "little"))
+            `Quick
+            (block_order_case ~alignment ~big_endian))
+        [ false; true ])
+    [ 1; 2; 4 ]
+
 (* --- the word-wide sweep against the per-object reference sweep --- *)
 
 (* A page table drawn from one seed: small pages of 16, 48, 64 or 8 B
@@ -761,4 +832,6 @@ let suite =
       prop_sweep_matches_reference;
     ]
 
-let () = Alcotest.run "mark-diff" [ ("differential", suite); ("heap-top", heap_top_cases) ]
+let () =
+  Alcotest.run "mark-diff"
+    [ ("differential", suite); ("heap-top", heap_top_cases); ("block-order", block_order_cases) ]
