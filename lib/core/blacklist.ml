@@ -90,20 +90,6 @@ let ops t = t.ops
 let note_override t = t.overridden <- t.overridden + 1
 let overridden t = t.overridden
 
-(* Per-domain buffering for the parallel marker: each domain notes
-   false references into a private plain bitset over the same universe
-   (pre-bucketed with [bucket_index]), and the buffers are merged here
-   at the end-of-mark barrier.  The merged image equals the serial
-   one because [note] is idempotent on bits and the set of false
-   references is schedule-independent. *)
-let universe t = Bitset.length t.current
-
-let bucket_index t page = bucket_of t page
-
-let merge_noted t buffer ~notes =
-  t.ops <- t.ops + notes;
-  Bitset.union_into ~dst:t.current buffer
-
 let iter f t =
   match t.representation with
   | Exact ->

@@ -56,24 +56,6 @@ val note_override : t -> unit
 val overridden : t -> int
 (** Overrides recorded so far. *)
 
-val universe : t -> int
-(** Size of the underlying bit universe — [n_pages] for [Exact], the
-    bucket count for [Hashed].  Parallel-marker domains size their
-    private note buffers with this. *)
-
-val bucket_index : t -> int -> int
-(** The bit index {!note} would set for this page on the live
-    structure (the page itself for [Exact], its Fibonacci-hash bucket
-    for [Hashed]).  Pure; safe from any domain. *)
-
-val merge_noted : t -> Cgc_vm.Bitset.t -> notes:int -> unit
-(** [merge_noted t buffer ~notes] folds one domain's private note
-    buffer (bits pre-mapped with {!bucket_index}, universe
-    {!universe}) into the current cycle and credits [notes] bookkeeping
-    operations — exactly what [notes] individual {!note} calls would
-    have done, since noting is idempotent per bit.  Serial: call only
-    after the marker domains have quiesced. *)
-
 val iter : (int -> unit) -> t -> unit
 (** Iterate over currently black pages in increasing order. *)
 

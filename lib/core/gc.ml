@@ -42,9 +42,6 @@ type t = {
          a wrapper imposing its own liveness discipline (the precise
          view) substitutes its exact collection without the wrapped
          heap ever being marked conservatively behind its back *)
-  mutable last_mark_outcome : Mark.Parallel.outcome option;
-      (* how the most recent [Internal.run_mark_parallel] ran: parallel,
-         or serial with a typed fallback note; [None] until the first *)
 }
 
 (* --- the allocation escalation ladder --- *)
@@ -150,7 +147,6 @@ let create ?(config = Config.default) mem ~base ~max_bytes () =
       budget = Heap.committed_bytes heap / config.Config.space_divisor;
       auto_collect = true;
       collect_hook = None;
-      last_mark_outcome = None;
     }
   in
   t
@@ -895,12 +891,7 @@ module Internal = struct
   let run_mark t = Mark.run t.marker t.roots ~mem:t.mem
   let note_collected t = t.allocated_since_gc <- 0
 
-  let run_mark_parallel t ~jobs =
-    let outcome = Mark.Parallel.run t.marker t.roots ~mem:t.mem ~jobs in
-    t.last_mark_outcome <- Some outcome;
-    outcome
-
-  let last_mark_outcome t = t.last_mark_outcome
+  let run_mark_parallel t ~jobs:_ = Mark.Parallel.run t.marker t.roots ~mem:t.mem
 
   let is_marked t addr =
     match find_object t addr with None -> false | Some base -> Heap.is_marked t.heap base

@@ -123,8 +123,7 @@ val set_collect_hook : t -> (unit -> unit) option -> unit
 val collect : t -> unit
 (** A full stop-the-world collection: conservative mark from all
     registered roots (updating the blacklist), then sweep.  The mark is
-    always the serial {!Mark.run}, as in the paper's collector; the
-    parallel tracer runs only through {!Internal.run_mark_parallel}.
+    always the serial {!Mark.run}, as in the paper's collector.
     Every page is swept before [collect] returns. *)
 
 val trim : t -> int
@@ -217,20 +216,9 @@ module Internal : sig
       retried a budget later rather than at every allocation). *)
 
   val run_mark_parallel : t -> jobs:int -> Mark.Parallel.outcome
-  (** Like {!run_mark} but through {!Mark.Parallel} with [jobs] marker
-      domains (serial for [jobs <= 1] or under an armed access plan,
-      with the typed note in the outcome).  Records the outcome in
-      {!last_mark_outcome}; an exception raised by a marker domain
-      propagates after every domain has joined and records nothing.
-      The tracer's only entry point: the jobs differentials, the
-      [bench mark --jobs] sweep and the layered benchmark's
-      [mark_parallel.*] probe. *)
-
-  val last_mark_outcome : t -> Mark.Parallel.outcome option
-  (** How the most recent completed {!run_mark_parallel} ran: parallel
-      ([fallback = None]) or serial with a typed note (an armed
-      [Mem.Fault] access plan forces serial marking up front).  [None]
-      before the first; {!collect} never sets it. *)
+  (** {!run_mark}, whatever [jobs] says, with the counts of this mark
+      in one shard.  Kept only for gcbench's frozen [mark_parallel.*]
+      probe, and deleted with it: the parallel tracer is gone. *)
 
   val is_marked : t -> Addr.t -> bool
   (** Valid only between [run_mark] and the next sweep. *)

@@ -654,668 +654,21 @@ let run t roots ~mem =
   Blacklist.begin_cycle t.blacklist;
   trace t roots ~mem
 
-(* --- the parallel tracer -------------------------------------------- *)
-
-(* N marker domains over the same object graph, bit-identical to the
-   serial fast path above.  The determinism argument, piece by piece:
-
-   - The mark bitmap is the transitive closure of the roots, an
-     order-independent set.  Mark bits live in *shadow* atomic tables
-     during the trace ([Bitset.Atomic.test_and_set]); exactly one
-     domain wins each bit and scans that object's body, so each object
-     is scanned exactly once regardless of schedule.  After the domains
-     join, the shadow is written back serially into the real
-     (sweeper-visible) mark words — [Page], [Heap] and [Sweep] never
-     see atomics.
-
-   - The blacklist image is the bucket image of the set of false
-     references, also schedule-independent.  Domains buffer notes in
-     private plain bitsets (pre-bucketed, so hashed-bucket semantics
-     are preserved bit-for-bit) merged into the current cycle at the
-     end barrier.  Marking never *reads* the blacklist — only the
-     allocator does, and the world is stopped — so deferral is
-     invisible.
-
-   - Stats shards: every root word is scanned by exactly one domain and
-     every object body by exactly one domain, so the per-domain
-     [words_scanned] / [valid_refs] / [false_refs] / [objects_marked]
-     partition the serial totals and their sum is bit-identical —
-     except after a mark-stack overflow, where the number of recovery
-     rescan rounds (and thus re-counted words) is schedule-dependent in
-     both the serial and parallel marker.
-
-   - Work distribution is a Chase-Lev deque per domain (owner LIFO,
-     thieves steal oldest) fed by a shared root-task queue claimed with
-     fetch-and-add; overflow recovery generalizes the serial page
-     rescan to "any idle domain claims the next committed page".
-
-   [Mem.Fault] access plans are stateful trip streams (countdowns,
-   seeded draws); racing them across domains would change which loads
-   trip.  An armed access plan therefore forces the serial marker, with
-   a typed note in the returned outcome. *)
+(* The parallel tracer is gone; this stub is kept only for gcbench's
+   frozen [mark_parallel.*] probe and goes with it. *)
 module Parallel = struct
-  type fallback =
-    | Serial_configured
-    | Access_plan_armed
+  type fallback = Tracer_removed
+  type outcome = { fallback : fallback option; shards : Stats.t array }
 
-  let fallback_to_string = function
-    | Serial_configured -> "serial-configured"
-    | Access_plan_armed -> "access-plan-armed"
-
-  type outcome = {
-    jobs_requested : int;
-    domains_used : int;
-    fallback : fallback option;
-    shards : Stats.t array;
-  }
-
-  type root_task =
-    | Registers of int array
-    | Range_chunk of {
-        seg : Segment.t;
-        lo : int;
-        start_hi : int; (* chunk boundary: scan while addr < start_hi *)
-        hi : int; (* range end: and addr + 4 <= hi *)
-      }
-
-  (* Per-domain state: a private deque, a private header cache, a stats
-     shard and a blacklist buffer, plus immutable copies of the scan
-     scalars so the hot path never chases the shared record. *)
-  type worker = {
-    w_id : int;
-    w_deque : Ws_deque.t;
-    w_stats : Stats.t;
-    w_black : Bitset.t;
-    mutable w_black_notes : int;
-    (* scan scalars (copied from the marker, immutable during the run) *)
-    w_desc : Heap.desc;
-    w_heap_bytes : Bytes.t;
-    w_heap_little : bool;
-    w_heap_lo : int;
-    w_heap_hi : int;
-    w_page_shift : int;
-    w_page_mask : int;
-    w_alignment : int;
-    w_interior : bool;
-    w_tail_valid : bool;
-    w_blacklisting : bool;
-    w_disp_mask : int array;
-    w_stack_limit : int;  (* per-domain deque bound; max_int = unbounded *)
-    (* private one-entry header cache *)
-    mutable w_cache_page : int;
-    mutable w_cache_kind : int;
-    mutable w_cache_object_bytes : int;
-    mutable w_cache_first_offset : int;
-    mutable w_cache_n_objects : int;
-    mutable w_cache_recip_mul : int;
-    mutable w_cache_recip_shift : int;
-    mutable w_cache_head : int;
-    mutable w_cache_alloc : Bitset.t;
-    mutable w_cache_shadow : Bitset.Atomic.t;
-    mutable w_cache_large : Page.large;
-  }
-
-  type shared = {
-    p_blacklist : Blacklist.t; (* bucket mapping only; never written during the trace *)
-    p_shadow : Bitset.Atomic.t array; (* per-page shadow mark bits (small pages) *)
-    p_shadow_large : Bitset.Atomic.t; (* large-head marked flags, one bit per page *)
-    p_tasks : root_task array;
-    p_next_task : int Atomic.t;
-    p_mode : int Atomic.t; (* 0 = root tasks, 1 = overflow rescan *)
-    p_next_rescan : int Atomic.t;
-    p_committed : int;
-    p_overflowed : bool Atomic.t;
-    p_idle : int Atomic.t;
-    p_jobs : int;
-    p_workers : worker array;
-    p_abandoned : bool Atomic.t;  (* a domain raised: everyone unwinds *)
-    (* idle domains nap here instead of spinning (essential when domains
-       outnumber cores); producers wake them on push, the last domain to
-       go idle wakes them for termination *)
-    p_lock : Mutex.t;
-    p_cond : Condition.t;
-    p_nappers : int Atomic.t;
-    (* sense barrier between overflow-recovery rounds *)
-    p_bar_lock : Mutex.t;
-    p_bar_cond : Condition.t;
-    mutable p_bar_count : int;
-    mutable p_bar_gen : int;
-  }
-
-  let dummy_shadow = Bitset.Atomic.create 0
-
-  let make_worker t id =
-    {
-      w_id = id;
-      w_deque = Ws_deque.create ();
-      w_stats = Stats.create ();
-      w_black =
-        (if t.blacklisting then Bitset.create (Blacklist.universe t.blacklist)
-         else Bitset.create 0);
-      w_black_notes = 0;
-      w_desc = t.desc;
-      w_heap_bytes = t.heap_bytes;
-      w_heap_little = t.heap_little;
-      w_heap_lo = t.heap_lo;
-      w_heap_hi = t.heap_hi;
-      w_page_shift = t.page_shift;
-      w_page_mask = t.page_mask;
-      w_alignment = t.alignment;
-      w_interior = t.interior;
-      w_tail_valid = t.tail_valid;
-      w_blacklisting = t.blacklisting;
-      w_disp_mask = t.disp_mask;
-      w_stack_limit = t.stack_limit;
-      w_cache_page = -1;
-      w_cache_kind = Page.kind_uncommitted;
-      w_cache_object_bytes = 0;
-      w_cache_first_offset = 0;
-      w_cache_n_objects = 0;
-      w_cache_recip_mul = 0;
-      w_cache_recip_shift = 0;
-      w_cache_head = 0;
-      w_cache_alloc = Bitset.create 0;
-      w_cache_shadow = dummy_shadow;
-      w_cache_large = Page.dummy_large;
-    }
-
-  let load_header sh w page =
-    let d = w.w_desc in
-    w.w_cache_page <- page;
-    w.w_cache_kind <- Char.code (Bytes.unsafe_get d.Heap.d_kind page);
-    w.w_cache_object_bytes <- Array.unsafe_get d.Heap.d_object_bytes page;
-    w.w_cache_first_offset <- Array.unsafe_get d.Heap.d_first_offset page;
-    w.w_cache_n_objects <- Array.unsafe_get d.Heap.d_n_objects page;
-    w.w_cache_recip_mul <- Array.unsafe_get d.Heap.d_recip_mul page;
-    w.w_cache_recip_shift <- Array.unsafe_get d.Heap.d_recip_shift page;
-    w.w_cache_head <- Array.unsafe_get d.Heap.d_head page;
-    w.w_cache_alloc <- Array.unsafe_get d.Heap.d_alloc page;
-    w.w_cache_shadow <- Array.unsafe_get sh.p_shadow page;
-    w.w_cache_large <- Array.unsafe_get d.Heap.d_large page
-
-  let[@inline] ensure_header sh w page =
-    if page = w.w_cache_page then
-      w.w_stats.Stats.header_cache_hits <- w.w_stats.Stats.header_cache_hits + 1
-    else load_header sh w page
-
-  let[@inline] note_false sh w page =
-    w.w_stats.Stats.false_refs <- w.w_stats.Stats.false_refs + 1;
-    if w.w_blacklisting then begin
-      Bitset.add w.w_black (Blacklist.bucket_index sh.p_blacklist page);
-      w.w_black_notes <- w.w_black_notes + 1
-    end
-
-  let[@inline] note_valid w = w.w_stats.Stats.valid_refs <- w.w_stats.Stats.valid_refs + 1
-
-  let wake_nappers sh =
-    if Atomic.get sh.p_nappers > 0 then begin
-      Mutex.lock sh.p_lock;
-      Condition.broadcast sh.p_cond;
-      Mutex.unlock sh.p_lock
-    end
-
-  let wake_all sh =
-    Mutex.lock sh.p_lock;
-    Condition.broadcast sh.p_cond;
-    Mutex.unlock sh.p_lock
-
-  (* Internal unwind of an abandoned trace; caught in [worker_main]. *)
-  exception Gone
-
-  let[@inline] abandoned sh = Atomic.get sh.p_abandoned
-
-  (* Fail-stop: a domain that raises sets the flag before it re-raises,
-     so every other domain unwinds with [Gone] at its next claim, nap or
-     barrier.  Both condition variables are broadcast under their locks
-     after the flag is set, and both wait loops re-check the flag under
-     the same lock, so a napping domain or one parked at the
-     overflow-round barrier either sees the flag or is woken. *)
-  let abandon sh =
-    Atomic.set sh.p_abandoned true;
-    wake_all sh;
-    Mutex.lock sh.p_bar_lock;
-    Condition.broadcast sh.p_bar_cond;
-    Mutex.unlock sh.p_bar_lock
-
-  (* The object IS shadow-marked before any push, so on overflow its
-     children are found by the rescan rounds — exactly the serial
-     contract.  One overflow episode is counted per recovery round,
-     matching the serial [push]/[recover_from_overflow] pair. *)
-  let push sh w base =
-    if Ws_deque.size w.w_deque >= w.w_stack_limit then begin
-      if not (Atomic.exchange sh.p_overflowed true) then
-        w.w_stats.Stats.mark_stack_overflows <- w.w_stats.Stats.mark_stack_overflows + 1
-    end
-    else begin
-      Ws_deque.push w.w_deque base;
-      wake_nappers sh
-    end
-
-  (* [consider_heap] against shadow mark state: mirrors the serial fast
-     path line for line, with the test and set of the real mark word
-     replaced by one [Bitset.Atomic.unsafe_test_and_set] on the shadow —
-     the winner counts the object and scans it. *)
-  let consider sh w value =
-    if value >= w.w_heap_lo && value < w.w_heap_hi then begin
-      let page = (value - w.w_heap_lo) lsr w.w_page_shift in
-      ensure_header sh w page;
-      let kind = w.w_cache_kind in
-      if kind = Page.kind_small then begin
-        let rel = ((value - w.w_heap_lo) land w.w_page_mask) - w.w_cache_first_offset in
-        if rel < 0 then note_false sh w page
-        else begin
-          let object_bytes = w.w_cache_object_bytes in
-          let index = (rel * w.w_cache_recip_mul) lsr w.w_cache_recip_shift in
-          let displacement = rel - (index * object_bytes) in
-          if index >= w.w_cache_n_objects then note_false sh w page
-          else if not (Bitset.unsafe_mem w.w_cache_alloc index) then note_false sh w page
-          else if
-            displacement = 0 || w.w_interior
-            || Config.displacement_in_mask w.w_disp_mask displacement
-          then begin
-            note_valid w;
-            if Bitset.Atomic.unsafe_test_and_set w.w_cache_shadow index then begin
-              w.w_stats.Stats.objects_marked <- w.w_stats.Stats.objects_marked + 1;
-              push sh w (value - displacement)
-            end
-          end
-          else note_false sh w page
-        end
-      end
-      else if kind = Page.kind_large_head then begin
-        let l = w.w_cache_large in
-        if not l.Page.l_allocated then note_false sh w page
-        else begin
-          let off = (value - w.w_heap_lo) land w.w_page_mask in
-          if off = 0 || (w.w_interior && off < l.Page.object_bytes) then begin
-            note_valid w;
-            if Bitset.Atomic.unsafe_test_and_set sh.p_shadow_large page then begin
-              w.w_stats.Stats.objects_marked <- w.w_stats.Stats.objects_marked + 1;
-              push sh w (value - off)
-            end
-          end
-          else note_false sh w page
-        end
-      end
-      else if kind = Page.kind_large_tail then begin
-        if not w.w_tail_valid then note_false sh w page
-        else begin
-          let head = w.w_cache_head in
-          let l = Array.unsafe_get w.w_desc.Heap.d_large head in
-          let head_addr = w.w_heap_lo + (head lsl w.w_page_shift) in
-          if
-            Char.code (Bytes.unsafe_get w.w_desc.Heap.d_kind head) = Page.kind_large_head
-            && l.Page.l_allocated
-            && value - head_addr < l.Page.object_bytes
-          then begin
-            note_valid w;
-            if Bitset.Atomic.unsafe_test_and_set sh.p_shadow_large head then begin
-              w.w_stats.Stats.objects_marked <- w.w_stats.Stats.objects_marked + 1;
-              push sh w head_addr
-            end
-          end
-          else note_false sh w page
-        end
-      end
-      else (* Free / Uncommitted *) note_false sh w page
-    end
-
-  (* Scan [lo, start_hi) ∩ [lo, hi - 4] out of [bytes], based at [sbase],
-     already on the range's alignment grid.  The closed-form word count
-     tiles exactly: summed over a range's chunks it equals the serial
-     [((hi - 4 - lo) / alignment) + 1]. *)
-  let scan_span sh w bytes ~sbase ~little ~lo ~start_hi ~hi =
-    let e = if start_hi < hi - 3 then start_hi else hi - 3 in
-    if lo < e then begin
-      let alignment = w.w_alignment in
-      w.w_stats.Stats.words_scanned <-
-        w.w_stats.Stats.words_scanned + ((e - lo + alignment - 1) / alignment);
-      if little then begin
-        let a = ref lo in
-        while !a < e do
-          consider sh w (Segment.unsafe_word_le bytes (!a - sbase));
-          a := !a + alignment
-        done
-      end
-      else begin
-        let a = ref lo in
-        while !a < e do
-          consider sh w (Segment.unsafe_word_be bytes (!a - sbase));
-          a := !a + alignment
-        done
-      end
-    end
-
-  let scan_chunk sh w seg ~lo ~start_hi ~hi =
-    scan_span sh w (Segment.unsafe_bytes seg)
-      ~sbase:(Addr.to_int (Segment.base seg))
-      ~little:(Endian.equal (Segment.endian seg) Endian.Little)
-      ~lo ~start_hi ~hi
-
-  (* Scan a marked object's body straight from the descriptor row, as
-     the serial [scan_object] does, typed layouts included.  The
-     fault-free precondition holds by construction: access plans force
-     the serial marker. *)
-  let scan_object sh w base =
-    let d = w.w_desc in
-    let page = (base - w.w_heap_lo) lsr w.w_page_shift in
-    let kind = Char.code (Bytes.unsafe_get d.Heap.d_kind page) in
-    if kind = Page.kind_small || kind = Page.kind_large_head then begin
-      let scan = Bytes.unsafe_get d.Heap.d_scan page in
-      if scan = '\000' then begin
-        let hi = base + Array.unsafe_get d.Heap.d_object_bytes page in
-        let hi = if hi < w.w_heap_hi then hi else w.w_heap_hi in
-        scan_span sh w w.w_heap_bytes ~sbase:w.w_heap_lo ~little:w.w_heap_little ~lo:base
-          ~start_hi:hi ~hi
-      end
-      else if scan = Page.scan_typed then begin
-        let offsets = Array.unsafe_get d.Heap.d_pointer_offsets page in
-        for k = 0 to Array.length offsets - 1 do
-          let lo = base + Array.unsafe_get offsets k in
-          scan_span sh w w.w_heap_bytes ~sbase:w.w_heap_lo ~little:w.w_heap_little ~lo
-            ~start_hi:(lo + 4) ~hi:(lo + 4)
-        done
-      end
-    end
-    else
-      (* retired between push and pop: only possible with pre-existing
-         decayed pages; mirror the serial downgrade *)
-      w.w_stats.Stats.mark_downgrades <- w.w_stats.Stats.mark_downgrades + 1
-
-  (* Overflow recovery, parallel form of the serial page walk: idle
-     domains claim committed pages with fetch-and-add and rescan the
-     bodies of their shadow-marked objects.  The shadow traversal is a
-     per-word snapshot; an object marked after the snapshot was pushed
-     by its marking domain, so its children are never lost — at worst
-     the push overflows again and another round runs.  Reads the
-     descriptor directly, leaving the header cache to classification. *)
-  let rescan_page sh w page =
-    let d = w.w_desc in
-    let kind = Char.code (Bytes.unsafe_get d.Heap.d_kind page) in
-    let page_addr = w.w_heap_lo + (page lsl w.w_page_shift) in
-    if kind = Page.kind_small then begin
-      let base = page_addr + Array.unsafe_get d.Heap.d_first_offset page in
-      let object_bytes = Array.unsafe_get d.Heap.d_object_bytes page in
-      Bitset.Atomic.iter_set (Array.unsafe_get sh.p_shadow page) (fun obj ->
-          scan_object sh w (base + (obj * object_bytes)))
-    end
-    else if kind = Page.kind_large_head && Bitset.Atomic.mem sh.p_shadow_large page then
-      scan_object sh w page_addr
-
-  (* Deques hold bare object base addresses; root tasks and rescan
-     pages are claimed from the shared counters. *)
-  type work =
-    | Obj of int
-    | Task of int  (* index into p_tasks *)
-    | Rescan of int
-
-  let try_steal sh w =
-    let n = Array.length sh.p_workers in
-    let rec go k =
-      if k >= n then None
-      else begin
-        let victim = Array.unsafe_get sh.p_workers ((w.w_id + k) mod n) in
-        match Ws_deque.steal victim.w_deque with
-        | Some v -> Some (Obj v)
-        | None -> go (k + 1)
-      end
-    in
-    go 1
-
-  let try_obtain sh w =
-    match Ws_deque.pop w.w_deque with
-    | Some v -> Some (Obj v)
-    | None ->
-        if Atomic.get sh.p_mode = 0 then begin
-          let i = Atomic.fetch_and_add sh.p_next_task 1 in
-          if i < Array.length sh.p_tasks then Some (Task i) else try_steal sh w
-        end
-        else begin
-          let p = Atomic.fetch_and_add sh.p_next_rescan 1 in
-          if p < sh.p_committed then Some (Rescan p) else try_steal sh w
-        end
-
-  let work_visible sh =
-    (if Atomic.get sh.p_mode = 0 then Atomic.get sh.p_next_task < Array.length sh.p_tasks
-     else Atomic.get sh.p_next_rescan < sh.p_committed)
-    || Array.exists (fun v -> not (Ws_deque.is_empty v.w_deque)) sh.p_workers
-
-  let execute sh w = function
-    | Obj base -> scan_object sh w base
-    | Task i -> (
-        match Array.unsafe_get sh.p_tasks i with
-        | Registers values ->
-            w.w_stats.Stats.words_scanned <- w.w_stats.Stats.words_scanned + Array.length values;
-            Array.iter (fun v -> consider sh w v) values
-        | Range_chunk { seg; lo; start_hi; hi } -> scan_chunk sh w seg ~lo ~start_hi ~hi)
-    | Rescan page -> rescan_page sh w page
-
-  let terminated sh = Atomic.get sh.p_idle = sh.p_jobs
-
-  (* Bounded spin, then sleep on the condition.  The napper count is
-     raised under the lock *before* the final work re-check, and
-     producers read it after publishing their push (both SC atomics), so
-     one side always sees the other: no lost wakeups.  The abandonment
-     flag is part of the predicate for the same reason — [abandon] sets
-     it before its broadcast. *)
-  let nap sh =
-    Mutex.lock sh.p_lock;
-    Atomic.incr sh.p_nappers;
-    if (not (work_visible sh)) && (not (terminated sh)) && not (abandoned sh) then
-      Condition.wait sh.p_cond sh.p_lock;
-    Atomic.decr sh.p_nappers;
-    Mutex.unlock sh.p_lock
-
-  (* Termination: only owners push to their own deques, so a domain
-     counted idle has an empty deque and is executing nothing — when
-     [idle = jobs] there is no work anywhere and nobody can create any.
-     A domain must leave the idle count *before* attempting a grab, and
-     re-enter it if the grab loses the race.  A domain that raises never
-     joins the idle count, so termination cannot fire past a failure;
-     the flag [abandon] sets ends the wait instead. *)
-  let quiesce sh =
-    Atomic.incr sh.p_idle;
-    if terminated sh then wake_all sh;
-    let spins = ref 0 in
-    let result = ref None in
-    while !result = None do
-      if abandoned sh then raise Gone;
-      if terminated sh then result := Some true
-      else if work_visible sh then begin
-        Atomic.decr sh.p_idle;
-        result := Some false
-      end
-      else if !spins >= 64 then begin
-        nap sh;
-        spins := 0
-      end
-      else begin
-        Domain.cpu_relax ();
-        incr spins
-      end
-    done;
-    Option.get !result
-
-  let phase_loop sh w =
-    let finished = ref false in
-    while not !finished do
-      if abandoned sh then raise Gone;
-      match try_obtain sh w with
-      | Some work -> execute sh w work
-      | None -> if quiesce sh then finished := true
-    done
-
-  let barrier sh =
-    Mutex.lock sh.p_bar_lock;
-    let gen = sh.p_bar_gen in
-    sh.p_bar_count <- sh.p_bar_count + 1;
-    if sh.p_bar_count >= sh.p_jobs then begin
-      sh.p_bar_count <- 0;
-      sh.p_bar_gen <- gen + 1;
-      Condition.broadcast sh.p_bar_cond
-    end
-    else
-      while sh.p_bar_gen = gen && not (abandoned sh) do
-        Condition.wait sh.p_bar_cond sh.p_bar_lock
-      done;
-    Mutex.unlock sh.p_bar_lock;
-    if abandoned sh then raise Gone
-
-  let worker_main sh w =
-    try
-      phase_loop sh w;
-      (* recovery rounds: everyone meets, samples the overflow flag on a
-         stable snapshot (nobody writes it between the two barriers), and
-         either runs a rescan round or exits together *)
-      let continue_rounds = ref true in
-      while !continue_rounds do
-        barrier sh;
-        let again = Atomic.get sh.p_overflowed in
-        barrier sh;
-        if again then begin
-          if w.w_id = 0 then begin
-            Atomic.set sh.p_overflowed false;
-            Atomic.set sh.p_next_rescan 0;
-            Atomic.set sh.p_idle 0;
-            Atomic.set sh.p_mode 1
-          end;
-          barrier sh;
-          phase_loop sh w
-        end
-        else continue_rounds := false
-      done
-    with
-    | Gone -> ()
-    | e ->
-        let bt = Printexc.get_raw_backtrace () in
-        abandon sh;
-        Printexc.raise_with_backtrace e bt
-
-  (* Root tasks: one per register array, and clamped ranges cut into
-     chunks on the range's alignment grid so big static/stack areas
-     spread across domains.  Built serially (root providers and
-     [Mem.find] run exactly once, like the serial marker). *)
-  let chunk_words = 2048
-
-  let build_tasks t roots ~mem =
-    let tasks = ref [] in
-    List.iter
-      (fun (_, values) -> tasks := Registers values :: !tasks)
-      (Roots.current_registers roots);
-    List.iter
-      (fun { Roots.lo; hi; label = _ } ->
-        match Mem.find mem lo with
-        | None -> ()
-        | Some seg ->
-            let lo, hi = Segment.clamp_words seg ~alignment:t.alignment ~lo ~hi in
-            if lo + 4 <= hi then begin
-              let span = chunk_words * t.alignment in
-              let a = ref lo in
-              while !a + 4 <= hi do
-                let start_hi = if !a + span < hi then !a + span else hi in
-                tasks := Range_chunk { seg; lo = !a; start_hi; hi } :: !tasks;
-                a := !a + span
-              done
-            end)
-      (Roots.current_ranges roots);
-    Array.of_list (List.rev !tasks)
-
-  (* Spawn, trace and join every domain, then re-raise the first
-     exception (the leader's, or a failed spawn's, before the helpers'
-     in spawn order).  The shadow tables, shards and blacklist buffers
-     are private to this attempt, and the blacklist's cycle rotation
-     happens in the success epilogue — marking never reads the
-     blacklist, so rotating it after the trace is invisible — so a
-     failed attempt leaves the blacklist and statistics untouched and
-     the mark bits cleared. *)
-  let run_domains t roots ~mem ~jobs =
-    Heap.clear_marks t.heap;
-    let n_pages = Heap.n_pages t.heap in
-    let shadow = Array.make n_pages dummy_shadow in
-    Heap.iter_committed t.heap (fun i p ->
-        match p with
-        | Page.Small s -> shadow.(i) <- Bitset.Atomic.create s.Page.n_objects
-        | Page.Uncommitted | Page.Free | Page.Large_head _ | Page.Large_tail _ -> ());
-    let workers = Array.init jobs (make_worker t) in
-    let sh =
-      {
-        p_blacklist = t.blacklist;
-        p_shadow = shadow;
-        p_shadow_large = Bitset.Atomic.create n_pages;
-        p_tasks = build_tasks t roots ~mem;
-        p_next_task = Atomic.make 0;
-        p_mode = Atomic.make 0;
-        p_next_rescan = Atomic.make 0;
-        p_committed = Heap.committed_pages t.heap;
-        p_overflowed = Atomic.make false;
-        p_idle = Atomic.make 0;
-        p_jobs = jobs;
-        p_workers = workers;
-        p_abandoned = Atomic.make false;
-        p_lock = Mutex.create ();
-        p_cond = Condition.create ();
-        p_nappers = Atomic.make 0;
-        p_bar_lock = Mutex.create ();
-        p_bar_cond = Condition.create ();
-        p_bar_count = 0;
-        p_bar_gen = 0;
-      }
-    in
-    let helpers = ref [] in
-    let first =
-      match
-        for k = 1 to jobs - 1 do
-          helpers := Domain.spawn (fun () -> worker_main sh workers.(k)) :: !helpers
-        done;
-        worker_main sh workers.(0)
-      with
-      | () -> None
-      | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          abandon sh;
-          Some (e, bt)
-    in
-    let first =
-      List.fold_left
-        (fun first d ->
-          match Domain.join d with
-          | () -> first
-          | exception e ->
-              if Option.is_none first then Some (e, Printexc.get_raw_backtrace ()) else first)
-        first (List.rev !helpers)
-    in
-    Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) first;
-    (* Serial epilogue: snapshot the shards for the outcome *before*
-       merging (merging transfers, i.e. zeroes, the shard counters),
-       publish shadow marks into the real mark words, rotate the
-       blacklist cycle, merge blacklist buffers and stats shards. *)
-    let shards = Array.map (fun w -> Stats.copy w.w_stats) workers in
-    Heap.iter_committed t.heap (fun i p ->
-        match p with
-        | Page.Small s -> Bitset.Atomic.blit_to shadow.(i) ~dst:s.Page.mark
-        | Page.Large_head l -> l.Page.l_marked <- Bitset.Atomic.mem sh.p_shadow_large i
-        | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ());
-    Blacklist.begin_cycle t.blacklist;
-    Array.iter
-      (fun w ->
-        Stats.merge_marking ~into:t.stats w.w_stats;
-        if t.blacklisting then Blacklist.merge_noted t.blacklist w.w_black ~notes:w.w_black_notes)
-      workers;
-    t.stats.Stats.parallel_marks <- t.stats.Stats.parallel_marks + 1;
-    shards
-
-  let run t roots ~mem ~jobs =
-    if jobs <= 1 then begin
-      run t roots ~mem;
-      { jobs_requested = jobs; domains_used = 1; fallback = Some Serial_configured; shards = [||] }
-    end
-    else if Mem.access_faults_armed mem then begin
-      (* trip streams are stateful: serialize faultable loads *)
-      t.stats.Stats.mark_serial_fallbacks <- t.stats.Stats.mark_serial_fallbacks + 1;
-      run t roots ~mem;
-      { jobs_requested = jobs; domains_used = 1; fallback = Some Access_plan_armed; shards = [||] }
-    end
-    else
-      let shards = run_domains t roots ~mem ~jobs in
-      { jobs_requested = jobs; domains_used = jobs; fallback = None; shards }
+  let run t roots ~mem =
+    let s = t.stats and shard = Stats.create () in
+    let w0 = s.Stats.words_scanned and v0 = s.Stats.valid_refs and f0 = s.Stats.false_refs in
+    let o0 = s.Stats.objects_marked and h0 = s.Stats.header_cache_hits in
+    run t roots ~mem;
+    shard.Stats.words_scanned <- s.Stats.words_scanned - w0;
+    shard.Stats.valid_refs <- s.Stats.valid_refs - v0;
+    shard.Stats.false_refs <- s.Stats.false_refs - f0;
+    shard.Stats.objects_marked <- s.Stats.objects_marked - o0;
+    shard.Stats.header_cache_hits <- s.Stats.header_cache_hits - h0;
+    { fallback = Some Tracer_removed; shards = [| shard |] }
 end

@@ -25,8 +25,12 @@
     words are scanned without a descriptor load, a pointer-free one not
     at all), flat page-descriptor rows from {!Heap.desc} for the rest, a
     one-entry header cache for classification, reciprocal object
-    indexing, closure-free endianness-specialized scan loops of 32-bit
-    loads, displacement bitmasks.  {!run} is the full mark phase;
+    indexing, closure-free scan loops (at alignment 4 on a little-endian
+    host, a block scan that reads four words from two 64-bit loads and
+    skips an all-zero block with one test; otherwise one 32-bit load per
+    word, specialized per byte order), displacement bitmasks.  It is the
+    only tracer: marking is serial, as in the paper's collector.  {!run}
+    is the full mark phase;
     {!trace} is the kernel alone, which the generational minor
     collection runs over its young scope.  The differential tests pin
     the kernel against an independent reference marker that lives with
@@ -72,50 +76,18 @@ val trace : ?extra:Roots.range list -> t -> Roots.t -> mem:Mem.t -> unit
     [objects_marked] and [header_cache_hits] reach its {!Stats.t} once,
     as it ends, normally or by an exception. *)
 
-(** The parallel tracer: N marker domains, each with a private
-    Chase-Lev mark stack ({!Cgc_vm.Ws_deque}) and a private one-entry
-    header cache, pulling root tasks from a shared queue and stealing
-    object work from each other.  Mark bits are won through atomic
-    shadow tables ({!Cgc_vm.Bitset.Atomic.test_and_set}) written back
-    serially after the domains join; blacklist notes are buffered
-    per-domain (pre-bucketed) and merged at the end barrier; stats
-    shards are summed so every counter keeps its serial meaning.
-    Mark-stack overflow generalizes the serial page rescan to "any idle
-    domain claims the next committed page".
-
-    The result — mark bitmap, blacklist, downgrade behavior — is
-    bit-identical to the serial marker for any [jobs], pinned by the
-    [test_mark_diff] QCheck differential.
-
-    The tracer is fail-stop: a domain that raises sets an abandon flag
-    that every other domain unwinds on at its next claim, nap or
-    barrier; {!Parallel.run} joins every domain and re-raises the first
-    exception, leaving the mark bits cleared and the blacklist and
-    statistics untouched. *)
+(** Kept only for gcbench's frozen [mark_parallel.*] probe, and deleted
+    with it: the parallel tracer is gone, and
+    [Gc.Internal.run_mark_parallel] runs this serial {!run}. *)
 module Parallel : sig
-  type fallback =
-    | Serial_configured  (** [jobs <= 1]: the serial fast path, by design *)
-    | Access_plan_armed
-        (** a [Mem.Fault] access plan is armed; its trip streams are
-            stateful (countdowns, seeded draws) and cannot be raced
-            across domains, so the serial marker ran instead *)
-
-  val fallback_to_string : fallback -> string
+  type fallback = Tracer_removed  (** the serial {!run} marked instead *)
 
   type outcome = {
-    jobs_requested : int;
-    domains_used : int;
-        (** [jobs_requested] when the parallel tracer ran, 1 on the
-            serial fallbacks *)
-    fallback : fallback option;  (** [None] iff the parallel tracer ran *)
+    fallback : fallback option;  (** always [Some Tracer_removed] *)
     shards : Stats.t array;
-        (** per-domain stats snapshots (empty on fallback); their
-            trace-phase counters sum to the serial totals *)
+        (** one shard holding this mark's [words_scanned], [valid_refs],
+            [false_refs], [objects_marked] and [header_cache_hits] *)
   }
 
-  val run : t -> Roots.t -> mem:Mem.t -> jobs:int -> outcome
-  (** Like {!run}, with [jobs] marker domains.  [jobs <= 1] or an armed
-      access plan runs the serial marker and says so in the outcome.
-      Re-raises the first exception a marker domain raised, after
-      every domain has joined. *)
+  val run : t -> Roots.t -> mem:Mem.t -> outcome
 end

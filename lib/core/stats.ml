@@ -28,8 +28,6 @@ type t = {
   mutable pages_decayed : int;
   mutable decay_retries : int;
   mutable oom_raised : int;
-  mutable parallel_marks : int;
-  mutable mark_serial_fallbacks : int;
   mutable precise_collections : int;
   mutable precise_mark_aborts : int;
   mutable precise_stale_roots : int;
@@ -71,8 +69,6 @@ let create () =
     pages_decayed = 0;
     decay_retries = 0;
     oom_raised = 0;
-    parallel_marks = 0;
-    mark_serial_fallbacks = 0;
     precise_collections = 0;
     precise_mark_aborts = 0;
     precise_stale_roots = 0;
@@ -87,30 +83,6 @@ let add_cycle_time t ~t0 ~t1 ~t2 =
   t.total_gc_seconds <- t.total_gc_seconds +. (t2 -. t0)
 
 let copy t = { t with collections = t.collections }
-
-(* Fold one parallel-marker domain shard into the session totals.  Only
-   the counters the trace phase touches are summed, so every existing
-   counter keeps its serial meaning: the per-domain contributions
-   partition the serial work exactly (each root word is scanned by one
-   domain; each object is scanned by the domain that won its mark bit).
-   The consumed counters are zeroed in the shard so merging is a
-   transfer, not a copy: merging the same shard twice contributes
-   nothing the second time. *)
-let merge_marking ~into shard =
-  into.words_scanned <- into.words_scanned + shard.words_scanned;
-  into.valid_refs <- into.valid_refs + shard.valid_refs;
-  into.false_refs <- into.false_refs + shard.false_refs;
-  into.objects_marked <- into.objects_marked + shard.objects_marked;
-  into.header_cache_hits <- into.header_cache_hits + shard.header_cache_hits;
-  into.mark_stack_overflows <- into.mark_stack_overflows + shard.mark_stack_overflows;
-  into.mark_downgrades <- into.mark_downgrades + shard.mark_downgrades;
-  shard.words_scanned <- 0;
-  shard.valid_refs <- 0;
-  shard.false_refs <- 0;
-  shard.objects_marked <- 0;
-  shard.header_cache_hits <- 0;
-  shard.mark_stack_overflows <- 0;
-  shard.mark_downgrades <- 0
 
 let pp ppf t =
   Format.fprintf ppf
@@ -131,7 +103,6 @@ let pp ppf t =
      faults          %d commit faults, %d OOM raised@,\
      access faults   %d reads (%d mark downgrades), %d writes@,\
      decay           %d pages quarantined, %d alloc retries@,\
-     parallel mark   %d runs, %d serial fallbacks@,\
      precise         %d collects, %d mark aborts, %d stale roots@,\
      gc time         %.6fs (mark %.6fs, sweep %.6fs)@]"
     t.collections t.words_scanned t.valid_refs t.false_refs t.objects_marked t.header_cache_hits
@@ -143,6 +114,5 @@ let pp ppf t =
     t.commit_faults t.oom_raised
     t.read_faults t.mark_downgrades t.write_faults
     t.pages_decayed t.decay_retries
-    t.parallel_marks t.mark_serial_fallbacks
     t.precise_collections t.precise_mark_aborts t.precise_stale_roots
     t.total_gc_seconds t.mark_seconds t.sweep_seconds

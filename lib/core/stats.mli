@@ -65,11 +65,6 @@ type t = {
       (** allocations retried after the returned slot's memory decayed
           (or its page was quarantined) under the allocator *)
   mutable oom_raised : int;  (** structured [Out_of_memory] raises after the ladder ran dry *)
-  mutable parallel_marks : int;  (** trace phases run by {!Mark.Parallel} with > 1 domain *)
-  mutable mark_serial_fallbacks : int;
-      (** parallel-mark requests served by the serial marker because a
-          [Mem.Fault] access plan was armed (trip streams are stateful
-          and cannot be raced across domains) *)
   mutable precise_collections : int;
       (** exact (type-accurate) collections completed by {!Precise.collect} *)
   mutable precise_mark_aborts : int;
@@ -87,8 +82,8 @@ type t = {
 
 val now_s : unit -> float
 (** The monotonic wall clock the phase times are read from, in seconds.
-    Wall time, not process CPU time: CPU time would add every marker
-    domain's share to a parallel mark phase. *)
+    Wall time, not process CPU time: a phase time is the pause the
+    mutator sees. *)
 
 val create : unit -> t
 
@@ -98,16 +93,5 @@ val add_cycle_time : t -> t0:float -> t1:float -> t2:float -> unit
     [mark_seconds], [sweep_seconds] and [total_gc_seconds]. *)
 
 val copy : t -> t
-
-val merge_marking : into:t -> t -> unit
-(** Fold one parallel-marker domain shard into the session totals: sums
-    the trace-phase counters ([words_scanned], [valid_refs],
-    [false_refs], [objects_marked], [header_cache_hits],
-    [mark_stack_overflows], [mark_downgrades]) and leaves every other
-    field of [into] untouched.  Because the domains partition the
-    serial marker's work exactly, the summed counters keep their
-    serial meaning.  The consumed counters are zeroed in the shard, so
-    the merge is a {e transfer}: merging the same shard twice is
-    idempotent. *)
 
 val pp : Format.formatter -> t -> unit

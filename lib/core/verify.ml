@@ -102,8 +102,7 @@ let check_descriptors heap issues =
         (* mark ⊆ alloc: the marker only marks allocated slots, sweeps
            clear both bits, and quarantine removes both — so a mark bit
            on a free (or quarantine-removed) slot means a marker wrote
-           where it should not have.  The post-parallel-mark audits
-           lean on this. *)
+           where it should not have. *)
         Bitset.iter
           (fun obj ->
             if not (Bitset.mem s.Page.alloc obj) then
@@ -195,50 +194,9 @@ let check_after_fault gc =
       | Page.Free | Page.Uncommitted | Page.Large_tail _ -> ());
   List.rev !issues
 
-(* Post-parallel-mark audit, valid between [Gc.Internal.run_mark_parallel]
-   and the next sweep or allocation:
-
-   - structural mark sanity — every mark bit covers an allocated slot
-     (so no bit landed on a free or quarantine-removed slot; decayed
-     small pages may legitimately keep marks on their *surviving*
-     objects), and a marked large head is an allocated one.  Free and
-     uncommitted pages carry no mark storage at all, which
-     [check_descriptors] cross-checks against the descriptor rows;
-
-   - shard accounting — when the tracer really ran parallel, the
-     per-domain [objects_marked] shards must sum to the number of mark
-     bits actually present in the heap: the exactly-once guarantee of
-     the shadow-table CAS protocol, and evidence the serial write-back
-     lost nothing. *)
-let check_parallel_mark gc =
-  match Gc.Internal.last_mark_outcome gc with
-  | None -> []
-  | Some o ->
-      let issues = ref (List.rev (check_heap (Gc.heap gc))) in
-      let heap = Gc.heap gc in
-      let add fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
-      let marked = ref 0 in
-      Heap.iter_committed heap (fun i p ->
-          match p with
-          | Page.Small s -> marked := !marked + Bitset.count s.Page.mark
-          | Page.Large_head l ->
-              if l.Page.l_marked then begin
-                if not l.Page.l_allocated then
-                  add "parallel mark flagged the unallocated large object at %d" i;
-                incr marked
-              end
-          | Page.Free | Page.Uncommitted | Page.Large_tail _ -> ());
-      (match o.Mark.Parallel.fallback with
-      | Some _ -> () (* serial fallback: no shards to audit *)
-      | None ->
-          let sum =
-            Array.fold_left
-              (fun acc s -> acc + s.Stats.objects_marked)
-              0 o.Mark.Parallel.shards
-          in
-          if sum <> !marked then
-            add "parallel-mark shards claim %d marked objects, the heap holds %d" sum !marked);
-      List.rev !issues
+(* Kept only for gcbench's frozen [mark_parallel.*] probe, and deleted
+   with it. *)
+let check_parallel_mark gc = check_heap (Gc.heap gc)
 
 (* --- precise (type-accurate) mark audit --- *)
 

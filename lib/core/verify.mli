@@ -17,8 +17,8 @@ val check : Gc.t -> string list
       bitsets and large-object records the scan fast path mutates, and
       the layout column (scan code and a typed row's pointer offsets);
     - mark bits only cover allocated slots (and a marked large head is
-      an allocated one): no marker — serial or parallel — ever marks a
-      free or quarantine-removed slot;
+      an allocated one): the marker never marks a free or
+      quarantine-removed slot;
     - every allocation cursor names an open page of its own size class
       and layout (small, not quarantined), or no page;
     - every registered finalizer watches a currently allocated object;
@@ -63,14 +63,5 @@ val check_precise_mark : Precise.t -> string list
     call at any point, including right after an aborted precise mark. *)
 
 val check_parallel_mark : Gc.t -> string list
-(** Post-parallel-mark audit, valid between
-    {!Gc.Internal.run_mark_parallel} (the parallel tracer's only entry
-    point; {!Gc.collect} always marks serially) and the next sweep or
-    allocation.  Includes {!check_heap} (whose
-    mark ⊆ alloc audit rules out mark bits on free or
-    quarantine-removed slots), checks that no unallocated large object
-    is flagged, and — when the tracer really ran parallel — that the
-    per-domain [Stats.objects_marked] shards sum to the number of mark
-    bits present in the heap: the exactly-once evidence of the
-    shadow-table CAS protocol plus a lossless write-back.  Returns []
-    when {!Gc.Internal.last_mark_outcome} is [None]. *)
+(** {!check_heap} of the collector's heap.  Kept only for gcbench's
+    frozen [mark_parallel.*] probe, and deleted with it. *)

@@ -6,7 +6,6 @@ type t = {
 let bits_per_word = 62
 let nwords n = (n + bits_per_word - 1) / bits_per_word
 let create n = { n; words = Array.make (max 1 (nwords n)) 0 }
-let length t = t.n
 
 let check t i =
   if i < 0 || i >= t.n then invalid_arg (Printf.sprintf "Bitset: index %d out of [0,%d)" i t.n)
@@ -19,11 +18,6 @@ let add t i =
   check t i;
   let w = i / bits_per_word in
   t.words.(w) <- t.words.(w) lor (1 lsl (i mod bits_per_word))
-
-(* Hot-path variant: the caller has already established 0 <= i < n
-   (e.g. an object index validated against the page's object count). *)
-let[@inline] unsafe_mem t i =
-  Array.unsafe_get t.words (i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
 
 let remove t i =
   check t i;
@@ -150,8 +144,6 @@ let fold f init t =
   iter (fun i -> acc := f !acc i) t;
   !acc
 
-let equal a b = a.n = b.n && Array.for_all2 ( = ) a.words b.words
-
 let pp ppf t =
   Format.fprintf ppf "{";
   let first = ref true in
@@ -162,91 +154,3 @@ let pp ppf t =
       Format.fprintf ppf "%d" i)
     t;
   Format.fprintf ppf "}"
-
-(* Multi-domain variant: same 62-bit word layout over [int Atomic.t]
-   cells.  OCaml 5.1 has no atomic arrays, so each word is its own
-   atomic box; set operations CAS the whole word.  Word values are
-   immediates, so reads never tear. *)
-module Atomic = struct
-  type plain = t
-
-  type t = {
-    n : int;
-    words : int Stdlib.Atomic.t array;
-  }
-
-  let create n = { n; words = Array.init (max 1 (nwords n)) (fun _ -> Stdlib.Atomic.make 0) }
-  let length t = t.n
-
-  let check t i =
-    if i < 0 || i >= t.n then
-      invalid_arg (Printf.sprintf "Bitset.Atomic: index %d out of [0,%d)" i t.n)
-
-  let mem t i =
-    check t i;
-    Stdlib.Atomic.get t.words.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
-
-  (* The mark-bit primitive: returns [true] iff this call flipped the
-     bit from clear to set.  Exactly one domain wins each bit, which is
-     what makes "the winner scans the object" an exactly-once protocol. *)
-  let test_and_set t i =
-    check t i;
-    let cell = Array.unsafe_get t.words (i / bits_per_word) in
-    let bit = 1 lsl (i mod bits_per_word) in
-    let rec go () =
-      let old = Stdlib.Atomic.get cell in
-      if old land bit <> 0 then false
-      else if Stdlib.Atomic.compare_and_set cell old (old lor bit) then true
-      else go ()
-    in
-    go ()
-
-  let[@inline] unsafe_mem t i =
-    Stdlib.Atomic.get (Array.unsafe_get t.words (i / bits_per_word))
-    land (1 lsl (i mod bits_per_word))
-    <> 0
-
-  let[@inline] unsafe_test_and_set t i =
-    let cell = Array.unsafe_get t.words (i / bits_per_word) in
-    let bit = 1 lsl (i mod bits_per_word) in
-    let rec go () =
-      let old = Stdlib.Atomic.get cell in
-      if old land bit <> 0 then false
-      else if Stdlib.Atomic.compare_and_set cell old (old lor bit) then true
-      else go ()
-    in
-    go ()
-
-  let clear t = Array.iter (fun cell -> Stdlib.Atomic.set cell 0) t.words
-
-  let count t =
-    Array.fold_left (fun acc cell -> acc + popcount (Stdlib.Atomic.get cell)) 0 t.words
-
-  let is_empty t = Array.for_all (fun cell -> Stdlib.Atomic.get cell = 0) t.words
-
-  let iter_set t f =
-    let words = t.words in
-    for w = 0 to Array.length words - 1 do
-      let word = ref (Stdlib.Atomic.get (Array.unsafe_get words w)) in
-      if !word <> 0 then begin
-        let base = w * bits_per_word in
-        while !word <> 0 do
-          f (base + ntz !word);
-          word := !word land (!word - 1)
-        done
-      end
-    done
-
-  (* Serial write-back of a shadow table into the plain bitset it
-     mirrors — used after a parallel mark to publish the atomic shadow
-     marks into the real (sweeper-visible) mark words.  Overwrites
-     [dst] entirely. *)
-  let blit_to t ~(dst : plain) =
-    if dst.n <> t.n then invalid_arg "Bitset.Atomic.blit_to: universe mismatch";
-    Array.iteri (fun i cell -> dst.words.(i) <- Stdlib.Atomic.get cell) t.words
-
-  let to_plain t : plain =
-    let dst : plain = { n = t.n; words = Array.make (Array.length t.words) 0 } in
-    blit_to t ~dst;
-    dst
-end

@@ -21,16 +21,9 @@ val bits_per_word : int
 val create : int -> t
 (** [create n] is a set over the universe [\[0, n)], initially empty. *)
 
-val length : t -> int
-(** Size of the universe. *)
-
 val mem : t -> int -> bool
 
 val add : t -> int -> unit
-
-val unsafe_mem : t -> int -> bool
-(** {!mem} without the bounds check — for hot paths that have already
-    validated the index (e.g. against a page's object count). *)
 
 val remove : t -> int -> unit
 
@@ -76,51 +69,4 @@ val sweep : ?dead:(int -> unit) -> alloc:t -> mark:t -> sweep_counts -> unit
 
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-
-(** Multi-domain bit sets: the same 62-bit word layout over
-    [int Atomic.t] cells, for structures that several marker domains
-    update concurrently (shadow mark tables).  Set operations CAS whole
-    words; {!Atomic.test_and_set} reports whether the calling domain
-    flipped the bit, making "the winner scans the object" an
-    exactly-once protocol. *)
-module Atomic : sig
-  type plain := t
-  type t
-
-  val create : int -> t
-  (** [create n] is an empty concurrent set over [\[0, n)]. *)
-
-  val length : t -> int
-  val mem : t -> int -> bool
-
-  val test_and_set : t -> int -> bool
-  (** [test_and_set t i] sets bit [i] and returns [true] iff the bit was
-      previously clear — i.e. iff this call (and no concurrent one) made
-      the transition.  Lock-free (CAS loop on the containing word). *)
-
-  val unsafe_mem : t -> int -> bool
-  (** {!mem} without the bounds check — caller has validated the index. *)
-
-  val unsafe_test_and_set : t -> int -> bool
-  (** {!test_and_set} without the bounds check; same caller obligation. *)
-
-  val clear : t -> unit
-  (** Not atomic as a whole — callers must quiesce writers first. *)
-
-  val count : t -> int
-  val is_empty : t -> bool
-
-  val iter_set : t -> (int -> unit) -> unit
-  (** Visits members in increasing order.  Under concurrent writers the
-      traversal sees a per-word snapshot: every bit set before the call
-      is visited; concurrently-added bits may or may not be. *)
-
-  val blit_to : t -> dst:plain -> unit
-  (** Overwrite the plain set [dst] with this set's contents (universes
-      must match).  Serial: callers must quiesce writers first.  Used to
-      publish a shadow mark table into the sweeper-visible mark words. *)
-
-  val to_plain : t -> plain
-end

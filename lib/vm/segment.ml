@@ -80,8 +80,8 @@ let read_string t a ~len =
 (* Unchecked 32-bit reads: one unaligned 32-bit load per word, byte-
    swapped when the segment's byte order differs from the host's, then
    masked back to the unsigned word (the load sign-extends through
-   [Int32]).  The scan loops validate the whole [lo, hi) range once (see
-   [clamp_words]) and then touch every word without per-access bounds
+   [Int32]).  [iter_words] validates the whole [lo, hi) range once (see
+   [clamp_words]) and then touches every word without per-access bounds
    checks; native code keeps the [int32] unboxed. *)
 external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 external bswap32 : int32 -> int32 = "%bswap_int32"

@@ -73,14 +73,4 @@ val unsafe_bytes : t -> Bytes.t
     loops that have validated their range — with {!clamp_words}, or
     against the segment's known bounds. *)
 
-val unsafe_word_le : Bytes.t -> int -> int
-(** Unchecked little-endian 32-bit read at a byte offset: one unaligned
-    32-bit load (byte-swapped on a big-endian host), masked to
-    [0 .. 0xFFFF_FFFF]. *)
-
-val unsafe_word_be : Bytes.t -> int -> int
-(** Unchecked big-endian 32-bit read at a byte offset: one unaligned
-    32-bit load (byte-swapped on a little-endian host), masked to
-    [0 .. 0xFFFF_FFFF]. *)
-
 val pp : Format.formatter -> t -> unit
