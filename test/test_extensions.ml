@@ -248,6 +248,44 @@ let test_verify_detects_dangling_finalizer () =
   Gc.add_finalizer gc (Addr.add a 4096) ~token:"bogus";
   check bool "dangling finalizer detected" true (Verify.check gc <> [])
 
+(* The mark ⊆ alloc audit: a mark bit on a slot nobody allocated means a
+   marker wrote where it should not have.  [check], the heap-level
+   [check_heap] and [check_parallel_mark] all report it, with the same
+   heap-level finding. *)
+let test_verify_detects_mark_on_free_slot () =
+  let _, globals, gc = make_env () in
+  let a = Gc.allocate gc 16 in
+  set_slot globals 0 (Addr.to_int a);
+  let heap = Gc.heap gc in
+  let index = Heap.page_index heap a in
+  (match Heap.page heap index with
+  | Cgc.Page.Small s -> Bitset.add s.Cgc.Page.mark 1
+  | _ -> Alcotest.fail "a 16-byte object lives on a small page");
+  let expected =
+    [ Printf.sprintf "mark bit on unallocated slot 1 of small page %d" index ]
+  in
+  check (Alcotest.list Alcotest.string) "check_heap" expected (Verify.check_heap heap);
+  check (Alcotest.list Alcotest.string) "check_parallel_mark" expected
+    (Verify.check_parallel_mark gc);
+  check bool "check" true (List.mem (List.hd expected) (Verify.check gc))
+
+let test_verify_detects_mark_on_free_large () =
+  let _, _, gc = make_env () in
+  let a = Gc.allocate gc (3 * 4096) in
+  let heap = Gc.heap gc in
+  let index = Heap.page_index heap a in
+  (match Heap.page heap index with
+  | Cgc.Page.Large_head l ->
+      l.Cgc.Page.l_allocated <- false;
+      l.Cgc.Page.l_marked <- true
+  | _ -> Alcotest.fail "a 12 KB object starts with a large head");
+  let expected =
+    [ Printf.sprintf "mark flag set on the unallocated large object at %d" index ]
+  in
+  check (Alcotest.list Alcotest.string) "check_heap" expected (Verify.check_heap heap);
+  check (Alcotest.list Alcotest.string) "check_parallel_mark" expected
+    (Verify.check_parallel_mark gc)
+
 (* 1000 rooted cells and 5000 garbage cells: the collect reports exactly
    the rooted bytes, and the heap's own count agrees. *)
 let test_live_bytes_match_heap () =
@@ -728,6 +766,9 @@ let () =
           Alcotest.test_case "clean heap" `Quick test_verify_clean_heap;
           Alcotest.test_case "stale cursor" `Quick test_verify_detects_stale_cursor;
           Alcotest.test_case "dangling finalizer" `Quick test_verify_detects_dangling_finalizer;
+          Alcotest.test_case "mark on a free slot" `Quick test_verify_detects_mark_on_free_slot;
+          Alcotest.test_case "mark on a free large object" `Quick
+            test_verify_detects_mark_on_free_large;
           Alcotest.test_case "live bytes match heap" `Quick test_live_bytes_match_heap;
         ] );
       ( "one-sweep",
