@@ -599,17 +599,92 @@ let ablations () =
 (* Mark-phase throughput: fast path vs the test-side reference        *)
 (* ------------------------------------------------------------------ *)
 
+(* One path's timed mark cycles over a live heap: words scanned,
+   objects marked, in-heap references classified and header-cache hits
+   per cycle, over [cycles] cycles that took [secs] on the monotonic
+   wall clock ([Stats.now_s]), the median cycle [median_secs]. *)
+type mark_timing = {
+  words : int;
+  objects : int;
+  refs : int;
+  hits : int;
+  cycles : int;
+  secs : float;
+  median_secs : float;
+}
+
+let words_per_sec r = float_of_int (r.words * r.cycles) /. r.secs
+
+(* Per object of the median cycle: a burst of load from elsewhere on a
+   shared host slows a few cycles, not the median. *)
+let ns_per_object r = r.median_secs *. 1e9 /. float_of_int (max 1 r.objects)
+
+(* Times the reference marker of the test oracle library
+   ([Cgc_oracle.Reference]) and the collector's trace kernel over the
+   very same collector instance.  Both are warmed first (page tables,
+   blacklist, caches); each then runs for about a second (two cycles
+   under --smoke).  Words and objects per cycle must agree exactly: on
+   divergence the section prints it and exits 1. *)
+let time_marks ~smoke ~label gc =
+  let st = Cgc.Gc.stats gc in
+  let timed runner =
+    let cycles =
+      if smoke then 2
+      else begin
+        let t0 = Cgc.Stats.now_s () in
+        runner gc;
+        let dt = Float.max 1e-6 (Cgc.Stats.now_s () -. t0) in
+        max 3 (int_of_float (ceil (1.0 /. dt)))
+      end
+    in
+    let w0 = st.Cgc.Stats.words_scanned and m0 = st.Cgc.Stats.objects_marked in
+    let h0 = st.Cgc.Stats.header_cache_hits in
+    let r0 = st.Cgc.Stats.valid_refs + st.Cgc.Stats.false_refs in
+    let times =
+      Array.init cycles (fun _ ->
+          let t0 = Cgc.Stats.now_s () in
+          runner gc;
+          Cgc.Stats.now_s () -. t0)
+    in
+    let secs = Float.max 1e-9 (Array.fold_left ( +. ) 0. times) in
+    Array.sort Float.compare times;
+    {
+      words = (st.Cgc.Stats.words_scanned - w0) / cycles;
+      objects = (st.Cgc.Stats.objects_marked - m0) / cycles;
+      refs = (st.Cgc.Stats.valid_refs + st.Cgc.Stats.false_refs - r0) / cycles;
+      hits = (st.Cgc.Stats.header_cache_hits - h0) / cycles;
+      cycles;
+      secs;
+      median_secs = times.(cycles / 2);
+    }
+  in
+  Cgc_oracle.Reference.run gc;
+  Cgc.Gc.Internal.run_mark gc;
+  let reference = timed Cgc_oracle.Reference.run in
+  let fast = timed Cgc.Gc.Internal.run_mark in
+  let parity = reference.words = fast.words && reference.objects = fast.objects in
+  let row name r =
+    Format.printf "  %-9s : %11.0f words/s  %7.1f ns/object  (%d words, %d objects per cycle; \
+                   %d cycles, %.2fs)@."
+      name (words_per_sec r) (ns_per_object r) r.words r.objects r.cycles r.secs
+  in
+  row "reference" reference;
+  row "fast path" fast;
+  Format.printf "  parity    : words and objects per cycle %s@."
+    (if parity then "identical" else "DIVERGED — fast path is wrong");
+  if not parity then begin
+    Format.eprintf "mark throughput (%s): fast path diverged from reference@." label;
+    exit 1
+  end;
+  (reference, fast)
+
 (* Words examined per second by the collector's trace kernel and the
-   reference marker of the test oracle library ([Cgc_oracle.Reference])
-   over the same live heap: program T's circular lists on the SPARC(static)
-   platform — big-endian, unaligned (byte-granularity) root scanning,
-   the paper's worst case for marker work.  Both paths run over the very
-   same collector instance, so words/objects per cycle must agree
-   exactly; the JSON records the throughput ratio.  Both rows are timed
-   on the monotonic wall clock ([Stats.now_s]). *)
-let mark_throughput ~smoke () =
-  section "Mark throughput"
-    "flat-descriptor fast path vs reference scan loop (program T heap, SPARC static)";
+   reference marker over the same live heap: program T's circular lists
+   on the SPARC(static) platform — big-endian, unaligned
+   (byte-granularity) root scanning, the paper's worst case for marker
+   work.  Its 2-word cells sit on a few pages in allocation order, so
+   nearly every reference hits the header cache. *)
+let mark_program_t ~smoke () =
   let p = W.Platform.sparc_static ~optimized:false in
   let lists = if smoke then 30 else 200 in
   let nodes = if smoke then 500 else p.W.Platform.nodes_per_list / 4 in
@@ -633,65 +708,106 @@ let mark_throughput ~smoke () =
       (Addr.add env.W.Platform.globals_base (4 * i))
       (Addr.to_int head)
   done;
-  let st = Cgc.Gc.stats gc in
-  let time_cycles runner iters =
-    let w0 = st.Cgc.Stats.words_scanned and m0 = st.Cgc.Stats.objects_marked in
-    let t0 = Cgc.Stats.now_s () in
-    for _ = 1 to iters do
-      runner gc
-    done;
-    let dt = Float.max 1e-9 (Cgc.Stats.now_s () -. t0) in
-    let words = st.Cgc.Stats.words_scanned - w0 in
-    (float_of_int words /. dt, words / iters, (st.Cgc.Stats.objects_marked - m0) / iters, dt)
-  in
-  (* warm both paths (page tables, blacklist, caches), then calibrate the
-     iteration count so each measured run lasts long enough to time *)
-  Cgc_oracle.Reference.run gc;
-  Cgc.Gc.Internal.run_mark gc;
-  let calibrate runner =
-    if smoke then 2
-    else begin
-      let t0 = Cgc.Stats.now_s () in
-      runner gc;
-      let dt = Float.max 1e-6 (Cgc.Stats.now_s () -. t0) in
-      max 3 (int_of_float (ceil (1.0 /. dt)))
-    end
-  in
-  let iters_ref = calibrate Cgc_oracle.Reference.run in
-  let ref_rate, ref_words, ref_marked, ref_secs =
-    time_cycles Cgc_oracle.Reference.run iters_ref
-  in
-  let iters_fast = calibrate Cgc.Gc.Internal.run_mark in
-  let hits0 = st.Cgc.Stats.header_cache_hits in
-  let fast_rate, fast_words, fast_marked, fast_secs =
-    time_cycles Cgc.Gc.Internal.run_mark iters_fast
-  in
-  let hits_per_cycle = (st.Cgc.Stats.header_cache_hits - hits0) / iters_fast in
-  let parity = ref_words = fast_words && ref_marked = fast_marked in
-  let speedup = fast_rate /. ref_rate in
-  Format.printf "  live heap : %d lists x %d cells (%d KB committed)@." lists nodes
+  Format.printf "  program T heap: %d lists x %d cells (%d KB committed)@." lists nodes
     (Cgc.Heap.committed_bytes (Cgc.Gc.heap gc) / 1024);
-  Format.printf "  reference : %11.0f words/s  (%d words, %d objects per cycle; %d cycles, %.2fs)@."
-    ref_rate ref_words ref_marked iters_ref ref_secs;
-  Format.printf "  fast path : %11.0f words/s  (%d words, %d objects per cycle; %d cycles, %.2fs)@."
-    fast_rate fast_words fast_marked iters_fast fast_secs;
-  Format.printf "  speedup   : %.2fx   header-cache hits per cycle: %d@." speedup hits_per_cycle;
-  Format.printf "  parity    : words and objects per cycle %s@."
-    (if parity then "identical" else "DIVERGED — fast path is wrong");
+  let reference, fast = time_marks ~smoke ~label:"program T" gc in
+  let speedup = words_per_sec fast /. words_per_sec reference in
+  Format.printf "  speedup   : %.2fx   header-cache hits per cycle: %d@.@." speedup fast.hits;
   json_string "mark_platform" p.W.Platform.name;
   json_int "mark_lists" lists;
   json_int "mark_nodes_per_list" nodes;
-  json_int "mark_words_per_cycle" fast_words;
-  json_int "mark_objects_per_cycle" fast_marked;
-  json_float "mark_reference_words_per_sec" ref_rate;
-  json_float "mark_fast_words_per_sec" fast_rate;
+  json_int "mark_words_per_cycle" fast.words;
+  json_int "mark_objects_per_cycle" fast.objects;
+  json_float "mark_reference_words_per_sec" (words_per_sec reference);
+  json_float "mark_fast_words_per_sec" (words_per_sec fast);
   json_float "mark_speedup" speedup;
-  json_int "mark_header_cache_hits_per_cycle" hits_per_cycle;
-  json_bool "mark_parity" parity;
-  if not parity then begin
-    Format.eprintf "mark throughput: fast path diverged from reference@.";
-    exit 1
-  end
+  json_int "mark_header_cache_hits_per_cycle" fast.hits;
+  json_bool "mark_parity" true
+
+(* The same two paths over a scattered heap, where the header cache
+   misses: [cells] live cells of 16-32 bytes (five size classes, drawn
+   at random, so their pages interleave), each stored into a random slot
+   of 4096-slot pointer tables (16 KB large objects, rooted from a
+   static segment; the slots are a random permutation, so every cell is
+   rooted once).  A cell's even words point at random cells, its odd
+   words hold small integers.  Consecutive references land on unrelated
+   pages, so nearly every classification takes the miss path, and a
+   cell's 4-8 words reach the block scanner's four-word step.  [dead]
+   unrooted cells are allocated before each live one, as on a heap
+   where most objects die, so the live cells spread over ~2400 pages
+   (gcbench churn's heap has ~1850): a miss then reads a descriptor
+   row that is not in the L1 cache, as it does there. *)
+let mark_scatter ~smoke () =
+  let cells = if smoke then 10_000 else 100_000 and slots = 4096 and dead = 3 in
+  let n_tables = (cells + slots - 1) / slots in
+  let mem = Mem.create () in
+  let roots =
+    Mem.map mem ~name:"tables" ~kind:Segment.Static_data ~base:(Addr.of_int 0x10000)
+      ~size:(4 * n_tables)
+  in
+  let gc =
+    Cgc.Gc.create mem ~base:(Addr.of_int 0x400000)
+      ~max_bytes:(max (4 * 1024 * 1024) (48 * (dead + 1) * cells))
+      ()
+  in
+  Cgc.Gc.set_auto_collect gc false;
+  Cgc.Gc.add_static_root gc ~lo:(Segment.base roots) ~hi:(Segment.limit roots) ~label:"tables";
+  let rng = Rng.create seed in
+  let tables =
+    Array.init n_tables (fun i ->
+        let table = Cgc.Gc.allocate gc (4 * slots) in
+        Segment.write_word roots (Addr.add (Segment.base roots) (4 * i)) (Addr.to_int table);
+        table)
+  in
+  let sizes = Array.init cells (fun _ -> 4 + Rng.int rng 5) in
+  let addrs =
+    Array.map
+      (fun words ->
+        for _ = 1 to dead do
+          ignore (Cgc.Gc.allocate gc (4 * (4 + Rng.int rng 5)) : Addr.t)
+        done;
+        Cgc.Gc.allocate gc (4 * words))
+      sizes
+  in
+  Array.iteri
+    (fun i c ->
+      for f = 0 to sizes.(i) - 1 do
+        Cgc.Gc.set_field gc c f
+          (if f mod 2 = 0 then Addr.to_int addrs.(Rng.int rng cells) else (i * 8) + f)
+      done)
+    addrs;
+  let slot = Array.init cells Fun.id in
+  for i = cells - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let s = slot.(i) in
+    slot.(i) <- slot.(j);
+    slot.(j) <- s
+  done;
+  Array.iteri
+    (fun i c ->
+      Cgc.Gc.set_field gc tables.(slot.(i) / slots) (slot.(i) mod slots) (Addr.to_int c))
+    addrs;
+  Format.printf
+    "  scattered heap: %d live cells of 16-32 B (%d dead each) in %d tables of %d slots (%d KB committed)@."
+    cells dead n_tables slots
+    (Cgc.Heap.committed_bytes (Cgc.Gc.heap gc) / 1024);
+  let reference, fast = time_marks ~smoke ~label:"scattered" gc in
+  Format.printf "  speedup   : %.2fx   header-cache hits per cycle: %d of %d in-heap references@."
+    (ns_per_object reference /. ns_per_object fast)
+    fast.hits fast.refs;
+  json_int "mark_scatter_cells" cells;
+  json_int "mark_scatter_words_per_cycle" fast.words;
+  json_int "mark_scatter_objects_per_cycle" fast.objects;
+  json_float "mark_scatter_reference_ns_per_object" (ns_per_object reference);
+  json_float "mark_scatter_ns_per_object" (ns_per_object fast);
+  json_int "mark_scatter_header_cache_hits_per_cycle" fast.hits;
+  json_bool "mark_scatter_parity" true
+
+let mark_throughput ~smoke () =
+  section "Mark throughput"
+    "flat-descriptor fast path vs reference scan loop (program T heap, SPARC static; scattered heap)";
+  mark_program_t ~smoke ();
+  mark_scatter ~smoke ()
 
 (* ------------------------------------------------------------------ *)
 

@@ -6,9 +6,10 @@ type t = {
   heap : Heap.t;
   blacklist : Blacklist.t;
   (* what the hit path reads of the heap, so that it calls into no
-     other module: the descriptor table, and the heap's base, page
-     shift and backing bytes *)
-  desc : Heap.desc;
+     other module: the descriptor table's packed rows and alloc words
+     column, and the heap's base, page shift and backing bytes *)
+  rows : int array;
+  alloc_cols : int array array;
   heap_base : int;
   page_shift : int;
   heap_bytes : Bytes.t;
@@ -127,7 +128,8 @@ let create ?(config = Config.default) mem ~base ~max_bytes () =
       config;
       heap;
       blacklist;
-      desc = Heap.desc heap;
+      rows = (Heap.desc heap).Heap.d_rows;
+      alloc_cols = (Heap.desc heap).Heap.d_alloc;
       heap_base = Addr.to_int (Segment.base seg);
       page_shift = Heap.page_shift heap;
       heap_bytes = Segment.unsafe_bytes seg;
@@ -268,13 +270,27 @@ let advance t c =
    The hit path makes one call into another compilation unit,
    [Mem.access_faults_armed].  The default (dev) build compiles every
    module [-opaque], so a [Bitset], [Heap] or [Segment] function would
-   be a real call however small.  The cursor reads its page's row of the
-   flat descriptor table, as the marker does, and finds and sets alloc
-   bits on the bitmap words in the layout [Bitset.t] documents (62
-   members a word; the literal keeps the divisions by a constant). *)
+   be a real call however small, and another module's constant a load.
+   The cursor reads its page's packed row of the flat descriptor table
+   and its alloc words column, as the marker does, and finds and sets
+   alloc bits on the bitmap words in the layout [Bitset.t] documents (62
+   members a word; the literals keep the divisions by a constant and the
+   row offsets immediate). *)
 
 let bits_per_word = 62
-let () = assert (bits_per_word = Bitset.bits_per_word && Config.granule = 4)
+let row_shift = 3
+let row_object_bytes = 1
+let row_first_offset = 3
+let row_n_objects = 4
+
+let () =
+  assert (
+    bits_per_word = Bitset.bits_per_word
+    && Config.granule = 4
+    && 1 lsl row_shift = Heap.row_stride
+    && row_object_bytes = Heap.row_object_bytes
+    && row_first_offset = Heap.row_first_offset
+    && row_n_objects = Heap.row_n_objects)
 
 (* Trailing zeros of a non-zero word below 2^62: the population count
    of the ones below its lowest set bit, by [Bitset.popcount]'s SWAR
@@ -312,15 +328,15 @@ let take_slot t c =
   let p = t.cursor_page.(c) in
   if p < 0 then -1
   else begin
-    let d = t.desc in
-    let words = d.Heap.d_alloc.(p).Bitset.words in
-    let obj = first_clear words d.Heap.d_n_objects.(p) t.cursor_slot.(c) in
+    let words = t.alloc_cols.(p) and rows = t.rows and r = p lsl row_shift in
+    let obj = first_clear words rows.(r + row_n_objects) t.cursor_slot.(c) in
     if obj < 0 then -1
     else begin
       let w = obj / bits_per_word in
       Array.unsafe_set words w (Array.unsafe_get words w lor (1 lsl (obj - (w * bits_per_word))));
       t.cursor_slot.(c) <- obj + 1;
-      t.heap_base + (p lsl t.page_shift) + d.Heap.d_first_offset.(p) + (obj * d.Heap.d_object_bytes.(p))
+      t.heap_base + (p lsl t.page_shift) + rows.(r + row_first_offset)
+      + (obj * rows.(r + row_object_bytes))
     end
   end
 

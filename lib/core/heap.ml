@@ -1,26 +1,37 @@
 open Cgc_vm
 
-(* Flat structure-of-arrays mirror of the page table.  The mark-phase
-   fast path classifies every scanned word against these packed arrays
-   — a byte load for the kind, int loads for the geometry, and direct
-   bitset references — instead of matching [Page.t] variants and
-   chasing record pointers.  Rows are kept coherent with [pages] by
-   [set_page]; the bitsets and the large record are the very objects
-   inside the [Page.t] value, so mark/alloc mutations need no mirroring. *)
+(* The page table's mirror for the mark-phase fast path: one packed row
+   of ints per page, plus pointer columns.  A header-cache miss reads
+   one row — eight adjacent ints, no variant match, no record pointer —
+   and takes the page's bitmap words straight from [d_alloc]/[d_mark].
+   Rows are kept coherent with [pages] by [set_page]; the words arrays
+   and the large record are the very objects inside the [Page.t] value,
+   so mark/alloc mutations need no mirroring. *)
 type desc = {
-  d_kind : Bytes.t;  (** [Page.kind_code] per page *)
-  d_object_bytes : int array;
-  d_first_offset : int array;
-  d_n_objects : int array;
-  d_recip_mul : int array;  (** small pages: [reciprocal] of the object size *)
-  d_recip_shift : int array;
-  d_head : int array;  (** large tail -> head page; otherwise the page itself *)
-  d_scan : Bytes.t;  (** [Page.scan_code] of the page's layout *)
+  d_rows : int array;  (** [row_stride] ints per page, fields at the [row_*] offsets *)
+  d_alloc : int array array;  (** the [Page.Small] alloc bitset's [words] *)
+  d_mark : int array array;  (** the [Page.Small] mark bitset's [words] *)
   d_pointer_offsets : int array array;  (** typed pages: the layout's pointer offsets *)
-  d_alloc : Bitset.t array;  (** shared with the [Page.Small] record *)
-  d_mark : Bitset.t array;
   d_large : Page.large array;  (** shared with the [Page.Large_head] record *)
 }
+
+let row_stride = 8
+let row_kind = 0
+let row_object_bytes = 1
+let row_extent = 2
+let row_first_offset = 3
+let row_n_objects = 4
+let row_recip_mul = 5
+let row_recip_shift = 6
+let row_head = 7
+
+let described = -1
+
+let scan_extent (layout : Page.layout) ~object_bytes =
+  match layout with
+  | Page.Conservative -> object_bytes
+  | Page.Pointer_free -> 0
+  | Page.Typed _ -> described
 
 type t = {
   mem : Mem.t;
@@ -50,74 +61,67 @@ let reciprocal ~page_size d =
   let s = log2 page_size + log2 ((2 * d) - 1) in
   (((1 lsl s) + d - 1) / d, s)
 
-(* Row for a page that carries no objects. *)
-let empty_bits = Bitset.create 0
+(* Words column entry for a page that carries no small objects. *)
+let empty_words = [||]
 
 let make_desc n_pages =
+  let rows = Array.make (n_pages * row_stride) 0 in
+  for i = 0 to n_pages - 1 do
+    rows.((i * row_stride) + row_kind) <- Page.kind_uncommitted;
+    rows.((i * row_stride) + row_head) <- i
+  done;
   {
-    d_kind = Bytes.make n_pages (Char.chr Page.kind_uncommitted);
-    d_object_bytes = Array.make n_pages 0;
-    d_first_offset = Array.make n_pages 0;
-    d_n_objects = Array.make n_pages 0;
-    d_recip_mul = Array.make n_pages 0;
-    d_recip_shift = Array.make n_pages 0;
-    d_head = Array.init n_pages Fun.id;
-    d_scan = Bytes.make n_pages (Page.scan_code Page.Pointer_free);
+    d_rows = rows;
+    d_alloc = Array.make n_pages empty_words;
+    d_mark = Array.make n_pages empty_words;
     d_pointer_offsets = Array.make n_pages [||];
-    d_alloc = Array.make n_pages empty_bits;
-    d_mark = Array.make n_pages empty_bits;
     d_large = Array.make n_pages Page.dummy_large;
   }
 
-let set_layout d i (layout : Page.layout) =
-  Bytes.set d.d_scan i (Page.scan_code layout);
+(* Write page [i]'s row: every field, so no value of an earlier kind
+   survives a transition. *)
+let set_row d i ~kind ~object_bytes ~layout ~first_offset ~n_objects ~recip_mul ~recip_shift ~head =
+  let r = i * row_stride and rows = d.d_rows in
+  rows.(r + row_kind) <- kind;
+  rows.(r + row_object_bytes) <- object_bytes;
+  rows.(r + row_extent) <- scan_extent layout ~object_bytes;
+  rows.(r + row_first_offset) <- first_offset;
+  rows.(r + row_n_objects) <- n_objects;
+  rows.(r + row_recip_mul) <- recip_mul;
+  rows.(r + row_recip_shift) <- recip_shift;
+  rows.(r + row_head) <- head;
   d.d_pointer_offsets.(i) <-
     (match layout with Page.Typed desc -> desc.Type_desc.pointer_offsets | _ -> [||])
 
 let sync_desc t i (p : Page.t) =
   let d = t.desc in
-  Bytes.set d.d_kind i (Char.chr (Page.kind_code p));
-  d.d_recip_mul.(i) <- 0;
-  d.d_recip_shift.(i) <- 0;
+  let kind = Page.kind_code p in
   match p with
   | Page.Uncommitted | Page.Free ->
-      d.d_object_bytes.(i) <- 0;
-      d.d_first_offset.(i) <- 0;
-      d.d_n_objects.(i) <- 0;
-      d.d_head.(i) <- i;
-      set_layout d i Page.Pointer_free;
-      d.d_alloc.(i) <- empty_bits;
-      d.d_mark.(i) <- empty_bits;
+      set_row d i ~kind ~object_bytes:0 ~layout:Page.Pointer_free ~first_offset:0 ~n_objects:0
+        ~recip_mul:0 ~recip_shift:0 ~head:i;
+      d.d_alloc.(i) <- empty_words;
+      d.d_mark.(i) <- empty_words;
       d.d_large.(i) <- Page.dummy_large
   | Page.Small s ->
-      d.d_object_bytes.(i) <- s.Page.object_bytes;
-      d.d_first_offset.(i) <- s.Page.first_offset;
-      d.d_n_objects.(i) <- s.Page.n_objects;
-      (let m, sh = reciprocal ~page_size:t.page_size s.Page.object_bytes in
-       d.d_recip_mul.(i) <- m;
-       d.d_recip_shift.(i) <- sh);
-      d.d_head.(i) <- i;
-      set_layout d i s.Page.layout;
-      d.d_alloc.(i) <- s.Page.alloc;
-      d.d_mark.(i) <- s.Page.mark;
+      let recip_mul, recip_shift = reciprocal ~page_size:t.page_size s.Page.object_bytes in
+      set_row d i ~kind ~object_bytes:s.Page.object_bytes ~layout:s.Page.layout
+        ~first_offset:s.Page.first_offset ~n_objects:s.Page.n_objects ~recip_mul ~recip_shift
+        ~head:i;
+      d.d_alloc.(i) <- s.Page.alloc.Bitset.words;
+      d.d_mark.(i) <- s.Page.mark.Bitset.words;
       d.d_large.(i) <- Page.dummy_large
   | Page.Large_head l ->
-      d.d_object_bytes.(i) <- l.Page.object_bytes;
-      d.d_first_offset.(i) <- 0;
-      d.d_n_objects.(i) <- 1;
-      d.d_head.(i) <- i;
-      set_layout d i l.Page.l_layout;
-      d.d_alloc.(i) <- empty_bits;
-      d.d_mark.(i) <- empty_bits;
+      set_row d i ~kind ~object_bytes:l.Page.object_bytes ~layout:l.Page.l_layout ~first_offset:0
+        ~n_objects:1 ~recip_mul:0 ~recip_shift:0 ~head:i;
+      d.d_alloc.(i) <- empty_words;
+      d.d_mark.(i) <- empty_words;
       d.d_large.(i) <- l
   | Page.Large_tail { head_index } ->
-      d.d_object_bytes.(i) <- 0;
-      d.d_first_offset.(i) <- 0;
-      d.d_n_objects.(i) <- 0;
-      d.d_head.(i) <- head_index;
-      set_layout d i Page.Pointer_free;
-      d.d_alloc.(i) <- empty_bits;
-      d.d_mark.(i) <- empty_bits;
+      set_row d i ~kind ~object_bytes:0 ~layout:Page.Pointer_free ~first_offset:0 ~n_objects:0
+        ~recip_mul:0 ~recip_shift:0 ~head:head_index;
+      d.d_alloc.(i) <- empty_words;
+      d.d_mark.(i) <- empty_words;
       d.d_large.(i) <- Page.dummy_large
 
 let page_addr t i = Addr.add t.base (i * t.page_size)

@@ -14,33 +14,64 @@ type t
 
 (** {1 Flat page-descriptor table}
 
-    A structure-of-arrays mirror of the page table, indexed by page
-    number.  The mark-phase fast path ({!Mark}) classifies each scanned
-    word against these packed rows — one byte load for the kind, int
-    loads for the geometry, direct bitset references — instead of
-    matching [Page.t] variants, and reads the page's layout from
-    [d_scan]/[d_pointer_offsets].  Rows are maintained by {!set_page}; the
-    bitsets ([d_alloc]/[d_mark]) and the [d_large] record are physically
-    the same objects held by the corresponding [Page.t] value, so
-    per-object mutations (mark bits, alloc bits, [l_marked]) are
-    coherent without any extra bookkeeping. *)
+    The page table's mirror for the mark-phase fast path ({!Mark}),
+    indexed by page number.  Each page's kernel-read fields are one
+    packed row of [row_stride] ints in [d_rows]: a header-cache miss
+    reads one row — adjacent loads from one array, no variant match, no
+    record pointer — and takes the page's bitmap words straight from
+    the [d_alloc]/[d_mark] columns.  Rows are maintained by {!set_page};
+    the words arrays and the [d_large] record are physically the objects
+    held by the corresponding [Page.t] value (a [Page.Small]'s
+    [alloc.words] and [mark.words]), so per-object mutations (mark bits,
+    alloc bits, [l_marked]) are coherent without any extra
+    bookkeeping. *)
 type desc = {
-  d_kind : Bytes.t;  (** [Page.kind_code] per page *)
-  d_object_bytes : int array;
-  d_first_offset : int array;
-  d_n_objects : int array;
-  d_recip_mul : int array;
-      (** small pages: [(rel * d_recip_mul) lsr d_recip_shift = rel / object_bytes]
-          for every [0 <= rel < page_size] (see {!reciprocal}); 0 elsewhere *)
-  d_recip_shift : int array;
-  d_head : int array;  (** large tail -> head page; otherwise the page itself *)
-  d_scan : Bytes.t;  (** {!Page.scan_code} of the page's layout *)
+  d_rows : int array;
+      (** page [i]'s row is [d_rows.(i * row_stride + f)] for the field
+          offsets [f] below *)
+  d_alloc : int array array;
+      (** small pages: the alloc bitset's [Bitset.t.words]; an empty
+          array elsewhere *)
+  d_mark : int array array;  (** small pages: the mark bitset's words *)
   d_pointer_offsets : int array array;
       (** typed pages: their descriptor's [pointer_offsets]; [[||]] elsewhere *)
-  d_alloc : Bitset.t array;
-  d_mark : Bitset.t array;
   d_large : Page.large array;
 }
+
+val row_stride : int
+(** 8: ints per row. *)
+
+(** Field offsets within a row. *)
+
+val row_kind : int
+(** {!Page.kind_code} of the page. *)
+
+val row_object_bytes : int
+(** Small pages: the slot size; large heads: the object's size; 0 elsewhere. *)
+
+val row_extent : int
+(** {!scan_extent} of the page's layout and [row_object_bytes]. *)
+
+val row_first_offset : int
+val row_n_objects : int
+(** Small pages: slots; large heads: 1; 0 elsewhere. *)
+
+val row_recip_mul : int
+(** Small pages: [(rel * mul) lsr shift = rel / object_bytes] for every
+    [0 <= rel < page_size] (see {!reciprocal}); 0 elsewhere. *)
+
+val row_recip_shift : int
+val row_head : int
+(** Large tail: its head page; otherwise the page itself. *)
+
+val described : int
+(** -1: the scan extent of a typed layout. *)
+
+val scan_extent : Page.layout -> object_bytes:int -> int
+(** What the marker scans of an object of the layout: a conservative
+    object's [object_bytes] (every word), 0 for a pointer-free one
+    (nothing), {!described} for a typed one (its pointer offsets, from
+    [d_pointer_offsets]). *)
 
 val desc : t -> desc
 

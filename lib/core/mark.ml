@@ -94,7 +94,11 @@ type t = {
   (* Scan scalars hoisted out of the per-word path.  All are immutable
      copies of configuration/heap geometry that cannot change while the
      marker exists. *)
-  desc : Heap.desc;
+  rows : int array;  (** [Heap.desc]'s packed rows *)
+  alloc_cols : int array array;  (** [Heap.desc]'s alloc words column *)
+  mark_cols : int array array;  (** [Heap.desc]'s mark words column *)
+  pointer_offsets : int array array;
+  large : Page.large array;
   heap_seg : Segment.t;
   heap_bytes : Bytes.t;  (** the heap segment's backing store, based at [heap_lo] *)
   heap_little : bool;  (** the heap segment is little-endian *)
@@ -111,17 +115,18 @@ type t = {
   tail_valid : bool;  (** interior pointers on and [large_validity = Anywhere] *)
   blacklisting : bool;
   disp_mask : int array;
-  (* One-entry header cache (Boehm's HDR cache): the descriptor row of
-     the page hit by the previous heap reference.  Scanned pointers
-     cluster heavily by page, so most lookups avoid even the flat-table
-     loads.  It serves classification only — a popped object's extent
-     rides on its stack entry, so popping never evicts the row its
-     children's lookups want.  [cache_page = -1] means empty;
-     invalidated whenever the page table may have changed under us (at
-     the start of every [trace]).  The row's bitmap words are pointer
-     columns, and a store of a pointer into this long-lived record pays
-     a write barrier (a C call), so a miss loads only the int columns;
-     the words are cached on the row's first hit ([cache_words_page]). *)
+  (* One-entry header cache (Boehm's HDR cache): a copy of the
+     descriptor row of the page hit by the previous heap reference.
+     Scanned pointers cluster heavily by page, so most lookups avoid
+     even the row loads.  It serves classification only — a popped
+     object's extent rides on its stack entry, so popping never evicts
+     the row its children's lookups want.  [cache_page = -1] means
+     empty; invalidated whenever the page table may have changed under
+     us (at the start of every [trace]).  The bitmap words are pointers,
+     and a store of a pointer into this long-lived record pays a write
+     barrier (a C call), so a miss copies only the row's ints and reads
+     the words from the columns; the words are cached on the row's
+     first hit ([cache_words_page]). *)
   mutable cache_page : int;
   mutable cache_kind : int;
   mutable cache_object_bytes : int;
@@ -165,7 +170,11 @@ let create ?(stop_on_fault = false) heap config blacklist stats =
     n_false = 0;
     n_marked = 0;
     n_misses = 0;
-    desc = Heap.desc heap;
+    rows = (Heap.desc heap).Heap.d_rows;
+    alloc_cols = (Heap.desc heap).Heap.d_alloc;
+    mark_cols = (Heap.desc heap).Heap.d_mark;
+    pointer_offsets = (Heap.desc heap).Heap.d_pointer_offsets;
+    large = (Heap.desc heap).Heap.d_large;
     heap_seg = Heap.segment heap;
     heap_bytes = Segment.unsafe_bytes (Heap.segment heap);
     heap_little = Endian.equal (Segment.endian (Heap.segment heap)) Endian.Little;
@@ -251,7 +260,10 @@ let[@inline] push t base extent =
    their 64-bit forms, for [scan_blocks]), and the alloc
    and mark bits are tested and set on the bitmap words directly, in the
    layout [Bitset.t] documents (62 members a word; the literal keeps the
-   divisions by a constant). *)
+   divisions by a constant).  Under [-opaque] another module's constant
+   is a load from its module block too, so the kind codes and the row
+   layout are literals here, tied to [Page] and [Heap] at module
+   initialisation. *)
 external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 external bswap32 : int32 -> int32 = "%bswap_int32"
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
@@ -268,37 +280,58 @@ let[@inline] word_be bytes off =
   Int32.to_int v land 0xFFFF_FFFF
 
 let bits_per_word = 62
-let () = assert (bits_per_word = Bitset.bits_per_word)
+let kind_small = 2
+let kind_large_head = 3
+let kind_large_tail = 4
+let row_shift = 3
+let row_kind = 0
+let row_object_bytes = 1
+let row_extent = 2
+let row_first_offset = 3
+let row_n_objects = 4
+let row_recip_mul = 5
+let row_recip_shift = 6
+let row_head = 7
 
-(* Fill the header cache with page's descriptor row, its int columns:
-   straight-line loads from the flat table, no variant match, no
-   allocation, no write barrier.  [page] is in range by construction
-   (every caller bounds-checks the address, and the descriptor arrays
-   span every reserved page).  The scan byte becomes the extent a small
-   object of the row is pushed with. *)
+let () =
+  assert (
+    bits_per_word = Bitset.bits_per_word
+    && kind_small = Page.kind_small
+    && kind_large_head = Page.kind_large_head
+    && kind_large_tail = Page.kind_large_tail
+    && 1 lsl row_shift = Heap.row_stride
+    && row_kind = Heap.row_kind
+    && row_object_bytes = Heap.row_object_bytes
+    && row_extent = Heap.row_extent
+    && row_first_offset = Heap.row_first_offset
+    && row_n_objects = Heap.row_n_objects
+    && row_recip_mul = Heap.row_recip_mul
+    && row_recip_shift = Heap.row_recip_shift
+    && row_head = Heap.row_head
+    && described = Heap.described)
+
+(* Fill the header cache with page's descriptor row: eight adjacent
+   int loads from one array, no variant match, no allocation, no write
+   barrier.  [page] is in range by construction (every caller
+   bounds-checks the address, and the rows span every reserved page).
+   The row's extent is what a small object of the row is pushed with. *)
 let load_header t page =
-  let d = t.desc in
-  let object_bytes = Array.unsafe_get d.Heap.d_object_bytes page in
+  let rows = t.rows and r = page lsl row_shift in
   t.cache_page <- page;
-  t.cache_kind <- Char.code (Bytes.unsafe_get d.Heap.d_kind page);
-  t.cache_object_bytes <- object_bytes;
-  t.cache_extent <-
-    (match Bytes.unsafe_get d.Heap.d_scan page with
-    | '\000' -> object_bytes
-    | '\001' -> 0
-    | _ -> described);
-  t.cache_first_offset <- Array.unsafe_get d.Heap.d_first_offset page;
-  t.cache_n_objects <- Array.unsafe_get d.Heap.d_n_objects page;
-  t.cache_recip_mul <- Array.unsafe_get d.Heap.d_recip_mul page;
-  t.cache_recip_shift <- Array.unsafe_get d.Heap.d_recip_shift page;
-  t.cache_head <- Array.unsafe_get d.Heap.d_head page
+  t.cache_kind <- Array.unsafe_get rows (r + row_kind);
+  t.cache_object_bytes <- Array.unsafe_get rows (r + row_object_bytes);
+  t.cache_extent <- Array.unsafe_get rows (r + row_extent);
+  t.cache_first_offset <- Array.unsafe_get rows (r + row_first_offset);
+  t.cache_n_objects <- Array.unsafe_get rows (r + row_n_objects);
+  t.cache_recip_mul <- Array.unsafe_get rows (r + row_recip_mul);
+  t.cache_recip_shift <- Array.unsafe_get rows (r + row_recip_shift);
+  t.cache_head <- Array.unsafe_get rows (r + row_head)
 
 (* The cached row is hit again: keep its bitmap words too. *)
 let cache_words t page =
-  let d = t.desc in
   t.cache_words_page <- page;
-  t.cache_alloc <- (Array.unsafe_get d.Heap.d_alloc page).Bitset.words;
-  t.cache_mark <- (Array.unsafe_get d.Heap.d_mark page).Bitset.words
+  t.cache_alloc <- Array.unsafe_get t.alloc_cols page;
+  t.cache_mark <- Array.unsafe_get t.mark_cols page
 
 let[@inline] note_false t page =
   t.n_false <- t.n_false + 1;
@@ -314,7 +347,7 @@ let[@inline] note_valid t = t.n_valid <- t.n_valid + 1
    ([Heap.reciprocal]; [0 <= rel < page_size] holds here). *)
 let[@inline] classify_row t value page alloc_words mark_words =
   let kind = t.cache_kind in
-  if kind = Page.kind_small then begin
+  if kind = kind_small then begin
     let rel = ((value - t.heap_lo) land t.page_mask) - t.cache_first_offset in
     if rel < 0 then note_false t page
     else begin
@@ -339,8 +372,8 @@ let[@inline] classify_row t value page alloc_words mark_words =
       else note_false t page
     end
   end
-  else if kind = Page.kind_large_head then begin
-    let l = Array.unsafe_get t.desc.Heap.d_large page in
+  else if kind = kind_large_head then begin
+    let l = Array.unsafe_get t.large page in
     if not l.Page.l_allocated then note_false t page
     else begin
       let off = (value - t.heap_lo) land t.page_mask in
@@ -355,14 +388,14 @@ let[@inline] classify_row t value page alloc_words mark_words =
       else note_false t page
     end
   end
-  else if kind = Page.kind_large_tail then begin
+  else if kind = kind_large_tail then begin
     if not t.tail_valid then note_false t page
     else begin
       let head = t.cache_head in
-      let l = Array.unsafe_get t.desc.Heap.d_large head in
+      let l = Array.unsafe_get t.large head in
       let head_addr = t.heap_lo + (head lsl t.page_shift) in
       if
-        Char.code (Bytes.unsafe_get t.desc.Heap.d_kind head) = Page.kind_large_head
+        Array.unsafe_get t.rows ((head lsl row_shift) + row_kind) = kind_large_head
         && l.Page.l_allocated
         && value - head_addr < l.Page.object_bytes
       then begin
@@ -380,8 +413,8 @@ let[@inline] classify_row t value page alloc_words mark_words =
 
 (* One scanned word inside [heap_lo, heap_hi): a hit of the header
    cache classifies against the cached row (caching its words on the
-   first hit), a miss loads the row's int columns and reads the words
-   from the table.  The scan loops test the bounds inline, so a word
+   first hit), a miss copies the packed row and reads the words straight
+   from the columns.  The scan loops test the bounds inline, so a word
    outside the heap costs no call.  Does NOT count the word into
    [n_words] — scans batch that per range. *)
 let classify_in_heap t value =
@@ -393,9 +426,8 @@ let classify_in_heap t value =
   else begin
     t.n_misses <- t.n_misses + 1;
     load_header t page;
-    let d = t.desc in
-    classify_row t value page (Array.unsafe_get d.Heap.d_alloc page).Bitset.words
-      (Array.unsafe_get d.Heap.d_mark page).Bitset.words
+    classify_row t value page (Array.unsafe_get t.alloc_cols page)
+      (Array.unsafe_get t.mark_cols page)
   end
 
 let[@inline] consider_heap t value =
@@ -522,7 +554,7 @@ let scan_words t seg ~lo ~hi =
     ~little:(Endian.equal (Segment.endian seg) Endian.Little)
     ~lo ~hi
 
-(* Scan the words of a marked object, reading its size and layout
+(* Scan the words of a marked object, reading its kind and extent
    straight from the descriptor row (not through the header cache) and
    its words straight from the heap segment: the pop of a [described]
    entry (typed and large objects), every pop while reads are armed,
@@ -532,19 +564,19 @@ let scan_words t seg ~lo ~hi =
    longer Small or Large_head was retired between the push and the pop
    and has nothing left to scan. *)
 let scan_object t base =
-  let d = t.desc in
   let page = (base - t.heap_lo) lsr t.page_shift in
-  let kind = Char.code (Bytes.unsafe_get d.Heap.d_kind page) in
-  if kind = Page.kind_small || kind = Page.kind_large_head then begin
-    let scan = Bytes.unsafe_get d.Heap.d_scan page in
-    if scan = '\000' then begin
-      let hi = base + Array.unsafe_get d.Heap.d_object_bytes page in
+  let r = page lsl row_shift in
+  let kind = Array.unsafe_get t.rows (r + row_kind) in
+  if kind = kind_small || kind = kind_large_head then begin
+    let extent = Array.unsafe_get t.rows (r + row_extent) in
+    if extent > 0 then begin
+      let hi = base + extent in
       let hi = if hi < t.heap_hi then hi else t.heap_hi in
       scan_span t t.heap_seg t.heap_bytes ~sbase:t.heap_lo ~little:t.heap_little ~lo:base ~hi
     end
-    else if scan = Page.scan_typed then begin
+    else if extent = described then begin
       (* a typed object's pointer words: one one-word span each *)
-      let offsets = Array.unsafe_get d.Heap.d_pointer_offsets page in
+      let offsets = Array.unsafe_get t.pointer_offsets page in
       for k = 0 to Array.length offsets - 1 do
         let lo = base + Array.unsafe_get offsets k in
         scan_span t t.heap_seg t.heap_bytes ~sbase:t.heap_lo ~little:t.heap_little ~lo ~hi:(lo + 4)

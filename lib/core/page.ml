@@ -32,12 +32,9 @@ type t =
   | Large_head of large
   | Large_tail of { head_index : int }
 
-(* Scan codes for the heap's flat descriptor table. *)
-let scan_typed = '\002'
-let scan_code = function Conservative -> '\000' | Pointer_free -> '\001' | Typed _ -> scan_typed
-
 (* Kind codes for the heap's flat descriptor table: the mark-phase fast
-   path reads these from a byte array instead of matching the variant. *)
+   path reads these from a descriptor row instead of matching the
+   variant. *)
 let kind_uncommitted = 0
 let kind_free = 1
 let kind_small = 2

@@ -44,20 +44,14 @@ type t =
   | Large_head of large
   | Large_tail of { head_index : int }
 
-val scan_code : layout -> char
-(** The layout as a byte for the heap's flat descriptor table: ['\000'],
-    ['\001'] (also for pages with no object body) or {!scan_typed}. *)
-
-val scan_typed : char
-
 val layout_tag : layout -> string
 (** [""], [" atomic"] or [" typed NAME"], as {!pp} prints it. *)
 
 (** {1 Kind codes}
 
     Small-integer encodings of the variant's constructor, stored in the
-    heap's flat descriptor table so the scan fast path can dispatch on a
-    byte-array load instead of a variant match. *)
+    heap's flat descriptor table so the scan fast path can dispatch on an
+    int load from the page's row instead of a variant match. *)
 
 val kind_uncommitted : int
 val kind_small : int

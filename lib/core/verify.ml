@@ -47,25 +47,64 @@ let check_page_table heap issues =
     end
   done
 
+(* The row fields of the flat descriptor table, named for the audit's
+   findings. *)
+let row_fields =
+  [
+    ("kind", Heap.row_kind);
+    ("object_bytes", Heap.row_object_bytes);
+    ("extent", Heap.row_extent);
+    ("first_offset", Heap.row_first_offset);
+    ("n_objects", Heap.row_n_objects);
+    ("recip_mul", Heap.row_recip_mul);
+    ("recip_shift", Heap.row_recip_shift);
+    ("head", Heap.row_head);
+  ]
+
+(* The row page [i] must have while it holds [p], derived from the
+   variant alone. *)
+let expected_row heap i (p : Page.t) =
+  let row = Array.make Heap.row_stride 0 in
+  row.(Heap.row_kind) <- Page.kind_code p;
+  row.(Heap.row_head) <- i;
+  (match p with
+  | Page.Uncommitted | Page.Free -> ()
+  | Page.Small s ->
+      let mul, shift = Heap.reciprocal ~page_size:(Heap.page_size heap) s.Page.object_bytes in
+      row.(Heap.row_object_bytes) <- s.Page.object_bytes;
+      row.(Heap.row_extent) <- Heap.scan_extent s.Page.layout ~object_bytes:s.Page.object_bytes;
+      row.(Heap.row_first_offset) <- s.Page.first_offset;
+      row.(Heap.row_n_objects) <- s.Page.n_objects;
+      row.(Heap.row_recip_mul) <- mul;
+      row.(Heap.row_recip_shift) <- shift
+  | Page.Large_head l ->
+      row.(Heap.row_object_bytes) <- l.Page.object_bytes;
+      row.(Heap.row_extent) <- Heap.scan_extent l.Page.l_layout ~object_bytes:l.Page.object_bytes;
+      row.(Heap.row_n_objects) <- 1
+  | Page.Large_tail { head_index } -> row.(Heap.row_head) <- head_index);
+  row
+
 (* Audit the flat descriptor table against the page variants.  The scan
    fast path trusts these rows completely, so any drift (a page-state
    transition that bypassed [Heap.set_page]) is a marker correctness bug
-   waiting to happen.  Bitsets and large records must be physically the
-   objects held by the variant — value equality is not enough, since the
-   fast path mutates them through the descriptor. *)
+   waiting to happen.  Every row field is checked against the variant.
+   The words columns and large records must be physically the objects
+   held by the variant — value equality is not enough, since the fast
+   path mutates them through the descriptor. *)
 let check_descriptors heap issues =
   let add fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
   let d = Heap.desc heap in
   for i = 0 to Heap.n_pages heap - 1 do
     let p = Heap.page heap i in
-    let kind = Char.code (Bytes.get d.Heap.d_kind i) in
-    if kind <> Page.kind_code p then
-      add "descriptor kind %d for page %d disagrees with the page table's %d" kind i
-        (Page.kind_code p);
-    (* the layout column: scan byte and pointer offsets *)
-    let check_layout what layout =
-      if Bytes.get d.Heap.d_scan i <> Page.scan_code layout then
-        add "descriptor scan code of %s %d disagrees with its layout" what i;
+    let want = expected_row heap i p and r = i * Heap.row_stride in
+    List.iter
+      (fun (name, f) ->
+        let got = d.Heap.d_rows.(r + f) in
+        if got <> want.(f) then
+          add "descriptor %s of page %d is %d (expected %d)" name i got want.(f))
+      row_fields;
+    (* the typed layout's pointer offsets *)
+    let check_offsets what layout =
       let offsets = d.Heap.d_pointer_offsets.(i) in
       match layout with
       | Page.Typed desc ->
@@ -76,29 +115,13 @@ let check_descriptors heap issues =
           if Array.length offsets <> 0 then add "descriptor of untyped %s %d has pointer offsets" what i
     in
     match p with
-    | Page.Uncommitted | Page.Free ->
-        if d.Heap.d_head.(i) <> i then add "descriptor head of empty page %d is %d" i d.Heap.d_head.(i);
-        check_layout "empty page" Page.Pointer_free
+    | Page.Uncommitted | Page.Free -> check_offsets "empty page" Page.Pointer_free
     | Page.Small s ->
-        if d.Heap.d_object_bytes.(i) <> s.Page.object_bytes then
-          add "descriptor object_bytes %d for small page %d (expected %d)" d.Heap.d_object_bytes.(i)
-            i s.Page.object_bytes;
-        if d.Heap.d_first_offset.(i) <> s.Page.first_offset then
-          add "descriptor first_offset %d for small page %d (expected %d)" d.Heap.d_first_offset.(i)
-            i s.Page.first_offset;
-        if d.Heap.d_n_objects.(i) <> s.Page.n_objects then
-          add "descriptor n_objects %d for small page %d (expected %d)" d.Heap.d_n_objects.(i) i
-            s.Page.n_objects;
-        if
-          (d.Heap.d_recip_mul.(i), d.Heap.d_recip_shift.(i))
-          <> Heap.reciprocal ~page_size:(Heap.page_size heap) s.Page.object_bytes
-        then add "descriptor reciprocal of small page %d is not its object size's" i;
-        if d.Heap.d_head.(i) <> i then add "descriptor head of small page %d is %d" i d.Heap.d_head.(i);
-        check_layout "small page" s.Page.layout;
-        if not (d.Heap.d_alloc.(i) == s.Page.alloc) then
-          add "descriptor alloc bitset of small page %d is not the page's" i;
-        if not (d.Heap.d_mark.(i) == s.Page.mark) then
-          add "descriptor mark bitset of small page %d is not the page's" i;
+        check_offsets "small page" s.Page.layout;
+        if not (d.Heap.d_alloc.(i) == s.Page.alloc.Bitset.words) then
+          add "descriptor alloc words of small page %d are not the page's bitset's" i;
+        if not (d.Heap.d_mark.(i) == s.Page.mark.Bitset.words) then
+          add "descriptor mark words of small page %d are not the page's bitset's" i;
         (* mark ⊆ alloc: the marker only marks allocated slots, sweeps
            clear both bits, and quarantine removes both — so a mark bit
            on a free (or quarantine-removed) slot means a marker wrote
@@ -111,17 +134,10 @@ let check_descriptors heap issues =
     | Page.Large_head l ->
         if l.Page.l_marked && not l.Page.l_allocated then
           add "mark flag set on the unallocated large object at %d" i;
-        if d.Heap.d_object_bytes.(i) <> l.Page.object_bytes then
-          add "descriptor object_bytes %d for large head %d (expected %d)" d.Heap.d_object_bytes.(i)
-            i l.Page.object_bytes;
-        if d.Heap.d_head.(i) <> i then add "descriptor head of large head %d is %d" i d.Heap.d_head.(i);
-        check_layout "large head" l.Page.l_layout;
+        check_offsets "large head" l.Page.l_layout;
         if not (d.Heap.d_large.(i) == l) then
           add "descriptor large record of head %d is not the page's" i
-    | Page.Large_tail { head_index } ->
-        if d.Heap.d_head.(i) <> head_index then
-          add "descriptor head %d of tail page %d (expected %d)" d.Heap.d_head.(i) i head_index;
-        check_layout "tail page" Page.Pointer_free
+    | Page.Large_tail _ -> check_offsets "tail page" Page.Pointer_free
   done
 
 (* Heap-level subset of [check], for backends that are not a [Gc.t]

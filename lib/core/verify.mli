@@ -13,9 +13,10 @@ val check : Gc.t -> string list
       within the object's extent;
     - small-page geometry fits inside the page;
     - the flat descriptor table ({!Heap.desc}) agrees row-by-row with
-      the page variants, including physical identity of the shared
-      bitsets and large-object records the scan fast path mutates, and
-      the layout column (scan code and a typed row's pointer offsets);
+      the page variants: every field of each packed row, physical
+      identity of the words columns with the page's bitsets' words and
+      of the large-object records the scan fast path mutates, and a
+      typed row's pointer offsets;
     - mark bits only cover allocated slots (and a marked large head is
       an allocated one): the marker never marks a free or
       quarantine-removed slot;

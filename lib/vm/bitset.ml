@@ -82,8 +82,10 @@ let[@inline] ntz x =
   !n
 
 (* Visit members in ascending order: whole zero words are skipped with
-   one comparison, and each set bit costs one trailing-zero extraction
-   ([word land (word - 1)] strips the bit just visited). *)
+   one comparison, and each set bit costs one trailing-zero extraction.
+   After each visit the word is read again and cut to the bits above
+   the one just visited, so a member [f] adds above it is visited too,
+   and one it removes is not, wherever the word boundaries fall. *)
 let iter_set t f =
   let words = t.words in
   for w = 0 to Array.length words - 1 do
@@ -91,8 +93,9 @@ let iter_set t f =
     if !word <> 0 then begin
       let base = w * bits_per_word in
       while !word <> 0 do
-        f (base + ntz !word);
-        word := !word land (!word - 1)
+        let b = ntz !word in
+        f (base + b);
+        word := Array.unsafe_get words w land (-2 lsl b)
       done
     end
   done

@@ -50,7 +50,11 @@ val iter_set : t -> (int -> unit) -> unit
 (** Same as {!iter} with the hot-path argument order: visits members in
     increasing order by scanning whole words and extracting trailing-zero
     runs, so sparse sets cost one test per word plus one step per member.
-    Used by the sweeper and by mark-stack overflow recovery. *)
+    The visitor may change the set: each index is visited when it is a
+    member as the walk reaches it, so a member added above the current
+    one is visited and one removed is not.  Used by the generational
+    page walk and by mark-stack overflow recovery, whose rescans mark
+    more objects on the page they walk. *)
 
 (** Survivor and casualty tallies of {!sweep}, added to across calls. *)
 type sweep_counts = {

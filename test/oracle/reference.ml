@@ -10,6 +10,7 @@ type t = {
   stack : int Stack.t;  (* object base addresses *)
   depth_limit : int option;  (* [Config.mark_stack_limit] *)
   mutable dropped : bool;  (* a push found the stack full since the last rescan *)
+  mutable last_page : int;  (* page of the previous in-heap word classified; -1 none *)
 }
 
 (* A full stack drops the push: the object stays marked, and the
@@ -43,8 +44,19 @@ let set_mark_bit t page base =
       t.stats.Stats.mark_downgrades <- t.stats.Stats.mark_downgrades + 1;
       `Already
 
+(* The hits a one-entry header cache scores: an in-heap word whose page
+   is the previous in-heap word's page. *)
+let note_page t value =
+  if Heap.contains t.heap value then begin
+    let page = Heap.page_index t.heap value in
+    if page = t.last_page then
+      t.stats.Stats.header_cache_hits <- t.stats.Stats.header_cache_hits + 1;
+    t.last_page <- page
+  end
+
 let consider t value =
   t.stats.Stats.words_scanned <- t.stats.Stats.words_scanned + 1;
+  note_page t value;
   match Mark.classify t.heap t.config value with
   | Mark.Outside -> ()
   | Mark.False_in_heap { page } ->
@@ -122,6 +134,7 @@ let run gc =
       stack = Stack.create ();
       depth_limit = (Gc.config gc).Config.mark_stack_limit;
       dropped = false;
+      last_page = -1;
     }
   in
   let roots = Gc.Internal.roots gc in

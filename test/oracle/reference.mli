@@ -8,8 +8,10 @@
     overflow recovery — and shares only {!Cgc.Mark.classify},
     {!Cgc.Heap.clear_marks}, {!Cgc.Blacklist} and {!Cgc.Stats} with the
     collector's trace kernel.  On the same heap it must leave mark
-    bitmaps, blacklist and counters bit-identical to [Gc.Internal.run_mark]
-    (modulo [Stats.header_cache_hits], which only the kernel keeps). *)
+    bitmaps, blacklist and counters bit-identical to [Gc.Internal.run_mark].
+    It has no header cache, but counts into [Stats.header_cache_hits] the
+    hits the kernel's one-entry cache must score: an in-heap word whose
+    page is the previous in-heap word's page, within one mark phase. *)
 
 val run : Cgc.Gc.t -> unit
 (** A full mark phase over the collector's roots: clear the marks, open a

@@ -286,6 +286,41 @@ let test_verify_detects_mark_on_free_large () =
   check (Alcotest.list Alcotest.string) "check_parallel_mark" expected
     (Verify.check_parallel_mark gc)
 
+(* The descriptor audit reads every row field and the identity of the
+   words columns.  On a scratch heap with two small pages, one row field
+   of page 1 is corrupted and page 1's alloc and mark words entries are
+   swapped: the two arrays are equal in value (both empty), so only a
+   physical-identity check tells them apart.  [check_heap] reports the
+   field and both entries, nothing else; putting them back leaves it
+   clean. *)
+let test_verify_detects_descriptor_drift () =
+  let config = { Config.default with Config.initial_pages = 4 } in
+  let heap = Heap.create (Mem.create ()) ~config ~base:heap_base ~max_bytes:(4 * 4096) in
+  let small () =
+    Cgc.Page.make_small ~granules:4 ~object_bytes:16 ~layout:Cgc.Page.Conservative ~first_offset:0
+      ~n_objects:256
+  in
+  Heap.set_page heap 1 (small ());
+  Heap.set_page heap 2 (small ());
+  check (Alcotest.list Alcotest.string) "clean before" [] (Verify.check_heap heap);
+  let d = Heap.desc heap in
+  let field = (1 * Heap.row_stride) + Heap.row_n_objects in
+  let alloc = d.Heap.d_alloc.(1) and mark = d.Heap.d_mark.(1) in
+  d.Heap.d_rows.(field) <- 257;
+  d.Heap.d_alloc.(1) <- mark;
+  d.Heap.d_mark.(1) <- alloc;
+  check (Alcotest.list Alcotest.string) "check_heap"
+    [
+      "descriptor n_objects of page 1 is 257 (expected 256)";
+      "descriptor alloc words of small page 1 are not the page's bitset's";
+      "descriptor mark words of small page 1 are not the page's bitset's";
+    ]
+    (Verify.check_heap heap);
+  d.Heap.d_rows.(field) <- 256;
+  d.Heap.d_alloc.(1) <- alloc;
+  d.Heap.d_mark.(1) <- mark;
+  check (Alcotest.list Alcotest.string) "clean after" [] (Verify.check_heap heap)
+
 (* 1000 rooted cells and 5000 garbage cells: the collect reports exactly
    the rooted bytes, and the heap's own count agrees. *)
 let test_live_bytes_match_heap () =
@@ -769,6 +804,8 @@ let () =
           Alcotest.test_case "mark on a free slot" `Quick test_verify_detects_mark_on_free_slot;
           Alcotest.test_case "mark on a free large object" `Quick
             test_verify_detects_mark_on_free_large;
+          Alcotest.test_case "descriptor row and words drift" `Quick
+            test_verify_detects_descriptor_drift;
           Alcotest.test_case "live bytes match heap" `Quick test_live_bytes_match_heap;
         ] );
       ( "one-sweep",

@@ -8,9 +8,11 @@
    marking statistics must be bit-identical — across alignments 1/2/4,
    interior pointers on/off, registered displacement lists, bounded
    mark stacks (overflow recovery), hashed blacklists and pointer-free
-   leaves among the scanned objects.
-   [Stats.header_cache_hits] is excluded: only the fast path has a
-   header cache.  The generational minor collection runs on the same
+   leaves among the scanned objects.  [Stats.header_cache_hits] is
+   compared too: the reference has no header cache, but counts the hits
+   a one-entry cache must score.  A second scenario group spreads its
+   objects over dozens of pages and links them in shuffled order, so
+   nearly every reference misses the cache.  The generational minor collection runs on the same
    kernel; its young scope is pinned against a test-side walker.  The
    word-wide sweep is pinned the same way, against the per-object
    reference sweep [Cgc_oracle.Sweep_reference.run]. *)
@@ -178,7 +180,8 @@ let mark_state gc =
       st.Stats.valid_refs,
       st.Stats.false_refs,
       st.Stats.objects_marked,
-      st.Stats.mark_stack_overflows ) )
+      st.Stats.mark_stack_overflows ),
+    st.Stats.header_cache_hits )
 
 let scenario_print s =
   Printf.sprintf
@@ -194,19 +197,79 @@ let scenario_print s =
 
 let scenario_arb = QCheck.make scenario_gen ~print:scenario_print
 
+let fast_matches_reference s =
+  let gc_fast = build s and gc_ref = build s in
+  Gc.Internal.run_mark gc_fast;
+  Cgc_oracle.Reference.run gc_ref;
+  let first = mark_state gc_fast = mark_state gc_ref in
+  (* a second cycle ages the blacklist (begin_cycle rotation) and
+     re-marks from already-populated state *)
+  Gc.Internal.run_mark gc_fast;
+  Cgc_oracle.Reference.run gc_ref;
+  first && mark_state gc_fast = mark_state gc_ref
+
 let prop_fast_matches_reference =
   QCheck.Test.make ~count:300 ~name:"fast path == reference (marks, blacklist, stats)"
-    scenario_arb
-    (fun s ->
-      let gc_fast = build s and gc_ref = build s in
-      Gc.Internal.run_mark gc_fast;
-      Cgc_oracle.Reference.run gc_ref;
-      let first = mark_state gc_fast = mark_state gc_ref in
-      (* a second cycle ages the blacklist (begin_cycle rotation) and
-         re-marks from already-populated state *)
-      Gc.Internal.run_mark gc_fast;
-      Cgc_oracle.Reference.run gc_ref;
-      first && mark_state gc_fast = mark_state gc_ref)
+    scenario_arb fast_matches_reference
+
+(* --- the header cache's miss path -------------------------------- *)
+
+(* Scenarios whose references change page nearly every time.  Objects
+   of 1-64 words (up to 64 size classes, a few objects each, and now and
+   then a 1500-word large object) spread over dozens of pages in
+   allocation order; a chain links them in a shuffled order, and the
+   roots name a shuffled subset, so consecutive references land on
+   unrelated pages.  Everything else — junk, raw bytes, alignment,
+   interior pointers, displacements, stack limit, blacklist, byte order
+   — is drawn as in [scenario_gen]. *)
+let miss_scenario_gen =
+  QCheck.Gen.(
+    int_range 40 200 >>= fun n ->
+    array_size (return n) (frequency [ (30, int_range 1 64); (1, return 1500) ]) >>= fun sizes ->
+    array_size (return n) (frequency [ (5, return false); (1, return true) ]) >>= fun leaves ->
+    shuffle_l (List.init n Fun.id) >>= fun order ->
+    let links = List.combine (List.filteri (fun i _ -> i < n - 1) order) (List.tl order) in
+    flatten_l
+      (List.map (fun (src, dst) -> map (fun f -> (src, f, dst)) (field_gen sizes.(src))) links)
+    >>= fun chain ->
+    list_size (int_bound n)
+      ( int_bound (n - 1) >>= fun src ->
+        field_gen sizes.(src) >>= fun field ->
+        int_bound (n - 1) >>= fun dst -> return (src, field, dst) )
+    >>= fun extra ->
+    shuffle_l (List.init n Fun.id) >>= fun picks ->
+    int_range 1 (n / 2) >>= fun n_roots ->
+    scenario_gen >>= fun base ->
+    return
+      {
+        base with
+        s_sizes = sizes;
+        s_leaves = leaves;
+        s_edges = chain @ extra;
+        s_roots = List.hd order :: List.filteri (fun i _ -> i < n_roots) picks;
+      })
+
+let miss_scenario_arb = QCheck.make miss_scenario_gen ~print:scenario_print
+
+let prop_miss_path_matches_reference =
+  QCheck.Test.make ~count:200
+    ~name:"miss-heavy heaps: fast path == reference (marks, blacklist, stats, cache hits)"
+    miss_scenario_arb fast_matches_reference
+
+(* The group does exercise the miss path: over 100 drawn heaps, fewer
+   than a third of the in-heap references hit the header cache. *)
+let test_miss_scenarios_miss () =
+  let rand = Random.State.make [| 31 |] in
+  let hits = ref 0 and refs = ref 0 in
+  for _ = 1 to 100 do
+    let gc = build (QCheck.Gen.generate1 ~rand miss_scenario_gen) in
+    Gc.Internal.run_mark gc;
+    let st = Gc.stats gc in
+    hits := !hits + st.Stats.header_cache_hits;
+    refs := !refs + st.Stats.valid_refs + st.Stats.false_refs
+  done;
+  if 3 * !hits >= !refs then
+    Alcotest.failf "%d header-cache hits over %d in-heap references" !hits !refs
 
 (* Collections driven end-to-end by the fast path keep the heap sound:
    a full collect (mark + sweep) on the fast instance frees exactly what
@@ -622,7 +685,7 @@ let block_order_case ~alignment ~big_endian () =
     Gc.Internal.run_mark gc_fast;
     Cgc_oracle.Reference.run gc_ref;
     Cgc_oracle.Reference.run gc_swapped;
-    let ((_, _, (_, _, _, _, overflows)) as expected) = mark_state gc_ref in
+    let ((_, _, (_, _, _, _, overflows), _) as expected) = mark_state gc_ref in
     Alcotest.(check int) (Printf.sprintf "words %d, %d: the stack overflowed" i (i + 1)) 1 overflows;
     Alcotest.(check bool) (Printf.sprintf "words %d, %d: the order shows" i (i + 1)) false
       (expected = mark_state gc_swapped);
@@ -756,7 +819,7 @@ let sweep_state w (r : Cgc.Sweep.result) =
   let st = w.w_stats in
   ( r,
     pages,
-    Bytes.to_string (Heap.desc w.w_heap).Heap.d_kind,
+    Array.copy (Heap.desc w.w_heap).Heap.d_rows,
     (st.Stats.objects_freed, st.Stats.bytes_freed, st.Stats.live_objects, st.Stats.live_bytes),
     Cgc.Finalize.drain w.w_finalize,
     Cgc.Finalize.registered_count w.w_finalize )
@@ -806,4 +869,14 @@ let suite =
 
 let () =
   Alcotest.run "mark-diff"
-    [ ("differential", suite); ("heap-top", heap_top_cases); ("block-order", block_order_cases) ]
+    [
+      ("differential", suite);
+      ( "miss-path",
+        [
+          QCheck_alcotest.to_alcotest prop_miss_path_matches_reference;
+          Alcotest.test_case "drawn heaps mostly miss the header cache" `Quick
+            test_miss_scenarios_miss;
+        ] );
+      ("heap-top", heap_top_cases);
+      ("block-order", block_order_cases);
+    ]

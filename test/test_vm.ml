@@ -208,7 +208,22 @@ let test_bitset_word_iter () =
   done;
   let all = ref 0 in
   Bitset.iter_set full (fun _ -> incr all);
-  check int "iter_set visits a full word and the partial one" 63 !all
+  check int "iter_set visits a full word and the partial one" 63 !all;
+  (* a visitor that changes the set: what is a member when the walk
+     reaches it is visited, in the same word as in a later one *)
+  let grow = Bitset.create n in
+  List.iter (Bitset.add grow) [ 3; 40; 70 ];
+  let seen = ref [] in
+  Bitset.iter_set grow (fun i ->
+      seen := i :: !seen;
+      if i = 3 then begin
+        Bitset.add grow 10;
+        Bitset.add grow 2;
+        Bitset.remove grow 40;
+        Bitset.add grow 100
+      end);
+  check (Alcotest.list int) "iter_set sees members added and removed by the visitor" [ 3; 10; 70; 100 ]
+    (List.rev !seen)
 
 (* [set] adds on [true] and removes on [false], idempotently, on both
    sides of the 62-bit word boundaries. *)
