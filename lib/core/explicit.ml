@@ -26,11 +26,14 @@ let create ?(page_size = 4096) ?(policy = Free_list.Address_ordered) mem ~base ~
 
 let page_of t a = Heap.page_index t.heap a
 
+let granule = 4 (* [Config.granule]; a literal divisor is a shift under [-opaque] *)
+let () = assert (granule = Config.granule)
+
 let carve_page t index ~granules =
   let object_bytes = Size_class.bytes_of_granules granules in
   let n_objects = Size_class.objects_per_page t.sizes ~granules ~first_offset:0 in
   Heap.set_page t.heap index
-    (Page.make_small ~granules ~object_bytes ~layout:Page.Conservative ~first_offset:0 ~n_objects);
+    (Page.make_small ~object_bytes ~layout:Page.Conservative ~first_offset:0 ~n_objects);
   let base = Addr.to_int (Heap.page_addr t.heap index) in
   let slots = List.init n_objects (fun i -> base + (i * object_bytes)) in
   Free_list.prepend_block t.free_lists ~granules slots
@@ -95,16 +98,12 @@ let malloc t bytes =
     if Size_class.is_small t.sizes bytes then begin
       let granules = Size_class.granules_for bytes in
       let a = malloc_small t ~granules in
-      (* mark allocated *)
-      (match Heap.page t.heap (page_of t a) with
-      | Page.Small s ->
-          let rel = Addr.diff a (Heap.page_addr t.heap (page_of t a)) - s.Page.first_offset in
-          Bitset.add s.Page.alloc (rel / s.Page.object_bytes)
-      | Page.Uncommitted | Page.Free | Page.Large_head _ | Page.Large_tail _ ->
-          (* the free list handed out a slot whose page is not a
-             small-object page: heap corruption, reported typed instead
-             of tripping an assertion *)
-          invalid_arg "Explicit.malloc: free slot landed on a non-small page");
+      let index = page_of t a in
+      (* a free slot on a page that is not a small-object page is heap
+         corruption, reported typed instead of tripping an assertion *)
+      if Heap.kind t.heap index <> Page.kind_small then
+        invalid_arg "Explicit.malloc: free slot landed on a non-small page";
+      Bitset.add_words (Heap.alloc_words t.heap index) (Heap.slot t.heap index a);
       (a, Size_class.bytes_of_granules granules)
     end
     else (malloc_large t bytes, bytes)
@@ -116,44 +115,47 @@ let malloc t bytes =
 let free t a =
   if not (Heap.contains t.heap a) then invalid_arg "Explicit.free: address outside the heap";
   let index = page_of t a in
-  match Heap.page t.heap index with
-  | Page.Small s ->
-      let rel = Addr.diff a (Heap.page_addr t.heap index) - s.Page.first_offset in
-      if rel < 0 || rel mod s.Page.object_bytes <> 0 then
-        invalid_arg "Explicit.free: not an object base";
-      let obj = rel / s.Page.object_bytes in
-      if obj >= s.Page.n_objects || not (Bitset.mem s.Page.alloc obj) then
-        invalid_arg "Explicit.free: double free or wild pointer";
-      Bitset.remove s.Page.alloc obj;
-      Free_list.add t.free_lists ~granules:s.Page.granules (Addr.to_int a);
-      t.live_bytes <- t.live_bytes - s.Page.object_bytes;
-      t.live_objects <- t.live_objects - 1
-  | Page.Large_head l ->
-      if not (Addr.equal a (Heap.page_addr t.heap index)) || not l.Page.l_allocated then
-        invalid_arg "Explicit.free: double free or wild pointer";
-      l.Page.l_allocated <- false;
-      for j = index to index + l.Page.n_pages - 1 do
-        Heap.set_page t.heap j Page.Free
-      done;
-      t.live_bytes <- t.live_bytes - l.Page.object_bytes;
-      t.live_objects <- t.live_objects - 1
-  | Page.Uncommitted | Page.Free | Page.Large_tail _ ->
-      invalid_arg "Explicit.free: not an allocated object"
+  let kind = Heap.kind t.heap index in
+  if kind = Page.kind_small then begin
+    (* the row's fields read in place, not one accessor call each: the
+       round trip is footnote 3's baseline, and the calls cost it ~10% *)
+    let rows = (Heap.desc t.heap).Heap.d_rows and r = index * Heap.row_stride in
+    let object_bytes = rows.(r + Heap.row_object_bytes) and alloc = Heap.alloc_words t.heap index in
+    let rel = Addr.diff a (Heap.page_addr t.heap index) - rows.(r + Heap.row_first_offset) in
+    let obj = rel / object_bytes in
+    if rel < 0 || obj * object_bytes <> rel then invalid_arg "Explicit.free: not an object base";
+    if obj >= rows.(r + Heap.row_n_objects) || not (Bitset.mem_words alloc obj) then
+      invalid_arg "Explicit.free: double free or wild pointer";
+    Bitset.remove_words alloc obj;
+    Free_list.add t.free_lists ~granules:(object_bytes / granule) (Addr.to_int a);
+    t.live_bytes <- t.live_bytes - object_bytes;
+    t.live_objects <- t.live_objects - 1
+  end
+  else if kind = Page.kind_large_head then begin
+    let l = Heap.large t.heap index in
+    if not (Addr.equal a (Heap.page_addr t.heap index)) || not l.Page.l_allocated then
+      invalid_arg "Explicit.free: double free or wild pointer";
+    l.Page.l_allocated <- false;
+    for j = index to index + l.Page.n_pages - 1 do
+      Heap.set_page t.heap j Page.Free
+    done;
+    t.live_bytes <- t.live_bytes - l.Page.object_bytes;
+    t.live_objects <- t.live_objects - 1
+  end
+  else invalid_arg "Explicit.free: not an allocated object"
 
 let is_allocated t a =
-  if not (Heap.contains t.heap a) then false
-  else begin
-    let index = page_of t a in
-    match Heap.page t.heap index with
-    | Page.Small s ->
-        let rel = Addr.diff a (Heap.page_addr t.heap index) - s.Page.first_offset in
-        rel >= 0
-        && rel mod s.Page.object_bytes = 0
-        && rel / s.Page.object_bytes < s.Page.n_objects
-        && Bitset.mem s.Page.alloc (rel / s.Page.object_bytes)
-    | Page.Large_head l -> l.Page.l_allocated && Addr.equal a (Heap.page_addr t.heap index)
-    | Page.Uncommitted | Page.Free | Page.Large_tail _ -> false
-  end
+  Heap.contains t.heap a
+  &&
+  let index = page_of t a in
+  let kind = Heap.kind t.heap index in
+  if kind = Page.kind_small then
+    let obj = Heap.slot t.heap index a in
+    obj >= 0 && Bitset.mem_words (Heap.alloc_words t.heap index) obj
+  else
+    kind = Page.kind_large_head
+    && (Heap.large t.heap index).Page.l_allocated
+    && Addr.equal a (Heap.page_addr t.heap index)
 
 let live_bytes t = t.live_bytes
 let live_objects t = t.live_objects
@@ -165,8 +167,8 @@ let release_empty_pages t =
   Heap.iter_committed t.heap (fun i p ->
       match p with
       | Page.Small s when Bitset.is_empty s.Page.alloc ->
-          Free_list.drop_in_page t.free_lists ~granules:s.Page.granules ~page_of:(page_of t)
-            ~page:i;
+          Free_list.drop_in_page t.free_lists ~granules:(s.Page.object_bytes / granule)
+            ~page_of:(page_of t) ~page:i;
           Heap.set_page t.heap i Page.Free;
           incr released
       | Page.Small _ | Page.Uncommitted | Page.Free | Page.Large_head _ | Page.Large_tail _ -> ());

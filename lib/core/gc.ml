@@ -223,7 +223,9 @@ let slot_of t ~granules = function
   | Page.Pointer_free -> (2 * granules) + 1
   | Page.Typed desc -> t.typed_base + typed_index t desc
 
-let page_slot t (s : Page.small) = slot_of t ~granules:s.Page.granules s.Page.layout
+(* The cursor slot of small page [i]'s class and layout (4-byte granules). *)
+let page_slot t i =
+  slot_of t ~granules:(Heap.object_bytes t.heap i lsr 2) (Heap.small_layout t.heap i)
 
 (* Relink every class's chain over the open small pages: those neither
    quarantined nor [closed].  Every cursor starts over at the head of
@@ -232,18 +234,17 @@ let reopen ?(closed = fun _ -> false) t =
   Array.fill t.cursor_page 0 (Array.length t.cursor_page) (-1);
   Array.fill t.chain 0 (Array.length t.chain) (-1);
   for i = Heap.committed_pages t.heap - 1 downto 0 do
-    match Heap.page t.heap i with
-    | Page.Small s when not (quarantined t i || closed i) ->
-        let c = page_slot t s in
-        t.next_open.(i) <- t.chain.(c);
-        t.chain.(c) <- i
-    | Page.Small _ | Page.Uncommitted | Page.Free | Page.Large_head _ | Page.Large_tail _ -> ()
+    if Heap.kind t.heap i = Page.kind_small && not (quarantined t i || closed i) then begin
+      let c = page_slot t i in
+      t.next_open.(i) <- t.chain.(c);
+      t.chain.(c) <- i
+    end
   done
 
 (* Close page [i] to its class's cursor: the cursor leaves it, and the
    rest of the chain lies past it already. *)
-let close_page t i (s : Page.small) =
-  let c = page_slot t s in
+let close_page t i =
+  let c = page_slot t i in
   if t.cursor_page.(c) = i then t.cursor_page.(c) <- -1
 
 (* Move class [c]'s cursor to the next page of its chain; [false] once
@@ -450,8 +451,7 @@ let carve_small_page t index ~granules ~layout =
   let first_offset = first_offset_for t index in
   let object_bytes = granules * Config.granule in
   let n_objects = (Heap.page_size t.heap - first_offset) / object_bytes in
-  Heap.set_page t.heap index
-    (Page.make_small ~granules ~object_bytes ~layout ~first_offset ~n_objects);
+  Heap.set_page t.heap index (Page.make_small ~object_bytes ~layout ~first_offset ~n_objects);
   let c = slot_of t ~granules layout in
   t.cursor_page.(c) <- index;
   t.cursor_slot.(c) <- 0
@@ -460,16 +460,13 @@ let carve_small_page t index ~granules ~layout =
 let commit_fresh_page t ~ok =
   let rec go i =
     if i >= Heap.n_pages t.heap then None
-    else
-      match Heap.page t.heap i with
-      | Page.Uncommitted when ok i ->
-          if commit_through t i then begin
-            t.stats.Stats.heap_expansions <- t.stats.Stats.heap_expansions + 1;
-            Some i
-          end
-          else None
-      | Page.Uncommitted | Page.Free | Page.Small _ | Page.Large_head _ | Page.Large_tail _ ->
-          go (i + 1)
+    else if Heap.kind t.heap i = Page.kind_uncommitted && ok i then
+      if commit_through t i then begin
+        t.stats.Stats.heap_expansions <- t.stats.Stats.heap_expansions + 1;
+        Some i
+      end
+      else None
+    else go (i + 1)
   in
   go (Heap.committed_pages t.heap)
 
@@ -645,7 +642,7 @@ let quarantine_object t base =
       let obj = rel / s.Page.object_bytes in
       Bitset.remove s.Page.alloc obj;
       Bitset.remove s.Page.mark obj;
-      close_page t index s
+      close_page t index
   | Page.Large_head l ->
       for j = index to index + l.Page.n_pages - 1 do
         Heap.set_page t.heap j Page.Free;
@@ -715,13 +712,7 @@ let allocate_large t ~bytes ~layout =
       let rec go start =
         if start + n > Heap.n_pages t.heap then None
         else begin
-          let usable i =
-            (not (Bitset.mem t.decayed_pages i))
-            &&
-            match Heap.page t.heap i with
-            | Page.Free | Page.Uncommitted -> true
-            | Page.Small _ | Page.Large_head _ | Page.Large_tail _ -> false
-          in
+          let usable i = (not (Bitset.mem t.decayed_pages i)) && Heap.vacant t.heap i in
           let rec run_ok i = i >= start + n || (usable i && run_ok (i + 1)) in
           if large_page_ok t ~tier ~start start && usable start && run_ok (start + 1) then
             Some start

@@ -74,13 +74,13 @@ let set_field t base i v =
 let iter_pointer_objects heap index f =
   match Heap.page heap index with
   | Page.Small s ->
-      if not s.Page.pointer_free then begin
+      if s.Page.layout <> Page.Pointer_free then begin
         let first = Addr.add (Heap.page_addr heap index) s.Page.first_offset in
         Bitset.iter_set s.Page.alloc (fun obj ->
             f (Addr.add first (obj * s.Page.object_bytes)) s.Page.object_bytes)
       end
   | Page.Large_head l ->
-      if l.Page.l_allocated && not l.Page.l_pointer_free then
+      if l.Page.l_allocated && l.Page.l_layout <> Page.Pointer_free then
         f (Heap.page_addr heap index) l.Page.object_bytes
   | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ()
 
@@ -160,7 +160,7 @@ let update_ages_after_sweep t =
                  outgoing young reference it holds is uncovered until
                  the first post-promotion rescan clears or re-carries
                  the bit. *)
-              if not s.Page.pointer_free then begin
+              if s.Page.layout <> Page.Pointer_free then begin
                 Bitset.add t.dirty i;
                 Bitset.add t.carry i
               end
@@ -179,7 +179,7 @@ let update_ages_after_sweep t =
                 (* Same uncovered-store hazard as the small case: the
                    head page carries the bit, and the rescan walks the
                    whole object from there. *)
-                if not l.Page.l_pointer_free then begin
+                if l.Page.l_layout <> Page.Pointer_free then begin
                   Bitset.add t.dirty i;
                   Bitset.add t.carry i
                 end

@@ -1,18 +1,15 @@
 open Cgc_vm
 
-(* The page table's mirror for the mark-phase fast path: one packed row
-   of ints per page, plus pointer columns.  A header-cache miss reads
-   one row — eight adjacent ints, no variant match, no record pointer —
-   and takes the page's bitmap words straight from [d_alloc]/[d_mark].
-   Rows are kept coherent with [pages] by [set_page]; the words arrays
-   and the large record are the very objects inside the [Page.t] value,
-   so mark/alloc mutations need no mirroring. *)
+(* The page table: one packed row of ints per page, plus pointer
+   columns.  [page] builds a [Page.t] view of a row on demand;
+   [set_page] writes a view back as a row. *)
 type desc = {
   d_rows : int array;  (** [row_stride] ints per page, fields at the [row_*] offsets *)
-  d_alloc : int array array;  (** the [Page.Small] alloc bitset's [words] *)
-  d_mark : int array array;  (** the [Page.Small] mark bitset's [words] *)
+  d_alloc : int array array;  (** small pages: the alloc bitmap's words *)
+  d_mark : int array array;  (** small pages: the mark bitmap's words *)
+  d_layout : Page.layout array;  (** small pages: their layout *)
   d_pointer_offsets : int array array;  (** typed pages: the layout's pointer offsets *)
-  d_large : Page.large array;  (** shared with the [Page.Large_head] record *)
+  d_large : Page.large array;  (** large heads: the object's record *)
 }
 
 let row_stride = 8
@@ -40,7 +37,6 @@ type t = {
   page_size : int;
   page_shift : int;
   n_pages : int;
-  pages : Page.t array;
   desc : desc;
   mutable committed : int; (* pages [0, committed) are committed *)
   mutable free_pages : int; (* committed pages that are [Free]; kept by [set_page] *)
@@ -74,6 +70,7 @@ let make_desc n_pages =
     d_rows = rows;
     d_alloc = Array.make n_pages empty_words;
     d_mark = Array.make n_pages empty_words;
+    d_layout = Array.make n_pages Page.Pointer_free;
     d_pointer_offsets = Array.make n_pages [||];
     d_large = Array.make n_pages Page.dummy_large;
   }
@@ -93,16 +90,21 @@ let set_row d i ~kind ~object_bytes ~layout ~first_offset ~n_objects ~recip_mul 
   d.d_pointer_offsets.(i) <-
     (match layout with Page.Typed desc -> desc.Type_desc.pointer_offsets | _ -> [||])
 
-let sync_desc t i (p : Page.t) =
+let kind t i = t.desc.d_rows.((i * row_stride) + row_kind)
+
+let set_page t i (p : Page.t) =
   let d = t.desc in
+  let was_free = kind t i = Page.kind_free in
   let kind = Page.kind_code p in
+  t.free_pages <- t.free_pages - Bool.to_int was_free + Bool.to_int (kind = Page.kind_free);
+  d.d_alloc.(i) <- empty_words;
+  d.d_mark.(i) <- empty_words;
+  d.d_layout.(i) <- Page.Pointer_free;
+  d.d_large.(i) <- Page.dummy_large;
   match p with
   | Page.Uncommitted | Page.Free ->
       set_row d i ~kind ~object_bytes:0 ~layout:Page.Pointer_free ~first_offset:0 ~n_objects:0
-        ~recip_mul:0 ~recip_shift:0 ~head:i;
-      d.d_alloc.(i) <- empty_words;
-      d.d_mark.(i) <- empty_words;
-      d.d_large.(i) <- Page.dummy_large
+        ~recip_mul:0 ~recip_shift:0 ~head:i
   | Page.Small s ->
       let recip_mul, recip_shift = reciprocal ~page_size:t.page_size s.Page.object_bytes in
       set_row d i ~kind ~object_bytes:s.Page.object_bytes ~layout:s.Page.layout
@@ -110,31 +112,44 @@ let sync_desc t i (p : Page.t) =
         ~head:i;
       d.d_alloc.(i) <- s.Page.alloc.Bitset.words;
       d.d_mark.(i) <- s.Page.mark.Bitset.words;
-      d.d_large.(i) <- Page.dummy_large
+      d.d_layout.(i) <- s.Page.layout
   | Page.Large_head l ->
       set_row d i ~kind ~object_bytes:l.Page.object_bytes ~layout:l.Page.l_layout ~first_offset:0
         ~n_objects:1 ~recip_mul:0 ~recip_shift:0 ~head:i;
-      d.d_alloc.(i) <- empty_words;
-      d.d_mark.(i) <- empty_words;
       d.d_large.(i) <- l
   | Page.Large_tail { head_index } ->
       set_row d i ~kind ~object_bytes:0 ~layout:Page.Pointer_free ~first_offset:0 ~n_objects:0
-        ~recip_mul:0 ~recip_shift:0 ~head:head_index;
-      d.d_alloc.(i) <- empty_words;
-      d.d_mark.(i) <- empty_words;
-      d.d_large.(i) <- Page.dummy_large
+        ~recip_mul:0 ~recip_shift:0 ~head:head_index
+
+let field t i f = t.desc.d_rows.((i * row_stride) + f)
+let object_bytes t i = field t i row_object_bytes
+let first_offset t i = field t i row_first_offset
+let n_objects t i = field t i row_n_objects
+let small_layout t i = t.desc.d_layout.(i)
+let alloc_words t i = t.desc.d_alloc.(i)
+let mark_words t i = t.desc.d_mark.(i)
+let large t i = t.desc.d_large.(i)
+
+let page t i : Page.t =
+  let k = kind t i in
+  if k = Page.kind_small then begin
+    let n = n_objects t i in
+    Page.Small
+      {
+        object_bytes = object_bytes t i;
+        layout = small_layout t i;
+        first_offset = first_offset t i;
+        n_objects = n;
+        alloc = Bitset.of_words ~n (alloc_words t i);
+        mark = Bitset.of_words ~n (mark_words t i);
+      }
+  end
+  else if k = Page.kind_large_head then Page.Large_head (large t i)
+  else if k = Page.kind_large_tail then Page.Large_tail { head_index = field t i row_head }
+  else if k = Page.kind_free then Page.Free
+  else Page.Uncommitted
 
 let page_addr t i = Addr.add t.base (i * t.page_size)
-
-let free_count (p : Page.t) =
-  match p with
-  | Page.Free -> 1
-  | Page.Uncommitted | Page.Small _ | Page.Large_head _ | Page.Large_tail _ -> 0
-
-let set_page t i p =
-  t.free_pages <- t.free_pages - free_count t.pages.(i) + free_count p;
-  t.pages.(i) <- p;
-  sync_desc t i p
 
 (* Pages are charged to the simulated OS one at a time, and the
    watermark advances with each success, so an injected commit failure
@@ -172,7 +187,6 @@ let create mem ~config ~base ~max_bytes =
       page_size;
       page_shift = log2 page_size;
       n_pages;
-      pages = Array.make n_pages Page.Uncommitted;
       desc = make_desc n_pages;
       committed = 0;
       free_pages = 0;
@@ -191,24 +205,23 @@ let committed_pages t = t.committed
 let committed_bytes t = t.committed * t.page_size
 let contains t a = Addr.in_range a ~lo:t.base ~hi:(limit_reserved t)
 let page_index t a = Addr.diff a t.base asr t.page_shift
-let page t i = t.pages.(i)
-
 let desc t = t.desc
 let page_shift t = t.page_shift
 
 let iter_committed t f =
   for i = 0 to t.committed - 1 do
-    f i t.pages.(i)
+    f i (page t i)
   done
+
+let vacant t i =
+  let k = kind t i in
+  k = Page.kind_free || k = Page.kind_uncommitted
 
 let find_free_page t ~ok =
   let rec go i =
     if i >= t.committed then None
-    else
-      match t.pages.(i) with
-      | Page.Free when ok i -> Some i
-      | Page.Free | Page.Uncommitted | Page.Small _ | Page.Large_head _ | Page.Large_tail _ ->
-          go (i + 1)
+    else if kind t i = Page.kind_free && ok i then Some i
+    else go (i + 1)
   in
   if t.free_pages = 0 then None else go 0
 
@@ -216,105 +229,79 @@ let find_free_run t ~n ~ok =
   let rec scan start run i =
     if run = n then Some start
     else if i >= t.n_pages then None
-    else begin
-      let usable =
-        (match t.pages.(i) with
-        | Page.Free | Page.Uncommitted -> true
-        | Page.Small _ | Page.Large_head _ | Page.Large_tail _ -> false)
-        && ok i
-      in
-      if usable then scan (if run = 0 then i else start) (run + 1) (i + 1)
-      else scan 0 0 (i + 1)
-    end
+    else if vacant t i && ok i then scan (if run = 0 then i else start) (run + 1) (i + 1)
+    else scan 0 0 (i + 1)
   in
   scan 0 0 0
 
 let uncommit_trailing_free t =
   let released = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && t.committed > 0 do
-    match t.pages.(t.committed - 1) with
-    | Page.Free ->
-        let i = t.committed - 1 in
-        set_page t i Page.Uncommitted;
-        t.committed <- i;
-        Mem.uncommit t.mem ~addr:(page_addr t i) ~bytes:t.page_size;
-        incr released
-    | Page.Uncommitted | Page.Small _ | Page.Large_head _ | Page.Large_tail _ ->
-        continue_ := false
+  while t.committed > 0 && kind t (t.committed - 1) = Page.kind_free do
+    let i = t.committed - 1 in
+    set_page t i Page.Uncommitted;
+    t.committed <- i;
+    Mem.uncommit t.mem ~addr:(page_addr t i) ~bytes:t.page_size;
+    incr released
   done;
   !released
 
 let free_page_count t = t.free_pages
 
 let clear_marks t =
-  iter_committed t (fun _ p ->
-      match p with
-      | Page.Small s -> Bitset.clear s.Page.mark
-      | Page.Large_head l -> l.Page.l_marked <- false
-      | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ())
+  for i = 0 to t.committed - 1 do
+    let k = kind t i in
+    if k = Page.kind_small then Bitset.clear_words (mark_words t i)
+    else if k = Page.kind_large_head then (large t i).Page.l_marked <- false
+  done
 
-(* A mark snapshot is a per-page copy: the mark bits live in page
-   metadata.  Pages whose kind changed since the save are skipped, so
-   restoring is only meaningful while nothing allocates or sweeps. *)
-type mark_snapshot = (int * [ `Small of Bitset.t | `Large of bool ]) list
+(* A mark snapshot copies the committed pages' mark words and large
+   mark flags.  Only pages that are still small pages or large heads are
+   restored, so restoring is only meaningful while nothing allocates or
+   sweeps. *)
+type mark_snapshot = int array array * bool array
 
 let save_marks t =
-  let acc = ref [] in
-  iter_committed t (fun i p ->
-      match p with
-      | Page.Small s -> acc := (i, `Small (Bitset.copy s.Page.mark)) :: !acc
-      | Page.Large_head l -> acc := (i, `Large l.Page.l_marked) :: !acc
-      | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ());
-  !acc
+  ( Array.init t.committed (fun i -> Array.copy (mark_words t i)),
+    Array.init t.committed (fun i -> (large t i).Page.l_marked) )
 
-let restore_marks t snapshot =
-  List.iter
-    (fun (i, saved) ->
-      match (t.pages.(i), saved) with
-      | Page.Small s, `Small bits ->
-          Bitset.clear s.Page.mark;
-          Bitset.union_into ~dst:s.Page.mark bits
-      | Page.Large_head l, `Large m -> l.Page.l_marked <- m
-      | _, _ -> ())
-    snapshot
+let restore_marks t (words, flags) =
+  Array.iteri
+    (fun i saved ->
+      let k = kind t i in
+      if k = Page.kind_small then Array.blit saved 0 (mark_words t i) 0 (Array.length saved)
+      else if k = Page.kind_large_head then (large t i).Page.l_marked <- flags.(i))
+    words
+
+let slot t i a =
+  let object_bytes = object_bytes t i in
+  let rel = Addr.diff a (page_addr t i) - first_offset t i in
+  let obj = rel / object_bytes in
+  if rel < 0 || obj * object_bytes <> rel || obj >= n_objects t i then -1 else obj
 
 let is_marked t base =
-  let index = page_index t base in
-  match t.pages.(index) with
-  | Page.Small s ->
-      let rel = Addr.diff base (page_addr t index) - s.Page.first_offset in
-      Bitset.mem s.Page.mark (rel / s.Page.object_bytes)
-  | Page.Large_head l -> l.Page.l_marked
-  | Page.Uncommitted | Page.Free | Page.Large_tail _ -> false
+  let i = page_index t base in
+  let k = kind t i in
+  if k = Page.kind_small then
+    let obj = slot t i base in
+    obj >= 0 && Bitset.mem_words (mark_words t i) obj
+  else k = Page.kind_large_head && (large t i).Page.l_marked
 
 let mark_object t base =
-  let index = page_index t base in
-  match t.pages.(index) with
-  | Page.Small s ->
-      let rel = Addr.diff base (page_addr t index) - s.Page.first_offset in
-      let obj = rel / s.Page.object_bytes in
-      if Bitset.mem s.Page.mark obj then false
-      else begin
-        Bitset.add s.Page.mark obj;
-        true
-      end
-  | Page.Large_head l ->
-      if l.Page.l_marked then false
-      else begin
-        l.Page.l_marked <- true;
-        true
-      end
-  | Page.Uncommitted | Page.Free | Page.Large_tail _ ->
-      invalid_arg "Heap.mark_object: not an object base"
+  let i = page_index t base in
+  let k = kind t i in
+  if not ((k = Page.kind_small && slot t i base >= 0) || k = Page.kind_large_head) then
+    invalid_arg "Heap.mark_object: not an object base";
+  let fresh = not (is_marked t base) in
+  if k = Page.kind_small then Bitset.add_words (mark_words t i) (slot t i base)
+  else (large t i).Page.l_marked <- true;
+  fresh
 
 let object_layout t base =
-  let index = page_index t base in
-  match t.pages.(index) with
-  | Page.Small s -> (s.Page.object_bytes, s.Page.layout)
-  | Page.Large_head l -> (l.Page.object_bytes, l.Page.l_layout)
-  | Page.Uncommitted | Page.Free | Page.Large_tail _ ->
-      invalid_arg "Heap.object_layout: not an object base"
+  let i = page_index t base in
+  let k = kind t i in
+  if k = Page.kind_small then (object_bytes t i, small_layout t i)
+  else if k = Page.kind_large_head then ((large t i).Page.object_bytes, (large t i).Page.l_layout)
+  else invalid_arg "Heap.object_layout: not an object base"
 
 let live_bytes t =
   let total = ref 0 in

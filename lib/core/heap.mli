@@ -12,30 +12,29 @@ open Cgc_vm
 
 type t
 
-(** {1 Flat page-descriptor table}
+(** {1 The page table}
 
-    The page table's mirror for the mark-phase fast path ({!Mark}),
-    indexed by page number.  Each page's kernel-read fields are one
-    packed row of [row_stride] ints in [d_rows]: a header-cache miss
-    reads one row — adjacent loads from one array, no variant match, no
-    record pointer — and takes the page's bitmap words straight from
-    the [d_alloc]/[d_mark] columns.  Rows are maintained by {!set_page};
-    the words arrays and the [d_large] record are physically the objects
-    held by the corresponding [Page.t] value (a [Page.Small]'s
-    [alloc.words] and [mark.words]), so per-object mutations (mark bits,
-    alloc bits, [l_marked]) are coherent without any extra
-    bookkeeping. *)
+    One row per page, indexed by page number: each page's fields are one
+    packed row of [row_stride] ints in [d_rows], beside pointer columns
+    for its bitmap words, layout and large-object record.  A header-cache
+    miss in {!Mark} reads one row — adjacent loads from one array, no
+    variant match, no record pointer — and takes the page's bitmap words
+    straight from the [d_alloc]/[d_mark] columns.  {!set_page} writes a
+    row; {!page} builds a {!Page.t} view of one on demand, sharing the
+    words arrays and the large record, so writes through a view (bitset
+    operations, [l_allocated], [l_marked]) reach the table.  Paths that
+    run per collection, allocation miss or free read the rows through
+    the accessors below, never a view. *)
 type desc = {
   d_rows : int array;
       (** page [i]'s row is [d_rows.(i * row_stride + f)] for the field
           offsets [f] below *)
-  d_alloc : int array array;
-      (** small pages: the alloc bitset's [Bitset.t.words]; an empty
-          array elsewhere *)
-  d_mark : int array array;  (** small pages: the mark bitset's words *)
+  d_alloc : int array array;  (** small pages: the alloc bitmap's words; [[||]] elsewhere *)
+  d_mark : int array array;  (** small pages: the mark bitmap's words *)
+  d_layout : Page.layout array;  (** small pages: their layout (a large head's is in its record) *)
   d_pointer_offsets : int array array;
       (** typed pages: their descriptor's [pointer_offsets]; [[||]] elsewhere *)
-  d_large : Page.large array;
+  d_large : Page.large array;  (** large heads: the object's record *)
 }
 
 val row_stride : int
@@ -117,10 +116,34 @@ val page_addr : t -> int -> Addr.t
 (** Base address of page [i]. *)
 
 val page : t -> int -> Page.t
+(** A view of page [i]'s row, built on each call: for inspection,
+    audits and tests, not for hot paths. *)
+
 val set_page : t -> int -> Page.t -> unit
+(** Write page [i]'s row from a view.  A small page's bitsets' words
+    and a large head's record become the table's own. *)
 
 val iter_committed : t -> (int -> Page.t -> unit) -> unit
-(** Apply to every committed page in address order. *)
+(** Apply to a view of every committed page in address order. *)
+
+(** {2 Row accessors}
+
+    What per-collection, allocation-miss and free paths read of page [i]
+    without a view: its {!Page.kind_code}; whether it is [Free] or
+    [Uncommitted]; a small page's fields; a large head's record. *)
+
+val kind : t -> int -> int
+val vacant : t -> int -> bool
+val object_bytes : t -> int -> int
+val first_offset : t -> int -> int
+val small_layout : t -> int -> Page.layout
+val alloc_words : t -> int -> int array
+val mark_words : t -> int -> int array
+val large : t -> int -> Page.large
+
+val slot : t -> int -> Addr.t -> int
+(** Small page [i]: the index of the slot based at the address, or -1
+    when the address is not one of the page's slot bases. *)
 
 val find_free_page : t -> ok:(int -> bool) -> int option
 (** Lowest committed [Free] page satisfying [ok], if any; [None] at once

@@ -26,7 +26,8 @@ let summarize gc =
   Heap.iter_committed heap (fun _ p ->
       match p with
       | Page.Small s ->
-          let key = (s.Page.object_bytes, s.Page.pointer_free) in
+          let pointer_free = s.Page.layout = Page.Pointer_free in
+          let key = (s.Page.object_bytes, pointer_free) in
           let live = Bitset.count s.Page.alloc in
           let row =
             match Hashtbl.find_opt table key with
@@ -34,7 +35,7 @@ let summarize gc =
             | None ->
                 {
                   object_bytes = s.Page.object_bytes;
-                  pointer_free = s.Page.pointer_free;
+                  pointer_free;
                   pages = 0;
                   live_objects = 0;
                   free_slots = 0;
@@ -98,7 +99,7 @@ let pp_page_map ppf gc =
         match Heap.page heap i with
         | Page.Free | Page.Uncommitted -> '.'
         | Page.Small s ->
-            if s.Page.pointer_free then 'A'
+            if s.Page.layout = Page.Pointer_free then 'A'
             else if Bitset.count s.Page.alloc = s.Page.n_objects then 'S'
             else 's'
         | Page.Large_head _ | Page.Large_tail _ -> 'L'

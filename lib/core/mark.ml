@@ -6,9 +6,10 @@ type classification =
   | Outside
 
 (* The reference classifier: a direct transcription of the paper's
-   validity test against the [Page.t] variants.  Kept as the oracle for
-   the fast path (the test-side reference marker builds on it) and for
-   cold call sites ([Gc.find_object], tracing, the generational
+   validity test against [Page.t] views of the page table, dividing
+   where the kernel multiplies by the reciprocal.  Kept as the oracle
+   for the fast path (the test-side reference marker builds on it) and
+   for cold call sites ([Gc.find_object], tracing, the generational
    dirty-page pass) where clarity beats throughput. *)
 let classify heap (config : Config.t) value =
   if not (Heap.contains heap value) then Outside
@@ -619,22 +620,24 @@ let scan_range t ~mem range =
   | Some seg -> scan_words t seg ~lo ~hi
 
 (* Overflow recovery: rescan every already-marked object so dropped
-   children get marked, until no push overflows.  Marked objects are
-   enumerated with the word-level [Bitset.iter_set] rather than probing
-   every slot. *)
+   children get marked, until no push overflows.  The walk reads the
+   rows, and marked objects are enumerated with the word-level
+   [Bitset.iter_set_words] rather than probing every slot. *)
 let recover_from_overflow t =
   while t.overflowed do
     t.overflowed <- false;
-    Heap.iter_committed t.heap (fun index p ->
-        (match p with
-        | Page.Small s ->
-            let base = Addr.to_int (Heap.page_addr t.heap index) + s.Page.first_offset in
-            let object_bytes = s.Page.object_bytes in
-            Bitset.iter_set s.Page.mark (fun obj -> scan_object t (base + (obj * object_bytes)))
-        | Page.Large_head l ->
-            if l.Page.l_marked then scan_object t (Addr.to_int (Heap.page_addr t.heap index))
-        | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ());
-        drain t)
+    for index = 0 to Heap.committed_pages t.heap - 1 do
+      let r = index lsl row_shift and page_base = t.heap_lo + (index lsl t.page_shift) in
+      let kind = t.rows.(r + row_kind) in
+      if kind = kind_small then begin
+        let base = page_base + t.rows.(r + row_first_offset) in
+        let object_bytes = t.rows.(r + row_object_bytes) in
+        Bitset.iter_set_words t.mark_cols.(index) (fun obj ->
+            scan_object t (base + (obj * object_bytes)))
+      end
+      else if kind = kind_large_head && t.large.(index).Page.l_marked then scan_object t page_base;
+      drain t
+    done
   done
 
 let trace_roots t roots ~mem extra =

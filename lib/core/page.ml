@@ -6,10 +6,8 @@ type layout =
   | Typed of Type_desc.t
 
 type small = {
-  granules : int;
   object_bytes : int;
   layout : layout;
-  pointer_free : bool;
   first_offset : int;
   n_objects : int;
   alloc : Bitset.t;
@@ -20,7 +18,6 @@ type large = {
   n_pages : int;
   object_bytes : int;
   l_layout : layout;
-  l_pointer_free : bool;
   mutable l_allocated : bool;
   mutable l_marked : bool;
 }
@@ -32,9 +29,8 @@ type t =
   | Large_head of large
   | Large_tail of { head_index : int }
 
-(* Kind codes for the heap's flat descriptor table: the mark-phase fast
-   path reads these from a descriptor row instead of matching the
-   variant. *)
+(* Kind codes for the heap's page table: every page-table walk reads
+   these from a descriptor row instead of matching the variant. *)
 let kind_uncommitted = 0
 let kind_free = 1
 let kind_small = 2
@@ -51,16 +47,13 @@ let kind_code = function
 (* A placeholder for descriptor rows of pages that carry no large
    object; shared, and never meaningfully mutated. *)
 let dummy_large =
-  { n_pages = 0; object_bytes = 0; l_layout = Pointer_free; l_pointer_free = true;
-    l_allocated = false; l_marked = false }
+  { n_pages = 0; object_bytes = 0; l_layout = Pointer_free; l_allocated = false; l_marked = false }
 
-let make_small ~granules ~object_bytes ~layout ~first_offset ~n_objects =
+let make_small ~object_bytes ~layout ~first_offset ~n_objects =
   Small
     {
-      granules;
       object_bytes;
       layout;
-      pointer_free = layout = Pointer_free;
       first_offset;
       n_objects;
       alloc = Bitset.create n_objects;
@@ -68,8 +61,7 @@ let make_small ~granules ~object_bytes ~layout ~first_offset ~n_objects =
     }
 
 let make_large ~n_pages ~object_bytes ~layout =
-  Large_head { n_pages; object_bytes; l_layout = layout; l_pointer_free = layout = Pointer_free;
-               l_allocated = true; l_marked = false }
+  Large_head { n_pages; object_bytes; l_layout = layout; l_allocated = true; l_marked = false }
 
 let layout_tag = function
   | Conservative -> ""

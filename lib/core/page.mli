@@ -4,7 +4,11 @@
     committed page is either dedicated to small objects of one size
     class, or part of a multi-page large object.  Mark and allocation
     state live in the descriptor, not in the objects — objects are
-    headerless. *)
+    headerless.
+
+    A {!t} is a view of one row of the heap's page table ({!Heap.desc})
+    that {!Heap.page} builds on demand; writes through a view's bitsets
+    or large record reach the table. *)
 
 open Cgc_vm
 
@@ -18,10 +22,8 @@ type layout =
           has at least one *)
 
 type small = {
-  granules : int;  (** object size in granules *)
-  object_bytes : int;  (** object size in bytes *)
+  object_bytes : int;  (** object size in bytes, a whole number of granules *)
   layout : layout;
-  pointer_free : bool;  (** [layout = Pointer_free] *)
   first_offset : int;  (** byte offset of the first object in the page *)
   n_objects : int;
   alloc : Bitset.t;  (** object currently allocated *)
@@ -32,7 +34,6 @@ type large = {
   n_pages : int;
   object_bytes : int;  (** exact size requested, may not fill the last page *)
   l_layout : layout;
-  l_pointer_free : bool;  (** [l_layout = Pointer_free] *)
   mutable l_allocated : bool;
   mutable l_marked : bool;
 }
@@ -49,11 +50,13 @@ val layout_tag : layout -> string
 
 (** {1 Kind codes}
 
-    Small-integer encodings of the variant's constructor, stored in the
-    heap's flat descriptor table so the scan fast path can dispatch on an
-    int load from the page's row instead of a variant match. *)
+    Small-integer encodings of the variant's constructor, stored in each
+    page's row of the heap's page table ({!Heap.desc}): the scan fast
+    path and every page-table walk dispatch on an int load instead of a
+    variant match. *)
 
 val kind_uncommitted : int
+val kind_free : int
 val kind_small : int
 val kind_large_head : int
 val kind_large_tail : int
@@ -64,8 +67,7 @@ val dummy_large : large
 (** Shared placeholder for descriptor rows of pages that carry no large
     object.  Never meaningfully mutated. *)
 
-val make_small :
-  granules:int -> object_bytes:int -> layout:layout -> first_offset:int -> n_objects:int -> t
+val make_small : object_bytes:int -> layout:layout -> first_offset:int -> n_objects:int -> t
 
 val make_large : n_pages:int -> object_bytes:int -> layout:layout -> t
 

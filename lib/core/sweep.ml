@@ -16,51 +16,52 @@ type tally = {
   mutable released : int;  (* pages returned to the free pool *)
 }
 
-(* The per-page reclamation: free each allocated object left unmarked,
-   clear the marks, and return the page to the free pool once nothing on
-   it survived.  A small page is one [Bitset.sweep] over its bitmaps;
-   only while some finalizer is registered does it also visit each freed
-   object, in address order, to feed the finalization queue. *)
+(* The per-page reclamation, on page [index]'s row: free each allocated
+   object left unmarked, clear the marks, and return the page to the
+   free pool once nothing on it survived.  A small page is one
+   [Bitset.sweep_words] over its bitmap words; only while some finalizer
+   is registered does it also visit each freed object, in address order,
+   to feed the finalization queue. *)
 let reclaim tally heap finalize index =
-  match Heap.page heap index with
-  | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ()
-  | Page.Small s ->
-      let objects = tally.objects in
-      let live0 = objects.Bitset.kept and freed0 = objects.Bitset.dropped in
-      if Finalize.registered_count finalize = 0 then
-        Bitset.sweep ~alloc:s.Page.alloc ~mark:s.Page.mark objects
-      else begin
-        let page_base = Addr.to_int (Heap.page_addr heap index) + s.Page.first_offset in
-        Bitset.sweep ~alloc:s.Page.alloc ~mark:s.Page.mark objects ~dead:(fun obj ->
-            Finalize.on_reclaimed finalize (page_base + (obj * s.Page.object_bytes)))
-      end;
-      tally.freed_bytes <-
-        tally.freed_bytes + ((objects.Bitset.dropped - freed0) * s.Page.object_bytes);
-      let live_here = objects.Bitset.kept - live0 in
-      if live_here = 0 then begin
-        Heap.set_page heap index Page.Free;
-        tally.released <- tally.released + 1
+  let kind = Heap.kind heap index in
+  if kind = Page.kind_small then begin
+    let objects = tally.objects and object_bytes = Heap.object_bytes heap index in
+    let alloc = Heap.alloc_words heap index and mark = Heap.mark_words heap index in
+    let live0 = objects.Bitset.kept and freed0 = objects.Bitset.dropped in
+    if Finalize.registered_count finalize = 0 then Bitset.sweep_words ~alloc ~mark objects
+    else begin
+      let page_base = Addr.to_int (Heap.page_addr heap index) + Heap.first_offset heap index in
+      Bitset.sweep_words ~alloc ~mark objects ~dead:(fun obj ->
+          Finalize.on_reclaimed finalize (page_base + (obj * object_bytes)))
+    end;
+    tally.freed_bytes <- tally.freed_bytes + ((objects.Bitset.dropped - freed0) * object_bytes);
+    let live_here = objects.Bitset.kept - live0 in
+    if live_here = 0 then begin
+      Heap.set_page heap index Page.Free;
+      tally.released <- tally.released + 1
+    end
+    else tally.live_bytes <- tally.live_bytes + (live_here * object_bytes)
+  end
+  else if kind = Page.kind_large_head then begin
+    let objects = tally.objects and l = Heap.large heap index in
+    if l.Page.l_allocated then begin
+      if l.Page.l_marked then begin
+        objects.Bitset.kept <- objects.Bitset.kept + 1;
+        tally.live_bytes <- tally.live_bytes + l.Page.object_bytes
       end
-      else tally.live_bytes <- tally.live_bytes + (live_here * s.Page.object_bytes)
-  | Page.Large_head l ->
-      let objects = tally.objects in
-      if l.Page.l_allocated then begin
-        if l.Page.l_marked then begin
-          objects.Bitset.kept <- objects.Bitset.kept + 1;
-          tally.live_bytes <- tally.live_bytes + l.Page.object_bytes
-        end
-        else begin
-          l.Page.l_allocated <- false;
-          objects.Bitset.dropped <- objects.Bitset.dropped + 1;
-          tally.freed_bytes <- tally.freed_bytes + l.Page.object_bytes;
-          Finalize.on_reclaimed finalize (Addr.to_int (Heap.page_addr heap index));
-          for j = index to index + l.Page.n_pages - 1 do
-            Heap.set_page heap j Page.Free
-          done;
-          tally.released <- tally.released + l.Page.n_pages
-        end
-      end;
-      l.Page.l_marked <- false
+      else begin
+        l.Page.l_allocated <- false;
+        objects.Bitset.dropped <- objects.Bitset.dropped + 1;
+        tally.freed_bytes <- tally.freed_bytes + l.Page.object_bytes;
+        Finalize.on_reclaimed finalize (Addr.to_int (Heap.page_addr heap index));
+        for j = index to index + l.Page.n_pages - 1 do
+          Heap.set_page heap j Page.Free
+        done;
+        tally.released <- tally.released + l.Page.n_pages
+      end
+    end;
+    l.Page.l_marked <- false
+  end
 
 (* A [`Keep_live] page: its allocated objects count as live, untouched. *)
 let keep_live tally = function
@@ -75,16 +76,19 @@ let keep_live tally = function
       end
   | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ()
 
-let default_policy _ _ = `Sweep
-
-let run ?(policy = default_policy) heap finalize stats =
+(* Without a policy every page is swept and no page view is built. *)
+let run ?policy heap finalize stats =
   let tally =
     { objects = { Bitset.kept = 0; dropped = 0 }; freed_bytes = 0; live_bytes = 0; released = 0 }
   in
   for i = 0 to Heap.committed_pages heap - 1 do
-    match policy i (Heap.page heap i) with
-    | `Sweep -> reclaim tally heap finalize i
-    | `Keep_live -> keep_live tally (Heap.page heap i)
+    match policy with
+    | None -> reclaim tally heap finalize i
+    | Some policy -> (
+        let p = Heap.page heap i in
+        match policy i p with
+        | `Sweep -> reclaim tally heap finalize i
+        | `Keep_live -> keep_live tally p)
   done;
   let freed = tally.objects.Bitset.dropped and live = tally.objects.Bitset.kept in
   stats.Stats.objects_freed <- stats.Stats.objects_freed + freed;

@@ -3,9 +3,9 @@
     Walks every committed page in address order, reclaims unmarked
     objects by clearing their alloc bits, and returns fully empty pages
     to the heap's free-page pool.  A small page costs one word-at-a-time
-    pass over its bitmaps ({!Cgc_vm.Bitset.sweep}); freed objects are
-    visited one by one, in address order, only while the finalization
-    registry is non-empty, to feed its queue.  Without finalizers the
+    pass over its bitmap words ({!Cgc_vm.Bitset.sweep_words}); freed
+    objects are visited one by one, in address order, only while the
+    finalization registry is non-empty, to feed its queue.  Without finalizers the
     sweep allocates nothing per page or object.
     The alloc bitmaps are the free lists: the collector's per-class
     cursor finds the cleared slots there, lowest address first, so
@@ -25,7 +25,8 @@ val run :
     small pages as a side effect of being consulted; large-object mark
     flags are reset).
 
-    [policy] (default: sweep everything) lets a generational collector
-    exempt old pages: a [`Keep_live] page contributes its allocated
+    [policy] (default: sweep everything, reading only the page table's
+    rows) is shown a {!Page.t} view of each page and lets a generational
+    collector exempt old pages: a [`Keep_live] page contributes its allocated
     objects to the live counts and is otherwise left untouched — its
     mark bits are not consulted. *)

@@ -5,13 +5,6 @@ let check_page_table heap issues =
   let committed = Heap.committed_pages heap in
   let add fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
   let free = ref 0 in
-  Heap.iter_committed heap (fun _ p ->
-      match p with
-      | Page.Free -> incr free
-      | Page.Uncommitted | Page.Small _ | Page.Large_head _ | Page.Large_tail _ -> ());
-  if Heap.free_page_count heap <> !free then
-    add "free-page count %d disagrees with the %d Free pages of the page table"
-      (Heap.free_page_count heap) !free;
   for i = 0 to n - 1 do
     let p = Heap.page heap i in
     if i >= committed then begin
@@ -23,15 +16,12 @@ let check_page_table heap issues =
     else begin
       match p with
       | Page.Uncommitted -> add "committed page %d is Uncommitted" i
-      | Page.Free -> ()
+      | Page.Free -> incr free
       | Page.Small s ->
           let page_size = Heap.page_size heap in
           if s.Page.first_offset + (s.Page.n_objects * s.Page.object_bytes) > page_size then
             add "small page %d overflows its page (%d objects of %d bytes at offset %d)" i
-              s.Page.n_objects s.Page.object_bytes s.Page.first_offset;
-          if s.Page.object_bytes <> s.Page.granules * 4 then
-            add "small page %d: object_bytes %d does not match %d granules" i s.Page.object_bytes
-              s.Page.granules
+              s.Page.n_objects s.Page.object_bytes s.Page.first_offset
       | Page.Large_head l ->
           if l.Page.n_pages < 1 then add "large head %d with n_pages %d" i l.Page.n_pages;
           if i + l.Page.n_pages > n then add "large object at %d exceeds the reserved region" i;
@@ -45,66 +35,26 @@ let check_page_table heap issues =
           | Page.Large_head l when head_index < i && i < head_index + l.Page.n_pages -> ()
           | _ -> add "tail page %d has a dangling head index %d" i head_index)
     end
-  done
+  done;
+  if Heap.free_page_count heap <> !free then
+    add "free-page count %d disagrees with the %d Free pages of the page table"
+      (Heap.free_page_count heap) !free
 
-(* The row fields of the flat descriptor table, named for the audit's
-   findings. *)
-let row_fields =
-  [
-    ("kind", Heap.row_kind);
-    ("object_bytes", Heap.row_object_bytes);
-    ("extent", Heap.row_extent);
-    ("first_offset", Heap.row_first_offset);
-    ("n_objects", Heap.row_n_objects);
-    ("recip_mul", Heap.row_recip_mul);
-    ("recip_shift", Heap.row_recip_shift);
-    ("head", Heap.row_head);
-  ]
-
-(* The row page [i] must have while it holds [p], derived from the
-   variant alone. *)
-let expected_row heap i (p : Page.t) =
-  let row = Array.make Heap.row_stride 0 in
-  row.(Heap.row_kind) <- Page.kind_code p;
-  row.(Heap.row_head) <- i;
-  (match p with
-  | Page.Uncommitted | Page.Free -> ()
-  | Page.Small s ->
-      let mul, shift = Heap.reciprocal ~page_size:(Heap.page_size heap) s.Page.object_bytes in
-      row.(Heap.row_object_bytes) <- s.Page.object_bytes;
-      row.(Heap.row_extent) <- Heap.scan_extent s.Page.layout ~object_bytes:s.Page.object_bytes;
-      row.(Heap.row_first_offset) <- s.Page.first_offset;
-      row.(Heap.row_n_objects) <- s.Page.n_objects;
-      row.(Heap.row_recip_mul) <- mul;
-      row.(Heap.row_recip_shift) <- shift
-  | Page.Large_head l ->
-      row.(Heap.row_object_bytes) <- l.Page.object_bytes;
-      row.(Heap.row_extent) <- Heap.scan_extent l.Page.l_layout ~object_bytes:l.Page.object_bytes;
-      row.(Heap.row_n_objects) <- 1
-  | Page.Large_tail { head_index } -> row.(Heap.row_head) <- head_index);
-  row
-
-(* Audit the flat descriptor table against the page variants.  The scan
-   fast path trusts these rows completely, so any drift (a page-state
-   transition that bypassed [Heap.set_page]) is a marker correctness bug
-   waiting to happen.  Every row field is checked against the variant.
-   The words columns and large records must be physically the objects
-   held by the variant — value equality is not enough, since the fast
-   path mutates them through the descriptor. *)
+(* Audit the kernel's precomputed row fields against their source: a
+   small page's scan extent and reciprocal against its slot size and
+   layout, a large head's object bytes and extent against its record, a
+   typed page's pointer offsets against its layout.  The scan fast path
+   trusts them completely.  A small page's alloc and mark columns must
+   be two arrays, or every mark would allocate. *)
 let check_descriptors heap issues =
   let add fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
   let d = Heap.desc heap in
   for i = 0 to Heap.n_pages heap - 1 do
-    let p = Heap.page heap i in
-    let want = expected_row heap i p and r = i * Heap.row_stride in
-    List.iter
-      (fun (name, f) ->
-        let got = d.Heap.d_rows.(r + f) in
-        if got <> want.(f) then
-          add "descriptor %s of page %d is %d (expected %d)" name i got want.(f))
-      row_fields;
-    (* the typed layout's pointer offsets *)
-    let check_offsets what layout =
+    let row f = d.Heap.d_rows.((i * Heap.row_stride) + f) in
+    let check_derived what layout ~object_bytes =
+      let extent = Heap.scan_extent layout ~object_bytes in
+      if row Heap.row_extent <> extent then
+        add "descriptor extent of %s %d is %d (expected %d)" what i (row Heap.row_extent) extent;
       let offsets = d.Heap.d_pointer_offsets.(i) in
       match layout with
       | Page.Typed desc ->
@@ -114,30 +64,36 @@ let check_descriptors heap issues =
       | Page.Conservative | Page.Pointer_free ->
           if Array.length offsets <> 0 then add "descriptor of untyped %s %d has pointer offsets" what i
     in
-    match p with
-    | Page.Uncommitted | Page.Free -> check_offsets "empty page" Page.Pointer_free
-    | Page.Small s ->
-        check_offsets "small page" s.Page.layout;
-        if not (d.Heap.d_alloc.(i) == s.Page.alloc.Bitset.words) then
-          add "descriptor alloc words of small page %d are not the page's bitset's" i;
-        if not (d.Heap.d_mark.(i) == s.Page.mark.Bitset.words) then
-          add "descriptor mark words of small page %d are not the page's bitset's" i;
+    let kind = Heap.kind heap i in
+    if kind = Page.kind_small then begin
+      let object_bytes = Heap.object_bytes heap i in
+      check_derived "small page" (Heap.small_layout heap i) ~object_bytes;
+      let mul, shift = Heap.reciprocal ~page_size:(Heap.page_size heap) object_bytes in
+      if row Heap.row_recip_mul <> mul || row Heap.row_recip_shift <> shift then
+        add "descriptor reciprocal of small page %d is (%d, %d) (expected (%d, %d))" i
+          (row Heap.row_recip_mul) (row Heap.row_recip_shift) mul shift;
+      let alloc = Heap.alloc_words heap i and mark = Heap.mark_words heap i in
+      if alloc == mark then add "small page %d: its alloc and mark columns are one array" i
+      else
         (* mark ⊆ alloc: the marker only marks allocated slots, sweeps
            clear both bits, and quarantine removes both — so a mark bit
            on a free (or quarantine-removed) slot means a marker wrote
            where it should not have. *)
-        Bitset.iter
-          (fun obj ->
-            if not (Bitset.mem s.Page.alloc obj) then
+        Bitset.iter_set_words mark (fun obj ->
+            if not (Bitset.mem_words alloc obj) then
               add "mark bit on unallocated slot %d of small page %d" obj i)
-          s.Page.mark
-    | Page.Large_head l ->
-        if l.Page.l_marked && not l.Page.l_allocated then
-          add "mark flag set on the unallocated large object at %d" i;
-        check_offsets "large head" l.Page.l_layout;
-        if not (d.Heap.d_large.(i) == l) then
-          add "descriptor large record of head %d is not the page's" i
-    | Page.Large_tail _ -> check_offsets "tail page" Page.Pointer_free
+    end
+    else if kind = Page.kind_large_head then begin
+      let l = Heap.large heap i in
+      if l.Page.l_marked && not l.Page.l_allocated then
+        add "mark flag set on the unallocated large object at %d" i;
+      if row Heap.row_object_bytes <> l.Page.object_bytes then
+        add "descriptor object_bytes of large head %d is %d (expected %d)" i
+          (row Heap.row_object_bytes) l.Page.object_bytes;
+      check_derived "large head" l.Page.l_layout ~object_bytes:l.Page.object_bytes
+    end
+    else if Array.length d.Heap.d_pointer_offsets.(i) <> 0 then
+      add "descriptor of untyped page %d has pointer offsets" i
   done
 
 (* Heap-level subset of [check], for backends that are not a [Gc.t]
@@ -158,8 +114,9 @@ let check_cursors gc issues =
     (fun (granules, layout, i) ->
       let name = Printf.sprintf "class %d%s cursor" granules (Page.layout_tag layout) in
       if Bitset.mem (Gc.Internal.decayed_pages gc) i then add "%s on quarantined page %d" name i;
+      let bytes = granules * Config.granule in
       match Heap.page heap i with
-      | Page.Small s when s.Page.granules = granules && s.Page.layout = layout -> ()
+      | Page.Small s when s.Page.object_bytes = bytes && s.Page.layout = layout -> ()
       | p -> add "%s on page %d, which is %s" name i (Format.asprintf "%a" Page.pp p))
     (Gc.Internal.cursor_pages gc)
 

@@ -299,18 +299,13 @@ let allocate ?pointer_free ?finalizer t bytes =
   periodic_stack_clear t;
   context_switch_noise t;
   let base = Cgc.Gc.allocate ?pointer_free ?finalizer t.gc bytes in
-  let rounded =
-    match Cgc.Gc.object_size t.gc base with
-    | Some b -> b
-    | None -> bytes
-  in
-  emit t
-    (E_alloc
-       {
-         base;
-         bytes = rounded;
-         pointer_free = (match pointer_free with Some b -> b | None -> false);
-       });
+  (* the size lookup builds a page view: only a listening tracer pays it *)
+  (match t.tracer with
+  | None -> ()
+  | Some _ ->
+      let rounded = Option.value (Cgc.Gc.object_size t.gc base) ~default:bytes in
+      emit t
+        (E_alloc { base; bytes = rounded; pointer_free = Option.value pointer_free ~default:false }));
   (match finalizer with
   | Some label -> emit t (E_finalizer { obj = base; token = Hashtbl.hash label land 0xFFFF })
   | None -> ());

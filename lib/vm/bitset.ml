@@ -7,25 +7,38 @@ let bits_per_word = 62
 let nwords n = (n + bits_per_word - 1) / bits_per_word
 let create n = { n; words = Array.make (max 1 (nwords n)) 0 }
 
+let of_words ~n words =
+  if Array.length words <> max 1 (nwords n) then invalid_arg "Bitset.of_words: length mismatch";
+  { n; words }
+
 let check t i =
   if i < 0 || i >= t.n then invalid_arg (Printf.sprintf "Bitset: index %d out of [0,%d)" i t.n)
 
+let mem_words words i = words.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
+
+let add_words words i =
+  let w = i / bits_per_word in
+  words.(w) <- words.(w) lor (1 lsl (i mod bits_per_word))
+
+let remove_words words i =
+  let w = i / bits_per_word in
+  words.(w) <- words.(w) land lnot (1 lsl (i mod bits_per_word))
+
 let mem t i =
   check t i;
-  t.words.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
+  mem_words t.words i
 
 let add t i =
   check t i;
-  let w = i / bits_per_word in
-  t.words.(w) <- t.words.(w) lor (1 lsl (i mod bits_per_word))
+  add_words t.words i
 
 let remove t i =
   check t i;
-  let w = i / bits_per_word in
-  t.words.(w) <- t.words.(w) land lnot (1 lsl (i mod bits_per_word))
+  remove_words t.words i
 
 let set t i b = if b then add t i else remove t i
-let clear t = Array.fill t.words 0 (Array.length t.words) 0
+let clear_words words = Array.fill words 0 (Array.length words) 0
+let clear t = clear_words t.words
 
 (* SWAR population count of a word, constant work whatever its weight:
    pair sums, nibble sums, byte sums, then one multiply gathers the byte
@@ -86,8 +99,7 @@ let[@inline] ntz x =
    After each visit the word is read again and cut to the bits above
    the one just visited, so a member [f] adds above it is visited too,
    and one it removes is not, wherever the word boundaries fall. *)
-let iter_set t f =
-  let words = t.words in
+let iter_set_words words f =
   for w = 0 to Array.length words - 1 do
     let word = ref (Array.unsafe_get words w) in
     if !word <> 0 then begin
@@ -99,6 +111,8 @@ let iter_set t f =
       done
     end
   done
+
+let iter_set t f = iter_set_words t.words f
 
 (* Members above [n] cannot exist (add bounds-checks), so no filtering
    against [t.n] is needed here. *)
@@ -113,9 +127,7 @@ type sweep_counts = {
    is stored back into alloc and the mark word is zeroed, with two SWAR
    popcounts for the tallies and no per-object work.  Only a [dead]
    visitor costs per object, and only on words that lost a member. *)
-let sweep ?dead ~alloc ~mark counts =
-  if alloc.n <> mark.n then invalid_arg "Bitset.sweep: universe mismatch";
-  let a = alloc.words and m = mark.words in
+let sweep_words ?dead ~alloc:a ~mark:m counts =
   let kept = ref 0 and dropped = ref 0 in
   for w = 0 to Array.length a - 1 do
     let word = Array.unsafe_get a w in
@@ -141,6 +153,10 @@ let sweep ?dead ~alloc ~mark counts =
   done;
   counts.kept <- counts.kept + !kept;
   counts.dropped <- counts.dropped + !dropped
+
+let sweep ?dead ~alloc ~mark counts =
+  if alloc.n <> mark.n then invalid_arg "Bitset.sweep: universe mismatch";
+  sweep_words ?dead ~alloc:alloc.words ~mark:mark.words counts
 
 let fold f init t =
   let acc = ref init in

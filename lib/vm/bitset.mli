@@ -21,6 +21,13 @@ val bits_per_word : int
 val create : int -> t
 (** [create n] is a set over the universe [\[0, n)], initially empty. *)
 
+val of_words : n:int -> int array -> t
+(** [of_words ~n words] is the set over [\[0, n)] whose members are
+    [words], shared, not copied: updates through either side are seen
+    by the other.  [words] must have the length {!create} gives and keep
+    the bits past [n] clear.  @raise Invalid_argument on a length
+    mismatch. *)
+
 val mem : t -> int -> bool
 
 val add : t -> int -> unit
@@ -31,6 +38,19 @@ val set : t -> int -> bool -> unit
 
 val clear : t -> unit
 (** Remove every element. *)
+
+(** {1 Word-array forms}
+
+    The operations on a bare [words] array, for callers that keep the
+    words without the record (the heap's page table); the {!t} forms
+    delegate to these.  No bounds check: the caller keeps indices below
+    its universe. *)
+
+val mem_words : int array -> int -> bool
+val add_words : int array -> int -> unit
+val remove_words : int array -> int -> unit
+val clear_words : int array -> unit
+val iter_set_words : int array -> (int -> unit) -> unit
 
 val count : t -> int
 (** Number of elements currently in the set. *)
@@ -70,6 +90,9 @@ val sweep : ?dead:(int -> unit) -> alloc:t -> mark:t -> sweep_counts -> unit
     is given, in which case it is called on every dropped member, in
     increasing order, before the word is stored.  Allocation-free
     without [dead].  Universes must have equal size. *)
+
+val sweep_words :
+  ?dead:(int -> unit) -> alloc:int array -> mark:int array -> sweep_counts -> unit
 
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 

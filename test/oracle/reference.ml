@@ -88,8 +88,8 @@ let scan_words t seg ~lo ~hi =
 let scan_object t base =
   let size, pointer_free =
     match Heap.page t.heap (Heap.page_index t.heap base) with
-    | Page.Small s -> (s.Page.object_bytes, s.Page.pointer_free)
-    | Page.Large_head l -> (l.Page.object_bytes, l.Page.l_pointer_free)
+    | Page.Small s -> (s.Page.object_bytes, s.Page.layout = Page.Pointer_free)
+    | Page.Large_head l -> (l.Page.object_bytes, l.Page.l_layout = Page.Pointer_free)
     | Page.Uncommitted | Page.Free | Page.Large_tail _ ->
         (* retired between push and pop under a decaying fault plan *)
         t.stats.Stats.mark_downgrades <- t.stats.Stats.mark_downgrades + 1;

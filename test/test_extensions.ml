@@ -286,18 +286,18 @@ let test_verify_detects_mark_on_free_large () =
   check (Alcotest.list Alcotest.string) "check_parallel_mark" expected
     (Verify.check_parallel_mark gc)
 
-(* The descriptor audit reads every row field and the identity of the
-   words columns.  On a scratch heap with two small pages, one row field
-   of page 1 is corrupted and page 1's alloc and mark words entries are
-   swapped: the two arrays are equal in value (both empty), so only a
-   physical-identity check tells them apart.  [check_heap] reports the
-   field and both entries, nothing else; putting them back leaves it
-   clean. *)
+(* The page-table audit, on a scratch heap with two small pages of
+   sixteen-byte slots.  Page 1's row claims 257 objects, which cannot
+   fit a 4096-byte page (257 x 16 > 4096): the geometry check reports
+   it.  Page 1's mark column is then aliased to its alloc column, so a
+   mark would allocate: the distinct-columns check reports it.
+   [check_heap] reports exactly those two findings; putting both back
+   leaves it clean. *)
 let test_verify_detects_descriptor_drift () =
   let config = { Config.default with Config.initial_pages = 4 } in
   let heap = Heap.create (Mem.create ()) ~config ~base:heap_base ~max_bytes:(4 * 4096) in
   let small () =
-    Cgc.Page.make_small ~granules:4 ~object_bytes:16 ~layout:Cgc.Page.Conservative ~first_offset:0
+    Cgc.Page.make_small ~object_bytes:16 ~layout:Cgc.Page.Conservative ~first_offset:0
       ~n_objects:256
   in
   Heap.set_page heap 1 (small ());
@@ -305,19 +305,16 @@ let test_verify_detects_descriptor_drift () =
   check (Alcotest.list Alcotest.string) "clean before" [] (Verify.check_heap heap);
   let d = Heap.desc heap in
   let field = (1 * Heap.row_stride) + Heap.row_n_objects in
-  let alloc = d.Heap.d_alloc.(1) and mark = d.Heap.d_mark.(1) in
+  let mark = d.Heap.d_mark.(1) in
   d.Heap.d_rows.(field) <- 257;
-  d.Heap.d_alloc.(1) <- mark;
-  d.Heap.d_mark.(1) <- alloc;
+  d.Heap.d_mark.(1) <- d.Heap.d_alloc.(1);
   check (Alcotest.list Alcotest.string) "check_heap"
     [
-      "descriptor n_objects of page 1 is 257 (expected 256)";
-      "descriptor alloc words of small page 1 are not the page's bitset's";
-      "descriptor mark words of small page 1 are not the page's bitset's";
+      "small page 1 overflows its page (257 objects of 16 bytes at offset 0)";
+      "small page 1: its alloc and mark columns are one array";
     ]
     (Verify.check_heap heap);
   d.Heap.d_rows.(field) <- 256;
-  d.Heap.d_alloc.(1) <- alloc;
   d.Heap.d_mark.(1) <- mark;
   check (Alcotest.list Alcotest.string) "clean after" [] (Verify.check_heap heap)
 

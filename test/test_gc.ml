@@ -1154,6 +1154,33 @@ let test_sweep_allocates_nothing () =
   check bool (Printf.sprintf "fixed cost (%d words) is the tally and result only" fixed) true
     (fixed <= 16)
 
+(* A whole collection walks the page table through its rows and builds
+   no page view: collecting a busy heap — 40,000 allocations of 8 to 56
+   bytes, every 50th rooted, and a rooted 20 KB object, over 323 pages —
+   costs exactly the minor words of collecting an empty heap of 64
+   pages: the per-cycle root lists, iterators and timings, a fixed
+   handful. *)
+let test_collect_allocates_nothing_per_page () =
+  let collect_words gc =
+    let w0 = Stdlib.Gc.minor_words () in
+    let w1 = Stdlib.Gc.minor_words () in
+    Gc.collect gc;
+    let w2 = Stdlib.Gc.minor_words () in
+    int_of_float (w2 -. w1 -. (w1 -. w0))
+  in
+  let _, _, empty = make_env () in
+  let _, globals, busy = make_env ~heap_kb:2048 () in
+  for i = 0 to 39_999 do
+    let a = Gc.allocate busy (8 + (8 * (i mod 7))) in
+    if i mod 50 = 0 then set_slot globals (i / 50) (Addr.to_int a)
+  done;
+  set_slot globals 900 (Addr.to_int (Gc.allocate busy 20_000));
+  check int "empty heap pages" 64 (Heap.committed_pages (Gc.heap empty));
+  check int "busy heap pages" 323 (Heap.committed_pages (Gc.heap busy));
+  let fixed = collect_words empty in
+  check int "minor words: busy heap = empty heap" fixed (collect_words busy);
+  check bool "the busy collect freed objects" true ((Gc.stats busy).Stats.objects_freed > 30_000)
+
 (* The trace allocates nothing per object or per scanned word: a second
    mark of ~4000 live chained cells of 8, 16 and 20 bytes, every fourth
    also naming a pointer-free leaf in its last word, and a zero-filled
@@ -1221,6 +1248,21 @@ let test_free_list_policies () =
 let make_explicit ?policy () =
   let mem = Mem.create () in
   Explicit.create ?policy mem ~base:heap_base ~max_bytes:(256 * 1024) ()
+
+(* A malloc+free pair reads its page's row and builds no page view: in
+   steady state it allocates only the free list's cell, 10 minor words
+   per pair under both build profiles. *)
+let test_explicit_pair_allocation () =
+  let e = make_explicit () in
+  Explicit.free e (Explicit.malloc e 8);
+  let w0 = Stdlib.Gc.minor_words () in
+  let w1 = Stdlib.Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Explicit.free e (Explicit.malloc e 8)
+  done;
+  let w2 = Stdlib.Gc.minor_words () in
+  let per_pair = (w2 -. w1 -. (w1 -. w0)) /. 1000. in
+  check bool (Printf.sprintf "%.2f minor words per pair <= 10" per_pair) true (per_pair <= 10.)
 
 let test_explicit_roundtrip () =
   let e = make_explicit () in
@@ -1860,6 +1902,8 @@ let () =
             test_sweep_allocates_nothing;
           Alcotest.test_case "mark allocates nothing per object" `Quick
             test_mark_allocates_nothing;
+          Alcotest.test_case "collect allocates nothing per page" `Quick
+            test_collect_allocates_nothing_per_page;
           Alcotest.test_case "trim" `Quick test_trim_returns_trailing_pages;
         ] );
       ( "free-list",
@@ -1869,6 +1913,7 @@ let () =
       ( "explicit",
         [
           Alcotest.test_case "roundtrip" `Quick test_explicit_roundtrip;
+          Alcotest.test_case "malloc+free pair allocation" `Quick test_explicit_pair_allocation;
           Alcotest.test_case "double free" `Quick test_explicit_double_free;
           Alcotest.test_case "wild free" `Quick test_explicit_wild_free;
           Alcotest.test_case "reuse order" `Quick test_explicit_reuse_order;

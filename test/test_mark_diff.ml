@@ -460,10 +460,11 @@ let iter_objects heap f =
           let first = Addr.add (Heap.page_addr heap i) s.Page.first_offset in
           Bitset.iter_set s.Page.alloc (fun obj ->
               f ~page:i (Addr.add first (obj * s.Page.object_bytes)) s.Page.object_bytes
-                s.Page.pointer_free)
+                (s.Page.layout = Page.Pointer_free))
       | Page.Large_head l ->
           if l.Page.l_allocated then
-            f ~page:i (Heap.page_addr heap i) l.Page.object_bytes l.Page.l_pointer_free
+            f ~page:i (Heap.page_addr heap i) l.Page.object_bytes
+              (l.Page.l_layout = Page.Pointer_free)
       | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ())
 
 let iter_object_words gc base bytes f =
@@ -762,7 +763,7 @@ let build_sweep_world seed ~finalizers =
       let first_offset = if Random.State.bool rng then 0 else 8 in
       let n_objects = (sweep_page_size - first_offset) / object_bytes in
       let page =
-        Page.make_small ~granules:(object_bytes / 4) ~object_bytes ~layout:Page.Conservative
+        Page.make_small ~object_bytes ~layout:Page.Conservative
           ~first_offset ~n_objects
       in
       (match page with
