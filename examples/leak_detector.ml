@@ -43,13 +43,13 @@ let run ~clear_links =
   List.iter
     (fun (i, node) ->
       if Cgc.Gc.is_allocated gc node then
-        match Cgc.Inspect.why_live gc node with
+        match Cgc.Trace.why_live gc node with
         | Some chain when not !shown ->
             shown := true;
-            Format.printf "    element %d still held:@.      %a@." i Cgc.Inspect.pp_chain chain
+            Format.printf "    element %d still held:@.      %a@." i Cgc.Trace.pp_chain chain
         | Some (first :: _ as chain) ->
             Format.printf "    element %d still held: %d-step chain from %a@." i
-              (List.length chain) Cgc.Inspect.pp_step first
+              (List.length chain) Cgc.Trace.pp_step first
         | Some [] | None -> Format.printf "    element %d still allocated@." i)
     (List.rev !watched);
   Format.printf "    live bytes after GC: %d@.@." (Cgc.Gc.live_bytes gc)

@@ -1,6 +1,6 @@
 (* Human-readable report: per-GC-point retention table, spurious-root
    breakdown, lint findings, validation verdict.  [explain] lets the
-   caller attach dynamic provenance (an [Inspect.why_live] chain from
+   caller attach dynamic provenance (a [Trace.why_live] chain from
    the live collector) to any finding's example object. *)
 
 module ISet = Liveness.ISet

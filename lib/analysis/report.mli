@@ -8,7 +8,7 @@ val pp :
   unit
 (** Full report.  [explain] is called with each finding's example
     object id, letting the caller print a dynamic provenance chain
-    (e.g. {!Cgc.Inspect.why_live}) from the live collector.  [fixes]
+    (e.g. {!Cgc.Trace.why_live}) from the live collector.  [fixes]
     appends the fixes section. *)
 
 (** {1 JSON}

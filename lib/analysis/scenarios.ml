@@ -322,13 +322,13 @@ let max_chain_steps = 8
 
 let pp_chain ppf chain =
   let n = List.length chain in
-  if n <= max_chain_steps then Cgc.Inspect.pp_chain ppf chain
+  if n <= max_chain_steps then Cgc.Trace.pp_chain ppf chain
   else begin
     Fmt.pf ppf "@[<v>";
     List.iteri
       (fun i step ->
         if i < max_chain_steps then
-          Fmt.pf ppf "%s%a@," (String.make (2 * i) ' ') Cgc.Inspect.pp_step step)
+          Fmt.pf ppf "%s%a@," (String.make (2 * i) ' ') Cgc.Trace.pp_step step)
       chain;
     Fmt.pf ppf "%s... %d more steps" (String.make (2 * max_chain_steps) ' ') (n - max_chain_steps);
     Fmt.pf ppf "@]"
@@ -339,7 +339,7 @@ let explain outcome ppf id =
   | None -> ()
   | Some base ->
       if Cgc.Gc.is_allocated outcome.o_gc base then (
-        match Cgc.Inspect.why_live outcome.o_gc base with
+        match Cgc.Trace.why_live outcome.o_gc base with
         | Some chain -> Fmt.pf ppf "  e.g. object #%d: %a@," id pp_chain chain
         | None -> Fmt.pf ppf "  e.g. object #%d at %a (allocated, no root chain found)@," id
                     Cgc_vm.Addr.pp base)

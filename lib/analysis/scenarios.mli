@@ -17,7 +17,7 @@ val names : string list
 val run : string -> outcome option
 
 val explain : outcome -> Format.formatter -> int -> unit
-(** Report hook: prints the live collector's {!Cgc.Inspect.why_live}
+(** Report hook: prints the live collector's {!Cgc.Trace.why_live}
     chain for a finding's example object, if it is still allocated. *)
 
 (** {1 The starvation matrix}

@@ -3,7 +3,7 @@ open Cgc_vm
 exception Out_of_memory of string
 
 type t = {
-  sizes : Size_class.t;
+  max_small : int;  (** [Config.max_small_bytes] *)
   heap : Heap.t;
   free_lists : Free_list.t;
   mutable live_bytes : int;
@@ -20,9 +20,9 @@ let create ?(page_size = 4096) ?(policy = Free_list.Address_ordered) mem ~base ~
     }
   in
   let heap = Heap.create mem ~config ~base ~max_bytes in
-  let sizes = Size_class.create config in
-  let free_lists = Free_list.create ~n_classes:(Size_class.n_classes sizes) policy in
-  { sizes; heap; free_lists; live_bytes = 0; live_objects = 0 }
+  let max_small = Config.max_small_bytes config in
+  let free_lists = Free_list.create ~n_classes:(max_small / Config.granule) policy in
+  { max_small; heap; free_lists; live_bytes = 0; live_objects = 0 }
 
 let page_of t a = Heap.page_index t.heap a
 
@@ -30,10 +30,10 @@ let granule = 4 (* [Config.granule]; a literal divisor is a shift under [-opaque
 let () = assert (granule = Config.granule)
 
 let carve_page t index ~granules =
-  let object_bytes = Size_class.bytes_of_granules granules in
-  let n_objects = Size_class.objects_per_page t.sizes ~granules ~first_offset:0 in
-  Heap.set_page t.heap index
-    (Page.make_small ~object_bytes ~layout:Page.Conservative ~first_offset:0 ~n_objects);
+  let object_bytes = granules * granule in
+  let n_objects =
+    Heap.carve_small t.heap index ~object_bytes ~layout:Page.Conservative ~first_offset:0
+  in
   let base = Addr.to_int (Heap.page_addr t.heap index) in
   let slots = List.init n_objects (fun i -> base + (i * object_bytes)) in
   Free_list.prepend_block t.free_lists ~granules slots
@@ -86,17 +86,13 @@ let malloc_large t bytes =
       | true -> ()
       | false -> raise (Out_of_memory "explicit allocator: cannot commit large object")
       | exception Mem.Commit_failed { reason; _ } -> raise (refused reason));
-      Heap.set_page t.heap start (Page.make_large ~n_pages:n ~object_bytes:bytes ~layout:Page.Conservative);
-      for j = start + 1 to start + n - 1 do
-        Heap.set_page t.heap j (Page.Large_tail { head_index = start })
-      done;
-      Heap.page_addr t.heap start
+      Heap.place_large t.heap start ~object_bytes:bytes ~layout:Page.Conservative
 
 let malloc t bytes =
   if bytes <= 0 then invalid_arg "Explicit.malloc: non-positive size";
   let base, rounded =
-    if Size_class.is_small t.sizes bytes then begin
-      let granules = Size_class.granules_for bytes in
+    if bytes <= t.max_small then begin
+      let granules = (bytes + granule - 1) / granule in
       let a = malloc_small t ~granules in
       let index = page_of t a in
       (* a free slot on a page that is not a small-object page is heap
@@ -104,7 +100,7 @@ let malloc t bytes =
       if Heap.kind t.heap index <> Page.kind_small then
         invalid_arg "Explicit.malloc: free slot landed on a non-small page";
       Bitset.add_words (Heap.alloc_words t.heap index) (Heap.slot t.heap index a);
-      (a, Size_class.bytes_of_granules granules)
+      (a, granules * granule)
     end
     else (malloc_large t bytes, bytes)
   in
@@ -135,43 +131,28 @@ let free t a =
     let l = Heap.large t.heap index in
     if not (Addr.equal a (Heap.page_addr t.heap index)) || not l.Page.l_allocated then
       invalid_arg "Explicit.free: double free or wild pointer";
-    l.Page.l_allocated <- false;
-    for j = index to index + l.Page.n_pages - 1 do
-      Heap.set_page t.heap j Page.Free
-    done;
+    let (_ : int) = Heap.release t.heap index in
     t.live_bytes <- t.live_bytes - l.Page.object_bytes;
     t.live_objects <- t.live_objects - 1
   end
   else invalid_arg "Explicit.free: not an allocated object"
 
-let is_allocated t a =
-  Heap.contains t.heap a
-  &&
-  let index = page_of t a in
-  let kind = Heap.kind t.heap index in
-  if kind = Page.kind_small then
-    let obj = Heap.slot t.heap index a in
-    obj >= 0 && Bitset.mem_words (Heap.alloc_words t.heap index) obj
-  else
-    kind = Page.kind_large_head
-    && (Heap.large t.heap index).Page.l_allocated
-    && Addr.equal a (Heap.page_addr t.heap index)
+let is_allocated t a = Addr.equal (Heap.find_object t.heap a) a
 
 let live_bytes t = t.live_bytes
 let live_objects t = t.live_objects
 let committed_bytes t = Heap.committed_bytes t.heap
-let fragmentation t = float_of_int (committed_bytes t) /. float_of_int (max t.live_bytes 1)
 
 let release_empty_pages t =
   let released = ref 0 in
-  Heap.iter_committed t.heap (fun i p ->
-      match p with
-      | Page.Small s when Bitset.is_empty s.Page.alloc ->
-          Free_list.drop_in_page t.free_lists ~granules:(s.Page.object_bytes / granule)
-            ~page_of:(page_of t) ~page:i;
-          Heap.set_page t.heap i Page.Free;
-          incr released
-      | Page.Small _ | Page.Uncommitted | Page.Free | Page.Large_head _ | Page.Large_tail _ -> ());
+  for i = 0 to Heap.committed_pages t.heap - 1 do
+    if Heap.kind t.heap i = Page.kind_small && Bitset.count_words (Heap.alloc_words t.heap i) = 0
+    then begin
+      Free_list.drop_in_page t.free_lists ~granules:(Heap.object_bytes t.heap i / granule)
+        ~page_of:(page_of t) ~page:i;
+      released := !released + Heap.release t.heap i
+    end
+  done;
   !released
 
 let heap t = t.heap

@@ -32,9 +32,6 @@ val live_bytes : t -> int
 val live_objects : t -> int
 val committed_bytes : t -> int
 
-val fragmentation : t -> float
-(** [committed_bytes / max live_bytes 1] — the space blow-up factor. *)
-
 val release_empty_pages : t -> int
 (** Return fully-empty small-object pages to the free pool (a very
     simple madvise-style trim); returns the number released. *)

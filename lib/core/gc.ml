@@ -449,9 +449,9 @@ let first_offset_for t page_index =
 
 let carve_small_page t index ~granules ~layout =
   let first_offset = first_offset_for t index in
-  let object_bytes = granules * Config.granule in
-  let n_objects = (Heap.page_size t.heap - first_offset) / object_bytes in
-  Heap.set_page t.heap index (Page.make_small ~object_bytes ~layout ~first_offset ~n_objects);
+  let (_ : int) =
+    Heap.carve_small t.heap index ~object_bytes:(granules * Config.granule) ~layout ~first_offset
+  in
   let c = slot_of t ~granules layout in
   t.cursor_page.(c) <- index;
   t.cursor_slot.(c) <- 0
@@ -636,19 +636,17 @@ let mark_page_decayed t i =
    excluded by every placement path from here on. *)
 let quarantine_object t base =
   let index = Heap.page_index t.heap base in
-  (match Heap.page t.heap index with
-  | Page.Small s ->
-      let rel = Addr.diff base (Heap.page_addr t.heap index) - s.Page.first_offset in
-      let obj = rel / s.Page.object_bytes in
-      Bitset.remove s.Page.alloc obj;
-      Bitset.remove s.Page.mark obj;
-      close_page t index
-  | Page.Large_head l ->
-      for j = index to index + l.Page.n_pages - 1 do
-        Heap.set_page t.heap j Page.Free;
-        mark_page_decayed t j
-      done
-  | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ());
+  if Heap.find_object t.heap base <> base then ()
+  else if Heap.kind t.heap index = Page.kind_small then begin
+    let obj = Heap.slot t.heap index base in
+    Bitset.remove_words (Heap.alloc_words t.heap index) obj;
+    Bitset.remove_words (Heap.mark_words t.heap index) obj;
+    close_page t index
+  end
+  else
+    for j = index to index + Heap.release t.heap index - 1 do
+      mark_page_decayed t j
+    done;
   mark_page_decayed t index
 
 (* The miss path: the cursor's page is used up, so walk the rest of the
@@ -732,12 +730,7 @@ let allocate_large t ~bytes ~layout =
             if start + n - 1 >= Heap.committed_pages t.heap - 1 then
               t.stats.Stats.heap_expansions <- t.stats.Stats.heap_expansions + 1;
             if tier <> Tier_strict then count_overrides t ~lo:start ~hi:(start + n);
-            Heap.set_page t.heap start
-              (Page.make_large ~n_pages:n ~object_bytes:bytes ~layout);
-            for j = start + 1 to start + n - 1 do
-              Heap.set_page t.heap j (Page.Large_tail { head_index = start })
-            done;
-            Some (Heap.page_addr t.heap start)
+            Some (Heap.place_large t.heap start ~object_bytes:bytes ~layout)
         | exception Mem.Commit_failed _ ->
             (* the committed prefix of the run stays [Free]: coherent *)
             note_fault ();
@@ -846,17 +839,11 @@ let set_field t base i v =
       raise (Mem.Write_fault { addr = a; bytes = 4; reason }));
   Segment.write_word (Heap.segment t.heap) a v
 
-let exact_config = { Config.default with Config.interior_pointers = true; large_validity = Config.Anywhere }
-
 let find_object t addr =
-  match Mark.classify t.heap exact_config addr with
-  | Mark.Valid { base; page = _ } -> Some base
-  | Mark.False_in_heap _ | Mark.Outside -> None
+  let base = Heap.find_object t.heap addr in
+  if base < 0 then None else Some base
 
-let is_allocated t addr =
-  match find_object t addr with
-  | Some base -> Addr.equal base addr
-  | None -> false
+let is_allocated t addr = Addr.equal (Heap.find_object t.heap addr) addr
 
 let object_size t addr =
   if is_allocated t addr then Some (fst (Heap.object_layout t.heap addr)) else None
@@ -901,5 +888,6 @@ module Internal = struct
   let run_mark_parallel t ~jobs:_ = Mark.Parallel.run t.marker t.roots ~mem:t.mem
 
   let is_marked t addr =
-    match find_object t addr with None -> false | Some base -> Heap.is_marked t.heap base
+    let base = Heap.find_object t.heap addr in
+    base >= 0 && Heap.is_marked t.heap base
 end

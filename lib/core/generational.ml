@@ -192,9 +192,8 @@ let minor t =
   t.minor_collections <- t.minor_collections + 1;
   minor_mark t;
   let t1 = Stats.now_s () in
-  let policy i _ = if page_is_old t i then `Keep_live else `Sweep in
   let (_ : Sweep.result) =
-    Sweep.run ~policy (heap t) (Gc.Internal.finalize t.gc) (Gc.stats t.gc)
+    Sweep.run ~keep_live:(page_is_old t) (heap t) (Gc.Internal.finalize t.gc) (Gc.stats t.gc)
   in
   retain_young_refs t;
   update_ages_after_sweep t;

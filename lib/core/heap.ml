@@ -2,7 +2,9 @@ open Cgc_vm
 
 (* The page table: one packed row of ints per page, plus pointer
    columns.  [page] builds a [Page.t] view of a row on demand;
-   [set_page] writes a view back as a row. *)
+   [set_page] writes a view back as a row.  The allocators and the
+   sweep change a page's kind only through [carve_small], [place_large]
+   and [release]. *)
 type desc = {
   d_rows : int array;  (** [row_stride] ints per page, fields at the [row_*] offsets *)
   d_alloc : int array array;  (** small pages: the alloc bitmap's words *)
@@ -39,7 +41,7 @@ type t = {
   n_pages : int;
   desc : desc;
   mutable committed : int; (* pages [0, committed) are committed *)
-  mutable free_pages : int; (* committed pages that are [Free]; kept by [set_page] *)
+  mutable free_pages : int; (* committed pages that are [Free]; kept by [write_row] *)
 }
 
 let log2 n =
@@ -76,10 +78,17 @@ let make_desc n_pages =
   }
 
 (* Write page [i]'s row: every field, so no value of an earlier kind
-   survives a transition. *)
-let set_row d i ~kind ~object_bytes ~layout ~first_offset ~n_objects ~recip_mul ~recip_shift ~head =
+   survives a transition, and every column, keeping the free-page
+   count.  Every page transition ends here. *)
+let write_row t i ~kind:k ~object_bytes ~layout ~first_offset ~n_objects ~head ~alloc ~mark ~large =
+  let d = t.desc in
   let r = i * row_stride and rows = d.d_rows in
-  rows.(r + row_kind) <- kind;
+  let was_free = rows.(r + row_kind) = Page.kind_free in
+  t.free_pages <- t.free_pages - Bool.to_int was_free + Bool.to_int (k = Page.kind_free);
+  let recip_mul, recip_shift =
+    if k = Page.kind_small then reciprocal ~page_size:t.page_size object_bytes else (0, 0)
+  in
+  rows.(r + row_kind) <- k;
   rows.(r + row_object_bytes) <- object_bytes;
   rows.(r + row_extent) <- scan_extent layout ~object_bytes;
   rows.(r + row_first_offset) <- first_offset;
@@ -87,39 +96,41 @@ let set_row d i ~kind ~object_bytes ~layout ~first_offset ~n_objects ~recip_mul 
   rows.(r + row_recip_mul) <- recip_mul;
   rows.(r + row_recip_shift) <- recip_shift;
   rows.(r + row_head) <- head;
+  d.d_alloc.(i) <- alloc;
+  d.d_mark.(i) <- mark;
+  d.d_layout.(i) <- (if k = Page.kind_small then layout else Page.Pointer_free);
+  d.d_large.(i) <- large;
   d.d_pointer_offsets.(i) <-
     (match layout with Page.Typed desc -> desc.Type_desc.pointer_offsets | _ -> [||])
+
+let write_vacant t i k =
+  write_row t i ~kind:k ~object_bytes:0 ~layout:Page.Pointer_free ~first_offset:0 ~n_objects:0
+    ~head:i ~alloc:empty_words ~mark:empty_words ~large:Page.dummy_large
+
+let write_small t i ~object_bytes ~layout ~first_offset ~n_objects ~alloc ~mark =
+  write_row t i ~kind:Page.kind_small ~object_bytes ~layout ~first_offset ~n_objects ~head:i ~alloc
+    ~mark ~large:Page.dummy_large
+
+let write_large_head t i (l : Page.large) =
+  write_row t i ~kind:Page.kind_large_head ~object_bytes:l.Page.object_bytes ~layout:l.Page.l_layout
+    ~first_offset:0 ~n_objects:1 ~head:i ~alloc:empty_words ~mark:empty_words ~large:l
+
+let write_tail t i ~head =
+  write_row t i ~kind:Page.kind_large_tail ~object_bytes:0 ~layout:Page.Pointer_free
+    ~first_offset:0 ~n_objects:0 ~head ~alloc:empty_words ~mark:empty_words
+    ~large:Page.dummy_large
 
 let kind t i = t.desc.d_rows.((i * row_stride) + row_kind)
 
 let set_page t i (p : Page.t) =
-  let d = t.desc in
-  let was_free = kind t i = Page.kind_free in
-  let kind = Page.kind_code p in
-  t.free_pages <- t.free_pages - Bool.to_int was_free + Bool.to_int (kind = Page.kind_free);
-  d.d_alloc.(i) <- empty_words;
-  d.d_mark.(i) <- empty_words;
-  d.d_layout.(i) <- Page.Pointer_free;
-  d.d_large.(i) <- Page.dummy_large;
   match p with
-  | Page.Uncommitted | Page.Free ->
-      set_row d i ~kind ~object_bytes:0 ~layout:Page.Pointer_free ~first_offset:0 ~n_objects:0
-        ~recip_mul:0 ~recip_shift:0 ~head:i
+  | Page.Uncommitted | Page.Free -> write_vacant t i (Page.kind_code p)
   | Page.Small s ->
-      let recip_mul, recip_shift = reciprocal ~page_size:t.page_size s.Page.object_bytes in
-      set_row d i ~kind ~object_bytes:s.Page.object_bytes ~layout:s.Page.layout
-        ~first_offset:s.Page.first_offset ~n_objects:s.Page.n_objects ~recip_mul ~recip_shift
-        ~head:i;
-      d.d_alloc.(i) <- s.Page.alloc.Bitset.words;
-      d.d_mark.(i) <- s.Page.mark.Bitset.words;
-      d.d_layout.(i) <- s.Page.layout
-  | Page.Large_head l ->
-      set_row d i ~kind ~object_bytes:l.Page.object_bytes ~layout:l.Page.l_layout ~first_offset:0
-        ~n_objects:1 ~recip_mul:0 ~recip_shift:0 ~head:i;
-      d.d_large.(i) <- l
-  | Page.Large_tail { head_index } ->
-      set_row d i ~kind ~object_bytes:0 ~layout:Page.Pointer_free ~first_offset:0 ~n_objects:0
-        ~recip_mul:0 ~recip_shift:0 ~head:head_index
+      write_small t i ~object_bytes:s.Page.object_bytes ~layout:s.Page.layout
+        ~first_offset:s.Page.first_offset ~n_objects:s.Page.n_objects ~alloc:s.Page.alloc.Bitset.words
+        ~mark:s.Page.mark.Bitset.words
+  | Page.Large_head l -> write_large_head t i l
+  | Page.Large_tail { head_index } -> write_tail t i ~head:head_index
 
 let field t i f = t.desc.d_rows.((i * row_stride) + f)
 let object_bytes t i = field t i row_object_bytes
@@ -161,7 +172,7 @@ let commit_through t i =
   else begin
     for j = t.committed to i do
       Mem.commit t.mem ~addr:(page_addr t j) ~bytes:t.page_size;
-      set_page t j Page.Free;
+      write_vacant t j Page.kind_free;
       t.committed <- j + 1
     done;
     true
@@ -238,7 +249,7 @@ let uncommit_trailing_free t =
   let released = ref 0 in
   while t.committed > 0 && kind t (t.committed - 1) = Page.kind_free do
     let i = t.committed - 1 in
-    set_page t i Page.Uncommitted;
+    write_vacant t i Page.kind_uncommitted;
     t.committed <- i;
     Mem.uncommit t.mem ~addr:(page_addr t i) ~bytes:t.page_size;
     incr released
@@ -278,6 +289,64 @@ let slot t i a =
   let obj = rel / object_bytes in
   if rel < 0 || obj * object_bytes <> rel || obj >= n_objects t i then -1 else obj
 
+(* The exact object map: the slot or large run covering [a], from the
+   row of [a]'s page (a large tail's row names its head). *)
+let find_object t a =
+  if not (contains t a) then -1
+  else begin
+    let i = page_index t a in
+    let k = kind t i in
+    if k = Page.kind_small then begin
+      let object_bytes = object_bytes t i in
+      let rel = Addr.diff a (page_addr t i) - first_offset t i in
+      let obj = rel / object_bytes in
+      if rel >= 0 && obj < n_objects t i && Bitset.mem_words (alloc_words t i) obj then
+        a - (rel - (obj * object_bytes))
+      else -1
+    end
+    else begin
+      let head = field t i row_head in
+      let l = large t head in
+      if
+        (k = Page.kind_large_head || k = Page.kind_large_tail)
+        && l.Page.l_allocated
+        && Addr.diff a (page_addr t head) < l.Page.object_bytes
+      then page_addr t head
+      else -1
+    end
+  end
+
+let carve_small t i ~object_bytes ~layout ~first_offset =
+  let n_objects = (t.page_size - first_offset) / object_bytes in
+  write_small t i ~object_bytes ~layout ~first_offset ~n_objects
+    ~alloc:(Bitset.create n_objects).Bitset.words ~mark:(Bitset.create n_objects).Bitset.words;
+  n_objects
+
+let place_large t start ~object_bytes ~layout =
+  let n_pages = (object_bytes + t.page_size - 1) / t.page_size in
+  write_large_head t start
+    { Page.n_pages; object_bytes; l_layout = layout; l_allocated = true; l_marked = false };
+  for j = start + 1 to start + n_pages - 1 do
+    write_tail t j ~head:start
+  done;
+  page_addr t start
+
+let release t i =
+  let k = kind t i in
+  if k = Page.kind_small then begin
+    write_vacant t i Page.kind_free;
+    1
+  end
+  else if k = Page.kind_large_head then begin
+    let l = large t i in
+    l.Page.l_allocated <- false;
+    for j = i to i + l.Page.n_pages - 1 do
+      write_vacant t j Page.kind_free
+    done;
+    l.Page.n_pages
+  end
+  else invalid_arg "Heap.release: not a small page or a large head"
+
 let is_marked t base =
   let i = page_index t base in
   let k = kind t i in
@@ -305,11 +374,13 @@ let object_layout t base =
 
 let live_bytes t =
   let total = ref 0 in
-  iter_committed t (fun _ p ->
-      match p with
-      | Page.Small s -> total := !total + (Bitset.count s.alloc * s.object_bytes)
-      | Page.Large_head l -> if l.l_allocated then total := !total + l.object_bytes
-      | Page.Free | Page.Uncommitted | Page.Large_tail _ -> ());
+  for i = 0 to t.committed - 1 do
+    let k = kind t i in
+    if k = Page.kind_small then
+      total := !total + (Bitset.count_words (alloc_words t i) * object_bytes t i)
+    else if k = Page.kind_large_head && (large t i).Page.l_allocated then
+      total := !total + (large t i).Page.object_bytes
+  done;
   !total
 
 let pp ppf t =

@@ -19,12 +19,15 @@ type t
     for its bitmap words, layout and large-object record.  A header-cache
     miss in {!Mark} reads one row — adjacent loads from one array, no
     variant match, no record pointer — and takes the page's bitmap words
-    straight from the [d_alloc]/[d_mark] columns.  {!set_page} writes a
-    row; {!page} builds a {!Page.t} view of one on demand, sharing the
-    words arrays and the large record, so writes through a view (bitset
-    operations, [l_allocated], [l_marked]) reach the table.  Paths that
-    run per collection, allocation miss or free read the rows through
-    the accessors below, never a view. *)
+    straight from the [d_alloc]/[d_mark] columns.  {!page} builds a
+    {!Page.t} view of one on demand, sharing the words arrays and the
+    large record, so writes through a view (bitset operations,
+    [l_allocated], [l_marked]) reach the table.  Paths that run per
+    collection, allocation miss or free read the rows through the
+    accessors below, never a view, and change a page's kind only
+    through {!carve_small}, {!place_large} and {!release}; {!set_page}
+    serves audits and tests.  Which object an address names is answered
+    in one place, {!find_object}. *)
 type desc = {
   d_rows : int array;
       (** page [i]'s row is [d_rows.(i * row_stride + f)] for the field
@@ -121,7 +124,8 @@ val page : t -> int -> Page.t
 
 val set_page : t -> int -> Page.t -> unit
 (** Write page [i]'s row from a view.  A small page's bitsets' words
-    and a large head's record become the table's own. *)
+    and a large head's record become the table's own.  For audits and
+    tests that build a page table by hand. *)
 
 val iter_committed : t -> (int -> Page.t -> unit) -> unit
 (** Apply to a view of every committed page in address order. *)
@@ -144,6 +148,30 @@ val large : t -> int -> Page.large
 val slot : t -> int -> Addr.t -> int
 (** Small page [i]: the index of the slot based at the address, or -1
     when the address is not one of the page's slot bases. *)
+
+val find_object : t -> Addr.t -> int
+(** The base of the allocated object whose bytes include the address,
+    or -1: a small page's slot, or a large object from any of its pages
+    (a tail resolves to its head).  The page it resolved is the base's,
+    [page_index t base] — the head, for a large object.  Exact, with no
+    pointer-validity policy: {!Mark.classify} applies the configured
+    rules to it.  Reads rows only and allocates nothing. *)
+
+(** {2 Page transitions} *)
+
+val carve_small : t -> int -> object_bytes:int -> layout:Page.layout -> first_offset:int -> int
+(** Make page [i] a small page of empty [object_bytes] slots from
+    [first_offset] on; returns how many slots fit. *)
+
+val place_large : t -> int -> object_bytes:int -> layout:Page.layout -> Addr.t
+(** Write an allocated, unmarked large object of [object_bytes] at page
+    [i]: its head there and a tail on each further page it needs.
+    The pages must be committed and vacant.  Returns its base. *)
+
+val release : t -> int -> int
+(** Return small page [i], or the whole large run headed at [i] (its
+    record marked unallocated), to [Free]; returns how many pages.
+    @raise Invalid_argument on any other kind of page. *)
 
 val find_free_page : t -> ok:(int -> bool) -> int option
 (** Lowest committed [Free] page satisfying [ok], if any; [None] at once
@@ -170,7 +198,7 @@ val commit_through : t -> int -> bool
     coherent (the watermark only ever covers fully committed pages). *)
 
 val free_page_count : t -> int
-(** Committed pages currently [Free]: a count {!set_page} keeps, so
+(** Committed pages currently [Free]: a count every row write keeps, so
     O(1). *)
 
 val clear_marks : t -> unit

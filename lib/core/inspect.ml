@@ -108,16 +108,3 @@ let pp_page_map ppf gc =
     if (i + 1) mod 64 = 0 then Format.pp_print_cut ppf ()
   done;
   Format.fprintf ppf "@]"
-
-(* Root-provenance chains, re-exported from Trace so that "inspect why
-   this object is alive" is available alongside the heap summaries. *)
-
-type step = Trace.step =
-  | Root of { label : string; at : Cgc_vm.Addr.t option; value : int }
-  | Heap_word of { obj : Cgc_vm.Addr.t; at : Cgc_vm.Addr.t; value : int }
-
-type chain = Trace.chain
-
-let why_live = Trace.why_live
-let pp_step = Trace.pp_step
-let pp_chain = Trace.pp_chain

@@ -5,67 +5,31 @@ type classification =
   | False_in_heap of { page : int }
   | Outside
 
-(* The reference classifier: a direct transcription of the paper's
-   validity test against [Page.t] views of the page table, dividing
-   where the kernel multiplies by the reciprocal.  Kept as the oracle
-   for the fast path (the test-side reference marker builds on it) and
-   for cold call sites ([Gc.find_object], tracing, the generational
-   dirty-page pass) where clarity beats throughput. *)
+(* The paper's validity test as rules over the exact object map
+   ([Heap.find_object]): an object's base is always valid; an interior
+   address is valid on a small page when interior pointers are on or
+   its displacement is registered, on a large head when they are on,
+   and on a large tail when they are on everywhere.  For cold call
+   sites (tracing, the generational dirty-page pass, the workloads);
+   the kernel's [classify_row] is the fast form, and the differentials
+   pin both to the test oracle's view-based classifier. *)
 let classify heap (config : Config.t) value =
   if not (Heap.contains heap value) then Outside
   else begin
+    let base = Heap.find_object heap value in
     let page = Heap.page_index heap value in
-    let invalid = False_in_heap { page } in
-    match Heap.page heap page with
-    | Page.Uncommitted | Page.Free -> invalid
-    | Page.Small s ->
-        let off_in_page = value - Addr.to_int (Heap.page_addr heap page) in
-        let rel = off_in_page - s.Page.first_offset in
-        if rel < 0 then invalid
-        else begin
-          let index = rel / s.Page.object_bytes in
-          let displacement = rel mod s.Page.object_bytes in
-          if index >= s.Page.n_objects then invalid
-          else if not (Bitset.mem s.Page.alloc index) then invalid
-          else if
-            displacement = 0 || config.Config.interior_pointers
-            || List.mem displacement config.Config.valid_displacements
-          then
-            Valid
-              {
-                base =
-                  Addr.add (Heap.page_addr heap page)
-                    (s.Page.first_offset + (index * s.Page.object_bytes));
-                page;
-              }
-          else invalid
-        end
-    | Page.Large_head l ->
-        if not l.Page.l_allocated then invalid
-        else begin
-          let off = value - Addr.to_int (Heap.page_addr heap page) in
-          if off = 0 then Valid { base = Heap.page_addr heap page; page }
-          else if
-            config.Config.interior_pointers && off < l.Page.object_bytes
-            (* any offset within the first page is within both regimes *)
-          then Valid { base = Heap.page_addr heap page; page }
-          else invalid
-        end
-    | Page.Large_tail { head_index } -> (
-        if not config.Config.interior_pointers then invalid
-        else
-          match config.Config.large_validity with
-          | Config.First_page_only -> invalid
-          | Config.Anywhere -> (
-              match Heap.page heap head_index with
-              | Page.Large_head l when l.Page.l_allocated ->
-                  let off = value - Addr.to_int (Heap.page_addr heap head_index) in
-                  if off < l.Page.object_bytes then
-                    Valid { base = Heap.page_addr heap head_index; page = head_index }
-                  else invalid
-              | Page.Large_head _ | Page.Uncommitted | Page.Free | Page.Small _
-              | Page.Large_tail _ ->
-                  invalid))
+    let displacement = value - base in
+    let head = Heap.page_index heap base in
+    let valid =
+      base >= 0
+      && (displacement = 0
+         || config.Config.interior_pointers
+            && (head = page || config.Config.large_validity = Config.Anywhere)
+         || head = page
+            && Heap.kind heap page = Page.kind_small
+            && List.mem displacement config.Config.valid_displacements)
+    in
+    if valid then Valid { base; page = head } else False_in_heap { page }
   end
 
 type t = {

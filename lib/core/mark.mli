@@ -34,7 +34,7 @@
     {!trace} is the kernel alone, which the generational minor
     collection runs over its young scope.  The differential tests pin
     the kernel against an independent reference marker that lives with
-    the tests, built on {!classify}. *)
+    the tests, with a view-based classifier of its own. *)
 
 open Cgc_vm
 
@@ -47,7 +47,13 @@ type classification =
   | Outside  (** cannot be or become a heap pointer *)
 
 val classify : Heap.t -> Config.t -> int -> classification
-(** Classify a scanned word value.  Pure with respect to mark state. *)
+(** Classify a scanned word value: the object {!Heap.find_object} finds
+    for it, kept when the configuration's validity rules
+    ([interior_pointers], [valid_displacements], [large_validity]) accept
+    the value's displacement into it.  A valid reference's [page] is the
+    object's (a large tail's head); a false one's is the value's own.
+    Reads the page table's rows and builds no page view; pure with
+    respect to mark state. *)
 
 type t
 

@@ -36,10 +36,7 @@ let reclaim tally heap finalize index =
     end;
     tally.freed_bytes <- tally.freed_bytes + ((objects.Bitset.dropped - freed0) * object_bytes);
     let live_here = objects.Bitset.kept - live0 in
-    if live_here = 0 then begin
-      Heap.set_page heap index Page.Free;
-      tally.released <- tally.released + 1
-    end
+    if live_here = 0 then tally.released <- tally.released + Heap.release heap index
     else tally.live_bytes <- tally.live_bytes + (live_here * object_bytes)
   end
   else if kind = Page.kind_large_head then begin
@@ -50,45 +47,37 @@ let reclaim tally heap finalize index =
         tally.live_bytes <- tally.live_bytes + l.Page.object_bytes
       end
       else begin
-        l.Page.l_allocated <- false;
         objects.Bitset.dropped <- objects.Bitset.dropped + 1;
         tally.freed_bytes <- tally.freed_bytes + l.Page.object_bytes;
         Finalize.on_reclaimed finalize (Addr.to_int (Heap.page_addr heap index));
-        for j = index to index + l.Page.n_pages - 1 do
-          Heap.set_page heap j Page.Free
-        done;
-        tally.released <- tally.released + l.Page.n_pages
+        tally.released <- tally.released + Heap.release heap index
       end
     end;
     l.Page.l_marked <- false
   end
 
-(* A [`Keep_live] page: its allocated objects count as live, untouched. *)
-let keep_live tally = function
-  | Page.Small s ->
-      let n = Bitset.count s.Page.alloc in
-      tally.objects.Bitset.kept <- tally.objects.Bitset.kept + n;
-      tally.live_bytes <- tally.live_bytes + (n * s.Page.object_bytes)
-  | Page.Large_head l ->
-      if l.Page.l_allocated then begin
-        tally.objects.Bitset.kept <- tally.objects.Bitset.kept + 1;
-        tally.live_bytes <- tally.live_bytes + l.Page.object_bytes
-      end
-  | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ()
+(* A page kept live: its allocated objects count as live, untouched. *)
+let keep_live_page tally heap index =
+  let kind = Heap.kind heap index in
+  if kind = Page.kind_small then begin
+    let n = Bitset.count_words (Heap.alloc_words heap index) in
+    tally.objects.Bitset.kept <- tally.objects.Bitset.kept + n;
+    tally.live_bytes <- tally.live_bytes + (n * Heap.object_bytes heap index)
+  end
+  else if kind = Page.kind_large_head then begin
+    let l = Heap.large heap index in
+    if l.Page.l_allocated then begin
+      tally.objects.Bitset.kept <- tally.objects.Bitset.kept + 1;
+      tally.live_bytes <- tally.live_bytes + l.Page.object_bytes
+    end
+  end
 
-(* Without a policy every page is swept and no page view is built. *)
-let run ?policy heap finalize stats =
+let run ?(keep_live = fun _ -> false) heap finalize stats =
   let tally =
     { objects = { Bitset.kept = 0; dropped = 0 }; freed_bytes = 0; live_bytes = 0; released = 0 }
   in
   for i = 0 to Heap.committed_pages heap - 1 do
-    match policy with
-    | None -> reclaim tally heap finalize i
-    | Some policy -> (
-        let p = Heap.page heap i in
-        match policy i p with
-        | `Sweep -> reclaim tally heap finalize i
-        | `Keep_live -> keep_live tally p)
+    if keep_live i then keep_live_page tally heap i else reclaim tally heap finalize i
   done;
   let freed = tally.objects.Bitset.dropped and live = tally.objects.Bitset.kept in
   stats.Stats.objects_freed <- stats.Stats.objects_freed + freed;

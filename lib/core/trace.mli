@@ -23,8 +23,10 @@ type chain = step list
 val why_live : Gc.t -> Addr.t -> chain option
 (** [why_live gc obj] runs a full provenance mark (using the collector's
     registered roots and configuration, without disturbing allocation
-    state beyond the mark bits) and explains how [obj] gets marked.
-    [None] when the object is not reachable (or not allocated). *)
+    state beyond the mark bits) and explains how [obj] gets marked: the
+    chain the mark, a LIFO walk, discovers first, not always the
+    shortest.  [None] when the object is not reachable (or not
+    allocated). *)
 
 val retained_by : Gc.t -> Addr.t list -> (Addr.t * chain) list
 (** Explain every object of the list that is reachable. *)

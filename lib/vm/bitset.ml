@@ -51,13 +51,14 @@ let[@inline] popcount x =
   let x = (x + (x lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
   (x * 0x0101_0101_0101_0101) lsr 56
 
-let count t =
-  let words = t.words in
+let count_words words =
   let n = ref 0 in
   for w = 0 to Array.length words - 1 do
     n := !n + popcount (Array.unsafe_get words w)
   done;
   !n
+
+let count t = count_words t.words
 
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 let copy t = { n = t.n; words = Array.copy t.words }

@@ -50,6 +50,7 @@ val mem_words : int array -> int -> bool
 val add_words : int array -> int -> unit
 val remove_words : int array -> int -> unit
 val clear_words : int array -> unit
+val count_words : int array -> int
 val iter_set_words : int array -> (int -> unit) -> unit
 
 val count : t -> int

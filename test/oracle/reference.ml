@@ -1,6 +1,67 @@
 open Cgc_vm
 open Cgc
 
+(* The paper's validity test, transcribed against [Page.t] views of the
+   page table and dividing where the kernel multiplies by the
+   reciprocal: no code shared with [Heap.find_object], the kernel's
+   [classify_row] or the rules [Mark.classify] applies. *)
+let classify heap (config : Config.t) value =
+  if not (Heap.contains heap value) then Mark.Outside
+  else begin
+    let page = Heap.page_index heap value in
+    let invalid = Mark.False_in_heap { page } in
+    match Heap.page heap page with
+    | Page.Uncommitted | Page.Free -> invalid
+    | Page.Small s ->
+        let off_in_page = value - Addr.to_int (Heap.page_addr heap page) in
+        let rel = off_in_page - s.Page.first_offset in
+        if rel < 0 then invalid
+        else begin
+          let index = rel / s.Page.object_bytes in
+          let displacement = rel mod s.Page.object_bytes in
+          if index >= s.Page.n_objects then invalid
+          else if not (Bitset.mem s.Page.alloc index) then invalid
+          else if
+            displacement = 0 || config.Config.interior_pointers
+            || List.mem displacement config.Config.valid_displacements
+          then
+            Mark.Valid
+              {
+                base =
+                  Addr.add (Heap.page_addr heap page)
+                    (s.Page.first_offset + (index * s.Page.object_bytes));
+                page;
+              }
+          else invalid
+        end
+    | Page.Large_head l ->
+        if not l.Page.l_allocated then invalid
+        else begin
+          let off = value - Addr.to_int (Heap.page_addr heap page) in
+          if off = 0 then Mark.Valid { base = Heap.page_addr heap page; page }
+          else if
+            config.Config.interior_pointers && off < l.Page.object_bytes
+            (* any offset within the first page is within both regimes *)
+          then Mark.Valid { base = Heap.page_addr heap page; page }
+          else invalid
+        end
+    | Page.Large_tail { head_index } -> (
+        if not config.Config.interior_pointers then invalid
+        else
+          match config.Config.large_validity with
+          | Config.First_page_only -> invalid
+          | Config.Anywhere -> (
+              match Heap.page heap head_index with
+              | Page.Large_head l when l.Page.l_allocated ->
+                  let off = value - Addr.to_int (Heap.page_addr heap head_index) in
+                  if off < l.Page.object_bytes then
+                    Mark.Valid { base = Heap.page_addr heap head_index; page = head_index }
+                  else invalid
+              | Page.Large_head _ | Page.Uncommitted | Page.Free | Page.Small _
+              | Page.Large_tail _ ->
+                  invalid))
+  end
+
 type t = {
   heap : Heap.t;
   config : Config.t;
@@ -57,7 +118,7 @@ let note_page t value =
 let consider t value =
   t.stats.Stats.words_scanned <- t.stats.Stats.words_scanned + 1;
   note_page t value;
-  match Mark.classify t.heap t.config value with
+  match classify t.heap t.config value with
   | Mark.Outside -> ()
   | Mark.False_in_heap { page } ->
       t.stats.Stats.false_refs <- t.stats.Stats.false_refs + 1;

@@ -49,7 +49,7 @@ let reclaim tally heap finalize index =
       end;
       l.Page.l_marked <- false
 
-let keep_live tally = function
+let keep_live_page tally = function
   | Page.Small s ->
       let n = ref 0 in
       Bitset.iter_set s.Page.alloc (fun _ -> incr n);
@@ -62,12 +62,10 @@ let keep_live tally = function
       end
   | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ()
 
-let run ?(policy = fun _ _ -> `Sweep) heap finalize stats =
+let run ?(keep_live = fun _ -> false) heap finalize stats =
   let tally = { freed = 0; freed_bytes = 0; live = 0; live_bytes = 0; released = 0 } in
   for i = 0 to Heap.committed_pages heap - 1 do
-    match policy i (Heap.page heap i) with
-    | `Sweep -> reclaim tally heap finalize i
-    | `Keep_live -> keep_live tally (Heap.page heap i)
+    if keep_live i then keep_live_page tally (Heap.page heap i) else reclaim tally heap finalize i
   done;
   stats.Stats.objects_freed <- stats.Stats.objects_freed + tally.freed;
   stats.Stats.bytes_freed <- stats.Stats.bytes_freed + tally.freed_bytes;

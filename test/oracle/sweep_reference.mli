@@ -3,15 +3,11 @@
     allocated object of a small page is visited in address order, its
     mark bit probed, and a dead one has its alloc bit removed and its
     address handed to {!Cgc.Finalize.on_reclaimed}; large objects and
-    the [`Keep_live] policy are treated as {!Cgc.Sweep.run} treats them.
+    [keep_live] pages are treated as {!Cgc.Sweep.run} treats them.
 
     On the same heap it must leave alloc bitmaps, mark bitmaps, page
     table, finalization registry and queue, {!Cgc.Stats} and result
     bit-identical to {!Cgc.Sweep.run}. *)
 
 val run :
-  ?policy:(int -> Cgc.Page.t -> [ `Sweep | `Keep_live ]) ->
-  Cgc.Heap.t ->
-  Cgc.Finalize.t ->
-  Cgc.Stats.t ->
-  Cgc.Sweep.result
+  ?keep_live:(int -> bool) -> Cgc.Heap.t -> Cgc.Finalize.t -> Cgc.Stats.t -> Cgc.Sweep.result

@@ -8,7 +8,6 @@ module Heap = Cgc.Heap
 module Mark = Cgc.Mark
 module Blacklist = Cgc.Blacklist
 module Free_list = Cgc.Free_list
-module Size_class = Cgc.Size_class
 module Stats = Cgc.Stats
 module Explicit = Cgc.Explicit
 module Precise = Cgc.Precise
@@ -38,17 +37,26 @@ let _get_slot globals i = Segment.read_word globals (slot globals i)
 
 (* --- size classes --- *)
 
+(* Size classes are the allocator's rounding to granules
+   ([Gc.object_size] of what it hands out), [Config.max_small_bytes]'s
+   small/large split, and the slot count [Heap.carve_small] gives a page. *)
 let test_size_class_mapping () =
-  let sc = Size_class.create Config.default in
-  check int "1 byte -> 1 granule" 1 (Size_class.granules_for 1);
-  check int "4 bytes -> 1 granule" 1 (Size_class.granules_for 4);
-  check int "5 bytes -> 2 granules" 2 (Size_class.granules_for 5);
-  check int "max small" 2048 (Size_class.max_small_bytes sc);
-  check bool "2048 small" true (Size_class.is_small sc 2048);
-  check bool "2049 large" false (Size_class.is_small sc 2049);
-  check int "cons cells per page" 512 (Size_class.objects_per_page sc ~granules:2 ~first_offset:0);
-  check int "first offset eats one slot" 511
-    (Size_class.objects_per_page sc ~granules:2 ~first_offset:8)
+  let _, _, gc = make_env () in
+  let size bytes = Gc.object_size gc (Gc.allocate gc bytes) in
+  let kind bytes = Heap.kind (Gc.heap gc) (Heap.page_index (Gc.heap gc) (Gc.allocate gc bytes)) in
+  check (Alcotest.option int) "1 byte -> 1 granule" (Some 4) (size 1);
+  check (Alcotest.option int) "4 bytes -> 1 granule" (Some 4) (size 4);
+  check (Alcotest.option int) "5 bytes -> 2 granules" (Some 8) (size 5);
+  check int "max small" 2048 (Config.max_small_bytes Config.default);
+  check int "2048 small" Page.kind_small (kind 2048);
+  check int "2049 large" Page.kind_large_head (kind 2049);
+  let config = { Config.default with Config.initial_pages = 2 } in
+  let heap = Heap.create (Mem.create ()) ~config ~base:heap_base ~max_bytes:8192 in
+  let carve i ~first_offset =
+    Heap.carve_small heap i ~object_bytes:8 ~layout:Page.Conservative ~first_offset
+  in
+  check int "cons cells per page" 512 (carve 0 ~first_offset:0);
+  check int "first offset eats one slot" 511 (carve 1 ~first_offset:8)
 
 (* --- heap --- *)
 
@@ -72,9 +80,8 @@ let test_heap_reciprocal_exact () =
   let page_size = ref 256 in
   while !page_size <= 65536 do
     let config = { Config.default with Config.page_size = !page_size } in
-    let sc = Size_class.create config in
-    for g = 1 to Size_class.n_classes sc do
-      let d = Size_class.bytes_of_granules g in
+    for g = 1 to Config.max_small_bytes config / Config.granule do
+      let d = g * Config.granule in
       let m, sh = Heap.reciprocal ~page_size:!page_size d in
       let q = ref 0 and r = ref 0 in
       for rel = 0 to !page_size - 1 do
@@ -1181,6 +1188,33 @@ let test_collect_allocates_nothing_per_page () =
   check int "minor words: busy heap = empty heap" fixed (collect_words busy);
   check bool "the busy collect freed objects" true ((Gc.stats busy).Stats.objects_freed > 30_000)
 
+(* [Gc.is_allocated] answers from the page table's rows and builds no
+   page view: probing every word of a busy collected heap — live and
+   freed slots, interiors, free pages, a large object's head and tail
+   pages — costs no minor words at all. *)
+let test_is_allocated_allocates_nothing () =
+  let _, globals, gc = make_env ~heap_kb:1024 () in
+  for i = 0 to 3999 do
+    let a = Gc.allocate gc (8 + (8 * (i mod 7))) in
+    if i mod 5 = 0 then set_slot globals (i / 5) (Addr.to_int a)
+  done;
+  set_slot globals 900 (Addr.to_int (Gc.allocate gc 20_000));
+  Gc.collect gc;
+  let heap = Gc.heap gc in
+  let lo = Addr.to_int (Heap.base heap)
+  and hi = Addr.to_int (Heap.page_addr heap (Heap.committed_pages heap)) in
+  let found = ref 0 in
+  let w0 = Stdlib.Gc.minor_words () in
+  let w1 = Stdlib.Gc.minor_words () in
+  let a = ref lo in
+  while !a < hi do
+    if Gc.is_allocated gc !a then incr found;
+    a := !a + 4
+  done;
+  let w2 = Stdlib.Gc.minor_words () in
+  check int "every rooted object found, nothing else" 801 !found;
+  check int "minor words over the probe" 0 (int_of_float (w2 -. w1 -. (w1 -. w0)))
+
 (* The trace allocates nothing per object or per scanned word: a second
    mark of ~4000 live chained cells of 8, 16 and 20 bytes, every fourth
    also naming a pointer-free leaf in its last word, and a zero-filled
@@ -1904,6 +1938,8 @@ let () =
             test_mark_allocates_nothing;
           Alcotest.test_case "collect allocates nothing per page" `Quick
             test_collect_allocates_nothing_per_page;
+          Alcotest.test_case "is_allocated allocates nothing" `Quick
+            test_is_allocated_allocates_nothing;
           Alcotest.test_case "trim" `Quick test_trim_returns_trailing_pages;
         ] );
       ( "free-list",

@@ -34,6 +34,7 @@ type scenario = {
   s_bytes : string;  (* raw tail bytes, scanned at every alignment *)
   s_alignment : int;
   s_interior : bool;
+  s_first_page_only : bool;  (* [large_validity = First_page_only] *)
   s_disps : int list;
   s_limit : int option;  (* mark_stack_limit *)
   s_hashed : bool;
@@ -91,6 +92,7 @@ let scenario_gen =
     string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 160) >>= fun bytes ->
     oneofl [ 1; 2; 4 ] >>= fun alignment ->
     bool >>= fun interior ->
+    bool >>= fun first_page_only ->
     oneofl [ []; [ 4 ]; [ 8 ]; [ 4; 12 ]; [ 8; 16; 24 ] ] >>= fun disps ->
     oneofl [ None; Some 16; Some 64 ] >>= fun limit ->
     bool >>= fun hashed ->
@@ -105,6 +107,7 @@ let scenario_gen =
         s_bytes = bytes;
         s_alignment = alignment;
         s_interior = interior;
+        s_first_page_only = first_page_only;
         s_disps = disps;
         s_limit = limit;
         s_hashed = hashed;
@@ -131,6 +134,7 @@ let build ?(typed = false) s =
       Config.default with
       Config.alignment = s.s_alignment;
       interior_pointers = s.s_interior;
+      large_validity = (if s.s_first_page_only then Config.First_page_only else Config.Anywhere);
       valid_displacements = s.s_disps;
       mark_stack_limit = s.s_limit;
       blacklist_buckets = (if s.s_hashed then Some 61 else None);
@@ -185,12 +189,13 @@ let mark_state gc =
 
 let scenario_print s =
   Printf.sprintf
-    "objects=%d leaves=%d edges=%d roots=%d junk=%d bytes=%d align=%d interior=%b disps=[%s] \
-     limit=%s hashed=%b big=%b"
+    "objects=%d leaves=%d edges=%d roots=%d junk=%d bytes=%d align=%d interior=%b \
+     first_page_only=%b disps=[%s] limit=%s hashed=%b big=%b"
     (Array.length s.s_sizes)
     (Array.fold_left (fun n leaf -> if leaf then n + 1 else n) 0 s.s_leaves)
     (List.length s.s_edges) (List.length s.s_roots)
     (List.length s.s_junk) (String.length s.s_bytes) s.s_alignment s.s_interior
+    s.s_first_page_only
     (String.concat ";" (List.map string_of_int s.s_disps))
     (match s.s_limit with None -> "none" | Some l -> string_of_int l)
     s.s_hashed s.s_big_endian
@@ -313,6 +318,36 @@ let prop_register_value_matches_classify =
               marked = 0 && Blacklist.is_black (Gc.blacklist gc) page
           | Cgc.Mark.Outside -> marked = 0)
         values)
+
+(* [Mark.classify] — the validity rules over [Heap.find_object] — names
+   what the view-based [Cgc_oracle.Reference.classify] names, [page]
+   included, for every byte address of the committed heap and one word
+   past either end, and for every junk word: across the scenario space
+   (interior pointers on and off, registered displacements,
+   [First_page_only], 1500-word objects whose runs have tails), on
+   untyped and typed pages, before a collection and after it has freed
+   slots and large runs. *)
+let classify_matches_reference s =
+  List.for_all
+    (fun typed ->
+      let gc = build ~typed s in
+      let heap = Gc.heap gc and config = Gc.config gc in
+      let agree v =
+        Cgc.Mark.classify heap config v = Cgc_oracle.Reference.classify heap config v
+      in
+      let every_word () =
+        let hi = Addr.to_int (Heap.page_addr heap (Heap.committed_pages heap)) + 4 in
+        let rec from v = v > hi || (agree v && from (v + 1)) in
+        from (heap_base - 4) && List.for_all agree s.s_junk
+      in
+      let before = every_word () in
+      Gc.collect gc;
+      before && every_word ())
+    [ false; true ]
+
+let prop_classify_matches_reference =
+  QCheck.Test.make ~count:100 ~name:"classify == view-based reference classify (every word)"
+    scenario_arb classify_matches_reference
 
 (* gcbench's frozen probe calls [run_mark_parallel], now a serial stub.
    Across the scenario space, on untyped pages and with every other
@@ -713,8 +748,8 @@ let block_order_cases =
    objects from offset 0 or 8, whose 63 to 512 objects always leave a
    partial last bitmap word, with empty, full, sparse, dense or
    bit-61-heavy alloc bitmaps and independent mark bitmaps; free pages;
-   and large objects live, dead or unallocated.  Some pages carry the
-   [`Keep_live] policy.  With [finalizers], a third of the allocated
+   and large objects live, dead or unallocated.  Some pages are kept
+   live.  With [finalizers], a third of the allocated
    objects (and a few free slots and non-object addresses) are
    registered. *)
 let sweep_page_size = 4096
@@ -833,13 +868,13 @@ let prop_sweep_matches_reference =
         (fun finalizers ->
           let fast = build_sweep_world seed ~finalizers
           and slow = build_sweep_world seed ~finalizers in
-          let policy w i _ = if w.w_keep.(i) then `Keep_live else `Sweep in
           let r_fast =
-            Cgc.Sweep.run ~policy:(policy fast) fast.w_heap fast.w_finalize fast.w_stats
+            Cgc.Sweep.run ~keep_live:(Array.get fast.w_keep) fast.w_heap fast.w_finalize
+              fast.w_stats
           in
           let r_slow =
-            Cgc_oracle.Sweep_reference.run ~policy:(policy slow) slow.w_heap slow.w_finalize
-              slow.w_stats
+            Cgc_oracle.Sweep_reference.run ~keep_live:(Array.get slow.w_keep) slow.w_heap
+              slow.w_finalize slow.w_stats
           in
           let s_fast = sweep_state fast r_fast and s_slow = sweep_state slow r_slow in
           if s_fast <> s_slow then
@@ -862,6 +897,7 @@ let suite =
       prop_fast_matches_reference;
       prop_fast_collect_matches_reference_collect;
       prop_register_value_matches_classify;
+      prop_classify_matches_reference;
       prop_stub_matches_run_mark;
       prop_stub_under_read_faults;
       prop_minor_keeps_young_scope;
