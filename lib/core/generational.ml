@@ -70,41 +70,53 @@ let set_field t base i v =
 
 (* --- minor collection --- *)
 
+(* The page walks below read the page table's rows and bitmap words, as
+   [Sweep] does, and build no page view. *)
+
+let scanned = function Page.Pointer_free -> false | Page.Conservative | Page.Typed _ -> true
+
 (* [f lo bytes] for each live pointer-bearing object of page [index]. *)
 let iter_pointer_objects heap index f =
-  match Heap.page heap index with
-  | Page.Small s ->
-      if s.Page.layout <> Page.Pointer_free then begin
-        let first = Addr.add (Heap.page_addr heap index) s.Page.first_offset in
-        Bitset.iter_set s.Page.alloc (fun obj ->
-            f (Addr.add first (obj * s.Page.object_bytes)) s.Page.object_bytes)
-      end
-  | Page.Large_head l ->
-      if l.Page.l_allocated && l.Page.l_layout <> Page.Pointer_free then
-        f (Heap.page_addr heap index) l.Page.object_bytes
-  | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ()
+  let kind = Heap.kind heap index in
+  if kind = Page.kind_small then begin
+    if scanned (Heap.small_layout heap index) then begin
+      let first = Addr.add (Heap.page_addr heap index) (Heap.first_offset heap index) in
+      let object_bytes = Heap.object_bytes heap index in
+      Bitset.iter_set_words (Heap.alloc_words heap index) (fun obj ->
+          f (Addr.add first (obj * object_bytes)) object_bytes)
+    end
+  end
+  else if kind = Page.kind_large_head then begin
+    let l = Heap.large heap index in
+    if l.Page.l_allocated && scanned l.Page.l_layout then
+      f (Heap.page_addr heap index) l.Page.object_bytes
+  end
 
 (* Young-only conservative marking on the collector's trace kernel.
    One page walk sets the scope: young pages start unmarked, old pages
    start with every allocated object marked, so the kernel sees old
    objects as live and opaque (valid references, never pushed).  The
-   live pointer-bearing objects of the dirty old pages are extra roots
-   covering the old-to-young edges. *)
+   live pointer-bearing objects of the dirty old pages, in address
+   order, are extra roots covering the old-to-young edges. *)
 let minor_mark t =
   let heap = heap t in
+  for i = 0 to Heap.committed_pages heap - 1 do
+    let kind = Heap.kind heap i in
+    if kind = Page.kind_small then begin
+      let mark = Heap.mark_words heap i in
+      if page_is_old t i then Array.blit (Heap.alloc_words heap i) 0 mark 0 (Array.length mark)
+      else Bitset.clear_words mark
+    end
+    else if kind = Page.kind_large_head then begin
+      let l = Heap.large heap i in
+      l.Page.l_marked <- page_is_old t i && l.Page.l_allocated
+    end
+  done;
   let dirty_objects = ref [] in
-  Heap.iter_committed heap (fun i p ->
-      let old = page_is_old t i in
-      (match p with
-      | Page.Small s ->
-          Bitset.clear s.Page.mark;
-          if old then Bitset.union_into ~dst:s.Page.mark s.Page.alloc
-      | Page.Large_head l -> l.Page.l_marked <- old && l.Page.l_allocated
-      | Page.Uncommitted | Page.Free | Page.Large_tail _ -> ());
-      if Bitset.mem t.dirty i then
-        iter_pointer_objects heap i (fun lo bytes ->
-            let span = { Roots.lo; hi = Addr.add lo bytes; label = "dirty" } in
-            dirty_objects := span :: !dirty_objects));
+  Bitset.iter_set t.dirty (fun i ->
+      iter_pointer_objects heap i (fun lo bytes ->
+          let span = { Roots.lo; hi = Addr.add lo bytes; label = "dirty" } in
+          dirty_objects := span :: !dirty_objects));
   t.dirty_pages_scanned <- t.dirty_pages_scanned + Bitset.count t.dirty;
   Mark.trace ~extra:(List.rev !dirty_objects) (Gc.Internal.marker t.gc) (Gc.Internal.roots t.gc)
     ~mem:(Gc.mem t.gc)
@@ -131,7 +143,7 @@ let retain_young_refs t =
           ~hi:(Addr.add lo bytes) (fun _ v -> if (not !found) && names_young v then found := true));
     !found
   in
-  List.iter (fun i -> if not (holds_young i) then Bitset.remove t.dirty i) (dirty_pages t);
+  Bitset.iter_set t.dirty (fun i -> if not (holds_young i) then Bitset.remove t.dirty i);
   Bitset.clear t.carry;
   Bitset.union_into ~dst:t.carry t.dirty
 
@@ -140,52 +152,58 @@ let retain_young_refs t =
    live bytes at the moment of promotion for both page shapes. *)
 let update_ages_after_sweep t =
   let heap = heap t in
-  Heap.iter_committed heap (fun i p ->
-      match p with
-      | Page.Free | Page.Uncommitted ->
-          t.age.(i) <- 0;
-          Bitset.remove t.dirty i;
-          Bitset.remove t.carry i
-      | Page.Large_tail _ -> ()
-      | Page.Small s ->
-          if not (page_is_old t i) then begin
-            t.age.(i) <- t.age.(i) + 1;
-            if t.age.(i) >= t.promote_after then begin
-              t.age.(i) <- -1;
-              t.promoted_pages <- t.promoted_pages + 1;
-              t.promoted_bytes <- t.promoted_bytes + (Bitset.count s.Page.alloc * s.Page.object_bytes);
-              (* A freshly promoted page enters the old generation dirty
-                 (and carried): every store into it happened while the
-                 page was young, when no barrier was owed, so any
-                 outgoing young reference it holds is uncovered until
-                 the first post-promotion rescan clears or re-carries
-                 the bit. *)
-              if s.Page.layout <> Page.Pointer_free then begin
-                Bitset.add t.dirty i;
-                Bitset.add t.carry i
-              end
+  for i = 0 to Heap.committed_pages heap - 1 do
+    let kind = Heap.kind heap i in
+    if Heap.vacant heap i then begin
+      t.age.(i) <- 0;
+      Bitset.remove t.dirty i;
+      Bitset.remove t.carry i
+    end
+    else if kind = Page.kind_small then begin
+      if not (page_is_old t i) then begin
+        t.age.(i) <- t.age.(i) + 1;
+        if t.age.(i) >= t.promote_after then begin
+          t.age.(i) <- -1;
+          t.promoted_pages <- t.promoted_pages + 1;
+          t.promoted_bytes <-
+            t.promoted_bytes
+            + (Bitset.count_words (Heap.alloc_words heap i) * Heap.object_bytes heap i);
+          (* A freshly promoted page enters the old generation dirty
+             (and carried): every store into it happened while the
+             page was young, when no barrier was owed, so any
+             outgoing young reference it holds is uncovered until
+             the first post-promotion rescan clears or re-carries
+             the bit. *)
+          if scanned (Heap.small_layout heap i) then begin
+            Bitset.add t.dirty i;
+            Bitset.add t.carry i
+          end
+        end
+      end
+    end
+    else if kind = Page.kind_large_head then begin
+      if not (page_is_old t i) then begin
+        t.age.(i) <- t.age.(i) + 1;
+        if t.age.(i) >= t.promote_after then begin
+          let l = Heap.large heap i in
+          for j = i to i + l.Page.n_pages - 1 do
+            t.age.(j) <- -1
+          done;
+          t.promoted_pages <- t.promoted_pages + l.Page.n_pages;
+          if l.Page.l_allocated then begin
+            t.promoted_bytes <- t.promoted_bytes + l.Page.object_bytes;
+            (* Same uncovered-store hazard as the small case: the
+               head page carries the bit, and the rescan walks the
+               whole object from there. *)
+            if scanned l.Page.l_layout then begin
+              Bitset.add t.dirty i;
+              Bitset.add t.carry i
             end
           end
-      | Page.Large_head l ->
-          if not (page_is_old t i) then begin
-            t.age.(i) <- t.age.(i) + 1;
-            if t.age.(i) >= t.promote_after then begin
-              for j = i to i + l.Page.n_pages - 1 do
-                t.age.(j) <- -1
-              done;
-              t.promoted_pages <- t.promoted_pages + l.Page.n_pages;
-              if l.Page.l_allocated then begin
-                t.promoted_bytes <- t.promoted_bytes + l.Page.object_bytes;
-                (* Same uncovered-store hazard as the small case: the
-                   head page carries the bit, and the rescan walks the
-                   whole object from there. *)
-                if l.Page.l_layout <> Page.Pointer_free then begin
-                  Bitset.add t.dirty i;
-                  Bitset.add t.carry i
-                end
-              end
-            end
-          end)
+        end
+      end
+    end
+  done
 
 let minor t =
   let t0 = Stats.now_s () in

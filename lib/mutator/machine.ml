@@ -76,12 +76,17 @@ type t = {
   mutable park_restore : Addr.t option;
   mutable tracer : (event -> unit) option;
   mutable traced_collections : int;
+  mutable frames : frame array; (* frames.(d): the record of the frame at depth d *)
+  mutable depth : int; (* frames live *)
 }
 
-type frame = {
+(* A frame record is reused by every call at its depth, so a call
+   allocates none; it is valid while its body runs. *)
+and frame = {
   machine : t;
-  f_base : Addr.t; (* lowest address of the frame's locals *)
-  f_slots : int;
+  mutable f_base : Addr.t; (* lowest address of the frame's locals *)
+  mutable f_slots : int;
+  mutable f_live : bool; (* its call has not returned *)
 }
 
 let word = 4
@@ -104,6 +109,8 @@ let create ?(config = default_config) ?(seed = 42) mem ~stack ~gc =
       park_restore = None;
       tracer = None;
       traced_collections = 0;
+      frames = [||];
+      depth = 0;
     }
   in
   Cgc.Gc.add_register_roots gc ~label:"machine registers" (fun () -> t.registers);
@@ -148,6 +155,10 @@ let emit t ev =
       poll_gc t;
       f ev
 
+(* Every emission site tests this first, so an event is built only for
+   a listening tracer and the untraced machine allocates nothing. *)
+let[@inline] tracing t = match t.tracer with None -> false | Some _ -> true
+
 let set_tracer t tr =
   t.tracer <- tr;
   match tr with
@@ -155,33 +166,29 @@ let set_tracer t tr =
   | None -> ()
 
 let get_register t i =
-  emit t (E_reg_read { reg = i });
+  if tracing t then emit t (E_reg_read { reg = i });
   t.registers.(i)
 
 let set_register t i v =
   let v = v land 0xFFFFFFFF in
-  emit t (E_reg_write { reg = i; value = v });
+  if tracing t then emit t (E_reg_write { reg = i; value = v });
   t.registers.(i) <- v
 
 let clear_registers t =
-  emit t E_clear_registers;
+  if tracing t then emit t E_clear_registers;
   Array.fill t.registers 0 (Array.length t.registers) 0
 
-(* A value below the live stack: stale unless someone clears it. *)
-let dead_region t = (Segment.base t.stack, t.sp)
-
-let clear_dead_stack t ?words () =
-  let lo, hi = dead_region t in
-  let lo =
-    match words with
-    | None -> lo
-    | Some w -> Addr.of_int (max (Addr.to_int lo) (Addr.to_int hi - (w * word)))
-  in
+(* The dead region, from the stack segment's base up to [t.sp], holds
+   values below the live stack: stale unless someone clears them. *)
+let clear_dead_from t lo =
+  let hi = t.sp in
   let len = Addr.diff hi lo in
   if len > 0 then begin
-    emit t (E_stack_clear { lo; hi });
+    if tracing t then emit t (E_stack_clear { lo; hi });
     Segment.zero_range t.stack lo ~len
   end
+
+let clear_dead_stack t = clear_dead_from t (Segment.base t.stack)
 
 (* Registers 0-7 model values the compiled code actively keeps live;
    residue and kernel noise only ever lands in the caller-saved upper
@@ -192,7 +199,7 @@ let context_switch_noise t =
     if Rng.chance t.rng t.config.syscall_noise then begin
       let reg = 8 + Rng.int t.rng (t.config.n_registers - 8) in
       let v = Rng.word t.rng in
-      emit t (E_reg_write { reg; value = v });
+      if tracing t then emit t (E_reg_write { reg; value = v });
       t.registers.(reg) <- v
     end
   done
@@ -200,13 +207,13 @@ let context_switch_noise t =
 let residue_noise t =
   if t.config.register_residue > 0. && Rng.chance t.rng t.config.register_residue then begin
     (* A register window rotates in, exposing a stale stack value. *)
-    let lo, hi = dead_region t in
-    let dead_words = Addr.diff hi lo / word in
+    let lo = Segment.base t.stack in
+    let dead_words = Addr.diff t.sp lo / word in
     if dead_words > 0 then begin
       let a = Addr.add lo (word * Rng.int t.rng dead_words) in
       let reg = 8 + Rng.int t.rng (t.config.n_registers - 8) in
       let v = Segment.read_word t.stack a in
-      emit t (E_reg_write { reg; value = v });
+      if tracing t then emit t (E_reg_write { reg; value = v });
       t.registers.(reg) <- v
     end
   end
@@ -221,14 +228,28 @@ let push_frame t ~slots =
   if Addr.to_int new_sp < Addr.to_int t.low_water then t.low_water <- new_sp;
   if t.config.clear_frames_on_entry then
     Segment.zero_range t.stack new_sp ~len:(total_words * word);
-  emit t
-    (E_frame_push
-       {
-         slots;
-         padding = t.config.frame_padding;
-         cleared = t.config.clear_frames_on_entry;
-       });
-  { machine = t; f_base = new_sp; f_slots = slots }
+  if tracing t then
+    emit t
+      (E_frame_push
+         {
+           slots;
+           padding = t.config.frame_padding;
+           cleared = t.config.clear_frames_on_entry;
+         });
+  let d = t.depth in
+  if d = Array.length t.frames then
+    t.frames <-
+      Array.init
+        (max 8 (2 * d))
+        (fun i ->
+          if i < d then t.frames.(i)
+          else { machine = t; f_base = 0; f_slots = 0; f_live = false });
+  let frame = t.frames.(d) in
+  frame.f_base <- new_sp;
+  frame.f_slots <- slots;
+  frame.f_live <- true;
+  t.depth <- d + 1;
+  frame
 
 let pop_frame t frame =
   if t.config.clear_frames_on_exit then begin
@@ -236,31 +257,43 @@ let pop_frame t frame =
     Segment.zero_range t.stack frame.f_base ~len:(total_words * word)
   end;
   t.sp <- Addr.add frame.f_base ((frame.f_slots + t.config.frame_padding) * word);
-  emit t
-    (E_frame_pop
-       {
-         slots = frame.f_slots;
-         padding = t.config.frame_padding;
-         cleared = t.config.clear_frames_on_exit;
-       })
+  t.depth <- t.depth - 1;
+  frame.f_live <- false;
+  if tracing t then
+    emit t
+      (E_frame_pop
+         {
+           slots = frame.f_slots;
+           padding = t.config.frame_padding;
+           cleared = t.config.clear_frames_on_exit;
+         })
 
 let call t ~slots f =
   residue_noise t;
   let frame = push_frame t ~slots in
-  Fun.protect ~finally:(fun () -> pop_frame t frame) (fun () -> f frame)
+  match f frame with
+  | v ->
+      pop_frame t frame;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      pop_frame t frame;
+      Printexc.raise_with_backtrace e bt
 
 let local_addr frame i =
+  if not frame.f_live then invalid_arg "Machine.local_addr: frame used after its call returned";
   if i < 0 || i >= frame.f_slots then invalid_arg "Machine.local_addr: slot out of range";
   Addr.add frame.f_base (i * word)
 
 let get_local frame i =
   let addr = local_addr frame i in
-  emit frame.machine (E_local_read { addr });
+  if tracing frame.machine then emit frame.machine (E_local_read { addr });
   Segment.read_word frame.machine.stack addr
 
 let set_local frame i v =
   let addr = local_addr frame i in
-  emit frame.machine (E_local_write { addr; value = v land 0xFFFFFFFF });
+  if tracing frame.machine then
+    emit frame.machine (E_local_write { addr; value = v land 0xFFFFFFFF });
   Segment.write_word frame.machine.stack addr v
 
 let park t ~words =
@@ -271,7 +304,7 @@ let park t ~words =
   t.park_restore <- Some t.sp;
   t.sp <- new_sp;
   if Addr.to_int new_sp < Addr.to_int t.low_water then t.low_water <- new_sp;
-  emit t (E_park { words })
+  if tracing t then emit t (E_park { words })
 
 let unpark t =
   match t.park_restore with
@@ -291,7 +324,9 @@ let periodic_stack_clear t =
   if t.config.stack_clearing && t.alloc_count mod t.config.stack_clear_period = 0 then begin
     let gap_words = Addr.diff t.sp t.low_water / word in
     let words = min (max t.config.stack_clear_words (gap_words / 4)) gap_words in
-    if words > 0 then clear_dead_stack t ~words ()
+    if words > 0 then
+      clear_dead_from t
+        (Addr.of_int (max (Addr.to_int (Segment.base t.stack)) (Addr.to_int t.sp - (words * word))))
   end
 
 let allocate ?pointer_free ?finalizer t bytes =
@@ -299,28 +334,27 @@ let allocate ?pointer_free ?finalizer t bytes =
   periodic_stack_clear t;
   context_switch_noise t;
   let base = Cgc.Gc.allocate ?pointer_free ?finalizer t.gc bytes in
-  (* the size lookup builds a page view: only a listening tracer pays it *)
-  (match t.tracer with
-  | None -> ()
-  | Some _ ->
-      let rounded = Option.value (Cgc.Gc.object_size t.gc base) ~default:bytes in
-      emit t
-        (E_alloc { base; bytes = rounded; pointer_free = Option.value pointer_free ~default:false }));
+  if tracing t then begin
+    let rounded = Option.value (Cgc.Gc.object_size t.gc base) ~default:bytes in
+    let pointer_free = Option.value pointer_free ~default:false in
+    emit t (E_alloc { base; bytes = rounded; pointer_free })
+  end;
   (match finalizer with
-  | Some label -> emit t (E_finalizer { obj = base; token = Hashtbl.hash label land 0xFFFF })
-  | None -> ());
+  | Some label when tracing t ->
+      emit t (E_finalizer { obj = base; token = Hashtbl.hash label land 0xFFFF })
+  | _ -> ());
   (* Out-of-line allocator scratch: the fresh pointer is spilled just
      below the caller's stack.  GC-aware allocators clear it on exit. *)
   let scratch = Addr.add t.sp (-word) in
   if Addr.to_int scratch >= Addr.to_int (Segment.base t.stack) then begin
-    emit t (E_spill_write { addr = scratch; value = Addr.to_int base });
+    if tracing t then emit t (E_spill_write { addr = scratch; value = Addr.to_int base });
     Segment.write_word t.stack scratch (Addr.to_int base);
     if t.config.allocator_self_cleanup then begin
-      emit t (E_spill_write { addr = scratch; value = 0 });
+      if tracing t then emit t (E_spill_write { addr = scratch; value = 0 });
       Segment.write_word t.stack scratch 0
     end
   end;
-  emit t (E_reg_write { reg = 0; value = Addr.to_int base });
+  if tracing t then emit t (E_reg_write { reg = 0; value = Addr.to_int base });
   t.registers.(0) <- Addr.to_int base;
   base
 
@@ -328,11 +362,11 @@ let allocate ?pointer_free ?finalizer t bytes =
    and stores through the machine is what lets an attached tracer see
    the program's data-flow, not just its allocations. *)
 let read_field t obj i =
-  emit t (E_heap_read { obj; field = i });
+  if tracing t then emit t (E_heap_read { obj; field = i });
   Cgc.Gc.get_field t.gc obj i
 
 let write_field t obj i v =
-  emit t (E_heap_write { obj; field = i; value = v land 0xFFFFFFFF });
+  if tracing t then emit t (E_heap_write { obj; field = i; value = v land 0xFFFFFFFF });
   (* Generational write barrier: pointer stores card-mark the written
      object.  Only modelled when a tracer is listening — the
      conservative collector itself needs no barrier. *)
@@ -346,11 +380,11 @@ let write_field t obj i v =
    list heads.  The segment is whichever static region the harness
    registered as a root. *)
 let read_root_word t seg addr =
-  emit t (E_root_read { addr });
+  if tracing t then emit t (E_root_read { addr });
   Segment.read_word seg addr
 
 let write_root_word t seg addr v =
-  emit t (E_root_write { addr; value = v land 0xFFFFFFFF });
+  if tracing t then emit t (E_root_write { addr; value = v land 0xFFFFFFFF });
   Segment.write_word seg addr v
 
 let pp ppf t =

@@ -105,7 +105,10 @@ type event =
 
 val set_tracer : t -> (event -> unit) option -> unit
 (** Attach (or detach) the single tracer.  Tracing is off by default
-    and costs nothing when off. *)
+    and costs nothing when off: an event is built only while a tracer
+    is attached, so with no tracer the machine's operations allocate no
+    OCaml words of their own (an allocation that misses in the
+    collector may still allocate there). *)
 
 val poll_gc : t -> unit
 (** Force the collection-counter poll now (normally implicit in every
@@ -142,7 +145,12 @@ val call : t -> slots:int -> (frame -> 'a) -> 'a
 (** Push a frame of [slots] locals (plus configured padding), run the
     body, pop.  Frame memory is recycled stack memory: unless the
     configuration clears frames, locals start out holding whatever the
-    previous occupant left there.
+    previous occupant left there.  If the body raises, the frame is
+    popped and the exception re-raised with the body's backtrace.  The
+    frame is valid only while its body runs: the machine reuses its
+    record for the next call at the same depth, so a call allocates
+    nothing.  A frame used after its call returns raises
+    [Invalid_argument] until that next call, which it then aliases.
     @raise Stack_overflow when the frame would not fit. *)
 
 val local_addr : frame -> int -> Addr.t
@@ -190,8 +198,7 @@ val read_root_word : t -> Segment.t -> Addr.t -> int
 
 val write_root_word : t -> Segment.t -> Addr.t -> int -> unit
 
-val clear_dead_stack : t -> ?words:int -> unit -> unit
-(** Explicitly clear up to [words] (default: all) of the dead region
-    below the stack pointer. *)
+val clear_dead_stack : t -> unit
+(** Explicitly clear the whole dead region below the stack pointer. *)
 
 val pp : Format.formatter -> t -> unit

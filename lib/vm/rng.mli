@@ -7,7 +7,15 @@
     uncontrolled sources with a seeded SplitMix64 stream so every
     experiment is exactly repeatable, while [split] lets independent
     subsystems (static-data generator, register noise, workload) draw
-    from decorrelated streams. *)
+    from decorrelated streams.
+
+    The 64-bit state lives unboxed in 8 bytes, and each step is inlined
+    into its draw, so {!word}, {!int}, {!bool} and {!chance} allocate
+    nothing on the OCaml heap and {!float} allocates only its result's
+    box.  The simulated mutator draws several times per allocation; a
+    boxed [int64] state cost 6 OCaml words per draw.  The stream is the
+    one that state produced, draw for draw: the experiments' figures
+    depend on it, and [test_vm] pins it for two seeds. *)
 
 type t
 
@@ -31,4 +39,5 @@ val float : t -> float
 (** Uniform in [\[0, 1)]. *)
 
 val chance : t -> float -> bool
-(** [chance t p] is true with probability [p]. *)
+(** [chance t p] is true with probability [p].  It always draws, also
+    when [p] is 0 or 1, so the stream does not depend on [p]. *)

@@ -54,6 +54,31 @@ let test_local_bounds () =
            false
          with Invalid_argument _ -> true))
 
+(* A frame that escapes its body is dead: every local access through it
+   raises, whether the body returned or raised. *)
+let test_frame_used_after_return () =
+  let _, _, _, m = make_env () in
+  let rejected what f =
+    check bool what true
+      (try
+         ignore (f ());
+         false
+       with Invalid_argument _ -> true)
+  in
+  let escaped = Machine.call m ~slots:2 (fun fr -> fr) in
+  rejected "local_addr after return" (fun () -> Machine.local_addr escaped 0);
+  rejected "get_local after return" (fun () -> Machine.get_local escaped 0);
+  rejected "set_local after return" (fun () -> Machine.set_local escaped 0 1);
+  let raised = ref None in
+  (try
+     Machine.call m ~slots:2 (fun fr ->
+         raised := Some fr;
+         failwith "boom")
+   with Failure _ -> ());
+  match !raised with
+  | None -> Alcotest.fail "the body did not run"
+  | Some fr -> rejected "local_addr after the body raised" (fun () -> Machine.local_addr fr 1)
+
 let test_frames_not_cleared_by_default () =
   let _, _, _, m = make_env () in
   Machine.call m ~slots:2 (fun fr -> Machine.set_local fr 0 0xDEAD);
@@ -102,11 +127,111 @@ let test_low_water_tracking () =
   Machine.call m ~slots:2 (fun _ -> ());
   check int "low water keeps the deepest point" (Addr.to_int lw) (Addr.to_int (Machine.low_water m))
 
+exception Boom of int
+
+(* [call] pops its frame and re-raises the body's own exception, with
+   the backtrace of the body's raise: the stack pointer comes back to
+   where it was, and later frames reuse the popped depth correctly. *)
 let test_exception_restores_sp () =
   let _, _, _, m = make_env () in
   let top = Machine.stack_pointer m in
   (try Machine.call m ~slots:4 (fun _ -> failwith "boom") with Failure _ -> ());
-  check int "sp restored after exception" (Addr.to_int top) (Addr.to_int (Machine.stack_pointer m))
+  check int "sp restored after exception" (Addr.to_int top) (Addr.to_int (Machine.stack_pointer m));
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  let raised =
+    match
+      Machine.call m ~slots:3 (fun _ ->
+          Machine.call m ~slots:5 (fun fr ->
+              Machine.set_local fr 4 1;
+              if Machine.get_local fr 4 = 1 then raise (Boom 7);
+              0))
+    with
+    | _ -> None
+    | exception Boom n -> Some (n, Printexc.get_raw_backtrace ())
+  in
+  Printexc.record_backtrace recording;
+  (match raised with
+  | None -> Alcotest.fail "the body's exception was swallowed"
+  | Some (n, bt) -> (
+      check int "the body's exception, unchanged" 7 n;
+      match Printexc.backtrace_slots bt with
+      | Some slots when Array.length slots > 0 -> (
+          match Printexc.Slot.location slots.(0) with
+          | Some loc ->
+              check bool
+                (Printf.sprintf "backtrace starts at the body's raise (%s)" loc.Printexc.filename)
+                true
+                (Filename.basename loc.Printexc.filename = "test_mutator.ml")
+          | None -> ())
+      | _ -> ()));
+  check int "sp restored through both frames" (Addr.to_int top)
+    (Addr.to_int (Machine.stack_pointer m));
+  Machine.call m ~slots:2 (fun outer ->
+      Machine.set_local outer 1 11;
+      Machine.call m ~slots:6 (fun inner -> Machine.set_local inner 5 22);
+      check int "outer frame intact after an inner call" 11 (Machine.get_local outer 1);
+      check int "outer frame sits just below the base"
+        (Addr.to_int top - ((2 + Machine.default_config.Machine.frame_padding) * 4))
+        (Addr.to_int (Machine.local_addr outer 0)))
+
+(* Minor words per call of [f], over [n] calls, less the cost of the
+   measurement itself. *)
+let minor_words_per n f =
+  let w0 = Stdlib.Gc.minor_words () in
+  let w1 = Stdlib.Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  let w2 = Stdlib.Gc.minor_words () in
+  (w2 -. w1 -. (w1 -. w0)) /. float_of_int n
+
+(* With no tracer, the machine's hot operations build nothing on the
+   OCaml heap: no event, no boxed RNG state, no frame record or
+   closure.  Allocations hit the cursor (auto-collect off, no collection
+   runs), so the collector's hit path adds nothing either.  The noisy
+   configuration draws every noise and residue value and clears the
+   stack periodically. *)
+let test_machine_allocates_nothing () =
+  List.iter
+    (fun (what, config) ->
+      let _, _, gc, m = make_env ~machine_config:config () in
+      Gc.set_auto_collect gc false;
+      let obj = Machine.allocate m 16 in
+      let collections = (Gc.stats gc).Cgc.Stats.collections in
+      let sink = ref 0 in
+      let body fr =
+        Machine.set_local fr 0 (Machine.get_local fr 1);
+        Machine.get_local fr 0
+      in
+      let ops =
+        [
+          ("allocate", fun () -> ignore (Machine.allocate m 8 : Addr.t));
+          ("write_field", fun () -> Machine.write_field m obj 1 (Addr.to_int obj));
+          ("read_field", fun () -> sink := !sink + Machine.read_field m obj 1);
+          ("set_register", fun () -> Machine.set_register m 3 !sink);
+          ("get_register", fun () -> sink := !sink + Machine.get_register m 3);
+          ("call", fun () -> sink := !sink + Machine.call m ~slots:2 body);
+        ]
+      in
+      List.iter
+        (fun (op, f) ->
+          f ();
+          check (Alcotest.float 0.)
+            (Printf.sprintf "%s: minor words per %s" what op)
+            0. (minor_words_per 200 f))
+        ops;
+      check int (what ^ ": no collection ran") collections (Gc.stats gc).Cgc.Stats.collections)
+    [
+      ("default", Machine.default_config);
+      ( "noisy",
+        {
+          Machine.hygienic_config with
+          Machine.register_residue = 0.5;
+          syscall_noise = 0.5;
+          stack_clear_period = 4;
+        } );
+    ]
 
 (* --- machine: registers and roots --- *)
 
@@ -185,7 +310,7 @@ let test_clear_dead_stack () =
   (* the popped frame's slot 0 sits below sp at the frame's base *)
   let stale_at = Addr.add stale_at (-((2 + Machine.default_config.Machine.frame_padding) * 4)) in
   check int "stale value present" 0xBEEF (Segment.read_word stack stale_at);
-  Machine.clear_dead_stack m ();
+  Machine.clear_dead_stack m;
   check int "cleared" 0 (Segment.read_word stack stale_at)
 
 let test_register_allocation_result () =
@@ -379,6 +504,8 @@ let () =
           Alcotest.test_case "overflow" `Quick test_stack_overflow_detected;
           Alcotest.test_case "low water" `Quick test_low_water_tracking;
           Alcotest.test_case "exception safety" `Quick test_exception_restores_sp;
+          Alcotest.test_case "frame used after return" `Quick test_frame_used_after_return;
+          Alcotest.test_case "machine allocates nothing" `Quick test_machine_allocates_nothing;
         ] );
       ( "roots",
         [

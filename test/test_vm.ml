@@ -78,6 +78,71 @@ let test_rng_split () =
   done;
   check bool "split streams decorrelated" true (!equal < 4)
 
+(* The stream itself is pinned: the experiments' figures depend on every
+   draw, so a change to the generator's arithmetic or state must fail
+   here, not only in the Table-1 parity run.  Draws are taken in the
+   order listed. *)
+let test_rng_stream_pinned () =
+  let draw n f = Array.to_list (Array.init n (fun _ -> f ())) in
+  let ilist = Alcotest.list int and blist = Alcotest.list bool in
+  List.iter
+    (fun (seed, words, ints, bools, floats, chances, (child_word, child_int, parent_word)) ->
+      let r = Rng.create seed in
+      let what s = Printf.sprintf "seed %d: %s" seed s in
+      check ilist (what "word") words (draw 3 (fun () -> Rng.word r));
+      check ilist (what "int 1000, 7, 2^32") ints
+        (List.map (fun bound -> Rng.int r bound) [ 1000; 7; 1 lsl 32 ]);
+      check blist (what "bool") bools (draw 4 (fun () -> Rng.bool r));
+      check (Alcotest.list (Alcotest.float 0.)) (what "float") floats (draw 2 (fun () -> Rng.float r));
+      check blist (what "chance 0.5, 0, 1, 0.25, 0.75") chances
+        (List.map (fun p -> Rng.chance r p) [ 0.5; 0.; 1.; 0.25; 0.75 ]);
+      let child = Rng.split r in
+      let cw = Rng.word child in
+      let ci = Rng.int child 100 in
+      check (Alcotest.triple int int int) (what "split: child word, child int 100, parent word")
+        (child_word, child_int, parent_word) (cw, ci, Rng.word r))
+    [
+      ( 42,
+        [ 168179817; 628154071; 973189845 ],
+        [ 366; 4; 3573977795 ],
+        [ true; false; true; true ],
+        [ 0x1.87656a3f8c3d9p-1; 0x1.c5be13f199e4dp-1 ],
+        [ false; false; true; false; true ],
+        (458886966, 41, 2829589258) );
+      ( 7,
+        [ 1275772239; 2196435989; 213923664 ],
+        [ 163; 2; 1523451128 ],
+        [ false; false; false; false ],
+        [ 0x1.d327c95c6cbp-1; 0x1.5c87d83edafc8p-3 ],
+        [ false; false; true; false; true ],
+        (2548181489, 71, 4018892366) );
+    ]
+
+(* Draws allocate nothing on the OCaml heap: the state lives in bytes
+   and every step is unboxed; [float] allocates only its result's
+   2-word box. *)
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.create 11 in
+  let per_draw f =
+    let w0 = Stdlib.Gc.minor_words () in
+    let w1 = Stdlib.Gc.minor_words () in
+    for _ = 1 to 1000 do
+      f ()
+    done;
+    let w2 = Stdlib.Gc.minor_words () in
+    (w2 -. w1 -. (w1 -. w0)) /. 1000.
+  in
+  List.iter
+    (fun (what, expected, f) ->
+      check (Alcotest.float 0.) ("minor words per " ^ what) expected (per_draw f))
+    [
+      ("word", 0., fun () -> ignore (Sys.opaque_identity (Rng.word r)));
+      ("int", 0., fun () -> ignore (Sys.opaque_identity (Rng.int r 1000)));
+      ("bool", 0., fun () -> ignore (Sys.opaque_identity (Rng.bool r)));
+      ("chance", 0., fun () -> ignore (Sys.opaque_identity (Rng.chance r 0.3)));
+      ("float", 2., fun () -> ignore (Sys.opaque_identity (Rng.float r)));
+    ]
+
 (* --- Bitset --- *)
 
 let test_bitset_basics () =
@@ -567,6 +632,8 @@ let () =
           Alcotest.test_case "int bound" `Quick test_rng_int_bound;
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "split" `Quick test_rng_split;
+          Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
         ] );
       ( "bitset",
         [
