@@ -268,7 +268,8 @@ type gen_run = {
   gr_audits : gen_audit list;
 }
 
-let run_generational ?(promote_after = 2) (p : Ir.program) =
+let run_generational ?(promote_after = 2) ?(around_minor = fun _ minor -> minor ())
+    (p : Ir.program) =
   let gen_ref = ref None in
   let audits = ref [] in
   let barriered = ref [] in
@@ -302,7 +303,7 @@ let run_generational ?(promote_after = 2) (p : Ir.program) =
                 }
                 :: !audits;
               barriered := [];
-              Generational.minor gen;
+              around_minor gc (fun () -> Generational.minor gen);
               ignore (Gc.drain_finalized gc));
         })
       p

@@ -69,7 +69,11 @@ type gen_run = {
   gr_audits : gen_audit list;  (** one per GC point, in trace order *)
 }
 
-val run_generational : ?promote_after:int -> Ir.program -> gen_run
+val run_generational :
+  ?promote_after:int -> ?around_minor:(Cgc.Gc.t -> (unit -> unit) -> unit) -> Ir.program -> gen_run
+(** [around_minor gc minor] runs each minor collection by calling
+    [minor ()], so a checker can look at the heap just before and after
+    it; by default it only calls [minor ()]. *)
 
 val audit_exact : gen_audit -> bool
 (** The dirty-bit lifecycle invariant: the dirty set entering a minor

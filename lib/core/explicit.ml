@@ -48,27 +48,21 @@ let refused reason =
     ^ Mem.Fault.reason_to_string reason
     ^ ")")
 
-let acquire_page t ~granules =
-  let fresh =
-    match Heap.find_free_page t.heap ~ok:(fun _ -> true) with
-    | Some i -> Some i
-    | None -> (
-        let next = Heap.committed_pages t.heap in
-        match Heap.commit_through t.heap next with
-        | true -> Some next
-        | false -> None
-        | exception Mem.Commit_failed { reason; _ } -> raise (refused reason))
-  in
-  match fresh with
-  | Some i -> carve_page t i ~granules
-  | None -> raise (Out_of_memory "explicit allocator: reserved region exhausted")
+(* The lowest run of [n] vacant pages, committed. *)
+let claim t ~n ~none =
+  match Heap.find_run t.heap ~n ~ok:(fun ~first:_ _ -> true) with
+  | None -> raise (Out_of_memory ("explicit allocator: " ^ none))
+  | Some start -> (
+      match Heap.commit_through t.heap (start + n - 1) with
+      | (_ : bool) -> start
+      | exception Mem.Commit_failed { reason; _ } -> raise (refused reason))
 
 let malloc_small t ~granules =
   let take () = Free_list.take t.free_lists ~granules in
   match take () with
   | Some a -> a
   | None -> (
-      acquire_page t ~granules;
+      carve_page t (claim t ~n:1 ~none:"reserved region exhausted") ~granules;
       match take () with
       | Some a -> a
       | None ->
@@ -79,14 +73,8 @@ let malloc_small t ~granules =
 let malloc_large t bytes =
   let page_size = Heap.page_size t.heap in
   let n = (bytes + page_size - 1) / page_size in
-  match Heap.find_free_run t.heap ~n ~ok:(fun _ -> true) with
-  | None -> raise (Out_of_memory "explicit allocator: no free run for large object")
-  | Some start ->
-      (match Heap.commit_through t.heap (start + n - 1) with
-      | true -> ()
-      | false -> raise (Out_of_memory "explicit allocator: cannot commit large object")
-      | exception Mem.Commit_failed { reason; _ } -> raise (refused reason));
-      Heap.place_large t.heap start ~object_bytes:bytes ~layout:Page.Conservative
+  let start = claim t ~n ~none:"no free run for large object" in
+  Heap.place_large t.heap start ~object_bytes:bytes ~layout:Page.Conservative
 
 let malloc t bytes =
   if bytes <= 0 then invalid_arg "Explicit.malloc: non-positive size";

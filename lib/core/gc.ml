@@ -412,9 +412,15 @@ let maybe_collect t =
 
 (* --- page acquisition --- *)
 
-(* Whether the blacklist permits giving page [i] to this allocation.
-   [Tier_any] accepts any page; overrides are counted at placement. *)
-let page_ok t ~layout ~small ~tier i =
+(* Whether the blacklist lets page [i] join this placement, [first]
+   when it would start the run.  The first page must be clean under
+   [Tier_strict] and [Tier_first_page] (observation 7); every page must
+   be under [Tier_strict] when interior pointers are valid anywhere in a
+   large object; a small pointer-free page may be black under
+   [atomic_on_black_pages]; [Tier_any] accepts any page, and overrides
+   are counted at placement.  Decayed pages never pass.  [~first:true]
+   asks at least as much as [~first:false], as {!Heap.find_run} needs. *)
+let page_ok t ~layout ~small ~tier ~first i =
   if Bitset.mem t.decayed_pages i then false
   else if not t.config.Config.blacklisting then true
   else begin
@@ -422,12 +428,19 @@ let page_ok t ~layout ~small ~tier i =
     match tier with
     | Tier_any -> true
     | Tier_strict | Tier_first_page ->
-        if Blacklist.is_black t.blacklist i then begin
-          if small && layout = Page.Pointer_free && t.config.Config.atomic_on_black_pages then true
-          else begin
-            t.stats.Stats.blacklist_rejected_pages <- t.stats.Stats.blacklist_rejected_pages + 1;
-            false
-          end
+        let must_be_clean =
+          first
+          || (tier = Tier_strict
+             && t.config.Config.interior_pointers
+             && t.config.Config.large_validity = Config.Anywhere)
+        in
+        if
+          must_be_clean
+          && Blacklist.is_black t.blacklist i
+          && not (small && layout = Page.Pointer_free && t.config.Config.atomic_on_black_pages)
+        then begin
+          t.stats.Stats.blacklist_rejected_pages <- t.stats.Stats.blacklist_rejected_pages + 1;
+          false
         end
         else true
   end
@@ -456,36 +469,30 @@ let carve_small_page t index ~granules ~layout =
   t.cursor_page.(c) <- index;
   t.cursor_slot.(c) <- 0
 
-(* Lowest uncommitted page acceptable to [ok], committing through it. *)
-let commit_fresh_page t ~ok =
-  let rec go i =
-    if i >= Heap.n_pages t.heap then None
-    else if Heap.kind t.heap i = Page.kind_uncommitted && ok i then
-      if commit_through t i then begin
-        t.stats.Stats.heap_expansions <- t.stats.Stats.heap_expansions + 1;
-        Some i
-      end
-      else None
-    else go (i + 1)
-  in
-  go (Heap.committed_pages t.heap)
+(* The one placement step: the lowest run of [n] pages [page_ok]
+   accepts, committed through [commit_through] so the budget follows.
+   An expansion is a placement that commits pages. *)
+let claim t ~n ~layout ~small ~tier ~note_fault =
+  match Heap.find_run t.heap ~n ~ok:(page_ok t ~layout ~small ~tier) with
+  | None -> None
+  | Some start -> (
+      let watermark = Heap.committed_pages t.heap in
+      (* the run lies inside the reservation, so the commit cannot say no *)
+      match commit_through t (start + n - 1) with
+      | (_ : bool) ->
+          if start + n > watermark then
+            t.stats.Stats.heap_expansions <- t.stats.Stats.heap_expansions + 1;
+          if tier <> Tier_strict then count_overrides t ~lo:start ~hi:(start + n);
+          Some start
+      | exception Mem.Commit_failed _ ->
+          (* the committed prefix of the run stays [Free]: coherent *)
+          note_fault ();
+          None)
 
 let try_acquire_small_page t ~granules ~layout ~tier ~note_fault =
-  let ok = page_ok t ~layout ~small:true ~tier in
-  let found =
-    match Heap.find_free_page t.heap ~ok with
-    | Some i -> Some i
-    | None -> (
-        match commit_fresh_page t ~ok with
-        | index -> index
-        | exception Mem.Commit_failed _ ->
-            note_fault ();
-            None)
-  in
-  match found with
+  match claim t ~n:1 ~layout ~small:true ~tier ~note_fault with
   | None -> false
   | Some i ->
-      if tier = Tier_any then count_overrides t ~lo:i ~hi:(i + 1);
       carve_small_page t i ~granules ~layout;
       true
 
@@ -591,11 +598,9 @@ let run_ladder t ~request_bytes ~request_pages ~small ~layout ~attempt =
   | None ->
       let free = Heap.free_page_count t.heap in
       let room_ignoring_blacklist =
-        if small then free > 0 || Heap.committed_pages t.heap < Heap.n_pages t.heap
-        else
-          Heap.find_free_run t.heap ~n:request_pages
-            ~ok:(fun i -> not (Bitset.mem t.decayed_pages i))
-          <> None
+        Heap.find_run t.heap ~n:request_pages ~ok:(fun ~first:_ i ->
+            not (Bitset.mem t.decayed_pages i))
+        <> None
       in
       stats.Stats.oom_raised <- stats.Stats.oom_raised + 1;
       raise
@@ -664,77 +669,13 @@ let allocate_small_miss t ~granules ~layout c =
   run_ladder t ~request_bytes:(granules * Config.granule) ~request_pages:1 ~small:true ~layout
     ~attempt
 
-(* Blacklist acceptability for one page of a large object: when interior
-   pointers are recognized everywhere (and the tier is strict), no page
-   of the object may be black; otherwise only the first page matters;
-   [Tier_any] accepts anything. *)
-let large_page_ok t ~tier ~start i =
-  if Bitset.mem t.decayed_pages i then false
-  else if not t.config.Config.blacklisting then true
-  else begin
-    t.stats.Stats.blacklist_alloc_checks <- t.stats.Stats.blacklist_alloc_checks + 1;
-    match tier with
-    | Tier_any -> true
-    | Tier_strict | Tier_first_page ->
-        let must_be_clean =
-          i = start
-          || (tier = Tier_strict
-             && t.config.Config.interior_pointers
-             && t.config.Config.large_validity = Config.Anywhere)
-        in
-        if must_be_clean && Blacklist.is_black t.blacklist i then begin
-          t.stats.Stats.blacklist_rejected_pages <- t.stats.Stats.blacklist_rejected_pages + 1;
-          false
-        end
-        else true
-  end
-
 let allocate_large t ~bytes ~layout =
   let page_size = Heap.page_size t.heap in
   let n = (bytes + page_size - 1) / page_size in
-  (* find_free_run probes pages left to right, so the "start" of the
-     run under consideration is not known to [ok]; conservatively treat
-     every page of the run as needing cleanliness when interiors are
-     recognized, and retry with a first-page-only constraint otherwise
-     by scanning candidate starts explicitly. *)
-  let whole_run_clean tier =
-    tier = Tier_strict
-    && t.config.Config.interior_pointers
-    && t.config.Config.large_validity = Config.Anywhere
-  in
-  let find ~tier =
-    if tier = Tier_any || whole_run_clean tier || not t.config.Config.blacklisting then
-      Heap.find_free_run t.heap ~n ~ok:(fun i -> large_page_ok t ~tier ~start:i i)
-    else begin
-      (* only the first page must be clean: try successive starts *)
-      let rec go start =
-        if start + n > Heap.n_pages t.heap then None
-        else begin
-          let usable i = (not (Bitset.mem t.decayed_pages i)) && Heap.vacant t.heap i in
-          let rec run_ok i = i >= start + n || (usable i && run_ok (i + 1)) in
-          if large_page_ok t ~tier ~start start && usable start && run_ok (start + 1) then
-            Some start
-          else go (start + 1)
-        end
-      in
-      go 0
-    end
-  in
   let place ~tier ~note_fault =
-    match find ~tier with
-    | None -> None
-    | Some start -> (
-        match commit_through t (start + n - 1) with
-        | false -> None
-        | true ->
-            if start + n - 1 >= Heap.committed_pages t.heap - 1 then
-              t.stats.Stats.heap_expansions <- t.stats.Stats.heap_expansions + 1;
-            if tier <> Tier_strict then count_overrides t ~lo:start ~hi:(start + n);
-            Some (Heap.place_large t.heap start ~object_bytes:bytes ~layout)
-        | exception Mem.Commit_failed _ ->
-            (* the committed prefix of the run stays [Free]: coherent *)
-            note_fault ();
-            None)
+    Option.map
+      (fun start -> Heap.place_large t.heap start ~object_bytes:bytes ~layout)
+      (claim t ~n ~layout ~small:false ~tier ~note_fault)
   in
   run_ladder t ~request_bytes:bytes ~request_pages:n ~small:false ~layout ~attempt:place
 

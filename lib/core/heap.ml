@@ -228,22 +228,20 @@ let vacant t i =
   let k = kind t i in
   k = Page.kind_free || k = Page.kind_uncommitted
 
-let find_free_page t ~ok =
-  let rec go i =
-    if i >= t.committed then None
-    else if kind t i = Page.kind_free && ok i then Some i
-    else go (i + 1)
-  in
-  if t.free_pages = 0 then None else go 0
-
-let find_free_run t ~n ~ok =
+(* One pass, first fit.  A page that breaks a run cannot start one
+   either ([ok ~first:true] implies [ok ~first:false]), and every start
+   between the run's and it would span it, so the scan resumes past it.
+   Committed [Free] pages all lie below the watermark, so with none the
+   search starts there. *)
+let find_run t ~n ~ok =
   let rec scan start run i =
     if run = n then Some start
     else if i >= t.n_pages then None
-    else if vacant t i && ok i then scan (if run = 0 then i else start) (run + 1) (i + 1)
+    else if vacant t i && ok ~first:(run = 0) i then
+      scan (if run = 0 then i else start) (run + 1) (i + 1)
     else scan 0 0 (i + 1)
   in
-  scan 0 0 0
+  scan 0 0 (if t.free_pages = 0 then t.committed else 0)
 
 let uncommit_trailing_free t =
   let released = ref 0 in

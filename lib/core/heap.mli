@@ -173,14 +173,17 @@ val release : t -> int -> int
     record marked unallocated), to [Free]; returns how many pages.
     @raise Invalid_argument on any other kind of page. *)
 
-val find_free_page : t -> ok:(int -> bool) -> int option
-(** Lowest committed [Free] page satisfying [ok], if any; [None] at once
-    when no committed page is [Free]. *)
+val find_run : t -> n:int -> ok:(first:bool -> int -> bool) -> int option
+(** The lowest start of [n] consecutive vacant pages (committed-[Free]
+    or uncommitted) whose first page passes [ok ~first:true] and whose
+    other pages pass [ok ~first:false]; [None] when no such run fits in
+    the reservation.  A run may extend past the committed watermark: the
+    caller commits it ({!commit_through}).  Every placement, small page
+    or large run, takes its pages from here.
 
-val find_free_run : t -> n:int -> ok:(int -> bool) -> int option
-(** Lowest start of [n] consecutive pages, each committed-[Free] or
-    uncommitted and satisfying [ok].  Runs may extend past the committed
-    high-water mark (the pages are then committed by the caller). *)
+    [ok ~first:true i] must imply [ok ~first:false i], so one left-to-right
+    pass is exact and asks [ok] at most once per vacant page.  With no
+    committed page [Free], the search starts at the watermark. *)
 
 val uncommit_trailing_free : t -> int
 (** Lower the committed watermark past any trailing [Free] pages,

@@ -37,9 +37,14 @@ type t = {
   mutable live_bytes : int;  (** after the most recent sweep *)
   mutable live_objects : int;
   mutable heap_expansions : int;
+      (** placements (a small page or a large run) that committed pages,
+          i.e. whose run crossed the committed watermark; the ladder's
+          grow rung counts in [ladder_expansions] instead *)
   mutable mark_stack_overflows : int;
-  mutable blacklist_alloc_checks : int;  (** allocation-side page checks *)
-  mutable blacklist_rejected_pages : int;  (** fresh-page choices vetoed by the blacklist *)
+  mutable blacklist_alloc_checks : int;
+      (** allocation-side page checks: one per vacant page the run finder
+          asked about while blacklisting is on (decayed pages excepted) *)
+  mutable blacklist_rejected_pages : int;  (** page checks vetoed by the blacklist *)
   mutable ladder_collects : int;
       (** allocation-ladder rung: collections forced by a failed request *)
   mutable ladder_trims : int;  (** rung: trailing free pages released and the request retried *)

@@ -93,6 +93,8 @@ let retained_by gc addrs =
       | Some _ | None -> None)
     addrs
 
+let reached gc = Hashtbl.fold (fun base _ acc -> base :: acc) (provenance gc) []
+
 let pp_step ppf = function
   | Root { label; at = Some at; value } ->
       Format.fprintf ppf "root %s at %a holds 0x%08x" label Addr.pp at value

@@ -31,5 +31,9 @@ val why_live : Gc.t -> Addr.t -> chain option
 val retained_by : Gc.t -> Addr.t list -> (Addr.t * chain) list
 (** Explain every object of the list that is reachable. *)
 
+val reached : Gc.t -> Addr.t list
+(** The base of every object the same provenance mark reaches, in no
+    particular order and with no chains built. *)
+
 val pp_step : Format.formatter -> step -> unit
 val pp_chain : Format.formatter -> chain -> unit

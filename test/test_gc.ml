@@ -117,22 +117,92 @@ let test_heap_commit () =
     Heap.set_page heap i (Page.Large_tail { head_index = 0 })
   done;
   check int "none free" 0 (Heap.free_page_count heap);
-  check bool "no free page found" true (Heap.find_free_page heap ~ok:(fun _ -> true) = None);
+  (* with no committed page [Free], the search starts at the watermark *)
+  let asked = ref [] in
+  let any ~first:_ i =
+    asked := i :: !asked;
+    true
+  in
+  check (Alcotest.option int) "starts at the watermark when no page is Free" (Some 6)
+    (Heap.find_run heap ~n:1 ~ok:any);
+  check (Alcotest.list int) "asked only the watermark page" [ 6 ] !asked;
   Heap.set_page heap 3 Page.Free;
   check int "one free" 1 (Heap.free_page_count heap);
-  check bool "it is found" true (Heap.find_free_page heap ~ok:(fun _ -> true) = Some 3);
+  check (Alcotest.option int) "it is found" (Some 3) (Heap.find_run heap ~n:1 ~ok:any);
+  check (Alcotest.option int) "a refused Free page falls through to the watermark" (Some 6)
+    (Heap.find_run heap ~n:1 ~ok:(fun ~first:_ i -> i <> 3));
   check bool "cannot exceed reservation" false (Heap.commit_through heap 1000)
 
-let test_heap_find_free_run () =
+let test_heap_find_run () =
   let config = { Config.default with Config.initial_pages = 4 } in
   let mem = Mem.create () in
   let heap = Heap.create mem ~config ~base:heap_base ~max_bytes:(64 * 1024) in
+  let any ~first:_ _ = true in
   (* occupy page 1 so a 3-run must start at 2 *)
   Heap.set_page heap 1 (Page.make_large ~n_pages:1 ~object_bytes:100 ~layout:Page.Conservative);
-  check (Alcotest.option int) "run skips occupied" (Some 2)
-    (Heap.find_free_run heap ~n:3 ~ok:(fun _ -> true));
+  check (Alcotest.option int) "run skips occupied" (Some 2) (Heap.find_run heap ~n:3 ~ok:any);
   check (Alcotest.option int) "run honours ok" (Some 3)
-    (Heap.find_free_run heap ~n:3 ~ok:(fun i -> i <> 2))
+    (Heap.find_run heap ~n:3 ~ok:(fun ~first:_ i -> i <> 2));
+  check (Alcotest.option int) "a page refused only as a first page may sit inside a run" (Some 3)
+    (Heap.find_run heap ~n:3 ~ok:(fun ~first i -> not (first && (i = 2 || i = 4))));
+  check (Alcotest.option int) "runs cross the watermark" (Some 2) (Heap.find_run heap ~n:14 ~ok:any);
+  check (Alcotest.option int) "but not the reservation" None (Heap.find_run heap ~n:15 ~ok:any)
+
+(* The run finder against the definition it shortcuts: try every start,
+   the first page asked with [~first:true] and the rest with
+   [~first:false].  Page tables mix [Free], small, large head and tail
+   pages below a random watermark (sometimes with no [Free] page at all),
+   [Uncommitted] above it; predicates refuse some pages outright and
+   some only as a run's first page, so [ok ~first:true] implies
+   [ok ~first:false].  [find_run] also asks about each vacant page at
+   most once, and about nothing else. *)
+let prop_find_run_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"find_run == brute-force first fit"
+    QCheck.(pair (int_range 1 40) int)
+    (fun (n_pages, seed) ->
+      let rng = Rng.create seed in
+      let config = { Config.default with Config.initial_pages = 1 } in
+      let heap = Heap.create (Mem.create ()) ~config ~base:heap_base ~max_bytes:(n_pages * 4096) in
+      let committed = 1 + Rng.int rng n_pages in
+      ignore (Heap.commit_through heap (committed - 1) : bool);
+      let no_free = Rng.bool rng in
+      for i = 0 to committed - 1 do
+        match Rng.int rng 4 with
+        | 0 when not no_free -> ()
+        | 0 | 1 ->
+            Heap.set_page heap i
+              (Page.make_small ~object_bytes:8 ~layout:Page.Conservative ~first_offset:0
+                 ~n_objects:512)
+        | 2 ->
+            Heap.set_page heap i
+              (Page.make_large ~n_pages:1 ~object_bytes:100 ~layout:Page.Conservative)
+        | _ -> Heap.set_page heap i (Page.Large_tail { head_index = i })
+      done;
+      let refused = Array.init n_pages (fun _ -> Rng.int rng 6 = 0) in
+      let refused_first = Array.init n_pages (fun _ -> Rng.int rng 3 = 0) in
+      let ok ~first i = (not refused.(i)) && not (first && refused_first.(i)) in
+      let asked = Array.make n_pages 0 in
+      let counted ~first i =
+        asked.(i) <- asked.(i) + 1;
+        ok ~first i
+      in
+      let reference n =
+        let fits start =
+          let rec rest j =
+            j >= start + n || (Heap.vacant heap j && ok ~first:false j && rest (j + 1))
+          in
+          Heap.vacant heap start && ok ~first:true start && rest (start + 1)
+        in
+        List.find_opt fits (List.init (max 0 (n_pages - n + 1)) Fun.id)
+      in
+      List.for_all
+        (fun n ->
+          Array.fill asked 0 n_pages 0;
+          let found = Heap.find_run heap ~n ~ok:counted in
+          found = reference n
+          && Array.for_all (fun c -> c <= 1) asked
+          && List.for_all (fun i -> asked.(i) = 0 || Heap.vacant heap i) (List.init n_pages Fun.id))
+        [ 1; 2; 3; 5 ])
 
 (* --- basic allocation --- *)
 
@@ -569,6 +639,41 @@ let test_large_reuse_after_free () =
     Gc.collect gc
   done;
   check bool "large pages recycled" true (Heap.committed_pages (Gc.heap gc) <= 16)
+
+(* [heap_expansions] counts placements that commit pages: a large
+   object on [Free] pages that end exactly at the watermark commits
+   nothing, one that crosses it commits once. *)
+let test_large_expansions_count_commits () =
+  let config = { Config.default with Config.initial_pages = 4 } in
+  let _, _, gc = make_env ~config ~heap_kb:64 () in
+  let heap = Gc.heap gc and stats = Gc.stats gc in
+  let a = Gc.allocate gc (4 * 4096) in
+  check int "placed at page 0" 0 (Heap.page_index heap a);
+  check int "watermark unmoved" 4 (Heap.committed_pages heap);
+  check int "ending at the watermark is no expansion" 0 stats.Stats.heap_expansions;
+  let b = Gc.allocate gc (2 * 4096) in
+  check int "placed at the watermark" 4 (Heap.page_index heap b);
+  check int "watermark raised" 6 (Heap.committed_pages heap);
+  check int "crossing it is one expansion" 1 stats.Stats.heap_expansions
+
+(* Every even page is blacklisted, so no two adjacent pages are clean
+   and the strict rungs fail a two-page object whose pointers may land
+   anywhere in it.  The first-page rung then places it at the lowest
+   start with a clean first page, page 1, not at page 0, the lowest
+   vacant run; page 2, black, inside the run is one override. *)
+let test_large_relax_first_page_lowest_start () =
+  let config = { Config.default with Config.initial_pages = 16; relax_blacklist = true } in
+  let _, globals, gc = make_env ~config ~heap_kb:64 () in
+  let heap = Gc.heap gc in
+  for p = 0 to 7 do
+    set_slot globals p (Addr.to_int (Addr.add (Heap.page_addr heap (2 * p)) 12))
+  done;
+  Gc.collect gc;
+  check int "even pages black" 8 (Gc.blacklisted_pages gc);
+  let a = Gc.allocate gc (2 * 4096) in
+  check int "lowest clean first page" 1 (Heap.page_index heap a);
+  check int "first-page rung ran" 1 (Gc.stats gc).Stats.ladder_relax_first_page;
+  check int "the black tail is an override" 1 (Blacklist.overridden (Gc.blacklist gc))
 
 (* --- finalization --- *)
 
@@ -1873,7 +1978,8 @@ let () =
           Alcotest.test_case "geometry" `Quick test_heap_geometry;
           Alcotest.test_case "commit" `Quick test_heap_commit;
           Alcotest.test_case "exact reciprocal indexing" `Quick test_heap_reciprocal_exact;
-          Alcotest.test_case "find free run" `Quick test_heap_find_free_run;
+          Alcotest.test_case "find free run" `Quick test_heap_find_run;
+          QCheck_alcotest.to_alcotest prop_find_run_matches_reference;
         ] );
       ( "alloc",
         [
@@ -1917,6 +2023,10 @@ let () =
           Alcotest.test_case "tail pointers" `Quick test_large_tail_pointer;
           Alcotest.test_case "first page interior" `Quick test_large_first_page_interior;
           Alcotest.test_case "reuse after free" `Quick test_large_reuse_after_free;
+          Alcotest.test_case "expansions count committing placements" `Quick
+            test_large_expansions_count_commits;
+          Alcotest.test_case "relaxed placement takes the lowest clean first page" `Quick
+            test_large_relax_first_page_lowest_start;
         ] );
       ( "finalize",
         [
