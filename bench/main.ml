@@ -10,7 +10,7 @@
 
    Sections: table1 fig1 fig34 stack-clearing structures
              large-object dual-run fragmentation generational
-             pcr-threads ablations overhead alloc mark
+             pcr-threads ablations overhead alloc mark work
 
    Flags: --paper-scale   full 25000-cell lists (slow)
           --seeds N       range over N seeds in table 1
@@ -678,13 +678,13 @@ let time_marks ~smoke ~label gc =
   end;
   (reference, fast)
 
-(* Words examined per second by the collector's trace kernel and the
-   reference marker over the same live heap: program T's circular lists
-   on the SPARC(static) platform — big-endian, unaligned
-   (byte-granularity) root scanning, the paper's worst case for marker
-   work.  Its 2-word cells sit on a few pages in allocation order, so
-   nearly every reference hits the header cache. *)
-let mark_program_t ~smoke () =
+(* Program T's circular lists on the SPARC(static) platform —
+   big-endian, unaligned (byte-granularity) root scanning, the paper's
+   worst case for marker work — every list rooted, auto-collect off.
+   Its 2-word cells sit on a few pages in allocation order, so nearly
+   every reference hits the header cache.  Returns the collector, the
+   platform, and the list count and length. *)
+let program_t_heap ~smoke =
   let p = W.Platform.sparc_static ~optimized:false in
   let lists = if smoke then 30 else 200 in
   let nodes = if smoke then 500 else p.W.Platform.nodes_per_list / 4 in
@@ -708,6 +708,12 @@ let mark_program_t ~smoke () =
       (Addr.add env.W.Platform.globals_base (4 * i))
       (Addr.to_int head)
   done;
+  (gc, p, lists, nodes)
+
+(* Words examined per second by the collector's trace kernel and the
+   reference marker over program T's heap. *)
+let mark_program_t ~smoke () =
+  let gc, p, lists, nodes = program_t_heap ~smoke in
   Format.printf "  program T heap: %d lists x %d cells (%d KB committed)@." lists nodes
     (Cgc.Heap.committed_bytes (Cgc.Gc.heap gc) / 1024);
   let reference, fast = time_marks ~smoke ~label:"program T" gc in
@@ -736,8 +742,10 @@ let mark_program_t ~smoke () =
    unrooted cells are allocated before each live one, as on a heap
    where most objects die, so the live cells spread over ~2400 pages
    (gcbench churn's heap has ~1850): a miss then reads a descriptor
-   row that is not in the L1 cache, as it does there. *)
-let mark_scatter ~smoke () =
+   row that is not in the L1 cache, as it does there.  Returns the
+   collector, the live cell count, the dead cells per live one, and the
+   table count and size. *)
+let scatter_heap ~smoke =
   let cells = if smoke then 10_000 else 100_000 and slots = 4096 and dead = 3 in
   let n_tables = (cells + slots - 1) / slots in
   let mem = Mem.create () in
@@ -787,6 +795,11 @@ let mark_scatter ~smoke () =
     (fun i c ->
       Cgc.Gc.set_field gc tables.(slot.(i) / slots) (slot.(i) mod slots) (Addr.to_int c))
     addrs;
+  (gc, cells, dead, n_tables, slots)
+
+(* The kernel and the reference marker over the scattered heap. *)
+let mark_scatter ~smoke () =
+  let gc, cells, dead, n_tables, slots = scatter_heap ~smoke in
   Format.printf
     "  scattered heap: %d live cells of 16-32 B (%d dead each) in %d tables of %d slots (%d KB committed)@."
     cells dead n_tables slots
@@ -808,6 +821,77 @@ let mark_throughput ~smoke () =
     "flat-descriptor fast path vs reference scan loop (program T heap, SPARC static; scattered heap)";
   mark_program_t ~smoke ();
   mark_scatter ~smoke ()
+
+(* A heap on the drain's block path (little-endian, alignment 4,
+   interior pointers on): [lists] rooted chains of [cells] cells of 8 or
+   16 bytes, drawn at random.  Word 0 links a cell to the one before it
+   in its chain.  An 8-byte cell's word 1 is a small integer or, one
+   time in four, a cell allocated earlier.  A 16-byte cell's word 1
+   names an earlier cell, half the time at its second word (an interior
+   pointer); word 2 is an address drawn anywhere in the reserved heap
+   (mostly a false reference); word 3 is zero or a small integer. *)
+let blocks_heap () =
+  let lists = 64 and cells = 2000 in
+  let mem = Mem.create () in
+  let roots =
+    Mem.map mem ~name:"lists" ~kind:Segment.Static_data ~base:(Addr.of_int 0x10000)
+      ~size:(4 * lists)
+  in
+  let heap_base = 0x400000 and heap_bytes = 4 * 1024 * 1024 in
+  let gc = Cgc.Gc.create mem ~base:(Addr.of_int heap_base) ~max_bytes:heap_bytes () in
+  Cgc.Gc.set_auto_collect gc false;
+  Cgc.Gc.add_static_root gc ~lo:(Segment.base roots) ~hi:(Segment.limit roots) ~label:"lists";
+  let rng = Rng.create seed in
+  let made = Array.make (lists * cells) 0 and n = ref 0 in
+  let earlier () = if !n = 0 then 0 else made.(Rng.int rng !n) in
+  for l = 0 to lists - 1 do
+    let prev = ref 0 in
+    for _ = 1 to cells do
+      let wide = Rng.bool rng in
+      let c = Cgc.Gc.allocate gc (if wide then 16 else 8) in
+      Cgc.Gc.set_field gc c 0 !prev;
+      if wide then begin
+        Cgc.Gc.set_field gc c 1 (earlier () + if Rng.bool rng then 4 else 0);
+        Cgc.Gc.set_field gc c 2 (heap_base + (4 * Rng.int rng (heap_bytes / 4)));
+        Cgc.Gc.set_field gc c 3 (if Rng.bool rng then 0 else Rng.int rng 65536)
+      end
+      else Cgc.Gc.set_field gc c 1 (if Rng.int rng 4 = 0 then earlier () else Rng.int rng 65536);
+      made.(!n) <- Addr.to_int c;
+      incr n;
+      prev := Addr.to_int c
+    done;
+    Segment.write_word roots (Addr.add (Segment.base roots) (4 * l)) !prev
+  done;
+  gc
+
+(* The collector's own tallies for one mark of each of three heaps,
+   after a warm-up mark: counts of seeded work, the same on every host
+   and build, so a change to the kernel that marks differently shows as
+   a moved line ([golden/work.txt]). *)
+let mark_work () =
+  section "Mark work" "one mark of each heap after a warm-up mark: the collector's tallies";
+  let row label gc =
+    Cgc.Gc.Internal.run_mark gc;
+    let s = Cgc.Gc.stats gc in
+    let before = Cgc.Stats.copy s in
+    Cgc.Gc.Internal.run_mark gc;
+    Format.printf "  %s:@.    %d words scanned, %d objects marked, %d valid and %d false references, \
+                   %d header-cache hits@."
+      label
+      (s.Cgc.Stats.words_scanned - before.Cgc.Stats.words_scanned)
+      (s.Cgc.Stats.objects_marked - before.Cgc.Stats.objects_marked)
+      (s.Cgc.Stats.valid_refs - before.Cgc.Stats.valid_refs)
+      (s.Cgc.Stats.false_refs - before.Cgc.Stats.false_refs)
+      (s.Cgc.Stats.header_cache_hits - before.Cgc.Stats.header_cache_hits)
+  in
+  let gc, p, lists, nodes = program_t_heap ~smoke:false in
+  row (Printf.sprintf "program T heap (%s, %d lists x %d cells)" p.W.Platform.name lists nodes) gc;
+  let gc, cells, dead, n_tables, slots = scatter_heap ~smoke:false in
+  row
+    (Printf.sprintf "scattered heap (%d live cells, %d dead each, %d tables of %d slots)" cells dead
+       n_tables slots)
+    gc;
+  row "block-path heap (64 chains x 2000 cells of 8 or 16 B)" (blocks_heap ())
 
 (* ------------------------------------------------------------------ *)
 
@@ -885,6 +969,7 @@ let () =
       ("overhead", overhead);
       ("alloc", alloc_probe ~smoke);
       ("mark", mark_throughput ~smoke);
+      ("work", mark_work);
     ]
   in
   json_enabled := json;

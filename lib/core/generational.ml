@@ -75,29 +75,12 @@ let set_field t base i v =
 
 let scanned = function Page.Pointer_free -> false | Page.Conservative | Page.Typed _ -> true
 
-(* [f lo bytes] for each live pointer-bearing object of page [index]. *)
-let iter_pointer_objects heap index f =
-  let kind = Heap.kind heap index in
-  if kind = Page.kind_small then begin
-    if scanned (Heap.small_layout heap index) then begin
-      let first = Addr.add (Heap.page_addr heap index) (Heap.first_offset heap index) in
-      let object_bytes = Heap.object_bytes heap index in
-      Bitset.iter_set_words (Heap.alloc_words heap index) (fun obj ->
-          f (Addr.add first (obj * object_bytes)) object_bytes)
-    end
-  end
-  else if kind = Page.kind_large_head then begin
-    let l = Heap.large heap index in
-    if l.Page.l_allocated && scanned l.Page.l_layout then
-      f (Heap.page_addr heap index) l.Page.object_bytes
-  end
-
 (* Young-only conservative marking on the collector's trace kernel.
    One page walk sets the scope: young pages start unmarked, old pages
    start with every allocated object marked, so the kernel sees old
    objects as live and opaque (valid references, never pushed).  The
-   live pointer-bearing objects of the dirty old pages, in address
-   order, are extra roots covering the old-to-young edges. *)
+   kernel scans the live pointer-bearing objects of the dirty old pages
+   after the roots, covering the old-to-young edges. *)
 let minor_mark t =
   let heap = heap t in
   for i = 0 to Heap.committed_pages heap - 1 do
@@ -112,14 +95,48 @@ let minor_mark t =
       l.Page.l_marked <- page_is_old t i && l.Page.l_allocated
     end
   done;
-  let dirty_objects = ref [] in
-  Bitset.iter_set t.dirty (fun i ->
-      iter_pointer_objects heap i (fun lo bytes ->
-          let span = { Roots.lo; hi = Addr.add lo bytes; label = "dirty" } in
-          dirty_objects := span :: !dirty_objects));
   t.dirty_pages_scanned <- t.dirty_pages_scanned + Bitset.count t.dirty;
-  Mark.trace ~extra:(List.rev !dirty_objects) (Gc.Internal.marker t.gc) (Gc.Internal.roots t.gc)
-    ~mem:(Gc.mem t.gc)
+  Mark.trace ~dirty:t.dirty (Gc.Internal.marker t.gc) (Gc.Internal.roots t.gc) ~mem:(Gc.mem t.gc)
+
+(* Whether a word of [lo, hi) names a young object: each word read and
+   validated ([Mark.valid_base]) in a plain loop, allocating nothing. *)
+let span_holds_young t heap (config : Config.t) ~lo ~hi =
+  let seg = Heap.segment heap in
+  let found = ref false and a = ref lo in
+  while (not !found) && !a + 4 <= hi do
+    let base = Mark.valid_base heap config (Segment.read_word seg !a) in
+    found := base >= 0 && not (page_is_old t (Heap.page_index heap base));
+    a := !a + config.Config.alignment
+  done;
+  !found
+
+(* Whether a live pointer-bearing object of page [index] holds a word
+   that names a young object. *)
+let holds_young t heap config index =
+  let kind = Heap.kind heap index in
+  if kind = Page.kind_small then begin
+    scanned (Heap.small_layout heap index)
+    && begin
+         let first = Addr.add (Heap.page_addr heap index) (Heap.first_offset heap index) in
+         let object_bytes = Heap.object_bytes heap index and alloc = Heap.alloc_words heap index in
+         let found = ref false and obj = ref 0 in
+         while (not !found) && !obj < Array.length alloc * Bitset.bits_per_word do
+           if Bitset.mem_words alloc !obj then begin
+             let lo = Addr.add first (!obj * object_bytes) in
+             found := span_holds_young t heap config ~lo ~hi:(Addr.add lo object_bytes)
+           end;
+           incr obj
+         done;
+         !found
+       end
+  end
+  else if kind = Page.kind_large_head then begin
+    let l = Heap.large heap index in
+    let lo = Heap.page_addr heap index in
+    l.Page.l_allocated && scanned l.Page.l_layout
+    && span_holds_young t heap config ~lo ~hi:(Addr.add lo l.Page.object_bytes)
+  end
+  else false
 
 (* After the minor sweep, a dirty page keeps its bit, as a carryover,
    iff one of its words still names a young object: the store that
@@ -129,21 +146,8 @@ let minor_mark t =
    its young target unmarked, the sweep freed it, and the word now
    names no object. *)
 let retain_young_refs t =
-  let heap = heap t in
-  let config = Gc.config t.gc in
-  let names_young v =
-    match Mark.classify heap config v with
-    | Mark.Valid { page; _ } -> not (page_is_old t page)
-    | Mark.False_in_heap _ | Mark.Outside -> false
-  in
-  let holds_young index =
-    let found = ref false in
-    iter_pointer_objects heap index (fun lo bytes ->
-        Segment.iter_words (Heap.segment heap) ~alignment:config.Config.alignment ~lo
-          ~hi:(Addr.add lo bytes) (fun _ v -> if (not !found) && names_young v then found := true));
-    !found
-  in
-  Bitset.iter_set t.dirty (fun i -> if not (holds_young i) then Bitset.remove t.dirty i);
+  let heap = heap t and config = Gc.config t.gc in
+  Bitset.iter_set t.dirty (fun i -> if not (holds_young t heap config i) then Bitset.remove t.dirty i);
   Bitset.clear t.carry;
   Bitset.union_into ~dst:t.carry t.dirty
 

@@ -263,23 +263,46 @@ let clear_marks t =
     else if k = Page.kind_large_head then (large t i).Page.l_marked <- false
   done
 
-(* A mark snapshot copies the committed pages' mark words and large
-   mark flags.  Only pages that are still small pages or large heads are
-   restored, so restoring is only meaningful while nothing allocates or
-   sweeps. *)
-type mark_snapshot = int array array * bool array
+(* A mark snapshot holds the first [s_pages] committed pages' mark
+   words end to end, in page order, and each page's large-object mark
+   flag.  The arrays are kept across saves and grown only when the heap
+   has outgrown them, so a save into a used snapshot allocates nothing.
+   Restoring walks the same pages and word counts and writes only small
+   pages and large heads, so it is only meaningful while nothing
+   allocates or sweeps. *)
+type mark_snapshot = {
+  mutable s_words : int array;
+  mutable s_flags : bool array;
+  mutable s_pages : int;
+}
 
-let save_marks t =
-  ( Array.init t.committed (fun i -> Array.copy (mark_words t i)),
-    Array.init t.committed (fun i -> (large t i).Page.l_marked) )
+let mark_snapshot () = { s_words = [||]; s_flags = [||]; s_pages = 0 }
 
-let restore_marks t (words, flags) =
-  Array.iteri
-    (fun i saved ->
-      let k = kind t i in
-      if k = Page.kind_small then Array.blit saved 0 (mark_words t i) 0 (Array.length saved)
-      else if k = Page.kind_large_head then (large t i).Page.l_marked <- flags.(i))
-    words
+let save_marks_into t s =
+  let n = ref 0 in
+  for i = 0 to t.committed - 1 do
+    n := !n + Array.length (mark_words t i)
+  done;
+  if Array.length s.s_words < !n then s.s_words <- Array.make (max !n (2 * Array.length s.s_words)) 0;
+  if Array.length s.s_flags < t.committed then s.s_flags <- Array.make t.n_pages false;
+  let off = ref 0 in
+  for i = 0 to t.committed - 1 do
+    let words = mark_words t i in
+    Array.blit words 0 s.s_words !off (Array.length words);
+    off := !off + Array.length words;
+    s.s_flags.(i) <- (large t i).Page.l_marked
+  done;
+  s.s_pages <- t.committed
+
+let restore_marks t s =
+  let off = ref 0 in
+  for i = 0 to s.s_pages - 1 do
+    let words = mark_words t i in
+    let k = kind t i in
+    if k = Page.kind_small then Array.blit s.s_words !off words 0 (Array.length words)
+    else if k = Page.kind_large_head then (large t i).Page.l_marked <- s.s_flags.(i);
+    off := !off + Array.length words
+  done
 
 let slot t i a =
   let object_bytes = object_bytes t i in

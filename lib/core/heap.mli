@@ -154,7 +154,7 @@ val find_object : t -> Addr.t -> int
     or -1: a small page's slot, or a large object from any of its pages
     (a tail resolves to its head).  The page it resolved is the base's,
     [page_index t base] — the head, for a large object.  Exact, with no
-    pointer-validity policy: {!Mark.classify} applies the configured
+    pointer-validity policy: {!Mark.valid_base} applies the configured
     rules to it.  Reads rows only and allocates nothing. *)
 
 (** {2 Page transitions} *)
@@ -209,12 +209,19 @@ val clear_marks : t -> unit
 
 type mark_snapshot
 
-val save_marks : t -> mark_snapshot
-(** Copy every committed page's mark state. *)
+val mark_snapshot : unit -> mark_snapshot
+(** An empty snapshot, for {!save_marks_into}. *)
+
+val save_marks_into : t -> mark_snapshot -> unit
+(** Copy every committed page's mark state into the snapshot, replacing
+    what it held.  Its storage is reused, and grown only when the heap
+    has outgrown it: a save into a snapshot that already held this
+    heap's marks allocates nothing. *)
 
 val restore_marks : t -> mark_snapshot -> unit
-(** Put back the marks of {!save_marks}.  Only meaningful while the page
-    table has not changed since the save: nothing allocated or swept. *)
+(** Put back the marks of the last {!save_marks_into}.  Only meaningful
+    while the page table has not changed since the save: nothing
+    allocated or swept. *)
 
 val is_marked : t -> Addr.t -> bool
 (** Whether the object based at the address is marked; [false] on a

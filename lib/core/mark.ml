@@ -9,27 +9,35 @@ type classification =
    ([Heap.find_object]): an object's base is always valid; an interior
    address is valid on a small page when interior pointers are on or
    its displacement is registered, on a large head when they are on,
-   and on a large tail when they are on everywhere.  For cold call
-   sites (tracing, the generational dirty-page pass, the workloads);
-   the kernel's [classify_row] is the fast form, and the differentials
-   pin both to the test oracle's view-based classifier. *)
-let classify heap (config : Config.t) value =
+   and on a large tail when they are on everywhere.  [valid_base] is
+   the base of the object [value] validly references, or -1, and
+   allocates nothing: for the generational dirty-page pass and
+   provenance tracing.  [classify] tells the three cases apart for the
+   cold callers that need them (the workloads).  The kernel's
+   [classify_row] is the fast form, and the differentials pin all three
+   to the test oracle's view-based classifier. *)
+let valid_base heap (config : Config.t) value =
+  let base = Heap.find_object heap value in
+  if base < 0 || value = base then base
+  else begin
+    let displacement = value - base in
+    let page = Heap.page_index heap value and head = Heap.page_index heap base in
+    if
+      config.Config.interior_pointers
+      && (head = page || config.Config.large_validity = Config.Anywhere)
+      || head = page
+         && Heap.kind heap page = Page.kind_small
+         && List.mem displacement config.Config.valid_displacements
+    then base
+    else -1
+  end
+
+let classify heap config value =
   if not (Heap.contains heap value) then Outside
   else begin
-    let base = Heap.find_object heap value in
-    let page = Heap.page_index heap value in
-    let displacement = value - base in
-    let head = Heap.page_index heap base in
-    let valid =
-      base >= 0
-      && (displacement = 0
-         || config.Config.interior_pointers
-            && (head = page || config.Config.large_validity = Config.Anywhere)
-         || head = page
-            && Heap.kind heap page = Page.kind_small
-            && List.mem displacement config.Config.valid_displacements)
-    in
-    if valid then Valid { base; page = head } else False_in_heap { page }
+    let base = valid_base heap config value in
+    if base >= 0 then Valid { base; page = Heap.page_index heap base }
+    else False_in_heap { page = Heap.page_index heap value }
   end
 
 type t = {
@@ -217,18 +225,20 @@ let[@inline] push t base extent =
 
 (* --- the fast path ------------------------------------------------- *)
 
-(* The hot loops below make no call into another compilation unit.  The
-   default (dev) build compiles every module [-opaque], so an [@inline]
-   on a function of [Bitset] or [Segment] does not reach this file: each
-   would be a real call per scanned word or per bit test.  Heap words are
-   read here through the bytes primitives [Segment] itself uses (and
-   their 64-bit forms, for [scan_blocks]), and the alloc
+(* The hot loops below make no call into another compilation unit but
+   one: [Blacklist.note], on a false reference.  The default (dev) build
+   compiles every module [-opaque], so an [@inline] on a function of
+   [Bitset], [Segment] or [Config] does not reach this file: each would
+   be a real call per scanned word, per bit test or per displacement.
+   Heap words are read here through the bytes primitives [Segment]
+   itself uses (and their 64-bit forms, for the block scans), the alloc
    and mark bits are tested and set on the bitmap words directly, in the
    layout [Bitset.t] documents (62 members a word; the literal keeps the
-   divisions by a constant).  Under [-opaque] another module's constant
-   is a load from its module block too, so the kind codes and the row
-   layout are literals here, tied to [Page] and [Heap] at module
-   initialisation. *)
+   divisions by a constant), and the displacement mask is tested here
+   ([in_disp_mask]).  Under [-opaque] another module's constant is a
+   load from its module block too, so the kind codes, the row layout and
+   the granule are literals here, tied to [Page], [Heap] and [Config] at
+   module initialisation. *)
 external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 external bswap32 : int32 -> int32 = "%bswap_int32"
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
@@ -257,10 +267,12 @@ let row_n_objects = 4
 let row_recip_mul = 5
 let row_recip_shift = 6
 let row_head = 7
+let granule = 4
 
 let () =
   assert (
     bits_per_word = Bitset.bits_per_word
+    && granule = Config.granule
     && kind_small = Page.kind_small
     && kind_large_head = Page.kind_large_head
     && kind_large_tail = Page.kind_large_tail
@@ -274,6 +286,16 @@ let () =
     && row_recip_shift = Heap.row_recip_shift
     && row_head = Heap.row_head
     && described = Heap.described)
+
+(* [Config.displacement_in_mask], for the displacement [d >= 0] of a
+   candidate into its slot: bit [d / granule] of [Config.displacement_mask]'s
+   words, 62 to a word. *)
+let[@inline] in_disp_mask mask d =
+  d land (granule - 1) = 0
+  &&
+  let i = d / granule in
+  let w = i / 62 in
+  w < Array.length mask && Array.unsafe_get mask w land (1 lsl (i mod 62)) <> 0
 
 (* Fill the header cache with page's descriptor row: eight adjacent
    int loads from one array, no variant match, no allocation, no write
@@ -323,8 +345,7 @@ let[@inline] classify_row t value page alloc_words mark_words =
       if index >= t.cache_n_objects then note_false t page
       else if Array.unsafe_get alloc_words w land bit = 0 then note_false t page
       else if
-        displacement = 0 || t.interior
-        || Config.displacement_in_mask t.disp_mask displacement
+        displacement = 0 || t.interior || in_disp_mask t.disp_mask displacement
       then begin
         note_valid t;
         let marks = Array.unsafe_get mark_words w in
@@ -448,51 +469,53 @@ let scan_each t bytes ~sbase ~little ~lo ~hi =
     done
   end
 
+(* The pieces of the block scans below.  One word gets the inline
+   in-heap test, so only an in-heap word costs a call.  A 64-bit load
+   holds two words: the low half of a little-endian load is the lower
+   word; a big-endian segment's load is byte-swapped whole, which puts
+   its lower word in the high half.  A 16-byte block whose two loads are
+   both zero holds no heap address (the heap lies above address 0) and
+   costs one test.  Each is inlined, so every [Int64] stays unboxed
+   ([test_gc] "mark allocates nothing per object" counts the minor
+   words). *)
+let[@inline] scan_word t v ~heap_lo ~heap_hi = if v >= heap_lo && v < heap_hi then classify_in_heap t v
+
+let[@inline] scan_pair_le t x ~heap_lo ~heap_hi =
+  scan_word t (Int64.to_int x land 0xFFFF_FFFF) ~heap_lo ~heap_hi;
+  scan_word t (Int64.to_int (Int64.shift_right_logical x 32)) ~heap_lo ~heap_hi
+
+let[@inline] scan_pair_be t x ~heap_lo ~heap_hi =
+  let x = bswap64 x in
+  scan_word t (Int64.to_int (Int64.shift_right_logical x 32)) ~heap_lo ~heap_hi;
+  scan_word t (Int64.to_int x land 0xFFFF_FFFF) ~heap_lo ~heap_hi
+
+let[@inline] scan_block t bytes o ~little ~heap_lo ~heap_hi =
+  let x0 = get64u bytes o and x1 = get64u bytes (o + 8) in
+  if Int64.logor x0 x1 <> 0L then
+    if little then begin
+      scan_pair_le t x0 ~heap_lo ~heap_hi;
+      scan_pair_le t x1 ~heap_lo ~heap_hi
+    end
+    else begin
+      scan_pair_be t x0 ~heap_lo ~heap_hi;
+      scan_pair_be t x1 ~heap_lo ~heap_hi
+    end
+
 (* The block scanner: the same words at alignment 4 on a little-endian
-   host, read sixteen bytes at a time as two unaligned 64-bit loads.  A
-   block whose loads are both zero holds no heap address (the heap lies
-   above address 0) and costs one test.  Otherwise its four words are
-   split out in address order — the low half of a little-endian load is
-   the lower word; a big-endian segment's load is byte-swapped whole,
-   which puts its lower word in the high half — and each gets the
-   inline in-heap test.  The last 0-3 words are read one at a time.  The
+   host, read sixteen bytes at a time as two unaligned 64-bit loads and
+   split in address order, then the last 0-3 words one at a time.  The
    words and their order are [scan_each]'s, so the marks, tallies and
-   pushes are too; every [Int64] stays unboxed ([test_gc] "mark
-   allocates nothing per object" counts the minor words). *)
+   pushes are too. *)
 let[@inline] scan_blocks t bytes ~sbase ~little ~lo ~hi =
   let heap_lo = t.heap_lo and heap_hi = t.heap_hi in
   let stop = hi - sbase in
   let off = ref (lo - sbase) in
   while !off + 16 <= stop do
-    let o = !off in
-    let x0 = get64u bytes o and x1 = get64u bytes (o + 8) in
-    if Int64.logor x0 x1 <> 0L then
-      if little then begin
-        let v = Int64.to_int x0 land 0xFFFF_FFFF in
-        if v >= heap_lo && v < heap_hi then classify_in_heap t v;
-        let v = Int64.to_int (Int64.shift_right_logical x0 32) in
-        if v >= heap_lo && v < heap_hi then classify_in_heap t v;
-        let v = Int64.to_int x1 land 0xFFFF_FFFF in
-        if v >= heap_lo && v < heap_hi then classify_in_heap t v;
-        let v = Int64.to_int (Int64.shift_right_logical x1 32) in
-        if v >= heap_lo && v < heap_hi then classify_in_heap t v
-      end
-      else begin
-        let x0 = bswap64 x0 and x1 = bswap64 x1 in
-        let v = Int64.to_int (Int64.shift_right_logical x0 32) in
-        if v >= heap_lo && v < heap_hi then classify_in_heap t v;
-        let v = Int64.to_int x0 land 0xFFFF_FFFF in
-        if v >= heap_lo && v < heap_hi then classify_in_heap t v;
-        let v = Int64.to_int (Int64.shift_right_logical x1 32) in
-        if v >= heap_lo && v < heap_hi then classify_in_heap t v;
-        let v = Int64.to_int x1 land 0xFFFF_FFFF in
-        if v >= heap_lo && v < heap_hi then classify_in_heap t v
-      end;
-    off := o + 16
+    scan_block t bytes !off ~little ~heap_lo ~heap_hi;
+    off := !off + 16
   done;
   while !off + 4 <= stop do
-    let v = if little then word_le bytes !off else word_be bytes !off in
-    if v >= heap_lo && v < heap_hi then classify_in_heap t v;
+    scan_word t (if little then word_le bytes !off else word_be bytes !off) ~heap_lo ~heap_hi;
     off := !off + 4
   done
 
@@ -550,18 +573,66 @@ let scan_object t base =
   end
   else t.stats.Stats.mark_downgrades <- t.stats.Stats.mark_downgrades + 1
 
-(* Pop until the stack is empty.  A conservative entry's words are
-   scanned right here by the unguarded scan: the object lies inside a
-   small page, hence inside the heap segment, and its extent is at least
-   one word.  Classifying a word may push, and growing the stack
-   replaces [t.stack], so every pop reads it afresh.  While reads are
-   armed every pop takes the guarded [scan_object]. *)
+(* The drain loop of a heap that scans by blocks: [t.blocks] and a
+   little-endian heap segment, both fixed for the heap's life.  A
+   16-byte entry is one pair of 64-bit loads and an 8-byte entry one
+   load, tested for zero, whose four or two words are split out in
+   address order (the low half of a little-endian load is the lower
+   word) and tested in straight-line code; any other extent runs a
+   counted block loop and then a straight-line tail of 0-3 words.  The
+   words, their order, the pushes and every tally are [scan_blocks]'s
+   on [base, base + extent). *)
+let drain_blocks t =
+  let bytes = t.heap_bytes and heap_lo = t.heap_lo and heap_hi = t.heap_hi in
+  while t.sp > 0 do
+    let sp = t.sp - 2 in
+    t.sp <- sp;
+    let base = Array.unsafe_get t.stack sp and extent = Array.unsafe_get t.stack (sp + 1) in
+    let o = base - heap_lo in
+    if extent = 16 then begin
+      t.n_words <- t.n_words + 4;
+      scan_block t bytes o ~little:true ~heap_lo ~heap_hi
+    end
+    else if extent = 8 then begin
+      t.n_words <- t.n_words + 2;
+      let x = get64u bytes o in
+      if x <> 0L then scan_pair_le t x ~heap_lo ~heap_hi
+    end
+    else if extent > 0 then begin
+      t.n_words <- t.n_words + ((extent - 4) lsr 2) + 1;
+      let blocks_end = o + (extent land lnot 15) in
+      let off = ref o in
+      while !off < blocks_end do
+        scan_block t bytes !off ~little:true ~heap_lo ~heap_hi;
+        off := !off + 16
+      done;
+      let tail = extent land 15 in
+      if tail >= 4 then begin
+        scan_word t (word_le bytes blocks_end) ~heap_lo ~heap_hi;
+        if tail >= 8 then begin
+          scan_word t (word_le bytes (blocks_end + 4)) ~heap_lo ~heap_hi;
+          if tail >= 12 then scan_word t (word_le bytes (blocks_end + 8)) ~heap_lo ~heap_hi
+        end
+      end
+    end
+    else if extent < 0 then scan_object t base
+  done
+
+(* Pop until the stack is empty, with a loop picked once per call.  A
+   conservative entry's words are scanned right here: the object lies
+   inside a small page, hence inside the heap segment, and its extent is
+   at least one word.  Classifying a word may push, and growing the
+   stack replaces [t.stack], so every pop reads it afresh.  While reads
+   are armed every pop takes the guarded [scan_object]; a heap that
+   scans by blocks takes [drain_blocks]; any other geometry scans each
+   entry with [scan_unguarded]. *)
 let drain t =
   if t.reads_armed then
     while t.sp > 0 do
       t.sp <- t.sp - 2;
       scan_object t (Array.unsafe_get t.stack t.sp)
     done
+  else if t.blocks && t.heap_little then drain_blocks t
   else begin
     let bytes = t.heap_bytes and heap_lo = t.heap_lo and little = t.heap_little in
     let shift = t.alignment_shift in
@@ -604,7 +675,47 @@ let recover_from_overflow t =
     done
   done
 
-let trace_roots t roots ~mem extra =
+(* The live pointer-bearing objects of the pages in [dirty], in address
+   order, each scanned in full as a span of the heap segment and drained
+   before the next: a small page's allocated slots when its layout is
+   not pointer-free (its row's scan extent is nonzero), a large head's
+   object when it is allocated and not pointer-free.  The pages come
+   from [dirty]'s words and the slots from the alloc words, in plain
+   loops: no span record, no list, no closure. *)
+let trace_pages t (dirty : Bitset.t) =
+  let pages = dirty.Bitset.words in
+  let scan lo bytes =
+    let hi = lo + bytes in
+    let hi = if hi < t.heap_hi then hi else t.heap_hi in
+    scan_span t t.heap_seg t.heap_bytes ~sbase:t.heap_lo ~little:t.heap_little ~lo ~hi;
+    drain t
+  in
+  for pw = 0 to Array.length pages - 1 do
+    for pb = 0 to bits_per_word - 1 do
+      if Array.unsafe_get pages pw land (1 lsl pb) <> 0 then begin
+        let page = (pw * bits_per_word) + pb in
+        let r = page lsl row_shift and page_base = t.heap_lo + (page lsl t.page_shift) in
+        let kind = Array.unsafe_get t.rows (r + row_kind) in
+        if kind = kind_small && Array.unsafe_get t.rows (r + row_extent) <> 0 then begin
+          let first = page_base + Array.unsafe_get t.rows (r + row_first_offset) in
+          let object_bytes = Array.unsafe_get t.rows (r + row_object_bytes) in
+          let alloc = Array.unsafe_get t.alloc_cols page in
+          for w = 0 to Array.length alloc - 1 do
+            for b = 0 to bits_per_word - 1 do
+              if Array.unsafe_get alloc w land (1 lsl b) <> 0 then
+                scan (first + (((w * bits_per_word) + b) * object_bytes)) object_bytes
+            done
+          done
+        end
+        else if kind = kind_large_head && Array.unsafe_get t.rows (r + row_extent) <> 0 then begin
+          let l = Array.unsafe_get t.large page in
+          if l.Page.l_allocated then scan page_base l.Page.object_bytes
+        end
+      end
+    done
+  done
+
+let trace_roots t roots ~mem dirty =
   let scan range =
     scan_range t ~mem range;
     drain t
@@ -619,7 +730,7 @@ let trace_roots t roots ~mem extra =
         values)
     (Roots.current_registers roots);
   List.iter scan (Roots.current_ranges roots);
-  List.iter scan extra;
+  (match dirty with Some pages -> trace_pages t pages | None -> ());
   recover_from_overflow t
 
 let flush_tallies t =
@@ -635,13 +746,13 @@ let flush_tallies t =
   t.n_marked <- 0;
   t.n_misses <- 0
 
-let trace ?(extra = []) t roots ~mem =
+let trace ?dirty t roots ~mem =
   t.sp <- 0;
   t.overflowed <- false;
   t.cache_page <- -1;
   t.cache_words_page <- -1;
   t.reads_armed <- Mem.read_faults_armed t.mem;
-  match trace_roots t roots ~mem extra with
+  match trace_roots t roots ~mem dirty with
   | () | (exception Stopped) -> flush_tallies t
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in

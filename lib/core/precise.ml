@@ -9,6 +9,7 @@ type t = {
          (a word names an object only by its base, and nothing is
          blacklisted), stopping at its first unreadable word *)
   roots : Roots.t;  (* one register file: [bases] *)
+  snapshot : Heap.mark_snapshot;  (* the marks as [collect] found them, reused *)
   mutable bases : int array;  (* this cycle's live provider roots *)
   mutable providers : (unit -> Addr.t list) list;
   mutable last_stale : Addr.t list;
@@ -52,12 +53,12 @@ let collect t =
   let stats = Gc.stats t.gc in
   let t0 = Stats.now_s () in
   t.last_stale <- [];
-  let snapshot = Heap.save_marks heap in
+  Heap.save_marks_into heap t.snapshot;
   (* An abort resets the allocation budget, as a completed cycle does:
      a permanent fault would abort the next collect too, so the retry
      waits a budget's worth of allocation. *)
   let abort () =
-    Heap.restore_marks heap snapshot;
+    Heap.restore_marks heap t.snapshot;
     stats.Stats.precise_mark_aborts <- stats.Stats.precise_mark_aborts + 1;
     Gc.Internal.note_collected t.gc;
     raise Mark_aborted
@@ -87,6 +88,7 @@ let create gc =
       gc;
       marker = Mark.create ~stop_on_fault:true (Gc.heap gc) exact (Gc.blacklist gc) (Gc.stats gc);
       roots = Roots.create ();
+      snapshot = Heap.mark_snapshot ();
       bases = [||];
       providers = [];
       last_stale = [];

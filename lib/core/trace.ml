@@ -17,13 +17,11 @@ let provenance gc =
   let visited : (Addr.t, step) Hashtbl.t = Hashtbl.create 256 in
   let stack = ref [] in
   let consider step value =
-    match Mark.classify heap config value with
-    | Mark.Valid { base; page = _ } ->
-        if not (Hashtbl.mem visited base) then begin
-          Hashtbl.add visited base (step value);
-          stack := base :: !stack
-        end
-    | Mark.False_in_heap _ | Mark.Outside -> ()
+    let base = Mark.valid_base heap config value in
+    if base >= 0 && not (Hashtbl.mem visited base) then begin
+      Hashtbl.add visited base (step value);
+      stack := base :: !stack
+    end
   in
   let scan_object base =
     let word at value = consider (fun v -> Heap_word { obj = base; at; value = v }) value in

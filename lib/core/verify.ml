@@ -242,7 +242,8 @@ let check_precise_mark p =
          reads it, so the marks are the same): the mark bits are all it
          writes, and they are restored before returning. *)
       if Hashtbl.length reachable > 0 then begin
-        let marks = Heap.save_marks heap in
+        let marks = Heap.mark_snapshot () in
+        Heap.save_marks_into heap marks;
         Fun.protect
           ~finally:(fun () -> Heap.restore_marks heap marks)
           (fun () ->

@@ -1321,14 +1321,17 @@ let test_is_allocated_allocates_nothing () =
   check int "minor words over the probe" 0 (int_of_float (w2 -. w1 -. (w1 -. w0)))
 
 (* The trace allocates nothing per object or per scanned word: a second
-   mark of ~4000 live chained cells of 8, 16 and 20 bytes, every fourth
-   also naming a pointer-free leaf in its last word, and a zero-filled
-   large object whose last word alone names a cell, costs exactly the
-   minor words of marking an empty heap — the per-trace root lists and
-   iterators, a fixed handful.  The cells reach the block scan's
-   four-word split and its tail, the large object its zero skip, so an
-   [Int64] boxed there shows.  The per-trace tally flush adds no closure
-   either. *)
+   mark of ~4000 live chained cells of 4, 8, 12, 16, 20, 24 and 32
+   bytes, every fourth of at least two words also naming a pointer-free
+   leaf in its last word, and a zero-filled large object whose last word
+   alone names a cell, costs exactly the minor words of marking an empty
+   heap — the per-trace root lists and iterators, a fixed handful.  The
+   cells reach every shape of the drain's block path: the straight-line
+   8- and 16-byte reads, the counted block loop (20, 24 and 32 bytes)
+   and its tails of one, two and three words (4, 12, 20 and 24 bytes);
+   the large object reaches the span scan's zero skip, so an [Int64]
+   boxed anywhere there shows.  The per-trace tally flush adds no
+   closure either. *)
 let test_mark_allocates_nothing () =
   let mark_words gc =
     Gc.Internal.run_mark gc;
@@ -1342,13 +1345,15 @@ let test_mark_allocates_nothing () =
   let _, _, empty = make_env () in
   let _, globals, busy = make_env ~heap_kb:1024 () in
   let head = Gc.allocate busy 8 in
-  let prev = ref head in
+  let prev = ref head and leaves = ref 0 in
   for i = 2 to 4000 do
-    let bytes = [| 8; 16; 20 |].(i mod 3) in
+    let bytes = [| 4; 8; 12; 16; 20; 24; 32 |].(i mod 7) in
     let c = Gc.allocate busy bytes in
     Gc.set_field busy !prev 0 (Addr.to_int c);
-    if i mod 4 = 0 then
+    if i mod 4 = 0 && bytes >= 8 then begin
       Gc.set_field busy c ((bytes / 4) - 1) (Addr.to_int (Gc.allocate ~pointer_free:true busy 12));
+      incr leaves
+    end;
     prev := c
   done;
   let large = Gc.allocate busy 20_000 in
@@ -1357,7 +1362,7 @@ let test_mark_allocates_nothing () =
   set_slot globals 0 (Addr.to_int head);
   let _, fixed = mark_words empty in
   let marked, words = mark_words busy in
-  check int "every cell, leaf and the large object marked" 5002 marked;
+  check int "every cell, leaf and the large object marked" (4000 + !leaves + 2) marked;
   check int "minor words: busy heap = empty heap" fixed words
 
 let test_live_bytes_accounting () =
@@ -1510,6 +1515,50 @@ let test_precise_collect_is_timed () =
   check bool "total time rose" true (after.Stats.total_gc_seconds > before.Stats.total_gc_seconds);
   check int "one full collection" (before.Stats.collections + 1) after.Stats.collections;
   check int "whole chain live" 2000 after.Stats.live_objects
+
+(* A precise collect allocates nothing per page or object: on a busy
+   heap — 40,000 typed allocations of 8-, 24- and 56-byte records, four
+   in five linked into one chain from the one provider root, and a 20 KB
+   record at the chain's head — it costs exactly the minor words of a
+   precise collect of an empty 64-page heap with one rooted cell: the
+   provider's root list, the root array and the timings, a fixed
+   handful. *)
+let test_precise_collect_allocates_nothing_per_page () =
+  let record = Type_desc.make ~name:"record" ~size_bytes:24 ~pointer_offsets:[ 0; 8 ] in
+  let wide = Type_desc.make ~name:"wide" ~size_bytes:56 ~pointer_offsets:[ 0; 52 ] in
+  let big = Type_desc.make ~name:"big" ~size_bytes:20_000 ~pointer_offsets:[ 0; 19_996 ] in
+  let precise ~heap_kb =
+    let mem = Mem.create () in
+    let gc = Gc.create mem ~base:heap_base ~max_bytes:(heap_kb * 1024) () in
+    Gc.set_auto_collect gc false;
+    (gc, Precise.create gc)
+  in
+  let collect_words p =
+    Precise.collect p;
+    let w0 = Stdlib.Gc.minor_words () in
+    let w1 = Stdlib.Gc.minor_words () in
+    Precise.collect p;
+    let w2 = Stdlib.Gc.minor_words () in
+    int_of_float (w2 -. w1 -. (w1 -. w0))
+  in
+  let empty_gc, empty = precise ~heap_kb:512 in
+  let cell = Precise.allocate empty Type_desc.cons in
+  Precise.add_root_provider empty (fun () -> [ cell ]);
+  let busy_gc, busy = precise ~heap_kb:2048 in
+  let root = ref (Precise.allocate busy big) in
+  Precise.add_root_provider busy (fun () -> [ !root ]);
+  for i = 1 to 40_000 do
+    let a = Precise.allocate busy [| Type_desc.cons; record; wide |].(i mod 3) in
+    if i mod 5 <> 0 then begin
+      Gc.set_field busy_gc a 0 (Addr.to_int !root);
+      root := a
+    end
+  done;
+  check int "empty heap pages" 64 (Heap.committed_pages (Gc.heap empty_gc));
+  check int "busy heap pages" 243 (Heap.committed_pages (Gc.heap busy_gc));
+  let fixed = collect_words empty in
+  check int "minor words: busy heap = empty heap" fixed (collect_words busy);
+  check int "the chain and its tail live" 32_001 (Gc.stats busy_gc).Stats.live_objects
 
 let test_precise_vs_conservative_misidentification () =
   (* the same bit pattern: conservative retains, precise does not *)
@@ -1938,19 +1987,23 @@ let test_promoted_bytes_large_object () =
   check int "dead large: no bytes charged" 0 s2.Generational.promoted_bytes
 
 (* A minor collection walks the page table through its rows and builds
-   no page view: a minor of a busy heap — 40,000 allocations of 8 to 56
-   bytes, every 50th rooted, and a rooted 20 KB object, over 323 pages —
-   costs exactly the minor words of a minor of an empty 64-page heap.
-   The second minor is measured: the first has freed the garbage and
-   aged every surviving page, which the second promotes. *)
+   no page view, and the kernel takes the dirty old pages as a page set,
+   not as one root range per object: each of the first five minors of a
+   busy heap — 40,000 allocations of 8 to 56 bytes, every 50th rooted,
+   and a rooted 20 KB object, over 323 pages — costs exactly the minor
+   words of the same minor of an empty 64-page heap.  The first minor
+   frees the garbage and ages every surviving page, the second promotes
+   them dirty, and the third, the first after the promotion, rescans
+   every promoted page's objects and tests each of their words for a
+   young reference. *)
 let test_minor_allocates_nothing_per_page () =
   let minor_words gen =
-    Generational.minor gen;
-    let w0 = Stdlib.Gc.minor_words () in
-    let w1 = Stdlib.Gc.minor_words () in
-    Generational.minor gen;
-    let w2 = Stdlib.Gc.minor_words () in
-    int_of_float (w2 -. w1 -. (w1 -. w0))
+    List.init 5 (fun _ ->
+        let w0 = Stdlib.Gc.minor_words () in
+        let w1 = Stdlib.Gc.minor_words () in
+        Generational.minor gen;
+        let w2 = Stdlib.Gc.minor_words () in
+        int_of_float (w2 -. w1 -. (w1 -. w0)))
   in
   let _, _, empty = make_env () in
   let empty = Generational.create empty in
@@ -1964,9 +2017,11 @@ let test_minor_allocates_nothing_per_page () =
   check int "empty heap pages" 64 (Heap.committed_pages (Gc.heap (Generational.gc empty)));
   check int "busy heap pages" 323 (Heap.committed_pages (Gc.heap (Generational.gc busy)));
   let fixed = minor_words empty in
-  check int "minor words: busy heap = empty heap" fixed (minor_words busy);
+  check (Alcotest.list int) "minor words of minors 1-5: busy heap = empty heap" fixed
+    (minor_words busy);
   let s = Generational.stats busy in
-  check bool "the busy heap's survivors were promoted" true (s.Generational.promoted_pages > 200)
+  check bool "the busy heap's survivors were promoted" true (s.Generational.promoted_pages > 200);
+  check bool "and their pages rescanned dirty" true (s.Generational.dirty_pages_scanned > 200)
 
 let () =
   Alcotest.run "gc"
@@ -2102,6 +2157,8 @@ let () =
           Alcotest.test_case "no false references" `Quick test_precise_no_false_references;
           Alcotest.test_case "vs conservative" `Quick test_precise_vs_conservative_misidentification;
           Alcotest.test_case "collect is timed" `Quick test_precise_collect_is_timed;
+          Alcotest.test_case "collect allocates nothing per page" `Quick
+            test_precise_collect_allocates_nothing_per_page;
           Alcotest.test_case "type descriptors" `Quick test_type_desc_validation;
           Alcotest.test_case "descriptor eviction on sweep" `Quick test_precise_desc_eviction;
           Alcotest.test_case "typed page scans pointer words only" `Quick

@@ -681,18 +681,21 @@ let heap_top_cases =
         [ 1; 2; 4 ])
     [ false; true ]
 
-(* Word order inside a block: the scan visits an object's words in
+(* Word order inside an object: the scan visits an object's words in
    address order, which decides which of two pushes a full stack drops.
-   Fifteen pointer-free leaves and a 5-word object R are the roots, so
-   the 16-entry stack is full when R's scan begins; R names A at word i
-   and B at word i + 1 and holds zeros elsewhere.  A push of the second
+   Fifteen pointer-free leaves and an object R are the roots, so the
+   16-entry stack is full when R's scan begins; R names A at word i and
+   B at word i + 1 and holds zeros elsewhere.  A push of the second
    overflows: A dropped means its child C is found only by the rescan,
-   so the tallies differ with the order.  For i = 0..3 (inside the
-   four-word block, and across into the tail word) the fast path equals
-   the reference, and the reference itself tells the two orders apart,
-   in both byte orders at alignments 1/2/4. *)
+   so the tallies differ with the order.  R is 8, 12, 16, 20 or 24 bytes
+   — every shape of the drain's block path: the straight-line 8- and
+   16-byte reads, the tails of 12 bytes and the block loop with the
+   tails of 20 and 24 — and the pair takes every adjacent position in
+   it.  For each, the fast path equals the reference, and the reference
+   itself tells the two orders apart, in both byte orders at alignments
+   1/2/4. *)
 let block_order_case ~alignment ~big_endian () =
-  let build i ~swap =
+  let build ~bytes i ~swap =
     let mem = Mem.create ~endian:(if big_endian then Endian.Big else Endian.Little) () in
     let data =
       Mem.map mem ~name:"roots" ~kind:Segment.Static_data ~base:(Addr.of_int 0x10000) ~size:0x100
@@ -707,7 +710,7 @@ let block_order_case ~alignment ~big_endian () =
     for k = 0 to 14 do
       root k (Gc.allocate ~pointer_free:true gc 4)
     done;
-    let r = Gc.allocate gc 20 and a = Gc.allocate gc 8 and b = Gc.allocate ~pointer_free:true gc 8 in
+    let r = Gc.allocate gc bytes and a = Gc.allocate gc 8 and b = Gc.allocate ~pointer_free:true gc 8 in
     Gc.set_field gc a 0 (Addr.to_int (Gc.allocate gc 8));
     let first, second = if swap then (b, a) else (a, b) in
     Gc.set_field gc r i (Addr.to_int first);
@@ -715,19 +718,22 @@ let block_order_case ~alignment ~big_endian () =
     root 15 r;
     gc
   in
-  for i = 0 to 3 do
-    let gc_fast = build i ~swap:false and gc_ref = build i ~swap:false in
-    let gc_swapped = build i ~swap:true in
-    Gc.Internal.run_mark gc_fast;
-    Cgc_oracle.Reference.run gc_ref;
-    Cgc_oracle.Reference.run gc_swapped;
-    let ((_, _, (_, _, _, _, overflows), _) as expected) = mark_state gc_ref in
-    Alcotest.(check int) (Printf.sprintf "words %d, %d: the stack overflowed" i (i + 1)) 1 overflows;
-    Alcotest.(check bool) (Printf.sprintf "words %d, %d: the order shows" i (i + 1)) false
-      (expected = mark_state gc_swapped);
-    Alcotest.(check bool) (Printf.sprintf "words %d, %d: fast path == reference" i (i + 1)) true
-      (mark_state gc_fast = expected)
-  done
+  List.iter
+    (fun bytes ->
+      for i = 0 to (bytes / 4) - 2 do
+        let what = Printf.sprintf "%d-byte R, words %d, %d" bytes i (i + 1) in
+        let gc_fast = build ~bytes i ~swap:false and gc_ref = build ~bytes i ~swap:false in
+        let gc_swapped = build ~bytes i ~swap:true in
+        Gc.Internal.run_mark gc_fast;
+        Cgc_oracle.Reference.run gc_ref;
+        Cgc_oracle.Reference.run gc_swapped;
+        let ((_, _, (_, _, _, _, overflows), _) as expected) = mark_state gc_ref in
+        Alcotest.(check int) (what ^ ": the stack overflowed") 1 overflows;
+        Alcotest.(check bool) (what ^ ": the order shows") false (expected = mark_state gc_swapped);
+        Alcotest.(check bool) (what ^ ": fast path == reference") true
+          (mark_state gc_fast = expected)
+      done)
+    [ 8; 12; 16; 20; 24 ]
 
 let block_order_cases =
   List.concat_map
